@@ -28,7 +28,6 @@ EXPERIMENTS = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs", help="output root directory")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     root = Path(args.out)
@@ -38,7 +37,7 @@ def main() -> int:
         dest = root / name
         cmd = [sys.executable, "-m", "qsdsim", command,
                "--config", str(CONFIG_DIR / config),
-               "--out", str(dest), "--workers", str(args.workers)]
+               "--out", str(dest)]
         t0 = time.monotonic()
         code = subprocess.run(cmd).returncode
         took = time.monotonic() - t0

@@ -33,7 +33,7 @@ GRID = {
 }
 
 
-def measure(x, gamma, m, seed, workers):
+def measure(x, gamma, m, seed):
     n_fock, dt, t_end, stride = GRID[x]
     params = ModelParams(m=1.0, omega=1.0, gamma=gamma, temperature=1.0 / x)
     ops = build_operators(params, n_fock)
@@ -41,7 +41,7 @@ def measure(x, gamma, m, seed, workers):
         m=m, base_seed=seed,
         integrator=IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride),
         initial=InitialStateSpec(kind="fock", n=1))
-    stats = run_ensemble(cfg, ops, workers=workers)
+    stats = run_ensemble(cfg, ops)
     fit = fit_exponential_decay(stats.times, stats.means["delta_alpha_sq"],
                                 stats.stderrs["delta_alpha_sq"])
     t_loc = derive(params).t_loc
@@ -58,14 +58,13 @@ def main() -> int:
     ap.add_argument("--gamma", type=float, default=0.2)
     ap.add_argument("--m", type=int, default=300, help="trajectories per point")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--out", default="localization_scan.csv")
     args = ap.parse_args()
 
     rows = []
     print(f"{'x':>6} {'nbar':>10} {'t_loc':>8} {'t_meas':>8} {'ratio':>7}")
     for x in sorted(GRID):
-        row = measure(x, args.gamma, args.m, args.seed, args.workers)
+        row = measure(x, args.gamma, args.m, args.seed)
         rows.append(row)
         print(f"{row['x']:6.2f} {row['nbar']:10.4g} {row['t_loc']:8.4f} "
               f"{row['t_measured']:8.4f} {row['ratio']:7.3f}")

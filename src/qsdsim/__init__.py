@@ -16,9 +16,8 @@ from .observables import (CSV_COLUMNS, ExponentialFit, ObservableBundle,
                           bundle, bundle_arrays, fit_exponential_decay,
                           localization_rhs, localization_rhs_spread_form,
                           sigma, windowed_slopes, write_bundle_csv)
-from .qsd import (IntegratorConfig, NoiseIncrement, TrajectoryRecord,
-                  draw_noise, draw_noise_block, qsd_step, run_trajectory,
-                  trajectory_seed)
+from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,
+                  run_trajectory, trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, OUState,
                      lindblad_rhs, lindblad_step, ou_flow, propagate,
                      propagate_matrices, rk4_step, stationary_lindblad_check,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,8 +222,8 @@ def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
         tail_tol=cfg["fock"].get("tail_tol", TAIL_TOL_DEFAULT))
 
 
-def _ensemble_config(cfg: dict, icfg: IntegratorConfig, seed_override,
-                     rho_times=(), store_series=()) -> EnsembleConfig:
+def _ensemble_config(cfg: dict, icfg: IntegratorConfig,
+                     seed_override) -> EnsembleConfig:
     if "ensemble" not in cfg or "initial" not in cfg:
         raise ConfigError("this subcommand needs ensemble and initial "
                           "config sections")
@@ -232,8 +233,7 @@ def _ensemble_config(cfg: dict, icfg: IntegratorConfig, seed_override,
         base_seed = seed_override
     return EnsembleConfig(
         m=sec["m"], base_seed=base_seed, integrator=icfg,
-        initial=build_initial(cfg["initial"]),
-        rho_times=tuple(rho_times), store_series=tuple(store_series))
+        initial=build_initial(cfg["initial"]))
 
 
 def _sha256(path: Path) -> str:
@@ -276,7 +276,6 @@ class Runner:
                 "numpy": np.__version__,
             },
             "seed_override": self.args.seed,
-            "workers": self.args.workers,
             "wall_time_s": round(time.monotonic() - self.started, 3),
             "outputs": self.outputs,
             "checks": [{"label": lbl, "passed": ok}
@@ -349,13 +348,8 @@ def cmd_stationary(args) -> int:
     return run.finish("stationary")
 
 
-def _localize_rate(cfg, params, ops, icfg, args, spec, tag, run):
-    ecfg = EnsembleConfig(
-        m=cfg["ensemble"]["m"],
-        base_seed=(args.seed if args.seed is not None
-                   else cfg["ensemble"].get("base_seed", 0)),
-        integrator=icfg, initial=spec)
-    stats = run_ensemble(ecfg, ops, workers=args.workers)
+def _localize_rate(ecfg, ops, tag, run):
+    stats = run_ensemble(ecfg, ops)
     write_stats_csv(run.path(f"localize_{tag}.csv"), stats)
     fit = fit_exponential_decay(stats.times,
                                 stats.means["delta_alpha_sq"],
@@ -367,10 +361,8 @@ def cmd_localize(args) -> int:
     run = Runner(args)
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
-    icfg = _integrator(cfg, None)
-    if "ensemble" not in cfg or "initial" not in cfg:
-        raise ConfigError("localize needs ensemble and initial sections")
-    initial = build_initial(cfg["initial"])
+    ecfg = _ensemble_config(cfg, _integrator(cfg, None), args.seed)
+    initial = ecfg.initial
     if initial.kind not in ("fock", "cat"):
         raise ConfigError("localize expects a fock or cat initial state")
     bound = 2.0 * params.gamma * (params.nbar + 0.5)
@@ -382,7 +374,7 @@ def cmd_localize(args) -> int:
         for d in separations:
             spec = InitialStateSpec(kind="cat", alpha=d / 2.0,
                                     phase=initial.phase)
-            _, fit = _localize_rate(cfg, params, ops, icfg, args, spec,
+            _, fit = _localize_rate(replace(ecfg, initial=spec), ops,
                                     f"d{d:g}", run)
             rates.append({"separation": d, "rate": fit.rate,
                           "ci95": fit.ci95})
@@ -396,8 +388,7 @@ def cmd_localize(args) -> int:
                 f" = {ratio:.2f} within 50% of {expected:g}",
                 abs(ratio - expected) <= 0.5 * expected)
     else:
-        stats, fit = _localize_rate(cfg, params, ops, icfg, args, initial,
-                                    "main", run)
+        stats, fit = _localize_rate(ecfg, ops, "main", run)
         report["rate"] = fit.rate
         report["ci95"] = fit.ci95
         if params.gamma == 0.0:
@@ -426,7 +417,7 @@ def cmd_thermalize(args) -> int:
     if icfg.t_end < 10.0 / params.gamma:
         raise ConfigError("thermalize needs t_end >= 10/gamma")
     ecfg = _ensemble_config(cfg, icfg, args.seed)
-    stats = run_ensemble(ecfg, ops, workers=args.workers)
+    stats = run_ensemble(ecfg, ops)
     write_stats_csv(run.path("thermalize.csv"), stats)
     run.gnuplot_stub("thermalize.csv", {"mean": 3}, "occupation relaxation")
 
@@ -486,28 +477,21 @@ def cmd_oracle_compare(args) -> int:
     if "oracle_compare" not in cfg:
         raise ConfigError("oracle-compare needs an oracle_compare section")
     icfg = _integrator(cfg, None)
+    ecfg = _ensemble_config(cfg, icfg, args.seed)
     t_end = icfg.t_end
-    initial = build_initial(cfg["initial"])
-    psi0 = initial.build(ops)
+    psi0 = ecfg.initial.build(ops)
     rho0 = np.outer(psi0, psi0.conj())
     pcfg = LindbladPropagatorConfig(
         dt_oracle=cfg["oracle_compare"]["dt_oracle"], t_end=t_end)
     oracle_rho = propagate(rho0, ops, pcfg, sample_times=[t_end]).rhos[0]
 
-    base_seed = (args.seed if args.seed is not None
-                 else cfg["ensemble"].get("base_seed", 0))
-
     def distance(m, dt):
-        ic = IntegratorConfig(dt=dt, t_end=t_end, seed=icfg.seed,
-                              record_stride=max(1, int(round(t_end / dt))),
-                              renormalize=icfg.renormalize,
-                              tail_tol=icfg.tail_tol)
-        ecfg = EnsembleConfig(m=m, base_seed=base_seed, integrator=ic,
-                              initial=initial, rho_times=(t_end,))
-        stats = run_ensemble(ecfg, ops, workers=args.workers)
+        ic = replace(icfg, dt=dt, record_stride=max(1, round(t_end / dt)))
+        stats = run_ensemble(replace(ecfg, m=m, integrator=ic,
+                                     rho_times=(t_end,)), ops)
         return trace_distance(stats.rhos[0], oracle_rho)
 
-    m = cfg["ensemble"]["m"]
+    m = ecfg.m
     dt = icfg.dt
     d_m = distance(m, dt)
     d_4m = distance(4 * m, dt)
@@ -547,7 +531,7 @@ def cmd_histories(args) -> int:
                                                   True))
     pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
                                     t_end=max(sec["times"]))
-    dmat = decoherence_functional(spec, ops, pcfg, workers=args.workers)
+    dmat = decoherence_functional(spec, ops, pcfg)
     write_decoherence_json(run.path("decoherence.json"), dmat, spec)
     write_suppression_csv(run.path("suppression.csv"), dmat)
     report = classical_peaking_report(dmat, spec, ops)
@@ -577,7 +561,6 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON config path")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--seed", type=int, default=None,
                         help="override config seeds")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,15 +33,16 @@ STEP_GUARD_OSCILLATORY = 0.05
 # Deterministic oracle guard: dt * (gamma * (nbar + 1) + omega).
 ORACLE_STEP_GUARD = 0.05
 
-# Truncation health: the top ceil(TAIL_FRACTION * n_fock) Fock levels
-# must hold less than tail_tol of the state's mass.
-TAIL_FRACTION = 0.1
+# Truncation health: the top ceil(n_fock / TAIL_LEVEL_DIVISOR) Fock
+# levels must hold less than tail_tol of the state's mass.  An integer
+# divisor keeps the count exact (0.1 * 30 rounds up to 4 in floats).
+TAIL_LEVEL_DIVISOR = 10
 TAIL_TOL_DEFAULT = 1e-6
 
-# Fixed trajectory batch size for the vectorised integrator.  Batches
-# are assigned to workers whole, and partial sums are merged in batch
-# order, so results do not depend on the worker count.  Changing this
-# constant changes floating-point rounding, so it is frozen.
+# Fixed trajectory batch size for the vectorised integrator.  Sums over
+# trajectories are accumulated batch by batch in batch order, so
+# changing this constant changes floating-point rounding of the
+# ensemble statistics; it is frozen.
 TRAJ_BATCH = 64
 
 # Number of steps of noise drawn from a trajectory's generator in one

@@ -1,31 +1,28 @@
 """Ensemble runner: M independent trajectories and their statistics.
 
 Trajectories are integrated in fixed batches of TRAJ_BATCH, each batch
-a vectorized (B, n_fock) array sharing the step kernel.  Batch
-membership and the merge order are functions of the trajectory index
-alone, so results are bit-identical for any worker count.  Per-batch
-work distributes over a thread pool; the heavy lifting is matrix
-products that release the interpreter lock.
+a vectorized (B, n_fock) array stepped by the trajectory driver.  Batch
+membership, each trajectory's noise stream and the accumulation order
+are functions of the trajectory index alone, so results depend only on
+the configuration.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .constants import COARSE_GRID_SPACING, NOISE_BLOCK_STEPS, TRAJ_BATCH
-from .errors import ConfigError, DimensionError, GridWarning, ParameterError, \
-    TrajectoryError
-from .model import ModelParams, OperatorSet, cat_state, coherent_state, \
-    fock_state, normalize
+from .constants import COARSE_GRID_SPACING, TRAJ_BATCH
+from .errors import ConfigError, DimensionError, GridWarning, ParameterError
+from .model import OperatorSet, cat_state, coherent_state, fock_state, \
+    normalize, steps_on_grid
 from .observables import bundle_arrays
-from .qsd import IntegratorConfig, check_step_size, draw_noise_block, \
-    get_kernel, trajectory_seed
+from .qsd import IntegratorConfig, StepKernel, _integrate, check_step_size, \
+    trajectory_seed
 
 #: Bundle fields averaged over the ensemble, in CSV emission order.
 STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R",
@@ -103,131 +100,59 @@ class EnsembleStats:
     series: dict = field(default_factory=dict)
 
 
-def _batch_bounds(m: int):
-    return [(k, min(k + TRAJ_BATCH, m)) for k in range(0, m, TRAJ_BATCH)]
-
-
-def _run_batch(k0: int, k1: int, cfg: EnsembleConfig, ops: OperatorSet,
-               psi0: np.ndarray, sample_count: int, rho_steps: dict):
-    """Integrate trajectories [k0, k1); return per-batch accumulators."""
-    icfg = cfg.integrator
-    kern = get_kernel(ops)
-    b = k1 - k0
-    rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
-            for k in range(k0, k1)]
-    psis = np.tile(psi0, (b, 1))
-
-    n_fock = ops.n_fock
-    n_tail = -(-n_fock // 10)  # ceil
-    sums = {f: np.zeros(sample_count) for f in STAT_FIELDS}
-    sumsq = {f: np.zeros(sample_count) for f in STAT_FIELDS}
-    occ = np.zeros((sample_count, n_fock))
-    rho_sum = np.zeros((len(rho_steps), n_fock, n_fock), dtype=complex)
-    series = {f: np.empty((b, sample_count)) for f in cfg.store_series}
-
-    def record(sample_idx: int, t: float):
-        vals = bundle_arrays(psis, ops, t)
-        for f in STAT_FIELDS:
-            v = vals[f]
-            sums[f][sample_idx] = v.sum()
-            sumsq[f][sample_idx] = (v * v).sum()
-        norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-        occ[sample_idx] = (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
-        for f in cfg.store_series:
-            series[f][:, sample_idx] = vals[f]
-
-    def snapshot(rho_idx: int):
-        norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-        rho_sum[rho_idx] = np.einsum("bi,b,bj->ij", psis,
-                                     1.0 / norm_sq, psis.conj())
-
-    record(0, 0.0)
-    if 0 in rho_steps:
-        snapshot(rho_steps[0])
-
-    dt = icfg.dt
-    n_steps = icfg.n_steps
-    step = 0
-    sample_idx = 0
-    while step < n_steps:
-        block = min(NOISE_BLOCK_STEPS, n_steps - step)
-        noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
-        for j in range(block):
-            psis, _ = kern.step(psis, noise[:, j], dt, icfg.renormalize)
-            step += 1
-            t = step * dt
-            norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-            tails = (np.abs(psis[:, n_fock - n_tail:]) ** 2).sum(axis=1) \
-                / norm_sq
-            worst = int(np.argmax(tails))
-            if tails[worst] > icfg.tail_tol:
-                raise TrajectoryError(
-                    f"tail mass {tails[worst]:.3e} exceeds tolerance "
-                    f"{icfg.tail_tol:.1e} at t = {t:.6g} "
-                    f"(trajectory {k0 + worst})",
-                    tail_mass=float(tails[worst]), time=t,
-                    trajectory=k0 + worst)
-            if step % icfg.record_stride == 0:
-                sample_idx += 1
-                record(sample_idx, t)
-                if step in rho_steps:
-                    snapshot(rho_steps[step])
-    return sums, sumsq, occ, rho_sum, series, psis
-
-
-def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet,
-                 params: ModelParams | None = None,
-                 workers: int = 1) -> EnsembleStats:
+def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     """Statistics over exactly cfg.m independent trajectories.
 
-    Deterministic given (cfg, ops); the worker count only changes wall
-    time.  Any trajectory failure aborts the whole run.
+    Deterministic given (cfg, ops).  Any trajectory failure aborts the
+    whole run.
     """
-    del params  # carried by ops; accepted for signature compatibility
     icfg = cfg.integrator
     check_step_size(icfg.dt, ops.params)
     # normalize exactly as the single-trajectory entry point does, so an
     # m=1 ensemble is bit-identical to run_trajectory with the same seed
     psi0 = normalize(cfg.initial.build(ops))
     m = cfg.m
+    n_fock = ops.n_fock
     n_samples = icfg.n_steps // icfg.record_stride + 1
 
     rho_steps = {}
     for t in cfg.rho_times:
-        k = int(round(t / icfg.dt))
-        if (k < 0 or k > icfg.n_steps or k % icfg.record_stride != 0
-                or abs(k * icfg.dt - t) > 1e-9 * max(1.0, abs(t))):
+        k = steps_on_grid(t, icfg.dt, "rho time")
+        if k < 0 or k > icfg.n_steps or k % icfg.record_stride != 0:
             raise ConfigError(f"rho time {t} is not a sampled time")
         rho_steps[k] = len(rho_steps)
 
-    bounds = _batch_bounds(m)
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_batch, k0, k1, cfg, ops, psi0,
-                                   n_samples, rho_steps)
-                       for k0, k1 in bounds]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_batch(k0, k1, cfg, ops, psi0, n_samples, rho_steps)
-                   for k0, k1 in bounds]
-
-    # Merge in batch order: the reduction order is a pure function of
-    # the trajectory index.
+    # Accumulated batch by batch in batch order: the reduction order is
+    # a pure function of the trajectory index.
     tot = {f: np.zeros(n_samples) for f in STAT_FIELDS}
     tot_sq = {f: np.zeros(n_samples) for f in STAT_FIELDS}
-    occ = np.zeros((n_samples, ops.n_fock))
-    rhos = np.zeros((len(rho_steps), ops.n_fock, ops.n_fock), dtype=complex)
+    occ = np.zeros((n_samples, n_fock))
+    rhos = np.zeros((len(rho_steps), n_fock, n_fock), dtype=complex)
     series = {f: np.empty((m, n_samples)) for f in cfg.store_series}
-    finals = np.empty((m, ops.n_fock), dtype=complex)
-    for (k0, k1), (s, sq, oc, rs, ser, psis) in zip(bounds, results):
-        for f in STAT_FIELDS:
-            tot[f] += s[f]
-            tot_sq[f] += sq[f]
-        occ += oc
-        rhos += rs
-        for f in cfg.store_series:
-            series[f][k0:k1] = ser[f]
-        finals[k0:k1] = psis
+    finals = np.empty((m, n_fock), dtype=complex)
+    kern = StepKernel(ops)
+    for k0 in range(0, m, TRAJ_BATCH):
+        k1 = min(k0 + TRAJ_BATCH, m)
+
+        def on_sample(psis, step):
+            j = step // icfg.record_stride
+            vals = bundle_arrays(psis, ops, step * icfg.dt)
+            for f in STAT_FIELDS:
+                v = vals[f]
+                tot[f][j] += v.sum()
+                tot_sq[f][j] += (v * v).sum()
+            norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
+            occ[j] += (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
+            for f in cfg.store_series:
+                series[f][k0:k1, j] = vals[f]
+            if step in rho_steps:
+                rhos[rho_steps[step]] += np.einsum(
+                    "bi,b,bj->ij", psis, 1.0 / norm_sq, psis.conj())
+
+        rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
+                for k in range(k0, k1)]
+        finals[k0:k1], _ = _integrate(kern, np.tile(psi0, (k1 - k0, 1)),
+                                      rngs, icfg, k0, on_sample)
 
     means = {f: tot[f] / m for f in STAT_FIELDS}
     stderrs = {}
@@ -244,7 +169,8 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet,
     rho_times = np.array(sorted(cfg.rho_times))
     if len(rho_times):
         # rhos is in insertion order of cfg.rho_times; emit sorted by time
-        rhos = rhos[[rho_steps[int(round(t / icfg.dt))] for t in rho_times]]
+        rhos = rhos[[rho_steps[steps_on_grid(t, icfg.dt, "rho time")]
+                     for t in rho_times]]
     return EnsembleStats(times=times, means=means, stderrs=stderrs,
                          occupation=occ, m=m, base_seed=cfg.base_seed,
                          final_states=finals, rho_times=rho_times,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .constants import DIAG_WEIGHT_FLOOR, SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
-from .model import OperatorSet, cat_state, coherent_state
+from .model import OperatorSet, cat_state, coherent_state, steps_on_grid
 from .oracle import LindbladPropagatorConfig, check_oracle_step, \
     propagate_matrices
 
@@ -178,23 +179,38 @@ class DecoherenceMatrix:
         return ratios, valid
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _propagate_chunked(mats: np.ndarray, ops: OperatorSet, duration: float,
-                       dt: float, workers: int) -> np.ndarray:
+                       dt: float) -> np.ndarray:
+    """propagate_matrices over a batch split into one chunk per CPU.
+
+    The matrix products release the interpreter lock, and each matrix
+    evolves independently of the others in its batch, so the result
+    does not depend on the split.
+    """
     flat = mats.reshape(-1, *mats.shape[-2:])
-    if workers <= 1 or flat.shape[0] < 2:
+    n_chunks = min(_cpus(), flat.shape[0])
+    if n_chunks <= 1:
         out = propagate_matrices(flat, ops, duration, dt)
         return out.reshape(mats.shape)
-    chunk = -(-flat.shape[0] // workers)
+    chunk = -(-flat.shape[0] // n_chunks)
     pieces = [flat[i:i + chunk] for i in range(0, flat.shape[0], chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
         done = list(pool.map(
             lambda p: propagate_matrices(p, ops, duration, dt), pieces))
     return np.concatenate(done).reshape(mats.shape)
 
 
-def decoherence_functional(spec: HistorySpec, ops: OperatorSet,
-                           pcfg: LindbladPropagatorConfig,
-                           workers: int = 1) -> DecoherenceMatrix:
+def decoherence_functional(
+        spec: HistorySpec, ops: OperatorSet,
+        pcfg: LindbladPropagatorConfig) -> DecoherenceMatrix:
     """Evaluate D over every history string of the specification.
 
     With include_complement on, each time's partition is completed to
@@ -233,7 +249,7 @@ def decoherence_functional(spec: HistorySpec, ops: OperatorSet,
     for k in range(n_times):
         gap = spec.times[k] - t_prev
         if gap > 0:
-            cur = _propagate_chunked(cur, ops, gap, pcfg.dt_oracle, workers)
+            cur = _propagate_chunked(cur, ops, gap, pcfg.dt_oracle)
         p = projs[k]
         c = p.shape[0]
         npre = cur.shape[0]
@@ -342,7 +358,7 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     """
     check_oracle_step(pcfg, ops.params)
     dt = pcfg.dt_oracle
-    n_steps = int(round(t_max / dt))
+    n_steps = steps_on_grid(t_max, dt, "t_max")
     if n_steps < 1:
         raise ConfigError("t_max shorter than one oracle step")
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TAIL_FRACTION, TAIL_TOL_DEFAULT
-from .errors import DimensionError, ParameterError, TruncationError
+from .constants import TAIL_LEVEL_DIVISOR
+from .errors import ConfigError, DimensionError, ParameterError, \
+    TruncationError
 
 # Temperatures with hbar*omega/(k_B*T) above this behave as T = 0.
 _EXP_ARG_MAX = 700.0
@@ -179,28 +180,38 @@ def build_operators(params: ModelParams, n_fock: int) -> OperatorSet:
 
 def normalize(state: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(state)
+    if not math.isfinite(nrm):
+        raise ParameterError("cannot normalize a state with non-finite "
+                             "amplitudes")
     if nrm == 0:
         raise DimensionError("cannot normalize a zero state")
     return state / nrm
 
 
+def tail_levels(n_fock: int) -> int:
+    """Number of top Fock levels the truncation guard watches."""
+    return -(-n_fock // TAIL_LEVEL_DIVISOR)
+
+
 def tail_mass(state: np.ndarray) -> float:
-    """Probability mass in the top ceil(n_fock / 10) Fock levels."""
+    """Probability mass in the top tail_levels(n_fock) Fock levels."""
     n = state.shape[-1]
-    k = math.ceil(TAIL_FRACTION * n)
+    k = tail_levels(n)
     return float(np.sum(np.abs(state[..., n - k:]) ** 2, axis=-1).max())
 
-def check_tail(state: np.ndarray, tail_tol: float = TAIL_TOL_DEFAULT,
-               time: float | None = None) -> float:
-    """Raise TruncationError when the tail holds more than tail_tol."""
-    mass = tail_mass(state)
-    if mass > tail_tol:
-        raise TruncationError(
-            f"truncation tail mass {mass:.3e} exceeds {tail_tol:.1e}"
-            + (f" at t={time:.6g}" if time is not None else ""),
-            tail_mass=mass, time=time,
-        )
-    return mass
+
+def steps_on_grid(t: float, dt: float, what: str) -> int:
+    """The whole number of steps dt that make up t.
+
+    Raises ConfigError when t is off the step grid by more than
+    1e-9 * max(1, |t|).
+    """
+    ratio = t / dt
+    if (not math.isfinite(ratio)
+            or abs(round(ratio) * dt - t) > 1e-9 * max(1.0, abs(t))):
+        raise ConfigError(f"{what} {t} is not a whole number of steps "
+                          f"of {dt}")
+    return int(round(ratio))
 
 
 def fock_state(ops: OperatorSet, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import ORACLE_STEP_GUARD
 from .errors import ConfigError, DimensionError, ParameterError
-from .model import ModelParams, OperatorSet
+from .model import ModelParams, OperatorSet, steps_on_grid
 
 _TRACE_DRIFT_LIMIT = 1e-8
 _THERMAL_TAIL_LIMIT = 1e-10
@@ -126,19 +126,14 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     """
     check_oracle_step(cfg, ops.params)
     dt = cfg.dt_oracle
-    n_steps = int(round(cfg.t_end / dt))
-    if abs(n_steps * dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ConfigError("t_end is not a whole number of oracle steps")
+    n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
     if sample_times is None:
         sample_steps = list(range(n_steps + 1))
     else:
-        sample_steps = []
-        for t in sample_times:
-            k = int(round(t / dt))
-            if k < 0 or k > n_steps or abs(k * dt - t) > 1e-9 * max(1.0, t):
-                raise ConfigError(
-                    f"sample time {t} is off the oracle step grid")
-            sample_steps.append(k)
+        sample_steps = [steps_on_grid(t, dt, "sample time")
+                        for t in sample_times]
+        if any(not 0 <= k <= n_steps for k in sample_steps):
+            raise ConfigError("sample times must lie in [0, t_end]")
         if sorted(sample_steps) != sample_steps:
             raise ConfigError("sample times must be nondecreasing")
     rho = np.array(rho0, dtype=complex)
@@ -161,9 +156,7 @@ def propagate_matrices(mats: np.ndarray, ops: OperatorSet, duration: float,
     No hermitization, so non-Hermitian history intermediates evolve
     correctly.  duration must be a whole number of steps.
     """
-    n_steps = int(round(duration / dt))
-    if abs(n_steps * dt - duration) > 1e-9 * max(1.0, duration):
-        raise ConfigError("duration is not a whole number of oracle steps")
+    n_steps = steps_on_grid(duration, dt, "duration")
     out = np.array(mats, dtype=complex)
     for _ in range(n_steps):
         out = rk4_step(out, ops, dt)

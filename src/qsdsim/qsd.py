@@ -1,4 +1,4 @@
-"""Single-trajectory integrator for the nonlinear stochastic state equation.
+"""Trajectory integrator for the nonlinear stochastic state equation.
 
 One Euler-Maruyama step applies
 
@@ -11,13 +11,15 @@ with all expectations taken in the pre-step state (Ito convention) and
 an optional renormalization afterwards.  The two dxi_n are independent
 complex Wiener increments whose real and imaginary parts each carry
 variance dt/2.
+
+One driver steps a (B, n_fock) batch of trajectories; a single
+trajectory is the B = 1 case and the ensemble runner feeds it batches.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,8 @@ import numpy as np
 from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
                         STEP_GUARD_OSCILLATORY, TAIL_TOL_DEFAULT)
 from .errors import ParameterError, StepSizeWarning, TrajectoryError
-from .model import ModelParams, OperatorSet, normalize, tail_mass
+from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
+    tail_levels
 from . import observables
 
 #: Weyl-sequence increment of the splitmix64 stream.
@@ -54,29 +57,13 @@ def trajectory_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + index * _SPLITMIX_GAMMA) & _MASK64)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Complex Wiener increments for the two damping channels."""
-
-    dxi1: complex
-    dxi2: complex
-
-
-def draw_noise(rng: np.random.Generator, dt: float) -> NoiseIncrement:
-    """Draw one NoiseIncrement, advancing rng by four normals.
-
-    The stream layout is (Re dxi1, Im dxi1, Re dxi2, Im dxi2); block
-    draws via draw_noise_block consume the identical sequence.
-    """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    z = rng.standard_normal(4) * math.sqrt(dt / 2.0)
-    return NoiseIncrement(dxi1=complex(z[0], z[1]), dxi2=complex(z[2], z[3]))
-
-
 def draw_noise_block(rng: np.random.Generator, dt: float,
                      n_steps: int) -> np.ndarray:
-    """(n_steps, 2) complex increments; row k equals the k-th draw_noise."""
+    """(n_steps, 2) complex increments, advancing rng by 4 * n_steps normals.
+
+    Row k takes the k-th group of four normals as (Re dxi1, Im dxi1,
+    Re dxi2, Im dxi2), so the stream does not depend on the block size.
+    """
     z = rng.standard_normal((n_steps, 4)) * math.sqrt(dt / 2.0)
     out = np.empty((n_steps, 2), dtype=complex)
     out[:, 0] = z[:, 0] + 1j * z[:, 1]
@@ -102,10 +89,11 @@ class IntegratorConfig:
             raise ParameterError("record_stride must be >= 1")
         if self.tail_tol <= 0:
             raise ParameterError("tail_tol must be positive")
+        steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return steps_on_grid(self.t_end, self.dt, "t_end")
 
 
 def check_step_size(dt: float, params: ModelParams) -> None:
@@ -126,8 +114,8 @@ def check_step_size(dt: float, params: ModelParams) -> None:
 class StepKernel:
     """Precomputed matrices for the batched update rule.
 
-    Immutable after construction; safe to share across threads.  States
-    are stored as rows, so every product uses the transposed operator.
+    Immutable after construction.  States are stored as rows, so every
+    product uses the transposed operator.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -137,16 +125,19 @@ class StepKernel:
         self.g_t = np.ascontiguousarray(drift.T)
         self.l1_t = np.ascontiguousarray(ops.l1.T)
         self.l2_t = np.ascontiguousarray(ops.l2.T)
-        self.n_fock = ops.n_fock
+        self.tail_start = ops.n_fock - tail_levels(ops.n_fock)
 
     def step(self, psis: np.ndarray, noise: np.ndarray, dt: float,
              renormalize: bool = True):
         """Advance a (B, n_fock) batch one step.
 
-        noise has shape (B, 2).  Returns (new_psis, norm_dev) where
+        noise has shape (B, 2).  Returns (new_psis, norm_dev, tails).
         norm_dev is | ||psi'|| - 1 | before renormalization; with
         renormalization on and normalized input this is the per-step
-        norm drift, otherwise it measures the accumulated drift.
+        norm drift, otherwise it measures the accumulated drift.  tails
+        is each row's relative tail mass, the share of ||psi'||^2 in
+        the top tail_levels(n_fock) Fock levels; it is nan for a row
+        that is not finite.
         """
         l1psi = psis @ self.l1_t
         l2psi = psis @ self.l2_t
@@ -161,42 +152,50 @@ class StepKernel:
         c0 = (-0.5 * (np.abs(l1) ** 2 + np.abs(l2) ** 2) * dt
               - (l1 * xi1 + l2 * xi2))[:, None]
         out = psis + dt * gpsi + c1 * l1psi + c2 * l2psi + c0 * psis
-        norms = np.sqrt(np.einsum("bi,bi->b", out.conj(), out).real)
+        out_sq = np.einsum("bi,bi->b", out.conj(), out).real
+        norms = np.sqrt(out_sq)
         dev = np.abs(norms - 1.0)
+        tails = (np.abs(out[:, self.tail_start:]) ** 2).sum(axis=1) / out_sq
         if renormalize:
             out /= norms[:, None]
-        return out, dev
+        return out, dev, tails
 
 
-_KERNELS: "weakref.WeakKeyDictionary[OperatorSet, StepKernel]" = \
-    weakref.WeakKeyDictionary()
+def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
+               cfg: IntegratorConfig, first_index: int, on_sample):
+    """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
-
-def get_kernel(ops: OperatorSet) -> StepKernel:
-    kern = _KERNELS.get(ops)
-    if kern is None:
-        kern = _KERNELS[ops] = StepKernel(ops)
-    return kern
-
-
-def qsd_step(state: np.ndarray, ops: OperatorSet, noise: NoiseIncrement,
-             dt: float, renormalize: bool = True,
-             tail_tol: float = TAIL_TOL_DEFAULT,
-             time: float | None = None) -> np.ndarray:
-    """One Euler-Maruyama step of a single state vector."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    kern = get_kernel(ops)
-    batch = np.asarray(state, dtype=complex)[None, :]
-    noise_arr = np.array([[noise.dxi1, noise.dxi2]], dtype=complex)
-    out, _ = kern.step(batch, noise_arr, dt, renormalize)
-    new_state = out[0]
-    tm = tail_mass(new_state)
-    if tm > tail_tol:
-        raise TrajectoryError(
-            f"tail mass {tm:.3e} exceeds tolerance {tail_tol:.1e}",
-            tail_mass=tm, time=time)
-    return new_state
+    Row b draws its noise from rngs[b] and is trajectory first_index + b.
+    on_sample(psis, step) runs at step 0 and every record_stride steps.
+    Returns the final batch and, per step, the worst pre-renormalization
+    norm drift over the batch.  Raises TrajectoryError as soon as a row's
+    relative tail mass is above cfg.tail_tol or not finite.
+    """
+    dt = cfg.dt
+    n_steps = cfg.n_steps
+    drift = np.empty(n_steps)
+    on_sample(psis, 0)
+    step = 0
+    while step < n_steps:
+        block = min(NOISE_BLOCK_STEPS, n_steps - step)
+        noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
+        for j in range(block):
+            psis, dev, tails = kern.step(psis, noise[:, j], dt,
+                                         cfg.renormalize)
+            drift[step] = dev.max()
+            step += 1
+            if not tails.max() <= cfg.tail_tol:
+                worst = int(np.argmax(tails))
+                t = step * dt
+                raise TrajectoryError(
+                    f"tail mass {tails[worst]:.3e} is not within tolerance "
+                    f"{cfg.tail_tol:.1e} at t = {t:.6g} "
+                    f"(trajectory {first_index + worst})",
+                    tail_mass=float(tails[worst]), time=t,
+                    trajectory=first_index + worst)
+            if step % cfg.record_stride == 0:
+                on_sample(psis, step)
+    return psis, drift
 
 
 @dataclass(frozen=True)
@@ -215,44 +214,26 @@ class TrajectoryRecord:
 
 
 def run_trajectory(initial: np.ndarray, ops: OperatorSet,
-                   cfg: IntegratorConfig, observer=None) -> TrajectoryRecord:
+                   cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate one trajectory from t=0 to t_end.
 
-    The observer maps (state, t) to a recorded sample and defaults to
-    the observable bundle.  Deterministic given (initial, cfg): the
-    noise stream is fully determined by cfg.seed.
+    Records the observable bundle every record_stride steps.
+    Deterministic given (initial, cfg): the noise stream is fully
+    determined by cfg.seed.
     """
-    if observer is None:
-        observer = lambda st, t: observables.bundle(st, ops, t)
     check_step_size(cfg.dt, ops.params)
-    kern = get_kernel(ops)
-    rng = np.random.default_rng(cfg.seed)
     psis = normalize(np.asarray(initial, dtype=complex))[None, :].copy()
+    times = []
+    bundles = []
 
-    n_steps = cfg.n_steps
-    times = [0.0]
-    bundles = [observer(psis[0], 0.0)]
-    drift = np.empty(n_steps)
-    step = 0
-    while step < n_steps:
-        block = min(NOISE_BLOCK_STEPS, n_steps - step)
-        noise = draw_noise_block(rng, cfg.dt, block)
-        for k in range(block):
-            psis, dev = kern.step(psis, noise[k:k + 1], cfg.dt,
-                                  cfg.renormalize)
-            drift[step] = dev[0]
-            step += 1
-            t = step * cfg.dt
-            tm = tail_mass(psis[0])
-            if tm > cfg.tail_tol:
-                raise TrajectoryError(
-                    f"tail mass {tm:.3e} exceeds tolerance "
-                    f"{cfg.tail_tol:.1e} at t = {t:.6g}",
-                    tail_mass=tm, time=t)
-            if step % cfg.record_stride == 0:
-                times.append(t)
-                bundles.append(observer(psis[0], t))
+    def on_sample(batch, step):
+        t = step * cfg.dt
+        times.append(t)
+        bundles.append(observables.bundle(batch[0], ops, t))
 
+    psis, drift = _integrate(StepKernel(ops), psis,
+                             [np.random.default_rng(cfg.seed)], cfg, 0,
+                             on_sample)
     return TrajectoryRecord(times=np.asarray(times), bundles=bundles,
                             final_state=psis[0].copy(), seed=cfg.seed,
                             norm_drift=drift)

@@ -30,8 +30,6 @@ from qsdsim.oracle import (LindbladPropagatorConfig, OUState, ou_flow,
                            propagate, stationary_lindblad_check)
 from qsdsim.qsd import IntegratorConfig, draw_noise_block, run_trajectory
 
-WORKERS = 4
-
 
 def _params(gamma: float, nbar: float, omega: float = 1.0) -> ModelParams:
     base = ModelParams(m=1.0, omega=omega, gamma=gamma)
@@ -46,7 +44,7 @@ def _fock1_rate(params, n_fock, dt, t_end, stride, m, seed):
         m=m, base_seed=seed,
         integrator=IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride),
         initial=InitialStateSpec(kind="fock", n=1))
-    stats = run_ensemble(cfg, ops, workers=WORKERS)
+    stats = run_ensemble(cfg, ops)
     fit = fit_exponential_decay(stats.times, stats.means["delta_alpha_sq"],
                                 stats.stderrs["delta_alpha_sq"])
     return fit
@@ -78,7 +76,7 @@ def test_criterion_02_fock_localization_rate(warm_params):
         integrator=IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=20),
         initial=InitialStateSpec(kind="fock", n=1),
         store_series=("R", "excess_q", "excess_p", "delta_alpha_sq"))
-    stats = run_ensemble(cfg, ops, workers=WORKERS)
+    stats = run_ensemble(cfg, ops)
 
     fit = fit_exponential_decay(stats.times, stats.means["delta_alpha_sq"],
                                 stats.stderrs["delta_alpha_sq"])
@@ -149,7 +147,7 @@ def test_criterion_04_cat_rate_scales_with_separation_squared():
             integrator=IntegratorConfig(dt=2.5e-4, t_end=1.0,
                                         record_stride=4),
             initial=InitialStateSpec(kind="cat", alpha=alpha0 + 0.0j))
-        stats = run_ensemble(cfg, ops, workers=WORKERS)
+        stats = run_ensemble(cfg, ops)
         fit = fit_exponential_decay(stats.times,
                                     stats.means["delta_alpha_sq"],
                                     stats.stderrs["delta_alpha_sq"])
@@ -172,7 +170,7 @@ def thermal_relaxation():
         integrator=IntegratorConfig(dt=1e-3, t_end=40.0, record_stride=100),
         initial=InitialStateSpec(kind="fock", n=0),
         store_series=("n_mean",))
-    stats = run_ensemble(cfg, ops, workers=WORKERS)
+    stats = run_ensemble(cfg, ops)
     # late-time snapshots, one relaxation time 1/gamma apart
     late_idx = np.arange(200, 401, 20)
     assert stats.times[late_idx[0]] == pytest.approx(20.0)
@@ -244,7 +242,7 @@ def _final_states(ops, dt, m, seed):
         integrator=IntegratorConfig(dt=dt, t_end=5.0,
                                     record_stride=int(round(5.0 / dt))),
         initial=InitialStateSpec(kind="coherent", alpha=1.0 + 0.0j))
-    return run_ensemble(cfg, ops, workers=WORKERS).final_states
+    return run_ensemble(cfg, ops).final_states
 
 
 def test_criterion_08_ensemble_converges_to_reference():
@@ -303,7 +301,7 @@ def test_criterion_09_zero_temperature_amplitude_decay():
         m=200, base_seed=11,
         integrator=IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=20),
         initial=InitialStateSpec(kind="coherent", alpha=1.0 + 0.0j))
-    stats = run_ensemble(cfg, ops, workers=WORKERS)
+    stats = run_ensemble(cfg, ops)
 
     t = stats.times
     pred = np.exp(-params.gamma * t)  # |alpha|^2 = 1

@@ -161,9 +161,11 @@ def test_localize_requires_ensemble_section(tmp_path):
         "fock": {"n_fock": 24},
         "integrator": {"dt": 1e-3, "t_end": 2.0},
         "initial": {"kind": "fock", "n": 1},
+        "oracle_compare": {"dt_oracle": 1e-3},
     }
-    code, _ = _run(tmp_path, "localize", cfg)
-    assert code == EXIT_CONFIG
+    for command in ("localize", "oracle-compare"):
+        code, _ = _run(tmp_path, command, cfg)
+        assert code == EXIT_CONFIG, command
 
 
 def _thermalize_cfg():

@@ -12,6 +12,8 @@ from qsdsim import (
     GridWarning,
     InitialStateSpec,
     IntegratorConfig,
+    ParameterError,
+    TrajectoryError,
     build_operators,
     cat_state,
     coherent_state,
@@ -27,6 +29,7 @@ from qsdsim import (
     trajectory_seed,
     write_stats_csv,
 )
+from qsdsim.qsd import StepKernel
 
 
 def _cfg(m, *, seed=5, dt=1e-3, t_end=0.5, stride=100, **kw):
@@ -51,16 +54,44 @@ def test_single_member_equals_bare_trajectory(warm_params, ops20):
     assert np.array_equal(stats.means["n_mean"], got)
 
 
-def test_worker_count_does_not_change_results(ops20):
-    # m chosen to straddle a batch boundary
-    cfg = _cfg(130, t_end=0.2, stride=50)
-    serial = run_ensemble(cfg, ops20, workers=1)
-    parallel = run_ensemble(cfg, ops20, workers=3)
-    for key in STAT_FIELDS:
-        assert np.array_equal(serial.means[key], parallel.means[key])
-        assert np.array_equal(serial.stderrs[key], parallel.stderrs[key])
-    assert np.array_equal(serial.final_states, parallel.final_states)
-    assert np.array_equal(serial.occupation, parallel.occupation)
+def test_batch_membership_does_not_change_results(ops20):
+    # m=130 straddles two batch boundaries; its first batch must end
+    # exactly where an ensemble of one full batch does
+    small = run_ensemble(_cfg(64, t_end=0.2, stride=50), ops20)
+    large = run_ensemble(_cfg(130, t_end=0.2, stride=50), ops20)
+    assert np.array_equal(large.final_states[:64], small.final_states)
+
+
+def test_non_finite_custom_state_rejected(ops20):
+    amps = (1.0, float("nan")) + (0.0,) * 18
+    cfg = EnsembleConfig(
+        m=2, base_seed=1,
+        integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
+        initial=InitialStateSpec(kind="custom", amplitudes=amps))
+    with pytest.raises(ParameterError):
+        run_ensemble(cfg, ops20)
+
+
+def test_non_finite_row_fails_closed(ops20, monkeypatch):
+    # poison one row of the second batch at its fifth step: the guard
+    # must name that trajectory and time rather than average a nan
+    step = StepKernel.step
+    calls = []
+
+    def poisoned(self, psis, noise, dt, renormalize=True):
+        out, dev, tails = step(self, psis, noise, dt, renormalize)
+        if psis.shape[0] == 6:
+            calls.append(None)
+            if len(calls) == 5:
+                out[3] = np.nan
+                tails[3] = np.nan
+        return out, dev, tails
+
+    monkeypatch.setattr(StepKernel, "step", poisoned)
+    with pytest.raises(TrajectoryError) as exc_info:
+        run_ensemble(_cfg(70, t_end=0.02, stride=10), ops20)
+    assert exc_info.value.trajectory == 67
+    assert exc_info.value.time == pytest.approx(5e-3)
 
 
 def test_occupation_rows_sum_to_one(ops20):

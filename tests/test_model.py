@@ -158,6 +158,9 @@ def test_fock_state_range(ops20):
 def test_normalize_and_tail(ops20):
     with pytest.raises(DimensionError):
         normalize(np.zeros(4, dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            normalize(np.array([1.0, bad, 0.0], dtype=complex))
     state = np.zeros(20, dtype=complex)
     state[0] = math.sqrt(0.999)
     state[19] = math.sqrt(0.001)

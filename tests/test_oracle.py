@@ -158,3 +158,11 @@ def test_batched_propagation_matches_single(warm_params):
         rho0, ops, LindbladPropagatorConfig(dt_oracle=1e-3, t_end=0.5))
     batched = propagate_matrices(rho0[None, :, :], ops, 0.5, 1e-3)
     assert np.allclose(batched[0], single.rhos[-1], atol=1e-12)
+    # each matrix of a batch evolves exactly as it would alone, so a
+    # batch may be split across threads without changing any bit
+    rng = np.random.default_rng(3)
+    mats = (rng.standard_normal((5, 16, 16))
+            + 1j * rng.standard_normal((5, 16, 16)))
+    together = propagate_matrices(mats, ops, 0.05, 1e-3)
+    for mat, out in zip(mats, together):
+        assert np.array_equal(propagate_matrices(mat, ops, 0.05, 1e-3), out)

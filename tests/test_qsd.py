@@ -6,17 +6,20 @@ density-matrix generator to first order in dt, and the Ito variance
 of the norm must match the isometry prediction.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_states
-from qsdsim.errors import (ParameterError, StepSizeWarning, TrajectoryError)
+from qsdsim.errors import (ConfigError, ParameterError, StepSizeWarning,
+                           TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
-                          fock_state, temperature_for_nbar)
+                          fock_state, tail_mass, temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
-from qsdsim.qsd import (IntegratorConfig, NoiseIncrement, check_step_size,
-                        draw_noise, draw_noise_block, get_kernel, qsd_step,
-                        run_trajectory, splitmix64, trajectory_seed)
+from qsdsim.qsd import (IntegratorConfig, StepKernel, check_step_size,
+                        draw_noise_block, run_trajectory, splitmix64,
+                        trajectory_seed)
 
 # First outputs of the splitmix64 stream seeded at 0; published test
 # vectors for the algorithm, reproduced by successive state increments.
@@ -41,15 +44,15 @@ def test_trajectory_seed_properties():
 
 
 def test_noise_block_matches_single_draws():
+    # the frozen stream layout: step k takes four raw normals as
+    # (Re dxi1, Im dxi1, Re dxi2, Im dxi2), whatever the block size
     dt = 2e-3
     block = draw_noise_block(np.random.default_rng(99), dt, 16)
     rng = np.random.default_rng(99)
     for k in range(16):
-        inc = draw_noise(rng, dt)
-        assert inc.dxi1 == block[k, 0]
-        assert inc.dxi2 == block[k, 1]
-    with pytest.raises(ParameterError):
-        draw_noise(rng, 0.0)
+        z = rng.standard_normal(4) * math.sqrt(dt / 2.0)
+        assert block[k, 0] == complex(z[0], z[1])
+        assert block[k, 1] == complex(z[2], z[3])
 
 
 def test_noise_moments_quick():
@@ -71,6 +74,9 @@ def test_integrator_config_validation():
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=1e-3, t_end=1.0, record_stride=0)
     assert IntegratorConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+    # t_end off the step grid would silently stop at t = 0.9
+    with pytest.raises(ConfigError):
+        IntegratorConfig(dt=0.3, t_end=1.0)
 
 
 def test_step_size_warnings():
@@ -94,8 +100,7 @@ def _expected_step(psi, ops, noise, dt):
     # independent reimplementation of the update rule
     exp_l = [np.vdot(psi, l @ psi) for l in ops.lindblad_ops]
     dpsi = _drift_matrix(ops) @ psi * dt
-    for l, e, xi in zip(ops.lindblad_ops, exp_l,
-                        (noise.dxi1, noise.dxi2)):
+    for l, e, xi in zip(ops.lindblad_ops, exp_l, noise):
         dpsi += (np.conj(e) * dt + xi) * (l @ psi)
         dpsi -= (0.5 * abs(e) ** 2 * dt + e * xi) * psi
     return psi + dpsi
@@ -111,25 +116,32 @@ def _low_support(dim, top, seed):
 
 def test_single_step_formula(ops20):
     psi = _low_support(20, 6, seed=17)
-    noise = NoiseIncrement(dxi1=0.01 + 0.02j, dxi2=-0.015 + 0.005j)
-    got = qsd_step(psi, ops20, noise, dt=1e-3, renormalize=False)
+    noise = np.array([0.01 + 0.02j, -0.015 + 0.005j])
+    got, dev, _ = StepKernel(ops20).step(psi[None], noise[None], 1e-3,
+                                         renormalize=False)
     want = _expected_step(psi, ops20, noise, 1e-3)
-    assert np.allclose(got, want, atol=1e-14)
+    assert np.allclose(got[0], want, atol=1e-14)
+    assert dev[0] == pytest.approx(abs(np.linalg.norm(want) - 1.0),
+                                   abs=1e-14)
 
 
 def test_step_renormalizes(ops20):
     psi = _low_support(20, 6, seed=18)
-    noise = NoiseIncrement(dxi1=0.03j, dxi2=0.02)
-    got = qsd_step(psi, ops20, noise, dt=1e-3, renormalize=True)
-    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+    noise = np.array([[0.03j, 0.02]])
+    got, _, tails = StepKernel(ops20).step(psi[None], noise, 1e-3,
+                                           renormalize=True)
+    assert np.linalg.norm(got[0]) == pytest.approx(1.0, abs=1e-12)
+    assert tails[0] == pytest.approx(tail_mass(got[0]), rel=1e-9)
 
 
 def test_step_tail_guard(warm_params):
     ops = build_operators(warm_params, 10)
-    # all mass on the top level: the post-step tail check must trip
+    # all mass on the top level: the first step's tail check must trip
     psi = fock_state(ops, 9)
-    with pytest.raises(TrajectoryError):
-        qsd_step(psi, ops, NoiseIncrement(0.0, 0.0), dt=1e-3)
+    with pytest.raises(TrajectoryError) as exc_info:
+        run_trajectory(psi, ops, IntegratorConfig(dt=1e-3, t_end=1e-2))
+    assert exc_info.value.time == pytest.approx(1e-3)
+    assert exc_info.value.trajectory == 0
 
 
 def test_mean_dyad_reproduces_generator(ops20):
@@ -138,10 +150,10 @@ def test_mean_dyad_reproduces_generator(ops20):
     dt = 1e-3
     n_draws = 40_000
     psi = coherent_state(ops20, 0.7 + 0.2j)
-    kern = get_kernel(ops20)
+    kern = StepKernel(ops20)
     noise = draw_noise_block(rng, dt, n_draws)
-    out, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
-                       renormalize=False)
+    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
+                          renormalize=False)
     dyads = np.einsum("bi,bj->bij", out, out.conj())
     mean_dyad = dyads.mean(axis=0)
     rho = np.outer(psi, psi.conj())
@@ -163,10 +175,10 @@ def test_norm_is_martingale_with_gram_variance(ops20):
     dt = 1e-3
     n_draws = 60_000
     psi = _low_support(20, 6, seed=21)
-    kern = get_kernel(ops20)
+    kern = StepKernel(ops20)
     noise = draw_noise_block(rng, dt, n_draws)
-    out, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
-                       renormalize=False)
+    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
+                          renormalize=False)
     norms_sq = np.einsum("bi,bi->b", out.conj(), out).real
 
     vs = [(l @ psi) - np.vdot(psi, l @ psi) * psi
@@ -175,7 +187,7 @@ def test_norm_is_martingale_with_gram_variance(ops20):
     predicted_var = dt ** 2 * float(np.sum(np.abs(gram) ** 2))
 
     # exact one-step mean: deterministic part plus dt per noise channel
-    det = _expected_step(psi, ops20, NoiseIncrement(0.0j, 0.0j), dt)
+    det = _expected_step(psi, ops20, (0.0j, 0.0j), dt)
     predicted_mean = (np.linalg.norm(det) ** 2
                       + dt * sum(np.vdot(v, v).real for v in vs))
     mean_se = norms_sq.std() / np.sqrt(n_draws)
@@ -230,8 +242,8 @@ def test_trajectory_tail_abort():
     assert exc_info.value.tail_mass > 1e-6
 
 
-def test_custom_observer(ops20):
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.05, seed=1, record_stride=10)
-    rec = run_trajectory(coherent_state(ops20, 0.3), ops20, cfg,
-                         observer=lambda st, t: float(np.abs(st[0])))
-    assert all(isinstance(b, float) for b in rec.bundles)
+def test_non_finite_initial_state_rejected(ops20):
+    psi = coherent_state(ops20, 0.3)
+    psi[1] = np.nan
+    with pytest.raises(ParameterError):
+        run_trajectory(psi, ops20, IntegratorConfig(dt=1e-3, t_end=0.01))
