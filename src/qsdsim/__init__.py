@@ -19,9 +19,8 @@ from .observables import (CSV_COLUMNS, ExponentialFit, ObservableBundle,
 from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,
                   run_trajectory, trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, OUState,
-                     lindblad_rhs, lindblad_step, ou_flow, propagate,
-                     propagate_matrices, rk4_step, stationary_lindblad_check,
-                     thermal_state, trace_expect)
+                     lindblad_rhs, ou_flow, propagate, propagate_matrices,
+                     stationary_lindblad_check, thermal_state, trace_expect)
 from .ensemble import (STAT_FIELDS, CoherentGrid, EnsembleConfig,
                        EnsembleStats, InitialStateSpec, MixtureDiagnostics,
                        density_matrix, purity_and_coherent_overlap,

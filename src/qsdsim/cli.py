@@ -155,6 +155,16 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Config sections each subcommand reads beyond params and fock.
+REQUIRED_SECTIONS = {
+    "stationary": ("integrator",),
+    "localize": ("integrator", "ensemble", "initial"),
+    "thermalize": ("integrator", "ensemble", "initial"),
+    "oracle-compare": ("integrator", "ensemble", "initial",
+                       "oracle_compare"),
+    "histories": ("histories", "initial"),
+}
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -224,9 +234,6 @@ def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
 
 def _ensemble_config(cfg: dict, icfg: IntegratorConfig,
                      seed_override) -> EnsembleConfig:
-    if "ensemble" not in cfg or "initial" not in cfg:
-        raise ConfigError("this subcommand needs ensemble and initial "
-                          "config sections")
     sec = cfg["ensemble"]
     base_seed = sec.get("base_seed", 0)
     if seed_override is not None:
@@ -241,7 +248,7 @@ def _sha256(path: Path) -> str:
 
 
 class Runner:
-    """Holds common plumbing: output dir, manifest, gnuplot stub."""
+    """Holds common plumbing: output dir, config, manifest, gnuplot stub."""
 
     def __init__(self, args):
         self.args = args
@@ -249,6 +256,11 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         self.config_path = Path(args.config)
         self.cfg = load_config(self.config_path)
+        missing = [name for name in REQUIRED_SECTIONS[args.command]
+                   if name not in self.cfg]
+        if missing:
+            raise ConfigError(f"{args.command} needs the config sections "
+                              f"{', '.join(missing)}")
         self.started = time.monotonic()
         self.outputs: list[str] = []
         self.checks: list[tuple[str, bool]] = []
@@ -307,11 +319,10 @@ class Runner:
         self.outputs.append("plot.gp")
 
 
-def cmd_stationary(args) -> int:
-    run = Runner(args)
+def cmd_stationary(run: Runner) -> int:
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
-    icfg = _integrator(cfg, args.seed)
+    icfg = _integrator(cfg, run.args.seed)
     psi0 = build_initial(cfg.get("initial", {"kind": "coherent",
                                              "alpha": 1.0})).build(ops)
     record = run_trajectory(psi0, ops, icfg)
@@ -330,7 +341,7 @@ def cmd_stationary(args) -> int:
         "max|R|/hbar": np.max(np.abs(r_corr)) / params.hbar,
         "max_dalpha2": np.max(dalpha2),
     }
-    if args.expect_fail:
+    if run.args.expect_fail:
         # a non-coherent start must break shape early, then localize
         series = np.stack([np.abs(excess_q), np.abs(excess_p),
                            np.abs(r_corr) / params.hbar, dalpha2])
@@ -357,11 +368,10 @@ def _localize_rate(ecfg, ops, tag, run):
     return stats, fit
 
 
-def cmd_localize(args) -> int:
-    run = Runner(args)
+def cmd_localize(run: Runner) -> int:
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
-    ecfg = _ensemble_config(cfg, _integrator(cfg, None), args.seed)
+    ecfg = _ensemble_config(cfg, _integrator(cfg, None), run.args.seed)
     initial = ecfg.initial
     if initial.kind not in ("fock", "cat"):
         raise ConfigError("localize expects a fock or cat initial state")
@@ -409,14 +419,13 @@ def cmd_localize(args) -> int:
     return run.finish("localize")
 
 
-def cmd_thermalize(args) -> int:
-    run = Runner(args)
+def cmd_thermalize(run: Runner) -> int:
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
     icfg = _integrator(cfg, None)
     if icfg.t_end < 10.0 / params.gamma:
         raise ConfigError("thermalize needs t_end >= 10/gamma")
-    ecfg = _ensemble_config(cfg, icfg, args.seed)
+    ecfg = _ensemble_config(cfg, icfg, run.args.seed)
     stats = run_ensemble(ecfg, ops)
     write_stats_csv(run.path("thermalize.csv"), stats)
     run.gnuplot_stub("thermalize.csv", {"mean": 3}, "occupation relaxation")
@@ -470,14 +479,11 @@ def cmd_thermalize(args) -> int:
     return run.finish("thermalize")
 
 
-def cmd_oracle_compare(args) -> int:
-    run = Runner(args)
+def cmd_oracle_compare(run: Runner) -> int:
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
-    if "oracle_compare" not in cfg:
-        raise ConfigError("oracle-compare needs an oracle_compare section")
     icfg = _integrator(cfg, None)
-    ecfg = _ensemble_config(cfg, icfg, args.seed)
+    ecfg = _ensemble_config(cfg, icfg, run.args.seed)
     t_end = icfg.t_end
     psi0 = ecfg.initial.build(ops)
     rho0 = np.outer(psi0, psi0.conj())
@@ -510,15 +516,10 @@ def cmd_oracle_compare(args) -> int:
     return run.finish("oracle-compare")
 
 
-def cmd_histories(args) -> int:
-    run = Runner(args)
+def cmd_histories(run: Runner) -> int:
     cfg, params = run.cfg, build_params(run.cfg["params"])
     ops = build_operators(params, cfg["fock"]["n_fock"])
-    sec = cfg.get("histories")
-    if sec is None:
-        raise ConfigError("histories needs a histories section")
-    if "initial" not in cfg:
-        raise ConfigError("histories needs an initial section")
+    sec = cfg["histories"]
     psi0 = build_initial(cfg["initial"]).build(ops)
     rho0 = np.outer(psi0, psi0.conj())
     cells = tuple(PhaseCell(center=_as_complex(c["center"]),
@@ -588,7 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(Runner(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,9 +30,6 @@ DIAG_WEIGHT_FLOOR = 1e-9
 STEP_GUARD_DISSIPATIVE = 0.01
 STEP_GUARD_OSCILLATORY = 0.05
 
-# Deterministic oracle guard: dt * (gamma * (nbar + 1) + omega).
-ORACLE_STEP_GUARD = 0.05
-
 # Truncation health: the top ceil(n_fock / TAIL_LEVEL_DIVISOR) Fock
 # levels must hold less than tail_tol of the state's mass.  An integer
 # divisor keeps the count exact (0.1 * 30 rounds up to 4 in floats).

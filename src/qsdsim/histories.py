@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ import numpy as np
 from .constants import DIAG_WEIGHT_FLOOR, SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, cat_state, coherent_state, steps_on_grid
-from .oracle import LindbladPropagatorConfig, check_oracle_step, \
+from .oracle import LindbladPropagatorConfig, _grid_propagator, \
     propagate_matrices
 
 MAX_DEPTH = 3
@@ -179,35 +177,6 @@ class DecoherenceMatrix:
         return ratios, valid
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _propagate_chunked(mats: np.ndarray, ops: OperatorSet, duration: float,
-                       dt: float) -> np.ndarray:
-    """propagate_matrices over a batch split into one chunk per CPU.
-
-    The matrix products release the interpreter lock, and each matrix
-    evolves independently of the others in its batch, so the result
-    does not depend on the split.
-    """
-    flat = mats.reshape(-1, *mats.shape[-2:])
-    n_chunks = min(_cpus(), flat.shape[0])
-    if n_chunks <= 1:
-        out = propagate_matrices(flat, ops, duration, dt)
-        return out.reshape(mats.shape)
-    chunk = -(-flat.shape[0] // n_chunks)
-    pieces = [flat[i:i + chunk] for i in range(0, flat.shape[0], chunk)]
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        done = list(pool.map(
-            lambda p: propagate_matrices(p, ops, duration, dt), pieces))
-    return np.concatenate(done).reshape(mats.shape)
-
-
 def decoherence_functional(
         spec: HistorySpec, ops: OperatorSet,
         pcfg: LindbladPropagatorConfig) -> DecoherenceMatrix:
@@ -215,9 +184,10 @@ def decoherence_functional(
 
     With include_complement on, each time's partition is completed to
     the identity, so the matrix sums to Tr rho0 up to propagation
-    error.
+    error.  History times must lie on the dt_oracle grid.
     """
-    check_oracle_step(pcfg, ops.params)
+    for t in spec.times:
+        steps_on_grid(t, pcfg.dt_oracle, "history time")
     n_fock = ops.n_fock
     n_times = len(spec.times)
 
@@ -249,7 +219,7 @@ def decoherence_functional(
     for k in range(n_times):
         gap = spec.times[k] - t_prev
         if gap > 0:
-            cur = _propagate_chunked(cur, ops, gap, pcfg.dt_oracle)
+            cur = propagate_matrices(cur, ops, gap)
         p = projs[k]
         c = p.shape[0]
         npre = cur.shape[0]
@@ -356,7 +326,6 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     under undamped evolution; its first crossing of the threshold
     estimates the decoherence interval.
     """
-    check_oracle_step(pcfg, ops.params)
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
     if n_steps < 1:
@@ -377,10 +346,11 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
 
     intervals = [0.0]
     ratios = [_block_ratio(mats)]
+    advance = _grid_propagator(ops, dt)
     step = 0
     while step < n_steps:
         block = min(sample_stride, n_steps - step)
-        mats = propagate_matrices(mats, ops, block * dt, dt)
+        mats = advance(mats, block)
         step += block
         intervals.append(step * dt)
         ratios.append(_block_ratio(mats))

@@ -120,8 +120,8 @@ def temperature_for_nbar(nbar: float, params: ModelParams | None = None) -> floa
     return p.hbar * p.omega / (p.k_B * math.log1p(1.0 / nbar))
 
 
-# eq=False: identity semantics, so the set stays hashable (ndarray fields)
-# and derived per-operator caches can key on it.
+# eq=False: identity equality; the generated == would compare ndarray
+# fields elementwise and could not return one bool.
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Dense operators on a Fock space truncated to n_fock levels.

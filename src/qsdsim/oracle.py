@@ -2,48 +2,33 @@
 
 Three independent descriptions of the same open oscillator live here:
 
-* direct integration of the density-matrix equation of motion
+* the exact propagator of the density-matrix equation of motion
   drho/dt = -(i/hbar)[H, rho] + sum_n (L_n rho L_n^dag
             - {L_n^dag L_n, rho} / 2),
 * the closed-form drift of the coherent-amplitude distribution,
   treated through its first two moments (mean_alpha, var_alpha),
 * the thermal fixed point with geometric level populations.
 
-The density-matrix stepper is fixed-step classical 4th order; no
-adaptivity, so runs are bit-reproducible and the error budget against
-the ensemble is a simple function of dt.
+With H diagonal in the Fock basis, L1 lowering and L2 raising by one
+level, the generator maps each band k = m - n of rho into itself.  The
+propagator is therefore one small matrix exponential per band: exact
+for any time span, so runs are bit-reproducible and carry no step-size
+error.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .constants import ORACLE_STEP_GUARD
 from .errors import ConfigError, DimensionError, ParameterError
 from .model import ModelParams, OperatorSet, steps_on_grid
 
-_TRACE_DRIFT_LIMIT = 1e-8
 _THERMAL_TAIL_LIMIT = 1e-10
-
-_GEN_CACHE: "weakref.WeakKeyDictionary[OperatorSet, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _generator_terms(ops: OperatorSet):
-    """(h, l1, l1d, m1, l2, l2d, m2) with m = l^dag l, cached per ops."""
-    terms = _GEN_CACHE.get(ops)
-    if terms is None:
-        l1d = ops.l1.conj().T.copy()
-        l2d = ops.l2.conj().T.copy()
-        terms = (ops.h, ops.l1, l1d, l1d @ ops.l1,
-                 ops.l2, l2d, l2d @ ops.l2)
-        _GEN_CACHE[ops] = terms
-    return terms
 
 
 def lindblad_rhs(mat: np.ndarray, ops: OperatorSet) -> np.ndarray:
@@ -52,62 +37,91 @@ def lindblad_rhs(mat: np.ndarray, ops: OperatorSet) -> np.ndarray:
     Linear in mat; valid for non-Hermitian input, which the history
     machinery relies on.
     """
-    h, l1, l1d, m1, l2, l2d, m2 = _generator_terms(ops)
-    hbar = ops.params.hbar
-    out = (-1j / hbar) * (h @ mat - mat @ h)
-    out += l1 @ mat @ l1d - 0.5 * (m1 @ mat + mat @ m1)
-    out += l2 @ mat @ l2d - 0.5 * (m2 @ mat + mat @ m2)
+    out = (-1j / ops.params.hbar) * (ops.h @ mat - mat @ ops.h)
+    for l in ops.lindblad_ops:
+        ld = l.conj().T
+        m = ld @ l
+        out += l @ mat @ ld - 0.5 * (m @ mat + mat @ m)
     return out
 
 
-def rk4_step(mat: np.ndarray, ops: OperatorSet, dt: float) -> np.ndarray:
-    """One raw 4th-order step of the linear generator; batched."""
-    k1 = lindblad_rhs(mat, ops)
-    k2 = lindblad_rhs(mat + 0.5 * dt * k1, ops)
-    k3 = lindblad_rhs(mat + 0.5 * dt * k2, ops)
-    k4 = lindblad_rhs(mat + dt * k3, ops)
-    return mat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _band_propagator(ops: OperatorSet, t: float) -> list:
+    """exp(t * generator) as (flat slice, matrix) pairs, one per band.
 
-
-def lindblad_step(rho: np.ndarray, ops: OperatorSet, dt: float) -> np.ndarray:
-    """One density-matrix step: raw step, then re-hermitization.
-
-    Trace drift beyond 1e-8 in a single step means dt is too large for
-    the spectrum being evolved and raises rather than degrading
-    silently.
+    Band k = m - n holds the entries rho[j + max(k, 0), j + max(-k, 0)];
+    in a row-major flattened matrix they form a slice of stride N + 1.
+    On a band the generator is tridiagonal: the diagonal carries
+    -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
+    and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry j to j + 1
+    by c_m conj(c_n) and to j - 1 by d_(m-1) conj(d_(n-1)).
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    out = rk4_step(rho, ops, dt)
-    drift = abs(np.trace(out).real - np.trace(rho).real)
-    if drift > _TRACE_DRIFT_LIMIT:
+    n = ops.n_fock
+    h = np.diag(ops.h)
+    c = np.diag(ops.l1, 1)
+    d = np.diag(ops.l2, -1)
+    if not (np.array_equal(ops.h, np.diag(h))
+            and np.array_equal(ops.l1, np.diag(c, 1))
+            and np.array_equal(ops.l2, np.diag(d, -1))):
         raise ParameterError(
-            f"oracle trace drift {drift:.3e} in one step; reduce dt")
-    return 0.5 * (out + out.conj().T)
+            "the band propagator needs a diagonal H, a lowering L1 and a "
+            "raising L2")
+    mu = np.zeros(n)
+    mu[1:] += np.abs(c) ** 2
+    mu[:-1] += np.abs(d) ** 2
+    bands = []
+    for k in range(1 - n, n):
+        size = n - abs(k)
+        rows = np.arange(size) + max(k, 0)
+        cols = np.arange(size) + max(-k, 0)
+        gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
+                      - 0.5 * (mu[rows] + mu[cols]))
+        gen += np.diag(c[rows[:-1]] * c[cols[:-1]].conj(), 1)
+        gen += np.diag(d[rows[:-1]] * d[cols[:-1]].conj(), -1)
+        start = k * n if k >= 0 else -k
+        bands.append((slice(start, start + (size - 1) * (n + 1) + 1, n + 1),
+                      expm(t * gen)))
+    return bands
+
+
+def _apply(bands: list, mats: np.ndarray) -> np.ndarray:
+    """The band propagator applied to a (..., N, N) batch.
+
+    Each matrix goes through its own matrix-vector products, so a
+    result does not depend on the batch it was computed in.
+    """
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    out = np.empty_like(flat)
+    for sl, prop in bands:
+        out[..., sl] = np.matmul(prop, flat[..., sl, None])[..., 0]
+    return out.reshape(mats.shape)
+
+
+def _grid_propagator(ops: OperatorSet, dt: float):
+    """advance(mats, k): mats carried k steps of dt forward.
+
+    One band propagator is built per distinct k and then reused.
+    """
+    props = {}
+
+    def advance(mats: np.ndarray, k: int) -> np.ndarray:
+        if k not in props:
+            props[k] = _band_propagator(ops, k * dt)
+        return _apply(props[k], mats)
+    return advance
 
 
 @dataclass(frozen=True)
 class LindbladPropagatorConfig:
+    """dt_oracle is the sample grid: t_end and sample times lie on it."""
+
     dt_oracle: float
     t_end: float
-    method: str = "rk4"  # fixed; field kept so outputs are self-describing
 
     def __post_init__(self):
         if self.dt_oracle <= 0:
             raise ParameterError("dt_oracle must be positive")
         if self.t_end < 0:
             raise ParameterError("t_end must be >= 0")
-        if self.method != "rk4":
-            raise ParameterError("only the rk4 stepper exists")
-
-
-def check_oracle_step(cfg: LindbladPropagatorConfig,
-                      params: ModelParams) -> None:
-    rate = cfg.dt_oracle * (params.gamma * (params.nbar + 1.0) + params.omega)
-    if rate > ORACLE_STEP_GUARD:
-        raise ParameterError(
-            f"dt_oracle*(gamma*(nbar+1)+omega) = {rate:.3g} exceeds "
-            f"{ORACLE_STEP_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +135,11 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
               sample_times=None) -> OracleRun:
     """Evolve rho0 to t_end, snapshotting at sample_times.
 
-    Sample times must sit on the step grid (within 1e-9 relative);
-    default is every step.  t = 0 is included iff requested or default.
+    Sample times must sit on the dt_oracle grid (within 1e-9
+    relative); default is every grid point.  t = 0 is included iff
+    requested or default.  One propagator is built per distinct gap
+    between samples.
     """
-    check_oracle_step(cfg, ops.params)
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
     if sample_times is None:
@@ -137,30 +152,31 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
         if sorted(sample_steps) != sample_steps:
             raise ConfigError("sample times must be nondecreasing")
     rho = np.array(rho0, dtype=complex)
-    out = []
-    idx = 0
-    for k in range(n_steps + 1):
-        while idx < len(sample_steps) and sample_steps[idx] == k:
-            out.append(rho.copy())
-            idx += 1
-        if k < n_steps:
-            rho = lindblad_step(rho, ops, dt)
+    rhos = np.empty((len(sample_steps), *rho.shape), dtype=complex)
+    advance = _grid_propagator(ops, dt)
+    prev = 0
+    for i, k in enumerate(sample_steps):
+        if k > prev:
+            rho = advance(rho, k - prev)
+            rho = 0.5 * (rho + rho.conj().T)
+        rhos[i] = rho
+        prev = k
     times = np.array([s * dt for s in sample_steps])
-    return OracleRun(times=times, rhos=np.array(out))
+    return OracleRun(times=times, rhos=rhos)
 
 
-def propagate_matrices(mats: np.ndarray, ops: OperatorSet, duration: float,
-                       dt: float) -> np.ndarray:
-    """Apply the raw linear propagator over a duration to a batch.
+def propagate_matrices(mats: np.ndarray, ops: OperatorSet,
+                       duration: float) -> np.ndarray:
+    """Apply the linear propagator over a duration to a batch.
 
     No hermitization, so non-Hermitian history intermediates evolve
-    correctly.  duration must be a whole number of steps.
+    correctly.
     """
-    n_steps = steps_on_grid(duration, dt, "duration")
-    out = np.array(mats, dtype=complex)
-    for _ in range(n_steps):
-        out = rk4_step(out, ops, dt)
-    return out
+    if not 0 <= duration < math.inf:
+        raise ParameterError(
+            f"duration must be finite and >= 0, got {duration}")
+    mats = np.asarray(mats, dtype=complex)
+    return _apply(_band_propagator(ops, duration), mats)
 
 
 def thermal_state(params: ModelParams, n_fock: int) -> np.ndarray:

@@ -155,17 +155,32 @@ def test_localize_rejects_coherent_initial(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_localize_requires_ensemble_section(tmp_path):
+@pytest.mark.parametrize("command, missing", [
+    ("stationary", "integrator"),
+    ("localize", "integrator"),
+    ("localize", "ensemble"),
+    ("thermalize", "ensemble"),
+    ("thermalize", "initial"),
+    ("oracle-compare", "ensemble"),
+    ("oracle-compare", "oracle_compare"),
+    ("histories", "histories"),
+    ("histories", "initial"),
+])
+def test_missing_section_is_config_error(tmp_path, capsys, command, missing):
     cfg = {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.2, "nbar": 0.5},
         "fock": {"n_fock": 24},
         "integrator": {"dt": 1e-3, "t_end": 2.0},
+        "ensemble": {"m": 8},
         "initial": {"kind": "fock", "n": 1},
         "oracle_compare": {"dt_oracle": 1e-3},
+        "histories": {"times": [0.0], "h": 0.1, "dt_oracle": 1e-3,
+                      "cells": [{"center": 0.0, "w_re": 1.0, "w_im": 1.0}]},
     }
-    for command in ("localize", "oracle-compare"):
-        code, _ = _run(tmp_path, command, cfg)
-        assert code == EXIT_CONFIG, command
+    del cfg[missing]
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert f"needs the config sections {missing}" in capsys.readouterr().err
 
 
 def _thermalize_cfg():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qsdsim import (
     ConfigError,
@@ -15,6 +16,7 @@ from qsdsim import (
     QuadratureError,
     build_operators,
     cat_interval_scan,
+    cat_state,
     cell_projector,
     classical_peaking_report,
     coherent_state,
@@ -24,6 +26,7 @@ from qsdsim import (
     write_decoherence_json,
     write_suppression_csv,
 )
+from conftest import liouvillian
 
 
 def test_cell_geometry():
@@ -131,11 +134,55 @@ def test_two_time_functional(warm_params, ops20):
     assert D.labels[0] == (0, 0)
     assert D.labels[-1] == (-1, -1)
     assert np.allclose(D.matrix, D.matrix.conj().T, atol=1e-10)
-    # complement-completed partitions sum to Tr rho up to stepper error
+    # complement-completed partitions sum to Tr rho up to rounding
     assert np.sum(D.matrix).real == pytest.approx(1.0, abs=1e-8)
     for lab, w in zip(D.labels, D.diagonal()):
         if -1 not in lab:
             assert w > -1e-9
+    # history times must lie on the dt_oracle grid
+    with pytest.raises(ConfigError):
+        decoherence_functional(
+            spec, ops20, LindbladPropagatorConfig(dt_oracle=0.3, t_end=0.6))
+
+
+def test_functional_and_scan_match_dense_propagator(ops20):
+    ops = ops20
+    gen = liouvillian(ops)
+    kernels = {t: expm(t * gen) for t in (0.0, 0.2, 0.3, 0.4)}
+
+    def evolve(mat, t):
+        return (kernels[t] @ mat.reshape(-1)).reshape(mat.shape)
+
+    psi = coherent_state(ops, 0.7)
+    rho0 = np.outer(psi, psi.conj())
+    first = (PhaseCell(center=0.7, w_re=0.8, w_im=0.8, h=0.1),)
+    second = (PhaseCell(center=0.5 - 0.35j, w_re=0.7, w_im=0.7, h=0.1),)
+    spec = HistorySpec(times=(0.0, 0.4), cells=(first, second), rho0=rho0)
+    D = decoherence_functional(
+        spec, ops, LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.4))
+    # label -1, the complement, indexes the last projector of a time
+    p0, p1 = ([ps, np.eye(20) - ps] for ps in
+              (cell_projector(cells[0], ops) for cells in spec.cells))
+    want = np.array([[np.trace(p1[a1] @ evolve(p0[a0] @ rho0 @ p0[b0], 0.4)
+                               @ p1[b1])
+                      for b0, b1 in D.labels] for a0, a1 in D.labels])
+    assert np.abs(D.matrix - want).max() < 1e-12
+
+    # a stride of 2 over three steps ends with a one-step block
+    scan = cat_interval_scan(
+        1.0, ops, LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.3),
+        t_max=0.3, branch_cell=(0.8, 0.8), h=0.1, sample_stride=2)
+    assert np.allclose(scan.intervals, [0.0, 0.2, 0.3], rtol=0, atol=1e-15)
+    cat = cat_state(ops, 1.0)
+    rho = np.outer(cat, cat.conj())
+    plus, minus = (cell_projector(PhaseCell(center=s, w_re=0.8, w_im=0.8,
+                                            h=0.1), ops) for s in (1.0, -1.0))
+    for t, ratio in zip((0.0, 0.2, 0.3), scan.ratios):
+        cross, pp, mm = (evolve(a @ rho @ b, t) for a, b in
+                         ((plus, minus), (plus, plus), (minus, minus)))
+        want = np.linalg.norm(cross) / math.sqrt(
+            np.trace(pp).real * np.trace(mm).real)
+        assert ratio == pytest.approx(want, abs=1e-12)
 
 
 def test_peaking_follows_damped_orbit(warm_params):
