@@ -24,11 +24,11 @@ from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         DECORRELATION_TIME_FACTOR, LATE_FRACTION, SHAPE_TOL,
                         SIGMA_BAND, SUPPRESSION_THRESHOLD,
-                        CONTROL_SUPPRESSION_MIN, TAIL_TOL_DEFAULT)
+                        CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
 from .observables import fit_exponential_decay, write_bundle_csv
-from .oracle import LindbladPropagatorConfig, propagate
+from .oracle import LindbladPropagatorConfig, propagate_matrices
 from .qsd import IntegratorConfig, run_trajectory
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
                        trace_distance, write_stats_csv)
@@ -62,7 +62,6 @@ CONFIG_SCHEMA = {
             "required": ["n_fock"],
             "properties": {
                 "n_fock": {"type": "integer", "minimum": 2},
-                "tail_tol": _NUMBER,
             },
         },
         "integrator": {
@@ -72,7 +71,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "dt": _NUMBER, "t_end": _NUMBER,
                 "record_stride": {"type": "integer", "minimum": 1},
-                "renormalize": {"type": "boolean"},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -111,14 +109,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "max_n": {"type": "integer", "minimum": 1},
-            },
-        },
-        "oracle_compare": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["dt_oracle"],
-            "properties": {
-                "dt_oracle": _NUMBER,
             },
         },
         "histories": {
@@ -160,8 +150,7 @@ REQUIRED_SECTIONS = {
     "stationary": ("integrator",),
     "localize": ("integrator", "ensemble", "initial"),
     "thermalize": ("integrator", "ensemble", "initial"),
-    "oracle-compare": ("integrator", "ensemble", "initial",
-                       "oracle_compare"),
+    "oracle-compare": ("integrator", "ensemble", "initial"),
     "histories": ("histories", "initial"),
 }
 
@@ -227,9 +216,7 @@ def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
         seed = seed_override
     return IntegratorConfig(
         dt=sec["dt"], t_end=sec["t_end"], seed=seed,
-        record_stride=sec.get("record_stride", 1),
-        renormalize=sec.get("renormalize", True),
-        tail_tol=cfg["fock"].get("tail_tol", TAIL_TOL_DEFAULT))
+        record_stride=sec.get("record_stride", 1))
 
 
 def _ensemble_config(cfg: dict, icfg: IntegratorConfig,
@@ -486,10 +473,7 @@ def cmd_oracle_compare(run: Runner) -> int:
     ecfg = _ensemble_config(cfg, icfg, run.args.seed)
     t_end = icfg.t_end
     psi0 = ecfg.initial.build(ops)
-    rho0 = np.outer(psi0, psi0.conj())
-    pcfg = LindbladPropagatorConfig(
-        dt_oracle=cfg["oracle_compare"]["dt_oracle"], t_end=t_end)
-    oracle_rho = propagate(rho0, ops, pcfg, sample_times=[t_end]).rhos[0]
+    oracle_rho = propagate_matrices(np.outer(psi0, psi0.conj()), ops, t_end)
 
     def distance(m, dt):
         ic = replace(icfg, dt=dt, record_stride=max(1, round(t_end / dt)))

@@ -31,10 +31,10 @@ STEP_GUARD_DISSIPATIVE = 0.01
 STEP_GUARD_OSCILLATORY = 0.05
 
 # Truncation health: the top ceil(n_fock / TAIL_LEVEL_DIVISOR) Fock
-# levels must hold less than tail_tol of the state's mass.  An integer
+# levels must hold at most TAIL_TOL of the state's mass.  An integer
 # divisor keeps the count exact (0.1 * 30 rounds up to 4 in floats).
 TAIL_LEVEL_DIVISOR = 10
-TAIL_TOL_DEFAULT = 1e-6
+TAIL_TOL = 1e-6
 
 # Fixed trajectory batch size for the vectorised integrator.  Sums over
 # trajectories are accumulated batch by batch in batch order, so
@@ -47,10 +47,6 @@ TRAJ_BATCH = 64
 # yields four normals (Re dxi1, Im dxi1, Re dxi2, Im dxi2).
 NOISE_BLOCK_STEPS = 1024
 
-# Localization-rate estimation: slopes of the ensemble-mean spread are
-# regressed over windows of this many consecutive samples.
-SLOPE_WINDOW = 10
-
 # Exponential fits use samples while the mean stays above
 # FIT_FLOOR_REL of its initial value and above FIT_FLOOR_SIGMA
 # standard errors, and need at least FIT_MIN_POINTS of them.
@@ -58,9 +54,8 @@ FIT_FLOOR_REL = 0.1
 FIT_FLOOR_SIGMA = 5.0
 FIT_MIN_POINTS = 6
 
-# Thermal-occupation chi-square test: compared bins, minimum expected
-# count per bin, and the p-value floor.
-CHI2_BINS = 7  # occupation numbers 0..6, plus an implicit rest bin
+# Thermal-occupation chi-square test: minimum expected count per bin
+# and the p-value floor.
 CHI2_MIN_EXPECTED = 5.0
 CHI2_MIN_P = 0.01
 

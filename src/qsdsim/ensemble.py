@@ -115,11 +115,15 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     n_fock = ops.n_fock
     n_samples = icfg.n_steps // icfg.record_stride + 1
 
+    rho_times = np.array(sorted(cfg.rho_times))
+    # rho_steps maps a snapshot's step to its index, in time order
     rho_steps = {}
-    for t in cfg.rho_times:
+    for t in rho_times:
         k = steps_on_grid(t, icfg.dt, "rho time")
         if k < 0 or k > icfg.n_steps or k % icfg.record_stride != 0:
             raise ConfigError(f"rho time {t} is not a sampled time")
+        if k in rho_steps:
+            raise ConfigError(f"rho time {t} repeats an earlier one")
         rho_steps[k] = len(rho_steps)
 
     # Accumulated batch by batch in batch order: the reduction order is
@@ -166,11 +170,6 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     rhos /= m
 
     times = np.arange(n_samples) * (icfg.dt * icfg.record_stride)
-    rho_times = np.array(sorted(cfg.rho_times))
-    if len(rho_times):
-        # rhos is in insertion order of cfg.rho_times; emit sorted by time
-        rhos = rhos[[rho_steps[steps_on_grid(t, icfg.dt, "rho time")]
-                     for t in rho_times]]
     return EnsembleStats(times=times, means=means, stderrs=stderrs,
                          occupation=occ, m=m, base_seed=cfg.base_seed,
                          final_states=finals, rho_times=rho_times,

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DIAG_WEIGHT_FLOOR, SUPPRESSION_THRESHOLD
+from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
+    SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, cat_state, coherent_state, steps_on_grid
 from .oracle import LindbladPropagatorConfig, _grid_propagator, \
@@ -80,10 +81,11 @@ def cell_projector(cell: PhaseCell, ops: OperatorSet) -> np.ndarray:
     Hermitian positive by construction; eigenvalues may exceed 1 by a
     few percent because finite cells only approximately project.
     """
-    if cell.h > min(cell.w_re, cell.w_im) / 4.0:
+    if cell.h > min(cell.w_re, cell.w_im) / CELL_MIN_POINTS_PER_HALF_WIDTH:
         raise QuadratureError(
             f"spacing {cell.h} too coarse for half-widths "
-            f"({cell.w_re}, {cell.w_im}); need h <= min/4")
+            f"({cell.w_re}, {cell.w_im}); need h <= min/"
+            f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
     xs, hx = _midpoints(cell.w_re, cell.h)
     ys, hy = _midpoints(cell.w_im, cell.h)
     weight = hx * hy / math.pi
@@ -184,10 +186,13 @@ def decoherence_functional(
 
     With include_complement on, each time's partition is completed to
     the identity, so the matrix sums to Tr rho0 up to propagation
-    error.  History times must lie on the dt_oracle grid.
+    error.  History times must lie on the dt_oracle grid, within t_end.
     """
+    n_end = steps_on_grid(pcfg.t_end, pcfg.dt_oracle, "t_end")
     for t in spec.times:
-        steps_on_grid(t, pcfg.dt_oracle, "history time")
+        if steps_on_grid(t, pcfg.dt_oracle, "history time") > n_end:
+            raise ConfigError(f"history time {t} is beyond t_end "
+                              f"{pcfg.t_end}")
     n_fock = ops.n_fock
     n_times = len(spec.times)
 
@@ -330,6 +335,10 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     n_steps = steps_on_grid(t_max, dt, "t_max")
     if n_steps < 1:
         raise ConfigError("t_max shorter than one oracle step")
+    if n_steps > steps_on_grid(pcfg.t_end, dt, "t_end"):
+        raise ConfigError(f"t_max {t_max} is beyond t_end {pcfg.t_end}")
+    if sample_stride < 1:
+        raise ConfigError("sample_stride must be >= 1")
 
     psi = cat_state(ops, alpha0)
     rho = np.outer(psi, psi.conj())

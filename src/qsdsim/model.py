@@ -171,6 +171,28 @@ def build_operators(params: ModelParams, n_fock: int) -> OperatorSet:
     )
 
 
+def band_form(ops: OperatorSet):
+    """(h, c, d, mu) with H = diag(h), L1 = diag(c, 1), L2 = diag(d, -1).
+
+    mu = diag(L1^dag L1 + L2^dag L2) is the diagonal loss term.  The
+    banded step kernel and the band propagator rely on exactly this
+    shape; any other operator set raises ParameterError.
+    """
+    h = np.diag(ops.h)
+    c = np.diag(ops.l1, 1)
+    d = np.diag(ops.l2, -1)
+    if not (np.array_equal(ops.h, np.diag(h))
+            and np.array_equal(ops.l1, np.diag(c, 1))
+            and np.array_equal(ops.l2, np.diag(d, -1))):
+        raise ParameterError(
+            "the band form needs a diagonal H, a lowering L1 and a "
+            "raising L2")
+    mu = np.zeros(ops.n_fock)
+    mu[1:] += np.abs(c) ** 2
+    mu[:-1] += np.abs(d) ** 2
+    return h, c, d, mu
+
+
 # -- state vectors ----------------------------------------------------------
 #
 # States are plain complex arrays of amplitudes over Fock levels,

@@ -75,10 +75,14 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet, t: float) -> dict:
         R   = hbar Im<a^2> - <p><q>
     """
     p = ops.params
-    norm_sq = np.einsum("...i,...i->...", states.conj(), states).real
-    a_psi = states @ ops.a.T
-    exp_a = np.einsum("...i,...i->...", states.conj(), a_psi) / norm_sq
-    exp_a2 = np.einsum("...i,...i->...", states.conj(), a_psi @ ops.a.T) / norm_sq
+    root_n = np.sqrt(np.arange(1, ops.n_fock))
+    bra = states.conj()
+    norm_sq = np.einsum("...i,...i->...", bra, states).real
+    # a |n> = sqrt(n) |n-1>: a psi without its zero last entry
+    a_psi = states[..., 1:] * root_n
+    exp_a = np.einsum("...i,...i->...", bra[..., :-1], a_psi) / norm_sq
+    exp_a2 = np.einsum("...i,...i->...", bra[..., :-2],
+                       a_psi[..., 1:] * root_n[:-1]) / norm_sq
     exp_n = np.einsum("...i,...i->...", a_psi.conj(), a_psi).real / norm_sq
 
     q_mean = 2.0 * p.sigma_q * exp_a.real

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .model import ModelParams, OperatorSet, steps_on_grid
+from .model import ModelParams, OperatorSet, band_form, steps_on_grid
 
 _THERMAL_TAIL_LIMIT = 1e-10
 
@@ -56,18 +56,7 @@ def _band_propagator(ops: OperatorSet, t: float) -> list:
     by c_m conj(c_n) and to j - 1 by d_(m-1) conj(d_(n-1)).
     """
     n = ops.n_fock
-    h = np.diag(ops.h)
-    c = np.diag(ops.l1, 1)
-    d = np.diag(ops.l2, -1)
-    if not (np.array_equal(ops.h, np.diag(h))
-            and np.array_equal(ops.l1, np.diag(c, 1))
-            and np.array_equal(ops.l2, np.diag(d, -1))):
-        raise ParameterError(
-            "the band propagator needs a diagonal H, a lowering L1 and a "
-            "raising L2")
-    mu = np.zeros(n)
-    mu[1:] += np.abs(c) ** 2
-    mu[:-1] += np.abs(d) ** 2
+    h, c, d, mu = band_form(ops)
     bands = []
     for k in range(1 - n, n):
         size = n - abs(k)

@@ -8,7 +8,7 @@ One Euler-Maruyama step applies
              + sum_n (L_n - <L_n>) |psi> dxi_n
 
 with all expectations taken in the pre-step state (Ito convention) and
-an optional renormalization afterwards.  The two dxi_n are independent
+a renormalization afterwards.  The two dxi_n are independent
 complex Wiener increments whose real and imaginary parts each carry
 variance dt/2.
 
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
-                        STEP_GUARD_OSCILLATORY, TAIL_TOL_DEFAULT)
+                        STEP_GUARD_OSCILLATORY, TAIL_TOL)
 from .errors import ParameterError, StepSizeWarning, TrajectoryError
-from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
-    tail_levels
+from .model import ModelParams, OperatorSet, band_form, normalize, \
+    steps_on_grid, tail_levels
 from . import observables
 
 #: Weyl-sequence increment of the splitmix64 stream.
@@ -77,8 +77,6 @@ class IntegratorConfig:
     t_end: float
     seed: int = 0
     record_stride: int = 1  # steps between recorded samples
-    renormalize: bool = True
-    tail_tol: float = TAIL_TOL_DEFAULT
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -87,8 +85,6 @@ class IntegratorConfig:
             raise ParameterError("t_end must cover at least one step")
         if self.record_stride < 1:
             raise ParameterError("record_stride must be >= 1")
-        if self.tail_tol <= 0:
-            raise ParameterError("tail_tol must be positive")
         steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property
@@ -112,53 +108,43 @@ def check_step_size(dt: float, params: ModelParams) -> None:
 
 
 class StepKernel:
-    """Precomputed matrices for the batched update rule.
+    """Band coefficients for the batched update rule.
 
-    Immutable after construction.  States are stored as rows, so every
-    product uses the transposed operator.
+    In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1)
+    raises by one level, and the drift -iH/hbar - sum L^dag L / 2 is
+    the diagonal g, so a step is elementwise products on shifted
+    slices.  Immutable after construction.
     """
 
     def __init__(self, ops: OperatorSet):
-        p = ops.params
-        drift = (-1j / p.hbar) * ops.h - 0.5 * (
-            ops.l1.conj().T @ ops.l1 + ops.l2.conj().T @ ops.l2)
-        self.g_t = np.ascontiguousarray(drift.T)
-        self.l1_t = np.ascontiguousarray(ops.l1.T)
-        self.l2_t = np.ascontiguousarray(ops.l2.T)
+        h, self.c, self.d, mu = band_form(ops)
+        self.g = (-1j / ops.params.hbar) * h - 0.5 * mu
         self.tail_start = ops.n_fock - tail_levels(ops.n_fock)
 
-    def step(self, psis: np.ndarray, noise: np.ndarray, dt: float,
-             renormalize: bool = True):
-        """Advance a (B, n_fock) batch one step.
+    def step(self, psis: np.ndarray, noise: np.ndarray, dt: float):
+        """Advance a (B, n_fock) batch one step, without renormalizing.
 
-        noise has shape (B, 2).  Returns (new_psis, norm_dev, tails).
-        norm_dev is | ||psi'|| - 1 | before renormalization; with
-        renormalization on and normalized input this is the per-step
-        norm drift, otherwise it measures the accumulated drift.  tails
-        is each row's relative tail mass, the share of ||psi'||^2 in
-        the top tail_levels(n_fock) Fock levels; it is nan for a row
-        that is not finite.
+        noise has shape (B, 2).  Returns (new_psis, norms, tails):
+        norms is each row's ||psi'||, and tails its relative tail mass,
+        the share of ||psi'||^2 in the top tail_levels(n_fock) Fock
+        levels; it is nan for a row that is not finite.
         """
-        l1psi = psis @ self.l1_t
-        l2psi = psis @ self.l2_t
-        gpsi = psis @ self.g_t
-        norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-        l1 = np.einsum("bi,bi->b", psis.conj(), l1psi) / norm_sq
-        l2 = np.einsum("bi,bi->b", psis.conj(), l2psi) / norm_sq
+        l1psi = self.c * psis[:, 1:]    # L1 psi without its zero last entry
+        l2psi = self.d * psis[:, :-1]   # L2 psi without its zero first entry
+        bra = psis.conj()
+        norm_sq = np.einsum("bi,bi->b", bra, psis).real
+        l1 = np.einsum("bi,bi->b", bra[:, :-1], l1psi) / norm_sq
+        l2 = np.einsum("bi,bi->b", bra[:, 1:], l2psi) / norm_sq
         xi1 = noise[:, 0]
         xi2 = noise[:, 1]
-        c1 = (l1.conj() * dt + xi1)[:, None]
-        c2 = (l2.conj() * dt + xi2)[:, None]
         c0 = (-0.5 * (np.abs(l1) ** 2 + np.abs(l2) ** 2) * dt
               - (l1 * xi1 + l2 * xi2))[:, None]
-        out = psis + dt * gpsi + c1 * l1psi + c2 * l2psi + c0 * psis
+        out = psis + (dt * self.g + c0) * psis
+        out[:, :-1] += (l1.conj() * dt + xi1)[:, None] * l1psi
+        out[:, 1:] += (l2.conj() * dt + xi2)[:, None] * l2psi
         out_sq = np.einsum("bi,bi->b", out.conj(), out).real
-        norms = np.sqrt(out_sq)
-        dev = np.abs(norms - 1.0)
         tails = (np.abs(out[:, self.tail_start:]) ** 2).sum(axis=1) / out_sq
-        if renormalize:
-            out /= norms[:, None]
-        return out, dev, tails
+        return out, np.sqrt(out_sq), tails
 
 
 def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
@@ -166,10 +152,11 @@ def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
     Row b draws its noise from rngs[b] and is trajectory first_index + b.
-    on_sample(psis, step) runs at step 0 and every record_stride steps.
-    Returns the final batch and, per step, the worst pre-renormalization
-    norm drift over the batch.  Raises TrajectoryError as soon as a row's
-    relative tail mass is above cfg.tail_tol or not finite.
+    Each step is renormalized.  on_sample(psis, step) runs at step 0 and
+    every record_stride steps.  Returns the final batch and, per step,
+    the worst pre-renormalization norm drift | ||psi'|| - 1 | over the
+    batch.  Raises TrajectoryError as soon as a row's relative tail mass
+    is above TAIL_TOL or not finite.
     """
     dt = cfg.dt
     n_steps = cfg.n_steps
@@ -180,19 +167,19 @@ def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
         block = min(NOISE_BLOCK_STEPS, n_steps - step)
         noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
         for j in range(block):
-            psis, dev, tails = kern.step(psis, noise[:, j], dt,
-                                         cfg.renormalize)
-            drift[step] = dev.max()
+            psis, norms, tails = kern.step(psis, noise[:, j], dt)
+            drift[step] = np.abs(norms - 1.0).max()
             step += 1
-            if not tails.max() <= cfg.tail_tol:
+            if not tails.max() <= TAIL_TOL:
                 worst = int(np.argmax(tails))
                 t = step * dt
                 raise TrajectoryError(
                     f"tail mass {tails[worst]:.3e} is not within tolerance "
-                    f"{cfg.tail_tol:.1e} at t = {t:.6g} "
+                    f"{TAIL_TOL:.1e} at t = {t:.6g} "
                     f"(trajectory {first_index + worst})",
                     tail_mass=float(tails[worst]), time=t,
                     trajectory=first_index + worst)
+            psis /= norms[:, None]
             if step % cfg.record_stride == 0:
                 on_sample(psis, step)
     return psis, drift

@@ -162,7 +162,6 @@ def test_localize_rejects_coherent_initial(tmp_path):
     ("thermalize", "ensemble"),
     ("thermalize", "initial"),
     ("oracle-compare", "ensemble"),
-    ("oracle-compare", "oracle_compare"),
     ("histories", "histories"),
     ("histories", "initial"),
 ])
@@ -173,7 +172,6 @@ def test_missing_section_is_config_error(tmp_path, capsys, command, missing):
         "integrator": {"dt": 1e-3, "t_end": 2.0},
         "ensemble": {"m": 8},
         "initial": {"kind": "fock", "n": 1},
-        "oracle_compare": {"dt_oracle": 1e-3},
         "histories": {"times": [0.0], "h": 0.1, "dt_oracle": 1e-3,
                       "cells": [{"center": 0.0, "w_re": 1.0, "w_im": 1.0}]},
     }
@@ -218,7 +216,6 @@ def test_oracle_compare_convergence(tmp_path):
                        "seed": 5},
         "ensemble": {"m": 128, "base_seed": 1},
         "initial": {"kind": "coherent", "alpha": 1.0},
-        "oracle_compare": {"dt_oracle": 1e-3},
     }
     code, out = _run(tmp_path, "oracle-compare", cfg)
     assert code == EXIT_PASS

@@ -78,14 +78,14 @@ def test_non_finite_row_fails_closed(ops20, monkeypatch):
     step = StepKernel.step
     calls = []
 
-    def poisoned(self, psis, noise, dt, renormalize=True):
-        out, dev, tails = step(self, psis, noise, dt, renormalize)
+    def poisoned(self, psis, noise, dt):
+        out, norms, tails = step(self, psis, noise, dt)
         if psis.shape[0] == 6:
             calls.append(None)
             if len(calls) == 5:
                 out[3] = np.nan
                 tails[3] = np.nan
-        return out, dev, tails
+        return out, norms, tails
 
     monkeypatch.setattr(StepKernel, "step", poisoned)
     with pytest.raises(TrajectoryError) as exc_info:
@@ -114,6 +114,9 @@ def test_snapshot_times_must_be_sampled(ops20):
     cfg = _cfg(4, rho_times=(0.05,))   # stride 100 samples only 0.0, 0.1, ...
     with pytest.raises(ConfigError):
         run_ensemble(cfg, ops20)
+    # a repeated time would need a second snapshot slot
+    with pytest.raises(ConfigError):
+        run_ensemble(_cfg(4, rho_times=(0.1, 0.2, 0.1)), ops20)
 
 
 def test_unknown_series_name_rejected():

@@ -143,6 +143,10 @@ def test_two_time_functional(warm_params, ops20):
     with pytest.raises(ConfigError):
         decoherence_functional(
             spec, ops20, LindbladPropagatorConfig(dt_oracle=0.3, t_end=0.6))
+    # and not beyond the propagation horizon t_end
+    with pytest.raises(ConfigError):
+        decoherence_functional(
+            spec, ops20, LindbladPropagatorConfig(dt_oracle=2e-3, t_end=0.4))
 
 
 def test_functional_and_scan_match_dense_propagator(ops20):
@@ -249,6 +253,15 @@ def test_pure_state_scan_starts_at_unity():
                              branch_cell=(0.8, 0.8), h=0.1)
     assert scan.ratios[0] == pytest.approx(1.0, abs=1e-9)
     assert scan.intervals[0] == 0.0
+    # a stride below one never advances; t_max must lie within t_end
+    for stride, t_max, t_end in ((0, 5e-3, 1.0), (-1, 5e-3, 1.0),
+                                 (1, 5e-3, 4e-3)):
+        with pytest.raises(ConfigError):
+            cat_interval_scan(
+                1.4, ops, LindbladPropagatorConfig(dt_oracle=1e-3,
+                                                   t_end=t_end),
+                t_max=t_max, branch_cell=(0.8, 0.8), h=0.1,
+                sample_stride=stride)
 
 
 def test_undamped_scan_stays_at_unity():

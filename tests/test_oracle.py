@@ -13,6 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from qsdsim import (
+    IntegratorConfig,
     LindbladPropagatorConfig,
     ModelParams,
     OUState,
@@ -25,12 +26,14 @@ from qsdsim import (
     ou_flow,
     propagate,
     propagate_matrices,
+    run_trajectory,
     stationary_lindblad_check,
     temperature_for_nbar,
     thermal_state,
     trace_expect,
 )
 from conftest import liouvillian, random_states, rk4_step
+from qsdsim.qsd import StepKernel
 
 
 def _random_density(dim, seed):
@@ -208,5 +211,11 @@ def test_band_precondition_fails_closed(warm_params):
                   LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5))
     with pytest.raises(ParameterError):
         propagate_matrices(rho0, coupled, 0.5)
+    # the banded step kernel reads the same band form
+    with pytest.raises(ParameterError):
+        StepKernel(coupled)
+    with pytest.raises(ParameterError):
+        run_trajectory(coherent_state(ops, 0.5), coupled,
+                       IntegratorConfig(dt=1e-3, t_end=0.01))
     with pytest.raises(ParameterError):
         propagate_matrices(rho0, ops, -0.1)

@@ -117,21 +117,35 @@ def _low_support(dim, top, seed):
 def test_single_step_formula(ops20):
     psi = _low_support(20, 6, seed=17)
     noise = np.array([0.01 + 0.02j, -0.015 + 0.005j])
-    got, dev, _ = StepKernel(ops20).step(psi[None], noise[None], 1e-3,
-                                         renormalize=False)
+    got, norms, _ = StepKernel(ops20).step(psi[None], noise[None], 1e-3)
     want = _expected_step(psi, ops20, noise, 1e-3)
     assert np.allclose(got[0], want, atol=1e-14)
-    assert dev[0] == pytest.approx(abs(np.linalg.norm(want) - 1.0),
-                                   abs=1e-14)
+    assert norms[0] == pytest.approx(np.linalg.norm(want), abs=1e-14)
+
+
+def test_banded_batch_matches_dense_step(warm_params):
+    # every row of a batch against the dense reference, with enough
+    # levels that the shifted slices reach far from the ends
+    ops = build_operators(warm_params, 40)
+    dt = 1e-3
+    psis = random_states(64, 40, seed=23)
+    noise = draw_noise_block(np.random.default_rng(24), dt, 64)
+    got, norms, _ = StepKernel(ops).step(psis, noise, dt)
+    for b in range(64):
+        want = _expected_step(psis[b], ops, noise[b], dt)
+        assert np.abs(got[b] - want).max() <= 1e-14
+        assert abs(norms[b] - np.linalg.norm(want)) <= 1e-14
 
 
 def test_step_renormalizes(ops20):
+    # the kernel leaves renormalization to the driver: it reports each
+    # row's norm and the tail mass relative to the squared norm
     psi = _low_support(20, 6, seed=18)
     noise = np.array([[0.03j, 0.02]])
-    got, _, tails = StepKernel(ops20).step(psi[None], noise, 1e-3,
-                                           renormalize=True)
-    assert np.linalg.norm(got[0]) == pytest.approx(1.0, abs=1e-12)
-    assert tails[0] == pytest.approx(tail_mass(got[0]), rel=1e-9)
+    got, norms, tails = StepKernel(ops20).step(psi[None], noise, 1e-3)
+    assert norms[0] == pytest.approx(np.linalg.norm(got[0]), rel=1e-14)
+    assert tails[0] == pytest.approx(tail_mass(got[0]) / norms[0] ** 2,
+                                     rel=1e-9)
 
 
 def test_step_tail_guard(warm_params):
@@ -152,8 +166,7 @@ def test_mean_dyad_reproduces_generator(ops20):
     psi = coherent_state(ops20, 0.7 + 0.2j)
     kern = StepKernel(ops20)
     noise = draw_noise_block(rng, dt, n_draws)
-    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
-                          renormalize=False)
+    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt)
     dyads = np.einsum("bi,bj->bij", out, out.conj())
     mean_dyad = dyads.mean(axis=0)
     rho = np.outer(psi, psi.conj())
@@ -177,8 +190,7 @@ def test_norm_is_martingale_with_gram_variance(ops20):
     psi = _low_support(20, 6, seed=21)
     kern = StepKernel(ops20)
     noise = draw_noise_block(rng, dt, n_draws)
-    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt,
-                          renormalize=False)
+    out, _, _ = kern.step(np.tile(psi, (n_draws, 1)), noise, dt)
     norms_sq = np.einsum("bi,bi->b", out.conj(), out).real
 
     vs = [(l @ psi) - np.vdot(psi, l @ psi) * psi
