@@ -573,6 +573,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(Runner(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Ensemble runner: M independent trajectories and their statistics.
 
-Trajectories are integrated in fixed batches of TRAJ_BATCH, each batch
-a vectorized (B, n_fock) array stepped by the trajectory driver.  Batch
-membership, each trajectory's noise stream and the accumulation order
-are functions of the trajectory index alone, so results depend only on
-the configuration.
+Trajectories are integrated in batches of TRAJ_BATCH (set by a sweep),
+each a (B, n_fock) array stepped by the trajectory driver; a row's
+result does not depend on its batch.  Batch membership, each noise
+stream and the accumulation order are functions of the trajectory
+index alone, so results depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .constants import COARSE_GRID_SPACING, TRAJ_BATCH
 from .errors import ConfigError, DimensionError, GridWarning, ParameterError
@@ -73,6 +72,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("ensemble size must be >= 1")
+        if self.base_seed < 0:
+            raise ParameterError("base_seed must be >= 0")
         for name in self.store_series:
             if name not in STAT_FIELDS:
                 raise ConfigError(f"unknown series field {name!r}")
@@ -250,6 +251,7 @@ def purity_and_coherent_overlap(rho: np.ndarray, ops: OperatorSet,
         cols[:rho.size, i] = dyad.real.ravel()
         cols[rho.size:, i] = dyad.imag.ravel()
     target = np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+    from scipy.optimize import nnls
     weights, _ = nnls(cols, target)
     fit = cols @ weights
     residual = float(np.linalg.norm(target - fit))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .constants import FIT_FLOOR_REL, FIT_FLOOR_SIGMA, FIT_MIN_POINTS
 from .errors import DimensionError, FitError
@@ -97,7 +96,7 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet, t: float) -> dict:
     # Two independent routes to the same spread must agree.
     alt = 0.25 * (excess_q + excess_p)
     err = np.max(np.abs(delta_alpha_sq - alt))
-    if err > _CONSISTENCY_TOL * max(1.0, float(np.max(exp_n))):
+    if not err <= _CONSISTENCY_TOL * max(1.0, float(np.max(exp_n))):
         raise FloatingPointError(
             f"phase-space spread consistency violated by {err:.3e}")
 
@@ -227,7 +226,8 @@ def fit_exponential_decay(times: np.ndarray, means: np.ndarray,
     dof = n_keep - 2
     chi2_red = (w * resid ** 2).sum() / dof
     slope_se = math.sqrt(max(chi2_red, 1e-300) / s_tt)
-    tq = float(sp_stats.t.ppf(0.975, dof))
+    from scipy.stats import t as t_dist
+    tq = float(t_dist.ppf(0.975, dof))
     return ExponentialFit(rate=-slope, rate_se=slope_se, ci95=tq * slope_se,
                           log_amplitude=intercept, n_points=n_keep,
                           t_start=float(t[0]), t_end=float(t[-1]))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DimensionError, ParameterError
 from .model import ModelParams, OperatorSet, band_form, steps_on_grid
@@ -55,6 +54,7 @@ def _band_propagator(ops: OperatorSet, t: float) -> list:
     and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry j to j + 1
     by c_m conj(c_n) and to j - 1 by d_(m-1) conj(d_(n-1)).
     """
+    from scipy.linalg import expm
     n = ops.n_fock
     h, c, d, mu = band_form(ops)
     bands = []

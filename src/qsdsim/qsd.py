@@ -65,10 +65,7 @@ def draw_noise_block(rng: np.random.Generator, dt: float,
     Re dxi2, Im dxi2), so the stream does not depend on the block size.
     """
     z = rng.standard_normal((n_steps, 4)) * math.sqrt(dt / 2.0)
-    out = np.empty((n_steps, 2), dtype=complex)
-    out[:, 0] = z[:, 0] + 1j * z[:, 1]
-    out[:, 1] = z[:, 2] + 1j * z[:, 3]
-    return out
+    return z.view(complex)
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,8 @@ class IntegratorConfig:
             raise ParameterError("t_end must cover at least one step")
         if self.record_stride < 1:
             raise ParameterError("record_stride must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property
@@ -113,16 +112,19 @@ class StepKernel:
     In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1)
     raises by one level, and the drift -iH/hbar - sum L^dag L / 2 is
     the diagonal g, so a step is elementwise products on shifted
-    slices.  Immutable after construction.
+    slices; c, d and g are complex and norms are dot products of a row's
+    (re, im) float view, so no step mixes real and complex arrays.
+    Immutable after construction.
     """
 
     def __init__(self, ops: OperatorSet):
-        h, self.c, self.d, mu = band_form(ops)
+        h, c, d, mu = band_form(ops)
+        self.c, self.d = c.astype(complex), d.astype(complex)
         self.g = (-1j / ops.params.hbar) * h - 0.5 * mu
-        self.tail_start = ops.n_fock - tail_levels(ops.n_fock)
+        self.tail_start = 2 * (ops.n_fock - tail_levels(ops.n_fock))
 
     def step(self, psis: np.ndarray, noise: np.ndarray, dt: float):
-        """Advance a (B, n_fock) batch one step, without renormalizing.
+        """One step of a C-contiguous (B, n_fock) batch, not renormalized.
 
         noise has shape (B, 2).  Returns (new_psis, norms, tails):
         norms is each row's ||psi'||, and tails its relative tail mass,
@@ -131,20 +133,23 @@ class StepKernel:
         """
         l1psi = self.c * psis[:, 1:]    # L1 psi without its zero last entry
         l2psi = self.d * psis[:, :-1]   # L2 psi without its zero first entry
-        bra = psis.conj()
-        norm_sq = np.einsum("bi,bi->b", bra, psis).real
-        l1 = np.einsum("bi,bi->b", bra[:, :-1], l1psi) / norm_sq
-        l2 = np.einsum("bi,bi->b", bra[:, 1:], l2psi) / norm_sq
-        xi1 = noise[:, 0]
-        xi2 = noise[:, 1]
-        c0 = (-0.5 * (np.abs(l1) ** 2 + np.abs(l2) ** 2) * dt
+        flat = psis.view(float)
+        norm_sq = np.vecdot(flat, flat)
+        l1 = np.vecdot(psis[:, :-1], l1psi) / norm_sq   # vecdot conjugates
+        l2 = np.vecdot(psis[:, 1:], l2psi) / norm_sq
+        xi1, xi2 = noise.T
+        c0 = (1.0 - 0.5 * dt * (np.abs(l1) ** 2 + np.abs(l2) ** 2)
               - (l1 * xi1 + l2 * xi2))[:, None]
-        out = psis + (dt * self.g + c0) * psis
-        out[:, :-1] += (l1.conj() * dt + xi1)[:, None] * l1psi
-        out[:, 1:] += (l2.conj() * dt + xi2)[:, None] * l2psi
-        out_sq = np.einsum("bi,bi->b", out.conj(), out).real
-        tails = (np.abs(out[:, self.tail_start:]) ** 2).sum(axis=1) / out_sq
-        return out, np.sqrt(out_sq), tails
+        out = dt * self.g + c0
+        out *= psis
+        l1psi *= (l1.conj() * dt + xi1)[:, None]
+        out[:, :-1] += l1psi
+        l2psi *= (l2.conj() * dt + xi2)[:, None]
+        out[:, 1:] += l2psi
+        flat = out.view(float)
+        out_sq = np.vecdot(flat, flat)
+        tail = flat[:, self.tail_start:]
+        return out, np.sqrt(out_sq), np.vecdot(tail, tail) / out_sq
 
 
 def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
@@ -179,7 +184,7 @@ def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
                     f"(trajectory {first_index + worst})",
                     tail_mass=float(tails[worst]), time=t,
                     trajectory=first_index + worst)
-            psis /= norms[:, None]
+            psis *= 1.0 / norms[:, None]
             if step % cfg.record_stride == 0:
                 on_sample(psis, step)
     return psis, drift

@@ -115,6 +115,12 @@ def test_seed_override_controls_noise(tmp_path):
     assert (out_c / "trajectory.csv").read_bytes() != body_a
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    code, _ = _run(tmp_path, "stationary", _stationary_cfg(), "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_tail_overflow_is_numerical_error(tmp_path):
     # a high Fock start in a tiny basis pumps the guarded tail at once
     cfg = {

@@ -29,6 +29,7 @@ from qsdsim import (
     trajectory_seed,
     write_stats_csv,
 )
+from qsdsim.constants import TRAJ_BATCH
 from qsdsim.qsd import StepKernel
 
 
@@ -55,11 +56,18 @@ def test_single_member_equals_bare_trajectory(warm_params, ops20):
 
 
 def test_batch_membership_does_not_change_results(ops20):
-    # m=130 straddles two batch boundaries; its first batch must end
-    # exactly where an ensemble of one full batch does
-    small = run_ensemble(_cfg(64, t_end=0.2, stride=50), ops20)
-    large = run_ensemble(_cfg(130, t_end=0.2, stride=50), ops20)
-    assert np.array_equal(large.final_states[:64], small.final_states)
+    # m = 2 TRAJ_BATCH + 2 straddles two batch boundaries; its first
+    # batch must end exactly where an ensemble of one full batch does
+    small = run_ensemble(_cfg(TRAJ_BATCH, t_end=0.2, stride=50), ops20)
+    large = run_ensemble(_cfg(2 * TRAJ_BATCH + 2, t_end=0.2, stride=50),
+                         ops20)
+    assert np.array_equal(large.final_states[:TRAJ_BATCH],
+                          small.final_states)
+
+
+def test_negative_base_seed_rejected():
+    with pytest.raises(ParameterError):
+        _cfg(4, seed=-1)
 
 
 def test_non_finite_custom_state_rejected(ops20):
@@ -73,7 +81,7 @@ def test_non_finite_custom_state_rejected(ops20):
 
 
 def test_non_finite_row_fails_closed(ops20, monkeypatch):
-    # poison one row of the second batch at its fifth step: the guard
+    # poison row 3 of the 6-row second batch at its fifth step: the guard
     # must name that trajectory and time rather than average a nan
     step = StepKernel.step
     calls = []
@@ -89,8 +97,8 @@ def test_non_finite_row_fails_closed(ops20, monkeypatch):
 
     monkeypatch.setattr(StepKernel, "step", poisoned)
     with pytest.raises(TrajectoryError) as exc_info:
-        run_ensemble(_cfg(70, t_end=0.02, stride=10), ops20)
-    assert exc_info.value.trajectory == 67
+        run_ensemble(_cfg(TRAJ_BATCH + 6, t_end=0.02, stride=10), ops20)
+    assert exc_info.value.trajectory == TRAJ_BATCH + 3
     assert exc_info.value.time == pytest.approx(5e-3)
 
 

@@ -1,12 +1,17 @@
 """Parameters, derived scales, operators, and state constructors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+import qsdsim
 from qsdsim.errors import DimensionError, ParameterError, TruncationError
 from qsdsim.model import (ModelParams, build_operators, cat_state,
                           coherent_state, derive, expectation, fock_state,
@@ -170,3 +175,15 @@ def test_normalize_and_tail(ops20):
 def test_expectation_dimension_check(ops20):
     with pytest.raises(DimensionError):
         expectation(np.ones(5, dtype=complex), ops20.a)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported by the few functions that use it, so a bare
+    # import of the package stays at numpy's start-up cost
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, qsdsim; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

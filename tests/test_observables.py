@@ -68,6 +68,14 @@ def test_spread_identity_on_random_states(ops20, seed):
         (b.excess_q + b.excess_p) / 4.0, abs=1e-10)
 
 
+def test_spread_guard_fails_closed_on_nan(ops20):
+    # a nan row makes the consistency residual nan, which must not pass
+    states = np.stack([fock_state(ops20, 1),
+                       np.full(20, np.nan, dtype=complex)])
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        bundle_arrays(states, ops20, 0.0)
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_rate_forms_agree(ops20, warm_params, seed):
     psi = random_states(1, 20, seed=seed)[0]

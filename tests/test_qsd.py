@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_states
+from qsdsim.constants import TRAJ_BATCH
 from qsdsim.errors import (ConfigError, ParameterError, StepSizeWarning,
                            TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
@@ -77,6 +78,8 @@ def test_integrator_config_validation():
     # t_end off the step grid would silently stop at t = 0.9
     with pytest.raises(ConfigError):
         IntegratorConfig(dt=0.3, t_end=1.0)
+    with pytest.raises(ParameterError):
+        IntegratorConfig(dt=1e-3, t_end=1.0, seed=-1)
 
 
 def test_step_size_warnings():
@@ -125,16 +128,34 @@ def test_single_step_formula(ops20):
 
 def test_banded_batch_matches_dense_step(warm_params):
     # every row of a batch against the dense reference, with enough
-    # levels that the shifted slices reach far from the ends
+    # levels that the shifted slices reach far from the ends, from a
+    # single trajectory up to the ensemble's batch size
     ops = build_operators(warm_params, 40)
+    kern = StepKernel(ops)
     dt = 1e-3
-    psis = random_states(64, 40, seed=23)
-    noise = draw_noise_block(np.random.default_rng(24), dt, 64)
-    got, norms, _ = StepKernel(ops).step(psis, noise, dt)
-    for b in range(64):
-        want = _expected_step(psis[b], ops, noise[b], dt)
-        assert np.abs(got[b] - want).max() <= 1e-14
-        assert abs(norms[b] - np.linalg.norm(want)) <= 1e-14
+    for size in (1, 64, TRAJ_BATCH):
+        psis = random_states(size, 40, seed=23 + size)
+        noise = draw_noise_block(np.random.default_rng(24 + size), dt, size)
+        got, norms, _ = kern.step(psis, noise, dt)
+        for b in range(size):
+            want = _expected_step(psis[b], ops, noise[b], dt)
+            assert np.abs(got[b] - want).max() <= 1e-14
+            assert abs(norms[b] - np.linalg.norm(want)) <= 1e-14
+
+
+def test_batch_step_equals_rows_stepped_alone(warm_params):
+    # a row's step must not depend on the batch it sits in, bit for bit:
+    # a full ensemble batch against each row stepped as a batch of one
+    ops = build_operators(warm_params, 40)
+    kern = StepKernel(ops)
+    dt = 1e-3
+    psis = random_states(TRAJ_BATCH, 40, seed=25)
+    noise = draw_noise_block(np.random.default_rng(26), dt, TRAJ_BATCH)
+    got = kern.step(psis, noise, dt)
+    for b in range(TRAJ_BATCH):
+        alone = kern.step(psis[b:b + 1].copy(), noise[b:b + 1].copy(), dt)
+        for batched, single in zip(got, alone):
+            assert np.array_equal(batched[b:b + 1], single)
 
 
 def test_step_renormalizes(ops20):
