@@ -3,9 +3,10 @@
     PYTHONPATH=src python scripts/sweep_traj_batch.py
     PYTHONPATH=src python scripts/sweep_traj_batch.py --n-fock 40 --batch 128 256
 
-For each (n_fock, B) this times ``StepKernel.step`` alone on a (B, n_fock)
-batch, and ``run_ensemble`` with its batch size set to B on about 1024
-trajectories (a whole number of batches).  The model is acceptance
+For each (n_fock, B) this times the compiled stepping loop on a
+(B, n_fock) batch through its driver ``qsd._integrate``, with its noise
+draw and no samples in between, and ``run_ensemble`` with its batch size
+set to B on about 1024 trajectories (a whole number of batches).  The model is acceptance
 criterion 8's oscillator (omega = 2, gamma = 0.5, nbar = 0.5, coherent
 start, dt = 1e-3).  Batch sizes are interleaved within each repeat, so
 slow phases of a shared machine spread over all of them; the tables give
@@ -17,12 +18,12 @@ from __future__ import annotations
 import argparse
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import qsdsim
-from qsdsim import ensemble
-from qsdsim.qsd import StepKernel, draw_noise_block
+from qsdsim import ensemble, qsd
 
 
 def main() -> None:
@@ -39,23 +40,23 @@ def main() -> None:
     driver_us = {}
     for n in args.n_fock:
         ops = qsdsim.build_operators(par, n)
-        kern = StepKernel(ops)
         psi0 = qsdsim.coherent_state(ops, 0.6 + 0.8j)
         runs = {b: ([], []) for b in args.batch}
         for _ in range(args.repeat):
             for b in args.batch:
+                icfg = qsdsim.IntegratorConfig(
+                    dt=1e-3, t_end=args.steps * 1e-3,
+                    record_stride=args.steps)
                 psis = np.tile(psi0, (b, 1))
-                noise = draw_noise_block(np.random.default_rng(b), 1e-3, b)
+                rngs = [np.random.default_rng(k) for k in range(b)]
                 t0 = time.perf_counter()
-                for _ in range(args.steps):
-                    kern.step(psis, noise, 1e-3)
+                qsd._integrate(ops, psis, rngs, icfg, 0, lambda p, s: None)
                 runs[b][0].append((time.perf_counter() - t0)
                                   / (args.steps * b))
                 m = b * max(2, 1024 // b)
                 cfg = qsdsim.EnsembleConfig(
                     m=m, base_seed=1,
-                    integrator=qsdsim.IntegratorConfig(
-                        dt=1e-3, t_end=args.steps * 1e-3, record_stride=50),
+                    integrator=replace(icfg, record_stride=50),
                     initial=qsdsim.InitialStateSpec(kind="coherent",
                                                     alpha=0.6 + 0.8j))
                 ensemble.TRAJ_BATCH = b
@@ -66,7 +67,7 @@ def main() -> None:
         for b, (k_runs, d_runs) in runs.items():
             kernel_us[n, b] = 1e6 * statistics.median(k_runs)
             driver_us[n, b] = 1e6 * statistics.median(d_runs)
-    for title, table in (("StepKernel.step", kernel_us),
+    for title, table in (("compiled loop with noise draw", kernel_us),
                          ("run_ensemble", driver_us)):
         print(f"\n{title}, us per trajectory-step (median of "
               f"{args.repeat})\n")

@@ -25,8 +25,7 @@ from .ensemble import (STAT_FIELDS, CoherentGrid, EnsembleConfig,
                        EnsembleStats, InitialStateSpec, MixtureDiagnostics,
                        density_matrix, purity_and_coherent_overlap,
                        rho_from_json, rho_to_json, run_ensemble,
-                       stats_to_json, trace_distance, write_rho_json,
-                       write_stats_csv)
+                       stats_to_json, trace_distance, write_stats_csv)
 from .histories import (DecoherenceMatrix, HistorySpec, IntervalScan,
                         PhaseCell, cat_interval_scan, cell_projector,
                         classical_peaking_report, decoherence_functional,

@@ -10,6 +10,7 @@ holds.  Exit codes: 0 pass, 1 assertion fail, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -182,19 +183,37 @@ def load_config(path: Path) -> dict:
     return cfg
 
 
-def build_params(section: dict) -> ModelParams:
-    if ("temperature" in section) == ("nbar" in section):
+def _config_stage(build):
+    """Report a SimulationError of a config builder as a ConfigError.
+
+    Everything the commands build from the config goes through a
+    builder wrapped here, so a bad value exits 2, not 3.
+    """
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError:
+            raise
+        except SimulationError as exc:
+            raise ConfigError(str(exc)) from exc
+    return wrapper
+
+
+@_config_stage
+def _model(cfg: dict):
+    """(params, operators) of the params and fock sections."""
+    sec = cfg["params"]
+    if ("temperature" in sec) == ("nbar" in sec):
         raise ConfigError("params needs exactly one of temperature, nbar")
-    base = ModelParams(
-        m=section["m"], omega=section["omega"], gamma=section["gamma"],
-        temperature=section.get("temperature", 0.0),
-        hbar=section.get("hbar", 1.0), k_B=section.get("k_B", 1.0))
-    if "nbar" in section:
-        base = ModelParams(
-            m=base.m, omega=base.omega, gamma=base.gamma,
-            temperature=temperature_for_nbar(section["nbar"], base),
-            hbar=base.hbar, k_B=base.k_B)
-    return base
+    params = ModelParams(
+        m=sec["m"], omega=sec["omega"], gamma=sec["gamma"],
+        temperature=sec.get("temperature", 0.0),
+        hbar=sec.get("hbar", 1.0), k_B=sec.get("k_B", 1.0))
+    if "nbar" in sec:
+        params = replace(params, temperature=temperature_for_nbar(
+            sec["nbar"], params))
+    return params, build_operators(params, cfg["fock"]["n_fock"])
 
 
 def build_initial(section: dict) -> InitialStateSpec:
@@ -209,6 +228,12 @@ def build_initial(section: dict) -> InitialStateSpec:
         amplitudes=amps)
 
 
+@_config_stage
+def _initial_state(section: dict, ops) -> np.ndarray:
+    return build_initial(section).build(ops)
+
+
+@_config_stage
 def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
     sec = cfg["integrator"]
     seed = sec.get("seed", 0)
@@ -219,15 +244,19 @@ def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
         record_stride=sec.get("record_stride", 1))
 
 
-def _ensemble_config(cfg: dict, icfg: IntegratorConfig,
-                     seed_override) -> EnsembleConfig:
+@_config_stage
+def _ensemble_config(cfg: dict, icfg: IntegratorConfig, seed_override,
+                     ops) -> EnsembleConfig:
+    """The ensemble settings; their initial state is built once as a check."""
     sec = cfg["ensemble"]
     base_seed = sec.get("base_seed", 0)
     if seed_override is not None:
         base_seed = seed_override
-    return EnsembleConfig(
+    ecfg = EnsembleConfig(
         m=sec["m"], base_seed=base_seed, integrator=icfg,
         initial=build_initial(cfg["initial"]))
+    ecfg.initial.build(ops)
+    return ecfg
 
 
 def _sha256(path: Path) -> str:
@@ -307,11 +336,10 @@ class Runner:
 
 
 def cmd_stationary(run: Runner) -> int:
-    cfg, params = run.cfg, build_params(run.cfg["params"])
-    ops = build_operators(params, cfg["fock"]["n_fock"])
+    cfg, (params, ops) = run.cfg, _model(run.cfg)
     icfg = _integrator(cfg, run.args.seed)
-    psi0 = build_initial(cfg.get("initial", {"kind": "coherent",
-                                             "alpha": 1.0})).build(ops)
+    psi0 = _initial_state(cfg.get("initial", {"kind": "coherent",
+                                              "alpha": 1.0}), ops)
     record = run_trajectory(psi0, ops, icfg)
     write_bundle_csv(run.path("trajectory.csv"), record.bundles)
     run.gnuplot_stub("trajectory.csv",
@@ -356,9 +384,8 @@ def _localize_rate(ecfg, ops, tag, run):
 
 
 def cmd_localize(run: Runner) -> int:
-    cfg, params = run.cfg, build_params(run.cfg["params"])
-    ops = build_operators(params, cfg["fock"]["n_fock"])
-    ecfg = _ensemble_config(cfg, _integrator(cfg, None), run.args.seed)
+    cfg, (params, ops) = run.cfg, _model(run.cfg)
+    ecfg = _ensemble_config(cfg, _integrator(cfg, None), run.args.seed, ops)
     initial = ecfg.initial
     if initial.kind not in ("fock", "cat"):
         raise ConfigError("localize expects a fock or cat initial state")
@@ -407,12 +434,11 @@ def cmd_localize(run: Runner) -> int:
 
 
 def cmd_thermalize(run: Runner) -> int:
-    cfg, params = run.cfg, build_params(run.cfg["params"])
-    ops = build_operators(params, cfg["fock"]["n_fock"])
+    cfg, (params, ops) = run.cfg, _model(run.cfg)
     icfg = _integrator(cfg, None)
-    if icfg.t_end < 10.0 / params.gamma:
+    if params.gamma * icfg.t_end < 10.0:   # also refuses gamma = 0
         raise ConfigError("thermalize needs t_end >= 10/gamma")
-    ecfg = _ensemble_config(cfg, icfg, run.args.seed)
+    ecfg = _ensemble_config(cfg, icfg, run.args.seed, ops)
     stats = run_ensemble(ecfg, ops)
     write_stats_csv(run.path("thermalize.csv"), stats)
     run.gnuplot_stub("thermalize.csv", {"mean": 3}, "occupation relaxation")
@@ -467,10 +493,9 @@ def cmd_thermalize(run: Runner) -> int:
 
 
 def cmd_oracle_compare(run: Runner) -> int:
-    cfg, params = run.cfg, build_params(run.cfg["params"])
-    ops = build_operators(params, cfg["fock"]["n_fock"])
+    cfg, (_, ops) = run.cfg, _model(run.cfg)
     icfg = _integrator(cfg, None)
-    ecfg = _ensemble_config(cfg, icfg, run.args.seed)
+    ecfg = _ensemble_config(cfg, icfg, run.args.seed, ops)
     t_end = icfg.t_end
     psi0 = ecfg.initial.build(ops)
     oracle_rho = propagate_matrices(np.outer(psi0, psi0.conj()), ops, t_end)
@@ -501,10 +526,9 @@ def cmd_oracle_compare(run: Runner) -> int:
 
 
 def cmd_histories(run: Runner) -> int:
-    cfg, params = run.cfg, build_params(run.cfg["params"])
-    ops = build_operators(params, cfg["fock"]["n_fock"])
+    cfg, (_, ops) = run.cfg, _model(run.cfg)
     sec = cfg["histories"]
-    psi0 = build_initial(cfg["initial"]).build(ops)
+    psi0 = _initial_state(cfg["initial"], ops)
     rho0 = np.outer(psi0, psi0.conj())
     cells = tuple(PhaseCell(center=_as_complex(c["center"]),
                             w_re=c["w_re"], w_im=c["w_im"], h=sec["h"])

@@ -36,10 +36,12 @@ STEP_GUARD_OSCILLATORY = 0.05
 TAIL_LEVEL_DIVISOR = 10
 TAIL_TOL = 1e-6
 
-# Trajectory batch size of the ensemble runner, from the batch sweep
-# scripts/sweep_traj_batch.py: at n_fock 24-56, 256 is 25-40% cheaper
-# per trajectory-step than 64, and larger sizes gain no more.  A row's
-# result does not depend on its batch; the ensemble sums round per batch.
+# Trajectory batch size of the ensemble runner.  The compiled loop steps
+# one row at a time, so the batch only spreads Python's per-segment and
+# per-sample work; the sweep scripts/sweep_traj_batch.py finds
+# run_ensemble flat within noise from 64 to 512 at n_fock 24-56.  A
+# row's result does not depend on its batch; the ensemble sums round
+# per batch.
 TRAJ_BATCH = 256
 
 # Number of steps of noise drawn from a trajectory's generator in one

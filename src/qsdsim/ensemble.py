@@ -9,7 +9,6 @@ index alone, so results depend only on the configuration.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ from .errors import ConfigError, DimensionError, GridWarning, ParameterError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
     normalize, steps_on_grid
 from .observables import bundle_arrays
-from .qsd import IntegratorConfig, StepKernel, _integrate, check_step_size, \
+from .qsd import IntegratorConfig, _integrate, check_step_size, \
     trajectory_seed
 
 #: Bundle fields averaged over the ensemble, in CSV emission order.
@@ -135,7 +134,6 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     rhos = np.zeros((len(rho_steps), n_fock, n_fock), dtype=complex)
     series = {f: np.empty((m, n_samples)) for f in cfg.store_series}
     finals = np.empty((m, n_fock), dtype=complex)
-    kern = StepKernel(ops)
     for k0 in range(0, m, TRAJ_BATCH):
         k1 = min(k0 + TRAJ_BATCH, m)
 
@@ -156,7 +154,7 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
 
         rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
                 for k in range(k0, k1)]
-        finals[k0:k1], _ = _integrate(kern, np.tile(psi0, (k1 - k0, 1)),
+        finals[k0:k1], _ = _integrate(ops, np.tile(psi0, (k1 - k0, 1)),
                                       rngs, icfg, k0, on_sample)
 
     means = {f: tot[f] / m for f in STAT_FIELDS}
@@ -301,8 +299,3 @@ def rho_from_json(doc: dict) -> np.ndarray:
     if data.shape != (dim * dim, 2):
         raise ConfigError("density-matrix payload does not match dim")
     return (data[:, 0] + 1j * data[:, 1]).reshape(dim, dim)
-
-
-def write_rho_json(path, rho: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        json.dump(rho_to_json(rho), fh)

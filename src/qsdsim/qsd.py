@@ -14,19 +14,31 @@ variance dt/2.
 
 One driver steps a (B, n_fock) batch of trajectories; a single
 trajectory is the B = 1 case and the ensemble runner feeds it batches.
+The work is split between two languages.  The compiled loop in
+qsd_step.c does the stepping: for every step of a row it applies the
+update, measures the norm and its drift, checks the truncation tail
+and renormalizes.  Python draws the noise, calls the loop once per
+segment between samples, takes the samples and raises the error of a
+failed row.  The loop is built with gcc on first use, never at import.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import shutil
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
                         STEP_GUARD_OSCILLATORY, TAIL_TOL)
-from .errors import ParameterError, StepSizeWarning, TrajectoryError
+from .errors import DimensionError, ParameterError, StepSizeWarning, \
+    TrajectoryError
 from .model import ModelParams, OperatorSet, band_form, normalize, \
     steps_on_grid, tail_levels
 from . import observables
@@ -34,6 +46,11 @@ from . import observables
 #: Weyl-sequence increment of the splitmix64 stream.
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+#: gcc flags of the stepping loop.  No FMA contraction, so rounding does
+#: not depend on the target's instruction set.
+_CFLAGS = ("-O3", "-fcx-limited-range", "-ffp-contract=off", "-shared",
+           "-fPIC")
 
 
 def splitmix64(x: int) -> int:
@@ -106,86 +123,105 @@ def check_step_size(dt: float, params: ModelParams) -> None:
             "oscillation underresolved", StepSizeWarning, stacklevel=2)
 
 
-class StepKernel:
-    """Band coefficients for the batched update rule.
+@functools.cache
+def _compiled_segment():
+    """qsd_segment from qsd_step.c, compiled on first use.
 
-    In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1)
-    raises by one level, and the drift -iH/hbar - sum L^dag L / 2 is
-    the diagonal g, so a step is elementwise products on shifted
-    slices; c, d and g are complex and norms are dot products of a row's
-    (re, im) float view, so no step mixes real and complex arrays.
-    Immutable after construction.
+    The library is cached in $XDG_CACHE_HOME/qsdsim (default
+    ~/.cache/qsdsim) under a hash of the source and the compiler flags,
+    so a changed source or flag set builds afresh.  It is written under
+    a temporary name and moved into place, so concurrent first uses
+    never load a half-written file.
     """
+    import hashlib
+    import subprocess
 
-    def __init__(self, ops: OperatorSet):
-        h, c, d, mu = band_form(ops)
-        self.c, self.d = c.astype(complex), d.astype(complex)
-        self.g = (-1j / ops.params.hbar) * h - 0.5 * mu
-        self.tail_start = 2 * (ops.n_fock - tail_levels(ops.n_fock))
-
-    def step(self, psis: np.ndarray, noise: np.ndarray, dt: float):
-        """One step of a C-contiguous (B, n_fock) batch, not renormalized.
-
-        noise has shape (B, 2).  Returns (new_psis, norms, tails):
-        norms is each row's ||psi'||, and tails its relative tail mass,
-        the share of ||psi'||^2 in the top tail_levels(n_fock) Fock
-        levels; it is nan for a row that is not finite.
-        """
-        l1psi = self.c * psis[:, 1:]    # L1 psi without its zero last entry
-        l2psi = self.d * psis[:, :-1]   # L2 psi without its zero first entry
-        flat = psis.view(float)
-        norm_sq = np.vecdot(flat, flat)
-        l1 = np.vecdot(psis[:, :-1], l1psi) / norm_sq   # vecdot conjugates
-        l2 = np.vecdot(psis[:, 1:], l2psi) / norm_sq
-        xi1, xi2 = noise.T
-        c0 = (1.0 - 0.5 * dt * (np.abs(l1) ** 2 + np.abs(l2) ** 2)
-              - (l1 * xi1 + l2 * xi2))[:, None]
-        out = dt * self.g + c0
-        out *= psis
-        l1psi *= (l1.conj() * dt + xi1)[:, None]
-        out[:, :-1] += l1psi
-        l2psi *= (l2.conj() * dt + xi2)[:, None]
-        out[:, 1:] += l2psi
-        flat = out.view(float)
-        out_sq = np.vecdot(flat, flat)
-        tail = flat[:, self.tail_start:]
-        return out, np.sqrt(out_sq), np.vecdot(tail, tail) / out_sq
+    source = (Path(__file__).parent / "qsd_step.c").read_bytes()
+    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "qsdsim"
+    lib = cache / f"qsd_step-{tag[:16]}.so"
+    if not lib.exists():
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise RuntimeError("qsdsim compiles its stepping loop "
+                               "(qsd_step.c) on first use and needs gcc "
+                               "on PATH; none was found")
+        cache.mkdir(parents=True, exist_ok=True)
+        tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
+        proc = subprocess.run([gcc, *_CFLAGS, "-x", "c", "-", "-o", str(tmp),
+                               "-lm"], input=source, capture_output=True)
+        if proc.returncode != 0:
+            tmp.unlink(missing_ok=True)
+            raise RuntimeError("gcc could not build qsd_step.c:\n"
+                               + proc.stderr.decode(errors="replace"))
+        os.replace(tmp, lib)
+    fn = ctypes.CDLL(str(lib)).qsd_segment
+    ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    fn.argtypes = [long_, long_, long_, ptr, ptr, ptr, long_, real, real,
+                   ptr, ptr, long_, ptr, ctypes.POINTER(long_),
+                   ctypes.POINTER(real)]
+    fn.restype = long_
+    return fn
 
 
-def _integrate(kern: StepKernel, psis: np.ndarray, rngs: list,
+def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
                cfg: IntegratorConfig, first_index: int, on_sample):
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
-    Row b draws its noise from rngs[b] and is trajectory first_index + b.
-    Each step is renormalized.  on_sample(psis, step) runs at step 0 and
-    every record_stride steps.  Returns the final batch and, per step,
-    the worst pre-renormalization norm drift | ||psi'|| - 1 | over the
-    batch.  Raises TrajectoryError as soon as a row's relative tail mass
-    is above TAIL_TOL or not finite.
+    A C-contiguous complex batch is advanced in place.  Row b draws its noise from rngs[b]
+    and is trajectory first_index + b.  Each step is renormalized.
+    on_sample(psis, step) runs at step 0 and every record_stride steps.
+    Returns the batch and, per step, the worst pre-renormalization norm
+    drift | ||psi'|| - 1 | over the batch.  Raises TrajectoryError as
+    soon as a row's relative tail mass, its share of ||psi'||^2 in the
+    top tail_levels(n_fock) levels, is above TAIL_TOL or not finite.
     """
+    psis = np.require(psis, complex, ["C", "W"])  # the loop's memory layout
+    if psis.shape != (len(rngs), ops.n_fock):
+        raise DimensionError(f"batch of shape {psis.shape} for {len(rngs)} "
+                             f"noise streams and {ops.n_fock} levels")
+    h, c, d, mu = band_form(ops)
+    if np.any(c.imag) or np.any(d.imag):
+        raise ParameterError("the stepping loop needs real L1 and L2 "
+                             "band coefficients")
+    c, d = np.ascontiguousarray(c.real), np.ascontiguousarray(d.real)
+    g = (-1j / ops.params.hbar) * h - 0.5 * mu
+    n_fock = ops.n_fock
+    tail_start = n_fock - tail_levels(n_fock)
+    segment = _compiled_segment()
     dt = cfg.dt
     n_steps = cfg.n_steps
-    drift = np.empty(n_steps)
+    stride = cfg.record_stride
+    drift = np.zeros(n_steps)
+    fail_step, fail_tail = ctypes.c_long(), ctypes.c_double()
     on_sample(psis, 0)
     step = 0
     while step < n_steps:
         block = min(NOISE_BLOCK_STEPS, n_steps - step)
         noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
-        for j in range(block):
-            psis, norms, tails = kern.step(psis, noise[:, j], dt)
-            drift[step] = np.abs(norms - 1.0).max()
-            step += 1
-            if not tails.max() <= TAIL_TOL:
-                worst = int(np.argmax(tails))
-                t = step * dt
+        j = 0
+        while j < block:
+            # a segment ends at the next sample or the end of the block
+            n = min(block - j, stride - step % stride)
+            worst = segment(
+                len(psis), n_fock, n, c.ctypes.data, d.ctypes.data,
+                g.ctypes.data, tail_start, dt, TAIL_TOL, psis.ctypes.data,
+                noise[:, j:].ctypes.data, 4 * block, drift[step:].ctypes.data,
+                fail_step, fail_tail)
+            if worst == -2:
+                raise MemoryError("qsd_segment could not allocate its rows")
+            if worst >= 0:
+                t = (step + fail_step.value) * dt
+                tail = fail_tail.value
                 raise TrajectoryError(
-                    f"tail mass {tails[worst]:.3e} is not within tolerance "
+                    f"tail mass {tail:.3e} is not within tolerance "
                     f"{TAIL_TOL:.1e} at t = {t:.6g} "
                     f"(trajectory {first_index + worst})",
-                    tail_mass=float(tails[worst]), time=t,
-                    trajectory=first_index + worst)
-            psis *= 1.0 / norms[:, None]
-            if step % cfg.record_stride == 0:
+                    tail_mass=tail, time=t, trajectory=first_index + worst)
+            j += n
+            step += n
+            if step % stride == 0:
                 on_sample(psis, step)
     return psis, drift
 
@@ -223,7 +259,7 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
         times.append(t)
         bundles.append(observables.bundle(batch[0], ops, t))
 
-    psis, drift = _integrate(StepKernel(ops), psis,
+    psis, drift = _integrate(ops, psis,
                              [np.random.default_rng(cfg.seed)], cfg, 0,
                              on_sample)
     return TrajectoryRecord(times=np.asarray(times), bundles=bundles,

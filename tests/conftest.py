@@ -3,8 +3,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import _criteria
-from qsdsim.model import ModelParams, build_operators, temperature_for_nbar
+from qsdsim.constants import NOISE_BLOCK_STEPS, TAIL_TOL
+from qsdsim.errors import TrajectoryError
+from qsdsim.model import (ModelParams, band_form, build_operators,
+                          tail_levels, temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
+from qsdsim.qsd import draw_noise_block
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
@@ -41,6 +45,80 @@ def rk4_step(mat, ops, dt):
     k3 = lindblad_rhs(mat + 0.5 * dt * k2, ops)
     k4 = lindblad_rhs(mat + dt * k3, ops)
     return mat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+class StepKernel:
+    """The batched update rule in numpy: the slow reference of qsd_step.c.
+
+    In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1)
+    raises by one level, and the drift -iH/hbar - sum L^dag L / 2 is
+    the diagonal g, so a step is elementwise products on shifted
+    slices; norms are dot products of a row's (re, im) float view.
+    """
+
+    def __init__(self, ops):
+        h, c, d, mu = band_form(ops)
+        self.c, self.d = c.astype(complex), d.astype(complex)
+        self.g = (-1j / ops.params.hbar) * h - 0.5 * mu
+        self.tail_start = 2 * (ops.n_fock - tail_levels(ops.n_fock))
+
+    def step(self, psis, noise, dt):
+        """One step of a C-contiguous (B, n_fock) batch, not renormalized.
+
+        noise has shape (B, 2).  Returns (new_psis, norms, tails):
+        norms is each row's ||psi'||, and tails its relative tail mass,
+        the share of ||psi'||^2 in the top tail_levels(n_fock) Fock
+        levels; it is nan for a row that is not finite.
+        """
+        l1psi = self.c * psis[:, 1:]    # L1 psi without its zero last entry
+        l2psi = self.d * psis[:, :-1]   # L2 psi without its zero first entry
+        flat = psis.view(float)
+        norm_sq = np.vecdot(flat, flat)
+        l1 = np.vecdot(psis[:, :-1], l1psi) / norm_sq   # vecdot conjugates
+        l2 = np.vecdot(psis[:, 1:], l2psi) / norm_sq
+        xi1, xi2 = noise.T
+        c0 = (1.0 - 0.5 * dt * (np.abs(l1) ** 2 + np.abs(l2) ** 2)
+              - (l1 * xi1 + l2 * xi2))[:, None]
+        out = dt * self.g + c0
+        out *= psis
+        l1psi *= (l1.conj() * dt + xi1)[:, None]
+        out[:, :-1] += l1psi
+        l2psi *= (l2.conj() * dt + xi2)[:, None]
+        out[:, 1:] += l2psi
+        flat = out.view(float)
+        out_sq = np.vecdot(flat, flat)
+        tail = flat[:, self.tail_start:]
+        return out, np.sqrt(out_sq), np.vecdot(tail, tail) / out_sq
+
+
+def integrate_reference(ops, psis, rngs, cfg, first_index, on_sample):
+    """qsd._integrate stepped by the numpy StepKernel, for comparison.
+
+    Returns (final batch, per-step worst norm drift); raises the same
+    TrajectoryError as the compiled loop.
+    """
+    kern = StepKernel(ops)
+    dt = cfg.dt
+    n_steps = cfg.n_steps
+    drift = np.empty(n_steps)
+    on_sample(psis, 0)
+    step = 0
+    while step < n_steps:
+        block = min(NOISE_BLOCK_STEPS, n_steps - step)
+        noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
+        for j in range(block):
+            psis, norms, tails = kern.step(psis, noise[:, j], dt)
+            drift[step] = np.abs(norms - 1.0).max()
+            step += 1
+            if not tails.max() <= TAIL_TOL:
+                worst = int(np.argmax(tails))
+                raise TrajectoryError(
+                    "reference tail guard", tail_mass=float(tails[worst]),
+                    time=step * dt, trajectory=first_index + worst)
+            psis *= 1.0 / norms[:, None]
+            if step % cfg.record_stride == 0:
+                on_sample(psis, step)
+    return psis, drift
 
 
 def liouvillian(ops):

@@ -198,9 +198,37 @@ def _thermalize_cfg():
     }
 
 
+def test_negative_gamma_is_config_error(tmp_path, capsys):
+    cfg = _stationary_cfg()
+    cfg["params"]["gamma"] = -1.0
+    code, _ = _run(tmp_path, "stationary", cfg)
+    assert code == EXIT_CONFIG
+    assert "config error: damping rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stationary", "thermalize"])
+def test_zero_custom_state_is_config_error(tmp_path, capsys, command):
+    # an ensemble builds its state inside run_ensemble; the CLI must
+    # still report it as a config mistake before any trajectory runs
+    cfg = _thermalize_cfg()
+    cfg["initial"] = {"kind": "custom", "amplitudes": [0.0] * 32}
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert "config error: cannot normalize a zero state" in \
+        capsys.readouterr().err
+
+
 def test_thermalize_too_short_rejected(tmp_path):
     cfg = _thermalize_cfg()
     cfg["integrator"]["t_end"] = 3.0
+    code, _ = _run(tmp_path, "thermalize", cfg)
+    assert code == EXIT_CONFIG
+
+
+def test_thermalize_without_damping_rejected(tmp_path):
+    # gamma = 0 has no relaxation time: a config error, not a crash
+    cfg = _thermalize_cfg()
+    cfg["params"]["gamma"] = 0.0
     code, _ = _run(tmp_path, "thermalize", cfg)
     assert code == EXIT_CONFIG
 

@@ -29,8 +29,8 @@ from qsdsim import (
     trajectory_seed,
     write_stats_csv,
 )
+from qsdsim import qsd
 from qsdsim.constants import TRAJ_BATCH
-from qsdsim.qsd import StepKernel
 
 
 def _cfg(m, *, seed=5, dt=1e-3, t_end=0.5, stride=100, **kw):
@@ -81,23 +81,23 @@ def test_non_finite_custom_state_rejected(ops20):
 
 
 def test_non_finite_row_fails_closed(ops20, monkeypatch):
-    # poison row 3 of the 6-row second batch at its fifth step: the guard
-    # must name that trajectory and time rather than average a nan
-    step = StepKernel.step
+    # poison the noise of row 3 of the 6-row second batch at its fifth
+    # step: the guard must name that trajectory and time rather than
+    # average a nan.  Each row draws its one block in trajectory order.
+    draw = qsd.draw_noise_block
     calls = []
 
-    def poisoned(self, psis, noise, dt):
-        out, norms, tails = step(self, psis, noise, dt)
-        if psis.shape[0] == 6:
-            calls.append(None)
-            if len(calls) == 5:
-                out[3] = np.nan
-                tails[3] = np.nan
-        return out, norms, tails
+    def poisoned(rng, dt, n_steps):
+        block = draw(rng, dt, n_steps)
+        calls.append(None)
+        if len(calls) == TRAJ_BATCH + 4:
+            block[4, 0] = np.nan
+        return block
 
-    monkeypatch.setattr(StepKernel, "step", poisoned)
+    monkeypatch.setattr(qsd, "draw_noise_block", poisoned)
     with pytest.raises(TrajectoryError) as exc_info:
         run_ensemble(_cfg(TRAJ_BATCH + 6, t_end=0.02, stride=10), ops20)
+    assert len(calls) == TRAJ_BATCH + 6
     assert exc_info.value.trajectory == TRAJ_BATCH + 3
     assert exc_info.value.time == pytest.approx(5e-3)
 

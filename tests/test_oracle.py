@@ -33,7 +33,6 @@ from qsdsim import (
     trace_expect,
 )
 from conftest import liouvillian, random_states, rk4_step
-from qsdsim.qsd import StepKernel
 
 
 def _random_density(dim, seed):
@@ -211,9 +210,7 @@ def test_band_precondition_fails_closed(warm_params):
                   LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5))
     with pytest.raises(ParameterError):
         propagate_matrices(rho0, coupled, 0.5)
-    # the banded step kernel reads the same band form
-    with pytest.raises(ParameterError):
-        StepKernel(coupled)
+    # the compiled stepping loop reads the same band form
     with pytest.raises(ParameterError):
         run_trajectory(coherent_state(ops, 0.5), coupled,
                        IntegratorConfig(dt=1e-3, t_end=0.01))

@@ -7,20 +7,24 @@ of the norm must match the isometry prediction.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_states
+from conftest import StepKernel, integrate_reference, random_states
+from qsdsim import qsd
 from qsdsim.constants import TRAJ_BATCH
-from qsdsim.errors import (ConfigError, ParameterError, StepSizeWarning,
-                           TrajectoryError)
+from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
+                           StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
                           fock_state, tail_mass, temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
-from qsdsim.qsd import (IntegratorConfig, StepKernel, check_step_size,
-                        draw_noise_block, run_trajectory, splitmix64,
-                        trajectory_seed)
+from qsdsim.qsd import (IntegratorConfig, check_step_size, draw_noise_block,
+                        run_trajectory, splitmix64, trajectory_seed)
 
 # First outputs of the splitmix64 stream seeded at 0; published test
 # vectors for the algorithm, reproduced by successive state increments.
@@ -143,19 +147,175 @@ def test_banded_batch_matches_dense_step(warm_params):
             assert abs(norms[b] - np.linalg.norm(want)) <= 1e-14
 
 
+def _low_batch(size, dim, top, seed):
+    # random rows confined to the lowest `top` levels, as _low_support
+    psis = random_states(size, dim, seed=seed)
+    psis[:, top:] = 0.0
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
+
+
+def _compiled(ops, psis, seeds, cfg):
+    """The production driver on a copy of psis, one generator per seed."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return qsd._integrate(ops, np.array(psis, dtype=complex), rngs, cfg, 0,
+                          lambda psis, step: None)
+
+
 def test_batch_step_equals_rows_stepped_alone(warm_params):
-    # a row's step must not depend on the batch it sits in, bit for bit:
-    # a full ensemble batch against each row stepped as a batch of one
+    # a row's run must not depend on the batch it sits in, bit for bit:
+    # a full ensemble batch against each row run as a batch of one, over
+    # segments that end both at samples and at the end of the run
     ops = build_operators(warm_params, 40)
-    kern = StepKernel(ops)
-    dt = 1e-3
-    psis = random_states(TRAJ_BATCH, 40, seed=25)
-    noise = draw_noise_block(np.random.default_rng(26), dt, TRAJ_BATCH)
-    got = kern.step(psis, noise, dt)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_stride=7)
+    psis = _low_batch(TRAJ_BATCH, 40, 20, seed=25)
+    seeds = [100 + b for b in range(TRAJ_BATCH)]
+    got, drift = _compiled(ops, psis, seeds, cfg)
+    worst = np.zeros_like(drift)
     for b in range(TRAJ_BATCH):
-        alone = kern.step(psis[b:b + 1].copy(), noise[b:b + 1].copy(), dt)
-        for batched, single in zip(got, alone):
-            assert np.array_equal(batched[b:b + 1], single)
+        alone, alone_drift = _compiled(ops, psis[b:b + 1], seeds[b:b + 1],
+                                       cfg)
+        assert np.array_equal(got[b:b + 1], alone)
+        worst = np.maximum(worst, alone_drift)
+    assert np.array_equal(drift, worst)
+
+
+def _both_drivers(ops, psis, make_rngs, cfg):
+    """(error, final, drift, samples) of the compiled and numpy drivers.
+
+    error is (trajectory, time) of a TrajectoryError, else None.
+    """
+    runs = []
+    for drive in (qsd._integrate, integrate_reference):
+        samples = []
+        err = final = drift = None
+        try:
+            with np.errstate(all="ignore"):
+                final, drift = drive(
+                    ops, psis.copy(), make_rngs(), cfg, 0,
+                    lambda p, step: samples.append((step, p.copy())))
+        except TrajectoryError as exc:
+            err = (exc.trajectory, exc.time, exc.tail_mass)
+        runs.append((err, final, drift, samples))
+    return runs
+
+
+@given(n_fock=st.integers(4, 48), batch=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 80),
+       stride=st.integers(1, 40))
+def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
+                                         n_steps, stride):
+    # states, samples, norm drift and any tail failure agree with the
+    # numpy kernel over a noise block
+    ops = build_operators(warm_params, n_fock)
+    psis = _low_batch(batch, n_fock, max(2, n_fock // 2), seed)
+    cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           record_stride=stride)
+    compiled, reference = _both_drivers(
+        ops, psis, lambda: [np.random.default_rng([seed, b])
+                            for b in range(batch)], cfg)
+    err_c, final_c, drift_c, samples_c = compiled
+    err_r, final_r, drift_r, samples_r = reference
+    assert (err_c is None) == (err_r is None)
+    if err_c is not None:
+        assert err_c[:2] == err_r[:2]
+        assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
+    else:
+        assert np.abs(final_c - final_r).max() <= 1e-14
+        assert np.abs(drift_c - drift_r).max() <= 1e-14
+    assert [s for s, _ in samples_c] == [s for s, _ in samples_r]
+    for (_, a), (_, b) in zip(samples_c, samples_r):
+        assert np.abs(a - b).max() <= 1e-14
+
+
+class _PoisonedRng:
+    """A generator whose normals turn non-finite at chosen steps.
+
+    poison maps a step to (column, value); draw_noise_block reads four
+    normals per step, so the column picks Re/Im of xi1 or xi2.
+    """
+
+    def __init__(self, seed, poison):
+        self.rng = np.random.default_rng(seed)
+        self.poison = poison
+        self.drawn = 0
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        for step, (col, value) in self.poison.items():
+            if 0 <= step - self.drawn < shape[0]:
+                z[step - self.drawn, col] = value
+        self.drawn += shape[0]
+        return z
+
+
+@given(n_fock=st.integers(4, 40), batch=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 40),
+       stride=st.integers(1, 16), spread=st.booleans(),
+       hits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 39),
+                               st.integers(0, 3),
+                               st.sampled_from([np.nan, np.inf, -np.inf])),
+                     min_size=1, max_size=4))
+def test_non_finite_rows_fail_closed_like_reference(
+        warm_params, n_fock, batch, seed, n_steps, stride, spread, hits):
+    # a non-finite noise increment makes its row non-finite; both drivers
+    # must stop at the first failing step and name the same row: the
+    # first nan among the failing rows, else the one with the largest
+    # tail.  Spread states put mass in the tail, so every row also fails
+    # the tail check at the first step.
+    ops = build_operators(warm_params, n_fock)
+    if spread:
+        psis = random_states(batch, n_fock, seed=seed)
+    else:
+        psis = _low_batch(batch, n_fock, max(2, n_fock // 2), seed)
+    poison = {}
+    for row, step, col, value in hits:
+        poison.setdefault(row % batch, {})[step % n_steps] = (col, value)
+    cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           record_stride=stride)
+    compiled, reference = _both_drivers(
+        ops, psis, lambda: [_PoisonedRng([seed, b], poison.get(b, {}))
+                            for b in range(batch)], cfg)
+    err_c, err_r = compiled[0], reference[0]
+    assert err_c is not None and err_r is not None
+    assert err_c[:2] == err_r[:2]
+    if math.isnan(err_r[2]):
+        assert math.isnan(err_c[2])
+    else:
+        assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
+    first = min(step for rows in poison.values() for step in rows)
+    assert err_c[1] <= (first + 1) * cfg.dt * (1 + 1e-12)
+
+
+def test_loop_is_built_on_first_use_and_cached(tmp_path):
+    # importing qsdsim and building operators compile nothing; the first
+    # trajectory builds one library, named by a hash, in the cache
+    cache = tmp_path / "cache"
+    code = "\n".join([
+        "import sys, pathlib, qsdsim",
+        "ops = qsdsim.build_operators(qsdsim.ModelParams(), 8)",
+        "assert not pathlib.Path(sys.argv[1]).exists()",
+        "cfg = qsdsim.IntegratorConfig(dt=1e-3, t_end=1e-2)",
+        "qsdsim.run_trajectory(qsdsim.coherent_state(ops, 0.5), ops, cfg)",
+    ])
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsd.__file__)))
+    subprocess.run([sys.executable, "-c", code, str(cache)], env=env,
+                   check=True)
+    names = [p.name for p in (cache / "qsdsim").iterdir()]
+    assert len(names) == 1
+    assert names[0].startswith("qsd_step-") and names[0].endswith(".so")
+
+
+def test_missing_compiler_is_a_clear_error(tmp_path, monkeypatch, ops20):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(qsd.shutil, "which", lambda name: None)
+    qsd._compiled_segment.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="needs gcc"):
+            run_trajectory(coherent_state(ops20, 0.5), ops20,
+                           IntegratorConfig(dt=1e-3, t_end=1e-2))
+    finally:
+        qsd._compiled_segment.cache_clear()
 
 
 def test_step_renormalizes(ops20):
@@ -280,3 +440,11 @@ def test_non_finite_initial_state_rejected(ops20):
     psi[1] = np.nan
     with pytest.raises(ParameterError):
         run_trajectory(psi, ops20, IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
+def test_wrong_length_state_rejected(ops20):
+    # the compiled loop reads n_fock levels per row; a shorter state
+    # must be refused before any pointer reaches it
+    with pytest.raises(DimensionError):
+        run_trajectory(np.ones(5), ops20,
+                       IntegratorConfig(dt=1e-3, t_end=0.01))
