@@ -6,28 +6,25 @@ diagnostics, and phase-space history (decoherence functional) tools.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DimensionError, FitError, GridWarning,
-                     ParameterError, QuadratureError, SimulationError,
-                     StepSizeWarning, TrajectoryError, TruncationError)
+from .errors import (ConfigError, DimensionError, FitError, ParameterError,
+                     QuadratureError, SimulationError, StepSizeWarning,
+                     TrajectoryError, TruncationError)
 from .model import (DerivedScales, ModelParams, OperatorSet, build_operators,
-                    cat_state, coherent_state, derive, expectation,
-                    fock_state, normalize, tail_mass, temperature_for_nbar)
+                    cat_state, coherent_state, derive, fock_state,
+                    normalize, tail_mass, temperature_for_nbar)
 from .observables import (CSV_COLUMNS, ExponentialFit, ObservableBundle,
                           bundle, bundle_arrays, fit_exponential_decay,
                           localization_rhs, localization_rhs_spread_form,
-                          sigma, windowed_slopes, write_bundle_csv)
+                          windowed_slopes, write_bundle_csv)
 from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,
                   run_trajectory, trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, OUState,
                      lindblad_rhs, ou_flow, propagate, propagate_matrices,
-                     stationary_lindblad_check, thermal_state, trace_expect)
-from .ensemble import (STAT_FIELDS, CoherentGrid, EnsembleConfig,
-                       EnsembleStats, InitialStateSpec, MixtureDiagnostics,
-                       density_matrix, purity_and_coherent_overlap,
-                       rho_from_json, rho_to_json, run_ensemble,
-                       stats_to_json, trace_distance, write_stats_csv)
+                     stationary_lindblad_check, thermal_state)
+from .ensemble import (STAT_FIELDS, EnsembleConfig, EnsembleStats,
+                       InitialStateSpec, density_matrix, run_ensemble,
+                       trace_distance, write_stats_csv)
 from .histories import (DecoherenceMatrix, HistorySpec, IntervalScan,
                         PhaseCell, cat_interval_scan, cell_projector,
                         classical_peaking_report, decoherence_functional,
-                        tile_cells, write_decoherence_json,
-                        write_suppression_csv)
+                        write_decoherence_json, write_suppression_csv)

@@ -217,15 +217,13 @@ def _model(cfg: dict):
 
 
 def build_initial(section: dict) -> InitialStateSpec:
-    amps = section.get("amplitudes")
-    if amps is not None:
-        amps = tuple(_as_complex(a) for a in amps)
     return InitialStateSpec(
         kind=section["kind"],
         alpha=_as_complex(section.get("alpha", 0.0)),
         n=section.get("n", 0),
         phase=section.get("phase", 0.0),
-        amplitudes=amps)
+        amplitudes=tuple(_as_complex(a)
+                         for a in section.get("amplitudes", ())))
 
 
 @_config_stage

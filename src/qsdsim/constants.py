@@ -70,7 +70,3 @@ DECORRELATION_TIME_FACTOR = 2.0
 # Phase-space quadrature: cell projectors need at least this many grid
 # points across each half-width.
 CELL_MIN_POINTS_PER_HALF_WIDTH = 4
-
-# Coherent-mixture fits warn when the grid spacing exceeds this value
-# (in units of the coherent-state width in the alpha plane).
-COARSE_GRID_SPACING = 0.8

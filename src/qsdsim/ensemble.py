@@ -9,13 +9,12 @@ index alone, so results depend only on the configuration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import COARSE_GRID_SPACING, TRAJ_BATCH
-from .errors import ConfigError, DimensionError, GridWarning, ParameterError
+from .constants import TRAJ_BATCH
+from .errors import ConfigError, DimensionError, ParameterError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
     normalize, steps_on_grid
 from .observables import bundle_arrays
@@ -194,70 +193,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
-# -- mixture diagnostic -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoherentGrid:
-    """Square lattice of coherent-state centers in the amplitude plane."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    spacing: float
-
-    def centers(self) -> np.ndarray:
-        if self.spacing <= 0:
-            raise ParameterError("grid spacing must be positive")
-        res = np.arange(self.re_min, self.re_max + 0.5 * self.spacing,
-                        self.spacing)
-        ims = np.arange(self.im_min, self.im_max + 0.5 * self.spacing,
-                        self.spacing)
-        return (res[:, None] + 1j * ims[None, :]).ravel()
-
-
-@dataclass(frozen=True)
-class MixtureDiagnostics:
-    purity: float
-    residual: float       # Frobenius norm of rho minus the fitted mixture
-    weights: np.ndarray   # nonnegative, one per grid center
-    centers: np.ndarray
-    spacing: float
-
-
-def purity_and_coherent_overlap(rho: np.ndarray, ops: OperatorSet,
-                                grid: CoherentGrid) -> MixtureDiagnostics:
-    """Best nonnegative mixture of coherent dyads approximating rho.
-
-    A small residual says rho is (close to) a classical mixture of
-    wavepackets; a large one witnesses surviving coherences.  The fit
-    is least squares over the real and imaginary parts of the matrix
-    entries with nonnegative weights.
-    """
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    centers = grid.centers()
-    if grid.spacing > COARSE_GRID_SPACING:
-        warnings.warn(
-            f"grid spacing {grid.spacing} above {COARSE_GRID_SPACING}; "
-            "residual may reflect the grid, not rho", GridWarning,
-            stacklevel=2)
-    cols = np.empty((2 * rho.size, centers.size))
-    for i, alpha in enumerate(centers):
-        psi = coherent_state(ops, alpha)
-        dyad = np.outer(psi, psi.conj())
-        cols[:rho.size, i] = dyad.real.ravel()
-        cols[rho.size:, i] = dyad.imag.ravel()
-    target = np.concatenate([rho.real.ravel(), rho.imag.ravel()])
-    from scipy.optimize import nnls
-    weights, _ = nnls(cols, target)
-    fit = cols @ weights
-    residual = float(np.linalg.norm(target - fit))
-    return MixtureDiagnostics(purity=purity, residual=residual,
-                              weights=weights, centers=centers,
-                              spacing=grid.spacing)
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -273,29 +208,3 @@ def write_stats_csv(path, stats: EnsembleStats) -> None:
                 writer.writerow([repr(float(t)), f,
                                  repr(float(stats.means[f][j])),
                                  repr(float(stats.stderrs[f][j]))])
-
-
-def stats_to_json(stats: EnsembleStats) -> dict:
-    return {
-        "m": stats.m,
-        "base_seed": stats.base_seed,
-        "times": stats.times.tolist(),
-        "means": {f: stats.means[f].tolist() for f in STAT_FIELDS},
-        "stderrs": {f: stats.stderrs[f].tolist() for f in STAT_FIELDS},
-        "occupation": stats.occupation.tolist(),
-    }
-
-
-def rho_to_json(rho: np.ndarray) -> dict:
-    """{"dim": N, "data": [[re, im], ...]} with row-major entries."""
-    flat = rho.ravel()
-    return {"dim": int(rho.shape[0]),
-            "data": [[float(z.real), float(z.imag)] for z in flat]}
-
-
-def rho_from_json(doc: dict) -> np.ndarray:
-    dim = int(doc["dim"])
-    data = np.asarray(doc["data"], dtype=float)
-    if data.shape != (dim * dim, 2):
-        raise ConfigError("density-matrix payload does not match dim")
-    return (data[:, 0] + 1j * data[:, 1]).reshape(dim, dim)

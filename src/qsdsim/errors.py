@@ -45,7 +45,3 @@ class FitError(SimulationError, RuntimeError):
 
 class StepSizeWarning(UserWarning):
     """The integrator step is coarse relative to the fastest rate."""
-
-
-class GridWarning(UserWarning):
-    """A phase-space grid is too coarse for the structure being fit."""

@@ -22,6 +22,7 @@ depth, so no pair is propagated twice.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -54,19 +55,19 @@ class PhaseCell:
     h: float
 
     def __post_init__(self):
-        if self.w_re <= 0 or self.w_im <= 0:
-            raise ConfigError("cell half-widths must be positive")
-        if self.h <= 0:
-            raise ConfigError("quadrature spacing must be positive")
+        # the comparisons are false for nan, so nan is refused too
+        for name in ("w_re", "w_im", "h"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"cell {name} must be > 0 and finite, "
+                                  f"got {getattr(self, name)}")
+        if not cmath.isfinite(self.center):
+            raise ConfigError(f"cell center must be finite, got "
+                              f"{self.center}")
 
     @property
     def area_hbar(self) -> float:
         """Cell area in units of hbar (dq dp = 2 hbar d^2alpha)."""
         return 8.0 * self.w_re * self.w_im
-
-    def contains(self, alpha: complex) -> bool:
-        return (abs(alpha.real - self.center.real) <= self.w_re
-                and abs(alpha.imag - self.center.imag) <= self.w_im)
 
 
 def _midpoints(w: float, h: float) -> np.ndarray:
@@ -97,20 +98,6 @@ def cell_projector(cell: PhaseCell, ops: OperatorSet) -> np.ndarray:
             k += 1
     proj = weight * (psis.T @ psis.conj())
     return 0.5 * (proj + proj.conj().T)
-
-
-def tile_cells(re_min: float, re_max: float, im_min: float, im_max: float,
-               n_re: int, n_im: int, h: float):
-    """Partition a rectangle into an n_re x n_im grid of PhaseCells."""
-    w_re = (re_max - re_min) / (2 * n_re)
-    w_im = (im_max - im_min) / (2 * n_im)
-    cells = []
-    for i in range(n_re):
-        for j in range(n_im):
-            c = complex(re_min + (2 * i + 1) * w_re,
-                        im_min + (2 * j + 1) * w_im)
-            cells.append(PhaseCell(center=c, w_re=w_re, w_im=w_im, h=h))
-    return cells
 
 
 def _overlapping(c1: PhaseCell, c2: PhaseCell) -> bool:
@@ -270,7 +257,9 @@ class PeakingReport:
 def classical_peaking_report(D: DecoherenceMatrix, spec: HistorySpec,
                              ops: OperatorSet) -> PeakingReport:
     p = ops.params
-    alpha0 = complex(np.einsum("ij,ji->", spec.rho0, ops.a)
+    # Tr(rho0 a) with a |n> = sqrt(n) |n-1>
+    alpha0 = complex(np.diagonal(spec.rho0, -1)
+                     @ np.sqrt(np.arange(1, ops.n_fock))
                      / np.trace(spec.rho0))
     diag = D.diagonal()
     best = int(np.argmax(diag))
@@ -395,16 +384,15 @@ def _label_str(label) -> str:
 
 
 def write_decoherence_json(path, D: DecoherenceMatrix,
-                           spec: HistorySpec | None = None) -> None:
+                           spec: HistorySpec) -> None:
     doc = {
         "labels": [_label_str(lab) for lab in D.labels],
         "matrix": [[[float(z.real), float(z.imag)] for z in row]
                    for row in D.matrix],
+        "times": list(spec.times),
+        "cell_areas_hbar": [[c.area_hbar for c in cells_t]
+                            for cells_t in spec.cells],
     }
-    if spec is not None:
-        doc["times"] = list(spec.times)
-        doc["cell_areas_hbar"] = [[c.area_hbar for c in cells_t]
-                                  for cells_t in spec.cells]
     with open(path, "w") as fh:
         json.dump(doc, fh)
 

@@ -9,8 +9,10 @@ stochastic integrator and the deterministic oracle:
     L1 = sqrt((nbar + 1) * gamma) * a        (emission into the bath)
     L2 = sqrt(nbar * gamma) * a_dag          (absorption from the bath)
 
-with q = sigma_q (a + a_dag), p = -i sigma_p (a - a_dag) and
-sigma_q * sigma_p = hbar / 2.
+with a |n> = sqrt(n) |n-1>.  All three are band operators in the Fock
+basis, so the model is three real vectors: the diagonal of H, the
+superdiagonal of L1 and the subdiagonal of L2.  Dense matrices are
+built from them only for the slow references.
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ class ModelParams:
     k_B: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ParameterError(f"mass must be positive, got {self.m}")
-        if self.omega <= 0:
-            raise ParameterError(f"frequency must be positive, got {self.omega}")
-        if self.gamma < 0:
-            raise ParameterError(f"damping rate must be >= 0, got {self.gamma}")
-        if self.temperature < 0:
-            raise ParameterError(f"temperature must be >= 0, got {self.temperature}")
-        if self.hbar <= 0 or self.k_B <= 0:
-            raise ParameterError("hbar and k_B must be positive")
+        # the comparisons are false for nan, so nan is refused too
+        for label, value, positive in (
+                ("mass m", self.m, True),
+                ("frequency omega", self.omega, True),
+                ("damping rate gamma", self.gamma, False),
+                ("temperature", self.temperature, False),
+                ("hbar", self.hbar, True), ("k_B", self.k_B, True)):
+            above = 0.0 < value if positive else 0.0 <= value
+            if not (above and value < math.inf):
+                raise ParameterError(
+                    f"{label} must be {'> 0' if positive else '>= 0'} and "
+                    f"finite, got {value}")
 
     @property
     def sigma_q(self) -> float:
@@ -112,8 +116,9 @@ def derive(params: ModelParams) -> DerivedScales:
 
 def temperature_for_nbar(nbar: float, params: ModelParams | None = None) -> float:
     """Bath temperature that produces the requested mean occupation."""
-    if nbar < 0:
-        raise ParameterError(f"occupation must be >= 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise ParameterError(f"occupation nbar must be >= 0 and finite, "
+                             f"got {nbar}")
     if nbar == 0:
         return 0.0
     p = params if params is not None else ModelParams()
@@ -124,73 +129,58 @@ def temperature_for_nbar(nbar: float, params: ModelParams | None = None) -> floa
 # fields elementwise and could not return one bool.
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Dense operators on a Fock space truncated to n_fock levels.
+    """The band vectors of H, L1 and L2 on n_fock Fock levels.
 
-    Matrix convention: a[n-1, n] = sqrt(n), i.e. a |n> = sqrt(n) |n-1>.
+    H = diag(h), L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises by
+    one level.  All three are real float vectors; any other shape or
+    value is refused here, so a non-band model cannot be built.
     """
 
     params: ModelParams
     n_fock: int
-    a: np.ndarray = field(repr=False)
-    a_dag: np.ndarray = field(repr=False)
-    n_op: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
-    l1: np.ndarray = field(repr=False)
-    l2: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    d: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.n_fock < 2:
+            raise DimensionError(
+                f"need at least 2 Fock levels, got {self.n_fock}")
+        for name, size in (("h", self.n_fock), ("c", self.n_fock - 1),
+                           ("d", self.n_fock - 1)):
+            vec = getattr(self, name)
+            if (not isinstance(vec, np.ndarray) or vec.dtype != float
+                    or vec.shape != (size,)):
+                raise ParameterError(
+                    f"{name} must be a real float vector of {size} entries")
+            if not np.isfinite(vec).all():
+                raise ParameterError(f"{name} has non-finite entries")
 
     @property
-    def lindblad_ops(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.l1, self.l2
+    def mu(self) -> np.ndarray:
+        """diag(L1^dag L1 + L2^dag L2), the diagonal loss term."""
+        mu = np.zeros(self.n_fock)
+        mu[1:] += self.c ** 2
+        mu[:-1] += self.d ** 2
+        return mu
 
 
 def build_operators(params: ModelParams, n_fock: int) -> OperatorSet:
-    """Construct the truncated operator set for the damped oscillator.
-
-    Parameters
-    ----------
-    params : ModelParams
-    n_fock : int
-        Number of Fock levels kept; must be >= 2.
-    """
-    if n_fock < 2:
-        raise DimensionError(f"need at least 2 Fock levels, got {n_fock}")
-    a = np.diagflat(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
-    a_dag = a.conj().T.copy()
-    n_op = np.diag(np.arange(n_fock, dtype=float)).astype(complex)
-    h = params.hbar * params.omega * (n_op + 0.5 * np.eye(n_fock))
+    """The band vectors of the damped oscillator on n_fock >= 2 levels."""
+    root_n = np.sqrt(np.arange(1, n_fock, dtype=float))
     nbar = params.nbar
-    l1 = math.sqrt((nbar + 1.0) * params.gamma) * a
-    l2 = math.sqrt(nbar * params.gamma) * a_dag
-    q = params.sigma_q * (a + a_dag)
-    p = -1j * params.sigma_p * (a - a_dag)
     return OperatorSet(
-        params=params, n_fock=n_fock, a=a, a_dag=a_dag, n_op=n_op,
-        h=h, l1=l1, l2=l2, q=q, p=p,
-    )
+        params=params, n_fock=n_fock,
+        h=params.hbar * params.omega * (np.arange(n_fock, dtype=float) + 0.5),
+        c=math.sqrt((nbar + 1.0) * params.gamma) * root_n,
+        d=math.sqrt(nbar * params.gamma) * root_n)
 
 
-def band_form(ops: OperatorSet):
-    """(h, c, d, mu) with H = diag(h), L1 = diag(c, 1), L2 = diag(d, -1).
-
-    mu = diag(L1^dag L1 + L2^dag L2) is the diagonal loss term.  The
-    banded step kernel and the band propagator rely on exactly this
-    shape; any other operator set raises ParameterError.
-    """
-    h = np.diag(ops.h)
-    c = np.diag(ops.l1, 1)
-    d = np.diag(ops.l2, -1)
-    if not (np.array_equal(ops.h, np.diag(h))
-            and np.array_equal(ops.l1, np.diag(c, 1))
-            and np.array_equal(ops.l2, np.diag(d, -1))):
-        raise ParameterError(
-            "the band form needs a diagonal H, a lowering L1 and a "
-            "raising L2")
-    mu = np.zeros(ops.n_fock)
-    mu[1:] += np.abs(c) ** 2
-    mu[:-1] += np.abs(d) ** 2
-    return h, c, d, mu
+def dense_operators(ops: OperatorSet):
+    """(H, L1, L2) as complex N x N matrices, for the dense references."""
+    return (np.diag(ops.h).astype(complex),
+            np.diag(ops.c, 1).astype(complex),
+            np.diag(ops.d, -1).astype(complex))
 
 
 # -- state vectors ----------------------------------------------------------
@@ -279,13 +269,3 @@ def cat_state(ops: OperatorSet, alpha: complex, phase: float = 0.0) -> np.ndarra
     plus = _coherent_amplitudes(ops.n_fock, alpha)
     minus = _coherent_amplitudes(ops.n_fock, -alpha)
     return normalize(plus + np.exp(1j * phase) * minus)
-
-
-def expectation(state: np.ndarray, op: np.ndarray) -> complex:
-    """<state| op |state> / <state|state> for amplitude arrays."""
-    if state.shape[-1] != op.shape[0]:
-        raise DimensionError(
-            f"state dim {state.shape[-1]} != operator dim {op.shape[0]}")
-    num = np.einsum("...i,ij,...j->...", state.conj(), op, state)
-    den = np.einsum("...i,...i->...", state.conj(), state)
-    return num / den

@@ -1,19 +1,15 @@
 """Localization diagnostics for trajectory states.
 
-The central quantities are the correlation
-
-    sigma(G, O) = <G_dag O> - <G_dag><O>
-
-and the shape diagnostics built from it: quadrature spreads, their
+The shape diagnostics of a state are its quadrature spreads, their
 excesses over the coherent-state widths, the symmetrized q-p
-correlation R and the phase-space spread (delta alpha)^2.  A note on
-letters: conventions in the literature attach P and Q to either
-quadrature; here P is always the position excess and Q the momentum
-excess,
+correlation R and the phase-space spread (delta alpha)^2, all derived
+from <a>, <a^2> and <n>.  A note on letters: conventions in the
+literature attach P and Q to either quadrature; here Q is always the
+position excess and P the momentum excess,
 
-    P = var_q / sigma_q^2 - 1,      Q = var_p / sigma_p^2 - 1,
+    Q = var_q / sigma_q^2 - 1,      P = var_p / sigma_p^2 - 1,
 
-and the CSV columns named P and Q follow the same rule.
+and the CSV columns named Q and P follow the same rule.
 """
 
 from __future__ import annotations
@@ -51,16 +47,6 @@ class ObservableBundle:
     excess_p: float
     delta_alpha_sq: float
     n_mean: float
-
-
-def sigma(state: np.ndarray, gamma_op: np.ndarray, op: np.ndarray) -> complex:
-    """Correlation <G_dag O> - <G_dag><O> on a normalized state."""
-    if state.shape[-1] != gamma_op.shape[0] or gamma_op.shape != op.shape:
-        raise DimensionError("state and operator dimensions disagree")
-    g_psi = gamma_op @ state
-    o_psi = op @ state
-    return complex(np.vdot(g_psi, o_psi) - np.vdot(state, g_psi).conjugate()
-                   * np.vdot(state, o_psi))
 
 
 def bundle_arrays(states: np.ndarray, ops: OperatorSet, t: float) -> dict:

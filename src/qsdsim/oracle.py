@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .model import ModelParams, OperatorSet, band_form, steps_on_grid
+from .model import ModelParams, OperatorSet, dense_operators, steps_on_grid
 
 _THERMAL_TAIL_LIMIT = 1e-10
 
@@ -36,8 +36,9 @@ def lindblad_rhs(mat: np.ndarray, ops: OperatorSet) -> np.ndarray:
     Linear in mat; valid for non-Hermitian input, which the history
     machinery relies on.
     """
-    out = (-1j / ops.params.hbar) * (ops.h @ mat - mat @ ops.h)
-    for l in ops.lindblad_ops:
+    h, l1, l2 = dense_operators(ops)
+    out = (-1j / ops.params.hbar) * (h @ mat - mat @ h)
+    for l in (l1, l2):
         ld = l.conj().T
         m = ld @ l
         out += l @ mat @ ld - 0.5 * (m @ mat + mat @ m)
@@ -52,11 +53,11 @@ def _band_propagator(ops: OperatorSet, t: float) -> list:
     On a band the generator is tridiagonal: the diagonal carries
     -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
     and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry j to j + 1
-    by c_m conj(c_n) and to j - 1 by d_(m-1) conj(d_(n-1)).
+    by c_m c_n and to j - 1 by d_(m-1) d_(n-1).
     """
     from scipy.linalg import expm
     n = ops.n_fock
-    h, c, d, mu = band_form(ops)
+    h, c, d, mu = ops.h, ops.c, ops.d, ops.mu
     bands = []
     for k in range(1 - n, n):
         size = n - abs(k)
@@ -64,8 +65,8 @@ def _band_propagator(ops: OperatorSet, t: float) -> list:
         cols = np.arange(size) + max(-k, 0)
         gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
                       - 0.5 * (mu[rows] + mu[cols]))
-        gen += np.diag(c[rows[:-1]] * c[cols[:-1]].conj(), 1)
-        gen += np.diag(d[rows[:-1]] * d[cols[:-1]].conj(), -1)
+        gen += np.diag(c[rows[:-1]] * c[cols[:-1]], 1)
+        gen += np.diag(d[rows[:-1]] * d[cols[:-1]], -1)
         start = k * n if k >= 0 else -k
         bands.append((slice(start, start + (size - 1) * (n + 1) + 1, n + 1),
                       expm(t * gen)))
@@ -216,14 +217,7 @@ def ou_flow(initial: OUState, params: ModelParams, t: float) -> OUState:
         var_alpha=params.nbar + (initial.var_alpha - params.nbar) * relax)
 
 
-def trace_expect(rho: np.ndarray, op: np.ndarray) -> complex:
-    """Tr(rho op) normalized by Tr(rho)."""
-    return complex(np.einsum("ij,ji->", rho, op) / np.trace(rho))
-
-
-def stationary_lindblad_check(ops: OperatorSet,
-                              params: ModelParams | None = None) -> float:
+def stationary_lindblad_check(ops: OperatorSet) -> float:
     """Frobenius norm of the generator applied to the thermal state."""
-    p = params if params is not None else ops.params
-    rho = thermal_state(p, ops.n_fock)
+    rho = thermal_state(ops.params, ops.n_fock)
     return float(np.linalg.norm(lindblad_rhs(rho, ops)))

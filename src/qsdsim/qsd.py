@@ -39,8 +39,8 @@ from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
                         STEP_GUARD_OSCILLATORY, TAIL_TOL)
 from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
-from .model import ModelParams, OperatorSet, band_form, normalize, \
-    steps_on_grid, tail_levels
+from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
+    tail_levels
 from . import observables
 
 #: Weyl-sequence increment of the splitmix64 stream.
@@ -181,12 +181,8 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     if psis.shape != (len(rngs), ops.n_fock):
         raise DimensionError(f"batch of shape {psis.shape} for {len(rngs)} "
                              f"noise streams and {ops.n_fock} levels")
-    h, c, d, mu = band_form(ops)
-    if np.any(c.imag) or np.any(d.imag):
-        raise ParameterError("the stepping loop needs real L1 and L2 "
-                             "band coefficients")
-    c, d = np.ascontiguousarray(c.real), np.ascontiguousarray(d.real)
-    g = (-1j / ops.params.hbar) * h - 0.5 * mu
+    c, d = np.ascontiguousarray(ops.c), np.ascontiguousarray(ops.d)
+    g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
     n_fock = ops.n_fock
     tail_start = n_fock - tail_levels(n_fock)
     segment = _compiled_segment()

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 import _criteria
 from qsdsim.constants import NOISE_BLOCK_STEPS, TAIL_TOL
 from qsdsim.errors import TrajectoryError
-from qsdsim.model import (ModelParams, band_form, build_operators,
+from qsdsim.model import (ModelParams, build_operators, dense_operators,
                           tail_levels, temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
 from qsdsim.qsd import draw_noise_block
@@ -35,6 +35,11 @@ def random_states(n: int, dim: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def ladder(n_fock: int) -> np.ndarray:
+    """The truncated annihilator, a[n-1, n] = sqrt(n), as a dense matrix."""
+    return np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
+
+
 def rk4_step(mat, ops, dt):
     """One classical 4th-order step of the master equation; batched.
 
@@ -57,9 +62,8 @@ class StepKernel:
     """
 
     def __init__(self, ops):
-        h, c, d, mu = band_form(ops)
-        self.c, self.d = c.astype(complex), d.astype(complex)
-        self.g = (-1j / ops.params.hbar) * h - 0.5 * mu
+        self.c, self.d = ops.c.astype(complex), ops.d.astype(complex)
+        self.g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
         self.tail_start = 2 * (ops.n_fock - tail_levels(ops.n_fock))
 
     def step(self, psis, noise, dt):
@@ -128,9 +132,9 @@ def liouvillian(ops):
     vec(A X B) = (A kron B^T) vec(X).
     """
     eye = np.eye(ops.n_fock)
-    gen = (-1j / ops.params.hbar) * (np.kron(ops.h, eye)
-                                     - np.kron(eye, ops.h.T))
-    for l in ops.lindblad_ops:
+    h, l1, l2 = dense_operators(ops)
+    gen = (-1j / ops.params.hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in (l1, l2):
         m = l.conj().T @ l
         gen = gen + np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye)
                                                   + np.kron(eye, m.T))

@@ -206,6 +206,37 @@ def test_negative_gamma_is_config_error(tmp_path, capsys):
     assert "config error: damping rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("stationary", "gamma", float("nan")),
+    ("stationary", "omega", float("inf")),
+    ("stationary", "nbar", float("nan")),
+    ("histories", "w_re", float("nan")),
+])
+def test_non_finite_value_is_config_error(tmp_path, capsys, command, key,
+                                          value):
+    # json.loads accepts NaN and Infinity; they must not pass a check
+    # that only asks `x <= 0`
+    if command == "histories":
+        cfg = _undamped_histories_cfg()
+        cfg["histories"]["cells"][0][key] = value
+    else:
+        cfg = _stationary_cfg()
+        cfg["params"][key] = value
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_custom_state_without_amplitudes_is_config_error(tmp_path, capsys):
+    cfg = _undamped_histories_cfg()
+    cfg["initial"] = {"kind": "custom"}
+    code, _ = _run(tmp_path, "histories", cfg)
+    assert code == EXIT_CONFIG
+    assert "config error: custom state has 0 amplitudes" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["stationary", "thermalize"])
 def test_zero_custom_state_is_config_error(tmp_path, capsys, command):
     # an ensemble builds its state inside run_ensemble; the CLI must
@@ -284,8 +315,8 @@ def test_histories_damped_cat_decoheres(tmp_path):
     assert "best_label" in peak and "distances" in peak
 
 
-def test_histories_undamped_control_keeps_coherence(tmp_path):
-    cfg = {
+def _undamped_histories_cfg():
+    return {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.0, "nbar": 0.0},
         "fock": {"n_fock": 20},
         "initial": {"kind": "cat", "alpha": 0.7},
@@ -298,9 +329,13 @@ def test_histories_undamped_control_keeps_coherence(tmp_path):
             "h": 0.12,
             "dt_oracle": 5e-3,
             "include_complement": False,
-            "control": True,
         },
     }
+
+
+def test_histories_undamped_control_keeps_coherence(tmp_path):
+    cfg = _undamped_histories_cfg()
+    cfg["histories"]["control"] = True
     code, out = _run(tmp_path, "histories", cfg)
     assert code == EXIT_PASS
     manifest = json.loads((out / "manifest.json").read_text())
@@ -311,22 +346,7 @@ def test_histories_undamped_control_keeps_coherence(tmp_path):
 def test_failing_check_exits_one(tmp_path):
     # the undamped control config against the non-control check: the
     # cat keeps its coherence, so the suppression bound must fail
-    cfg = {
-        "params": {"m": 1.0, "omega": 1.0, "gamma": 0.0, "nbar": 0.0},
-        "fock": {"n_fock": 20},
-        "initial": {"kind": "cat", "alpha": 0.7},
-        "histories": {
-            "times": [0.0, 6.285],
-            "cells": [
-                {"center": 0.7, "w_re": 0.7, "w_im": 1.4286},
-                {"center": -0.7, "w_re": 0.7, "w_im": 1.4286},
-            ],
-            "h": 0.12,
-            "dt_oracle": 5e-3,
-            "include_complement": False,
-        },
-    }
-    code, out = _run(tmp_path, "histories", cfg)
+    code, out = _run(tmp_path, "histories", _undamped_histories_cfg())
     assert code == EXIT_FAIL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is False

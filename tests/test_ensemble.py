@@ -1,29 +1,20 @@
 """Ensemble runner: determinism, statistics, and serialization."""
-import json
-
 import numpy as np
 import pytest
 
 from qsdsim import (
     STAT_FIELDS,
-    CoherentGrid,
     ConfigError,
     EnsembleConfig,
-    GridWarning,
     InitialStateSpec,
     IntegratorConfig,
     ParameterError,
     TrajectoryError,
     build_operators,
-    cat_state,
     coherent_state,
     density_matrix,
-    purity_and_coherent_overlap,
-    rho_from_json,
-    rho_to_json,
     run_ensemble,
     run_trajectory,
-    stats_to_json,
     thermal_state,
     trace_distance,
     trajectory_seed,
@@ -169,48 +160,6 @@ def test_trace_distance_properties(warm_params):
     d = trace_distance(rho, pure)
     assert 0.0 < d <= 1.0
     assert trace_distance(pure, rho) == pytest.approx(d, abs=1e-12)
-
-
-def test_mixture_diagnostics_thermal_vs_cat(warm_params):
-    # a thermal state is (nearly) a positive mixture of coherent states,
-    # a cat is not: the non-negative fit residual separates the two
-    ops = build_operators(warm_params, 40)
-    grid = CoherentGrid(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
-                        spacing=0.5)
-    rho_th = thermal_state(warm_params, 40)
-    psi = cat_state(ops, 1.4)
-    rho_cat = np.outer(psi, psi.conj())
-    diag_th = purity_and_coherent_overlap(rho_th, ops, grid)
-    diag_cat = purity_and_coherent_overlap(rho_cat, ops, grid)
-    assert diag_th.residual < 0.05
-    assert diag_cat.residual > 5 * diag_th.residual
-    assert diag_th.purity == pytest.approx(
-        np.trace(rho_th @ rho_th).real, abs=1e-12)
-
-
-def test_coarse_grid_warns(warm_params):
-    ops = build_operators(warm_params, 40)
-    grid = CoherentGrid(re_min=-2.0, re_max=2.0, im_min=-2.0, im_max=2.0,
-                        spacing=1.0)
-    rho = thermal_state(warm_params, 40)
-    with pytest.warns(GridWarning):
-        purity_and_coherent_overlap(rho, ops, grid)
-
-
-def test_stats_json_roundtrip(tmp_path, ops20):
-    stats = run_ensemble(_cfg(6), ops20)
-    blob = stats_to_json(stats)
-    parsed = json.loads(json.dumps(blob))
-    assert parsed["m"] == 6
-    assert parsed["base_seed"] == 5
-    got = np.array(parsed["means"]["n_mean"])
-    assert np.allclose(got, stats.means["n_mean"], atol=0.0)
-
-
-def test_rho_json_roundtrip(tmp_path, warm_params):
-    rho = thermal_state(warm_params, 24)
-    back = rho_from_json(rho_to_json(rho))
-    assert np.array_equal(back, rho)
 
 
 def test_stats_csv_layout(tmp_path, ops20):

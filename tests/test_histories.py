@@ -22,7 +22,6 @@ from qsdsim import (
     coherent_state,
     decoherence_functional,
     temperature_for_nbar,
-    tile_cells,
     write_decoherence_json,
     write_suppression_csv,
 )
@@ -32,13 +31,18 @@ from conftest import liouvillian
 def test_cell_geometry():
     cell = PhaseCell(center=1.0 + 0.5j, w_re=0.5, w_im=0.25, h=0.05)
     assert cell.area_hbar == pytest.approx(8.0 * 0.5 * 0.25)
-    assert cell.contains(1.4 + 0.5j)
-    assert not cell.contains(1.6 + 0.5j)
-    assert not cell.contains(1.0 + 0.8j)
     with pytest.raises(ConfigError):
         PhaseCell(center=0.0, w_re=-1.0, w_im=0.5, h=0.1)
     with pytest.raises(ConfigError):
         PhaseCell(center=0.0, w_re=1.0, w_im=0.5, h=0.0)
+    # a nan passes a plain `x <= 0` check; each refusal names its field
+    for name in ("w_re", "w_im", "h"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=name):
+                PhaseCell(**{"center": 0.0, "w_re": 1.0, "w_im": 0.5,
+                             "h": 0.1, name: bad})
+    with pytest.raises(ConfigError, match="center"):
+        PhaseCell(center=complex(0.0, math.nan), w_re=1.0, w_im=0.5, h=0.1)
 
 
 def test_projector_captures_contained_packet(warm_params):
@@ -67,18 +71,6 @@ def test_coarse_quadrature_rejected(ops20):
     cell = PhaseCell(center=0.0, w_re=0.4, w_im=0.4, h=0.2)
     with pytest.raises(QuadratureError):
         cell_projector(cell, ops20)
-
-
-def test_tiling_partitions_rectangle(warm_params):
-    cells = tile_cells(-1.0, 1.0, -0.5, 0.5, 4, 2, h=0.05)
-    assert len(cells) == 8
-    # dq dp = 2 hbar d^2alpha: total area is twice the amplitude-plane area
-    assert sum(c.area_hbar for c in cells) == pytest.approx(2.0 * 2.0 * 1.0)
-    # pairwise disjoint: the spec constructor enforces the overlap check
-    rho0 = np.eye(12, dtype=complex) / 12.0
-    HistorySpec(times=(0.0,), cells=(tuple(cells),), rho0=rho0)
-    probe = 0.31 - 0.17j
-    assert sum(c.contains(probe) for c in cells) >= 1
 
 
 def test_history_spec_validation(ops20):

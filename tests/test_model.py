@@ -1,5 +1,6 @@
 """Parameters, derived scales, operators, and state constructors."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,8 +15,9 @@ from scipy import stats as sps
 import qsdsim
 from qsdsim.errors import DimensionError, ParameterError, TruncationError
 from qsdsim.model import (ModelParams, build_operators, cat_state,
-                          coherent_state, derive, expectation, fock_state,
-                          normalize, tail_mass, temperature_for_nbar)
+                          coherent_state, dense_operators, derive,
+                          fock_state, normalize, tail_mass,
+                          temperature_for_nbar)
 
 
 def test_parameter_validation():
@@ -29,6 +31,11 @@ def test_parameter_validation():
         ModelParams(temperature=-1.0)
     with pytest.raises(ParameterError):
         ModelParams(hbar=0.0)
+    # a nan passes a plain `x <= 0` check; each refusal names its field
+    for name in ("m", "omega", "gamma", "temperature", "hbar", "k_B"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=rf"\b{name} must"):
+                ModelParams(**{name: bad})
 
 
 def test_nbar_limits():
@@ -57,8 +64,9 @@ def test_temperature_for_nbar_roundtrip(nbar):
 
 def test_temperature_for_nbar_edge():
     assert temperature_for_nbar(0.0) == 0.0
-    with pytest.raises(ParameterError):
-        temperature_for_nbar(-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="nbar"):
+            temperature_for_nbar(bad)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
@@ -80,15 +88,31 @@ def test_derived_scales():
         derive(ModelParams(gamma=0.0))
 
 
+def _scales(ops):
+    """sqrt((nbar + 1) gamma) and sqrt(nbar gamma): L1 / a and L2 / a_dag."""
+    par = ops.params
+    return (math.sqrt((par.nbar + 1.0) * par.gamma),
+            math.sqrt(par.nbar * par.gamma))
+
+
 def test_operator_matrices(ops20):
+    # H is diagonal, L1 lowers and L2 raises by one level, and the dense
+    # matrices carry exactly the band vectors
     n = ops20.n_fock
+    par = ops20.params
+    h, l1, l2 = dense_operators(ops20)
+    assert np.array_equal(h, np.diag(ops20.h))
+    assert np.array_equal(l1, np.diag(ops20.c, 1))
+    assert np.array_equal(l2, np.diag(ops20.d, -1))
+    assert np.allclose(ops20.h, par.hbar * par.omega * (np.arange(n) + 0.5))
     # ladder convention a|n> = sqrt(n)|n-1>
-    assert ops20.a[0, 1] == pytest.approx(1.0)
-    assert ops20.a[3, 4] == pytest.approx(2.0)
-    assert np.allclose(ops20.a_dag, ops20.a.conj().T)
-    assert np.allclose(ops20.n_op, ops20.a_dag @ ops20.a)
+    a = l1 / _scales(ops20)[0]
+    assert a[0, 1] == pytest.approx(1.0)
+    assert a[3, 4] == pytest.approx(2.0)
+    assert np.allclose(h, par.hbar * par.omega
+                       * (a.conj().T @ a + 0.5 * np.eye(n)))
     # commutator is the identity except the truncation corner
-    comm = ops20.a @ ops20.a_dag - ops20.a_dag @ ops20.a
+    comm = a @ a.conj().T - a.conj().T @ a
     assert np.allclose(comm[:n - 1, :n - 1], np.eye(n - 1))
     assert comm[n - 1, n - 1] == pytest.approx(-(n - 1))
 
@@ -96,18 +120,46 @@ def test_operator_matrices(ops20):
 def test_quadrature_operators(ops20):
     n = ops20.n_fock
     par = ops20.params
-    assert np.allclose(ops20.q, ops20.q.conj().T)
-    assert np.allclose(ops20.p, ops20.p.conj().T)
-    comm = ops20.q @ ops20.p - ops20.p @ ops20.q
+    a = dense_operators(ops20)[1] / _scales(ops20)[0]
+    q = par.sigma_q * (a + a.conj().T)
+    p = -1j * par.sigma_p * (a - a.conj().T)
+    assert np.allclose(q, q.conj().T)
+    assert np.allclose(p, p.conj().T)
+    comm = q @ p - p @ q
     assert np.allclose(comm[:n - 1, :n - 1],
                        1j * par.hbar * np.eye(n - 1))
 
 
 def test_lindblad_operator_scaling(ops20):
-    par = ops20.params
-    nbar = par.nbar
-    assert np.allclose(ops20.l1, math.sqrt((nbar + 1) * par.gamma) * ops20.a)
-    assert np.allclose(ops20.l2, math.sqrt(nbar * par.gamma) * ops20.a_dag)
+    s1, s2 = _scales(ops20)
+    root_n = np.sqrt(np.arange(1, ops20.n_fock))
+    assert np.allclose(ops20.c, s1 * root_n)
+    assert np.allclose(ops20.d, s2 * root_n)
+    _, l1, l2 = dense_operators(ops20)
+    assert np.allclose(l2, (s2 / s1) * l1.conj().T)
+    # mu = diag(L1^dag L1 + L2^dag L2); the top level has no L2 partner
+    assert np.allclose(ops20.mu, np.diag(l1.conj().T @ l1
+                                         + l2.conj().T @ l2).real)
+    assert ops20.mu[-1] == pytest.approx(s1 ** 2 * (ops20.n_fock - 1))
+
+
+def test_operator_set_refuses_non_band_values(ops20):
+    # the band vectors are the whole model, so they are checked once,
+    # where an operator set is made
+    n = ops20.n_fock
+    bad = {"h": [ops20.h[:-1], np.diag(ops20.h), ops20.h + 0j,
+                 np.where(np.arange(n) == 3, np.nan, ops20.h)],
+           "c": [ops20.c[:-1], ops20.c + 1e-3j, ops20.c.astype(np.float32),
+                 np.where(np.arange(n - 1) == 0, np.inf, ops20.c)],
+           "d": [np.append(ops20.d, 1.0), ops20.d * (1 - 1j),
+                 np.full(n - 1, np.nan), list(ops20.d)]}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ParameterError, match=name):
+                dataclasses.replace(ops20, **{name: value})
+    with pytest.raises(DimensionError):
+        dataclasses.replace(ops20, n_fock=1, h=ops20.h[:1],
+                            c=ops20.c[:0], d=ops20.d[:0])
 
 
 def test_build_operators_rejects_tiny_space(warm_params):
@@ -118,12 +170,15 @@ def test_build_operators_rejects_tiny_space(warm_params):
 def test_coherent_state_moments(ops20):
     alpha = 0.8 - 0.3j
     psi = coherent_state(ops20, alpha)
+    par = ops20.params
+    a = dense_operators(ops20)[1] / _scales(ops20)[0]
     assert np.linalg.norm(psi) == pytest.approx(1.0)
-    assert expectation(psi, ops20.a) == pytest.approx(alpha, abs=1e-10)
-    assert expectation(psi, ops20.n_op).real == pytest.approx(
-        abs(alpha) ** 2, abs=1e-10)
+    assert np.vdot(psi, a @ psi) == pytest.approx(alpha, abs=1e-10)
+    # <n> from the diagonal of H = hbar omega (n + 1/2)
+    n_mean = np.abs(psi) ** 2 @ (ops20.h / (par.hbar * par.omega) - 0.5)
+    assert n_mean == pytest.approx(abs(alpha) ** 2, abs=1e-10)
     # eigenstate property of the annihilator
-    resid = ops20.a @ psi - alpha * psi
+    resid = a @ psi - alpha * psi
     assert np.linalg.norm(resid[:-1]) < 1e-8
 
 
@@ -170,11 +225,6 @@ def test_normalize_and_tail(ops20):
     state[0] = math.sqrt(0.999)
     state[19] = math.sqrt(0.001)
     assert tail_mass(state) == pytest.approx(0.001)
-
-
-def test_expectation_dimension_check(ops20):
-    with pytest.raises(DimensionError):
-        expectation(np.ones(5, dtype=complex), ops20.a)
 
 
 def test_import_does_not_load_scipy():

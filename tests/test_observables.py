@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_states
+from conftest import ladder, random_states
 from qsdsim.errors import DimensionError, FitError
 from qsdsim.model import coherent_state, fock_state
 from qsdsim.observables import (CSV_COLUMNS, bundle, bundle_arrays,
                                 fit_exponential_decay, localization_rhs,
-                                localization_rhs_spread_form, sigma,
+                                localization_rhs_spread_form,
                                 windowed_slopes, write_bundle_csv)
 
 
@@ -38,15 +38,28 @@ def test_bundle_on_fock_state(ops20):
     assert b.delta_alpha_sq == pytest.approx(n, abs=1e-12)
 
 
-def test_sigma_against_direct_formula(ops20):
+def test_bundle_against_dense_moments(ops20):
+    # the shortcut through <a>, <a^2> and <n> against moments of dense
+    # quadrature matrices; the top level stays empty, where the
+    # truncated a a_dag is not n + 1
+    par = ops20.params
     psi = random_states(1, 20, seed=5)[0]
-    got = sigma(psi, ops20.a, ops20.q)
-    g = np.vdot(psi, ops20.a.conj().T @ ops20.q @ psi)
-    want = g - np.vdot(psi, ops20.a @ psi).conjugate() \
-        * np.vdot(psi, ops20.q @ psi)
-    assert got == pytest.approx(want, abs=1e-12)
+    psi[-1] = 0.0
+    psi /= np.linalg.norm(psi)
+    a = ladder(20)
+    q = par.sigma_q * (a + a.conj().T)
+    p = -1j * par.sigma_p * (a - a.conj().T)
+
+    def mean(op):
+        return np.vdot(psi, op @ psi).real
+
+    b = bundle(psi, ops20)
+    assert b.var_q == pytest.approx(mean(q @ q) - mean(q) ** 2, abs=1e-12)
+    assert b.var_p == pytest.approx(mean(p @ p) - mean(p) ** 2, abs=1e-12)
+    assert b.R == pytest.approx(mean(0.5 * (q @ p + p @ q))
+                                - mean(q) * mean(p), abs=1e-12)
     with pytest.raises(DimensionError):
-        sigma(psi[:5], ops20.a, ops20.q)
+        bundle(np.stack([psi, psi]), ops20)
 
 
 def test_bundle_batch_matches_scalar(ops20):

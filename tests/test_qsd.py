@@ -21,7 +21,8 @@ from qsdsim.constants import TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
-                          fock_state, tail_mass, temperature_for_nbar)
+                          dense_operators, fock_state, tail_mass,
+                          temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
 from qsdsim.qsd import (IntegratorConfig, check_step_size, draw_noise_block,
                         run_trajectory, splitmix64, trajectory_seed)
@@ -96,18 +97,19 @@ def test_step_size_warnings():
 
 
 def _drift_matrix(ops):
-    par = ops.params
-    out = (-1j / par.hbar) * ops.h
-    for l in ops.lindblad_ops:
+    h, l1, l2 = dense_operators(ops)
+    out = (-1j / ops.params.hbar) * h
+    for l in (l1, l2):
         out = out - 0.5 * (l.conj().T @ l)
     return out
 
 
 def _expected_step(psi, ops, noise, dt):
     # independent reimplementation of the update rule
-    exp_l = [np.vdot(psi, l @ psi) for l in ops.lindblad_ops]
+    _, *lindblad = dense_operators(ops)
+    exp_l = [np.vdot(psi, l @ psi) for l in lindblad]
     dpsi = _drift_matrix(ops) @ psi * dt
-    for l, e, xi in zip(ops.lindblad_ops, exp_l, noise):
+    for l, e, xi in zip(lindblad, exp_l, noise):
         dpsi += (np.conj(e) * dt + xi) * (l @ psi)
         dpsi -= (0.5 * abs(e) ** 2 * dt + e * xi) * psi
     return psi + dpsi
@@ -375,7 +377,7 @@ def test_norm_is_martingale_with_gram_variance(ops20):
     norms_sq = np.einsum("bi,bi->b", out.conj(), out).real
 
     vs = [(l @ psi) - np.vdot(psi, l @ psi) * psi
-          for l in ops20.lindblad_ops]
+          for l in dense_operators(ops20)[1:]]
     gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
     predicted_var = dt ** 2 * float(np.sum(np.abs(gram) ** 2))
 
