@@ -42,109 +42,51 @@ _COMPLEX = {"oneOf": [{"type": "number"},
                       {"type": "array", "items": _NUMBER,
                        "minItems": 2, "maxItems": 2}]}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["params", "fock"],
-    "properties": {
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m", "omega", "gamma"],
-            "properties": {
-                "m": _NUMBER, "omega": _NUMBER, "gamma": _NUMBER,
-                "temperature": _NUMBER, "nbar": _NUMBER,
-                "hbar": _NUMBER, "k_B": _NUMBER,
-            },
-        },
-        "fock": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n_fock"],
-            "properties": {
-                "n_fock": {"type": "integer", "minimum": 2},
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["dt", "t_end"],
-            "properties": {
-                "dt": _NUMBER, "t_end": _NUMBER,
-                "record_stride": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "ensemble": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m"],
-            "properties": {
-                "m": {"type": "integer", "minimum": 1},
-                "base_seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "initial": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["coherent", "fock", "cat", "custom"]},
-                "alpha": _COMPLEX,
-                "n": {"type": "integer", "minimum": 0},
-                "phase": _NUMBER,
-                "amplitudes": {"type": "array", "items": _COMPLEX},
-            },
-        },
-        "localize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                # cat separations d = 2|alpha| in units of the coherent label
-                "separations": {"type": "array", "items": _NUMBER,
-                                "minItems": 1},
-            },
-        },
-        "thermalize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "max_n": {"type": "integer", "minimum": 1},
-            },
-        },
-        "histories": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["times", "cells", "h", "dt_oracle"],
-            "properties": {
-                "times": {"type": "array", "items": _NUMBER, "minItems": 1},
-                "cells": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["center", "w_re", "w_im"],
-                        "properties": {
-                            "center": _COMPLEX,
-                            "w_re": _NUMBER,
-                            "w_im": _NUMBER,
-                        },
-                    },
-                },
-                "h": _NUMBER,
-                "dt_oracle": _NUMBER,
-                "include_complement": {"type": "boolean"},
-                "control": {"type": "boolean"},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"gnuplot": {"type": "boolean"}},
-        },
-    },
-}
+
+def _section(properties: dict, *required: str) -> dict:
+    """Schema of a JSON object with only these keys, the named ones
+    required."""
+    schema = {"type": "object", "additionalProperties": False,
+              "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+_BOOL = {"type": "boolean"}
+CONFIG_SCHEMA = _section({
+    "params": _section({"m": _NUMBER, "omega": _NUMBER, "gamma": _NUMBER,
+                        "temperature": _NUMBER, "nbar": _NUMBER,
+                        "hbar": _NUMBER, "k_B": _NUMBER},
+                       "m", "omega", "gamma"),
+    "fock": _section({"n_fock": {"type": "integer", "minimum": 2}},
+                     "n_fock"),
+    "integrator": _section({
+        "dt": _NUMBER, "t_end": _NUMBER,
+        "record_stride": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer", "minimum": 0}}, "dt", "t_end"),
+    "ensemble": _section({"m": {"type": "integer", "minimum": 1},
+                          "base_seed": {"type": "integer", "minimum": 0}},
+                         "m"),
+    "initial": _section({
+        "kind": {"enum": ["coherent", "fock", "cat", "custom"]},
+        "alpha": _COMPLEX, "n": {"type": "integer", "minimum": 0},
+        "phase": _NUMBER, "amplitudes": {"type": "array", "items": _COMPLEX},
+    }, "kind"),
+    # cat separations d = 2|alpha| in units of the coherent label
+    "localize": _section({"separations": {"type": "array", "items": _NUMBER,
+                                          "minItems": 1}}),
+    "thermalize": _section({"max_n": {"type": "integer", "minimum": 1}}),
+    "histories": _section({
+        "times": {"type": "array", "items": _NUMBER, "minItems": 1},
+        "cells": {"type": "array", "minItems": 1, "items": _section(
+            {"center": _COMPLEX, "w_re": _NUMBER, "w_im": _NUMBER},
+            "center", "w_re", "w_im")},
+        "h": _NUMBER, "dt_oracle": _NUMBER,
+        "include_complement": _BOOL, "control": _BOOL,
+    }, "times", "cells", "h", "dt_oracle"),
+    "output": _section({"gnuplot": _BOOL}),
+}, "params", "fock")
 
 # Config sections each subcommand reads beyond params and fock.
 REQUIRED_SECTIONS = {
@@ -234,9 +176,7 @@ def _initial_state(section: dict, ops) -> np.ndarray:
 @_config_stage
 def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
     sec = cfg["integrator"]
-    seed = sec.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
+    seed = sec.get("seed", 0) if seed_override is None else seed_override
     return IntegratorConfig(
         dt=sec["dt"], t_end=sec["t_end"], seed=seed,
         record_stride=sec.get("record_stride", 1))
@@ -247,14 +187,45 @@ def _ensemble_config(cfg: dict, icfg: IntegratorConfig, seed_override,
                      ops) -> EnsembleConfig:
     """The ensemble settings; their initial state is built once as a check."""
     sec = cfg["ensemble"]
-    base_seed = sec.get("base_seed", 0)
-    if seed_override is not None:
-        base_seed = seed_override
+    base_seed = (sec.get("base_seed", 0) if seed_override is None
+                 else seed_override)
     ecfg = EnsembleConfig(
         m=sec["m"], base_seed=base_seed, integrator=icfg,
         initial=build_initial(cfg["initial"]))
     ecfg.initial.build(ops)
     return ecfg
+
+
+@_config_stage
+def _sweep_initials(separations, phase: float, ops) -> list:
+    """One cat start per separation; each state is built once as a check,
+    so a bad separation is refused before any ensemble runs."""
+    specs = [InitialStateSpec(kind="cat", alpha=d / 2.0, phase=phase)
+             for d in separations]
+    for spec in specs:
+        spec.build(ops)
+    return specs
+
+
+@_config_stage
+def _history_setup(cfg: dict, ops):
+    """(spec, pcfg) of the histories section, the quadrature spacing of
+    every cell checked."""
+    sec = cfg["histories"]
+    psi0 = build_initial(cfg["initial"]).build(ops)
+    cells = tuple(PhaseCell(center=_as_complex(c["center"]),
+                            w_re=c["w_re"], w_im=c["w_im"], h=sec["h"])
+                  for c in sec["cells"])
+    for cell in cells:
+        cell.check_quadrature()
+    spec = HistorySpec(times=tuple(sec["times"]),
+                       cells=tuple(cells for _ in sec["times"]),
+                       rho0=np.outer(psi0, psi0.conj()),
+                       include_complement=sec.get("include_complement",
+                                                  True))
+    pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
+                                    t_end=max(sec["times"]))
+    return spec, pcfg
 
 
 def _sha256(path: Path) -> str:
@@ -393,9 +364,8 @@ def cmd_localize(run: Runner) -> int:
     separations = cfg.get("localize", {}).get("separations")
     if initial.kind == "cat" and separations:
         rates = []
-        for d in separations:
-            spec = InitialStateSpec(kind="cat", alpha=d / 2.0,
-                                    phase=initial.phase)
+        specs = _sweep_initials(separations, initial.phase, ops)
+        for d, spec in zip(separations, specs):
             _, fit = _localize_rate(replace(ecfg, initial=spec), ops,
                                     f"d{d:g}", run)
             rates.append({"separation": d, "rate": fit.rate,
@@ -526,18 +496,7 @@ def cmd_oracle_compare(run: Runner) -> int:
 def cmd_histories(run: Runner) -> int:
     cfg, (_, ops) = run.cfg, _model(run.cfg)
     sec = cfg["histories"]
-    psi0 = _initial_state(cfg["initial"], ops)
-    rho0 = np.outer(psi0, psi0.conj())
-    cells = tuple(PhaseCell(center=_as_complex(c["center"]),
-                            w_re=c["w_re"], w_im=c["w_im"], h=sec["h"])
-                  for c in sec["cells"])
-    spec = HistorySpec(times=tuple(sec["times"]),
-                       cells=tuple(cells for _ in sec["times"]),
-                       rho0=rho0,
-                       include_complement=sec.get("include_complement",
-                                                  True))
-    pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
-                                    t_end=max(sec["times"]))
+    spec, pcfg = _history_setup(cfg, ops)
     dmat = decoherence_functional(spec, ops, pcfg)
     write_decoherence_json(run.path("decoherence.json"), dmat, spec)
     write_suppression_csv(run.path("suppression.csv"), dmat)

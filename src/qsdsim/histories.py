@@ -32,7 +32,7 @@ import numpy as np
 from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
     SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
-from .model import OperatorSet, cat_state, coherent_state, steps_on_grid
+from .model import OperatorSet, cat_state, coherent_states, steps_on_grid
 from .oracle import LindbladPropagatorConfig, _grid_propagator, \
     propagate_matrices
 
@@ -64,6 +64,15 @@ class PhaseCell:
             raise ConfigError(f"cell center must be finite, got "
                               f"{self.center}")
 
+    def check_quadrature(self) -> None:
+        """Refuse a spacing h too coarse for the half-widths."""
+        limit = min(self.w_re, self.w_im) / CELL_MIN_POINTS_PER_HALF_WIDTH
+        if self.h > limit:
+            raise QuadratureError(
+                f"spacing {self.h} too coarse for half-widths "
+                f"({self.w_re}, {self.w_im}); need h <= min/"
+                f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
+
     @property
     def area_hbar(self) -> float:
         """Cell area in units of hbar (dq dp = 2 hbar d^2alpha)."""
@@ -82,20 +91,12 @@ def cell_projector(cell: PhaseCell, ops: OperatorSet) -> np.ndarray:
     Hermitian positive by construction; eigenvalues may exceed 1 by a
     few percent because finite cells only approximately project.
     """
-    if cell.h > min(cell.w_re, cell.w_im) / CELL_MIN_POINTS_PER_HALF_WIDTH:
-        raise QuadratureError(
-            f"spacing {cell.h} too coarse for half-widths "
-            f"({cell.w_re}, {cell.w_im}); need h <= min/"
-            f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
+    cell.check_quadrature()
     xs, hx = _midpoints(cell.w_re, cell.h)
     ys, hy = _midpoints(cell.w_im, cell.h)
     weight = hx * hy / math.pi
-    psis = np.empty((xs.size * ys.size, ops.n_fock), dtype=complex)
-    k = 0
-    for x in xs:
-        for y in ys:
-            psis[k] = coherent_state(ops, cell.center + x + 1j * y)
-            k += 1
+    psis = coherent_states(ops, (cell.center + xs[:, None]
+                                 + 1j * ys[None, :]).ravel())
     proj = weight * (psis.T @ psis.conj())
     return 0.5 * (proj + proj.conj().T)
 
@@ -183,10 +184,13 @@ def decoherence_functional(
     n_fock = ops.n_fock
     n_times = len(spec.times)
 
+    # a cell that recurs at several times is built once
+    built = {c: cell_projector(c, ops)
+             for c in {c for cells_t in spec.cells for c in cells_t}}
     projs = []
     time_labels = []
     for cells_t in spec.cells:
-        ps = [cell_projector(c, ops) for c in cells_t]
+        ps = [built[c] for c in cells_t]
         lab = list(range(len(cells_t)))
         if spec.include_complement:
             comp = np.eye(n_fock, dtype=complex)
@@ -318,7 +322,10 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     conserved branch weight, so the ratio is exactly 1 at Dt = 0 for
     a pure initial state (rank-one cross block) and exactly constant
     under undamped evolution; its first crossing of the threshold
-    estimates the decoherence interval.
+    estimates the decoherence interval.  The generator conserves the
+    trace exactly, truncated or not (Tr(L X L^dag) = Tr(L^dag L X)), so
+    the branch weights are read at Dt = 0 and only the cross block is
+    evolved.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -337,21 +344,21 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     p_minus = cell_projector(
         PhaseCell(center=-alpha0, w_re=bw_re, w_im=bw_im, h=h), ops)
 
-    # cross term and the two diagonal blocks evolve side by side
-    mats = np.stack([p_plus @ rho @ p_minus,
-                     p_plus @ rho @ p_plus,
-                     p_minus @ rho @ p_minus])
+    cross = p_plus @ rho @ p_minus
+    w_plus, w_minus = (np.trace(p @ rho @ p).real for p in (p_plus, p_minus))
+    scale = (math.sqrt(w_plus * w_minus)
+             if min(w_plus, w_minus) >= DIAG_WEIGHT_FLOOR else math.nan)
 
     intervals = [0.0]
-    ratios = [_block_ratio(mats)]
+    ratios = [np.linalg.norm(cross) / scale]
     advance = _grid_propagator(ops, dt)
     step = 0
     while step < n_steps:
         block = min(sample_stride, n_steps - step)
-        mats = advance(mats, block)
+        cross = advance(cross, block)
         step += block
         intervals.append(step * dt)
-        ratios.append(_block_ratio(mats))
+        ratios.append(np.linalg.norm(cross) / scale)
     intervals = np.asarray(intervals)
     ratios = np.asarray(ratios)
 
@@ -365,15 +372,6 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
             break
     return IntervalScan(intervals=intervals, ratios=ratios,
                         crossing=crossing, threshold=threshold)
-
-
-def _block_ratio(mats: np.ndarray) -> float:
-    cross = np.linalg.norm(mats[0])
-    w_plus = np.trace(mats[1]).real
-    w_minus = np.trace(mats[2]).real
-    if w_plus < DIAG_WEIGHT_FLOOR or w_minus < DIAG_WEIGHT_FLOOR:
-        return float("nan")
-    return float(cross / math.sqrt(w_plus * w_minus))
 
 
 # -- serialization ----------------------------------------------------------

@@ -261,6 +261,22 @@ def coherent_state(ops: OperatorSet, alpha: complex) -> np.ndarray:
     return state
 
 
+def coherent_states(ops: OperatorSet, alphas: np.ndarray) -> np.ndarray:
+    """coherent_state of each entry of the 1-D alphas, one per row.
+
+    The level recursion runs over all points at once, so rows agree
+    with coherent_state to round-off, not bit for bit.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    states = np.empty((alphas.size, ops.n_fock), dtype=complex)
+    states[:, 0] = 1.0
+    for n in range(1, ops.n_fock):
+        states[:, n] = states[:, n - 1] * alphas / math.sqrt(n)
+    worst = int(np.argmax(np.abs(alphas)))
+    coherent_state(ops, alphas[worst])  # the headroom check
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
 def cat_state(ops: OperatorSet, alpha: complex, phase: float = 0.0) -> np.ndarray:
     """Normalized superposition |alpha> + e^{i phase} |-alpha>."""
     mag = abs(alpha)

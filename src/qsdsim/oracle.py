@@ -13,12 +13,18 @@ With H diagonal in the Fock basis, L1 lowering and L2 raising by one
 level, the generator maps each band k = m - n of rho into itself.  The
 propagator is therefore one small matrix exponential per band: exact
 for any time span, so runs are bit-reproducible and carry no step-size
-error.
+error.  The generator preserves hermiticity: band -k evolves under the
+conjugate of band k's generator, so only the bands k >= 0 are
+exponentiated and a Hermitian rho needs only those bands evolved.  It
+also conserves the trace exactly, truncated or not, because
+Tr(L X L^dag) = Tr(L^dag L X) for any finite L; the branch weights of
+the history machinery are constants of the motion.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,58 +51,87 @@ def lindblad_rhs(mat: np.ndarray, ops: OperatorSet) -> np.ndarray:
     return out
 
 
-def _band_propagator(ops: OperatorSet, t: float) -> list:
-    """exp(t * generator) as (flat slice, matrix) pairs, one per band.
+def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
+    """exp(t * generator) on the bands k >= 0, in N // 2 + 1 slots.
 
-    Band k = m - n holds the entries rho[j + max(k, 0), j + max(-k, 0)];
-    in a row-major flattened matrix they form a slice of stride N + 1.
+    Band k = m - n holds the entries rho[j + max(k, 0), j + max(-k, 0)].
     On a band the generator is tridiagonal: the diagonal carries
     -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
     and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry j to j + 1
-    by c_m c_n and to j - 1 by d_(m-1) d_(n-1).
+    by c_m c_n and to j - 1 by d_(m-1) d_(n-1).  Band -k carries the
+    conjugate of band k's generator, so its propagator is conj(P_k).
+    Bands k and N - k have N entries together: the N x N slot
+    min(k, N - k) holds P_k as its leading block when 2k <= N and as
+    its trailing block otherwise.
     """
     from scipy.linalg import expm
     n = ops.n_fock
     h, c, d, mu = ops.h, ops.c, ops.d, ops.mu
-    bands = []
-    for k in range(1 - n, n):
-        size = n - abs(k)
-        rows = np.arange(size) + max(k, 0)
-        cols = np.arange(size) + max(-k, 0)
+    stack = np.zeros((n // 2 + 1, n, n), dtype=complex)
+    for k in range(n):
+        rows, cols = np.arange(k, n), np.arange(n - k)
         gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
                       - 0.5 * (mu[rows] + mu[cols]))
         gen += np.diag(c[rows[:-1]] * c[cols[:-1]], 1)
         gen += np.diag(d[rows[:-1]] * d[cols[:-1]], -1)
-        start = k * n if k >= 0 else -k
-        bands.append((slice(start, start + (size - 1) * (n + 1) + 1, n + 1),
-                      expm(t * gen)))
-    return bands
+        block = slice(0, n - k) if 2 * k <= n else slice(k, n)
+        stack[min(k, n - k), block, block] = expm(t * gen)
+    return stack
 
 
-def _apply(bands: list, mats: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _band_index(n: int):
+    """(below, above, keep) for row-major flattened N x N matrices.
+
+    below[p, j] and above[p, j] are the flat positions of the entries
+    of bands k and -k met at position j of slot p; keep is false only
+    where slot N / 2 of an even N repeats its one band.
+    """
+    p, j = np.indices((n // 2 + 1, n))
+    lead = j < n - p
+    k = np.where(lead, p, n - p)
+    i = np.where(lead, j, j - n + p)
+    index = (k * n + i * (n + 1), k + i * (n + 1), lead | (2 * p != n))
+    for a in index:  # shared by every caller through the cache
+        a.setflags(write=False)
+    return index
+
+
+def _apply(stack: np.ndarray, mats: np.ndarray,
+           hermitian: bool = False) -> np.ndarray:
     """The band propagator applied to a (..., N, N) batch.
 
-    Each matrix goes through its own matrix-vector products, so a
-    result does not depend on the batch it was computed in.
+    One stacked product per matrix carries all bands k >= 0; the bands
+    -k go as conj(P_k @ conj(y)), or, for a Hermitian batch, are the
+    conjugates of the bands k.  Each matrix goes through its own
+    matrix-vector products, so a result does not depend on the batch
+    it was computed in.
     """
+    below, above, keep = _band_index(mats.shape[-1])
     flat = mats.reshape(*mats.shape[:-2], -1)
     out = np.empty_like(flat)
-    for sl, prop in bands:
-        out[..., sl] = np.matmul(prop, flat[..., sl, None])[..., 0]
+    low = np.matmul(stack, flat[..., below, None])[..., 0][..., keep]
+    if hermitian:
+        out[..., above[keep]] = low.conj()
+    else:
+        # slot 0 is band 0 alone; every other slot holds bands k >= 1
+        high = np.matmul(stack[1:], flat[..., above[1:], None].conj())
+        out[..., above[1:][keep[1:]]] = high[..., 0][..., keep[1:]].conj()
+    out[..., below[keep]] = low
     return out.reshape(mats.shape)
 
 
 def _grid_propagator(ops: OperatorSet, dt: float):
-    """advance(mats, k): mats carried k steps of dt forward.
+    """advance(mats, k[, hermitian]): mats carried k steps of dt forward.
 
     One band propagator is built per distinct k and then reused.
     """
     props = {}
 
-    def advance(mats: np.ndarray, k: int) -> np.ndarray:
+    def advance(mats: np.ndarray, k: int, hermitian: bool = False):
         if k not in props:
             props[k] = _band_propagator(ops, k * dt)
-        return _apply(props[k], mats)
+        return _apply(props[k], mats, hermitian)
     return advance
 
 
@@ -128,7 +163,9 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     Sample times must sit on the dt_oracle grid (within 1e-9
     relative); default is every grid point.  t = 0 is included iff
     requested or default.  One propagator is built per distinct gap
-    between samples.
+    between samples.  rho0 is hermitized once; only the bands k >= 0
+    are evolved and the bands -k are their conjugates, so every
+    snapshot is Hermitian by construction.
     """
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
@@ -141,14 +178,14 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
             raise ConfigError("sample times must lie in [0, t_end]")
         if sorted(sample_steps) != sample_steps:
             raise ConfigError("sample times must be nondecreasing")
-    rho = np.array(rho0, dtype=complex)
-    rhos = np.empty((len(sample_steps), *rho.shape), dtype=complex)
+    rho0 = np.asarray(rho0, dtype=complex)
+    rhos = np.empty((len(sample_steps), *rho0.shape), dtype=complex)
+    rho = 0.5 * (rho0 + rho0.conj().T)
     advance = _grid_propagator(ops, dt)
     prev = 0
     for i, k in enumerate(sample_steps):
         if k > prev:
-            rho = advance(rho, k - prev)
-            rho = 0.5 * (rho + rho.conj().T)
+            rho = advance(rho, k - prev, hermitian=True)
         rhos[i] = rho
         prev = k
     times = np.array([s * dt for s in sample_steps])

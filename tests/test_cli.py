@@ -161,6 +161,28 @@ def test_localize_rejects_coherent_initial(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("separation, message", [
+    (float("nan"), "non-finite"),
+    (20.0, "too large for n_fock=24"),
+])
+def test_localize_bad_separation_is_config_error(tmp_path, capsys,
+                                                 separation, message):
+    # every sweep state is built as a check before the first ensemble,
+    # so no output of the good separation d=1 is written
+    cfg = {
+        "params": {"m": 1.0, "omega": 1.0, "gamma": 0.2, "nbar": 0.5},
+        "fock": {"n_fock": 24},
+        "integrator": {"dt": 1e-3, "t_end": 2.0, "record_stride": 20},
+        "ensemble": {"m": 8},
+        "initial": {"kind": "cat", "alpha": 0.5},
+        "localize": {"separations": [1.0, separation]},
+    }
+    code, out = _run(tmp_path, "localize", cfg)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "localize_d1.csv").exists()
+
+
 @pytest.mark.parametrize("command, missing", [
     ("stationary", "integrator"),
     ("localize", "integrator"),
@@ -226,6 +248,19 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, command, key,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("h", 0.5, "too coarse"),
+    ("dt_oracle", 0.0, "dt_oracle must be positive"),
+])
+def test_histories_setup_mistake_is_config_error(tmp_path, capsys, key,
+                                                 value, message):
+    cfg = _undamped_histories_cfg()
+    cfg["histories"][key] = value
+    code, _ = _run(tmp_path, "histories", cfg)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_custom_state_without_amplitudes_is_config_error(tmp_path, capsys):

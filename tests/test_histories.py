@@ -14,6 +14,7 @@ from qsdsim import (
     ModelParams,
     PhaseCell,
     QuadratureError,
+    TruncationError,
     build_operators,
     cat_interval_scan,
     cat_state,
@@ -21,10 +22,12 @@ from qsdsim import (
     classical_peaking_report,
     coherent_state,
     decoherence_functional,
+    propagate_matrices,
     temperature_for_nbar,
     write_decoherence_json,
     write_suppression_csv,
 )
+from qsdsim.model import coherent_states
 from conftest import liouvillian
 
 
@@ -65,6 +68,36 @@ def test_projector_is_hermitian_psd(warm_params):
     evals = np.linalg.eigvalsh(proj)
     assert evals.min() > -1e-13
     assert evals.max() < 1.1
+
+
+def test_projector_points_match_coherent_state(ops20):
+    # the quadrature points are built together, by the level recursion
+    # run over all points at once; each row is the single-point state
+    alphas = (0.4 - 0.3j + np.linspace(-1.0, 1.0, 7)[:, None]
+              + 1j * np.linspace(-0.8, 0.8, 5)[None, :]).ravel()
+    rows = coherent_states(ops20, alphas)
+    for alpha, row in zip(alphas, rows):
+        assert np.abs(row - coherent_state(ops20, alpha)).max() < 1e-14
+    with pytest.raises(TruncationError):
+        coherent_states(ops20, np.array([0.0, 3.0]))
+
+
+def test_branch_weights_are_conserved(warm_params):
+    # Tr(L X L^dag) = Tr(L^dag L X) for any finite L, so the truncated
+    # generator keeps each branch weight Tr(P rho P) fixed; the
+    # interval scan reads the weights at t = 0 on this ground
+    ops = build_operators(warm_params, 20)
+    psi = cat_state(ops, 1.0)
+    rho = np.outer(psi, psi.conj())
+    kernel = expm(6.28 * liouvillian(ops))
+    for center in (1.0, -1.0):
+        p = cell_projector(PhaseCell(center=center, w_re=0.8, w_im=0.8,
+                                     h=0.1), ops)
+        block = p @ rho @ p
+        evolved = (kernel @ block.reshape(-1)).reshape(block.shape)
+        assert abs(np.trace(evolved) - np.trace(block)) < 1e-13
+        got = propagate_matrices(block, ops, 6.28)
+        assert abs(np.trace(got) - np.trace(block)) < 1e-13
 
 
 def test_coarse_quadrature_rejected(ops20):

@@ -169,6 +169,29 @@ def test_batched_propagation_matches_single(warm_params):
         assert np.array_equal(propagate_matrices(mat, ops, 0.05), out)
 
 
+@pytest.mark.parametrize("n_fock", [11, 12])
+def test_conjugate_bands_are_exact(warm_params, n_fock):
+    # band -k evolves under the conjugate of band k's generator, so a
+    # Hermitian matrix comes out Hermitian bit for bit, and propagate
+    # hermitizes a non-Hermitian rho0 once, at the start
+    ops = build_operators(warm_params, n_fock)
+    rng = np.random.default_rng(5)
+    mat = (rng.standard_normal((n_fock, n_fock))
+           + 1j * rng.standard_normal((n_fock, n_fock)))
+    herm = mat + mat.conj().T
+    for t in (0.02, 6.28):
+        out = propagate_matrices(herm, ops, t)
+        for k in range(1, n_fock):
+            assert np.array_equal(np.diagonal(out, -k),
+                                  np.diagonal(out, k).conj())
+    run = propagate(mat, ops,
+                    LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5))
+    for rho in run.rhos:
+        assert np.array_equal(rho, rho.conj().T)
+    want = propagate_matrices(0.5 * (mat + mat.conj().T), ops, 0.5)
+    assert np.abs(run.rhos[-1] - want).max() < 1e-13
+
+
 @pytest.mark.parametrize("gamma, nbar", [(0.0, 0.0), (0.3, 0.0),
                                          (0.3, 0.8)])
 def test_band_propagator_matches_references(gamma, nbar):
