@@ -13,7 +13,7 @@ from .model import (DerivedScales, ModelParams, OperatorSet, build_operators,
                     cat_state, coherent_state, derive, fock_state,
                     normalize, tail_mass, temperature_for_nbar)
 from .observables import (CSV_COLUMNS, ExponentialFit, ObservableBundle,
-                          bundle, bundle_arrays, fit_exponential_decay,
+                          bundle_arrays, fit_exponential_decay,
                           localization_rhs, localization_rhs_spread_form,
                           windowed_slopes, write_bundle_csv)
 from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,

@@ -85,7 +85,6 @@ CONFIG_SCHEMA = _section({
         "h": _NUMBER, "dt_oracle": _NUMBER,
         "include_complement": _BOOL, "control": _BOOL,
     }, "times", "cells", "h", "dt_oracle"),
-    "output": _section({"gnuplot": _BOOL}),
 }, "params", "fock")
 
 # Config sections each subcommand reads beyond params and fock.
@@ -286,8 +285,6 @@ class Runner:
 
     def gnuplot_stub(self, csv_name: str, columns: dict[str, int],
                      title: str) -> None:
-        if not self.cfg.get("output", {}).get("gnuplot", True):
-            return
         lines = [
             "# gnuplot stub; run: gnuplot plot.gp",
             "set datafile separator comma",

@@ -41,7 +41,9 @@ TAIL_TOL = 1e-6
 # per-sample work; the sweep scripts/sweep_traj_batch.py finds
 # run_ensemble flat within noise from 64 to 512 at n_fock 24-56.  A
 # row's result does not depend on its batch; the ensemble sums round
-# per batch.
+# per batch.  It also sets the block of sampled states that
+# run_trajectory gathers for one bundle_arrays call, which bounds the
+# block's memory at TRAJ_BATCH states.
 TRAJ_BATCH = 256
 
 # Number of steps of noise drawn from a trajectory's generator in one

@@ -17,13 +17,9 @@ from .constants import TRAJ_BATCH
 from .errors import ConfigError, DimensionError, ParameterError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
     normalize, steps_on_grid
-from .observables import bundle_arrays
+from .observables import STAT_FIELDS, bundle_arrays
 from .qsd import IntegratorConfig, _integrate, check_step_size, \
     trajectory_seed
-
-#: Bundle fields averaged over the ensemble, in CSV emission order.
-STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R",
-               "excess_q", "excess_p", "delta_alpha_sq", "n_mean")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,8 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     psi0 = normalize(cfg.initial.build(ops))
     m = cfg.m
     n_fock = ops.n_fock
-    n_samples = icfg.n_steps // icfg.record_stride + 1
+    times = icfg.sample_times
+    n_samples = len(times)
 
     rho_times = np.array(sorted(cfg.rho_times))
     # rho_steps maps a snapshot's step to its index, in time order
@@ -138,7 +135,7 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
 
         def on_sample(psis, step):
             j = step // icfg.record_stride
-            vals = bundle_arrays(psis, ops, step * icfg.dt)
+            vals = bundle_arrays(psis, ops)
             for f in STAT_FIELDS:
                 v = vals[f]
                 tot[f][j] += v.sum()
@@ -167,7 +164,6 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     occ /= m
     rhos /= m
 
-    times = np.arange(n_samples) * (icfg.dt * icfg.record_stride)
     return EnsembleStats(times=times, means=means, stderrs=stderrs,
                          occupation=occ, m=m, base_seed=cfg.base_seed,
                          final_states=finals, rho_times=rho_times,

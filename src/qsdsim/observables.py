@@ -16,26 +16,24 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import astuple, dataclass, fields as dc_fields
 
 import numpy as np
 
 from .constants import FIT_FLOOR_REL, FIT_FLOOR_SIGMA, FIT_MIN_POINTS
-from .errors import DimensionError, FitError
+from .errors import FitError
 from .model import ModelParams, OperatorSet
-
-#: Column order of the trajectory CSV format.
-# Report labels: the position excess (excess_q) is the Q column, the
-# momentum excess (excess_p) the P column; values stay in field order.
-CSV_COLUMNS = ("t", "q_mean", "p_mean", "var_q", "var_p", "R", "Q", "P",
-               "delta_alpha_sq", "n_mean")
 
 _CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ObservableBundle:
-    """Shape diagnostics of a single normalized state at time t."""
+    """Shape diagnostics of a single normalized state at time t.
+
+    The fields after t are the diagnostics, in the order of STAT_FIELDS
+    and of the CSV columns.
+    """
 
     t: float
     q_mean: float
@@ -49,11 +47,21 @@ class ObservableBundle:
     n_mean: float
 
 
-def bundle_arrays(states: np.ndarray, ops: OperatorSet, t: float) -> dict:
-    """Diagnostics for a batch of states, shape (..., n_fock).
+#: Diagnostic fields, keys of bundle_arrays' result.
+STAT_FIELDS = tuple(f.name for f in dc_fields(ObservableBundle)[1:])
 
-    Returns a dict of real arrays keyed by the ObservableBundle field
-    names.  Everything is derived from <a>, <a^2> and <n>:
+#: Column order of the trajectory CSV format.
+# Report labels: the position excess (excess_q) is the Q column, the
+# momentum excess (excess_p) the P column; values stay in field order.
+CSV_COLUMNS = ("t",) + tuple({"excess_q": "Q", "excess_p": "P"}.get(f, f)
+                             for f in STAT_FIELDS)
+
+
+def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
+    """Diagnostics for a (B, n_fock) batch of states.
+
+    Returns a dict of (B,) real arrays keyed by STAT_FIELDS.
+    Everything is derived from <a>, <a^2> and <n>:
 
         <q> = 2 sigma_q Re<a>,  <q^2> = sigma_q^2 (2 Re<a^2> + 2<n> + 1)
         <p> = 2 sigma_p Im<a>,  <p^2> = sigma_p^2 (-2 Re<a^2> + 2<n> + 1)
@@ -79,54 +87,39 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet, t: float) -> dict:
     excess_p = var_p / p.sigma_p ** 2 - 1.0
     delta_alpha_sq = exp_n - np.abs(exp_a) ** 2
 
-    # Two independent routes to the same spread must agree.
-    alt = 0.25 * (excess_q + excess_p)
-    err = np.max(np.abs(delta_alpha_sq - alt))
-    if not err <= _CONSISTENCY_TOL * max(1.0, float(np.max(exp_n))):
+    # Two independent routes to the same spread must agree, row by row;
+    # a nan residual fails.
+    err = np.abs(delta_alpha_sq - 0.25 * (excess_q + excess_p))
+    bad = np.flatnonzero(~(err <= _CONSISTENCY_TOL * np.maximum(1.0, exp_n)))
+    if bad.size:
+        row = int(bad[0])
         raise FloatingPointError(
-            f"phase-space spread consistency violated by {err:.3e}")
+            f"phase-space spread consistency violated by "
+            f"{err[row]:.3e} in row {row}")
 
-    return {
-        "t": np.broadcast_to(np.asarray(t, dtype=float), np.shape(exp_n)).copy()
-        if np.shape(exp_n) else np.asarray(float(t)),
-        "q_mean": q_mean, "p_mean": p_mean,
-        "var_q": var_q, "var_p": var_p, "R": r_corr,
-        "excess_q": excess_q, "excess_p": excess_p,
-        "delta_alpha_sq": delta_alpha_sq, "n_mean": exp_n,
-    }
+    return dict(zip(STAT_FIELDS, (q_mean, p_mean, var_q, var_p, r_corr,
+                                  excess_q, excess_p, delta_alpha_sq, exp_n)))
 
 
-def bundle(state: np.ndarray, ops: OperatorSet, t: float = 0.0) -> ObservableBundle:
-    """ObservableBundle of one normalized state."""
-    if state.ndim != 1:
-        raise DimensionError("bundle expects a single state vector")
-    vals = bundle_arrays(state, ops, t)
-    return ObservableBundle(**{f.name: float(vals[f.name])
-                               for f in dc_fields(ObservableBundle)})
-
-
-def localization_rhs(bundle_or_vals, params: ModelParams):
+def localization_rhs(vals: dict, params: ModelParams):
     """Predicted ensemble-mean rate d<(delta alpha)^2>/dt.
 
     rate = -2 gamma (nbar + 1/2) [R^2/hbar^2 + P^2/8 + Q^2/8 + dalpha^2]
 
-    Accepts an ObservableBundle or a dict of arrays; returns a float or
-    array accordingly.  The rate is always <= -2 gamma (nbar + 1/2)
-    times the current spread, so coherent states (all diagnostics 0)
-    are the only fixed points.
+    vals is a dict from bundle_arrays; returns its rates.  The rate is
+    always <= -2 gamma (nbar + 1/2) times the current spread, so
+    coherent states (all diagnostics 0) are the only fixed points.
     """
-    b = bundle_or_vals
-    get = (lambda k: b[k]) if isinstance(b, dict) else (lambda k: getattr(b, k))
-    r = get("R")
-    ex_q = get("excess_q")
-    ex_p = get("excess_p")
-    spread = get("delta_alpha_sq")
+    r = vals["R"]
+    ex_q = vals["excess_q"]
+    ex_p = vals["excess_p"]
+    spread = vals["delta_alpha_sq"]
     pre = 2.0 * params.gamma * (params.nbar + 0.5)
     return -pre * (r ** 2 / params.hbar ** 2
                    + ex_q ** 2 / 8.0 + ex_p ** 2 / 8.0 + spread)
 
 
-def localization_rhs_spread_form(bundle_or_vals, params: ModelParams):
+def localization_rhs_spread_form(vals: dict, params: ModelParams):
     """Same rate written in terms of the raw quadrature variances.
 
     rate = (gamma / 2 hbar^2) (nbar + 1/2) [hbar^2 - 4 R^2
@@ -136,11 +129,9 @@ def localization_rhs_spread_form(bundle_or_vals, params: ModelParams):
     Algebraically identical to localization_rhs; kept as an
     independent evaluation route for consistency checks.
     """
-    b = bundle_or_vals
-    get = (lambda k: b[k]) if isinstance(b, dict) else (lambda k: getattr(b, k))
-    r = get("R")
-    var_q = get("var_q")
-    var_p = get("var_p")
+    r = vals["R"]
+    var_q = vals["var_q"]
+    var_p = vals["var_p"]
     sq2 = params.sigma_q ** 2
     sp2 = params.sigma_p ** 2
     bracket = (params.hbar ** 2 - 4.0 * r ** 2
@@ -155,10 +146,7 @@ def write_bundle_csv(path, bundles) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for b in bundles:
-            writer.writerow([repr(float(v)) for v in
-                             (b.t, b.q_mean, b.p_mean, b.var_q, b.var_p,
-                              b.R, b.excess_q, b.excess_p,
-                              b.delta_alpha_sq, b.n_mean)])
+            writer.writerow([repr(float(v)) for v in astuple(b)])
 
 
 # -- regression helpers -----------------------------------------------------

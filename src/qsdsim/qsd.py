@@ -36,12 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
-                        STEP_GUARD_OSCILLATORY, TAIL_TOL)
+                        STEP_GUARD_OSCILLATORY, TAIL_TOL, TRAJ_BATCH)
 from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
 from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
     tail_levels
-from . import observables
+from .observables import STAT_FIELDS, ObservableBundle, bundle_arrays
 
 #: Weyl-sequence increment of the splitmix64 stream.
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -106,6 +106,11 @@ class IntegratorConfig:
     @property
     def n_steps(self) -> int:
         return steps_on_grid(self.t_end, self.dt, "t_end")
+
+    @property
+    def sample_times(self) -> np.ndarray:
+        """Times of step 0 and of every record_stride-th step after it."""
+        return np.arange(0, self.n_steps + 1, self.record_stride) * self.dt
 
 
 def check_step_size(dt: float, params: ModelParams) -> None:
@@ -241,23 +246,31 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
                    cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate one trajectory from t=0 to t_end.
 
-    Records the observable bundle every record_stride steps.
-    Deterministic given (initial, cfg): the noise stream is fully
-    determined by cfg.seed.
+    Records the observable bundle every record_stride steps.  Sampled
+    states are gathered into blocks of up to TRAJ_BATCH rows, each
+    evaluated by one bundle_arrays call, as the ensemble evaluates its
+    batches.  Deterministic given (initial, cfg): the noise stream is
+    fully determined by cfg.seed.
     """
     check_step_size(cfg.dt, ops.params)
     psis = normalize(np.asarray(initial, dtype=complex))[None, :].copy()
-    times = []
+    times = cfg.sample_times
+    block = np.empty((min(TRAJ_BATCH, len(times)), ops.n_fock), dtype=complex)
     bundles = []
 
     def on_sample(batch, step):
-        t = step * cfg.dt
-        times.append(t)
-        bundles.append(observables.bundle(batch[0], ops, t))
+        j = step // cfg.record_stride
+        row = j % len(block)
+        block[row] = batch[0]
+        if row == len(block) - 1 or j == len(times) - 1:
+            vals = bundle_arrays(block[:row + 1], ops)
+            bundles.extend(ObservableBundle(*v) for v in zip(
+                times[j - row:j + 1].tolist(),
+                *(vals[f].tolist() for f in STAT_FIELDS)))
 
     psis, drift = _integrate(ops, psis,
                              [np.random.default_rng(cfg.seed)], cfg, 0,
                              on_sample)
-    return TrajectoryRecord(times=np.asarray(times), bundles=bundles,
+    return TrajectoryRecord(times=times, bundles=bundles,
                             final_state=psis[0].copy(), seed=cfg.seed,
                             norm_drift=drift)

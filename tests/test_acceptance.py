@@ -389,7 +389,7 @@ def test_criterion_11_noise_increment_moments():
 
 def test_criterion_12_spread_identity_and_rate_forms(warm_params, ops20):
     states = random_states(1000, 20, seed=123)
-    vals = bundle_arrays(states, ops20, 0.0)
+    vals = bundle_arrays(states, ops20)
     id_err = float(np.abs(vals["delta_alpha_sq"]
                           - 0.25 * (vals["excess_q"]
                                     + vals["excess_p"])).max())

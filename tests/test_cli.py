@@ -83,15 +83,6 @@ def test_stationary_smoke(tmp_path):
         assert (out / name).exists()
 
 
-def test_gnuplot_stub_can_be_disabled(tmp_path):
-    cfg = _stationary_cfg(output={"gnuplot": False})
-    code, out = _run(tmp_path, "stationary", cfg)
-    assert code == EXIT_PASS
-    assert not (out / "plot.gp").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "plot.gp" not in manifest["outputs"]
-
-
 def test_stationary_expect_fail_mode(tmp_path):
     cfg = {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.5, "nbar": 0.5},

@@ -35,15 +35,20 @@ def _cfg(m, *, seed=5, dt=1e-3, t_end=0.5, stride=100, **kw):
 
 
 def test_single_member_equals_bare_trajectory(warm_params, ops20):
-    cfg = _cfg(1)
-    stats = run_ensemble(cfg, ops20)
-    solo_cfg = IntegratorConfig(
-        dt=1e-3, t_end=0.5, record_stride=100,
-        seed=trajectory_seed(5, 0))
+    # 601 samples cross two edges of the trajectory's TRAJ_BATCH blocks
+    # of diagnostics and end inside a third
+    stats = run_ensemble(_cfg(1, t_end=4.2, stride=7), ops20)
+    solo_cfg = IntegratorConfig(dt=1e-3, t_end=4.2, record_stride=7,
+                                seed=trajectory_seed(5, 0))
     rec = run_trajectory(coherent_state(ops20, 0.8), ops20, solo_cfg)
+    n_samples = len(rec.bundles)
+    assert n_samples > 2 * TRAJ_BATCH and n_samples % TRAJ_BATCH
     assert np.array_equal(stats.final_states[0], rec.final_state)
-    got = np.array([b.n_mean for b in rec.bundles])
-    assert np.array_equal(stats.means["n_mean"], got)
+    assert np.array_equal(stats.times, rec.times)
+    assert np.array_equal(stats.times, [b.t for b in rec.bundles])
+    for f in STAT_FIELDS:
+        got = [getattr(b, f) for b in rec.bundles]
+        assert np.array_equal(stats.means[f], got), f
 
 
 def test_batch_membership_does_not_change_results(ops20):

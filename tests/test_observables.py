@@ -8,34 +8,39 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ladder, random_states
-from qsdsim.errors import DimensionError, FitError
+from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
-from qsdsim.observables import (CSV_COLUMNS, bundle, bundle_arrays,
-                                fit_exponential_decay, localization_rhs,
+from qsdsim.observables import (CSV_COLUMNS, STAT_FIELDS, ObservableBundle,
+                                bundle_arrays, fit_exponential_decay,
+                                localization_rhs,
                                 localization_rhs_spread_form,
                                 windowed_slopes, write_bundle_csv)
+
+
+def _one(psi, ops):
+    """Diagnostics of a single state, through a batch of one."""
+    return {f: float(v[0]) for f, v in bundle_arrays(psi[None, :], ops).items()}
 
 
 def test_bundle_on_coherent_state(ops20):
     par = ops20.params
     alpha = 0.9 + 0.4j
-    b = bundle(coherent_state(ops20, alpha), ops20, t=1.5)
-    assert b.t == 1.5
-    assert b.q_mean == pytest.approx(2 * par.sigma_q * alpha.real, abs=1e-10)
-    assert b.p_mean == pytest.approx(2 * par.sigma_p * alpha.imag, abs=1e-10)
+    b = _one(coherent_state(ops20, alpha), ops20)
+    assert b["q_mean"] == pytest.approx(2 * par.sigma_q * alpha.real, abs=1e-10)
+    assert b["p_mean"] == pytest.approx(2 * par.sigma_p * alpha.imag, abs=1e-10)
     # a coherent state has no excess spread in any direction
-    for value in (b.excess_q, b.excess_p, b.R, b.delta_alpha_sq):
-        assert abs(value) < 1e-9
-    assert b.n_mean == pytest.approx(abs(alpha) ** 2, abs=1e-10)
+    for field in ("excess_q", "excess_p", "R", "delta_alpha_sq"):
+        assert abs(b[field]) < 1e-9
+    assert b["n_mean"] == pytest.approx(abs(alpha) ** 2, abs=1e-10)
 
 
 def test_bundle_on_fock_state(ops20):
     n = 3
-    b = bundle(fock_state(ops20, n), ops20)
-    assert b.excess_q == pytest.approx(2 * n, abs=1e-12)
-    assert b.excess_p == pytest.approx(2 * n, abs=1e-12)
-    assert b.R == pytest.approx(0.0, abs=1e-12)
-    assert b.delta_alpha_sq == pytest.approx(n, abs=1e-12)
+    b = _one(fock_state(ops20, n), ops20)
+    assert b["excess_q"] == pytest.approx(2 * n, abs=1e-12)
+    assert b["excess_p"] == pytest.approx(2 * n, abs=1e-12)
+    assert b["R"] == pytest.approx(0.0, abs=1e-12)
+    assert b["delta_alpha_sq"] == pytest.approx(n, abs=1e-12)
 
 
 def test_bundle_against_dense_moments(ops20):
@@ -53,46 +58,44 @@ def test_bundle_against_dense_moments(ops20):
     def mean(op):
         return np.vdot(psi, op @ psi).real
 
-    b = bundle(psi, ops20)
-    assert b.var_q == pytest.approx(mean(q @ q) - mean(q) ** 2, abs=1e-12)
-    assert b.var_p == pytest.approx(mean(p @ p) - mean(p) ** 2, abs=1e-12)
-    assert b.R == pytest.approx(mean(0.5 * (q @ p + p @ q))
-                                - mean(q) * mean(p), abs=1e-12)
-    with pytest.raises(DimensionError):
-        bundle(np.stack([psi, psi]), ops20)
+    b = _one(psi, ops20)
+    assert b["var_q"] == pytest.approx(mean(q @ q) - mean(q) ** 2, abs=1e-12)
+    assert b["var_p"] == pytest.approx(mean(p @ p) - mean(p) ** 2, abs=1e-12)
+    assert b["R"] == pytest.approx(mean(0.5 * (q @ p + p @ q))
+                                   - mean(q) * mean(p), abs=1e-12)
 
 
 def test_bundle_batch_matches_scalar(ops20):
     states = random_states(7, 20, seed=11)
-    vals = bundle_arrays(states, ops20, t=0.25)
+    vals = bundle_arrays(states, ops20)
+    assert set(vals) == set(STAT_FIELDS)
     for k in range(7):
-        single = bundle(states[k], ops20, t=0.25)
+        single = _one(states[k], ops20)
         for field in ("q_mean", "var_q", "R", "delta_alpha_sq", "n_mean"):
-            assert vals[field][k] == pytest.approx(getattr(single, field),
-                                                   abs=1e-12)
+            assert vals[field][k] == pytest.approx(single[field], abs=1e-12)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_spread_identity_on_random_states(ops20, seed):
     # (delta alpha)^2 == (P + Q) / 4, evaluated through two routes
-    psi = random_states(1, 20, seed=seed)[0]
-    b = bundle(psi, ops20)
-    assert b.delta_alpha_sq == pytest.approx(
-        (b.excess_q + b.excess_p) / 4.0, abs=1e-10)
+    b = _one(random_states(1, 20, seed=seed)[0], ops20)
+    assert b["delta_alpha_sq"] == pytest.approx(
+        (b["excess_q"] + b["excess_p"]) / 4.0, abs=1e-10)
 
 
 def test_spread_guard_fails_closed_on_nan(ops20):
-    # a nan row makes the consistency residual nan, which must not pass
+    # a nan row makes its consistency residual nan, which must not pass,
+    # and the error names that row
     states = np.stack([fock_state(ops20, 1),
                        np.full(20, np.nan, dtype=complex)])
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        bundle_arrays(states, ops20, 0.0)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="in row 1$"):
+        bundle_arrays(states, ops20)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_rate_forms_agree(ops20, warm_params, seed):
-    psi = random_states(1, 20, seed=seed)[0]
-    b = bundle(psi, ops20)
+    b = _one(random_states(1, 20, seed=seed)[0], ops20)
     assert localization_rhs(b, warm_params) == pytest.approx(
         localization_rhs_spread_form(b, warm_params), abs=1e-10)
 
@@ -100,17 +103,10 @@ def test_rate_forms_agree(ops20, warm_params, seed):
 def test_rate_bound(ops20, warm_params):
     # decay is at least 2 gamma (nbar + 1/2) times the current spread
     pre = 2.0 * warm_params.gamma * (warm_params.nbar + 0.5)
-    for seed in range(20):
-        b = bundle(random_states(1, 20, seed=seed)[0], ops20)
-        assert localization_rhs(b, warm_params) <= -pre * b.delta_alpha_sq + 1e-12
-
-
-def test_rate_accepts_dict_and_bundle(ops20, warm_params):
-    psi = random_states(1, 20, seed=3)[0]
-    b = bundle(psi, ops20)
-    vals = bundle_arrays(psi, ops20, t=0.0)
-    assert localization_rhs(vals, warm_params) == pytest.approx(
-        localization_rhs(b, warm_params), abs=1e-14)
+    vals = bundle_arrays(np.stack([random_states(1, 20, seed=seed)[0]
+                                   for seed in range(20)]), ops20)
+    assert np.all(localization_rhs(vals, warm_params)
+                  <= -pre * vals["delta_alpha_sq"] + 1e-12)
 
 
 def test_fit_recovers_exact_exponential():
@@ -179,13 +175,16 @@ def test_windowed_slopes_batched():
 
 
 def test_bundle_csv_roundtrip(tmp_path, ops20):
-    states = random_states(3, 20, seed=9)
-    bundles = [bundle(states[k], ops20, t=0.1 * k) for k in range(3)]
+    vals = bundle_arrays(random_states(3, 20, seed=9), ops20)
+    bundles = [ObservableBundle(0.1 * k, *(vals[f][k] for f in STAT_FIELDS))
+               for k in range(3)]
     path = tmp_path / "bundles.csv"
     write_bundle_csv(path, bundles)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == list(CSV_COLUMNS) == [
+        "t", "q_mean", "p_mean", "var_q", "var_p", "R", "Q", "P",
+        "delta_alpha_sq", "n_mean"]
     # repr round-trips doubles exactly
     assert float(rows[2][0]) == bundles[1].t
     assert float(rows[3][8]) == bundles[2].delta_alpha_sq
