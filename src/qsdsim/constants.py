@@ -37,13 +37,14 @@ TAIL_LEVEL_DIVISOR = 10
 TAIL_TOL = 1e-6
 
 # Trajectory batch size of the ensemble runner.  The compiled loop steps
-# one row at a time, so the batch only spreads Python's per-segment and
-# per-sample work; the sweep scripts/sweep_traj_batch.py finds
-# run_ensemble flat within noise from 64 to 512 at n_fock 24-56.  A
-# row's result does not depend on its batch; the ensemble sums round
-# per batch.  It also sets the block of sampled states that
-# run_trajectory gathers for one bundle_arrays call, which bounds the
-# block's memory at TRAJ_BATCH states.
+# rows in lane groups of four, each lane rounded as its row stepped
+# alone, so beyond a few groups the batch only spreads Python's
+# per-segment and per-sample work; the sweep scripts/sweep_traj_batch.py
+# finds run_ensemble flat within noise from 64 to 512 at n_fock 40 and
+# 56, and from 192 up at n_fock 24.  A row's result does not depend on
+# its batch; the ensemble sums round per batch.  It also sets the block
+# of sampled states that run_trajectory gathers for one bundle_arrays
+# call, which bounds the block's memory at TRAJ_BATCH states.
 TRAJ_BATCH = 256
 
 # Number of steps of noise drawn from a trajectory's generator in one

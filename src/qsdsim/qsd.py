@@ -17,9 +17,12 @@ trajectory is the B = 1 case and the ensemble runner feeds it batches.
 The work is split between two languages.  The compiled loop in
 qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
-and renormalizes.  Python draws the noise, calls the loop once per
-segment between samples, takes the samples and raises the error of a
-failed row.  The loop is built with gcc on first use, never at import.
+and renormalizes.  It steps the rows in lane groups of four, one row
+per lane of a SIMD vector, and each lane rounds exactly as the row
+stepped alone, so no result depends on the batch.  Python draws the
+noise, calls the loop once per segment between samples, takes the
+samples and raises the error of a failed row.  The loop is built with
+gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ _MASK64 = (1 << 64) - 1
 
 #: gcc flags of the stepping loop.  No FMA contraction, so rounding does
 #: not depend on the target's instruction set.
-_CFLAGS = ("-O3", "-fcx-limited-range", "-ffp-contract=off", "-shared",
-           "-fPIC")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def splitmix64(x: int) -> int:
@@ -174,13 +176,14 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
                cfg: IntegratorConfig, first_index: int, on_sample):
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
-    A C-contiguous complex batch is advanced in place.  Row b draws its noise from rngs[b]
-    and is trajectory first_index + b.  Each step is renormalized.
-    on_sample(psis, step) runs at step 0 and every record_stride steps.
-    Returns the batch and, per step, the worst pre-renormalization norm
-    drift | ||psi'|| - 1 | over the batch.  Raises TrajectoryError as
-    soon as a row's relative tail mass, its share of ||psi'||^2 in the
-    top tail_levels(n_fock) levels, is above TAIL_TOL or not finite.
+    A C-contiguous complex batch is advanced in place.  Row b draws its
+    noise from rngs[b] and is trajectory first_index + b.  Each step is
+    renormalized.  on_sample(psis, step) runs at step 0 and every
+    record_stride steps.  Returns the batch and, per step, the worst
+    pre-renormalization norm drift | ||psi'|| - 1 | over the batch.
+    Raises TrajectoryError as soon as a row's relative tail mass, its
+    share of ||psi'||^2 in the top tail_levels(n_fock) levels, is above
+    TAIL_TOL or not finite.
     """
     psis = np.require(psis, complex, ["C", "W"])  # the loop's memory layout
     if psis.shape != (len(rngs), ops.n_fock):
@@ -196,11 +199,14 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     stride = cfg.record_stride
     drift = np.zeros(n_steps)
     fail_step, fail_tail = ctypes.c_long(), ctypes.c_double()
+    noise = np.empty((len(rngs), min(NOISE_BLOCK_STEPS, n_steps), 2),
+                     dtype=complex)
     on_sample(psis, 0)
     step = 0
     while step < n_steps:
         block = min(NOISE_BLOCK_STEPS, n_steps - step)
-        noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
+        for row, rng in zip(noise, rngs):
+            row[:block] = draw_noise_block(rng, dt, block)
         j = 0
         while j < block:
             # a segment ends at the next sample or the end of the block
@@ -208,8 +214,8 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
             worst = segment(
                 len(psis), n_fock, n, c.ctypes.data, d.ctypes.data,
                 g.ctypes.data, tail_start, dt, TAIL_TOL, psis.ctypes.data,
-                noise[:, j:].ctypes.data, 4 * block, drift[step:].ctypes.data,
-                fail_step, fail_tail)
+                noise[:, j:].ctypes.data, 4 * noise.shape[1],
+                drift[step:].ctypes.data, fail_step, fail_tail)
             if worst == -2:
                 raise MemoryError("qsd_segment could not allocate its rows")
             if worst >= 0:

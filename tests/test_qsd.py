@@ -6,10 +6,12 @@ density-matrix generator to first order in dt, and the Ito variance
 of the norm must match the isometry prediction.
 """
 
+import ctypes
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from conftest import StepKernel, integrate_reference, random_states
 from qsdsim import qsd
-from qsdsim.constants import TRAJ_BATCH
+from qsdsim.constants import NOISE_BLOCK_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
@@ -165,20 +167,23 @@ def _compiled(ops, psis, seeds, cfg):
 
 def test_batch_step_equals_rows_stepped_alone(warm_params):
     # a row's run must not depend on the batch it sits in, bit for bit:
-    # a full ensemble batch against each row run as a batch of one, over
-    # segments that end both at samples and at the end of the run
+    # batches that fill their last lane group of four partly (1, 3, 5,
+    # TRAJ_BATCH + 1) or wholly (TRAJ_BATCH) against each row run as a
+    # batch of one, over segments that end both at samples and at the
+    # end of the run, across the edge of a noise block
     ops = build_operators(warm_params, 40)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_stride=7)
-    psis = _low_batch(TRAJ_BATCH, 40, 20, seed=25)
-    seeds = [100 + b for b in range(TRAJ_BATCH)]
-    got, drift = _compiled(ops, psis, seeds, cfg)
-    worst = np.zeros_like(drift)
-    for b in range(TRAJ_BATCH):
-        alone, alone_drift = _compiled(ops, psis[b:b + 1], seeds[b:b + 1],
-                                       cfg)
-        assert np.array_equal(got[b:b + 1], alone)
-        worst = np.maximum(worst, alone_drift)
-    assert np.array_equal(drift, worst)
+    cfg = IntegratorConfig(dt=1e-3, t_end=(NOISE_BLOCK_STEPS + 6) * 1e-3,
+                           record_stride=97)
+    psis = _low_batch(TRAJ_BATCH + 1, 40, 20, seed=25)
+    seeds = [100 + b for b in range(TRAJ_BATCH + 1)]
+    alone = [_compiled(ops, psis[b:b + 1], seeds[b:b + 1], cfg)
+             for b in range(TRAJ_BATCH + 1)]
+    for size in (1, 3, 5, TRAJ_BATCH, TRAJ_BATCH + 1):
+        got, drift = _compiled(ops, psis[:size], seeds[:size], cfg)
+        for b in range(size):
+            assert np.array_equal(got[b:b + 1], alone[b][0])
+        worst = np.max([d for _, d in alone[:size]], axis=0)
+        assert np.array_equal(drift, worst)
 
 
 def _both_drivers(ops, psis, make_rngs, cfg):
@@ -286,6 +291,101 @@ def test_non_finite_rows_fail_closed_like_reference(
         assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
     first = min(step for rows in poison.values() for step in rows)
     assert err_c[1] <= (first + 1) * cfg.dt * (1 + 1e-12)
+
+
+@given(batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       n_steps=st.integers(1, 40), stride=st.integers(1, 16),
+       hits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 39),
+                               st.integers(0, 3),
+                               st.sampled_from([np.nan, np.inf, -np.inf])),
+                     min_size=1, max_size=4))
+def test_poisoned_lanes_fail_like_rows_stepped_alone(
+        warm_params, batch, seed, n_steps, stride, hits):
+    # rows with a non-finite increment share lane groups with clean
+    # rows.  The batch raises the failure the serial rule picks from the
+    # rows stepped alone: earliest step, then the first nan, then the
+    # largest tail, then the lowest row.  Every sample taken before the
+    # failure is the row's sample stepped alone, and the clean rows
+    # stepped alone are bitwise the rows of the batch run without poison.
+    ops = build_operators(warm_params, 24)
+    psis = _low_batch(batch, 24, 12, seed)
+    poison = {}
+    for row, step, col, value in hits:
+        poison.setdefault(row % batch, {})[step % n_steps] = (col, value)
+    cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           record_stride=stride)
+
+    def run(rows, poisoned=True):
+        samples = []
+        rngs = [_PoisonedRng([seed, b], poison.get(b, {}) if poisoned else {})
+                for b in rows]
+        try:
+            with np.errstate(all="ignore"):
+                final, _ = qsd._integrate(
+                    ops, psis[rows.start:rows.stop].copy(), rngs, cfg,
+                    rows.start, lambda p, step: samples.append(p.copy()))
+        except TrajectoryError as exc:
+            return (exc.trajectory, exc.time, exc.tail_mass), samples
+        return final, samples
+
+    alone = [run(range(b, b + 1)) for b in range(batch)]
+    fails = [res for res, _ in alone if isinstance(res, tuple)]
+    first = min(t for _, t, _ in fails)
+    at_first = [f for f in fails if f[1] == first]
+    nans = [f for f in at_first if math.isnan(f[2])]
+    want = nans[0] if nans else max(at_first, key=lambda f: f[2])
+    got, samples = run(range(batch))
+    assert isinstance(got, tuple) and got[:2] == want[:2]
+    assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
+    for k, sample in enumerate(samples):
+        for b in range(batch):
+            assert np.array_equal(sample[b], alone[b][1][k][0])
+    clean, _ = run(range(batch), poisoned=False)
+    for b in range(batch):
+        if b not in poison:
+            assert np.array_equal(alone[b][0][0], clean[b])
+
+
+def test_default_clone_equals_production_library(tmp_path, warm_params,
+                                                 monkeypatch):
+    # the loop built for the baseline instruction set alone (the
+    # target_clones line stripped) steps bit for bit as the library in
+    # use, which on x86-64 picks its AVX clone where the CPU has AVX:
+    # rounding must not depend on the instruction set
+    source = (Path(qsd.__file__).parent / "qsd_step.c").read_text()
+    clones = [line for line in source.splitlines(keepends=True)
+              if "target_clones" in line]
+    assert len(clones) == 1
+    (tmp_path / "plain.c").write_text(source.replace(clones[0], ""))
+    subprocess.run(["gcc", *qsd._CFLAGS, str(tmp_path / "plain.c"), "-o",
+                    str(tmp_path / "plain.so"), "-lm"], check=True)
+    production = qsd._compiled_segment()
+    plain = ctypes.CDLL(str(tmp_path / "plain.so")).qsd_segment
+    plain.argtypes, plain.restype = production.argtypes, production.restype
+    ops = build_operators(warm_params, 40)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
+    psis = _low_batch(9, 40, 20, seed=31)
+
+    def runs():
+        out = [_compiled(ops, psis, range(200, 209), cfg)]
+        try:
+            with np.errstate(all="ignore"):
+                qsd._integrate(ops, psis.copy(),
+                               [_PoisonedRng([300, b], {20: (1, np.nan)}
+                                             if b in (2, 6) else {})
+                                for b in range(9)], cfg, 0,
+                               lambda p, step: None)
+        except TrajectoryError as exc:
+            out.append((exc.trajectory, exc.time, exc.tail_mass))
+        return out
+
+    want = runs()
+    monkeypatch.setattr(qsd, "_compiled_segment", lambda: plain)
+    got = runs()
+    assert np.array_equal(got[0][0], want[0][0])
+    assert np.array_equal(got[0][1], want[0][1])
+    assert len(want) == 2 and got[1][:2] == want[1][:2]
+    assert math.isnan(got[1][2]) and math.isnan(want[1][2])
 
 
 def test_loop_is_built_on_first_use_and_cached(tmp_path):
