@@ -39,18 +39,20 @@ TAIL_TOL = 1e-6
 # Trajectory batch size of the ensemble runner.  The compiled loop steps
 # rows in lane groups of four, each lane rounded as its row stepped
 # alone, so beyond a few groups the batch only spreads Python's
-# per-segment and per-sample work; the sweep scripts/sweep_traj_batch.py
+# per-call and per-sample work; the sweep scripts/sweep_traj_batch.py
 # finds run_ensemble flat within noise from 64 to 512 at n_fock 40 and
 # 56, and from 192 up at n_fock 24.  A row's result does not depend on
-# its batch; the ensemble sums round per batch.  It also sets the block
-# of sampled states that run_trajectory gathers for one bundle_arrays
-# call, which bounds the block's memory at TRAJ_BATCH states.
+# its batch; the ensemble sums round per batch.  It also bounds the
+# sampled rows that one call of the loop writes: a batch of B rows
+# holds max(1, TRAJ_BATCH // B) samples per call, so a single
+# trajectory hands run_trajectory blocks of TRAJ_BATCH states for one
+# bundle_arrays call each, and the buffer stays at TRAJ_BATCH states.
 TRAJ_BATCH = 256
 
-# Number of steps of noise drawn from a trajectory's generator in one
-# call.  Part of the frozen noise-stream layout: per step the stream
-# yields four normals (Re dxi1, Im dxi1, Re dxi2, Im dxi2).
-NOISE_BLOCK_STEPS = 1024
+# Longest run in steps that IntegratorConfig accepts.  _integrate keeps
+# one float64 of norm drift per step, so this caps that array at
+# 256 MiB; a config beyond it is refused before anything is allocated.
+MAX_STEPS = 2 ** 25
 
 # Exponential fits use samples while the mean stays above
 # FIT_FLOOR_REL of its initial value and above FIT_FLOOR_SIGMA

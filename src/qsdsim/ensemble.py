@@ -133,20 +133,23 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     for k0 in range(0, m, TRAJ_BATCH):
         k1 = min(k0 + TRAJ_BATCH, m)
 
-        def on_sample(psis, step):
-            j = step // icfg.record_stride
-            vals = bundle_arrays(psis, ops)
-            for f in STAT_FIELDS:
-                v = vals[f]
-                tot[f][j] += v.sum()
-                tot_sq[f][j] += (v * v).sum()
-            norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-            occ[j] += (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
-            for f in cfg.store_series:
-                series[f][k0:k1, j] = vals[f]
-            if step in rho_steps:
-                rhos[rho_steps[step]] += np.einsum(
-                    "bi,b,bj->ij", psis, 1.0 / norm_sq, psis.conj())
+        def on_sample(block, first_step):
+            # sample by sample, each batch reduced as one array
+            for i, psis in enumerate(block):
+                step = first_step + i * icfg.record_stride
+                j = step // icfg.record_stride
+                vals = bundle_arrays(psis, ops)
+                for f in STAT_FIELDS:
+                    v = vals[f]
+                    tot[f][j] += v.sum()
+                    tot_sq[f][j] += (v * v).sum()
+                norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
+                occ[j] += (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
+                for f in cfg.store_series:
+                    series[f][k0:k1, j] = vals[f]
+                if step in rho_steps:
+                    rhos[rho_steps[step]] += np.einsum(
+                        "bi,b,bj->ij", psis, 1.0 / norm_sq, psis.conj())
 
         rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
                 for k in range(k0, k1)]

@@ -19,10 +19,12 @@ qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
 and renormalizes.  It steps the rows in lane groups of four, one row
 per lane of a SIMD vector, and each lane rounds exactly as the row
-stepped alone, so no result depends on the batch.  Python draws the
-noise, calls the loop once per segment between samples, takes the
-samples and raises the error of a failed row.  The loop is built with
-gcc on first use, never at import.
+stepped alone, so no result depends on the batch.  The loop also
+draws each row's noise from the row's numpy generator, with numpy's own
+sampler, and copies the sampled states into a buffer of up to
+TRAJ_BATCH rows.  Python calls it once per such block of samples,
+hands the block to the caller and raises the error of a failed row.
+The loop is built with gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import (NOISE_BLOCK_STEPS, STEP_GUARD_DISSIPATIVE,
+from .constants import (MAX_STEPS, STEP_GUARD_DISSIPATIVE,
                         STEP_GUARD_OSCILLATORY, TAIL_TOL, TRAJ_BATCH)
 from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
@@ -53,6 +55,18 @@ _MASK64 = (1 << 64) - 1
 #: gcc flags of the stepping loop.  No FMA contraction, so rounding does
 #: not depend on the target's instruction set.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: numpy's normal sampler, which the loop calls: its header and the
+#: static archive that holds it.
+_BITGEN_H = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+_NPYRANDOM_A = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+#: The bitgen_t address of a BitGenerator, read from its capsule.
+#: BitGenerator.ctypes builds about ten ctypes objects for each new
+#: generator (10 us apiece on a 2-core Xeon VM, 2.6 ms per batch of 256).
+_bitgen_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                               ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def splitmix64(x: int) -> int:
@@ -103,6 +117,10 @@ class IntegratorConfig:
             raise ParameterError("record_stride must be >= 1")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ParameterError(
+                f"t_end / dt = {self.t_end / self.dt:.3g} steps; at most "
+                f"{MAX_STEPS} are allowed")
         steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property
@@ -130,44 +148,68 @@ def check_step_size(dt: float, params: ModelParams) -> None:
             "oscillation underresolved", StepSizeWarning, stacklevel=2)
 
 
+def _build_library(source: bytes, out: Path) -> None:
+    """Compile the C source into the shared library out.
+
+    The one gcc command line of the stepping loop: _CFLAGS, numpy's
+    bitgen.h on the include path and libnpyrandom.a linked in.
+    """
+    import subprocess
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise RuntimeError("qsdsim compiles its stepping loop "
+                           "(qsd_step.c) on first use and needs gcc "
+                           "on PATH; none was found")
+    proc = subprocess.run(
+        [gcc, *_CFLAGS, "-I", str(_BITGEN_H.parents[2]), "-x", "c", "-",
+         "-x", "none", str(_NPYRANDOM_A), "-o", str(out), "-lm"],
+        input=source, capture_output=True)
+    if proc.returncode != 0:
+        raise RuntimeError("gcc could not build qsd_step.c:\n"
+                           + proc.stderr.decode(errors="replace"))
+
+
 @functools.cache
 def _compiled_segment():
     """qsd_segment from qsd_step.c, compiled on first use.
 
     The library is cached in $XDG_CACHE_HOME/qsdsim (default
-    ~/.cache/qsdsim) under a hash of the source and the compiler flags,
-    so a changed source or flag set builds afresh.  It is written under
-    a temporary name and moved into place, so concurrent first uses
-    never load a half-written file.
+    ~/.cache/qsdsim) under a hash of the source, the compiler flags
+    and numpy's bitgen.h and libnpyrandom.a, so a changed source, flag
+    set or numpy builds afresh.  It is written under a temporary name
+    and moved into place, so concurrent first uses never load a
+    half-written file.
     """
     import hashlib
-    import subprocess
 
     source = (Path(__file__).parent / "qsd_step.c").read_bytes()
-    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    key = source + " ".join(_CFLAGS).encode()
+    for path in (_BITGEN_H, _NPYRANDOM_A):
+        try:
+            key += path.read_bytes()
+        except OSError as exc:
+            raise RuntimeError(
+                f"qsdsim links its stepping loop against numpy's normal "
+                f"sampler and needs {path}: {exc.strerror}") from exc
+    tag = hashlib.sha256(key).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "qsdsim"
     lib = cache / f"qsd_step-{tag[:16]}.so"
     if not lib.exists():
-        gcc = shutil.which("gcc")
-        if gcc is None:
-            raise RuntimeError("qsdsim compiles its stepping loop "
-                               "(qsd_step.c) on first use and needs gcc "
-                               "on PATH; none was found")
         cache.mkdir(parents=True, exist_ok=True)
         tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
-        proc = subprocess.run([gcc, *_CFLAGS, "-x", "c", "-", "-o", str(tmp),
-                               "-lm"], input=source, capture_output=True)
-        if proc.returncode != 0:
+        try:
+            _build_library(source, tmp)
+        except RuntimeError:
             tmp.unlink(missing_ok=True)
-            raise RuntimeError("gcc could not build qsd_step.c:\n"
-                               + proc.stderr.decode(errors="replace"))
+            raise
         os.replace(tmp, lib)
     fn = ctypes.CDLL(str(lib)).qsd_segment
     ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     fn.argtypes = [long_, long_, long_, ptr, ptr, ptr, long_, real, real,
-                   ptr, ptr, long_, ptr, ctypes.POINTER(long_),
-                   ctypes.POINTER(real)]
+                   ptr, ptr, real, long_, long_, ptr, ptr,
+                   ctypes.POINTER(long_), ctypes.POINTER(real)]
     fn.restype = long_
     return fn
 
@@ -177,59 +219,77 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
     A C-contiguous complex batch is advanced in place.  Row b draws its
-    noise from rngs[b] and is trajectory first_index + b.  Each step is
-    renormalized.  on_sample(psis, step) runs at step 0 and every
-    record_stride steps.  Returns the batch and, per step, the worst
-    pre-renormalization norm drift | ||psi'|| - 1 | over the batch.
-    Raises TrajectoryError as soon as a row's relative tail mass, its
-    share of ||psi'||^2 in the top tail_levels(n_fock) levels, is above
-    TAIL_TOL or not finite.
+    noise from the numpy Generator rngs[b], the stream that
+    draw_noise_block draws, and is trajectory first_index + b; each
+    generator advances by exactly four normals per step.  Each step is
+    renormalized.  The states of step 0 and of every record_stride-th
+    step are sampled: the compiled loop writes them into a (S, B,
+    n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
+    fills it, so a call holds at most TRAJ_BATCH sampled rows.
+    on_sample(block, first_step) gets each (k, B, n_fock) block in
+    turn, whose sample i is of step first_step + i * record_stride; the
+    block is reused once on_sample returns.  Returns the batch and, per
+    step, the worst pre-renormalization norm drift | ||psi'|| - 1 |
+    over the batch.  Raises TrajectoryError as soon as a row's relative
+    tail mass, its share of ||psi'||^2 in the top tail_levels(n_fock)
+    levels, is above TAIL_TOL or not finite, after on_sample has had
+    every sample before the failing step.
     """
     psis = np.require(psis, complex, ["C", "W"])  # the loop's memory layout
-    if psis.shape != (len(rngs), ops.n_fock):
-        raise DimensionError(f"batch of shape {psis.shape} for {len(rngs)} "
+    batch = len(rngs)
+    if psis.shape != (batch, ops.n_fock):
+        raise DimensionError(f"batch of shape {psis.shape} for {batch} "
                              f"noise streams and {ops.n_fock} levels")
     c, d = np.ascontiguousarray(ops.c), np.ascontiguousarray(ops.d)
     g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
     n_fock = ops.n_fock
-    tail_start = n_fock - tail_levels(n_fock)
     segment = _compiled_segment()
-    dt = cfg.dt
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     drift = np.zeros(n_steps)
+    rec = np.empty((max(1, TRAJ_BATCH // batch), batch, n_fock),
+                   dtype=complex)
+    bitgens = (ctypes.c_void_p * batch)(
+        *(_bitgen_of(rng.bit_generator.capsule, b"BitGenerator")
+          for rng in rngs))
     fail_step, fail_tail = ctypes.c_long(), ctypes.c_double()
-    noise = np.empty((len(rngs), min(NOISE_BLOCK_STEPS, n_steps), 2),
-                     dtype=complex)
-    on_sample(psis, 0)
+    # addresses taken once; a call's offsets are added as integers
+    fixed = (c.ctypes.data, d.ctypes.data, g.ctypes.data,
+             n_fock - tail_levels(n_fock), cfg.dt, TAIL_TOL,
+             psis.ctypes.data, bitgens, math.sqrt(cfg.dt / 2.0), stride)
+    rec_at, drift_at = rec.ctypes.data, drift.ctypes.data
+    sample_bytes = rec[0].nbytes
+    rec[0] = psis
+    first, held = 0, 1   # sample index of rec[0], samples in rec
     step = 0
     while step < n_steps:
-        block = min(NOISE_BLOCK_STEPS, n_steps - step)
-        for row, rng in zip(noise, rngs):
-            row[:block] = draw_noise_block(rng, dt, block)
-        j = 0
-        while j < block:
-            # a segment ends at the next sample or the end of the block
-            n = min(block - j, stride - step % stride)
-            worst = segment(
-                len(psis), n_fock, n, c.ctypes.data, d.ctypes.data,
-                g.ctypes.data, tail_start, dt, TAIL_TOL, psis.ctypes.data,
-                noise[:, j:].ctypes.data, 4 * noise.shape[1],
-                drift[step:].ctypes.data, fail_step, fail_tail)
-            if worst == -2:
-                raise MemoryError("qsd_segment could not allocate its rows")
-            if worst >= 0:
-                t = (step + fail_step.value) * dt
-                tail = fail_tail.value
-                raise TrajectoryError(
-                    f"tail mass {tail:.3e} is not within tolerance "
-                    f"{TAIL_TOL:.1e} at t = {t:.6g} "
-                    f"(trajectory {first_index + worst})",
-                    tail_mass=tail, time=t, trajectory=first_index + worst)
-            j += n
-            step += n
-            if step % stride == 0:
-                on_sample(psis, step)
+        if held == len(rec):
+            on_sample(rec, first * stride)
+            first, held = first + held, 0
+        phase = step % stride
+        n = min(n_steps - step, (len(rec) - held) * stride - phase)
+        worst = segment(batch, n_fock, n, *fixed, phase,
+                        rec_at + held * sample_bytes,
+                        drift_at + drift.itemsize * step,
+                        fail_step, fail_tail)
+        if worst == -2:
+            raise MemoryError("qsd_segment could not allocate its rows")
+        if worst >= 0:
+            fail = step + fail_step.value
+            whole = (fail - 1) // stride + 1 - first
+            if whole > 0:
+                on_sample(rec[:whole], first * stride)
+            t = fail * cfg.dt
+            tail = fail_tail.value
+            raise TrajectoryError(
+                f"tail mass {tail:.3e} is not within tolerance "
+                f"{TAIL_TOL:.1e} at t = {t:.6g} "
+                f"(trajectory {first_index + worst})",
+                tail_mass=tail, time=t, trajectory=first_index + worst)
+        held += (phase + n) // stride
+        step += n
+    if held:
+        on_sample(rec[:held], first * stride)
     return psis, drift
 
 
@@ -252,27 +312,23 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
                    cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate one trajectory from t=0 to t_end.
 
-    Records the observable bundle every record_stride steps.  Sampled
-    states are gathered into blocks of up to TRAJ_BATCH rows, each
-    evaluated by one bundle_arrays call, as the ensemble evaluates its
-    batches.  Deterministic given (initial, cfg): the noise stream is
-    fully determined by cfg.seed.
+    Records the observable bundle every record_stride steps.  The
+    stepping loop hands over the sampled states in blocks of up to
+    TRAJ_BATCH, each evaluated by one bundle_arrays call, as the
+    ensemble evaluates its batches.  Deterministic given (initial,
+    cfg): the noise stream is fully determined by cfg.seed.
     """
     check_step_size(cfg.dt, ops.params)
     psis = normalize(np.asarray(initial, dtype=complex))[None, :].copy()
     times = cfg.sample_times
-    block = np.empty((min(TRAJ_BATCH, len(times)), ops.n_fock), dtype=complex)
     bundles = []
 
-    def on_sample(batch, step):
-        j = step // cfg.record_stride
-        row = j % len(block)
-        block[row] = batch[0]
-        if row == len(block) - 1 or j == len(times) - 1:
-            vals = bundle_arrays(block[:row + 1], ops)
-            bundles.extend(ObservableBundle(*v) for v in zip(
-                times[j - row:j + 1].tolist(),
-                *(vals[f].tolist() for f in STAT_FIELDS)))
+    def on_sample(block, first_step):
+        j = first_step // cfg.record_stride
+        vals = bundle_arrays(block[:, 0], ops)
+        bundles.extend(ObservableBundle(*v) for v in zip(
+            times[j:j + len(block)].tolist(),
+            *(vals[f].tolist() for f in STAT_FIELDS)))
 
     psis, drift = _integrate(ops, psis,
                              [np.random.default_rng(cfg.seed)], cfg, 0,

@@ -2,8 +2,11 @@
  *
  * qsd_segment advances a (B, N) batch of trajectories through n steps
  * of the Euler-Maruyama update documented in qsd.py.  Each step of a
- * row is followed by its norm, the norm-drift high-water mark, the
- * truncation-tail guard and the renormalization.
+ * row draws the row's four normals from its own numpy generator, and
+ * is followed by its norm, the norm-drift high-water mark, the
+ * truncation-tail guard and the renormalization.  Every stride-th step
+ * the rows are copied into a caller's buffer of samples, so one call
+ * covers many samples.
  *
  * Rows are stepped in lane groups of four, one row per lane of a GCC
  * vector, so the vector width runs across rows, never within one.  Each
@@ -14,6 +17,11 @@
  * contraction, so the rounding does not depend on the target's
  * instruction set either, and the AVX clone of qsd_segment picked at
  * load on x86-64 gives the same bits as the default one.
+ *
+ * The normals come from numpy's own sampler, random_standard_normal of
+ * numpy/random/lib/libnpyrandom.a, called on each generator's bitgen_t
+ * in the order Generator.standard_normal uses, so a row's noise stream
+ * is the one qsd.draw_noise_block draws from the same generator.
  *
  * In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises
  * by one level, with real c and d, and the drift -iH/hbar - sum L^dag
@@ -26,6 +34,11 @@
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* From numpy/random/distributions.h, which needs Python.h. */
+extern double random_standard_normal(bitgen_t *bitgen_state);
 
 /* Rows per lane group; step_group writes its increment vectors out for
  * four lanes. */
@@ -42,7 +55,7 @@ typedef double lanes_t __attribute__((vector_size(LANES * sizeof(double))));
 static inline __attribute__((always_inline)) void
 step_group(long n, const double *cl, const double *dl, const double *dgr,
            const double *dgi, long tail_start, double dt,
-           const double *const *xi, const lanes_t *re, const lanes_t *im,
+           const double (*xi)[4], const lanes_t *re, const lanes_t *im,
            lanes_t *nre, lanes_t *nim, lanes_t *out_sq, lanes_t *tail_sq)
 {
     const lanes_t *r = re + 1, *i = im + 1;
@@ -95,22 +108,30 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
 }
 
 /* Advances every row of psis (B rows of N interleaved complex levels)
- * by n steps.  Row b reads step j's increments (Re xi1, Im xi1, Re xi2,
- * Im xi2) at noise[b * noise_stride + 4 * j].  c and d hold N - 1 real
- * band coefficients, g holds N interleaved complex ones.  drift[j] is
- * raised to the largest | ||psi'|| - 1 | of step j over the batch.
+ * by n steps.  Row b draws each step's increments (Re xi1, Im xi1,
+ * Re xi2, Im xi2) as four normals from rngs[b], each times scale.  c
+ * and d hold N - 1 real band coefficients, g holds N interleaved
+ * complex ones.  drift[j] is raised to the largest | ||psi'|| - 1 | of
+ * step j over the batch.
+ *
+ * Samples: phase steps of the stride have passed before the call, so
+ * the first sample falls after step stride - phase and then every
+ * stride steps.  Sample s of row b is copied to rec + 2 N (s B + b);
+ * the caller sizes rec for the samples that land within n steps.
  *
  * The last lane group is padded with copies of row B - 1, whose
- * results, drift and failures are ignored.
+ * results, drift and failures are ignored; they draw no noise and step
+ * with zero increments.
  *
  * A row fails at the first step whose relative tail mass (the share of
  * ||psi'||^2 in levels tail_start..N-1) is above tail_tol or nan, as
- * a non-finite noise increment makes it.  Among the rows that fail at
- * the earliest step, the first with a nan tail wins, else the first
- * with the largest tail.  Returns that row, with its 1-based step in
+ * a non-finite state makes it.  Among the rows that fail at the
+ * earliest step, the first with a nan tail wins, else the first with
+ * the largest tail.  Returns that row, with its 1-based step in
  * *fail_step and its tail in *fail_tail, or -1 if no row fails; on
- * failure psis and drift are left partly advanced.  Returns -2 if
- * memory runs out. */
+ * failure psis, rec, drift and the generators are left partly
+ * advanced, and only the samples before the failing step are whole.
+ * Returns -2 if memory runs out. */
 /* On x86-64 the library holds an AVX and a baseline clone, picked
  * when it loads; step_group is always inlined, so each clone carries
  * the body built for its own instruction set. */
@@ -119,9 +140,9 @@ __attribute__((target_clones("avx", "default")))
 #endif
 long qsd_segment(long B, long N, long n, const double *c, const double *d,
                  const double *g, long tail_start, double dt,
-                 double tail_tol, double *psis, const double *noise,
-                 long noise_stride, double *drift, long *fail_step,
-                 double *fail_tail)
+                 double tail_tol, double *psis, bitgen_t *const *rngs,
+                 double scale, long stride, long phase, double *rec,
+                 double *drift, long *fail_step, double *fail_tail)
 {
     /* re[0], im[0], re[1], im[1]: w lane vectors each; then cl, dl, dgr,
      * dgi: w doubles each, so w lane vectors between them */
@@ -148,12 +169,9 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
     for (long b0 = 0; b0 < B; b0 += LANES) {
         const int used = B - b0 < LANES ? (int)(B - b0) : LANES;
         double *row[LANES];
-        const double *xi[LANES];
-        for (int l = 0; l < LANES; l++) {
-            const long b = l < used ? b0 + l : B - 1;
-            row[l] = psis + 2 * N * b;
-            xi[l] = noise + noise_stride * b;
-        }
+        for (int l = 0; l < LANES; l++)
+            row[l] = psis + 2 * N * (l < used ? b0 + l : B - 1);
+        double xi[LANES][4] = {{0.0}};
         int cur = 0;
         for (long k = 0; k < N; k++)
             for (int l = 0; l < LANES; l++) {
@@ -162,11 +180,16 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
             }
         /* a row failing after the earliest failure so far cannot win */
         const long steps = worst < 0 ? n : worst_step;
+        double *sample = rec + 2 * N * b0;
+        long left = stride - phase;   /* steps to the next sample */
         int failed = 0;
         for (long j = 0; j < steps; j++) {
             const lanes_t *r = re[cur], *i = im[cur];
             lanes_t *nr = re[1 - cur], *ni = im[1 - cur];
             lanes_t out_sq, tail_sq, norm = {0};
+            for (int l = 0; l < used; l++)
+                for (int q = 0; q < 4; q++)
+                    xi[l][q] = random_standard_normal(rngs[b0 + l]) * scale;
             step_group(N, cl, dl, dgr, dgi, tail_start, dt, xi, r, i, nr, ni,
                        &out_sq, &tail_sq);
             const lanes_t tail = tail_sq / out_sq;
@@ -198,9 +221,16 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
                 nr[k] *= inv;
                 ni[k] *= inv;
             }
-            for (int l = 0; l < LANES; l++)
-                xi[l] += 4;
             cur = 1 - cur;
+            if (--left == 0) {
+                for (long k = 0; k < N; k++)
+                    for (int l = 0; l < used; l++) {
+                        sample[2 * N * l + 2 * k] = nr[k + 1][l];
+                        sample[2 * N * l + 2 * k + 1] = ni[k + 1][l];
+                    }
+                sample += 2 * N * B;
+                left = stride;
+            }
         }
         if (!failed)
             for (long k = 0; k < N; k++)

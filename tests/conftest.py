@@ -3,12 +3,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import _criteria
-from qsdsim.constants import NOISE_BLOCK_STEPS, TAIL_TOL
+from qsdsim.constants import TAIL_TOL
 from qsdsim.errors import TrajectoryError
 from qsdsim.model import (ModelParams, build_operators, dense_operators,
                           tail_levels, temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
-from qsdsim.qsd import draw_noise_block
+from qsdsim.qsd import IntegratorConfig, draw_noise_block
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
@@ -98,31 +98,69 @@ class StepKernel:
 def integrate_reference(ops, psis, rngs, cfg, first_index, on_sample):
     """qsd._integrate stepped by the numpy StepKernel, for comparison.
 
-    Returns (final batch, per-step worst norm drift); raises the same
-    TrajectoryError as the compiled loop.
+    Each row's noise is its whole draw_noise_block stream, and on_sample
+    gets a block of one sample at a time.  Returns (final batch,
+    per-step worst norm drift); raises the same TrajectoryError as the
+    compiled loop.
     """
     kern = StepKernel(ops)
     dt = cfg.dt
     n_steps = cfg.n_steps
     drift = np.empty(n_steps)
-    on_sample(psis, 0)
-    step = 0
-    while step < n_steps:
-        block = min(NOISE_BLOCK_STEPS, n_steps - step)
-        noise = np.stack([draw_noise_block(rng, dt, block) for rng in rngs])
-        for j in range(block):
-            psis, norms, tails = kern.step(psis, noise[:, j], dt)
-            drift[step] = np.abs(norms - 1.0).max()
-            step += 1
-            if not tails.max() <= TAIL_TOL:
-                worst = int(np.argmax(tails))
-                raise TrajectoryError(
-                    "reference tail guard", tail_mass=float(tails[worst]),
-                    time=step * dt, trajectory=first_index + worst)
-            psis *= 1.0 / norms[:, None]
-            if step % cfg.record_stride == 0:
-                on_sample(psis, step)
+    noise = np.stack([draw_noise_block(rng, dt, n_steps) for rng in rngs])
+    on_sample(psis[None], 0)
+    for step in range(1, n_steps + 1):
+        psis, norms, tails = kern.step(psis, noise[:, step - 1], dt)
+        drift[step - 1] = np.abs(norms - 1.0).max()
+        if not tails.max() <= TAIL_TOL:
+            worst = int(np.argmax(tails))
+            raise TrajectoryError(
+                "reference tail guard", tail_mass=float(tails[worst]),
+                time=step * dt, trajectory=first_index + worst)
+        psis *= 1.0 / norms[:, None]
+        if step % cfg.record_stride == 0:
+            on_sample(psis[None], step)
     return psis, drift
+
+
+def run_split(drive, ops, psis, rngs, cfg, first_index, on_sample, cuts):
+    """drive from t = 0 to cfg.t_end, stopped at each step in cuts.
+
+    drive is qsd._integrate or integrate_reference.  cuts maps a step s
+    to the (row, level, value) entries written into the batch after s
+    steps; the run then goes on with the same generators, so an empty
+    list only splits it and a non-finite value poisons a row mid-run.
+    Each piece runs under its own IntegratorConfig.  on_sample sees
+    every piece's samples at their steps in the whole run, less the
+    first state of each piece after the first, and a TrajectoryError
+    carries the time in the whole run.  Returns (final batch, drift).
+    """
+    psis = np.array(psis, dtype=complex)
+    n_steps, stride = cfg.n_steps, cfg.record_stride
+    bounds = sorted({0, n_steps} | {s for s in cuts if 0 < s < n_steps})
+    drift = []
+    for start, stop in zip(bounds, bounds[1:]):
+        for row, level, value in cuts.get(start, ()):
+            psis[row, level] = value
+
+        def piece_sample(block, first_step, start=start):
+            if start and first_step == 0:
+                block, first_step = block[1:], stride
+            if len(block):
+                on_sample(block, start + first_step)
+
+        piece = IntegratorConfig(dt=cfg.dt, t_end=(stop - start) * cfg.dt,
+                                 record_stride=stride)
+        try:
+            psis, part = drive(ops, psis, rngs, piece, first_index,
+                               piece_sample)
+        except TrajectoryError as exc:
+            raise TrajectoryError(
+                str(exc), tail_mass=exc.tail_mass,
+                time=exc.time + start * cfg.dt,
+                trajectory=exc.trajectory) from exc
+        drift.append(part)
+    return psis, np.concatenate(drift)
 
 
 def liouvillian(ops):

@@ -5,6 +5,7 @@ versions of the real experiments, sized to keep this file fast.
 """
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,22 @@ def test_localize_bad_separation_is_config_error(tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / "localize_d1.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("stationary", "stationary"),
+    ("localize", "localize_fock"),
+    ("oracle-compare", "oracle_compare"),
+])
+def test_too_many_steps_is_config_error(tmp_path, capsys, command, name):
+    # dt = 1e-300 puts 1e300 steps on the grid: refused by
+    # IntegratorConfig before any array is sized by the step count
+    path = Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json"
+    cfg = json.loads(path.read_text())
+    cfg["integrator"]["dt"] = 1e-300
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert "steps; at most" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, missing", [

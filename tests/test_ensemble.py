@@ -20,7 +20,8 @@ from qsdsim import (
     trajectory_seed,
     write_stats_csv,
 )
-from qsdsim import qsd
+from conftest import run_split
+from qsdsim import ensemble
 from qsdsim.constants import TRAJ_BATCH
 
 
@@ -77,23 +78,23 @@ def test_non_finite_custom_state_rejected(ops20):
 
 
 def test_non_finite_row_fails_closed(ops20, monkeypatch):
-    # poison the noise of row 3 of the 6-row second batch at its fifth
-    # step: the guard must name that trajectory and time rather than
-    # average a nan.  Each row draws its one block in trajectory order.
-    draw = qsd.draw_noise_block
-    calls = []
+    # make row 3 of the 6-row second batch non-finite after its fourth
+    # step: the guard must name that trajectory and the time of its
+    # fifth step rather than average a nan.  The batch is stopped there
+    # and continued with the same generators.
+    integrate = ensemble._integrate
+    batches = []
 
-    def poisoned(rng, dt, n_steps):
-        block = draw(rng, dt, n_steps)
-        calls.append(None)
-        if len(calls) == TRAJ_BATCH + 4:
-            block[4, 0] = np.nan
-        return block
+    def poisoned(ops, psis, rngs, cfg, first_index, on_sample):
+        batches.append((first_index, len(rngs)))
+        cuts = {4: [(3, 0, np.nan)]} if first_index == TRAJ_BATCH else {}
+        return run_split(integrate, ops, psis, rngs, cfg, first_index,
+                         on_sample, cuts)
 
-    monkeypatch.setattr(qsd, "draw_noise_block", poisoned)
+    monkeypatch.setattr(ensemble, "_integrate", poisoned)
     with pytest.raises(TrajectoryError) as exc_info:
         run_ensemble(_cfg(TRAJ_BATCH + 6, t_end=0.02, stride=10), ops20)
-    assert len(calls) == TRAJ_BATCH + 6
+    assert batches == [(0, TRAJ_BATCH), (TRAJ_BATCH, 6)]
     assert exc_info.value.trajectory == TRAJ_BATCH + 3
     assert exc_info.value.time == pytest.approx(5e-3)
 

@@ -17,15 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import StepKernel, integrate_reference, random_states
+from conftest import StepKernel, integrate_reference, random_states, \
+    run_split
 from qsdsim import qsd
-from qsdsim.constants import NOISE_BLOCK_STEPS, TRAJ_BATCH
+from qsdsim.constants import MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
                           dense_operators, fock_state, tail_mass,
                           temperature_for_nbar)
 from qsdsim.oracle import lindblad_rhs
+from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
+from qsdsim.observables import STAT_FIELDS, bundle_arrays
 from qsdsim.qsd import (IntegratorConfig, check_step_size, draw_noise_block,
                         run_trajectory, splitmix64, trajectory_seed)
 
@@ -87,6 +90,12 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.3, t_end=1.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=1e-3, t_end=1.0, seed=-1)
+    # a run too long for its per-step drift array is refused up front
+    assert IntegratorConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps \
+        == MAX_STEPS
+    for dt in (1.0 / (MAX_STEPS + 1), 1e-300):
+        with pytest.raises(ParameterError, match="steps"):
+            IntegratorConfig(dt=dt, t_end=1.0)
 
 
 def test_step_size_warnings():
@@ -162,18 +171,28 @@ def _compiled(ops, psis, seeds, cfg):
     """The production driver on a copy of psis, one generator per seed."""
     rngs = [np.random.default_rng(s) for s in seeds]
     return qsd._integrate(ops, np.array(psis, dtype=complex), rngs, cfg, 0,
-                          lambda psis, step: None)
+                          lambda block, step: None)
+
+
+def _recorder(cfg):
+    """A list of (step, batch copy) and the on_sample that fills it."""
+    samples = []
+
+    def on_sample(block, first_step):
+        samples.extend((first_step + i * cfg.record_stride, p.copy())
+                       for i, p in enumerate(block))
+
+    return samples, on_sample
 
 
 def test_batch_step_equals_rows_stepped_alone(warm_params):
     # a row's run must not depend on the batch it sits in, bit for bit:
     # batches that fill their last lane group of four partly (1, 3, 5,
     # TRAJ_BATCH + 1) or wholly (TRAJ_BATCH) against each row run as a
-    # batch of one, over segments that end both at samples and at the
-    # end of the run, across the edge of a noise block
+    # batch of one, over loop calls that end both at samples and at the
+    # end of the run, from all 11 samples in one call to one per call
     ops = build_operators(warm_params, 40)
-    cfg = IntegratorConfig(dt=1e-3, t_end=(NOISE_BLOCK_STEPS + 6) * 1e-3,
-                           record_stride=97)
+    cfg = IntegratorConfig(dt=1e-3, t_end=1030e-3, record_stride=97)
     psis = _low_batch(TRAJ_BATCH + 1, 40, 20, seed=25)
     seeds = [100 + b for b in range(TRAJ_BATCH + 1)]
     alone = [_compiled(ops, psis[b:b + 1], seeds[b:b + 1], cfg)
@@ -186,20 +205,25 @@ def test_batch_step_equals_rows_stepped_alone(warm_params):
         assert np.array_equal(drift, worst)
 
 
-def _both_drivers(ops, psis, make_rngs, cfg):
+def _both_drivers(ops, psis, make_rngs, cfg, cuts=None):
     """(error, final, drift, samples) of the compiled and numpy drivers.
 
-    error is (trajectory, time) of a TrajectoryError, else None.
+    error is (trajectory, time, tail) of a TrajectoryError, else None;
+    samples are (step, batch) pairs.  With cuts, both run through
+    run_split.
     """
     runs = []
     for drive in (qsd._integrate, integrate_reference):
-        samples = []
+        samples, on_sample = _recorder(cfg)
         err = final = drift = None
         try:
             with np.errstate(all="ignore"):
-                final, drift = drive(
-                    ops, psis.copy(), make_rngs(), cfg, 0,
-                    lambda p, step: samples.append((step, p.copy())))
+                if cuts is None:
+                    final, drift = drive(ops, psis.copy(), make_rngs(), cfg,
+                                         0, on_sample)
+                else:
+                    final, drift = run_split(drive, ops, psis, make_rngs(),
+                                             cfg, 0, on_sample, cuts)
         except TrajectoryError as exc:
             err = (exc.trajectory, exc.time, exc.tail_mass)
         runs.append((err, final, drift, samples))
@@ -212,7 +236,7 @@ def _both_drivers(ops, psis, make_rngs, cfg):
 def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
                                          n_steps, stride):
     # states, samples, norm drift and any tail failure agree with the
-    # numpy kernel over a noise block
+    # numpy kernel, which draws each row's noise with draw_noise_block
     ops = build_operators(warm_params, n_fock)
     psis = _low_batch(batch, n_fock, max(2, n_fock // 2), seed)
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
@@ -234,54 +258,47 @@ def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
         assert np.abs(a - b).max() <= 1e-14
 
 
-class _PoisonedRng:
-    """A generator whose normals turn non-finite at chosen steps.
+def _state_cuts(hits, batch, n_steps):
+    """run_split cuts that write hits (row, step, level, value) into rows.
 
-    poison maps a step to (column, value); draw_noise_block reads four
-    normals per step, so the column picks Re/Im of xi1 or xi2.
+    step is taken modulo n_steps, so every hit lands before the last
+    step and makes the next one fail.
     """
+    cuts = {}
+    for row, step, level, value in hits:
+        cuts.setdefault(step % n_steps, []).append((row % batch, level, value))
+    return cuts
 
-    def __init__(self, seed, poison):
-        self.rng = np.random.default_rng(seed)
-        self.poison = poison
-        self.drawn = 0
 
-    def standard_normal(self, shape):
-        z = self.rng.standard_normal(shape)
-        for step, (col, value) in self.poison.items():
-            if 0 <= step - self.drawn < shape[0]:
-                z[step - self.drawn, col] = value
-        self.drawn += shape[0]
-        return z
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
+                               complex(0, -np.inf)])
 
 
 @given(n_fock=st.integers(4, 40), batch=st.integers(1, 8),
        seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 40),
        stride=st.integers(1, 16), spread=st.booleans(),
        hits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 39),
-                               st.integers(0, 3),
-                               st.sampled_from([np.nan, np.inf, -np.inf])),
+                               st.integers(0, 39), _NON_FINITE),
                      min_size=1, max_size=4))
 def test_non_finite_rows_fail_closed_like_reference(
         warm_params, n_fock, batch, seed, n_steps, stride, spread, hits):
-    # a non-finite noise increment makes its row non-finite; both drivers
-    # must stop at the first failing step and name the same row: the
-    # first nan among the failing rows, else the one with the largest
-    # tail.  Spread states put mass in the tail, so every row also fails
-    # the tail check at the first step.
+    # a non-finite amplitude written into a row mid-run makes the row's
+    # next step non-finite; both loops must stop at the first failing
+    # step and name the same row: the first nan among the failing rows,
+    # else the one with the largest tail.  Spread states put mass in the
+    # tail, so every row also fails the tail check at the first step.
     ops = build_operators(warm_params, n_fock)
     if spread:
         psis = random_states(batch, n_fock, seed=seed)
     else:
         psis = _low_batch(batch, n_fock, max(2, n_fock // 2), seed)
-    poison = {}
-    for row, step, col, value in hits:
-        poison.setdefault(row % batch, {})[step % n_steps] = (col, value)
+    cuts = _state_cuts([(r, s, level % n_fock, v) for r, s, level, v in hits],
+                       batch, n_steps)
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
     compiled, reference = _both_drivers(
-        ops, psis, lambda: [_PoisonedRng([seed, b], poison.get(b, {}))
-                            for b in range(batch)], cfg)
+        ops, psis, lambda: [np.random.default_rng([seed, b])
+                            for b in range(batch)], cfg, cuts)
     err_c, err_r = compiled[0], reference[0]
     assert err_c is not None and err_r is not None
     assert err_c[:2] == err_r[:2]
@@ -289,41 +306,42 @@ def test_non_finite_rows_fail_closed_like_reference(
         assert math.isnan(err_c[2])
     else:
         assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
-    first = min(step for rows in poison.values() for step in rows)
-    assert err_c[1] <= (first + 1) * cfg.dt * (1 + 1e-12)
+    assert err_c[1] <= (min(cuts) + 1) * cfg.dt * (1 + 1e-12)
+    assert [s for s, _ in compiled[3]] == [s for s, _ in reference[3]]
 
 
 @given(batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
        n_steps=st.integers(1, 40), stride=st.integers(1, 16),
        hits=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 39),
-                               st.integers(0, 3),
-                               st.sampled_from([np.nan, np.inf, -np.inf])),
+                               st.integers(0, 23), _NON_FINITE),
                      min_size=1, max_size=4))
 def test_poisoned_lanes_fail_like_rows_stepped_alone(
         warm_params, batch, seed, n_steps, stride, hits):
-    # rows with a non-finite increment share lane groups with clean
-    # rows.  The batch raises the failure the serial rule picks from the
-    # rows stepped alone: earliest step, then the first nan, then the
-    # largest tail, then the lowest row.  Every sample taken before the
-    # failure is the row's sample stepped alone, and the clean rows
-    # stepped alone are bitwise the rows of the batch run without poison.
+    # rows made non-finite mid-run share lane groups with clean rows.
+    # The batch raises the failure the serial rule picks from the rows
+    # stepped alone: earliest step, then the first nan, then the largest
+    # tail, then the lowest row.  Every sample taken before the failure
+    # is the row's sample stepped alone, and the clean rows stepped alone
+    # are bitwise the rows of the batch run without poison.
     ops = build_operators(warm_params, 24)
     psis = _low_batch(batch, 24, 12, seed)
-    poison = {}
-    for row, step, col, value in hits:
-        poison.setdefault(row % batch, {})[step % n_steps] = (col, value)
+    cuts = _state_cuts(hits, batch, n_steps)
+    poisoned_rows = {row for entries in cuts.values()
+                     for row, _, _ in entries}
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
 
     def run(rows, poisoned=True):
-        samples = []
-        rngs = [_PoisonedRng([seed, b], poison.get(b, {}) if poisoned else {})
-                for b in rows]
+        samples, on_sample = _recorder(cfg)
+        rngs = [np.random.default_rng([seed, b]) for b in rows]
+        own = {step: [(row - rows.start, level, value)
+                      for row, level, value in entries if row in rows]
+               for step, entries in cuts.items()} if poisoned else {}
         try:
             with np.errstate(all="ignore"):
-                final, _ = qsd._integrate(
-                    ops, psis[rows.start:rows.stop].copy(), rngs, cfg,
-                    rows.start, lambda p, step: samples.append(p.copy()))
+                final, _ = run_split(qsd._integrate, ops,
+                                     psis[rows.start:rows.stop], rngs, cfg,
+                                     rows.start, on_sample, own)
         except TrajectoryError as exc:
             return (exc.trajectory, exc.time, exc.tail_mass), samples
         return final, samples
@@ -337,13 +355,122 @@ def test_poisoned_lanes_fail_like_rows_stepped_alone(
     got, samples = run(range(batch))
     assert isinstance(got, tuple) and got[:2] == want[:2]
     assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
-    for k, sample in enumerate(samples):
+    for k, (step, sample) in enumerate(samples):
         for b in range(batch):
-            assert np.array_equal(sample[b], alone[b][1][k][0])
+            assert alone[b][1][k][0] == step
+            # a row poisoned at step 0 is sampled as written there
+            assert np.array_equal(sample[b], alone[b][1][k][1][0],
+                                  equal_nan=True)
     clean, _ = run(range(batch), poisoned=False)
     for b in range(batch):
-        if b not in poison:
+        if b not in poisoned_rows:
             assert np.array_equal(alone[b][0][0], clean[b])
+
+
+@given(n_fock=st.integers(12, 40), batch=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(2, 120),
+       split=st.integers(1, 119), stride=st.integers(1, 30))
+def test_split_run_equals_unsplit_run(warm_params, n_fock, batch, seed,
+                                      n_steps, split, stride):
+    # a run stopped after any step and continued with the same
+    # generators is the run made in one go, bit for bit: states, drift
+    # and every sample that falls on the unsplit run's grid
+    ops = build_operators(warm_params, n_fock)
+    psis = _low_batch(batch, n_fock, n_fock // 3, seed)
+    cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           record_stride=stride)
+    split = 1 + split % (n_steps - 1)
+    runs = []
+    for cuts in (None, {split: []}):
+        samples, on_sample = _recorder(cfg)
+        rngs = [np.random.default_rng([seed, b]) for b in range(batch)]
+        if cuts is None:
+            final, drift = qsd._integrate(ops, psis.copy(), rngs, cfg, 0,
+                                          on_sample)
+        else:
+            final, drift = run_split(qsd._integrate, ops, psis, rngs, cfg,
+                                     0, on_sample, cuts)
+        runs.append((final, drift, dict(samples)))
+    (final, drift, whole), (final_s, drift_s, parts) = runs
+    assert np.array_equal(final, final_s)
+    assert np.array_equal(drift, drift_s)
+    assert [k for k in whole if k <= split] == [k for k in parts
+                                                if k <= split]
+    for step, state in parts.items():
+        if step in whole:
+            assert np.array_equal(state, whole[step])
+
+
+@given(batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       n_steps=st.integers(1, 300), stride=st.integers(1, 40))
+def test_generators_continue_the_noise_stream(warm_params, batch, seed,
+                                              n_steps, stride):
+    # each row's generator advances by exactly the draw_noise_block
+    # stream of its steps: padded lanes draw nothing, and the samples a
+    # call holds do not change the draw
+    ops = build_operators(warm_params, 24)
+    cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           record_stride=stride)
+    rngs = [np.random.default_rng([seed, b]) for b in range(batch)]
+    qsd._integrate(ops, _low_batch(batch, 24, 6, seed), rngs, cfg, 0,
+                   lambda block, step: None)
+    for b, rng in enumerate(rngs):
+        ref = np.random.default_rng([seed, b])
+        draw_noise_block(ref, cfg.dt, n_steps)
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_samples=st.sampled_from([TRAJ_BATCH - 1, TRAJ_BATCH + 1,
+                                  2 * TRAJ_BATCH + 1]))
+def test_trajectory_samples_match_reference(warm_params, seed, n_samples):
+    # run_trajectory at record_stride=1 against the numpy reference, with
+    # sample counts on either side of the blocks of TRAJ_BATCH states
+    ops = build_operators(warm_params, 20)
+    psi0 = coherent_state(ops, 0.6 - 0.3j)
+    cfg = IntegratorConfig(dt=1e-3, t_end=(n_samples - 1) * 1e-3, seed=seed)
+    rec = run_trajectory(psi0, ops, cfg)
+    samples, on_sample = _recorder(cfg)
+    final, drift = integrate_reference(
+        ops, psi0[None].copy(), [np.random.default_rng(seed)], cfg, 0,
+        on_sample)
+    assert [s for s, _ in samples] == list(range(n_samples))
+    assert np.array_equal(rec.times, cfg.sample_times)
+    assert [b.t for b in rec.bundles] == rec.times.tolist()
+    assert np.abs(rec.final_state - final[0]).max() <= 1e-14
+    assert np.abs(rec.norm_drift - drift).max() <= 1e-14
+    want = bundle_arrays(np.array([p[0] for _, p in samples]), ops)
+    for f in STAT_FIELDS:
+        got = np.array([getattr(b, f) for b in rec.bundles])
+        assert np.abs(got - want[f]).max() <= 1e-12, f
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 700),
+       stride=st.integers(1, 9))
+def test_single_member_ensemble_equals_trajectory(warm_params, seed,
+                                                  n_steps, stride):
+    # an m=1 ensemble is run_trajectory with the same seed in every
+    # field, whichever blocks of samples the two entry points get
+    ops = build_operators(warm_params, 20)
+    t_end = n_steps * 1e-3
+    last = (n_steps // stride) * stride * 1e-3
+    stats = run_ensemble(EnsembleConfig(
+        m=1, base_seed=seed,
+        integrator=IntegratorConfig(dt=1e-3, t_end=t_end,
+                                    record_stride=stride),
+        initial=InitialStateSpec(kind="coherent", alpha=0.5 + 0.5j),
+        rho_times=(last,), store_series=STAT_FIELDS), ops)
+    rec = run_trajectory(coherent_state(ops, 0.5 + 0.5j), ops,
+                         IntegratorConfig(dt=1e-3, t_end=t_end,
+                                          seed=trajectory_seed(seed, 0),
+                                          record_stride=stride))
+    assert np.array_equal(stats.final_states[0], rec.final_state)
+    assert np.array_equal(stats.times, rec.times)
+    for f in STAT_FIELDS:
+        got = [getattr(b, f) for b in rec.bundles]
+        assert np.array_equal(stats.means[f], got), f
+        assert np.array_equal(stats.series[f][0], got), f
+        assert not stats.stderrs[f].any()
 
 
 def test_default_clone_equals_production_library(tmp_path, warm_params,
@@ -351,14 +478,14 @@ def test_default_clone_equals_production_library(tmp_path, warm_params,
     # the loop built for the baseline instruction set alone (the
     # target_clones line stripped) steps bit for bit as the library in
     # use, which on x86-64 picks its AVX clone where the CPU has AVX:
-    # rounding must not depend on the instruction set
+    # rounding must not depend on the instruction set.  Both are built
+    # by the one gcc command line, so they link the same sampler.
     source = (Path(qsd.__file__).parent / "qsd_step.c").read_text()
     clones = [line for line in source.splitlines(keepends=True)
               if "target_clones" in line]
     assert len(clones) == 1
-    (tmp_path / "plain.c").write_text(source.replace(clones[0], ""))
-    subprocess.run(["gcc", *qsd._CFLAGS, str(tmp_path / "plain.c"), "-o",
-                    str(tmp_path / "plain.so"), "-lm"], check=True)
+    qsd._build_library(source.replace(clones[0], "").encode(),
+                       tmp_path / "plain.so")
     production = qsd._compiled_segment()
     plain = ctypes.CDLL(str(tmp_path / "plain.so")).qsd_segment
     plain.argtypes, plain.restype = production.argtypes, production.restype
@@ -367,14 +494,17 @@ def test_default_clone_equals_production_library(tmp_path, warm_params,
     psis = _low_batch(9, 40, 20, seed=31)
 
     def runs():
-        out = [_compiled(ops, psis, range(200, 209), cfg)]
+        samples, on_sample = _recorder(cfg)
+        rngs = [np.random.default_rng(s) for s in range(200, 209)]
+        out = [qsd._integrate(ops, psis.copy(), rngs, cfg, 0, on_sample),
+               samples]
         try:
             with np.errstate(all="ignore"):
-                qsd._integrate(ops, psis.copy(),
-                               [_PoisonedRng([300, b], {20: (1, np.nan)}
-                                             if b in (2, 6) else {})
-                                for b in range(9)], cfg, 0,
-                               lambda p, step: None)
+                run_split(qsd._integrate, ops, psis,
+                          [np.random.default_rng([300, b])
+                           for b in range(9)], cfg, 0,
+                          lambda block, step: None,
+                          {20: [(2, 1, np.nan), (6, 1, np.nan)]})
         except TrajectoryError as exc:
             out.append((exc.trajectory, exc.time, exc.tail_mass))
         return out
@@ -384,8 +514,12 @@ def test_default_clone_equals_production_library(tmp_path, warm_params,
     got = runs()
     assert np.array_equal(got[0][0], want[0][0])
     assert np.array_equal(got[0][1], want[0][1])
-    assert len(want) == 2 and got[1][:2] == want[1][:2]
-    assert math.isnan(got[1][2]) and math.isnan(want[1][2])
+    assert [s for s, _ in got[1]] == [s for s, _ in want[1]]
+    for (_, a), (_, b) in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+    assert len(want) == 3 and got[2][:2] == want[2][:2]
+    assert want[2][0] == 2 and want[2][1] == pytest.approx(21e-3)
+    assert math.isnan(got[2][2]) and math.isnan(want[2][2])
 
 
 def test_loop_is_built_on_first_use_and_cached(tmp_path):
@@ -414,6 +548,23 @@ def test_missing_compiler_is_a_clear_error(tmp_path, monkeypatch, ops20):
     qsd._compiled_segment.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="needs gcc"):
+            run_trajectory(coherent_state(ops20, 0.5), ops20,
+                           IntegratorConfig(dt=1e-3, t_end=1e-2))
+    finally:
+        qsd._compiled_segment.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["_BITGEN_H", "_NPYRANDOM_A"])
+def test_missing_sampler_is_a_clear_error(tmp_path, monkeypatch, ops20,
+                                          name):
+    # the loop links numpy's sampler; without its header or archive the
+    # first stepping call names the missing file, even with a library
+    # in the cache, since the cache key hashes both
+    missing = tmp_path / "numpy-sampler-missing"
+    monkeypatch.setattr(qsd, name, missing)
+    qsd._compiled_segment.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=str(missing)):
             run_trajectory(coherent_state(ops20, 0.5), ops20,
                            IntegratorConfig(dt=1e-3, t_end=1e-2))
     finally:
