@@ -19,7 +19,7 @@ import math
 import sys
 
 from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
-from qsdsim.model import ModelParams, build_operators, derive
+from qsdsim.model import ModelParams, build_operators
 from qsdsim.observables import fit_exponential_decay
 from qsdsim.qsd import IntegratorConfig
 
@@ -44,7 +44,7 @@ def measure(x, gamma, m, seed):
     stats = run_ensemble(cfg, ops)
     fit = fit_exponential_decay(stats.times, stats.means["delta_alpha_sq"],
                                 stats.stderrs["delta_alpha_sq"])
-    t_loc = derive(params).t_loc
+    t_loc = params.t_loc
     return {
         "x": x, "nbar": params.nbar, "n_fock": n_fock,
         "t_loc": t_loc, "t_measured": 1.0 / fit.rate,

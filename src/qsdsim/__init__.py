@@ -9,17 +9,17 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DimensionError, FitError, ParameterError,
                      QuadratureError, SimulationError, StepSizeWarning,
                      TrajectoryError, TruncationError)
-from .model import (DerivedScales, ModelParams, OperatorSet, build_operators,
-                    cat_state, coherent_state, derive, fock_state,
-                    normalize, tail_mass, temperature_for_nbar)
-from .observables import (CSV_COLUMNS, ExponentialFit, ObservableBundle,
-                          bundle_arrays, fit_exponential_decay,
-                          localization_rhs, localization_rhs_spread_form,
-                          windowed_slopes, write_bundle_csv)
+from .model import (ModelParams, OperatorSet, build_operators, cat_state,
+                    coherent_state, fock_state, normalize, tail_mass,
+                    temperature_for_nbar)
+from .observables import (CSV_COLUMNS, ExponentialFit, bundle_arrays,
+                          fit_exponential_decay, localization_rhs,
+                          localization_rhs_spread_form, windowed_slopes,
+                          write_bundle_csv)
 from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,
                   run_trajectory, trajectory_seed)
-from .oracle import (LindbladPropagatorConfig, OracleRun, OUState,
-                     lindblad_rhs, ou_flow, propagate, propagate_matrices,
+from .oracle import (LindbladPropagatorConfig, OracleRun, OUState, ou_flow,
+                     propagate, propagate_matrices,
                      stationary_lindblad_check, thermal_state)
 from .ensemble import (STAT_FIELDS, EnsembleConfig, EnsembleStats,
                        InitialStateSpec, density_matrix, run_ensemble,

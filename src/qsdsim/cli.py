@@ -311,21 +311,18 @@ def cmd_stationary(run: Runner) -> int:
     run.gnuplot_stub("trajectory.csv",
                      {"Q": 7, "P": 8, "delta_alpha_sq": 9}, "shape drift")
 
-    excess_q = np.array([b.excess_q for b in record.bundles])
-    excess_p = np.array([b.excess_p for b in record.bundles])
-    r_corr = np.array([b.R for b in record.bundles])
-    dalpha2 = np.array([b.delta_alpha_sq for b in record.bundles])
+    b = record.bundles
     # Q labels the position excess, P the momentum excess
     diags = {
-        "max|Q|": np.max(np.abs(excess_q)),
-        "max|P|": np.max(np.abs(excess_p)),
-        "max|R|/hbar": np.max(np.abs(r_corr)) / params.hbar,
-        "max_dalpha2": np.max(dalpha2),
+        "max|Q|": np.max(np.abs(b.excess_q)),
+        "max|P|": np.max(np.abs(b.excess_p)),
+        "max|R|/hbar": np.max(np.abs(b.R)) / params.hbar,
+        "max_dalpha2": np.max(b.delta_alpha_sq),
     }
     if run.args.expect_fail:
         # a non-coherent start must break shape early, then localize
-        series = np.stack([np.abs(excess_q), np.abs(excess_p),
-                           np.abs(r_corr) / params.hbar, dalpha2])
+        series = np.stack([np.abs(b.excess_q), np.abs(b.excess_p),
+                           np.abs(b.R) / params.hbar, b.delta_alpha_sq])
         worst = series.max(axis=0)
         half = worst.size // 2
         run.check("shape broken early (some diagnostic > "

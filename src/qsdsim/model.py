@@ -11,8 +11,7 @@ stochastic integrator and the deterministic oracle:
 
 with a |n> = sqrt(n) |n-1>.  All three are band operators in the Fock
 basis, so the model is three real vectors: the diagonal of H, the
-superdiagonal of L1 and the subdiagonal of L2.  Dense matrices are
-built from them only for the slow references.
+superdiagonal of L1 and the subdiagonal of L2.
 """
 
 from __future__ import annotations
@@ -83,35 +82,18 @@ class ModelParams:
             return 0.0
         return 1.0 / math.expm1(x)
 
+    @property
+    def t_loc(self) -> float:
+        """Localization time tanh(hbar omega / (2 k_B T)) / gamma.
 
-@dataclass(frozen=True)
-class DerivedScales:
-    sigma_q: float
-    sigma_p: float
-    nbar: float
-    t_loc: float
-
-
-def derive(params: ModelParams) -> DerivedScales:
-    """Derived scales including the localization time.
-
-    t_loc = (1/gamma) * tanh(hbar omega / (2 k_B T)); the T = 0 limit
-    is 1/gamma.  Requires gamma > 0.
-    """
-    if params.gamma <= 0:
-        raise ParameterError("localization time requires gamma > 0")
-    if params.temperature == 0.0:
-        tanh_factor = 1.0
-    else:
-        tanh_factor = math.tanh(
-            params.hbar * params.omega / (2.0 * params.k_B * params.temperature)
-        )
-    return DerivedScales(
-        sigma_q=params.sigma_q,
-        sigma_p=params.sigma_p,
-        nbar=params.nbar,
-        t_loc=tanh_factor / params.gamma,
-    )
+        The T = 0 limit is 1 / gamma.  Requires gamma > 0.
+        """
+        if self.gamma <= 0:
+            raise ParameterError("localization time requires gamma > 0")
+        if self.temperature == 0.0:
+            return 1.0 / self.gamma
+        return math.tanh(self.hbar * self.omega
+                         / (2.0 * self.k_B * self.temperature)) / self.gamma
 
 
 def temperature_for_nbar(nbar: float, params: ModelParams | None = None) -> float:
@@ -174,13 +156,6 @@ def build_operators(params: ModelParams, n_fock: int) -> OperatorSet:
         h=params.hbar * params.omega * (np.arange(n_fock, dtype=float) + 0.5),
         c=math.sqrt((nbar + 1.0) * params.gamma) * root_n,
         d=math.sqrt(nbar * params.gamma) * root_n)
-
-
-def dense_operators(ops: OperatorSet):
-    """(H, L1, L2) as complex N x N matrices, for the dense references."""
-    return (np.diag(ops.h).astype(complex),
-            np.diag(ops.c, 1).astype(complex),
-            np.diag(ops.d, -1).astype(complex))
 
 
 # -- state vectors ----------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +26,13 @@ from .model import ModelParams, OperatorSet
 
 _CONSISTENCY_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class ObservableBundle:
-    """Shape diagnostics of a single normalized state at time t.
-
-    The fields after t are the diagnostics, in the order of STAT_FIELDS
-    and of the CSV columns.
-    """
-
-    t: float
-    q_mean: float
-    p_mean: float
-    var_q: float
-    var_p: float
-    R: float
-    excess_q: float
-    excess_p: float
-    delta_alpha_sq: float
-    n_mean: float
-
-
 #: Diagnostic fields, keys of bundle_arrays' result.
-STAT_FIELDS = tuple(f.name for f in dc_fields(ObservableBundle)[1:])
+STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R", "excess_q",
+               "excess_p", "delta_alpha_sq", "n_mean")
+
+#: One sample of a trajectory: its time t, then the diagnostics in the
+#: order of STAT_FIELDS and of the CSV columns.
+BUNDLE_DTYPE = np.dtype([(f, float) for f in ("t", *STAT_FIELDS)])
 
 #: Column order of the trajectory CSV format.
 # Report labels: the position excess (excess_q) is the Q column, the
@@ -140,13 +124,13 @@ def localization_rhs_spread_form(vals: dict, params: ModelParams):
     return params.gamma / (2.0 * params.hbar ** 2) * (params.nbar + 0.5) * bracket
 
 
-def write_bundle_csv(path, bundles) -> None:
-    """Write trajectory diagnostics with the fixed column order."""
+def write_bundle_csv(path, bundles: np.ndarray) -> None:
+    """Write a BUNDLE_DTYPE record array, one row per sample, with the
+    fixed column order; each value is the repr of its float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for b in bundles:
-            writer.writerow([repr(float(v)) for v in astuple(b)])
+        writer.writerows([repr(v) for v in row] for row in bundles.tolist())
 
 
 # -- regression helpers -----------------------------------------------------

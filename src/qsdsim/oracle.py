@@ -31,51 +31,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .model import ModelParams, OperatorSet, dense_operators, steps_on_grid
+from .model import ModelParams, OperatorSet, steps_on_grid
 
 _THERMAL_TAIL_LIMIT = 1e-10
 
 
-def lindblad_rhs(mat: np.ndarray, ops: OperatorSet) -> np.ndarray:
-    """Generator applied to mat, shape (..., N, N).
+def _band_generator(ops: OperatorSet, k: int) -> np.ndarray:
+    """The generator on band k >= 0, an (N - k) x (N - k) tridiagonal.
 
-    Linear in mat; valid for non-Hermitian input, which the history
-    machinery relies on.
+    Band k = m - n holds the entries rho[j + k, j].  On it the
+    generator's diagonal carries -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2
+    with mu = diag(sum L^dag L), and L1 = diag(c, 1) and L2 = diag(d, -1)
+    couple entry j to j + 1 by c_m c_n and to j - 1 by d_(m-1) d_(n-1).
+    Band -k carries the conjugate of band k's generator.
     """
-    h, l1, l2 = dense_operators(ops)
-    out = (-1j / ops.params.hbar) * (h @ mat - mat @ h)
-    for l in (l1, l2):
-        ld = l.conj().T
-        m = ld @ l
-        out += l @ mat @ ld - 0.5 * (m @ mat + mat @ m)
-    return out
+    n = ops.n_fock
+    h, c, d, mu = ops.h, ops.c, ops.d, ops.mu
+    rows, cols = np.arange(k, n), np.arange(n - k)
+    gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
+                  - 0.5 * (mu[rows] + mu[cols]))
+    gen += np.diag(c[rows[:-1]] * c[cols[:-1]], 1)
+    gen += np.diag(d[rows[:-1]] * d[cols[:-1]], -1)
+    return gen
 
 
 def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
     """exp(t * generator) on the bands k >= 0, in N // 2 + 1 slots.
 
-    Band k = m - n holds the entries rho[j + max(k, 0), j + max(-k, 0)].
-    On a band the generator is tridiagonal: the diagonal carries
-    -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
-    and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry j to j + 1
-    by c_m c_n and to j - 1 by d_(m-1) d_(n-1).  Band -k carries the
-    conjugate of band k's generator, so its propagator is conj(P_k).
-    Bands k and N - k have N entries together: the N x N slot
-    min(k, N - k) holds P_k as its leading block when 2k <= N and as
-    its trailing block otherwise.
+    Band k's generator is _band_generator(ops, k), and band -k's
+    propagator is conj(P_k).  Bands k and N - k have N entries
+    together: the N x N slot min(k, N - k) holds P_k as its leading
+    block when 2k <= N and as its trailing block otherwise.
     """
     from scipy.linalg import expm
     n = ops.n_fock
-    h, c, d, mu = ops.h, ops.c, ops.d, ops.mu
     stack = np.zeros((n // 2 + 1, n, n), dtype=complex)
     for k in range(n):
-        rows, cols = np.arange(k, n), np.arange(n - k)
-        gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
-                      - 0.5 * (mu[rows] + mu[cols]))
-        gen += np.diag(c[rows[:-1]] * c[cols[:-1]], 1)
-        gen += np.diag(d[rows[:-1]] * d[cols[:-1]], -1)
         block = slice(0, n - k) if 2 * k <= n else slice(k, n)
-        stack[min(k, n - k), block, block] = expm(t * gen)
+        stack[min(k, n - k), block, block] = expm(t * _band_generator(ops, k))
     return stack
 
 
@@ -255,6 +248,10 @@ def ou_flow(initial: OUState, params: ModelParams, t: float) -> OUState:
 
 
 def stationary_lindblad_check(ops: OperatorSet) -> float:
-    """Frobenius norm of the generator applied to the thermal state."""
+    """Frobenius norm of the generator applied to the thermal state.
+
+    The thermal state is diagonal, so band 0 of the generator that the
+    propagator exponentiates is the only one it meets.
+    """
     rho = thermal_state(ops.params, ops.n_fock)
-    return float(np.linalg.norm(lindblad_rhs(rho, ops)))
+    return float(np.linalg.norm(_band_generator(ops, 0) @ np.diag(rho)))

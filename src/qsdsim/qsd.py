@@ -46,7 +46,7 @@ from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
 from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
     tail_levels
-from .observables import STAT_FIELDS, ObservableBundle, bundle_arrays
+from .observables import BUNDLE_DTYPE, STAT_FIELDS, bundle_arrays
 
 #: Weyl-sequence increment of the splitmix64 stream.
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -208,7 +208,7 @@ def _compiled_segment():
     fn = ctypes.CDLL(str(lib)).qsd_segment
     ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     fn.argtypes = [long_, long_, long_, ptr, ptr, ptr, long_, real, real,
-                   ptr, ptr, real, long_, long_, ptr, ptr,
+                   ptr, ptr, real, long_, ptr, ptr,
                    ctypes.POINTER(long_), ctypes.POINTER(real)]
     fn.restype = long_
     return fn
@@ -266,9 +266,8 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
         if held == len(rec):
             on_sample(rec, first * stride)
             first, held = first + held, 0
-        phase = step % stride
-        n = min(n_steps - step, (len(rec) - held) * stride - phase)
-        worst = segment(batch, n_fock, n, *fixed, phase,
+        n = min(n_steps - step, (len(rec) - held) * stride)
+        worst = segment(batch, n_fock, n, *fixed,
                         rec_at + held * sample_bytes,
                         drift_at + drift.itemsize * step,
                         fail_step, fail_tail)
@@ -286,7 +285,7 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
                 f"{TAIL_TOL:.1e} at t = {t:.6g} "
                 f"(trajectory {first_index + worst})",
                 tail_mass=tail, time=t, trajectory=first_index + worst)
-        held += (phase + n) // stride
+        held += n // stride
         step += n
     if held:
         on_sample(rec[:held], first * stride)
@@ -297,12 +296,15 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
 class TrajectoryRecord:
     """Sampled output of one trajectory.
 
-    norm_drift[k] is the pre-renormalization | ||psi|| - 1 | of step
-    k+1, one entry per integration step.
+    bundles is a BUNDLE_DTYPE record array with one row per sample time:
+    bundles.t equals times, and bundles[f] is the series of diagnostic
+    f, as EnsembleStats.means[f] is for an ensemble.  norm_drift[k] is
+    the pre-renormalization | ||psi|| - 1 | of step k+1, one entry per
+    integration step.
     """
 
     times: np.ndarray
-    bundles: list
+    bundles: np.recarray
     final_state: np.ndarray
     seed: int
     norm_drift: np.ndarray
@@ -312,23 +314,24 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
                    cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate one trajectory from t=0 to t_end.
 
-    Records the observable bundle every record_stride steps.  The
-    stepping loop hands over the sampled states in blocks of up to
-    TRAJ_BATCH, each evaluated by one bundle_arrays call, as the
-    ensemble evaluates its batches.  Deterministic given (initial,
-    cfg): the noise stream is fully determined by cfg.seed.
+    Records the diagnostics every record_stride steps.  The stepping
+    loop hands over the sampled states in blocks of up to TRAJ_BATCH,
+    each evaluated by one bundle_arrays call, as the ensemble evaluates
+    its batches, and the call's columns fill the block's rows of
+    bundles.  Deterministic given (initial, cfg): the noise stream is
+    fully determined by cfg.seed.
     """
     check_step_size(cfg.dt, ops.params)
     psis = normalize(np.asarray(initial, dtype=complex))[None, :].copy()
     times = cfg.sample_times
-    bundles = []
+    bundles = np.recarray(len(times), dtype=BUNDLE_DTYPE)
+    bundles.t = times
 
     def on_sample(block, first_step):
         j = first_step // cfg.record_stride
         vals = bundle_arrays(block[:, 0], ops)
-        bundles.extend(ObservableBundle(*v) for v in zip(
-            times[j:j + len(block)].tolist(),
-            *(vals[f].tolist() for f in STAT_FIELDS)))
+        for f in STAT_FIELDS:
+            bundles[f][j:j + len(block)] = vals[f]
 
     psis, drift = _integrate(ops, psis,
                              [np.random.default_rng(cfg.seed)], cfg, 0,

@@ -114,10 +114,10 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
  * complex ones.  drift[j] is raised to the largest | ||psi'|| - 1 | of
  * step j over the batch.
  *
- * Samples: phase steps of the stride have passed before the call, so
- * the first sample falls after step stride - phase and then every
- * stride steps.  Sample s of row b is copied to rec + 2 N (s B + b);
- * the caller sizes rec for the samples that land within n steps.
+ * Samples: the call starts on a sample boundary, so sample s falls
+ * after step (s + 1) stride.  Sample s of row b is copied to
+ * rec + 2 N (s B + b); the caller sizes rec for the samples that land
+ * within n steps.
  *
  * The last lane group is padded with copies of row B - 1, whose
  * results, drift and failures are ignored; they draw no noise and step
@@ -141,8 +141,8 @@ __attribute__((target_clones("avx", "default")))
 long qsd_segment(long B, long N, long n, const double *c, const double *d,
                  const double *g, long tail_start, double dt,
                  double tail_tol, double *psis, bitgen_t *const *rngs,
-                 double scale, long stride, long phase, double *rec,
-                 double *drift, long *fail_step, double *fail_tail)
+                 double scale, long stride, double *rec, double *drift,
+                 long *fail_step, double *fail_tail)
 {
     /* re[0], im[0], re[1], im[1]: w lane vectors each; then cl, dl, dgr,
      * dgi: w doubles each, so w lane vectors between them */
@@ -181,7 +181,7 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
         /* a row failing after the earliest failure so far cannot win */
         const long steps = worst < 0 ? n : worst_step;
         double *sample = rec + 2 * N * b0;
-        long left = stride - phase;   /* steps to the next sample */
+        long left = stride;   /* steps to the next sample */
         int failed = 0;
         for (long j = 0; j < steps; j++) {
             const lanes_t *r = re[cur], *i = im[cur];

@@ -5,9 +5,8 @@ from hypothesis import HealthCheck, settings
 import _criteria
 from qsdsim.constants import TAIL_TOL
 from qsdsim.errors import TrajectoryError
-from qsdsim.model import (ModelParams, build_operators, dense_operators,
-                          tail_levels, temperature_for_nbar)
-from qsdsim.oracle import lindblad_rhs
+from qsdsim.model import (ModelParams, build_operators, tail_levels,
+                          temperature_for_nbar)
 from qsdsim.qsd import IntegratorConfig, draw_noise_block
 
 settings.register_profile(
@@ -38,6 +37,29 @@ def random_states(n: int, dim: int, seed: int) -> np.ndarray:
 def ladder(n_fock: int) -> np.ndarray:
     """The truncated annihilator, a[n-1, n] = sqrt(n), as a dense matrix."""
     return np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
+
+
+def dense_operators(ops):
+    """(H, L1, L2) as complex N x N matrices, for the dense references."""
+    return (np.diag(ops.h).astype(complex),
+            np.diag(ops.c, 1).astype(complex),
+            np.diag(ops.d, -1).astype(complex))
+
+
+def lindblad_rhs(mat, ops):
+    """The master-equation generator applied to mat, shape (..., N, N).
+
+    The dense reference of the band generator the oracle exponentiates.
+    Linear in mat; valid for non-Hermitian input, which the history
+    machinery relies on.
+    """
+    h, l1, l2 = dense_operators(ops)
+    out = (-1j / ops.params.hbar) * (h @ mat - mat @ h)
+    for l in (l1, l2):
+        ld = l.conj().T
+        m = ld @ l
+        out += l @ mat @ ld - 0.5 * (m @ mat + mat @ m)
+    return out
 
 
 def rk4_step(mat, ops, dt):

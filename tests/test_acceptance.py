@@ -22,7 +22,7 @@ from qsdsim.ensemble import (EnsembleConfig, InitialStateSpec, density_matrix,
                              run_ensemble, trace_distance)
 from qsdsim.histories import HistorySpec, PhaseCell, decoherence_functional
 from qsdsim.model import (ModelParams, build_operators, cat_state,
-                          coherent_state, derive, temperature_for_nbar)
+                          coherent_state, temperature_for_nbar)
 from qsdsim.observables import (fit_exponential_decay, bundle_arrays,
                                 localization_rhs, localization_rhs_spread_form,
                                 windowed_slopes)
@@ -115,15 +115,15 @@ def test_criterion_03_localization_time_vs_temperature():
     hot = ModelParams(m=1.0, omega=1.0, gamma=gamma, temperature=10.0)
     cold = ModelParams(m=1.0, omega=1.0, gamma=gamma, temperature=0.1)
     # hbar omega / k_B T = 0.1 and 10 for these two baths
-    ok_analytic = (abs(derive(hot).t_loc * gamma - math.tanh(0.05)) < 1e-6
-                   and abs(derive(cold).t_loc * gamma - math.tanh(5.0)) < 1e-6)
+    ok_analytic = (abs(hot.t_loc * gamma - math.tanh(0.05)) < 1e-6
+                   and abs(cold.t_loc * gamma - math.tanh(5.0)) < 1e-6)
 
     fit_hot = _fock1_rate(hot, n_fock=56, dt=5e-4, t_end=1.0, stride=10,
                           m=500, seed=7)
     fit_cold = _fock1_rate(cold, n_fock=24, dt=1e-3, t_end=12.0, stride=20,
                            m=500, seed=7)
-    ratio_hot = (1.0 / fit_hot.rate) / derive(hot).t_loc
-    ratio_cold = (1.0 / fit_cold.rate) / derive(cold).t_loc
+    ratio_hot = (1.0 / fit_hot.rate) / hot.t_loc
+    ratio_cold = (1.0 / fit_cold.rate) / cold.t_loc
     ok_measured = (1.0 / 3.0 < ratio_hot < 3.0
                    and 1.0 / 3.0 < ratio_cold < 3.0)
 
@@ -343,8 +343,8 @@ def test_criterion_10_two_time_histories_decohere():
         return float(ratios[valid].max())
 
     damped = _params(3.0 / (10.0 * math.pi), 2.0)
-    interval = round(3.0 * derive(damped).t_loc / dt_o) * dt_o
-    assert interval == pytest.approx(3.0 * derive(damped).t_loc, rel=1e-3)
+    interval = round(3.0 * damped.t_loc / dt_o) * dt_o
+    assert interval == pytest.approx(3.0 * damped.t_loc, rel=1e-3)
     worst = suppression(damped, n_fock=40, alpha0=2.2, center=1.8,
                         w_re=0.85, interval=interval)
     ok_damped = worst < 0.1

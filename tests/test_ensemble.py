@@ -46,10 +46,9 @@ def test_single_member_equals_bare_trajectory(warm_params, ops20):
     assert n_samples > 2 * TRAJ_BATCH and n_samples % TRAJ_BATCH
     assert np.array_equal(stats.final_states[0], rec.final_state)
     assert np.array_equal(stats.times, rec.times)
-    assert np.array_equal(stats.times, [b.t for b in rec.bundles])
+    assert np.array_equal(stats.times, rec.bundles.t)
     for f in STAT_FIELDS:
-        got = [getattr(b, f) for b in rec.bundles]
-        assert np.array_equal(stats.means[f], got), f
+        assert np.array_equal(stats.means[f], rec.bundles[f]), f
 
 
 def test_batch_membership_does_not_change_results(ops20):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from conftest import dense_operators
 import qsdsim
 from qsdsim.errors import DimensionError, ParameterError, TruncationError
 from qsdsim.model import (ModelParams, build_operators, cat_state,
-                          coherent_state, dense_operators, derive,
-                          fock_state, normalize, tail_mass,
+                          coherent_state, fock_state, normalize, tail_mass,
                           temperature_for_nbar)
 
 
@@ -78,14 +78,13 @@ def test_quadrature_width_product(m, omega):
 
 def test_derived_scales():
     # zero temperature: localization time is the damping time
-    cold = derive(ModelParams(gamma=0.25, temperature=0.0))
+    cold = ModelParams(gamma=0.25, temperature=0.0)
     assert cold.t_loc == pytest.approx(4.0)
     # high temperature: tanh shrinks it by hbar omega / (2 k_B T)
-    hot_par = ModelParams(gamma=0.25, temperature=50.0)
-    hot = derive(hot_par)
+    hot = ModelParams(gamma=0.25, temperature=50.0)
     assert hot.t_loc == pytest.approx(math.tanh(0.01) / 0.25, rel=1e-12)
     with pytest.raises(ParameterError):
-        derive(ModelParams(gamma=0.0))
+        ModelParams(gamma=0.0).t_loc
 
 
 def _scales(ops):

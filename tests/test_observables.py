@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import ladder, random_states
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
-from qsdsim.observables import (CSV_COLUMNS, STAT_FIELDS, ObservableBundle,
+from qsdsim.observables import (BUNDLE_DTYPE, CSV_COLUMNS, STAT_FIELDS,
                                 bundle_arrays, fit_exponential_decay,
                                 localization_rhs,
                                 localization_rhs_spread_form,
@@ -176,8 +176,11 @@ def test_windowed_slopes_batched():
 
 def test_bundle_csv_roundtrip(tmp_path, ops20):
     vals = bundle_arrays(random_states(3, 20, seed=9), ops20)
-    bundles = [ObservableBundle(0.1 * k, *(vals[f][k] for f in STAT_FIELDS))
-               for k in range(3)]
+    bundles = np.recarray(3, dtype=BUNDLE_DTYPE)
+    bundles.t = 0.1 * np.arange(3)
+    for f in STAT_FIELDS:
+        bundles[f] = vals[f]
+    assert BUNDLE_DTYPE.names == ("t", *STAT_FIELDS)
     path = tmp_path / "bundles.csv"
     write_bundle_csv(path, bundles)
     with open(path, newline="") as fh:
@@ -188,3 +191,4 @@ def test_bundle_csv_roundtrip(tmp_path, ops20):
     # repr round-trips doubles exactly
     assert float(rows[2][0]) == bundles[1].t
     assert float(rows[3][8]) == bundles[2].delta_alpha_sq
+    assert [tuple(map(float, row)) for row in rows[1:]] == bundles.tolist()

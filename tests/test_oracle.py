@@ -21,7 +21,6 @@ from qsdsim import (
     DimensionError,
     build_operators,
     coherent_state,
-    lindblad_rhs,
     ou_flow,
     propagate,
     propagate_matrices,
@@ -29,8 +28,9 @@ from qsdsim import (
     temperature_for_nbar,
     thermal_state,
 )
-from qsdsim.model import dense_operators
-from conftest import ladder, liouvillian, random_states, rk4_step
+from qsdsim import oracle
+from conftest import (dense_operators, ladder, lindblad_rhs, liouvillian,
+                      random_states, rk4_step)
 
 
 def _random_density(dim, seed):
@@ -57,6 +57,25 @@ def test_rhs_is_linear(ops20):
     lhs = lindblad_rhs(0.3 * a + 0.7 * b, ops20)
     rhs = 0.3 * lindblad_rhs(a, ops20) + 0.7 * lindblad_rhs(b, ops20)
     assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_fock", [11, 12])
+def test_band_generator_is_the_dense_generator(warm_params, n_fock):
+    # the dense generator, applied to every unit matrix, maps band k
+    # into itself as the tridiagonal the propagator exponentiates, and
+    # band -k as its conjugate
+    ops = build_operators(warm_params, n_fock)
+    n = n_fock
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
+    for k in range(n):
+        j = np.arange(n - k)
+        for rows, conj in (((j + k) * n + j, False), (j * n + j + k, True)):
+            gen = oracle._band_generator(ops, k)
+            want = dense[np.ix_(rows, rows)]
+            assert np.abs((gen.conj() if conj else gen) - want).max() < 1e-13
+            others = np.setdiff1d(np.arange(n * n), rows)
+            assert not dense[np.ix_(others, rows)].any()
 
 
 def test_rhs_moment_equations(warm_params):

@@ -17,16 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import StepKernel, integrate_reference, random_states, \
-    run_split
+from conftest import StepKernel, dense_operators, integrate_reference, \
+    lindblad_rhs, random_states, run_split
 from qsdsim import qsd
 from qsdsim.constants import MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
-                          dense_operators, fock_state, tail_mass,
-                          temperature_for_nbar)
-from qsdsim.oracle import lindblad_rhs
+                          fock_state, tail_mass, temperature_for_nbar)
 from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
 from qsdsim.observables import STAT_FIELDS, bundle_arrays
 from qsdsim.qsd import (IntegratorConfig, check_step_size, draw_noise_block,
@@ -436,13 +434,18 @@ def test_trajectory_samples_match_reference(warm_params, seed, n_samples):
         on_sample)
     assert [s for s, _ in samples] == list(range(n_samples))
     assert np.array_equal(rec.times, cfg.sample_times)
-    assert [b.t for b in rec.bundles] == rec.times.tolist()
+    assert np.array_equal(rec.bundles.t, rec.times)
     assert np.abs(rec.final_state - final[0]).max() <= 1e-14
     assert np.abs(rec.norm_drift - drift).max() <= 1e-14
+    # the record array starts uninitialized, so every column of every
+    # row is checked against the reference; a nan fails the comparison
+    assert len(rec.bundles) == n_samples
     want = bundle_arrays(np.array([p[0] for _, p in samples]), ops)
     for f in STAT_FIELDS:
-        got = np.array([getattr(b, f) for b in rec.bundles])
-        assert np.abs(got - want[f]).max() <= 1e-12, f
+        assert np.abs(rec.bundles[f] - want[f]).max() <= 1e-12, f
+    # rows read by attribute, as the README's example reads them
+    assert rec.bundles[-1].delta_alpha_sq == rec.bundles.delta_alpha_sq[-1]
+    assert [b.t for b in rec.bundles] == rec.times.tolist()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 700),
@@ -467,9 +470,8 @@ def test_single_member_ensemble_equals_trajectory(warm_params, seed,
     assert np.array_equal(stats.final_states[0], rec.final_state)
     assert np.array_equal(stats.times, rec.times)
     for f in STAT_FIELDS:
-        got = [getattr(b, f) for b in rec.bundles]
-        assert np.array_equal(stats.means[f], got), f
-        assert np.array_equal(stats.series[f][0], got), f
+        assert np.array_equal(stats.means[f], rec.bundles[f]), f
+        assert np.array_equal(stats.series[f][0], rec.bundles[f]), f
         assert not stats.stderrs[f].any()
 
 
