@@ -30,7 +30,7 @@ from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
 from .observables import fit_exponential_decay, write_bundle_csv
 from .oracle import LindbladPropagatorConfig, propagate_matrices
-from .qsd import IntegratorConfig, run_trajectory
+from .qsd import IntegratorConfig, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
                        trace_distance, write_stats_csv)
 from .histories import (HistorySpec, PhaseCell, classical_peaking_report,
@@ -271,6 +271,10 @@ class Runner:
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
             },
+            # the compiled loop's body on this CPU, for the commands
+            # that step trajectories
+            "stepping_loop": (stepping_loop() if "integrator"
+                              in REQUIRED_SECTIONS[command] else None),
             "seed_override": self.args.seed,
             "wall_time_s": round(time.monotonic() - self.started, 3),
             "outputs": self.outputs,

@@ -37,16 +37,18 @@ TAIL_LEVEL_DIVISOR = 10
 TAIL_TOL = 1e-6
 
 # Trajectory batch size of the ensemble runner.  The compiled loop steps
-# rows in lane groups of four, each lane rounded as its row stepped
-# alone, so beyond a few groups the batch only spreads Python's
-# per-call and per-sample work; the sweep scripts/sweep_traj_batch.py
-# finds run_ensemble flat within noise from 64 to 512 at n_fock 40 and
-# 56, and from 192 up at n_fock 24.  A row's result does not depend on
-# its batch; the ensemble sums round per batch.  It also bounds the
-# sampled rows that one call of the loop writes: a batch of B rows
-# holds max(1, TRAJ_BATCH // B) samples per call, so a single
-# trajectory hands run_trajectory blocks of TRAJ_BATCH states for one
-# bundle_arrays call each, and the buffer stays at TRAJ_BATCH states.
+# rows in lane groups of eight (on CPUs with AVX-512F) or four, each
+# lane rounded as its row stepped alone, so beyond a few groups the
+# batch only spreads Python's per-call and per-sample work; the sweep
+# scripts/sweep_traj_batch.py finds run_ensemble flat within noise from
+# 192 to 512 at n_fock 24, 40 and 56 with groups of eight, and from 64
+# (at n_fock 40 and 56) or 192 (at 24) with groups of four.  A row's
+# result does not depend on its batch; the ensemble sums round per
+# batch.  It also bounds the sampled rows that one call of the loop
+# writes: a batch of B rows holds max(1, TRAJ_BATCH // B) samples per
+# call, so a single trajectory hands run_trajectory blocks of
+# TRAJ_BATCH states for one bundle_arrays call each, and the buffer
+# stays at TRAJ_BATCH states.
 TRAJ_BATCH = 256
 
 # Longest run in steps that IntegratorConfig accepts.  _integrate keeps

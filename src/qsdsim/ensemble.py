@@ -148,8 +148,7 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
                 for f in cfg.store_series:
                     series[f][k0:k1, j] = vals[f]
                 if step in rho_steps:
-                    rhos[rho_steps[step]] += np.einsum(
-                        "bi,b,bj->ij", psis, 1.0 / norm_sq, psis.conj())
+                    rhos[rho_steps[step]] += _dyad_sum(psis)
 
         rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
                 for k in range(k0, k1)]
@@ -180,9 +179,20 @@ def density_matrix(states) -> np.ndarray:
         states = states[None, :]
     if states.size == 0:
         raise ParameterError("no states given")
-    norm_sq = np.einsum("bi,bi->b", states.conj(), states).real
-    rho = np.einsum("bi,b,bj->ij", states, 1.0 / norm_sq, states.conj())
-    return rho / states.shape[0]
+    return _dyad_sum(states) / states.shape[0]
+
+
+def _dyad_sum(states: np.ndarray) -> np.ndarray:
+    """Sum of the normalized dyads |psi><psi| / <psi|psi> of a (B, n) batch.
+
+    Each row is scaled by its 1 / <psi|psi> first, on the (re, im) float
+    view, so the sum over rows is one two-operand einsum.  It is not a
+    BLAS product: OpenBLAS may split a gemm of this size over threads,
+    which stalls now and then on a shared machine.
+    """
+    flat = np.ascontiguousarray(states, dtype=complex).view(float)
+    scaled = flat * (1.0 / np.vecdot(flat, flat))[:, None]
+    return np.einsum("bi,bj->ij", scaled.view(complex), states.conj())
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

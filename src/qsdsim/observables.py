@@ -52,15 +52,19 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
         R   = hbar Im<a^2> - <p><q>
     """
     p = ops.params
-    root_n = np.sqrt(np.arange(1, ops.n_fock))
-    bra = states.conj()
-    norm_sq = np.einsum("...i,...i->...", bra, states).real
+    # Products and norms act on the (re, im) float view, so no complex
+    # product casts the real factors; vecdot conjugates its first
+    # argument.
+    states = np.ascontiguousarray(states, dtype=complex)
+    flat = states.view(float)
+    root_n = np.repeat(np.sqrt(np.arange(1, ops.n_fock)), 2)
     # a |n> = sqrt(n) |n-1>: a psi without its zero last entry
-    a_psi = states[..., 1:] * root_n
-    exp_a = np.einsum("...i,...i->...", bra[..., :-1], a_psi) / norm_sq
-    exp_a2 = np.einsum("...i,...i->...", bra[..., :-2],
-                       a_psi[..., 1:] * root_n[:-1]) / norm_sq
-    exp_n = np.einsum("...i,...i->...", a_psi.conj(), a_psi).real / norm_sq
+    a_flat = flat[..., 2:] * root_n
+    a2_psi = (a_flat[..., 2:] * root_n[:-2]).view(complex)
+    norm_sq = np.vecdot(flat, flat)
+    exp_a = np.vecdot(states[..., :-1], a_flat.view(complex)) / norm_sq
+    exp_a2 = np.vecdot(states[..., :-2], a2_psi) / norm_sq
+    exp_n = np.vecdot(a_flat, a_flat) / norm_sq
 
     q_mean = 2.0 * p.sigma_q * exp_a.real
     p_mean = 2.0 * p.sigma_p * exp_a.imag

@@ -17,14 +17,16 @@ trajectory is the B = 1 case and the ensemble runner feeds it batches.
 The work is split between two languages.  The compiled loop in
 qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
-and renormalizes.  It steps the rows in lane groups of four, one row
-per lane of a SIMD vector, and each lane rounds exactly as the row
-stepped alone, so no result depends on the batch.  The loop also
-draws each row's noise from the row's numpy generator, with numpy's own
-sampler, and copies the sampled states into a buffer of up to
-TRAJ_BATCH rows.  Python calls it once per such block of samples,
-hands the block to the caller and raises the error of a failed row.
-The loop is built with gcc on first use, never at import.
+and renormalizes.  It steps the rows in lane groups, one row per lane
+of a SIMD vector: eight rows per group on CPUs with AVX-512F while more
+than four rows are left, else four (stepping_loop reports which).  Each
+lane rounds exactly as the row stepped alone, so no result depends on
+the batch, the group width or the CPU.  The loop also draws each
+row's noise from the row's numpy generator, with numpy's own sampler,
+and copies the sampled states into a buffer of up to TRAJ_BATCH rows.
+Python calls it once per such block of samples, hands the block to the
+caller and raises the error of a failed row.  The loop is built with
+gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _MASK64 = (1 << 64) - 1
 #: gcc flags of the stepping loop.  No FMA contraction, so rounding does
 #: not depend on the target's instruction set.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: The lane-group body that qsd_step.c includes once per lane width.
+_LANES_H = Path(__file__).parent / "qsd_lanes.h"
 
 #: numpy's normal sampler, which the loop calls: its header and the
 #: static archive that holds it.
@@ -151,8 +156,9 @@ def check_step_size(dt: float, params: ModelParams) -> None:
 def _build_library(source: bytes, out: Path) -> None:
     """Compile the C source into the shared library out.
 
-    The one gcc command line of the stepping loop: _CFLAGS, numpy's
-    bitgen.h on the include path and libnpyrandom.a linked in.
+    The one gcc command line of the stepping loop: _CFLAGS, the
+    directories of qsd_lanes.h and numpy's bitgen.h on the include path
+    and libnpyrandom.a linked in.
     """
     import subprocess
 
@@ -162,7 +168,8 @@ def _build_library(source: bytes, out: Path) -> None:
                            "(qsd_step.c) on first use and needs gcc "
                            "on PATH; none was found")
     proc = subprocess.run(
-        [gcc, *_CFLAGS, "-I", str(_BITGEN_H.parents[2]), "-x", "c", "-",
+        [gcc, *_CFLAGS, "-I", str(_LANES_H.parent), "-I",
+         str(_BITGEN_H.parents[2]), "-x", "c", "-",
          "-x", "none", str(_NPYRANDOM_A), "-o", str(out), "-lm"],
         input=source, capture_output=True)
     if proc.returncode != 0:
@@ -170,12 +177,26 @@ def _build_library(source: bytes, out: Path) -> None:
                            + proc.stderr.decode(errors="replace"))
 
 
+def _load_library(path: Path) -> ctypes.CDLL:
+    """The compiled loop at path, with its functions' signatures set."""
+    lib = ctypes.CDLL(str(path))
+    ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.qsd_segment.argtypes = [
+        long_, long_, long_, ptr, ptr, ptr, long_, real, real, ptr, ptr,
+        real, long_, ptr, ptr, ctypes.POINTER(long_), ctypes.POINTER(real)]
+    lib.qsd_segment.restype = long_
+    lib.qsd_stepping_loop.argtypes = [ctypes.POINTER(ctypes.c_char_p),
+                                      ctypes.POINTER(long_)]
+    lib.qsd_stepping_loop.restype = ctypes.c_int
+    return lib
+
+
 @functools.cache
-def _compiled_segment():
-    """qsd_segment from qsd_step.c, compiled on first use.
+def _compiled_loop() -> ctypes.CDLL:
+    """The library built from qsd_step.c, compiled on first use.
 
     The library is cached in $XDG_CACHE_HOME/qsdsim (default
-    ~/.cache/qsdsim) under a hash of the source, the compiler flags
+    ~/.cache/qsdsim) under a hash of the C sources, the compiler flags
     and numpy's bitgen.h and libnpyrandom.a, so a changed source, flag
     set or numpy builds afresh.  It is written under a temporary name
     and moved into place, so concurrent first uses never load a
@@ -184,7 +205,7 @@ def _compiled_segment():
     import hashlib
 
     source = (Path(__file__).parent / "qsd_step.c").read_bytes()
-    key = source + " ".join(_CFLAGS).encode()
+    key = source + _LANES_H.read_bytes() + " ".join(_CFLAGS).encode()
     for path in (_BITGEN_H, _NPYRANDOM_A):
         try:
             key += path.read_bytes()
@@ -205,13 +226,19 @@ def _compiled_segment():
             tmp.unlink(missing_ok=True)
             raise
         os.replace(tmp, lib)
-    fn = ctypes.CDLL(str(lib)).qsd_segment
-    ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    fn.argtypes = [long_, long_, long_, ptr, ptr, ptr, long_, real, real,
-                   ptr, ptr, real, long_, ptr, ptr,
-                   ctypes.POINTER(long_), ctypes.POINTER(real)]
-    fn.restype = long_
-    return fn
+    return _load_library(lib)
+
+
+def stepping_loop() -> dict:
+    """The stepping body the compiled loop runs on this CPU.
+
+    isa names the instruction set of its widest lane group, and lanes
+    lists the group widths, widest first: {"isa": "avx512f", "lanes":
+    [8, 4]} where the CPU has AVX-512F, else one width of four.
+    """
+    isa, lanes = ctypes.c_char_p(), (ctypes.c_long * 2)()
+    count = _compiled_loop().qsd_stepping_loop(ctypes.byref(isa), lanes)
+    return {"isa": isa.value.decode(), "lanes": lanes[:count]}
 
 
 def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
@@ -243,7 +270,7 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     c, d = np.ascontiguousarray(ops.c), np.ascontiguousarray(ops.d)
     g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
     n_fock = ops.n_fock
-    segment = _compiled_segment()
+    segment = _compiled_loop().qsd_segment
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     drift = np.zeros(n_steps)

@@ -8,15 +8,19 @@
  * the rows are copied into a caller's buffer of samples, so one call
  * covers many samples.
  *
- * Rows are stepped in lane groups of four, one row per lane of a GCC
- * vector, so the vector width runs across rows, never within one.  Each
- * lane does exactly the IEEE operations of a row stepped alone, in the
- * same order: every sum over levels is one sequential chain per row.
- * So a row's result does not depend on the batch it sits in, nor on the
- * lane group.  The file is built with -ffp-contract=off: no FMA
- * contraction, so the rounding does not depend on the target's
- * instruction set either, and the AVX clone of qsd_segment picked at
- * load on x86-64 gives the same bits as the default one.
+ * Rows are stepped in lane groups, one row per lane of a GCC vector, so
+ * the vector width runs across rows, never within one.  On x86-64 CPUs
+ * with AVX-512F a group holds eight rows while more than four are left
+ * and four after that; on every other CPU a group holds four.  The
+ * group body, qsd_lanes.h, is written once and included for each
+ * width.  Each lane does exactly the IEEE operations of a row stepped
+ * alone, in the same order: every sum over levels is one sequential
+ * chain per row.  So a row's result does not depend on the batch it
+ * sits in, nor on its lane group or the group's width.  The file is
+ * built with -ffp-contract=off: no FMA contraction, so the rounding
+ * does not depend on the target's instruction set either, and the
+ * eight-lane AVX-512F body and the AVX and baseline four-lane bodies
+ * give the same bits.
  *
  * The normals come from numpy's own sampler, random_standard_normal of
  * numpy/random/lib/libnpyrandom.a, called on each generator's bitgen_t
@@ -40,71 +44,50 @@
 /* From numpy/random/distributions.h, which needs Python.h. */
 extern double random_standard_normal(bitgen_t *bitgen_state);
 
-/* Rows per lane group; step_group writes its increment vectors out for
- * four lanes. */
-#define LANES 4
-typedef double lanes_t __attribute__((vector_size(LANES * sizeof(double))));
+/* What one call of qsd_segment steps: its arguments, the padded band
+ * coefficients, the lane buffer and the earliest failure so far. */
+struct segment {
+    long B, N, n, tail_start, stride;
+    double dt, tail_tol, scale;
+    const double *cl, *dl, *dgr, *dgi;
+    double *psis, *rec, *drift;
+    bitgen_t *const *rngs;
+    void *lanes;   /* 4 (N + 2) lane vectors of up to eight doubles */
+    long worst, worst_step;
+    double worst_tail;
+};
 
-/* One step of one lane group: reads (re, im), writes (nre, nim); both
- * padded so that index 0 and N + 1 are zero levels.  cl[k] = c_k with
- * cl[N - 1] = 0 couples level k to k + 1; dl[k] = d_{k-1} with
- * dl[0] = 0 couples level k to k - 1; dgr[k] + i dgi[k] = dt g_k.
- * Lane l reads its increments (Re xi1, Im xi1, Re xi2, Im xi2) at
- * xi[l][0..3].  Stores ||psi'||^2 per lane in *out_sq and the tail part
- * of it in *tail_sq. */
-static inline __attribute__((always_inline)) void
-step_group(long n, const double *cl, const double *dl, const double *dgr,
-           const double *dgi, long tail_start, double dt,
-           const double (*xi)[4], const lanes_t *re, const lanes_t *im,
-           lanes_t *nre, lanes_t *nim, lanes_t *out_sq, lanes_t *tail_sq)
+/* Four lanes: an AVX and a baseline clone on x86-64, picked at load;
+ * step_group is always inlined, so each clone carries the body built
+ * for its own instruction set. */
+#define LANES 4
+#ifdef __x86_64__
+#define LANE_TARGET __attribute__((target_clones("avx", "default")))
+#else
+#define LANE_TARGET
+#endif
+#include "qsd_lanes.h"
+
+/* Eight lanes, run on CPUs with AVX-512F only (wide_groups): its 32
+ * registers of eight doubles hold a group's working set, which spills
+ * from the 16 registers of AVX (an eight-lane group built for AVX2 ran
+ * slower than two four-lane groups). */
+#define LANES 8
+#ifdef __x86_64__
+#define LANE_TARGET __attribute__((target("avx512f")))
+#else
+#define LANE_TARGET
+#endif
+#include "qsd_lanes.h"
+
+/* Whether qsd_segment steps eight-lane groups on this CPU. */
+static int wide_groups(void)
 {
-    const lanes_t *r = re + 1, *i = im + 1;
-    lanes_t ns = {0}, l1r = {0}, l1i = {0}, l2r = {0}, l2i = {0};
-    for (long k = 0; k < n; k++) {
-        ns += r[k] * r[k] + i[k] * i[k];
-        /* <L1> = sum conj(psi_k) c_k psi_{k+1} */
-        l1r += cl[k] * (r[k] * r[k + 1] + i[k] * i[k + 1]);
-        l1i += cl[k] * (r[k] * i[k + 1] - i[k] * r[k + 1]);
-        /* <L2> = sum conj(psi_k) d_{k-1} psi_{k-1} */
-        l2r += dl[k] * (r[k] * r[k - 1] + i[k] * i[k - 1]);
-        l2i += dl[k] * (r[k] * i[k - 1] - i[k] * r[k - 1]);
-    }
-    l1r /= ns;
-    l1i /= ns;
-    l2r /= ns;
-    l2i /= ns;
-    const lanes_t x1r = {xi[0][0], xi[1][0], xi[2][0], xi[3][0]},
-                  x1i = {xi[0][1], xi[1][1], xi[2][1], xi[3][1]},
-                  x2r = {xi[0][2], xi[1][2], xi[2][2], xi[3][2]},
-                  x2i = {xi[0][3], xi[1][3], xi[2][3], xi[3][3]};
-    /* psi' = (1 + dt g - dt (|<L1>|^2 + |<L2>|^2) / 2
-     *         - <L1> xi1 - <L2> xi2) psi
-     *        + (conj<L1> dt + xi1) L1 psi + (conj<L2> dt + xi2) L2 psi */
-    const lanes_t c0r = 1.0 - 0.5 * dt * (l1r * l1r + l1i * l1i
-                                          + l2r * l2r + l2i * l2i)
-                        - (l1r * x1r - l1i * x1i + l2r * x2r - l2i * x2i);
-    const lanes_t c0i = -(l1r * x1i + l1i * x1r + l2r * x2i + l2i * x2r);
-    const lanes_t k1r = l1r * dt + x1r, k1i = x1i - l1i * dt;
-    const lanes_t k2r = l2r * dt + x2r, k2i = x2i - l2i * dt;
-    lanes_t *outr = nre + 1, *outi = nim + 1;
-    lanes_t head = {0}, tail = {0};
-    for (long k = 0; k < n; k++) {
-        const lanes_t ar = dgr[k] + c0r, ai = dgi[k] + c0i;
-        const lanes_t ur = cl[k] * r[k + 1], ui = cl[k] * i[k + 1];
-        const lanes_t vr = dl[k] * r[k - 1], vi = dl[k] * i[k - 1];
-        const lanes_t or = (ar * r[k] - ai * i[k]) + (k1r * ur - k1i * ui)
-                           + (k2r * vr - k2i * vi);
-        const lanes_t oi = (ar * i[k] + ai * r[k]) + (k1r * ui + k1i * ur)
-                           + (k2r * vi + k2i * vr);
-        outr[k] = or;
-        outi[k] = oi;
-        if (k < tail_start)
-            head += or * or + oi * oi;
-        else
-            tail += or * or + oi * oi;
-    }
-    *tail_sq = tail;
-    *out_sq = head + tail;
+#ifdef __x86_64__
+    return __builtin_cpu_supports("avx512f");
+#else
+    return 0;
+#endif
 }
 
 /* Advances every row of psis (B rows of N interleaved complex levels)
@@ -132,30 +115,23 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
  * failure psis, rec, drift and the generators are left partly
  * advanced, and only the samples before the failing step are whole.
  * Returns -2 if memory runs out. */
-/* On x86-64 the library holds an AVX and a baseline clone, picked
- * when it loads; step_group is always inlined, so each clone carries
- * the body built for its own instruction set. */
-#ifdef __x86_64__
-__attribute__((target_clones("avx", "default")))
-#endif
 long qsd_segment(long B, long N, long n, const double *c, const double *d,
                  const double *g, long tail_start, double dt,
                  double tail_tol, double *psis, bitgen_t *const *rngs,
                  double scale, long stride, double *rec, double *drift,
                  long *fail_step, double *fail_tail)
 {
-    /* re[0], im[0], re[1], im[1]: w lane vectors each; then cl, dl, dgr,
-     * dgi: w doubles each, so w lane vectors between them */
+    /* 4 w lane vectors of up to eight doubles, then cl, dl, dgr, dgi: w
+     * doubles each */
     const long w = N + 2;
-    const size_t size = (size_t)(5 * w) * sizeof(lanes_t);
-    lanes_t *buf;
-    if (posix_memalign((void **)&buf, sizeof(lanes_t), size))
+    const size_t vec = 8 * sizeof(double);
+    const size_t size = (size_t)(4 * w) * (vec + sizeof(double));
+    void *buf;
+    if (posix_memalign(&buf, vec, size))
         return -2;
     memset(buf, 0, size);
-    double *cl = (double *)(buf + 4 * w), *dl = cl + w, *dgr = cl + 2 * w,
-           *dgi = cl + 3 * w;
-    lanes_t *re[2] = {buf, buf + 2 * w};
-    lanes_t *im[2] = {buf + w, buf + 3 * w};
+    double *cl = (double *)((char *)buf + (size_t)(4 * w) * vec),
+           *dl = cl + w, *dgr = cl + 2 * w, *dgi = cl + 3 * w;
     for (long k = 0; k < N - 1; k++) {
         cl[k] = c[k];
         dl[k + 1] = d[k];
@@ -164,85 +140,45 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
         dgr[k] = dt * g[2 * k];
         dgi[k] = dt * g[2 * k + 1];
     }
-    long worst = -1, worst_step = n + 1;
-    double worst_tail = 0.0;
-    for (long b0 = 0; b0 < B; b0 += LANES) {
-        const int used = B - b0 < LANES ? (int)(B - b0) : LANES;
-        double *row[LANES];
-        for (int l = 0; l < LANES; l++)
-            row[l] = psis + 2 * N * (l < used ? b0 + l : B - 1);
-        double xi[LANES][4] = {{0.0}};
-        int cur = 0;
-        for (long k = 0; k < N; k++)
-            for (int l = 0; l < LANES; l++) {
-                re[0][k + 1][l] = row[l][2 * k];
-                im[0][k + 1][l] = row[l][2 * k + 1];
-            }
-        /* a row failing after the earliest failure so far cannot win */
-        const long steps = worst < 0 ? n : worst_step;
-        double *sample = rec + 2 * N * b0;
-        long left = stride;   /* steps to the next sample */
-        int failed = 0;
-        for (long j = 0; j < steps; j++) {
-            const lanes_t *r = re[cur], *i = im[cur];
-            lanes_t *nr = re[1 - cur], *ni = im[1 - cur];
-            lanes_t out_sq, tail_sq, norm = {0};
-            for (int l = 0; l < used; l++)
-                for (int q = 0; q < 4; q++)
-                    xi[l][q] = random_standard_normal(rngs[b0 + l]) * scale;
-            step_group(N, cl, dl, dgr, dgi, tail_start, dt, xi, r, i, nr, ni,
-                       &out_sq, &tail_sq);
-            const lanes_t tail = tail_sq / out_sq;
-            for (int l = 0; l < used; l++) {
-                if (tail[l] <= tail_tol)
-                    continue;
-                /* the group stops after this step, so its lanes are
-                 * merged here in row order under the batch's rule */
-                failed = 1;
-                if (j + 1 < worst_step
-                    || (j + 1 == worst_step && !isnan(worst_tail)
-                        && (isnan(tail[l]) || tail[l] > worst_tail))) {
-                    worst = b0 + l;
-                    worst_step = j + 1;
-                    worst_tail = tail[l];
-                }
-            }
-            if (failed)
-                break;
-            for (int l = 0; l < LANES; l++)
-                norm[l] = sqrt(out_sq[l]);
-            for (int l = 0; l < used; l++) {
-                const double dev = fabs(norm[l] - 1.0);
-                if (dev > drift[j])
-                    drift[j] = dev;
-            }
-            const lanes_t inv = 1.0 / norm;
-            for (long k = 1; k <= N; k++) {
-                nr[k] *= inv;
-                ni[k] *= inv;
-            }
-            cur = 1 - cur;
-            if (--left == 0) {
-                for (long k = 0; k < N; k++)
-                    for (int l = 0; l < used; l++) {
-                        sample[2 * N * l + 2 * k] = nr[k + 1][l];
-                        sample[2 * N * l + 2 * k + 1] = ni[k + 1][l];
-                    }
-                sample += 2 * N * B;
-                left = stride;
-            }
+    struct segment s = {
+        .B = B, .N = N, .n = n, .tail_start = tail_start, .stride = stride,
+        .dt = dt, .tail_tol = tail_tol, .scale = scale,
+        .cl = cl, .dl = dl, .dgr = dgr, .dgi = dgi,
+        .psis = psis, .rec = rec, .drift = drift, .rngs = rngs,
+        .lanes = buf, .worst = -1, .worst_step = n + 1, .worst_tail = 0.0};
+    /* eight-lane groups while more than four rows are left: a group of
+     * at most four rows steps faster at four lanes */
+    const int wide = wide_groups();
+    for (long b0 = 0; b0 < B;) {
+        if (wide && B - b0 > 4) {
+            run_group8(&s, b0);
+            b0 += 8;
+        } else {
+            run_group4(&s, b0);
+            b0 += 4;
         }
-        if (!failed)
-            for (long k = 0; k < N; k++)
-                for (int l = 0; l < used; l++) {
-                    row[l][2 * k] = re[cur][k + 1][l];
-                    row[l][2 * k + 1] = im[cur][k + 1][l];
-                }
     }
     free(buf);
-    if (worst >= 0) {
-        *fail_step = worst_step;
-        *fail_tail = worst_tail;
+    if (s.worst >= 0) {
+        *fail_step = s.worst_step;
+        *fail_tail = s.worst_tail;
     }
-    return worst;
+    return s.worst;
+}
+
+/* The stepping body qsd_segment runs on this CPU: *isa names the
+ * instruction set of its widest lane group, and the group widths go
+ * into lanes, widest first.  Returns their count. */
+int qsd_stepping_loop(const char **isa, long *lanes)
+{
+    const int wide = wide_groups();
+#ifdef __x86_64__
+    *isa = wide ? "avx512f"
+                : __builtin_cpu_supports("avx") ? "avx" : "default";
+#else
+    *isa = "default";
+#endif
+    lanes[0] = wide ? 8 : 4;
+    lanes[1] = 4;
+    return wide ? 2 : 1;
 }

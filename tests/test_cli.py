@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qsdsim import qsd
 from qsdsim.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL, EXIT_PASS,
                         main)
 
@@ -82,6 +83,8 @@ def test_stationary_smoke(tmp_path):
     assert manifest["config_sha256"] == digest.hexdigest()
     for name in manifest["outputs"]:
         assert (out / name).exists()
+    assert manifest["stepping_loop"] == qsd.stepping_loop()
+    assert manifest["stepping_loop"]["lanes"][-1] == 4
 
 
 def test_stationary_expect_fail_mode(tmp_path):
@@ -384,6 +387,7 @@ def test_histories_undamped_control_keeps_coherence(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "histories"
     assert manifest["passed"] is True
+    assert manifest["stepping_loop"] is None   # no trajectory is stepped
 
 
 def test_failing_check_exits_one(tmp_path):

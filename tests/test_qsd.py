@@ -6,7 +6,6 @@ density-matrix generator to first order in dt, and the Ito variance
 of the norm must match the isometry prediction.
 """
 
-import ctypes
 import math
 import os
 import subprocess
@@ -475,53 +474,130 @@ def test_single_member_ensemble_equals_trajectory(warm_params, seed,
         assert not stats.stderrs[f].any()
 
 
+_CLONES = '__attribute__((target_clones("avx", "default")))'
+_WIDE = '__builtin_cpu_supports("avx512f")'
+
+
+def _loop_built_with(path, *edits):
+    """The loop built from qsd_step.c with each (old, new) edit made.
+
+    Each old text must occur once.  The one gcc command line builds it,
+    so it links the same sampler as the library in use.
+    """
+    source = (Path(qsd.__file__).parent / "qsd_step.c").read_text()
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    qsd._build_library(source.encode(), path)
+    return qsd._load_library(path)
+
+
+def _loop_outputs(ops, psis, cfg, seeds, cuts):
+    """(final, drift, samples, next draws) of a clean run and the
+    (trajectory, time, tail) of a run poisoned by the run_split cuts."""
+    samples, on_sample = _recorder(cfg)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    final, drift = qsd._integrate(ops, psis.copy(), rngs, cfg, 0, on_sample)
+    clean = final, drift, samples, [rng.standard_normal(4) for rng in rngs]
+    try:
+        with np.errstate(all="ignore"):
+            run_split(qsd._integrate, ops, psis,
+                      [np.random.default_rng([300, b])
+                       for b in range(len(psis))], cfg, 0,
+                      lambda block, step: None, cuts)
+    except TrajectoryError as exc:
+        return clean, (exc.trajectory, exc.time, exc.tail_mass)
+    return clean, None
+
+
+def _assert_same_outputs(got, want):
+    (final, drift, samples, draws), err = got
+    (final_w, drift_w, samples_w, draws_w), err_w = want
+    assert np.array_equal(final, final_w)
+    assert np.array_equal(drift, drift_w)
+    assert [s for s, _ in samples] == [s for s, _ in samples_w]
+    for (_, a), (_, b) in zip(samples, samples_w):
+        assert np.array_equal(a, b)
+    for a, b in zip(draws, draws_w):
+        assert np.array_equal(a, b)
+    assert err is not None and err_w is not None
+    assert err[:2] == err_w[:2]
+    assert err[2] == err_w[2] or math.isnan(err[2]) and math.isnan(err_w[2])
+
+
 def test_default_clone_equals_production_library(tmp_path, warm_params,
                                                  monkeypatch):
-    # the loop built for the baseline instruction set alone (the
-    # target_clones line stripped) steps bit for bit as the library in
-    # use, which on x86-64 picks its AVX clone where the CPU has AVX:
-    # rounding must not depend on the instruction set.  Both are built
-    # by the one gcc command line, so they link the same sampler.
-    source = (Path(qsd.__file__).parent / "qsd_step.c").read_text()
-    clones = [line for line in source.splitlines(keepends=True)
-              if "target_clones" in line]
-    assert len(clones) == 1
-    qsd._build_library(source.replace(clones[0], "").encode(),
-                       tmp_path / "plain.so")
-    production = qsd._compiled_segment()
-    plain = ctypes.CDLL(str(tmp_path / "plain.so")).qsd_segment
-    plain.argtypes, plain.restype = production.argtypes, production.restype
+    # the loop built for the baseline instruction set alone (no clones,
+    # no eight-lane instance) steps bit for bit as the library in use,
+    # which on x86-64 picks its AVX clone where the CPU has AVX and
+    # steps eight-lane groups where it has AVX-512F: rounding must not
+    # depend on the instruction set.  Nine rows fill an eight-lane group
+    # and a four-lane tail.
+    plain = _loop_built_with(tmp_path / "plain.so", (_CLONES, ""),
+                             (_WIDE, "0"))
+    assert qsd.stepping_loop() in ({"isa": "avx512f", "lanes": [8, 4]},
+                                   {"isa": "avx", "lanes": [4]},
+                                   {"isa": "default", "lanes": [4]})
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
     psis = _low_batch(9, 40, 20, seed=31)
+    cuts = {20: [(2, 1, np.nan), (6, 1, np.nan)]}
+    want = _loop_outputs(ops, psis, cfg, range(200, 209), cuts)
+    monkeypatch.setattr(qsd, "_compiled_loop", lambda: plain)
+    got = _loop_outputs(ops, psis, cfg, range(200, 209), cuts)
+    _assert_same_outputs(got, want)
+    assert want[1][0] == 2 and want[1][1] == pytest.approx(21e-3)
+    assert math.isnan(got[1][2]) and math.isnan(want[1][2])
+    assert qsd.stepping_loop()["lanes"] == [4]
 
-    def runs():
-        samples, on_sample = _recorder(cfg)
-        rngs = [np.random.default_rng(s) for s in range(200, 209)]
-        out = [qsd._integrate(ops, psis.copy(), rngs, cfg, 0, on_sample),
-               samples]
-        try:
-            with np.errstate(all="ignore"):
-                run_split(qsd._integrate, ops, psis,
-                          [np.random.default_rng([300, b])
-                           for b in range(9)], cfg, 0,
-                          lambda block, step: None,
-                          {20: [(2, 1, np.nan), (6, 1, np.nan)]})
-        except TrajectoryError as exc:
-            out.append((exc.trajectory, exc.time, exc.tail_mass))
-        return out
 
-    want = runs()
-    monkeypatch.setattr(qsd, "_compiled_segment", lambda: plain)
-    got = runs()
-    assert np.array_equal(got[0][0], want[0][0])
-    assert np.array_equal(got[0][1], want[0][1])
-    assert [s for s, _ in got[1]] == [s for s, _ in want[1]]
-    for (_, a), (_, b) in zip(got[1], want[1]):
-        assert np.array_equal(a, b)
-    assert len(want) == 3 and got[2][:2] == want[2][:2]
-    assert want[2][0] == 2 and want[2][1] == pytest.approx(21e-3)
-    assert math.isnan(got[2][2]) and math.isnan(want[2][2])
+@pytest.fixture(scope="module")
+def narrow_loop(tmp_path_factory):
+    # the library in use without its eight-lane instance
+    if qsd.stepping_loop()["isa"] != "avx512f":
+        pytest.skip("the CPU has no AVX-512F, so the loop steps four-lane "
+                    "groups only and there is no second width to compare")
+    return _loop_built_with(tmp_path_factory.mktemp("narrow") / "narrow.so",
+                            (_WIDE, "0"))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4, 5, 7, 8, 9, 13, 256])
+def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
+                                                  monkeypatch, batch):
+    # eight-lane groups with a four-lane tail step every row bit for bit
+    # as four-lane groups alone: final and sampled states, drift, the
+    # generators' next draws and a failure's row, time and tail
+    ops = build_operators(warm_params, 40)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
+    psis = _low_batch(batch, 40, 20, seed=batch)
+    cuts = {10: [(batch // 2, 3, np.nan)], 20: [(batch - 1, 1, np.nan)]}
+    want = _loop_outputs(ops, psis, cfg, range(batch), cuts)
+    monkeypatch.setattr(qsd, "_compiled_loop", lambda: narrow_loop)
+    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4]}
+    _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(batch), cuts),
+                         want)
+
+
+@pytest.mark.parametrize("cuts, row, step", [
+    ({20: [(5, 1, np.nan)]}, 5, 21),                  # eight-lane group
+    ({12: [(8, 1, np.nan)]}, 8, 13),                  # four-lane tail
+    ({20: [(3, 1, np.nan)], 12: [(8, 2, np.nan)]}, 8, 13),
+    ({15: [(8, 2, np.nan), (2, 1, np.nan)]}, 2, 16),  # first nan row wins
+])
+def test_nan_lanes_fail_alike_at_both_widths(warm_params, narrow_loop,
+                                             monkeypatch, cuts, row, step):
+    # nine rows: rows 0-7 share an eight-lane group, row 8 is the
+    # four-lane tail; a NaN in either names the same row, time and tail
+    # at both widths, under the serial rule
+    ops = build_operators(warm_params, 40)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
+    psis = _low_batch(9, 40, 20, seed=41)
+    want = _loop_outputs(ops, psis, cfg, range(9), cuts)
+    monkeypatch.setattr(qsd, "_compiled_loop", lambda: narrow_loop)
+    got = _loop_outputs(ops, psis, cfg, range(9), cuts)
+    _assert_same_outputs(got, want)
+    assert want[1][0] == row and want[1][1] == pytest.approx(step * 1e-3)
+    assert math.isnan(want[1][2])
 
 
 def test_loop_is_built_on_first_use_and_cached(tmp_path):
@@ -547,13 +623,13 @@ def test_loop_is_built_on_first_use_and_cached(tmp_path):
 def test_missing_compiler_is_a_clear_error(tmp_path, monkeypatch, ops20):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(qsd.shutil, "which", lambda name: None)
-    qsd._compiled_segment.cache_clear()
+    qsd._compiled_loop.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="needs gcc"):
             run_trajectory(coherent_state(ops20, 0.5), ops20,
                            IntegratorConfig(dt=1e-3, t_end=1e-2))
     finally:
-        qsd._compiled_segment.cache_clear()
+        qsd._compiled_loop.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["_BITGEN_H", "_NPYRANDOM_A"])
@@ -564,13 +640,13 @@ def test_missing_sampler_is_a_clear_error(tmp_path, monkeypatch, ops20,
     # in the cache, since the cache key hashes both
     missing = tmp_path / "numpy-sampler-missing"
     monkeypatch.setattr(qsd, name, missing)
-    qsd._compiled_segment.cache_clear()
+    qsd._compiled_loop.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=str(missing)):
             run_trajectory(coherent_state(ops20, 0.5), ops20,
                            IntegratorConfig(dt=1e-3, t_end=1e-2))
     finally:
-        qsd._compiled_segment.cache_clear()
+        qsd._compiled_loop.cache_clear()
 
 
 def test_step_renormalizes(ops20):
