@@ -37,7 +37,7 @@ TAIL_LEVEL_DIVISOR = 10
 TAIL_TOL = 1e-6
 
 # Trajectory batch size of the ensemble runner.  The compiled loop steps
-# rows in lane groups of eight (on CPUs with AVX-512F) or four, each
+# rows in lane groups of eight (when built for AVX-512F) or four, each
 # lane rounded as its row stepped alone, so beyond a few groups the
 # batch only spreads Python's per-call and per-sample work; the sweep
 # scripts/sweep_traj_batch.py finds run_ensemble flat within noise from

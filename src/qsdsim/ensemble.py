@@ -123,8 +123,11 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
         rho_steps[k] = len(rho_steps)
 
     # Accumulated batch by batch in batch order: the reduction order is
-    # a pure function of the trajectory index.
+    # a pure function of the trajectory index.  The variance sums shift
+    # by trajectory 0's value at each sample, so they do not cancel.
     tot = {f: np.zeros(n_samples) for f in STAT_FIELDS}
+    shift = {f: np.zeros(n_samples) for f in STAT_FIELDS}
+    tot_dev = {f: np.zeros(n_samples) for f in STAT_FIELDS}
     tot_sq = {f: np.zeros(n_samples) for f in STAT_FIELDS}
     occ = np.zeros((n_samples, n_fock))
     rhos = np.zeros((len(rho_steps), n_fock, n_fock), dtype=complex)
@@ -141,8 +144,12 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
                 vals = bundle_arrays(psis, ops)
                 for f in STAT_FIELDS:
                     v = vals[f]
+                    if k0 == 0:
+                        shift[f][j] = v[0]
+                    dev = v - shift[f][j]
                     tot[f][j] += v.sum()
-                    tot_sq[f][j] += (v * v).sum()
+                    tot_dev[f][j] += dev.sum()
+                    tot_sq[f][j] += (dev * dev).sum()
                 norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
                 occ[j] += (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
                 for f in cfg.store_series:
@@ -159,7 +166,7 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     stderrs = {}
     for f in STAT_FIELDS:
         if m > 1:
-            var = np.maximum(tot_sq[f] - tot[f] ** 2 / m, 0.0) / (m - 1)
+            var = np.maximum(tot_sq[f] - tot_dev[f] ** 2 / m, 0.0) / (m - 1)
             stderrs[f] = np.sqrt(var / m)
         else:
             stderrs[f] = np.zeros(n_samples)

@@ -18,15 +18,15 @@ The work is split between two languages.  The compiled loop in
 qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
 and renormalizes.  It steps the rows in lane groups, one row per lane
-of a SIMD vector: eight rows per group on CPUs with AVX-512F while more
-than four rows are left, else four (stepping_loop reports which).  Each
-lane rounds exactly as the row stepped alone, so no result depends on
-the batch, the group width or the CPU.  The loop also draws each
-row's noise from the row's numpy generator, with numpy's own sampler,
-and copies the sampled states into a buffer of up to TRAJ_BATCH rows.
-Python calls it once per such block of samples, hands the block to the
-caller and raises the error of a failed row.  The loop is built with
-gcc on first use, never at import.
+of a SIMD vector, built for the host CPU: eight rows per group where
+it has AVX-512F while more than four are left, else four (stepping_loop
+reports which).  Each lane rounds exactly as the row stepped alone, so
+no result depends on the batch, the group width or the CPU.  The loop
+also draws each row's noise from the row's numpy generator, with
+numpy's own sampler, and copies the sampled states into a buffer of up
+to TRAJ_BATCH rows.  Python calls it once per such block of samples,
+hands the block to the caller and raises the error of a failed row.
+It is built with gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import ctypes
 import functools
 import math
 import os
+import platform
 import shutil
 import warnings
 from dataclasses import dataclass
@@ -54,9 +55,10 @@ from .observables import BUNDLE_DTYPE, STAT_FIELDS, bundle_arrays
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-#: gcc flags of the stepping loop.  No FMA contraction, so rounding does
-#: not depend on the target's instruction set.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+#: gcc flags of the stepping loop, for the host CPU on x86-64.  No FMA
+#: contraction, so rounding does not depend on the target's instructions.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC",
+           *(("-march=native",) if platform.machine() == "x86_64" else ()))
 
 #: The lane-group body that qsd_step.c includes once per lane width.
 _LANES_H = Path(__file__).parent / "qsd_lanes.h"
@@ -153,6 +155,25 @@ def check_step_size(dt: float, params: ModelParams) -> None:
             "oscillation underresolved", StepSizeWarning, stacklevel=2)
 
 
+def _gcc() -> str:
+    """The gcc on PATH, which builds the stepping loop."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise RuntimeError("qsdsim compiles its stepping loop "
+                           "(qsd_step.c) on first use and needs gcc "
+                           "on PATH; none was found")
+    return gcc
+
+
+def _target_macros() -> bytes:
+    """The macros gcc predefines under _CFLAGS: its version and target."""
+    import subprocess
+
+    return subprocess.run([_gcc(), *_CFLAGS, "-E", "-dM", "-x", "c",
+                           os.devnull], capture_output=True,
+                          check=True).stdout
+
+
 def _build_library(source: bytes, out: Path) -> None:
     """Compile the C source into the shared library out.
 
@@ -162,13 +183,8 @@ def _build_library(source: bytes, out: Path) -> None:
     """
     import subprocess
 
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        raise RuntimeError("qsdsim compiles its stepping loop "
-                           "(qsd_step.c) on first use and needs gcc "
-                           "on PATH; none was found")
     proc = subprocess.run(
-        [gcc, *_CFLAGS, "-I", str(_LANES_H.parent), "-I",
+        [_gcc(), *_CFLAGS, "-I", str(_LANES_H.parent), "-I",
          str(_BITGEN_H.parents[2]), "-x", "c", "-",
          "-x", "none", str(_NPYRANDOM_A), "-o", str(out), "-lm"],
         input=source, capture_output=True)
@@ -197,15 +213,16 @@ def _compiled_loop() -> ctypes.CDLL:
 
     The library is cached in $XDG_CACHE_HOME/qsdsim (default
     ~/.cache/qsdsim) under a hash of the C sources, the compiler flags
-    and numpy's bitgen.h and libnpyrandom.a, so a changed source, flag
-    set or numpy builds afresh.  It is written under a temporary name
-    and moved into place, so concurrent first uses never load a
-    half-written file.
+    and target macros and numpy's bitgen.h and libnpyrandom.a, so a new
+    source, flag set, CPU, gcc or numpy builds afresh.  It is written
+    under a temporary name and moved into place, so concurrent first
+    uses never load a half-written file.
     """
     import hashlib
 
     source = (Path(__file__).parent / "qsd_step.c").read_bytes()
-    key = source + _LANES_H.read_bytes() + " ".join(_CFLAGS).encode()
+    key = (source + _LANES_H.read_bytes() + " ".join(_CFLAGS).encode()
+           + _target_macros())
     for path in (_BITGEN_H, _NPYRANDOM_A):
         try:
             key += path.read_bytes()
@@ -230,11 +247,11 @@ def _compiled_loop() -> ctypes.CDLL:
 
 
 def stepping_loop() -> dict:
-    """The stepping body the compiled loop runs on this CPU.
+    """The stepping body the compiled loop was built with.
 
-    isa names the instruction set of its widest lane group, and lanes
-    lists the group widths, widest first: {"isa": "avx512f", "lanes":
-    [8, 4]} where the CPU has AVX-512F, else one width of four.
+    isa names the target's instruction set of its widest lane group, and
+    lanes lists the group widths, widest first: {"isa": "avx512f",
+    "lanes": [8, 4]} where it has AVX-512F, else one width of four.
     """
     isa, lanes = ctypes.c_char_p(), (ctypes.c_long * 2)()
     count = _compiled_loop().qsd_stepping_loop(ctypes.byref(isa), lanes)

@@ -1,11 +1,10 @@
 /* One lane group of qsd_step.c's stepping loop, for LANES rows.
  *
- * qsd_step.c includes this body once per lane width, with LANES and
- * LANE_TARGET (the function attributes that pick the instruction set)
- * defined.  It defines lanes<LANES>_t, a GCC vector of LANES doubles,
- * and run_group<LANES>, which steps one group of rows through a whole
- * call of qsd_segment.  Lane l of a vector holds row b0 + l, so the
- * vector width runs across rows, never within one.
+ * qsd_step.c includes this body once per lane width, with LANES defined.
+ * It defines lanes<LANES>_t, a GCC vector of LANES doubles, and
+ * run_group<LANES>, which steps one group of rows through a whole call
+ * of qsd_segment.  Lane l of a vector holds row b0 + l, so the vector
+ * width runs across rows, never within one.
  */
 
 #define CAT_(a, b) a##b
@@ -79,7 +78,7 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
  * through the step of the earliest failure so far, and merges the
  * group's failures into s in row order.  Lanes past s->B - 1 hold
  * copies of row B - 1, draw no noise and are ignored. */
-static LANE_TARGET void run_group(struct segment *s, long b0)
+static void run_group(struct segment *s, long b0)
 {
     const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
     const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
@@ -110,7 +109,7 @@ static LANE_TARGET void run_group(struct segment *s, long b0)
     for (long j = 0; j < steps; j++) {
         const lanes_t *r = re[cur], *i = im[cur];
         lanes_t *nr = re[1 - cur], *ni = im[1 - cur];
-        lanes_t out_sq, tail_sq, norm;
+        lanes_t out_sq, tail_sq;
         for (int l = 0; l < used; l++)
             for (int q = 0; q < 4; q++)
                 xi[q][l] = random_standard_normal(rngs[l]) * scale;
@@ -133,8 +132,9 @@ static LANE_TARGET void run_group(struct segment *s, long b0)
         }
         if (failed)
             break;
+        lanes_t norm = out_sq;
         for (int l = 0; l < LANES; l++)
-            norm[l] = sqrt(out_sq[l]);
+            norm[l] = sqrt(norm[l]);
         for (int l = 0; l < used; l++) {
             const double dev = fabs(norm[l] - 1.0);
             if (dev > drift[j])
@@ -169,5 +169,4 @@ static LANE_TARGET void run_group(struct segment *s, long b0)
 #undef lanes_t
 #undef CAT
 #undef CAT_
-#undef LANE_TARGET
 #undef LANES

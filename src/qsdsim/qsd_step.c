@@ -9,18 +9,18 @@
  * covers many samples.
  *
  * Rows are stepped in lane groups, one row per lane of a GCC vector, so
- * the vector width runs across rows, never within one.  On x86-64 CPUs
- * with AVX-512F a group holds eight rows while more than four are left
- * and four after that; on every other CPU a group holds four.  The
- * group body, qsd_lanes.h, is written once and included for each
- * width.  Each lane does exactly the IEEE operations of a row stepped
- * alone, in the same order: every sum over levels is one sequential
- * chain per row.  So a row's result does not depend on the batch it
- * sits in, nor on its lane group or the group's width.  The file is
- * built with -ffp-contract=off: no FMA contraction, so the rounding
- * does not depend on the target's instruction set either, and the
- * eight-lane AVX-512F body and the AVX and baseline four-lane bodies
- * give the same bits.
+ * the vector width runs across rows, never within one.  The library is
+ * built for the CPU that runs it (-march=native on x86-64, see qsd.py),
+ * and the compiler's target picks the widths: where it has AVX-512F a
+ * group holds eight rows while more than four are left and four after
+ * that; on every other target a group holds four.  The group body,
+ * qsd_lanes.h, is written once and included for each width.  Each lane
+ * does exactly the IEEE operations of a row stepped alone, in the same
+ * order: every sum over levels is one sequential chain per row.  So a
+ * row's result does not depend on the batch it sits in, nor on its lane
+ * group or the group's width.  The file is built with -ffp-contract=off:
+ * no FMA contraction, so the rounding does not depend on the target's
+ * instruction set either, and builds for any target give the same bits.
  *
  * The normals come from numpy's own sampler, random_standard_normal of
  * numpy/random/lib/libnpyrandom.a, called on each generator's bitgen_t
@@ -57,38 +57,17 @@ struct segment {
     double worst_tail;
 };
 
-/* Four lanes: an AVX and a baseline clone on x86-64, picked at load;
- * step_group is always inlined, so each clone carries the body built
- * for its own instruction set. */
 #define LANES 4
-#ifdef __x86_64__
-#define LANE_TARGET __attribute__((target_clones("avx", "default")))
-#else
-#define LANE_TARGET
-#endif
 #include "qsd_lanes.h"
 
-/* Eight lanes, run on CPUs with AVX-512F only (wide_groups): its 32
- * registers of eight doubles hold a group's working set, which spills
- * from the 16 registers of AVX (an eight-lane group built for AVX2 ran
- * slower than two four-lane groups). */
+#ifdef __AVX512F__
+/* Eight lanes: the 32 registers of eight doubles of AVX-512 hold a
+ * group's working set, which spills from the 16 registers of AVX (an
+ * eight-lane group built for AVX2 ran slower than two four-lane
+ * groups). */
 #define LANES 8
-#ifdef __x86_64__
-#define LANE_TARGET __attribute__((target("avx512f")))
-#else
-#define LANE_TARGET
-#endif
 #include "qsd_lanes.h"
-
-/* Whether qsd_segment steps eight-lane groups on this CPU. */
-static int wide_groups(void)
-{
-#ifdef __x86_64__
-    return __builtin_cpu_supports("avx512f");
-#else
-    return 0;
 #endif
-}
 
 /* Advances every row of psis (B rows of N interleaved complex levels)
  * by n steps.  Row b draws each step's increments (Re xi1, Im xi1,
@@ -146,17 +125,18 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
         .cl = cl, .dl = dl, .dgr = dgr, .dgi = dgi,
         .psis = psis, .rec = rec, .drift = drift, .rngs = rngs,
         .lanes = buf, .worst = -1, .worst_step = n + 1, .worst_tail = 0.0};
-    /* eight-lane groups while more than four rows are left: a group of
-     * at most four rows steps faster at four lanes */
-    const int wide = wide_groups();
     for (long b0 = 0; b0 < B;) {
-        if (wide && B - b0 > 4) {
+#ifdef __AVX512F__
+        /* eight-lane groups while more than four rows are left: a group
+         * of at most four rows steps faster at four lanes */
+        if (B - b0 > 4) {
             run_group8(&s, b0);
             b0 += 8;
-        } else {
-            run_group4(&s, b0);
-            b0 += 4;
+            continue;
         }
+#endif
+        run_group4(&s, b0);
+        b0 += 4;
     }
     free(buf);
     if (s.worst >= 0) {
@@ -166,19 +146,23 @@ long qsd_segment(long B, long N, long n, const double *c, const double *d,
     return s.worst;
 }
 
-/* The stepping body qsd_segment runs on this CPU: *isa names the
+/* The stepping body this library was built with: *isa names the
  * instruction set of its widest lane group, and the group widths go
  * into lanes, widest first.  Returns their count. */
 int qsd_stepping_loop(const char **isa, long *lanes)
 {
-    const int wide = wide_groups();
-#ifdef __x86_64__
-    *isa = wide ? "avx512f"
-                : __builtin_cpu_supports("avx") ? "avx" : "default";
+#ifdef __AVX512F__
+    *isa = "avx512f";
+    lanes[0] = 8;
+    lanes[1] = 4;
+    return 2;
+#else
+#ifdef __AVX__
+    *isa = "avx";
 #else
     *isa = "default";
 #endif
-    lanes[0] = wide ? 8 : 4;
-    lanes[1] = 4;
-    return wide ? 2 : 1;
+    lanes[0] = 4;
+    return 1;
+#endif
 }

@@ -8,6 +8,7 @@ from qsdsim import (
     EnsembleConfig,
     InitialStateSpec,
     IntegratorConfig,
+    ModelParams,
     ParameterError,
     TrajectoryError,
     build_operators,
@@ -15,6 +16,7 @@ from qsdsim import (
     density_matrix,
     run_ensemble,
     run_trajectory,
+    temperature_for_nbar,
     thermal_state,
     trace_distance,
     trajectory_seed,
@@ -144,6 +146,21 @@ def test_stderr_shrinks_like_root_m(ops20):
     s, b = small.stderrs["n_mean"][-1], big.stderrs["n_mean"][-1]
     # same-population stderr ratio should be close to sqrt(512/32) = 4
     assert 2.0 < s / b < 8.0
+
+
+@pytest.mark.parametrize("m", [192, TRAJ_BATCH + 3])
+def test_stderr_is_zero_where_every_trajectory_agrees(m):
+    # at t=0 every trajectory holds the d=6 cat start of
+    # scripts/configs/localize_cat_sweep.json, so every stderr is 0; a
+    # one-pass (sum v^2 - (sum v)^2 / m) cancels to 1e-8 here
+    params = ModelParams(gamma=0.2, temperature=temperature_for_nbar(5.0))
+    stats = run_ensemble(EnsembleConfig(
+        m=m, base_seed=42,
+        integrator=IntegratorConfig(dt=2.5e-4, t_end=1e-3, record_stride=4),
+        initial=InitialStateSpec(kind="cat", alpha=3.0)),
+        build_operators(params, 64))
+    for f in STAT_FIELDS:
+        assert stats.stderrs[f][0] == 0.0, f
 
 
 def test_density_matrix_of_orthogonal_states(ops20):

@@ -474,22 +474,23 @@ def test_single_member_ensemble_equals_trajectory(warm_params, seed,
         assert not stats.stderrs[f].any()
 
 
-_CLONES = '__attribute__((target_clones("avx", "default")))'
-_WIDE = '__builtin_cpu_supports("avx512f")'
+def _loop_built_with(path, *flags):
+    """The loop built with flags added to qsd._CFLAGS.
 
-
-def _loop_built_with(path, *edits):
-    """The loop built from qsd_step.c with each (old, new) edit made.
-
-    Each old text must occur once.  The one gcc command line builds it,
-    so it links the same sampler as the library in use.
+    The one gcc command line builds it, so it links the same sampler as
+    the library in use.
     """
-    source = (Path(qsd.__file__).parent / "qsd_step.c").read_text()
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    qsd._build_library(source.encode(), path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsd, "_CFLAGS", (*qsd._CFLAGS, *flags))
+        qsd._build_library(
+            (Path(qsd.__file__).parent / "qsd_step.c").read_bytes(), path)
     return qsd._load_library(path)
+
+
+def _skip_unless_above_baseline():
+    if qsd.stepping_loop()["isa"] == "default":
+        pytest.skip("the library in use is built for the baseline target "
+                    "already, so there is no second build to compare")
 
 
 def _loop_outputs(ops, psis, cfg, seeds, cuts):
@@ -525,19 +526,17 @@ def _assert_same_outputs(got, want):
     assert err[2] == err_w[2] or math.isnan(err[2]) and math.isnan(err_w[2])
 
 
-def test_default_clone_equals_production_library(tmp_path, warm_params,
-                                                 monkeypatch):
-    # the loop built for the baseline instruction set alone (no clones,
-    # no eight-lane instance) steps bit for bit as the library in use,
-    # which on x86-64 picks its AVX clone where the CPU has AVX and
-    # steps eight-lane groups where it has AVX-512F: rounding must not
-    # depend on the instruction set.  Nine rows fill an eight-lane group
-    # and a four-lane tail.
-    plain = _loop_built_with(tmp_path / "plain.so", (_CLONES, ""),
-                             (_WIDE, "0"))
+def test_baseline_build_equals_production_library(tmp_path, warm_params,
+                                                  monkeypatch):
+    # the loop built for the x86-64 baseline (SSE2, four-lane groups
+    # only) steps bit for bit as the library in use, which is built for
+    # the host and steps eight-lane groups where it has AVX-512F:
+    # rounding must not depend on the instruction set.  Nine rows fill
+    # an eight-lane group and a four-lane tail.
+    _skip_unless_above_baseline()
+    plain = _loop_built_with(tmp_path / "plain.so", "-march=x86-64")
     assert qsd.stepping_loop() in ({"isa": "avx512f", "lanes": [8, 4]},
-                                   {"isa": "avx", "lanes": [4]},
-                                   {"isa": "default", "lanes": [4]})
+                                   {"isa": "avx", "lanes": [4]})
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
     psis = _low_batch(9, 40, 20, seed=31)
@@ -548,17 +547,18 @@ def test_default_clone_equals_production_library(tmp_path, warm_params,
     _assert_same_outputs(got, want)
     assert want[1][0] == 2 and want[1][1] == pytest.approx(21e-3)
     assert math.isnan(got[1][2]) and math.isnan(want[1][2])
-    assert qsd.stepping_loop()["lanes"] == [4]
+    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4]}
 
 
 @pytest.fixture(scope="module")
 def narrow_loop(tmp_path_factory):
-    # the library in use without its eight-lane instance
+    # the library in use built without AVX-512F, so with four-lane
+    # groups only
     if qsd.stepping_loop()["isa"] != "avx512f":
         pytest.skip("the CPU has no AVX-512F, so the loop steps four-lane "
                     "groups only and there is no second width to compare")
     return _loop_built_with(tmp_path_factory.mktemp("narrow") / "narrow.so",
-                            (_WIDE, "0"))
+                            "-mno-avx512f")
 
 
 @pytest.mark.parametrize("batch", [1, 3, 4, 5, 7, 8, 9, 13, 256])
@@ -618,6 +618,32 @@ def test_loop_is_built_on_first_use_and_cached(tmp_path):
     names = [p.name for p in (cache / "qsdsim").iterdir()]
     assert len(names) == 1
     assert names[0].startswith("qsd_step-") and names[0].endswith(".so")
+
+
+@pytest.mark.parametrize("flags", [(), ("-march=x86-64",)])
+def test_loop_builds_without_warnings(tmp_path, flags):
+    # for the host and for the x86-64 baseline
+    if flags:
+        _skip_unless_above_baseline()
+    _loop_built_with(tmp_path / "strict.so", "-Wall", "-Wextra", "-Werror",
+                     *flags)
+
+
+def test_cache_key_follows_the_host_target(tmp_path, monkeypatch):
+    # the library's name hashes the macros gcc predefines for its
+    # target, so hosts with different CPUs sharing a cache, or a gcc
+    # upgrade, never load a library built for another target
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(qsd, "_build_library",
+                        lambda source, out: out.write_bytes(b""))
+    monkeypatch.setattr(qsd, "_load_library", lambda path: path.name)
+    names = []
+    for macros in (b"#define __AVX512F__ 1\n", b"#define __AVX__ 1\n",
+                   b"#define __AVX512F__ 1\n"):
+        monkeypatch.setattr(qsd, "_target_macros", lambda: macros)
+        names.append(qsd._compiled_loop.__wrapped__())
+    assert names[0] != names[1]
+    assert names[0] == names[2]
 
 
 def test_missing_compiler_is_a_clear_error(tmp_path, monkeypatch, ops20):
