@@ -10,16 +10,17 @@ holds.  Exit codes: 0 pass, 1 assertion fail, 2 config error,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
@@ -74,8 +75,9 @@ CONFIG_SCHEMA = _section({
         "phase": _NUMBER, "amplitudes": {"type": "array", "items": _COMPLEX},
     }, "kind"),
     # cat separations d = 2|alpha| in units of the coherent label
-    "localize": _section({"separations": {"type": "array", "items": _NUMBER,
-                                          "minItems": 1}}),
+    "localize": _section({"separations": {
+        "type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+        "minItems": 1}}),
     "thermalize": _section({"max_n": {"type": "integer", "minimum": 1}}),
     "histories": _section({
         "times": {"type": "array", "items": _NUMBER, "minItems": 1},
@@ -86,6 +88,13 @@ CONFIG_SCHEMA = _section({
         "include_complement": _BOOL, "control": _BOOL,
     }, "times", "cells", "h", "dt_oracle"),
 }, "params", "fock")
+
+# JSON Schema counts 8.0 as an integer; the dataclasses and numpy do not.
+# The schema itself is checked once, by the tests, not on every load.
+CONFIG_VALIDATOR = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))(CONFIG_SCHEMA)
 
 # Config sections each subcommand reads beyond params and fock.
 REQUIRED_SECTIONS = {
@@ -117,114 +126,53 @@ def load_config(path: Path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        validate(cfg, CONFIG_SCHEMA)
-    except ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return cfg
 
 
-def _config_stage(build):
-    """Report a SimulationError of a config builder as a ConfigError.
-
-    Everything the commands build from the config goes through a
-    builder wrapped here, so a bad value exits 2, not 3.
-    """
-    @functools.wraps(build)
-    def wrapper(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ConfigError:
-            raise
-        except SimulationError as exc:
-            raise ConfigError(str(exc)) from exc
-    return wrapper
+@contextmanager
+def config_stage():
+    """Report a SimulationError raised while a command builds and checks
+    everything it takes from its config as a ConfigError, so a bad
+    value exits 2, not 3."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-@_config_stage
 def _model(cfg: dict):
     """(params, operators) of the params and fock sections."""
-    sec = cfg["params"]
+    sec = dict(cfg["params"])
     if ("temperature" in sec) == ("nbar" in sec):
         raise ConfigError("params needs exactly one of temperature, nbar")
-    params = ModelParams(
-        m=sec["m"], omega=sec["omega"], gamma=sec["gamma"],
-        temperature=sec.get("temperature", 0.0),
-        hbar=sec.get("hbar", 1.0), k_B=sec.get("k_B", 1.0))
-    if "nbar" in sec:
-        params = replace(params, temperature=temperature_for_nbar(
-            sec["nbar"], params))
+    nbar = sec.pop("nbar", None)
+    params = ModelParams(**sec)
+    if nbar is not None:
+        params = replace(params, temperature=temperature_for_nbar(nbar,
+                                                                  params))
     return params, build_operators(params, cfg["fock"]["n_fock"])
 
 
-def build_initial(section: dict) -> InitialStateSpec:
-    return InitialStateSpec(
-        kind=section["kind"],
-        alpha=_as_complex(section.get("alpha", 0.0)),
-        n=section.get("n", 0),
-        phase=section.get("phase", 0.0),
-        amplitudes=tuple(_as_complex(a)
-                         for a in section.get("amplitudes", ())))
+def _initial(section: dict) -> InitialStateSpec:
+    sec = dict(section)
+    if "alpha" in sec:
+        sec["alpha"] = _as_complex(sec["alpha"])
+    sec["amplitudes"] = tuple(map(_as_complex, sec.get("amplitudes", ())))
+    return InitialStateSpec(**sec)
 
 
-@_config_stage
-def _initial_state(section: dict, ops) -> np.ndarray:
-    return build_initial(section).build(ops)
-
-
-@_config_stage
-def _integrator(cfg: dict, seed_override) -> IntegratorConfig:
-    sec = cfg["integrator"]
-    seed = sec.get("seed", 0) if seed_override is None else seed_override
-    return IntegratorConfig(
-        dt=sec["dt"], t_end=sec["t_end"], seed=seed,
-        record_stride=sec.get("record_stride", 1))
-
-
-@_config_stage
-def _ensemble_config(cfg: dict, icfg: IntegratorConfig, seed_override,
-                     ops) -> EnsembleConfig:
+def _ensemble(cfg: dict, ops) -> EnsembleConfig:
     """The ensemble settings; their initial state is built once as a check."""
-    sec = cfg["ensemble"]
-    base_seed = (sec.get("base_seed", 0) if seed_override is None
-                 else seed_override)
-    ecfg = EnsembleConfig(
-        m=sec["m"], base_seed=base_seed, integrator=icfg,
-        initial=build_initial(cfg["initial"]))
+    ecfg = EnsembleConfig(**{"base_seed": 0, **cfg["ensemble"]},
+                          integrator=IntegratorConfig(**cfg["integrator"]),
+                          initial=_initial(cfg["initial"]))
     ecfg.initial.build(ops)
     return ecfg
-
-
-@_config_stage
-def _sweep_initials(separations, phase: float, ops) -> list:
-    """One cat start per separation; each state is built once as a check,
-    so a bad separation is refused before any ensemble runs."""
-    specs = [InitialStateSpec(kind="cat", alpha=d / 2.0, phase=phase)
-             for d in separations]
-    for spec in specs:
-        spec.build(ops)
-    return specs
-
-
-@_config_stage
-def _history_setup(cfg: dict, ops):
-    """(spec, pcfg) of the histories section, the quadrature spacing of
-    every cell checked."""
-    sec = cfg["histories"]
-    psi0 = build_initial(cfg["initial"]).build(ops)
-    cells = tuple(PhaseCell(center=_as_complex(c["center"]),
-                            w_re=c["w_re"], w_im=c["w_im"], h=sec["h"])
-                  for c in sec["cells"])
-    for cell in cells:
-        cell.check_quadrature()
-    spec = HistorySpec(times=tuple(sec["times"]),
-                       cells=tuple(cells for _ in sec["times"]),
-                       rho0=np.outer(psi0, psi0.conj()),
-                       include_complement=sec.get("include_complement",
-                                                  True))
-    pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
-                                    t_end=max(sec["times"]))
-    return spec, pcfg
 
 
 def _sha256(path: Path) -> str:
@@ -245,6 +193,11 @@ class Runner:
         if missing:
             raise ConfigError(f"{args.command} needs the config sections "
                               f"{', '.join(missing)}")
+        if args.seed is not None:
+            for name, key in (("integrator", "seed"),
+                              ("ensemble", "base_seed")):
+                if name in self.cfg:
+                    self.cfg[name][key] = args.seed
         self.started = time.monotonic()
         self.outputs: list[str] = []
         self.checks: list[tuple[str, bool]] = []
@@ -261,7 +214,8 @@ class Runner:
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
-    def finish(self, command: str) -> int:
+    def finish(self) -> int:
+        command = self.args.command
         manifest = {
             "command": command,
             "config": self.config_path.name,
@@ -306,10 +260,14 @@ class Runner:
 
 
 def cmd_stationary(run: Runner) -> int:
-    cfg, (params, ops) = run.cfg, _model(run.cfg)
-    icfg = _integrator(cfg, run.args.seed)
-    psi0 = _initial_state(cfg.get("initial", {"kind": "coherent",
-                                              "alpha": 1.0}), ops)
+    with config_stage():
+        params, ops = _model(run.cfg)
+        icfg = IntegratorConfig(**run.cfg["integrator"])
+        psi0 = _initial(run.cfg.get("initial", {"kind": "coherent",
+                                                "alpha": 1.0})).build(ops)
+        if run.args.expect_fail and icfg.sample_times.size < 2:
+            raise ConfigError("--expect-fail needs at least two samples; "
+                              "lower record_stride")
     record = run_trajectory(psi0, ops, icfg)
     write_bundle_csv(run.path("trajectory.csv"), record.bundles)
     run.gnuplot_stub("trajectory.csv",
@@ -338,7 +296,7 @@ def cmd_stationary(run: Runner) -> int:
         for name, value in diags.items():
             run.check(f"{name} = {value:.4g} < {SHAPE_TOL}",
                       value < SHAPE_TOL)
-    return run.finish("stationary")
+    return run.finish()
 
 
 def _localize_rate(ecfg, ops, tag, run):
@@ -351,18 +309,25 @@ def _localize_rate(ecfg, ops, tag, run):
 
 
 def cmd_localize(run: Runner) -> int:
-    cfg, (params, ops) = run.cfg, _model(run.cfg)
-    ecfg = _ensemble_config(cfg, _integrator(cfg, None), run.args.seed, ops)
-    initial = ecfg.initial
-    if initial.kind not in ("fock", "cat"):
-        raise ConfigError("localize expects a fock or cat initial state")
+    with config_stage():
+        params, ops = _model(run.cfg)
+        ecfg = _ensemble(run.cfg, ops)
+        initial = ecfg.initial
+        if initial.kind not in ("fock", "cat"):
+            raise ConfigError("localize expects a fock or cat initial state")
+        separations = (run.cfg.get("localize", {}).get("separations", [])
+                       if initial.kind == "cat" else [])
+        # one cat start per separation, each built once as a check, so
+        # a bad separation is refused before any ensemble runs
+        specs = [InitialStateSpec(kind="cat", alpha=d / 2.0,
+                                  phase=initial.phase) for d in separations]
+        for spec in specs:
+            spec.build(ops)
     bound = 2.0 * params.gamma * (params.nbar + 0.5)
     report: dict = {"rate_bound": bound}
 
-    separations = cfg.get("localize", {}).get("separations")
-    if initial.kind == "cat" and separations:
+    if separations:
         rates = []
-        specs = _sweep_initials(separations, initial.phase, ops)
         for d, spec in zip(separations, specs):
             _, fit = _localize_rate(replace(ecfg, initial=spec), ops,
                                     f"d{d:g}", run)
@@ -396,25 +361,47 @@ def cmd_localize(run: Runner) -> int:
         fh.write("\n")
     run.gnuplot_stub(run.outputs[0], {"delta_alpha_sq mean": 3},
                      "localization decay")
-    return run.finish("localize")
+    return run.finish()
 
 
 def cmd_thermalize(run: Runner) -> int:
-    cfg, (params, ops) = run.cfg, _model(run.cfg)
-    icfg = _integrator(cfg, None)
-    if params.gamma * icfg.t_end < 10.0:   # also refuses gamma = 0
-        raise ConfigError("thermalize needs t_end >= 10/gamma")
-    ecfg = _ensemble_config(cfg, icfg, run.args.seed, ops)
+    with config_stage():
+        params, ops = _model(run.cfg)
+        ecfg = _ensemble(run.cfg, ops)
+        icfg = ecfg.integrator
+        if params.gamma * icfg.t_end < 10.0:   # also refuses gamma = 0
+            raise ConfigError("thermalize needs t_end >= 10/gamma")
+        times = icfg.sample_times
+        if times.size < 2:
+            raise ConfigError("thermalize needs at least two samples; "
+                              "lower record_stride")
+        late = times >= (1.0 - LATE_FRACTION) * times[-1]
+        nbar = params.nbar
+        if nbar > 0.0:
+            # chi-square against the thermal law on decorrelated late
+            # snapshots, sized before any trajectory runs
+            max_n = run.cfg.get("thermalize", {}).get("max_n", 6)
+            if max_n >= ops.n_fock:
+                raise ConfigError(f"thermalize max_n {max_n} must be "
+                                  f"below n_fock {ops.n_fock}")
+            stride_t = DECORRELATION_TIME_FACTOR / params.gamma
+            step = max(1, int(round(stride_t
+                                    / (icfg.record_stride * icfg.dt))))
+            rows = np.flatnonzero(late)[::step]
+            m_eff = ecfg.m * rows.size
+            expected_p = np.array([nbar ** n / (1 + nbar) ** (n + 1)
+                                   for n in range(max_n + 1)])
+            expected = expected_p * m_eff
+            if np.any(expected < CHI2_MIN_EXPECTED):
+                raise ConfigError("expected counts below "
+                                  f"{CHI2_MIN_EXPECTED:g}; raise M or "
+                                  "lower max_n")
     stats = run_ensemble(ecfg, ops)
     write_stats_csv(run.path("thermalize.csv"), stats)
     run.gnuplot_stub("thermalize.csv", {"mean": 3}, "occupation relaxation")
 
-    nbar = params.nbar
-    times = stats.times
     n_mean = stats.means["n_mean"]
     n_err = stats.stderrs["n_mean"]
-    late = times >= (1.0 - LATE_FRACTION) * times[-1]
-
     if nbar == 0.0:
         fit = fit_exponential_decay(times, n_mean, n_err)
         ok_rate = abs(fit.rate - params.gamma) <= max(fit.ci95,
@@ -423,7 +410,7 @@ def cmd_thermalize(run: Runner) -> int:
                   f"{params.gamma:g}", ok_rate)
         run.check(f"final occupation {n_mean[-1]:.2e} < 0.01",
                   n_mean[-1] < 0.01)
-        return run.finish("thermalize")
+        return run.finish()
 
     late_mean = float(n_mean[late].mean())
     late_err = float(np.mean(n_err[late]))
@@ -432,20 +419,8 @@ def cmd_thermalize(run: Runner) -> int:
         f"{SIGMA_BAND:g} stderr ({late_err:.4f})",
         abs(late_mean - nbar) <= SIGMA_BAND * late_err)
 
-    # chi-square against the thermal law on decorrelated late snapshots
-    stride_t = DECORRELATION_TIME_FACTOR / params.gamma
-    step = max(1, int(round(stride_t / (times[1] - times[0]))))
-    rows = np.flatnonzero(late)[::step]
     occ = stats.occupation[rows].mean(axis=0)
-    m_eff = ecfg.m * rows.size
-    max_n = cfg.get("thermalize", {}).get("max_n", 6)
-    expected_p = np.array([nbar ** n / (1 + nbar) ** (n + 1)
-                           for n in range(max_n + 1)])
     observed = occ[:max_n + 1] * m_eff
-    expected = expected_p * m_eff
-    if np.any(expected < CHI2_MIN_EXPECTED):
-        raise ConfigError("expected counts below "
-                          f"{CHI2_MIN_EXPECTED:g}; raise M or lower max_n")
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     from scipy.stats import chi2 as chi2_dist
     p_value = float(chi2_dist.sf(chi2, df=max_n))
@@ -455,46 +430,56 @@ def cmd_thermalize(run: Runner) -> int:
             fh.write(f"{n},{float(occ[n])!r},{float(expected_p[n])!r}\n")
     run.check(f"occupation chi-square p = {p_value:.3f} > {CHI2_MIN_P}",
               p_value > CHI2_MIN_P)
-    return run.finish("thermalize")
+    return run.finish()
 
 
 def cmd_oracle_compare(run: Runner) -> int:
-    cfg, (_, ops) = run.cfg, _model(run.cfg)
-    icfg = _integrator(cfg, None)
-    ecfg = _ensemble_config(cfg, icfg, run.args.seed, ops)
-    t_end = icfg.t_end
+    with config_stage():
+        _, ops = _model(run.cfg)
+        ecfg = _ensemble(run.cfg, ops)
+        icfg, m = ecfg.integrator, ecfg.m
+        t_end = icfg.t_end
+        runs = []
+        for label, mm, dd in (("M", m, icfg.dt), ("4M", 4 * m, icfg.dt),
+                              ("4M_dt/2", 4 * m, icfg.dt / 2.0)):
+            # sampled at t = 0 and t_end only
+            ic = replace(icfg, dt=dd, record_stride=max(1, round(t_end / dd)))
+            runs.append((label, replace(ecfg, m=mm, integrator=ic,
+                                        rho_times=(t_end,))))
     psi0 = ecfg.initial.build(ops)
     oracle_rho = propagate_matrices(np.outer(psi0, psi0.conj()), ops, t_end)
-
-    def distance(m, dt):
-        ic = replace(icfg, dt=dt, record_stride=max(1, round(t_end / dt)))
-        stats = run_ensemble(replace(ecfg, m=m, integrator=ic,
-                                     rho_times=(t_end,)), ops)
-        return trace_distance(stats.rhos[0], oracle_rho)
-
-    m = ecfg.m
-    dt = icfg.dt
-    d_m = distance(m, dt)
-    d_4m = distance(4 * m, dt)
-    d_half = distance(4 * m, dt / 2.0)
-    rows = [("M", m, dt, d_m), ("4M", 4 * m, dt, d_4m),
-            ("4M_dt/2", 4 * m, dt / 2.0, d_half)]
+    dists = [trace_distance(run_ensemble(rcfg, ops).rhos[0], oracle_rho)
+             for _, rcfg in runs]
     with open(run.path("oracle_compare.csv"), "w") as fh:
         fh.write("label,m,dt,trace_distance\n")
-        for label, mm, dd, dist in rows:
-            fh.write(f"{label},{mm},{float(dd)!r},{float(dist)!r}\n")
+        for (label, rcfg), dist in zip(runs, dists):
+            fh.write(f"{label},{rcfg.m},{float(rcfg.integrator.dt)!r},"
+                     f"{float(dist)!r}\n")
+    d_m, d_4m, d_half = dists
     ratio = d_m / d_4m
     run.check(f"distance halves when M quadruples: ratio {ratio:.2f} "
               "in [1.4, 2.6]", 1.4 <= ratio <= 2.6)
     run.check(f"distance falls when dt halves: {d_half:.4g} < {d_4m:.4g}",
               d_half < d_4m)
-    return run.finish("oracle-compare")
+    return run.finish()
 
 
 def cmd_histories(run: Runner) -> int:
-    cfg, (_, ops) = run.cfg, _model(run.cfg)
-    sec = cfg["histories"]
-    spec, pcfg = _history_setup(cfg, ops)
+    sec = run.cfg["histories"]
+    with config_stage():
+        _, ops = _model(run.cfg)
+        psi0 = _initial(run.cfg["initial"]).build(ops)
+        cells = tuple(PhaseCell(**c | {"center": _as_complex(c["center"]),
+                                       "h": sec["h"]}) for c in sec["cells"])
+        for cell in cells:
+            cell.check(ops.n_fock)
+        spec = HistorySpec(times=tuple(sec["times"]),
+                           cells=tuple(cells for _ in sec["times"]),
+                           rho0=np.outer(psi0, psi0.conj()),
+                           **{k: v for k, v in sec.items()
+                              if k == "include_complement"})
+        pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
+                                        t_end=max(sec["times"]))
     dmat = decoherence_functional(spec, ops, pcfg)
     write_decoherence_json(run.path("decoherence.json"), dmat, spec)
     write_suppression_csv(run.path("suppression.csv"), dmat)
@@ -514,7 +499,7 @@ def cmd_histories(run: Runner) -> int:
         run.check(f"max off-diagonal suppression ratio {worst:.3f} < "
                   f"{SUPPRESSION_THRESHOLD}",
                   worst < SUPPRESSION_THRESHOLD)
-    return run.finish("histories")
+    return run.finish()
 
 
 def make_parser() -> argparse.ArgumentParser:

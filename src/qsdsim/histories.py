@@ -32,7 +32,8 @@ import numpy as np
 from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
     SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
-from .model import OperatorSet, cat_state, coherent_states, steps_on_grid
+from .model import OperatorSet, cat_state, check_headroom, \
+    coherent_states, steps_on_grid
 from .oracle import LindbladPropagatorConfig, _grid_propagator, \
     propagate_matrices
 
@@ -64,14 +65,23 @@ class PhaseCell:
             raise ConfigError(f"cell center must be finite, got "
                               f"{self.center}")
 
-    def check_quadrature(self) -> None:
-        """Refuse a spacing h too coarse for the half-widths."""
+    def check(self, n_fock: int) -> None:
+        """Refuse a spacing h too coarse for the half-widths, and a cell
+        whose farthest quadrature point, a corner of the midpoint grid,
+        n_fock levels cannot hold.  No array is sized by the grid here."""
         limit = min(self.w_re, self.w_im) / CELL_MIN_POINTS_PER_HALF_WIDTH
         if self.h > limit:
             raise QuadratureError(
                 f"spacing {self.h} too coarse for half-widths "
                 f"({self.w_re}, {self.w_im}); need h <= min/"
                 f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
+        # the outer midpoints sit w / n inside the cell; np.rint rounds
+        # half to even, as round does in _midpoints
+        re, im = (w - w / max(1.0, float(np.rint(2.0 * w / self.h)))
+                  for w in (self.w_re, self.w_im))
+        check_headroom(complex(abs(self.center.real) + re,
+                               abs(self.center.imag) + im), n_fock,
+                       f"farthest point of the cell at {self.center}")
 
     @property
     def area_hbar(self) -> float:
@@ -91,7 +101,7 @@ def cell_projector(cell: PhaseCell, ops: OperatorSet) -> np.ndarray:
     Hermitian positive by construction; eigenvalues may exceed 1 by a
     few percent because finite cells only approximately project.
     """
-    cell.check_quadrature()
+    cell.check(ops.n_fock)
     xs, hx = _midpoints(cell.w_re, cell.h)
     ys, hy = _midpoints(cell.w_im, cell.h)
     weight = hx * hy / math.pi

@@ -219,21 +219,24 @@ def _coherent_amplitudes(n_fock: int, alpha: complex) -> np.ndarray:
     return c
 
 
-def coherent_state(ops: OperatorSet, alpha: complex) -> np.ndarray:
-    """Normalized coherent state |alpha> in the truncated basis.
+def check_headroom(alpha: complex, n_fock: int, label: str = "alpha") -> None:
+    """Refuse alpha unless |alpha|^2 + 5 |alpha| + 5 <= n_fock, so the
+    Poisson occupation of |alpha> fits well below the truncation edge.
 
-    Requires headroom |alpha|^2 + 5 |alpha| + 5 <= n_fock so the
-    Poisson occupation fits well below the truncation edge.
+    The comparison is false for nan, so nan is refused too.
     """
     mag = abs(alpha)
-    state = normalize(_coherent_amplitudes(ops.n_fock, alpha))
-    if mag * mag + 5.0 * mag + 5.0 > ops.n_fock:
+    if not mag * mag + 5.0 * mag + 5.0 <= n_fock:
         raise TruncationError(
-            f"alpha={alpha} too large for n_fock={ops.n_fock}: "
-            f"tail mass {tail_mass(state):.3e}",
-            tail_mass=tail_mass(state),
-        )
-    return state
+            f"{label}={alpha} is non-finite or too large for n_fock="
+            f"{n_fock}: need |alpha|^2 + 5|alpha| + 5 <= n_fock")
+
+
+def coherent_state(ops: OperatorSet, alpha: complex) -> np.ndarray:
+    """Normalized coherent state |alpha> in the truncated basis; alpha
+    must pass check_headroom."""
+    check_headroom(alpha, ops.n_fock)
+    return normalize(_coherent_amplitudes(ops.n_fock, alpha))
 
 
 def coherent_states(ops: OperatorSet, alphas: np.ndarray) -> np.ndarray:
@@ -243,20 +246,18 @@ def coherent_states(ops: OperatorSet, alphas: np.ndarray) -> np.ndarray:
     with coherent_state to round-off, not bit for bit.
     """
     alphas = np.asarray(alphas, dtype=complex)
+    # argmax stops at the first nan, which check_headroom refuses
+    check_headroom(alphas[np.argmax(np.abs(alphas))], ops.n_fock)
     states = np.empty((alphas.size, ops.n_fock), dtype=complex)
     states[:, 0] = 1.0
     for n in range(1, ops.n_fock):
         states[:, n] = states[:, n - 1] * alphas / math.sqrt(n)
-    worst = int(np.argmax(np.abs(alphas)))
-    coherent_state(ops, alphas[worst])  # the headroom check
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
 def cat_state(ops: OperatorSet, alpha: complex, phase: float = 0.0) -> np.ndarray:
     """Normalized superposition |alpha> + e^{i phase} |-alpha>."""
-    mag = abs(alpha)
-    if mag * mag + 5.0 * mag + 5.0 > ops.n_fock:
-        raise TruncationError(f"alpha={alpha} too large for n_fock={ops.n_fock}")
+    check_headroom(alpha, ops.n_fock)
     plus = _coherent_amplitudes(ops.n_fock, alpha)
     minus = _coherent_amplitudes(ops.n_fock, -alpha)
     return normalize(plus + np.exp(1j * phase) * minus)

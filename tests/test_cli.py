@@ -3,15 +3,26 @@
 Every run goes through main(argv) in process.  Configs are small
 versions of the real experiments, sized to keep this file fast.
 """
+import functools
 import hashlib
 import json
+import operator
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsdsim import qsd
-from qsdsim.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL, EXIT_PASS,
-                        main)
+from qsdsim.cli import (CONFIG_VALIDATOR, EXIT_CONFIG, EXIT_FAIL,
+                        EXIT_NUMERICAL, EXIT_PASS, main)
+
+
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
+
+
+def _canned(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -50,6 +61,11 @@ def test_unparseable_config(tmp_path):
     code = main(["stationary", "--config", str(path),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+
+
+def test_config_schema_is_valid():
+    # load_config does not check the schema itself on every load
+    CONFIG_VALIDATOR.check_schema(CONFIG_VALIDATOR.schema)
 
 
 def test_schema_rejects_unknown_key(tmp_path):
@@ -159,6 +175,8 @@ def test_localize_rejects_coherent_initial(tmp_path):
 @pytest.mark.parametrize("separation, message", [
     (float("nan"), "non-finite"),
     (20.0, "too large for n_fock=24"),
+    (0.0, "less than or equal to the minimum of 0"),
+    (-2.0, "less than or equal to the minimum of 0"),
 ])
 def test_localize_bad_separation_is_config_error(tmp_path, capsys,
                                                  separation, message):
@@ -186,12 +204,69 @@ def test_localize_bad_separation_is_config_error(tmp_path, capsys,
 def test_too_many_steps_is_config_error(tmp_path, capsys, command, name):
     # dt = 1e-300 puts 1e300 steps on the grid: refused by
     # IntegratorConfig before any array is sized by the step count
-    path = Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json"
-    cfg = json.loads(path.read_text())
+    cfg = _canned(name)
     cfg["integrator"]["dt"] = 1e-300
     code, _ = _run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "steps; at most" in capsys.readouterr().err
+
+
+def test_half_step_over_the_limit_is_config_error(tmp_path, capsys,
+                                                monkeypatch):
+    # oracle-compare also runs at dt/2: twice the steps, refused before
+    # the first ensemble at dt runs
+    monkeypatch.setattr(qsd, "MAX_STEPS", 3000)
+    cfg = _canned("oracle_compare")   # 2000 steps of dt
+    code, out = _run(tmp_path, "oracle-compare", cfg)
+    assert code == EXIT_CONFIG
+    assert "steps; at most 3000" in capsys.readouterr().err
+    assert not (out / "oracle_compare.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ensemble", "m", 8.0),
+    ("fock", "n_fock", 24.0),
+    ("integrator", "record_stride", 10.0),
+    ("integrator", "seed", 3.0),
+    ("ensemble", "base_seed", 1e308),
+    ("initial", "n", 1.0),
+    ("thermalize", "max_n", 4.0),
+])
+def test_integral_float_is_config_error(tmp_path, capsys, section, key,
+                                        value):
+    # JSON Schema counts 8.0 as an integer; the config must not
+    cfg = _canned("thermalize")
+    cfg[section][key] = value
+    code, _ = _run(tmp_path, "thermalize", cfg)
+    assert code == EXIT_CONFIG
+    assert "is not of type 'integer'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, section, key, value, message", [
+    ("histories", "histories_cat", "cell", "center", 10.0, "too large"),
+    ("histories", "histories_cat", "cell", "w_im", 1e300, "too large"),
+    ("thermalize", "thermalize", "thermalize", "max_n", 6,
+     "expected counts below"),
+    ("thermalize", "thermalize", "integrator", "record_stride", 20000,
+     "at least two samples"),
+    ("stationary", "stationary", "integrator", "record_stride", 100000,
+     "at least two samples"),
+])
+def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
+                                                name, section, key, value,
+                                                message):
+    # each mistake is found in the command's config stage, before the
+    # experiment writes anything or sizes an array by the point count
+    cfg = _canned(name)
+    if section == "cell":
+        cfg["histories"]["cells"][0][key] = value
+    else:
+        cfg[section][key] = value
+    extra = ["--expect-fail"] if command == "stationary" else []
+    code, out = _run(tmp_path, command, cfg, *extra)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, missing", [
@@ -397,3 +472,59 @@ def test_failing_check_exits_one(tmp_path):
     assert code == EXIT_FAIL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is False
+
+
+_EXPERIMENTS = [("stationary", "stationary"), ("localize", "localize_fock"),
+                ("localize", "localize_cat_sweep"),
+                ("thermalize", "thermalize"),
+                ("oracle-compare", "oracle_compare"),
+                ("histories", "histories_cat"),
+                ("histories", "histories_control")]
+# No tiny positive value and no large integer: either could make a run
+# allocate or step for long instead of being refused.
+_MUTATIONS = ["delete", "scale", "reverse", "repeat",
+              0, -1, float("nan"), float("inf"), 1e308, "x", 8.0]
+
+
+def _paths(node, path=()):
+    """The key path of every value in a JSON tree, containers included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _paths(node[key], path + (key,))
+
+
+def _mutate(node, key, mutation):
+    """Apply one menu entry to node[key]; "scale" puts a number off its
+    grid, "reverse" and "repeat" make a list descending or repeated."""
+    value = node[key]
+    if mutation == "delete":
+        del node[key]
+    elif mutation == "scale":
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            node[key] = value * 8 / 7
+    elif mutation in ("reverse", "repeat"):
+        if isinstance(value, list) and value:
+            node[key] = value[::-1] if mutation == "reverse" \
+                else value[:1] + value
+    else:
+        node[key] = mutation
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_no_config_mistake_escapes_main(data):
+    command, name = data.draw(st.sampled_from(_EXPERIMENTS))
+    cfg = _canned(name)
+    if "integrator" in cfg:   # a short horizon and a small ensemble
+        cfg["integrator"]["t_end"] = min(cfg["integrator"]["t_end"], 0.2)
+    if "ensemble" in cfg:
+        cfg["ensemble"]["m"] = min(cfg["ensemble"]["m"], 8)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(cfg))[1:]))
+        node = functools.reduce(operator.getitem, path[:-1], cfg)
+        _mutate(node, path[-1], data.draw(st.sampled_from(_MUTATIONS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _run(Path(tmp), command, cfg)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERICAL)
