@@ -57,6 +57,13 @@ class ModelParams:
                 raise ParameterError(
                     f"{label} must be {'> 0' if positive else '>= 0'} and "
                     f"finite, got {value}")
+        # the quadratures divide by the widths' squares; sigma_q divides
+        # by 2 m omega, which may underflow to 0
+        q = self.sigma_q if 2.0 * self.m * self.omega > 0.0 else math.inf
+        for label, width in (("sigma_q", q), ("sigma_p", self.sigma_p)):
+            if not 0.0 < width * width < math.inf:
+                raise ParameterError(f"{label} = {width} or its square is "
+                                     "not positive and finite")
 
     @property
     def sigma_q(self) -> float:
@@ -137,6 +144,9 @@ class OperatorSet:
                     f"{name} must be a real float vector of {size} entries")
             if not np.isfinite(vec).all():
                 raise ParameterError(f"{name} has non-finite entries")
+        with np.errstate(over="ignore"):   # c**2 or d**2 may overflow
+            if not np.isfinite(self.mu).all():
+                raise ParameterError("mu = c**2 + d**2 is not finite")
 
     @property
     def mu(self) -> np.ndarray:

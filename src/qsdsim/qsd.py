@@ -193,16 +193,30 @@ def _build_library(source: bytes, out: Path) -> None:
                            + proc.stderr.decode(errors="replace"))
 
 
+class _Segment(ctypes.Structure):
+    """qsd_step.c's struct segment, field for field.  Its pointers are
+    raw addresses, so their arrays must outlive the calls."""
+
+    _fields_ = [(name, ctype) for names, ctype in (
+        ("B N n tail_start stride", ctypes.c_long),
+        ("dt tail_tol scale", ctypes.c_double),
+        ("coef psis rec drift rngs lanes", ctypes.c_void_p),
+        ("worst worst_step", ctypes.c_long),
+        ("worst_tail", ctypes.c_double)) for name in names.split()]
+
+
 def _load_library(path: Path) -> ctypes.CDLL:
-    """The compiled loop at path, with its functions' signatures set."""
+    """The compiled loop at path, with its functions' signatures set;
+    refuses it if its struct segment is not the size of _Segment."""
     lib = ctypes.CDLL(str(path))
-    ptr, long_, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.qsd_segment.argtypes = [
-        long_, long_, long_, ptr, ptr, ptr, long_, real, real, ptr, ptr,
-        real, long_, ptr, ptr, ctypes.POINTER(long_), ctypes.POINTER(real)]
-    lib.qsd_segment.restype = long_
+    size = ctypes.c_long.in_dll(lib, "qsd_segment_size").value
+    if size != ctypes.sizeof(_Segment):
+        raise RuntimeError(f"{path} has a struct segment of {size} bytes, "
+                           f"but qsd.py declares {ctypes.sizeof(_Segment)}")
+    lib.qsd_segment.argtypes = [ctypes.POINTER(_Segment)]
+    lib.qsd_segment.restype = ctypes.c_long
     lib.qsd_stepping_loop.argtypes = [ctypes.POINTER(ctypes.c_char_p),
-                                      ctypes.POINTER(long_)]
+                                      ctypes.POINTER(ctypes.c_long)]
     lib.qsd_stepping_loop.restype = ctypes.c_int
     return lib
 
@@ -284,25 +298,31 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     if psis.shape != (batch, ops.n_fock):
         raise DimensionError(f"batch of shape {psis.shape} for {batch} "
                              f"noise streams and {ops.n_fock} levels")
-    c, d = np.ascontiguousarray(ops.c), np.ascontiguousarray(ops.d)
-    g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
     n_fock = ops.n_fock
-    segment = _compiled_loop().qsd_segment
-    n_steps = cfg.n_steps
-    stride = cfg.record_stride
+    g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
+    # the padded rows cl, dl, dgr, dgi of qsd_lanes.h
+    coef = np.zeros((4, n_fock))
+    coef[0, :-1], coef[1, 1:] = ops.c, ops.d
+    coef[2], coef[3] = cfg.dt * g.real, cfg.dt * g.imag
+    # one lane group's scratch: 4 (N + 2) vectors of 8 doubles, 64-aligned
+    lanes = np.zeros(32 * (n_fock + 2) + 7)
+    lanes = lanes[(-lanes.ctypes.data % 64) // 8:]
+    n_steps, stride = cfg.n_steps, cfg.record_stride
     drift = np.zeros(n_steps)
     rec = np.empty((max(1, TRAJ_BATCH // batch), batch, n_fock),
                    dtype=complex)
     bitgens = (ctypes.c_void_p * batch)(
         *(_bitgen_of(rng.bit_generator.capsule, b"BitGenerator")
           for rng in rngs))
-    fail_step, fail_tail = ctypes.c_long(), ctypes.c_double()
+    seg = _Segment(
+        B=batch, N=n_fock, tail_start=n_fock - tail_levels(n_fock),
+        stride=stride, dt=cfg.dt, tail_tol=TAIL_TOL,
+        scale=math.sqrt(cfg.dt / 2.0), coef=coef.ctypes.data,
+        psis=psis.ctypes.data, rngs=ctypes.addressof(bitgens),
+        lanes=lanes.ctypes.data)
+    segment = _compiled_loop().qsd_segment
     # addresses taken once; a call's offsets are added as integers
-    fixed = (c.ctypes.data, d.ctypes.data, g.ctypes.data,
-             n_fock - tail_levels(n_fock), cfg.dt, TAIL_TOL,
-             psis.ctypes.data, bitgens, math.sqrt(cfg.dt / 2.0), stride)
     rec_at, drift_at = rec.ctypes.data, drift.ctypes.data
-    sample_bytes = rec[0].nbytes
     rec[0] = psis
     first, held = 0, 1   # sample index of rec[0], samples in rec
     step = 0
@@ -310,20 +330,17 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
         if held == len(rec):
             on_sample(rec, first * stride)
             first, held = first + held, 0
-        n = min(n_steps - step, (len(rec) - held) * stride)
-        worst = segment(batch, n_fock, n, *fixed,
-                        rec_at + held * sample_bytes,
-                        drift_at + drift.itemsize * step,
-                        fail_step, fail_tail)
-        if worst == -2:
-            raise MemoryError("qsd_segment could not allocate its rows")
+        seg.n = n = min(n_steps - step, (len(rec) - held) * stride)
+        seg.rec = rec_at + held * rec.strides[0]
+        seg.drift = drift_at + step * drift.strides[0]
+        worst = segment(seg)
         if worst >= 0:
-            fail = step + fail_step.value
+            fail = step + seg.worst_step
             whole = (fail - 1) // stride + 1 - first
             if whole > 0:
                 on_sample(rec[:whole], first * stride)
             t = fail * cfg.dt
-            tail = fail_tail.value
+            tail = seg.worst_tail
             raise TrajectoryError(
                 f"tail mass {tail:.3e} is not within tolerance "
                 f"{TAIL_TOL:.1e} at t = {t:.6g} "

@@ -82,7 +82,7 @@ static void run_group(struct segment *s, long b0)
 {
     const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
     const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
-    const double *cl = s->cl, *dl = s->dl, *dgr = s->dgr, *dgi = s->dgi;
+    const double *cl = s->coef, *dl = cl + N, *dgr = dl + N, *dgi = dgr + N;
     double *drift = s->drift;
     bitgen_t *const *rngs = s->rngs + b0;
     lanes_t *buf = s->lanes;

@@ -29,33 +29,38 @@
  *
  * In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises
  * by one level, with real c and d, and the drift -iH/hbar - sum L^dag
- * L / 2 is the complex diagonal g.  Complex numbers are stored as
+ * L / 2 is the complex diagonal g.  Complex states are stored as
  * interleaved (re, im) doubles.  Inside a lane group they are split
  * into real and imaginary arrays of lane vectors, padded by one zero
  * level at each end, so no loop below needs a boundary case.
  */
 
 #include <math.h>
-#include <stdlib.h>
-#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
 /* From numpy/random/distributions.h, which needs Python.h. */
 extern double random_standard_normal(bitgen_t *bitgen_state);
 
-/* What one call of qsd_segment steps: its arguments, the padded band
- * coefficients, the lane buffer and the earliest failure so far. */
+/* One call of qsd_segment.  The caller fills it and owns every buffer
+ * it points to, so the loop allocates nothing; qsd.py declares it again,
+ * field for field, as _Segment.  coef holds the rows cl, dl, dgr and dgi
+ * of qsd_lanes.h, N doubles each.  lanes is one lane group's scratch:
+ * 4 (N + 2) vectors of eight doubles, aligned to 64 bytes.  The call
+ * sets worst, worst_step and worst_tail. */
 struct segment {
     long B, N, n, tail_start, stride;
     double dt, tail_tol, scale;
-    const double *cl, *dl, *dgr, *dgi;
+    const double *coef;
     double *psis, *rec, *drift;
     bitgen_t *const *rngs;
-    void *lanes;   /* 4 (N + 2) lane vectors of up to eight doubles */
+    void *lanes;
     long worst, worst_step;
     double worst_tail;
 };
+
+/* Its size, which qsd.py compares with _Segment's before any call. */
+const long qsd_segment_size = sizeof(struct segment);
 
 #define LANES 4
 #include "qsd_lanes.h"
@@ -69,12 +74,11 @@ struct segment {
 #include "qsd_lanes.h"
 #endif
 
-/* Advances every row of psis (B rows of N interleaved complex levels)
- * by n steps.  Row b draws each step's increments (Re xi1, Im xi1,
- * Re xi2, Im xi2) as four normals from rngs[b], each times scale.  c
- * and d hold N - 1 real band coefficients, g holds N interleaved
- * complex ones.  drift[j] is raised to the largest | ||psi'|| - 1 | of
- * step j over the batch.
+/* Advances every row of s->psis (B rows of N interleaved complex
+ * levels) by n steps.  Row b draws each step's increments (Re xi1,
+ * Im xi1, Re xi2, Im xi2) as four normals from rngs[b], each times
+ * scale.  drift[j] is raised to the largest | ||psi'|| - 1 | of step j
+ * over the batch.
  *
  * Samples: the call starts on a sample boundary, so sample s falls
  * after step (s + 1) stride.  Sample s of row b is copied to
@@ -89,61 +93,30 @@ struct segment {
  * ||psi'||^2 in levels tail_start..N-1) is above tail_tol or nan, as
  * a non-finite state makes it.  Among the rows that fail at the
  * earliest step, the first with a nan tail wins, else the first with
- * the largest tail.  Returns that row, with its 1-based step in
- * *fail_step and its tail in *fail_tail, or -1 if no row fails; on
- * failure psis, rec, drift and the generators are left partly
- * advanced, and only the samples before the failing step are whole.
- * Returns -2 if memory runs out. */
-long qsd_segment(long B, long N, long n, const double *c, const double *d,
-                 const double *g, long tail_start, double dt,
-                 double tail_tol, double *psis, bitgen_t *const *rngs,
-                 double scale, long stride, double *rec, double *drift,
-                 long *fail_step, double *fail_tail)
+ * the largest tail.  Returns that row, also left in s->worst, with its
+ * 1-based step in s->worst_step and its tail in s->worst_tail, or -1
+ * if no row fails; on failure psis, rec, drift and the generators are
+ * left partly advanced, and only the samples before the failing step
+ * are whole. */
+long qsd_segment(struct segment *s)
 {
-    /* 4 w lane vectors of up to eight doubles, then cl, dl, dgr, dgi: w
-     * doubles each */
-    const long w = N + 2;
-    const size_t vec = 8 * sizeof(double);
-    const size_t size = (size_t)(4 * w) * (vec + sizeof(double));
-    void *buf;
-    if (posix_memalign(&buf, vec, size))
-        return -2;
-    memset(buf, 0, size);
-    double *cl = (double *)((char *)buf + (size_t)(4 * w) * vec),
-           *dl = cl + w, *dgr = cl + 2 * w, *dgi = cl + 3 * w;
-    for (long k = 0; k < N - 1; k++) {
-        cl[k] = c[k];
-        dl[k + 1] = d[k];
-    }
-    for (long k = 0; k < N; k++) {
-        dgr[k] = dt * g[2 * k];
-        dgi[k] = dt * g[2 * k + 1];
-    }
-    struct segment s = {
-        .B = B, .N = N, .n = n, .tail_start = tail_start, .stride = stride,
-        .dt = dt, .tail_tol = tail_tol, .scale = scale,
-        .cl = cl, .dl = dl, .dgr = dgr, .dgi = dgi,
-        .psis = psis, .rec = rec, .drift = drift, .rngs = rngs,
-        .lanes = buf, .worst = -1, .worst_step = n + 1, .worst_tail = 0.0};
-    for (long b0 = 0; b0 < B;) {
+    s->worst = -1;
+    s->worst_step = s->n + 1;
+    s->worst_tail = 0.0;
+    for (long b0 = 0; b0 < s->B;) {
 #ifdef __AVX512F__
         /* eight-lane groups while more than four rows are left: a group
          * of at most four rows steps faster at four lanes */
-        if (B - b0 > 4) {
-            run_group8(&s, b0);
+        if (s->B - b0 > 4) {
+            run_group8(s, b0);
             b0 += 8;
             continue;
         }
 #endif
-        run_group4(&s, b0);
+        run_group4(s, b0);
         b0 += 4;
     }
-    free(buf);
-    if (s.worst >= 0) {
-        *fail_step = s.worst_step;
-        *fail_tail = s.worst_tail;
-    }
-    return s.worst;
+    return s->worst;
 }
 
 /* The stepping body this library was built with: *isa names the

@@ -251,6 +251,9 @@ def test_integral_float_is_config_error(tmp_path, capsys, section, key,
      "at least two samples"),
     ("stationary", "stationary", "integrator", "record_stride", 100000,
      "at least two samples"),
+    # finite values whose quadrature width or loss diagonal is not
+    ("localize", "localize_fock", "params", "m", 1e308, "sigma_q"),
+    ("stationary", "stationary", "params", "gamma", 1e308, "mu"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,

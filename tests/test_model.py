@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,19 @@ def test_derived_scales():
         ModelParams(gamma=0.0).t_loc
 
 
+@pytest.mark.parametrize("kwargs, label", [
+    ({"m": 1e308}, "sigma_q"),                     # 2 m omega overflows
+    ({"omega": 1e308}, "sigma_q"),
+    ({"m": 1e-200, "omega": 1e-200}, "sigma_q"),   # 2 m omega underflows
+    ({"m": 1e10, "hbar": 1e308}, "sigma_p"),       # hbar m omega overflows
+])
+def test_quadrature_widths_are_positive_and_finite(kwargs, label):
+    # each parameter is finite and positive, but a derived width or its
+    # square, which the observables divide by, is not
+    with pytest.raises(ParameterError, match=label):
+        ModelParams(**kwargs)
+
+
 def _scales(ops):
     """sqrt((nbar + 1) gamma) and sqrt(nbar gamma): L1 / a and L2 / a_dag."""
     par = ops.params
@@ -159,6 +173,17 @@ def test_operator_set_refuses_non_band_values(ops20):
     with pytest.raises(DimensionError):
         dataclasses.replace(ops20, n_fock=1, h=ops20.h[:1],
                             c=ops20.c[:0], d=ops20.d[:0])
+
+
+def test_operator_set_refuses_an_overflowing_loss(ops20):
+    # c and d are finite, but mu = c**2 + d**2 is not; refused without
+    # an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="mu"):
+            dataclasses.replace(ops20, c=np.full(ops20.n_fock - 1, 1e155))
+        with pytest.raises(ParameterError, match="mu"):
+            build_operators(ModelParams(gamma=1e308), 8)
 
 
 def test_build_operators_rejects_tiny_space(warm_params):

@@ -6,6 +6,7 @@ density-matrix generator to first order in dt, and the Ito variance
 of the norm must match the isometry prediction.
 """
 
+import ctypes
 import math
 import os
 import subprocess
@@ -673,6 +674,33 @@ def test_missing_sampler_is_a_clear_error(tmp_path, monkeypatch, ops20,
                            IntegratorConfig(dt=1e-3, t_end=1e-2))
     finally:
         qsd._compiled_loop.cache_clear()
+
+
+def test_struct_size_mismatch_is_refused(monkeypatch):
+    # a _Segment that no longer matches qsd_step.c's struct segment is
+    # refused when the library is loaded, before any call
+    class Longer(ctypes.Structure):
+        _fields_ = [*qsd._Segment._fields_, ("extra", ctypes.c_long)]
+
+    size = ctypes.sizeof(qsd._Segment)
+    monkeypatch.setattr(qsd, "_Segment", Longer)
+    with pytest.raises(RuntimeError, match=rf"{size} bytes.*{size + 8}"):
+        qsd._load_library(Path(qsd._compiled_loop()._name))
+
+
+def test_sweep_script_runs():
+    # the one script that drives the private _integrate, at a tiny size;
+    # 12 levels is the smallest basis that holds its coherent start
+    # under the tail guard
+    script = Path(__file__).parents[1] / "scripts" / "sweep_traj_batch.py"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsd.__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n-fock", "12", "--batch", "4",
+         "--steps", "10", "--repeat", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "| 12 | " in proc.stdout
 
 
 def test_step_renormalizes(ops20):
