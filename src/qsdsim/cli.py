@@ -29,7 +29,7 @@ from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
-from .observables import fit_exponential_decay, write_bundle_csv
+from .observables import CSV_COLUMNS, fit_exponential_decay, write_bundle_csv
 from .oracle import LindbladPropagatorConfig, propagate_matrices
 from .qsd import IntegratorConfig, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
@@ -271,7 +271,8 @@ def cmd_stationary(run: Runner) -> int:
     record = run_trajectory(psi0, ops, icfg)
     write_bundle_csv(run.path("trajectory.csv"), record.bundles)
     run.gnuplot_stub("trajectory.csv",
-                     {"Q": 7, "P": 8, "delta_alpha_sq": 9}, "shape drift")
+                     {name: CSV_COLUMNS.index(name) + 1
+                      for name in ("Q", "P", "delta_alpha_sq")}, "shape drift")
 
     b = record.bundles
     # Q labels the position excess, P the momentum excess

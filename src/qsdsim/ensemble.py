@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TRAJ_BATCH
-from .errors import ConfigError, DimensionError, ParameterError
+from .constants import TAIL_TOL, TRAJ_BATCH
+from .errors import ConfigError, DimensionError, ParameterError, \
+    TruncationError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
-    normalize, steps_on_grid
+    normalize, steps_on_grid, tail_mass
 from .observables import STAT_FIELDS, bundle_arrays
 from .qsd import IntegratorConfig, _integrate, check_step_size, \
     trajectory_seed
@@ -39,19 +40,26 @@ class InitialStateSpec:
     amplitudes: tuple = ()
 
     def build(self, ops: OperatorSet) -> np.ndarray:
+        """The state, refused when its tail mass is above TAIL_TOL: the
+        rule the stepping loop applies to every step."""
         if self.kind == "coherent":
-            return coherent_state(ops, self.alpha)
-        if self.kind == "fock":
-            return fock_state(ops, self.n)
-        if self.kind == "cat":
-            return cat_state(ops, self.alpha, self.phase)
-        if self.kind == "custom":
+            state = coherent_state(ops, self.alpha)
+        elif self.kind == "fock":
+            state = fock_state(ops, self.n)
+        elif self.kind == "cat":
+            state = cat_state(ops, self.alpha, self.phase)
+        elif self.kind == "custom":
             if len(self.amplitudes) != ops.n_fock:
                 raise DimensionError(
                     f"custom state has {len(self.amplitudes)} amplitudes, "
                     f"operators have {ops.n_fock}")
-            return normalize(np.asarray(self.amplitudes, dtype=complex))
-        raise ConfigError(f"unknown initial-state kind {self.kind!r}")
+            state = normalize(np.asarray(self.amplitudes, dtype=complex))
+        else:
+            raise ConfigError(f"unknown initial-state kind {self.kind!r}")
+        if not (tail := tail_mass(state)) <= TAIL_TOL:
+            raise TruncationError(f"initial tail mass {tail:.3e} is above "
+                                  f"{TAIL_TOL:.1e}", tail_mass=tail)
+        return state
 
 
 @dataclass(frozen=True)
@@ -112,71 +120,62 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     n_samples = len(times)
 
     rho_times = np.array(sorted(cfg.rho_times))
-    # rho_steps maps a snapshot's step to its index, in time order
-    rho_steps = {}
+    # rho_at maps a snapshot's sample index to its index, in time order
+    rho_at = {}
     for t in rho_times:
-        k = steps_on_grid(t, icfg.dt, "rho time")
-        if k < 0 or k > icfg.n_steps or k % icfg.record_stride != 0:
+        j, off = divmod(steps_on_grid(t, icfg.dt, "rho time"),
+                        icfg.record_stride)
+        if off or not 0 <= j < n_samples:
             raise ConfigError(f"rho time {t} is not a sampled time")
-        if k in rho_steps:
+        if j in rho_at:
             raise ConfigError(f"rho time {t} repeats an earlier one")
-        rho_steps[k] = len(rho_steps)
+        rho_at[j] = len(rho_at)
 
-    # Accumulated batch by batch in batch order: the reduction order is
-    # a pure function of the trajectory index.  The variance sums shift
-    # by trajectory 0's value at each sample, so they do not cancel.
-    tot = {f: np.zeros(n_samples) for f in STAT_FIELDS}
-    shift = {f: np.zeros(n_samples) for f in STAT_FIELDS}
-    tot_dev = {f: np.zeros(n_samples) for f in STAT_FIELDS}
-    tot_sq = {f: np.zeros(n_samples) for f in STAT_FIELDS}
+    # (field, sample) sums in the order of STAT_FIELDS, accumulated
+    # batch by batch in batch order: the reduction order is a pure
+    # function of the trajectory index.  The variance sums shift by
+    # trajectory 0's value at each sample, so they do not cancel.
+    tot, shift, tot_dev, tot_sq = np.zeros((4, len(STAT_FIELDS), n_samples))
     occ = np.zeros((n_samples, n_fock))
-    rhos = np.zeros((len(rho_steps), n_fock, n_fock), dtype=complex)
+    rhos = np.zeros((len(rho_at), n_fock, n_fock), dtype=complex)
     series = {f: np.empty((m, n_samples)) for f in cfg.store_series}
     finals = np.empty((m, n_fock), dtype=complex)
     for k0 in range(0, m, TRAJ_BATCH):
         k1 = min(k0 + TRAJ_BATCH, m)
 
         def on_sample(block, first_step):
-            # sample by sample, each batch reduced as one array
-            for i, psis in enumerate(block):
-                step = first_step + i * icfg.record_stride
-                j = step // icfg.record_stride
-                vals = bundle_arrays(psis, ops)
-                for f in STAT_FIELDS:
-                    v = vals[f]
-                    if k0 == 0:
-                        shift[f][j] = v[0]
-                    dev = v - shift[f][j]
-                    tot[f][j] += v.sum()
-                    tot_dev[f][j] += dev.sum()
-                    tot_sq[f][j] += (dev * dev).sum()
-                norm_sq = np.einsum("bi,bi->b", psis.conj(), psis).real
-                occ[j] += (np.abs(psis) ** 2 / norm_sq[:, None]).sum(axis=0)
-                for f in cfg.store_series:
-                    series[f][k0:k1, j] = vals[f]
-                if step in rho_steps:
-                    rhos[rho_steps[step]] += _dyad_sum(psis)
+            # samples j0..j1-1 of the batch, a (k, B, n_fock) block
+            # reduced as (field, sample) arrays over the batch axis
+            j0 = first_step // icfg.record_stride
+            j1 = j0 + len(block)
+            vals = bundle_arrays(block, ops)
+            v = np.stack(tuple(vals.values()))  # in the order of STAT_FIELDS
+            if k0 == 0:
+                shift[:, j0:j1] = v[..., 0]
+            dev = v - shift[:, j0:j1, None]
+            tot[:, j0:j1] += v.sum(axis=-1)
+            tot_dev[:, j0:j1] += dev.sum(axis=-1)
+            tot_sq[:, j0:j1] += (dev * dev).sum(axis=-1)
+            norm_sq = np.einsum("kbi,kbi->kb", block.conj(), block).real
+            occ[j0:j1] += (np.abs(block) ** 2 / norm_sq[..., None]).sum(axis=1)
+            for f in cfg.store_series:
+                series[f][k0:k1, j0:j1] = vals[f].T
+            for j, r in rho_at.items():
+                if j0 <= j < j1:
+                    rhos[r] += _dyad_sum(block[j - j0])
 
         rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
                 for k in range(k0, k1)]
         finals[k0:k1], _ = _integrate(ops, np.tile(psi0, (k1 - k0, 1)),
                                       rngs, icfg, k0, on_sample)
 
-    means = {f: tot[f] / m for f in STAT_FIELDS}
-    stderrs = {}
-    for f in STAT_FIELDS:
-        if m > 1:
-            var = np.maximum(tot_sq[f] - tot_dev[f] ** 2 / m, 0.0) / (m - 1)
-            stderrs[f] = np.sqrt(var / m)
-        else:
-            stderrs[f] = np.zeros(n_samples)
-    occ /= m
-    rhos /= m
-
-    return EnsembleStats(times=times, means=means, stderrs=stderrs,
-                         occupation=occ, m=m, base_seed=cfg.base_seed,
+    # at m = 1 every deviation from trajectory 0 is 0, and so is every stderr
+    var = np.maximum(tot_sq - tot_dev ** 2 / m, 0.0) / max(m - 1, 1)
+    return EnsembleStats(times=times, means=dict(zip(STAT_FIELDS, tot / m)),
+                         stderrs=dict(zip(STAT_FIELDS, np.sqrt(var / m))),
+                         occupation=occ / m, m=m, base_seed=cfg.base_seed,
                          final_states=finals, rho_times=rho_times,
-                         rhos=rhos, series=series)
+                         rhos=rhos / m, series=series)
 
 
 def density_matrix(states) -> np.ndarray:

@@ -304,14 +304,12 @@ class IntervalScan:
 
     intervals: np.ndarray
     ratios: np.ndarray
-    crossing: float        # first interval below threshold (interpolated)
-    threshold: float
+    crossing: float  # first interval below SUPPRESSION_THRESHOLD, interpolated
 
 
 def cat_interval_scan(alpha0: complex, ops: OperatorSet,
                       pcfg: LindbladPropagatorConfig, t_max: float,
                       branch_cell=(1.0, 1.0), h: float = 0.2,
-                      threshold: float = SUPPRESSION_THRESHOLD,
                       sample_stride: int = 1) -> IntervalScan:
     """How long until branch-distinguishing histories decohere.
 
@@ -331,11 +329,11 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     environmental decay; the block norm does.  The denominator is the
     conserved branch weight, so the ratio is exactly 1 at Dt = 0 for
     a pure initial state (rank-one cross block) and exactly constant
-    under undamped evolution; its first crossing of the threshold
-    estimates the decoherence interval.  The generator conserves the
-    trace exactly, truncated or not (Tr(L X L^dag) = Tr(L^dag L X)), so
-    the branch weights are read at Dt = 0 and only the cross block is
-    evolved.
+    under undamped evolution; its first crossing of
+    SUPPRESSION_THRESHOLD estimates the decoherence interval.  The
+    generator conserves the trace exactly, truncated or not
+    (Tr(L X L^dag) = Tr(L^dag L X)), so the branch weights are read at
+    Dt = 0 and only the cross block is evolved.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -374,14 +372,14 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
 
     crossing = float("nan")
     for s in range(1, ratios.size):
-        if not np.isnan(ratios[s]) and ratios[s] < threshold \
-                and not np.isnan(ratios[s - 1]) and ratios[s - 1] >= threshold:
-            frac = (ratios[s - 1] - threshold) / (ratios[s - 1] - ratios[s])
+        # false where either ratio is nan
+        if ratios[s] < SUPPRESSION_THRESHOLD <= ratios[s - 1]:
+            frac = ((ratios[s - 1] - SUPPRESSION_THRESHOLD)
+                    / (ratios[s - 1] - ratios[s]))
             crossing = float(intervals[s - 1]
                              + frac * (intervals[s] - intervals[s - 1]))
             break
-    return IntervalScan(intervals=intervals, ratios=ratios,
-                        crossing=crossing, threshold=threshold)
+    return IntervalScan(intervals=intervals, ratios=ratios, crossing=crossing)
 
 
 # -- serialization ----------------------------------------------------------

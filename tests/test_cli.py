@@ -254,6 +254,12 @@ def test_integral_float_is_config_error(tmp_path, capsys, section, key,
     # finite values whose quadrature width or loss diagonal is not
     ("localize", "localize_fock", "params", "m", 1e308, "sigma_q"),
     ("stationary", "stationary", "params", "gamma", 1e308, "mu"),
+    # a start whose own tail mass is above TAIL_TOL (1.115e-6 at 11
+    # levels) must not reach the stepping loop's guard
+    ("stationary", "stationary", "fock", "n_fock", 11, "tail mass"),
+    ("thermalize", "thermalize", None, None,
+     {"fock": {"n_fock": 11}, "initial": {"kind": "coherent", "alpha": 1.0}},
+     "tail mass"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,
@@ -263,6 +269,8 @@ def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
     cfg = _canned(name)
     if section == "cell":
         cfg["histories"]["cells"][0][key] = value
+    elif section is None:   # whole sections replaced
+        cfg.update(value)
     else:
         cfg[section][key] = value
     extra = ["--expect-fail"] if command == "stationary" else []

@@ -11,6 +11,7 @@ from qsdsim import (
     ModelParams,
     ParameterError,
     TrajectoryError,
+    TruncationError,
     build_operators,
     coherent_state,
     density_matrix,
@@ -23,7 +24,7 @@ from qsdsim import (
     write_stats_csv,
 )
 from conftest import run_split
-from qsdsim import ensemble
+from qsdsim import ensemble, qsd
 from qsdsim.constants import TRAJ_BATCH
 
 
@@ -61,6 +62,54 @@ def test_batch_membership_does_not_change_results(ops20):
                          ops20)
     assert np.array_equal(large.final_states[:TRAJ_BATCH],
                           small.final_states)
+
+
+@pytest.mark.parametrize("m", [3, 40])
+def test_sample_buffer_does_not_change_stats(ops20, monkeypatch, m):
+    # the loop hands on blocks of max(1, qsd.TRAJ_BATCH // m) samples:
+    # 85 or 6 at the default, so the snapshot at sample 40 of 101 lies
+    # inside a block there, and 2 or 1 at a buffer of 7
+    cfg = _cfg(m, t_end=0.5, stride=5, rho_times=(0.015, 0.2),
+               store_series=STAT_FIELDS)
+    ref = run_ensemble(cfg, ops20)
+    for buffer in (1, 7):
+        monkeypatch.setattr(qsd, "TRAJ_BATCH", buffer)
+        stats = run_ensemble(cfg, ops20)
+        for name in ("times", "occupation", "rhos", "rho_times",
+                     "final_states"):
+            assert np.array_equal(getattr(stats, name),
+                                  getattr(ref, name)), (buffer, name)
+        for name in ("means", "stderrs", "series"):
+            got, want = getattr(stats, name), getattr(ref, name)
+            assert got.keys() == want.keys()
+            for f in want:
+                assert np.array_equal(got[f], want[f]), (buffer, name, f)
+
+
+def test_single_member_stderrs_are_zero(ops20):
+    stats = run_ensemble(_cfg(1, stride=7), ops20)
+    for f in STAT_FIELDS:
+        assert not stats.stderrs[f].any(), f
+
+
+def test_initial_state_tail_is_checked_before_stepping():
+    # |alpha| = 1 passes check_headroom at 11 levels, but the top
+    # tail_levels(11) = 2 levels hold 1.115e-6 of the state
+    ops = build_operators(ModelParams(), 11)
+    spec = InitialStateSpec(kind="coherent", alpha=1.0)
+    with pytest.raises(TruncationError) as exc_info:
+        spec.build(ops)
+    assert type(exc_info.value) is TruncationError
+    assert exc_info.value.tail_mass == pytest.approx(1.115e-6, rel=1e-3)
+    with pytest.raises(TruncationError):
+        run_ensemble(EnsembleConfig(
+            m=2, base_seed=0, initial=spec,
+            integrator=IntegratorConfig(dt=1e-3, t_end=0.01)), ops)
+    assert spec.build(build_operators(ModelParams(), 12)).shape == (12,)
+    # a state on a top level is all tail
+    with pytest.raises(TruncationError):
+        InitialStateSpec(kind="fock", n=10).build(ops)
+    assert InitialStateSpec(kind="fock", n=8).build(ops)[8] == 1.0
 
 
 def test_negative_base_seed_rejected():
