@@ -16,8 +16,8 @@ from .observables import (CSV_COLUMNS, ExponentialFit, bundle_arrays,
                           fit_exponential_decay, localization_rhs,
                           localization_rhs_spread_form, windowed_slopes,
                           write_bundle_csv)
-from .qsd import (IntegratorConfig, TrajectoryRecord, draw_noise_block,
-                  run_trajectory, trajectory_seed)
+from .qsd import (IntegratorConfig, TrajectoryRecord, run_trajectory,
+                  trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, OUState, ou_flow,
                      propagate, propagate_matrices,
                      stationary_lindblad_check, thermal_state)

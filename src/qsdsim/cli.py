@@ -24,8 +24,8 @@ from jsonschema.exceptions import best_match
 
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
-                        DECORRELATION_TIME_FACTOR, LATE_FRACTION, SHAPE_TOL,
-                        SIGMA_BAND, SUPPRESSION_THRESHOLD,
+                        DECORRELATION_TIME_FACTOR, LATE_FRACTION, MAX_N_FOCK,
+                        SHAPE_TOL, SIGMA_BAND, SUPPRESSION_THRESHOLD,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
@@ -60,8 +60,8 @@ CONFIG_SCHEMA = _section({
                         "temperature": _NUMBER, "nbar": _NUMBER,
                         "hbar": _NUMBER, "k_B": _NUMBER},
                        "m", "omega", "gamma"),
-    "fock": _section({"n_fock": {"type": "integer", "minimum": 2}},
-                     "n_fock"),
+    "fock": _section({"n_fock": {"type": "integer", "minimum": 2,
+                                 "maximum": MAX_N_FOCK}}, "n_fock"),
     "integrator": _section({
         "dt": _NUMBER, "t_end": _NUMBER,
         "record_stride": {"type": "integer", "minimum": 1},
@@ -167,7 +167,14 @@ def _initial(section: dict) -> InitialStateSpec:
 
 
 def _ensemble(cfg: dict, ops) -> EnsembleConfig:
-    """The ensemble settings; their initial state is built once as a check."""
+    """The ensemble settings; their initial state is built once as a check.
+
+    Trajectory k is seeded from ensemble.base_seed and k alone, so an
+    integrator.seed, which would be ignored, is refused.
+    """
+    if "seed" in cfg["integrator"]:
+        raise ConfigError("the ensemble commands do not read "
+                          "integrator.seed; set ensemble.base_seed")
     ecfg = EnsembleConfig(**{"base_seed": 0, **cfg["ensemble"]},
                           integrator=IntegratorConfig(**cfg["integrator"]),
                           initial=_initial(cfg["initial"]))
@@ -194,10 +201,12 @@ class Runner:
             raise ConfigError(f"{args.command} needs the config sections "
                               f"{', '.join(missing)}")
         if args.seed is not None:
-            for name, key in (("integrator", "seed"),
-                              ("ensemble", "base_seed")):
-                if name in self.cfg:
-                    self.cfg[name][key] = args.seed
+            # the one seed the command reads
+            name, key = (("ensemble", "base_seed")
+                         if "ensemble" in REQUIRED_SECTIONS[args.command]
+                         else ("integrator", "seed"))
+            if name in self.cfg:
+                self.cfg[name][key] = args.seed
         self.started = time.monotonic()
         self.outputs: list[str] = []
         self.checks: list[tuple[str, bool]] = []
@@ -512,7 +521,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="JSON config path")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None,
-                        help="override config seeds")
+                        help="override the config's seed: ensemble.base_seed "
+                             "for the ensemble commands, else "
+                             "integrator.seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", parents=[common],

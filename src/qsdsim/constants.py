@@ -56,6 +56,12 @@ TRAJ_BATCH = 256
 # 256 MiB; a config beyond it is refused before anything is allocated.
 MAX_STEPS = 2 ** 25
 
+# Largest n_fock a config may ask for.  One N x N complex matrix, as
+# the oracle and the history functional hold several of, then takes
+# 2048^2 * 16 B = 64 MiB; every shipped config and test uses at most 72
+# levels.  A larger value is refused before anything is allocated.
+MAX_N_FOCK = 2048
+
 # Exponential fits use samples while the mean stays above
 # FIT_FLOOR_REL of its initial value and above FIT_FLOOR_SIGMA
 # standard errors, and need at least FIT_MIN_POINTS of them.

@@ -22,11 +22,15 @@ of a SIMD vector, built for the host CPU: eight rows per group where
 it has AVX-512F while more than four are left, else four (stepping_loop
 reports which).  Each lane rounds exactly as the row stepped alone, so
 no result depends on the batch, the group width or the CPU.  The loop
-also draws each row's noise from the row's numpy generator, with
-numpy's own sampler, and copies the sampled states into a buffer of up
-to TRAJ_BATCH rows.  Python calls it once per such block of samples,
-hands the block to the caller and raises the error of a failed row.
-It is built with gcc on first use, never at import.
+also draws each row's noise from the row's numpy generator with
+numpy's own ziggurat, inlined: the tables are read from numpy's
+libnpyrandom.a when the loop is built, and each new build must draw
+Generator.standard_normal's normals bit for bit before it is used, or
+it is built again to call numpy's sampler (stepping_loop reports
+which).  It copies the sampled states into a buffer of up to TRAJ_BATCH
+rows.  Python calls it once per such block of samples, hands the block
+to the caller and raises the error of a failed row.  It is built with
+gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -63,10 +67,18 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC",
 #: The lane-group body that qsd_step.c includes once per lane width.
 _LANES_H = Path(__file__).parent / "qsd_lanes.h"
 
-#: numpy's normal sampler, which the loop calls: its header and the
-#: static archive that holds it.
+#: numpy's normal sampler: the header of its bit generators and the
+#: static archive that holds the sampler and its ziggurat tables, the
+#: local symbols _ZIGGURAT_TABLES of the member _DISTRIBUTIONS_O.
 _BITGEN_H = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
 _NPYRANDOM_A = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+_DISTRIBUTIONS_O = "src_distributions_distributions.c.o"
+_ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
+
+#: The self-check of a new build: normals drawn from a fresh PCG64 of
+#: this seed.  Those 1e5 test the wedge 1455 times and take 34 from the
+#: tail.
+_CHECK_SEED, _CHECK_DRAWS = 0, 100_000
 
 #: The bitgen_t address of a BitGenerator, read from its capsule.
 #: BitGenerator.ctypes builds about ten ctypes objects for each new
@@ -95,17 +107,6 @@ def trajectory_seed(base_seed: int, index: int) -> int:
     if index < 0:
         raise ParameterError("trajectory index must be >= 0")
     return splitmix64((base_seed + index * _SPLITMIX_GAMMA) & _MASK64)
-
-
-def draw_noise_block(rng: np.random.Generator, dt: float,
-                     n_steps: int) -> np.ndarray:
-    """(n_steps, 2) complex increments, advancing rng by 4 * n_steps normals.
-
-    Row k takes the k-th group of four normals as (Re dxi1, Im dxi1,
-    Re dxi2, Im dxi2), so the stream does not depend on the block size.
-    """
-    z = rng.standard_normal((n_steps, 4)) * math.sqrt(dt / 2.0)
-    return z.view(complex)
 
 
 @dataclass(frozen=True)
@@ -174,23 +175,73 @@ def _target_macros() -> bytes:
                           check=True).stdout
 
 
-def _build_library(source: bytes, out: Path) -> None:
+def _gcc_build(source: bytes, out: Path, *extra: str) -> None:
     """Compile the C source into the shared library out.
 
     The one gcc command line of the stepping loop: _CFLAGS, the
-    directories of qsd_lanes.h and numpy's bitgen.h on the include path
-    and libnpyrandom.a linked in.
+    directories of qsd_lanes.h and numpy's bitgen.h on the include path,
+    the extra flags and objects, then libnpyrandom.a; every symbol must
+    resolve.
     """
     import subprocess
 
     proc = subprocess.run(
         [_gcc(), *_CFLAGS, "-I", str(_LANES_H.parent), "-I",
-         str(_BITGEN_H.parents[2]), "-x", "c", "-",
-         "-x", "none", str(_NPYRANDOM_A), "-o", str(out), "-lm"],
+         str(_BITGEN_H.parents[2]), "-x", "c", "-", "-x", "none", *extra,
+         str(_NPYRANDOM_A), "-o", str(out), "-lm", "-Wl,--no-undefined"],
         input=source, capture_output=True)
     if proc.returncode != 0:
         raise RuntimeError("gcc could not build qsd_step.c:\n"
                            + proc.stderr.decode(errors="replace"))
+
+
+def _ziggurat_object(tmp: Path) -> str:
+    """numpy's member _DISTRIBUTIONS_O, extracted from libnpyrandom.a into
+    tmp with its _ZIGGURAT_TABLES made global.  A table it lacks stays
+    undefined, so the link fails."""
+    import subprocess
+
+    for cmd in (["ar", "x", str(_NPYRANDOM_A), _DISTRIBUTIONS_O],
+                ["objcopy", *(f"--globalize-symbol={name}"
+                              for name in _ZIGGURAT_TABLES),
+                 _DISTRIBUTIONS_O]):
+        if subprocess.run(cmd, cwd=tmp, capture_output=True).returncode:
+            raise RuntimeError(f"{cmd[0]} could not make {_DISTRIBUTIONS_O}")
+    return str(tmp / _DISTRIBUTIONS_O)
+
+
+def _draws_numpys_normals(lib: ctypes.CDLL) -> bool:
+    """The self-check of a new build: whether lib draws _CHECK_DRAWS
+    normals from a fresh PCG64 as Generator.standard_normal does, bit for
+    bit."""
+    got = _normals(lib, np.random.PCG64(_CHECK_SEED), _CHECK_DRAWS)
+    want = np.random.Generator(np.random.PCG64(_CHECK_SEED)) \
+        .standard_normal(_CHECK_DRAWS)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _build_library(source: bytes, out: Path) -> None:
+    """Build the stepping loop into out with the inline ziggurat, or
+    else with numpy's sampler (-DQSD_NUMPY_SAMPLER).
+
+    The ziggurat build links numpy's distributions object ahead of the
+    archive, and is kept only if its tables are found and it passes
+    _draws_numpys_normals.  It is built and checked under its own name in
+    a temporary directory next to out, so a build that failed the check
+    is never loaded as out.
+    """
+    import tempfile
+
+    with tempfile.TemporaryDirectory(dir=out.parent) as tmp:
+        trial = Path(tmp) / out.name
+        try:
+            _gcc_build(source, trial, _ziggurat_object(Path(tmp)))
+            if _draws_numpys_normals(_load_library(trial)):
+                os.replace(trial, out)
+                return
+        except RuntimeError:
+            pass   # the tables could not be extracted or linked
+        _gcc_build(source, out, "-DQSD_NUMPY_SAMPLER")
 
 
 class _Segment(ctypes.Structure):
@@ -216,9 +267,22 @@ def _load_library(path: Path) -> ctypes.CDLL:
     lib.qsd_segment.argtypes = [ctypes.POINTER(_Segment)]
     lib.qsd_segment.restype = ctypes.c_long
     lib.qsd_stepping_loop.argtypes = [ctypes.POINTER(ctypes.c_char_p),
+                                      ctypes.POINTER(ctypes.c_char_p),
                                       ctypes.POINTER(ctypes.c_long)]
     lib.qsd_stepping_loop.restype = ctypes.c_int
+    lib.qsd_normals.argtypes = [ctypes.c_void_p, ctypes.c_long,
+                                ctypes.c_void_p]
+    lib.qsd_normals.restype = None
     return lib
+
+
+def _normals(lib: ctypes.CDLL, bit_generator, n: int) -> np.ndarray:
+    """n standard normals drawn from a numpy BitGenerator by lib's
+    sampler, the one its stepping loop draws with."""
+    out = np.empty(n)
+    lib.qsd_normals(_bitgen_of(bit_generator.capsule, b"BitGenerator"), n,
+                    out.ctypes.data)
+    return out
 
 
 @functools.cache
@@ -230,7 +294,10 @@ def _compiled_loop() -> ctypes.CDLL:
     and target macros and numpy's bitgen.h and libnpyrandom.a, so a new
     source, flag set, CPU, gcc or numpy builds afresh.  It is written
     under a temporary name and moved into place, so concurrent first
-    uses never load a half-written file.
+    uses never load a half-written file, and then every other
+    qsd_step-*.so of the cache is removed.  A process that has one of
+    them loaded keeps its mapping; one that finds its library gone
+    between the check and the load builds it again, once.
     """
     import hashlib
 
@@ -248,39 +315,53 @@ def _compiled_loop() -> ctypes.CDLL:
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "qsdsim"
     lib = cache / f"qsd_step-{tag[:16]}.so"
-    if not lib.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
+    for retry in (False, True):
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
+            try:
+                _build_library(source, tmp)
+            except RuntimeError:
+                tmp.unlink(missing_ok=True)
+                raise
+            os.replace(tmp, lib)
+            for old in cache.glob("qsd_step-*.so"):
+                if old != lib:
+                    old.unlink(missing_ok=True)
         try:
-            _build_library(source, tmp)
-        except RuntimeError:
-            tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, lib)
-    return _load_library(lib)
+            return _load_library(lib)
+        except OSError:
+            if retry or lib.exists():
+                raise
 
 
 def stepping_loop() -> dict:
     """The stepping body the compiled loop was built with.
 
-    isa names the target's instruction set of its widest lane group, and
-    lanes lists the group widths, widest first: {"isa": "avx512f",
-    "lanes": [8, 4]} where it has AVX-512F, else one width of four.
+    isa names the target's instruction set of its widest lane group,
+    lanes lists the group widths, widest first, and sampler the normal
+    sampler: {"isa": "avx512f", "lanes": [8, 4], "sampler": "ziggurat"}
+    where it has AVX-512F and the inline ziggurat passed its check, else
+    one width of four or "sampler": "numpy".
     """
-    isa, lanes = ctypes.c_char_p(), (ctypes.c_long * 2)()
-    count = _compiled_loop().qsd_stepping_loop(ctypes.byref(isa), lanes)
-    return {"isa": isa.value.decode(), "lanes": lanes[:count]}
+    isa, sampler = ctypes.c_char_p(), ctypes.c_char_p()
+    lanes = (ctypes.c_long * 2)()
+    count = _compiled_loop().qsd_stepping_loop(
+        ctypes.byref(isa), ctypes.byref(sampler), lanes)
+    return {"isa": isa.value.decode(), "lanes": lanes[:count],
+            "sampler": sampler.value.decode()}
 
 
 def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
                cfg: IntegratorConfig, first_index: int, on_sample):
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
-    A C-contiguous complex batch is advanced in place.  Row b draws its
-    noise from the numpy Generator rngs[b], the stream that
-    draw_noise_block draws, and is trajectory first_index + b; each
-    generator advances by exactly four normals per step.  Each step is
-    renormalized.  The states of step 0 and of every record_stride-th
+    A C-contiguous complex batch is advanced in place.  Row b is
+    trajectory first_index + b and draws its noise from the numpy
+    Generator rngs[b]: the normals its standard_normal draws, four per
+    step as (Re dxi1, Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2), so
+    each generator advances by exactly four normals per step.  Each step
+    is renormalized.  The states of step 0 and of every record_stride-th
     step are sampled: the compiled loop writes them into a (S, B,
     n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
     fills it, so a call holds at most TRAJ_BATCH sampled rows.

@@ -112,7 +112,7 @@ static void run_group(struct segment *s, long b0)
         lanes_t out_sq, tail_sq;
         for (int l = 0; l < used; l++)
             for (int q = 0; q < 4; q++)
-                xi[q][l] = random_standard_normal(rngs[l]) * scale;
+                xi[q][l] = standard_normal(rngs[l]) * scale;
         step_group(N, cl, dl, dgr, dgi, tail_start, dt, xi, r, i, nr, ni,
                    &out_sq, &tail_sq);
         const lanes_t tail = tail_sq / out_sq;

@@ -22,10 +22,16 @@
  * no FMA contraction, so the rounding does not depend on the target's
  * instruction set either, and builds for any target give the same bits.
  *
- * The normals come from numpy's own sampler, random_standard_normal of
- * numpy/random/lib/libnpyrandom.a, called on each generator's bitgen_t
- * in the order Generator.standard_normal uses, so a row's noise stream
- * is the one qsd.draw_noise_block draws from the same generator.
+ * The normals are numpy's: standard_normal below is numpy's ziggurat
+ * (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) inlined, reading
+ * numpy's own tables from numpy/random/lib/libnpyrandom.a and drawing
+ * the raw words and doubles from each generator's bitgen_t in numpy's
+ * order, so a row's noise stream is the one Generator.standard_normal
+ * draws from the same generator.  qsd.py checks every new build against
+ * Generator.standard_normal through qsd_normals before using it, and
+ * builds with -DQSD_NUMPY_SAMPLER, which calls numpy's
+ * random_standard_normal instead, when the tables cannot be found or
+ * the check fails.
  *
  * In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises
  * by one level, with real c and d, and the drift -iH/hbar - sum L^dag
@@ -39,8 +45,68 @@
 
 #include "numpy/random/bitgen.h"
 
+#ifdef QSD_NUMPY_SAMPLER
 /* From numpy/random/distributions.h, which needs Python.h. */
 extern double random_standard_normal(bitgen_t *bitgen_state);
+#define standard_normal random_standard_normal
+#define SAMPLER "numpy"
+#else
+/* numpy's ziggurat tables, 256 layers: local symbols of its
+ * distributions object, made global when qsd.py links that object. */
+extern const uint64_t ki_double[256];
+extern const double wi_double[256], fi_double[256];
+/* The tail starts at r; numpy uses r and 1 / r rounded to doubles. */
+static const double ziggurat_nor_r = 3.6541528853610087963519472518;
+static const double ziggurat_nor_inv_r = 0.27366123732975827203338247596;
+#define SAMPLER "ziggurat"
+
+/* x with its sign bit XORed with bit 0 of sign: exact, -0.0 included,
+ * and free of a branch on a random bit. */
+static inline double flip(double x, uint64_t sign)
+{
+    union { double d; uint64_t u; } v = {.d = x};
+    v.u ^= sign << 63;
+    return v.d;
+}
+
+/* numpy's random_standard_normal, bit for bit.  Each try takes one
+ * word: bits 0-7 pick the layer, bit 8 the sign and bits 9-60 the
+ * abscissa.  About 98.5% of tries return at once; the others test the
+ * wedge with one double, or in layer 0 draw the tail two doubles at a
+ * time. */
+static inline __attribute__((always_inline)) double
+standard_normal(bitgen_t *bg)
+{
+    for (;;) {
+        const uint64_t r = bg->next_uint64(bg->state);
+        const int idx = r & 0xff;
+        const uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
+        const double x = flip(rabs * wi_double[idx], r >> 8 & 1);
+        if (rabs < ki_double[idx])
+            return x;
+        if (idx == 0) {
+            for (;;) {
+                const double xx = -ziggurat_nor_inv_r
+                                  * log1p(-bg->next_double(bg->state));
+                const double yy = -log1p(-bg->next_double(bg->state));
+                if (yy + yy > xx * xx)
+                    return flip(ziggurat_nor_r + xx, rabs >> 8 & 1);
+            }
+        }
+        if ((fi_double[idx - 1] - fi_double[idx]) * bg->next_double(bg->state)
+            + fi_double[idx] < exp(-0.5 * x * x))
+            return x;
+    }
+}
+#endif
+
+/* n normals from bg into out, as the loop draws them: the self-check
+ * that qsd.py runs on each new build. */
+void qsd_normals(bitgen_t *bg, long n, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = standard_normal(bg);
+}
 
 /* One call of qsd_segment.  The caller fills it and owns every buffer
  * it points to, so the loop allocates nothing; qsd.py declares it again,
@@ -120,10 +186,12 @@ long qsd_segment(struct segment *s)
 }
 
 /* The stepping body this library was built with: *isa names the
- * instruction set of its widest lane group, and the group widths go
- * into lanes, widest first.  Returns their count. */
-int qsd_stepping_loop(const char **isa, long *lanes)
+ * instruction set of its widest lane group, *sampler the normal
+ * sampler, and the group widths go into lanes, widest first.  Returns
+ * their count. */
+int qsd_stepping_loop(const char **isa, const char **sampler, long *lanes)
 {
+    *sampler = SAMPLER;
 #ifdef __AVX512F__
     *isa = "avx512f";
     lanes[0] = 8;

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -7,7 +9,7 @@ from qsdsim.constants import TAIL_TOL
 from qsdsim.errors import TrajectoryError
 from qsdsim.model import (ModelParams, build_operators, tail_levels,
                           temperature_for_nbar)
-from qsdsim.qsd import IntegratorConfig, draw_noise_block
+from qsdsim.qsd import IntegratorConfig
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
@@ -32,6 +34,19 @@ def random_states(n: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def draw_noise_block(rng: np.random.Generator, dt: float,
+                     n_steps: int) -> np.ndarray:
+    """(n_steps, 2) complex increments, advancing rng by 4 * n_steps normals.
+
+    The reference of the stream the compiled loop draws: row k takes
+    the k-th group of four of rng's standard normals as (Re dxi1,
+    Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2), so the stream does
+    not depend on the block size.
+    """
+    z = rng.standard_normal((n_steps, 4)) * math.sqrt(dt / 2.0)
+    return z.view(complex)
 
 
 def ladder(n_fock: int) -> np.ndarray:

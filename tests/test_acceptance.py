@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import _criteria
-from conftest import random_states
+from conftest import draw_noise_block, random_states
 from qsdsim.ensemble import (EnsembleConfig, InitialStateSpec, density_matrix,
                              run_ensemble, trace_distance)
 from qsdsim.histories import HistorySpec, PhaseCell, decoherence_functional
@@ -28,7 +28,8 @@ from qsdsim.observables import (fit_exponential_decay, bundle_arrays,
                                 windowed_slopes)
 from qsdsim.oracle import (LindbladPropagatorConfig, OUState, ou_flow,
                            propagate, stationary_lindblad_check)
-from qsdsim.qsd import IntegratorConfig, draw_noise_block, run_trajectory
+from qsdsim import qsd
+from qsdsim.qsd import IntegratorConfig, run_trajectory
 
 
 def _params(gamma: float, nbar: float, omega: float = 1.0) -> ModelParams:
@@ -366,9 +367,16 @@ def test_criterion_10_two_time_histories_decohere():
 # -- 11: raw noise stream moments -------------------------------------------
 
 def test_criterion_11_noise_increment_moments():
+    # the increments the stepping loop draws: 4 n normals from its own
+    # sampler, which must be Generator.standard_normal's stream, so this
+    # is the block the criterion has sampled since its seed was frozen
     n = 1_000_000
     dt = 1e-3
-    block = draw_noise_block(np.random.default_rng(0), dt, n)
+    z = qsd._normals(qsd._compiled_loop(),
+                     np.random.default_rng(0).bit_generator, 4 * n)
+    block = (z.reshape(n, 4) * math.sqrt(dt / 2.0)).view(complex)
+    want = draw_noise_block(np.random.default_rng(0), dt, n)
+    assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
     ok = True
     stats = []
     for ch in range(2):

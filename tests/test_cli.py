@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsdsim import qsd
 from qsdsim.cli import (CONFIG_VALIDATOR, EXIT_CONFIG, EXIT_FAIL,
-                        EXIT_NUMERICAL, EXIT_PASS, main)
+                        EXIT_NUMERICAL, EXIT_PASS, Runner, main, make_parser)
+from qsdsim.constants import MAX_N_FOCK
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -280,6 +281,40 @@ def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
     assert list(out.iterdir()) == []
 
 
+def test_huge_n_fock_is_config_error(tmp_path, capsys):
+    # refused by the schema's maximum before any matrix is sized by it
+    cfg = _canned("stationary")
+    cfg["fock"]["n_fock"] = 10 ** 30
+    code, out = _run(tmp_path, "stationary", cfg)
+    assert code == EXIT_CONFIG
+    assert f"maximum of {MAX_N_FOCK}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    ("localize", "localize_fock"),
+    ("thermalize", "thermalize"),
+    ("oracle-compare", "oracle_compare"),
+])
+def test_ensemble_commands_refuse_integrator_seed(tmp_path, capsys, command,
+                                                  name):
+    # trajectory k is seeded from ensemble.base_seed and k alone, so a
+    # seed in the integrator section would be ignored; it is refused,
+    # and --seed sets base_seed only
+    cfg = _canned(name)
+    args = make_parser().parse_args([command, "--config",
+                                     str(_write(tmp_path, cfg)), "--out",
+                                     str(tmp_path / "seeded"), "--seed", "9"])
+    seeded = Runner(args).cfg
+    assert seeded["ensemble"]["base_seed"] == 9
+    assert "seed" not in seeded["integrator"]
+    cfg["integrator"]["seed"] = 5
+    code, out = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert "ensemble.base_seed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, missing", [
     ("stationary", "integrator"),
     ("localize", "integrator"),
@@ -409,8 +444,7 @@ def test_oracle_compare_convergence(tmp_path):
     cfg = {
         "params": {"m": 1.0, "omega": 2.0, "gamma": 0.5, "nbar": 0.5},
         "fock": {"n_fock": 32},
-        "integrator": {"dt": 1e-3, "t_end": 2.0, "record_stride": 2000,
-                       "seed": 5},
+        "integrator": {"dt": 1e-3, "t_end": 2.0, "record_stride": 2000},
         "ensemble": {"m": 128, "base_seed": 1},
         "initial": {"kind": "coherent", "alpha": 1.0},
     }

@@ -9,6 +9,7 @@ of the norm must match the isometry prediction.
 import ctypes
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import StepKernel, dense_operators, integrate_reference, \
-    lindblad_rhs, random_states, run_split
+from conftest import StepKernel, dense_operators, draw_noise_block, \
+    integrate_reference, lindblad_rhs, random_states, run_split
 from qsdsim import qsd
 from qsdsim.constants import MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
@@ -27,8 +28,8 @@ from qsdsim.model import (ModelParams, build_operators, coherent_state,
                           fock_state, tail_mass, temperature_for_nbar)
 from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
 from qsdsim.observables import STAT_FIELDS, bundle_arrays
-from qsdsim.qsd import (IntegratorConfig, check_step_size, draw_noise_block,
-                        run_trajectory, splitmix64, trajectory_seed)
+from qsdsim.qsd import (IntegratorConfig, check_step_size, run_trajectory,
+                        splitmix64, trajectory_seed)
 
 # First outputs of the splitmix64 stream seeded at 0; published test
 # vectors for the algorithm, reproduced by successive state increments.
@@ -478,8 +479,8 @@ def test_single_member_ensemble_equals_trajectory(warm_params, seed,
 def _loop_built_with(path, *flags):
     """The loop built with flags added to qsd._CFLAGS.
 
-    The one gcc command line builds it, so it links the same sampler as
-    the library in use.
+    qsd._build_library builds it, with the inline ziggurat if that
+    passes its self-check, as it builds the library in use.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsd, "_CFLAGS", (*qsd._CFLAGS, *flags))
@@ -536,8 +537,9 @@ def test_baseline_build_equals_production_library(tmp_path, warm_params,
     # an eight-lane group and a four-lane tail.
     _skip_unless_above_baseline()
     plain = _loop_built_with(tmp_path / "plain.so", "-march=x86-64")
-    assert qsd.stepping_loop() in ({"isa": "avx512f", "lanes": [8, 4]},
-                                   {"isa": "avx", "lanes": [4]})
+    assert qsd.stepping_loop() in (
+        {"isa": "avx512f", "lanes": [8, 4], "sampler": "ziggurat"},
+        {"isa": "avx", "lanes": [4], "sampler": "ziggurat"})
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
     psis = _low_batch(9, 40, 20, seed=31)
@@ -548,7 +550,8 @@ def test_baseline_build_equals_production_library(tmp_path, warm_params,
     _assert_same_outputs(got, want)
     assert want[1][0] == 2 and want[1][1] == pytest.approx(21e-3)
     assert math.isnan(got[1][2]) and math.isnan(want[1][2])
-    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4]}
+    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4],
+                                   "sampler": "ziggurat"}
 
 
 @pytest.fixture(scope="module")
@@ -574,7 +577,8 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
     cuts = {10: [(batch // 2, 3, np.nan)], 20: [(batch - 1, 1, np.nan)]}
     want = _loop_outputs(ops, psis, cfg, range(batch), cuts)
     monkeypatch.setattr(qsd, "_compiled_loop", lambda: narrow_loop)
-    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4]}
+    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4],
+                                   "sampler": "ziggurat"}
     _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(batch), cuts),
                          want)
 
@@ -601,24 +605,135 @@ def test_nan_lanes_fail_alike_at_both_widths(warm_params, narrow_loop,
     assert math.isnan(want[1][2])
 
 
+#: Where numpy's ziggurat starts its tail: every draw beyond it is a
+#: tail draw.
+_ZIGGURAT_R = 3.6541528853610088
+
+
+@pytest.fixture(scope="module")
+def numpy_sampler_loop(tmp_path_factory):
+    # the loop built to call numpy's random_standard_normal, the
+    # reference of the inline ziggurat
+    return _loop_built_with(tmp_path_factory.mktemp("numpy") / "numpy.so",
+                            "-DQSD_NUMPY_SAMPLER")
+
+
+def test_inline_sampler_draws_generator_standard_normal():
+    # 1e7 normals through qsd_normals, in blocks from one generator,
+    # against Generator.standard_normal of the same seed, bit for bit;
+    # they include tail draws, and both generators end in one state
+    lib = qsd._compiled_loop()
+    ours, ref = np.random.PCG64(1), np.random.Generator(np.random.PCG64(1))
+    tails = 0
+    for _ in range(10):
+        got = qsd._normals(lib, ours, 10 ** 6)
+        want = ref.standard_normal(10 ** 6)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        tails += np.count_nonzero(np.abs(got) > _ZIGGURAT_R)
+    assert tails > 0
+    assert ours.random_raw() == ref.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8, 9, 256])
+@pytest.mark.parametrize("n_fock", [12, 40])
+def test_inline_sampler_steps_as_numpy_sampler(warm_params, numpy_sampler_loop,
+                                               monkeypatch, n_fock, batch):
+    # _integrate with the inline ziggurat against the build that calls
+    # numpy's sampler, bit for bit: final and sampled states, drift, the
+    # generators' next draws and a poisoned run's row, time and tail.
+    # The 256 rows draw about 2e5 normals, tail draws among them.
+    ops = build_operators(warm_params, n_fock)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.2, record_stride=7)
+    psis = _low_batch(batch, n_fock, n_fock // 3, seed=batch)
+    cuts = {50: [(batch // 2, 3, np.nan)]}
+    assert qsd.stepping_loop()["sampler"] == "ziggurat"
+    got = _loop_outputs(ops, psis, cfg, range(batch), cuts)
+    monkeypatch.setattr(qsd, "_compiled_loop", lambda: numpy_sampler_loop)
+    assert qsd.stepping_loop()["sampler"] == "numpy"
+    _assert_same_outputs(got, _loop_outputs(ops, psis, cfg, range(batch),
+                                            cuts))
+    assert got[1][1] == pytest.approx(51e-3)
+    if batch == 256:
+        draws = np.concatenate([np.random.default_rng(s).standard_normal(
+            4 * cfg.n_steps) for s in range(batch)])
+        assert np.count_nonzero(np.abs(draws) > _ZIGGURAT_R) > 0
+
+
+@pytest.mark.parametrize("name, value, flags", [
+    # the archive has no such member
+    ("_DISTRIBUTIONS_O", "src_distributions_missing.c.o", ()),
+    # the tables stay local symbols, so the link cannot find them
+    ("_ZIGGURAT_TABLES", ("ki_missing", "wi_missing", "fi_missing"), ()),
+    # the wedge reads the wrong table: the build links, fails its check
+    (None, None, ("-Dfi_double=wi_double",)),
+])
+def test_sampler_falls_back_to_numpy(tmp_path, warm_params, monkeypatch,
+                                     name, value, flags):
+    # a build whose tables cannot be found, or whose normals differ from
+    # numpy's, is built again with numpy's sampler and says so; it steps
+    # bit for bit as the library in use
+    if name is not None:
+        monkeypatch.setattr(qsd, name, value)
+    fallback = _loop_built_with(tmp_path / "fallback.so", *flags)
+    ops = build_operators(warm_params, 24)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_stride=9)
+    psis = _low_batch(9, 24, 8, seed=51)
+    cuts = {30: [(4, 2, np.nan)]}
+    want = _loop_outputs(ops, psis, cfg, range(9), cuts)
+    monkeypatch.setattr(qsd, "_compiled_loop", lambda: fallback)
+    assert qsd.stepping_loop()["sampler"] == "numpy"
+    _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(9), cuts), want)
+    assert [p.name for p in tmp_path.iterdir()] == ["fallback.so"]
+
+
 def test_loop_is_built_on_first_use_and_cached(tmp_path):
     # importing qsdsim and building operators compile nothing; the first
     # trajectory builds one library, named by a hash, in the cache
+    # and removes every other build of the cache
     cache = tmp_path / "cache"
+    (cache / "qsdsim").mkdir(parents=True)
+    stale = "qsd_step-0000000000000000.so"
+    (cache / "qsdsim" / stale).write_bytes(b"")
     code = "\n".join([
         "import sys, pathlib, qsdsim",
         "ops = qsdsim.build_operators(qsdsim.ModelParams(), 8)",
-        "assert not pathlib.Path(sys.argv[1]).exists()",
+        "cache = pathlib.Path(sys.argv[1]) / 'qsdsim'",
+        "assert [p.name for p in cache.iterdir()] == [sys.argv[2]]",
         "cfg = qsdsim.IntegratorConfig(dt=1e-3, t_end=1e-2)",
         "qsdsim.run_trajectory(qsdsim.coherent_state(ops, 0.5), ops, cfg)",
     ])
     env = dict(os.environ, XDG_CACHE_HOME=str(cache),
                PYTHONPATH=os.path.dirname(os.path.dirname(qsd.__file__)))
-    subprocess.run([sys.executable, "-c", code, str(cache)], env=env,
-                   check=True)
+    subprocess.run([sys.executable, "-c", code, str(cache), stale],
+                   env=env, check=True)
     names = [p.name for p in (cache / "qsdsim").iterdir()]
     assert len(names) == 1
     assert names[0].startswith("qsd_step-") and names[0].endswith(".so")
+    assert names[0] != stale
+
+
+def test_library_removed_before_loading_is_built_again(tmp_path,
+                                                       monkeypatch):
+    # another process's new build removes this process's library between
+    # its exists() check and its load: the library is built once more
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    built = qsd._compiled_loop()._name
+    builds = []
+
+    def build(source, out):
+        builds.append(out)
+        shutil.copyfile(built, out)
+
+    def load(path, load=qsd._load_library):
+        if len(builds) == 1:
+            path.unlink()
+        return load(path)
+
+    monkeypatch.setattr(qsd, "_build_library", build)
+    monkeypatch.setattr(qsd, "_load_library", load)
+    lib = qsd._compiled_loop.__wrapped__()
+    assert len(builds) == 2
+    assert Path(lib._name).exists()
 
 
 @pytest.mark.parametrize("flags", [(), ("-march=x86-64",)])
