@@ -76,9 +76,9 @@ _DISTRIBUTIONS_O = "src_distributions_distributions.c.o"
 _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
 
 #: The self-check of a new build: normals drawn from a fresh PCG64 of
-#: this seed.  Those 1e5 test the wedge 1455 times and take 34 from the
-#: tail.
-_CHECK_SEED, _CHECK_DRAWS = 0, 100_000
+#: this seed, in blocks that keep its memory small.  Those 1e5 test the
+#: wedge 1455 times and take 34 from the tail.
+_CHECK_SEED, _CHECK_BLOCKS, _CHECK_BLOCK = 0, 10, 10_000
 
 #: The bitgen_t address of a BitGenerator, read from its capsule.
 #: BitGenerator.ctypes builds about ten ctypes objects for each new
@@ -211,13 +211,14 @@ def _ziggurat_object(tmp: Path) -> str:
 
 
 def _draws_numpys_normals(lib: ctypes.CDLL) -> bool:
-    """The self-check of a new build: whether lib draws _CHECK_DRAWS
-    normals from a fresh PCG64 as Generator.standard_normal does, bit for
-    bit."""
-    got = _normals(lib, np.random.PCG64(_CHECK_SEED), _CHECK_DRAWS)
-    want = np.random.Generator(np.random.PCG64(_CHECK_SEED)) \
-        .standard_normal(_CHECK_DRAWS)
-    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    """The self-check of a new build: whether lib draws normals from a
+    fresh PCG64 as Generator.standard_normal does, bit for bit."""
+    ours = np.random.PCG64(_CHECK_SEED)
+    ref = np.random.Generator(np.random.PCG64(_CHECK_SEED))
+    return all(np.array_equal(
+        _normals(lib, ours, _CHECK_BLOCK).view(np.uint64),
+        ref.standard_normal(_CHECK_BLOCK).view(np.uint64))
+        for _ in range(_CHECK_BLOCKS))
 
 
 def _build_library(source: bytes, out: Path) -> None:
