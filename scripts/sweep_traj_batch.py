@@ -48,9 +48,10 @@ def main() -> None:
                     dt=1e-3, t_end=args.steps * 1e-3,
                     record_stride=args.steps)
                 psis = np.tile(psi0, (b, 1))
-                rngs = [np.random.default_rng(k) for k in range(b)]
+                streams = qsd._seed_streams(range(b))
                 t0 = time.perf_counter()
-                qsd._integrate(ops, psis, rngs, icfg, 0, lambda p, s: None)
+                qsd._integrate(ops, psis, streams, icfg, 0,
+                               lambda p, s: None)
                 runs[b][0].append((time.perf_counter() - t0)
                                   / (args.steps * b))
                 m = b * max(2, 1024 // b)

@@ -25,7 +25,7 @@ from jsonschema.exceptions import best_match
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         DECORRELATION_TIME_FACTOR, LATE_FRACTION, MAX_N_FOCK,
-                        SHAPE_TOL, SIGMA_BAND, SUPPRESSION_THRESHOLD,
+                        MAX_SEED, SHAPE_TOL, SIGMA_BAND, SUPPRESSION_THRESHOLD,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
@@ -55,6 +55,7 @@ def _section(properties: dict, *required: str) -> dict:
 
 
 _BOOL = {"type": "boolean"}
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 CONFIG_SCHEMA = _section({
     "params": _section({"m": _NUMBER, "omega": _NUMBER, "gamma": _NUMBER,
                         "temperature": _NUMBER, "nbar": _NUMBER,
@@ -65,9 +66,9 @@ CONFIG_SCHEMA = _section({
     "integrator": _section({
         "dt": _NUMBER, "t_end": _NUMBER,
         "record_stride": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0}}, "dt", "t_end"),
+        "seed": _SEED}, "dt", "t_end"),
     "ensemble": _section({"m": {"type": "integer", "minimum": 1},
-                          "base_seed": {"type": "integer", "minimum": 0}},
+                          "base_seed": _SEED},
                          "m"),
     "initial": _section({
         "kind": {"enum": ["coherent", "fock", "cat", "custom"]},
@@ -549,8 +550,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ConfigError(f"--seed must be in [0, 2**64), got "
+                              f"{args.seed}")
         return args.func(Runner(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,6 +56,12 @@ TRAJ_BATCH = 256
 # 256 MiB; a config beyond it is refused before anything is allocated.
 MAX_STEPS = 2 ** 25
 
+# Largest seed, integrator.seed or ensemble.base_seed, that a config
+# may give: the stepping loop seeds each trajectory's PCG64 stream from
+# one uint64, as np.random.default_rng does from an int below 2^64.
+# A larger one would be another stream, so it is refused.
+MAX_SEED = 2 ** 64 - 1
+
 # Largest n_fock a config may ask for.  One N x N complex matrix, as
 # the oracle and the history functional hold several of, then takes
 # 2048^2 * 16 B = 64 MiB; every shipped config and test uses at most 72

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TAIL_TOL, TRAJ_BATCH
+from .constants import MAX_SEED, TAIL_TOL, TRAJ_BATCH
 from .errors import ConfigError, DimensionError, ParameterError, \
     TruncationError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
     normalize, steps_on_grid, tail_mass
 from .observables import STAT_FIELDS, bundle_arrays
-from .qsd import IntegratorConfig, _integrate, check_step_size, \
-    trajectory_seed
+from .qsd import IntegratorConfig, _integrate, _seed_streams, \
+    check_step_size, trajectory_seed
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("ensemble size must be >= 1")
-        if self.base_seed < 0:
-            raise ParameterError("base_seed must be >= 0")
+        if not 0 <= self.base_seed <= MAX_SEED:
+            raise ParameterError(f"base_seed must be in [0, 2**64), got "
+                                 f"{self.base_seed}")
         for name in self.store_series:
             if name not in STAT_FIELDS:
                 raise ConfigError(f"unknown series field {name!r}")
@@ -164,10 +165,10 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
                 if j0 <= j < j1:
                     rhos[r] += _dyad_sum(block[j - j0])
 
-        rngs = [np.random.default_rng(trajectory_seed(cfg.base_seed, k))
-                for k in range(k0, k1)]
+        streams = _seed_streams([trajectory_seed(cfg.base_seed, k)
+                                 for k in range(k0, k1)])
         finals[k0:k1], _ = _integrate(ops, np.tile(psi0, (k1 - k0, 1)),
-                                      rngs, icfg, k0, on_sample)
+                                      streams, icfg, k0, on_sample)
 
     # at m = 1 every deviation from trajectory 0 is 0, and so is every stderr
     var = np.maximum(tot_sq - tot_dev ** 2 / m, 0.0) / max(m - 1, 1)

@@ -22,14 +22,17 @@ of a SIMD vector, built for the host CPU: eight rows per group where
 it has AVX-512F while more than four are left, else four (stepping_loop
 reports which).  Each lane rounds exactly as the row stepped alone, so
 no result depends on the batch, the group width or the CPU.  The loop
-also draws each row's noise from the row's numpy generator with
-numpy's own ziggurat, inlined: the tables are read from numpy's
-libnpyrandom.a when the loop is built, and each new build must draw
-Generator.standard_normal's normals bit for bit before it is used, or
-it is built again to call numpy's sampler (stepping_loop reports
-which).  It copies the sampled states into a buffer of up to TRAJ_BATCH
-rows.  Python calls it once per such block of samples, hands the block
-to the caller and raises the error of a failed row.  It is built with
+also owns each row's noise stream: it seeds numpy's PCG64 from the
+row's seed as numpy's SeedSequence does, steps it inline and draws
+the normals with numpy's own ziggurat, inlined, whose tables are read
+from numpy's libnpyrandom.a when the loop is built.  So row b draws
+np.random.default_rng(seeds[b]).standard_normal's stream, bit for bit,
+with no numpy generator made.  Each new build must seed and draw so
+before it is used, or it is built again to call numpy's sampler on the
+same streams (stepping_loop reports which).  It copies the sampled
+states into a buffer of up to TRAJ_BATCH rows.  Python calls it once
+per such block of samples, hands the block to the caller and raises
+the error of a failed row.  It is built with
 gcc on first use, never at import.
 """
 
@@ -47,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import (MAX_STEPS, STEP_GUARD_DISSIPATIVE,
+from .constants import (MAX_SEED, MAX_STEPS, STEP_GUARD_DISSIPATIVE,
                         STEP_GUARD_OSCILLATORY, TAIL_TOL, TRAJ_BATCH)
 from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
@@ -75,17 +78,11 @@ _NPYRANDOM_A = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 _DISTRIBUTIONS_O = "src_distributions_distributions.c.o"
 _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
 
-#: The self-check of a new build: normals drawn from a fresh PCG64 of
-#: this seed, in blocks that keep its memory small.  Those 1e5 test the
-#: wedge 1455 times and take 34 from the tail.
-_CHECK_SEED, _CHECK_BLOCKS, _CHECK_BLOCK = 0, 10, 10_000
-
-#: The bitgen_t address of a BitGenerator, read from its capsule.
-#: BitGenerator.ctypes builds about ten ctypes objects for each new
-#: generator (10 us apiece on a 2-core Xeon VM, 2.6 ms per batch of 256).
-_bitgen_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                               ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
+#: The self-check of a new build: normals drawn from the streams it
+#: seeds for these seeds, one with one 32-bit word of entropy and one
+#: with two, in blocks that keep its memory small.  Those 1e5 test the
+#: wedge 1439 times and take 26 from the tail.
+_CHECK_SEEDS, _CHECK_BLOCKS, _CHECK_BLOCK = (0, MAX_SEED), 5, 10_000
 
 
 def splitmix64(x: int) -> int:
@@ -123,8 +120,9 @@ class IntegratorConfig:
             raise ParameterError("t_end must cover at least one step")
         if self.record_stride < 1:
             raise ParameterError("record_stride must be >= 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ParameterError(f"seed must be in [0, 2**64), got "
+                                 f"{self.seed}")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ParameterError(
                 f"t_end / dt = {self.t_end / self.dt:.3g} steps; at most "
@@ -211,13 +209,14 @@ def _ziggurat_object(tmp: Path) -> str:
 
 
 def _draws_numpys_normals(lib: ctypes.CDLL) -> bool:
-    """The self-check of a new build: whether lib draws normals from a
-    fresh PCG64 as Generator.standard_normal does, bit for bit."""
-    ours = np.random.PCG64(_CHECK_SEED)
-    ref = np.random.Generator(np.random.PCG64(_CHECK_SEED))
+    """The self-check of a new build: whether the streams lib seeds draw
+    the normals that Generator.standard_normal draws from default_rng of
+    the same seeds, bit for bit."""
+    refs = [np.random.default_rng(seed) for seed in _CHECK_SEEDS]
     return all(np.array_equal(
-        _normals(lib, ours, _CHECK_BLOCK).view(np.uint64),
+        _normals(lib, stream, _CHECK_BLOCK).view(np.uint64),
         ref.standard_normal(_CHECK_BLOCK).view(np.uint64))
+        for stream, ref in zip(_seed_streams(_CHECK_SEEDS, lib), refs)
         for _ in range(_CHECK_BLOCKS))
 
 
@@ -227,9 +226,11 @@ def _build_library(source: bytes, out: Path) -> None:
 
     The ziggurat build links numpy's distributions object ahead of the
     archive, and is kept only if its tables are found and it passes
-    _draws_numpys_normals.  It is built and checked under its own name in
-    a temporary directory next to out, so a build that failed the check
-    is never loaded as out.
+    _draws_numpys_normals.  The fallback must pass it too, since it
+    draws from the same C-seeded streams; if it does not, no build is
+    made.  Each is built and checked under its own name in a temporary
+    directory next to out, so a build that failed the check is never
+    loaded as out.
     """
     import tempfile
 
@@ -242,7 +243,12 @@ def _build_library(source: bytes, out: Path) -> None:
                 return
         except RuntimeError:
             pass   # the tables could not be extracted or linked
-        _gcc_build(source, out, "-DQSD_NUMPY_SAMPLER")
+        trial = Path(tmp) / f"numpy-{out.name}"
+        _gcc_build(source, trial, "-DQSD_NUMPY_SAMPLER")
+        if not _draws_numpys_normals(_load_library(trial)):
+            raise RuntimeError("qsd_step.c seeds or steps PCG64 streams "
+                               "that differ from numpy's")
+        os.replace(trial, out)
 
 
 class _Segment(ctypes.Structure):
@@ -252,7 +258,7 @@ class _Segment(ctypes.Structure):
     _fields_ = [(name, ctype) for names, ctype in (
         ("B N n tail_start stride", ctypes.c_long),
         ("dt tail_tol scale", ctypes.c_double),
-        ("coef psis rec drift rngs lanes", ctypes.c_void_p),
+        ("coef psis rec drift streams lanes", ctypes.c_void_p),
         ("worst worst_step", ctypes.c_long),
         ("worst_tail", ctypes.c_double)) for name in names.split()]
 
@@ -271,18 +277,35 @@ def _load_library(path: Path) -> ctypes.CDLL:
                                       ctypes.POINTER(ctypes.c_char_p),
                                       ctypes.POINTER(ctypes.c_long)]
     lib.qsd_stepping_loop.restype = ctypes.c_int
-    lib.qsd_normals.argtypes = [ctypes.c_void_p, ctypes.c_long,
-                                ctypes.c_void_p]
-    lib.qsd_normals.restype = None
+    lib.qsd_seed.argtypes = [ctypes.c_long, ctypes.c_void_p,
+                             ctypes.c_void_p]
+    lib.qsd_normals.argtypes = lib.qsd_raw.argtypes = [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+    lib.qsd_seed.restype = lib.qsd_normals.restype = lib.qsd_raw.restype = None
     return lib
 
 
-def _normals(lib: ctypes.CDLL, bit_generator, n: int) -> np.ndarray:
-    """n standard normals drawn from a numpy BitGenerator by lib's
-    sampler, the one its stepping loop draws with."""
+def _seed_streams(seeds, lib: ctypes.CDLL | None = None) -> np.ndarray:
+    """The noise streams of the stepping loop for these seeds.
+
+    A (B, 4) uint64 array, one PCG64 (state, inc) per seed, low words
+    first: the state np.random.PCG64(seed) starts in, made by lib (the
+    compiled loop by default) in one call.  Each seed must be an int in
+    [0, 2**64); numpy refuses any other with OverflowError.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    streams = np.empty((len(seeds), 4), dtype=np.uint64)
+    (lib or _compiled_loop()).qsd_seed(len(seeds), seeds.ctypes.data,
+                                       streams.ctypes.data)
+    return streams
+
+
+def _normals(lib: ctypes.CDLL, stream: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals drawn from one row of _seed_streams by lib's
+    sampler, the one its stepping loop draws with; the row is advanced
+    in place."""
     out = np.empty(n)
-    lib.qsd_normals(_bitgen_of(bit_generator.capsule, b"BitGenerator"), n,
-                    out.ctypes.data)
+    lib.qsd_normals(stream.ctypes.data, n, out.ctypes.data)
     return out
 
 
@@ -353,15 +376,18 @@ def stepping_loop() -> dict:
             "sampler": sampler.value.decode()}
 
 
-def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
+def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
                cfg: IntegratorConfig, first_index: int, on_sample):
     """Step a (B, n_fock) batch from t = 0 to cfg.t_end.
 
     A C-contiguous complex batch is advanced in place.  Row b is
-    trajectory first_index + b and draws its noise from the numpy
-    Generator rngs[b]: the normals its standard_normal draws, four per
-    step as (Re dxi1, Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2), so
-    each generator advances by exactly four normals per step.  Each step
+    trajectory first_index + b and draws its noise from streams[b], a
+    row of _seed_streams(seeds): the normals that
+    np.random.default_rng(seeds[b]).standard_normal draws, four per step
+    as (Re dxi1, Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2).  The
+    streams are advanced in place by exactly four normals per step, so
+    a run stopped and continued with the same streams draws as one made
+    in one go.  Each step
     is renormalized.  The states of step 0 and of every record_stride-th
     step are sampled: the compiled loop writes them into a (S, B,
     n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
@@ -376,10 +402,14 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     every sample before the failing step.
     """
     psis = np.require(psis, complex, ["C", "W"])  # the loop's memory layout
-    batch = len(rngs)
+    batch = len(streams)
     if psis.shape != (batch, ops.n_fock):
         raise DimensionError(f"batch of shape {psis.shape} for {batch} "
                              f"noise streams and {ops.n_fock} levels")
+    if not (streams.dtype == np.uint64 and streams.shape == (batch, 4)
+            and streams.flags.c_contiguous and streams.flags.writeable):
+        raise DimensionError("noise streams must be a writeable "
+                             "C-contiguous (B, 4) uint64 array")
     n_fock = ops.n_fock
     g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
     # the padded rows cl, dl, dgr, dgi of qsd_lanes.h
@@ -393,14 +423,11 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, rngs: list,
     drift = np.zeros(n_steps)
     rec = np.empty((max(1, TRAJ_BATCH // batch), batch, n_fock),
                    dtype=complex)
-    bitgens = (ctypes.c_void_p * batch)(
-        *(_bitgen_of(rng.bit_generator.capsule, b"BitGenerator")
-          for rng in rngs))
     seg = _Segment(
         B=batch, N=n_fock, tail_start=n_fock - tail_levels(n_fock),
         stride=stride, dt=cfg.dt, tail_tol=TAIL_TOL,
         scale=math.sqrt(cfg.dt / 2.0), coef=coef.ctypes.data,
-        psis=psis.ctypes.data, rngs=ctypes.addressof(bitgens),
+        psis=psis.ctypes.data, streams=streams.ctypes.data,
         lanes=lanes.ctypes.data)
     segment = _compiled_loop().qsd_segment
     # addresses taken once; a call's offsets are added as integers
@@ -476,8 +503,7 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
         for f in STAT_FIELDS:
             bundles[f][j:j + len(block)] = vals[f]
 
-    psis, drift = _integrate(ops, psis,
-                             [np.random.default_rng(cfg.seed)], cfg, 0,
+    psis, drift = _integrate(ops, psis, _seed_streams([cfg.seed]), cfg, 0,
                              on_sample)
     return TrajectoryRecord(times=times, bundles=bundles,
                             final_state=psis[0].copy(), seed=cfg.seed,

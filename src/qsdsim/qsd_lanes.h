@@ -84,7 +84,7 @@ static void run_group(struct segment *s, long b0)
     const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
     const double *cl = s->coef, *dl = cl + N, *dgr = dl + N, *dgi = dgr + N;
     double *drift = s->drift;
-    bitgen_t *const *rngs = s->rngs + b0;
+    uint64_t *const streams = s->streams + 4 * b0;
     lanes_t *buf = s->lanes;
     lanes_t *re[2] = {buf, buf + 2 * w};
     lanes_t *im[2] = {buf + w, buf + 3 * w};
@@ -92,6 +92,9 @@ static void run_group(struct segment *s, long b0)
     double *row[LANES];
     for (int l = 0; l < LANES; l++)
         row[l] = s->psis + 2 * N * (l < used ? b0 + l : B - 1);
+    struct pcg64 g[LANES];
+    for (int l = 0; l < used; l++)
+        g[l] = pcg64_load(streams + 4 * l);
     for (int c = 0; c < 2; c++)
         re[c][0] = re[c][N + 1] = im[c][0] = im[c][N + 1] = (lanes_t){0};
     for (long k = 0; k < N; k++)
@@ -112,7 +115,7 @@ static void run_group(struct segment *s, long b0)
         lanes_t out_sq, tail_sq;
         for (int l = 0; l < used; l++)
             for (int q = 0; q < 4; q++)
-                xi[q][l] = standard_normal(rngs[l]) * scale;
+                xi[q][l] = standard_normal(&g[l]) * scale;
         step_group(N, cl, dl, dgr, dgi, tail_start, dt, xi, r, i, nr, ni,
                    &out_sq, &tail_sq);
         const lanes_t tail = tail_sq / out_sq;
@@ -156,6 +159,8 @@ static void run_group(struct segment *s, long b0)
             left = s->stride;
         }
     }
+    for (int l = 0; l < used; l++)
+        pcg64_store(streams + 4 * l, g[l]);
     if (!failed)
         for (long k = 0; k < N; k++)
             for (int l = 0; l < used; l++) {

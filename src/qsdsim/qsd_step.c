@@ -2,7 +2,7 @@
  *
  * qsd_segment advances a (B, N) batch of trajectories through n steps
  * of the Euler-Maruyama update documented in qsd.py.  Each step of a
- * row draws the row's four normals from its own numpy generator, and
+ * row draws the row's four normals from its own noise stream, and
  * is followed by its norm, the norm-drift high-water mark, the
  * truncation-tail guard and the renormalization.  Every stride-th step
  * the rows are copied into a caller's buffer of samples, so one call
@@ -22,16 +22,18 @@
  * no FMA contraction, so the rounding does not depend on the target's
  * instruction set either, and builds for any target give the same bits.
  *
- * The normals are numpy's: standard_normal below is numpy's ziggurat
- * (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) inlined, reading
- * numpy's own tables from numpy/random/lib/libnpyrandom.a and drawing
- * the raw words and doubles from each generator's bitgen_t in numpy's
- * order, so a row's noise stream is the one Generator.standard_normal
- * draws from the same generator.  qsd.py checks every new build against
- * Generator.standard_normal through qsd_normals before using it, and
- * builds with -DQSD_NUMPY_SAMPLER, which calls numpy's
- * random_standard_normal instead, when the tables cannot be found or
- * the check fails.
+ * The normals are numpy's: each row's noise stream is the one
+ * np.random.default_rng(seed).standard_normal draws, bit for bit.  The
+ * loop owns the streams.  qsd_seed seeds numpy's PCG64 (O'Neill 2014,
+ * XSL-RR output) as numpy's SeedSequence does, and standard_normal
+ * below is numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+ * 2000) inlined, reading numpy's own tables from
+ * numpy/random/lib/libnpyrandom.a and drawing the raw words and doubles
+ * from an inline PCG64 step in numpy's order.  qsd.py checks every new
+ * build against Generator.standard_normal through qsd_seed and
+ * qsd_normals before using it, and builds with -DQSD_NUMPY_SAMPLER,
+ * which calls numpy's random_standard_normal on the same streams
+ * instead, when the tables cannot be found or the check fails.
  *
  * In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises
  * by one level, with real c and d, and the drift -iH/hbar - sum L^dag
@@ -42,14 +44,127 @@
  */
 
 #include <math.h>
+#include <stdint.h>
 
-#include "numpy/random/bitgen.h"
+/* numpy's PCG64: a 128-bit LCG, state * PCG64_MULT + inc, whose output
+ * is the XSL-RR permutation of the new state.  A stream is kept as four
+ * uint64 words, (state, inc) with the low word of each first, so a
+ * (B, 4) uint64 array holds a batch's streams. */
+typedef unsigned __int128 u128;
+struct pcg64 {
+    u128 state, inc;
+};
+#define PCG64_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+
+static inline struct pcg64 pcg64_load(const uint64_t *w)
+{
+    return (struct pcg64){(u128)w[1] << 64 | w[0], (u128)w[3] << 64 | w[2]};
+}
+
+static inline void pcg64_store(uint64_t *w, struct pcg64 g)
+{
+    w[0] = (uint64_t)g.state;
+    w[1] = (uint64_t)(g.state >> 64);
+    w[2] = (uint64_t)g.inc;
+    w[3] = (uint64_t)(g.inc >> 64);
+}
+
+static inline void pcg64_step(struct pcg64 *g)
+{
+    g->state = g->state * PCG64_MULT + g->inc;
+}
+
+static inline uint64_t next_uint64(struct pcg64 *g)
+{
+    pcg64_step(g);
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* numpy's next_double: the top 53 bits of a word, times 2^-53 */
+static inline double next_double(struct pcg64 *g)
+{
+    return (next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's SeedSequence hash of one word into its pool (hashmix) and the
+ * mix of two pool words (mix), with 32-bit wrap-around. */
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* Writes into streams[4 b .. 4 b + 3] the PCG64 stream that
+ * np.random.PCG64(seeds[b]) starts: SeedSequence(seed) with its pool of
+ * four words, generate_state(4, uint64) words w0..w3, then
+ * pcg_setseq_128_srandom_r with state w0:w1 and sequence w2:w3.  A
+ * seed's entropy is its 32-bit words, low first, one word below 2^32
+ * and two above; the pool hashes a missing word as 0, so both cases
+ * are the same two words. */
+void qsd_seed(long B, const uint64_t *seeds, uint64_t *streams)
+{
+    for (long b = 0; b < B; b++) {
+        const uint32_t entropy[4] = {(uint32_t)seeds[b],
+                                     (uint32_t)(seeds[b] >> 32), 0, 0};
+        uint32_t pool[4], hash_const = 0x43b0d7e5u;
+        for (int i = 0; i < 4; i++)
+            pool[i] = hashmix(entropy[i], &hash_const);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst],
+                                    hashmix(pool[src], &hash_const));
+        uint64_t w[4] = {0};
+        uint32_t out_const = 0x8b51f9ddu;
+        for (int i = 0; i < 8; i++) {
+            uint32_t value = pool[i % 4] ^ out_const;
+            out_const *= 0x58f38dedu;
+            value *= out_const;
+            w[i / 2] |= (uint64_t)(value ^ value >> 16) << (32 * (i % 2));
+        }
+        struct pcg64 g = {0, ((u128)w[2] << 64 | w[3]) << 1 | 1};
+        pcg64_step(&g);
+        g.state += (u128)w[0] << 64 | w[1];
+        pcg64_step(&g);
+        pcg64_store(streams + 4 * b, g);
+    }
+}
 
 #ifdef QSD_NUMPY_SAMPLER
+#include "numpy/random/bitgen.h"
+
 /* From numpy/random/distributions.h, which needs Python.h. */
 extern double random_standard_normal(bitgen_t *bitgen_state);
-#define standard_normal random_standard_normal
 #define SAMPLER "numpy"
+
+static uint64_t bitgen_next_uint64(void *g)
+{
+    return next_uint64(g);
+}
+
+static double bitgen_next_double(void *g)
+{
+    return next_double(g);
+}
+
+/* numpy's sampler, on the stream g wrapped as a numpy bit generator */
+static inline double standard_normal(struct pcg64 *g)
+{
+    bitgen_t bg = {.state = g, .next_uint64 = bitgen_next_uint64,
+                   .next_double = bitgen_next_double,
+                   .next_raw = bitgen_next_uint64};
+    return random_standard_normal(&bg);
+}
 #else
 /* numpy's ziggurat tables, 256 layers: local symbols of its
  * distributions object, made global when qsd.py links that object. */
@@ -75,10 +190,10 @@ static inline double flip(double x, uint64_t sign)
  * wedge with one double, or in layer 0 draw the tail two doubles at a
  * time. */
 static inline __attribute__((always_inline)) double
-standard_normal(bitgen_t *bg)
+standard_normal(struct pcg64 *g)
 {
     for (;;) {
-        const uint64_t r = bg->next_uint64(bg->state);
+        const uint64_t r = next_uint64(g);
         const int idx = r & 0xff;
         const uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
         const double x = flip(rabs * wi_double[idx], r >> 8 & 1);
@@ -87,29 +202,42 @@ standard_normal(bitgen_t *bg)
         if (idx == 0) {
             for (;;) {
                 const double xx = -ziggurat_nor_inv_r
-                                  * log1p(-bg->next_double(bg->state));
-                const double yy = -log1p(-bg->next_double(bg->state));
+                                  * log1p(-next_double(g));
+                const double yy = -log1p(-next_double(g));
                 if (yy + yy > xx * xx)
                     return flip(ziggurat_nor_r + xx, rabs >> 8 & 1);
             }
         }
-        if ((fi_double[idx - 1] - fi_double[idx]) * bg->next_double(bg->state)
+        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(g)
             + fi_double[idx] < exp(-0.5 * x * x))
             return x;
     }
 }
 #endif
 
-/* n normals from bg into out, as the loop draws them: the self-check
- * that qsd.py runs on each new build. */
-void qsd_normals(bitgen_t *bg, long n, double *out)
+/* n normals from the stream into out, as the loop draws them, and the
+ * stream advanced past them: the self-check that qsd.py runs on each
+ * new build. */
+void qsd_normals(uint64_t *stream, long n, double *out)
 {
+    struct pcg64 g = pcg64_load(stream);
     for (long i = 0; i < n; i++)
-        out[i] = standard_normal(bg);
+        out[i] = standard_normal(&g);
+    pcg64_store(stream, g);
+}
+
+/* n raw words from the stream into out, as PCG64.random_raw gives them */
+void qsd_raw(uint64_t *stream, long n, uint64_t *out)
+{
+    struct pcg64 g = pcg64_load(stream);
+    for (long i = 0; i < n; i++)
+        out[i] = next_uint64(&g);
+    pcg64_store(stream, g);
 }
 
 /* One call of qsd_segment.  The caller fills it and owns every buffer
- * it points to, so the loop allocates nothing; qsd.py declares it again,
+ * it points to, so the loop allocates nothing; streams holds B streams
+ * of qsd_seed, which the call advances; qsd.py declares it again,
  * field for field, as _Segment.  coef holds the rows cl, dl, dgr and dgi
  * of qsd_lanes.h, N doubles each.  lanes is one lane group's scratch:
  * 4 (N + 2) vectors of eight doubles, aligned to 64 bytes.  The call
@@ -119,7 +247,7 @@ struct segment {
     double dt, tail_tol, scale;
     const double *coef;
     double *psis, *rec, *drift;
-    bitgen_t *const *rngs;
+    uint64_t *streams;
     void *lanes;
     long worst, worst_step;
     double worst_tail;
@@ -142,7 +270,7 @@ const long qsd_segment_size = sizeof(struct segment);
 
 /* Advances every row of s->psis (B rows of N interleaved complex
  * levels) by n steps.  Row b draws each step's increments (Re xi1,
- * Im xi1, Re xi2, Im xi2) as four normals from rngs[b], each times
+ * Im xi1, Re xi2, Im xi2) as four normals from stream b, each times
  * scale.  drift[j] is raised to the largest | ||psi'|| - 1 | of step j
  * over the batch.
  *
@@ -161,7 +289,7 @@ const long qsd_segment_size = sizeof(struct segment);
  * earliest step, the first with a nan tail wins, else the first with
  * the largest tail.  Returns that row, also left in s->worst, with its
  * 1-based step in s->worst_step and its tail in s->worst_tail, or -1
- * if no row fails; on failure psis, rec, drift and the generators are
+ * if no row fails; on failure psis, rec, drift and the streams are
  * left partly advanced, and only the samples before the failing step
  * are whole. */
 long qsd_segment(struct segment *s)

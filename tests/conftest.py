@@ -11,6 +11,8 @@ from qsdsim.model import (ModelParams, build_operators, tail_levels,
                           temperature_for_nbar)
 from qsdsim.qsd import IntegratorConfig
 
+_MASK64 = (1 << 64) - 1
+
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
     suppress_health_check=[HealthCheck.too_slow])
@@ -47,6 +49,47 @@ def draw_noise_block(rng: np.random.Generator, dt: float,
     """
     z = rng.standard_normal((n_steps, 4)) * math.sqrt(dt / 2.0)
     return z.view(complex)
+
+
+def pair_seed(seed: int, b: int) -> int:
+    """The int seed whose stream is default_rng([seed, b])'s.
+
+    numpy hashes a seed's 32-bit words, low first, and an int below
+    2^64 has the words (seed, b) for seed, b < 2^32, as the list does;
+    a word of 0 past the first is hashed as a missing word.
+    """
+    return seed | b << 32
+
+
+# The identity that let the tests move from list seeds to int seeds
+# without a new stream, checked once.
+for _s, _b in ((0, 0), (7, 3), (2 ** 32 - 1, 2 ** 32 - 1)):
+    assert (np.random.PCG64([_s, _b]).state
+            == np.random.PCG64(pair_seed(_s, _b)).state)
+
+
+def stream_state(stream) -> dict:
+    """A row of qsd._seed_streams, (state, inc) low words first, as the
+    state of numpy's PCG64."""
+    lo, hi, inc_lo, inc_hi = (int(w) for w in stream)
+    return {"bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def store_stream(stream, state: dict) -> None:
+    """Write the state of a numpy PCG64 into a row of streams."""
+    words = state["state"]
+    stream[:] = [words["state"] & _MASK64, words["state"] >> 64,
+                 words["inc"] & _MASK64, words["inc"] >> 64]
+
+
+def numpy_streams(seeds) -> np.ndarray:
+    """The streams of qsd._seed_streams, seeded by numpy's PCG64."""
+    streams = np.empty((len(seeds), 4), dtype=np.uint64)
+    for stream, seed in zip(streams, seeds):
+        store_stream(stream, np.random.PCG64(seed).state)
+    return streams
 
 
 def ladder(n_fock: int) -> np.ndarray:
@@ -132,19 +175,26 @@ class StepKernel:
         return out, np.sqrt(out_sq), np.vecdot(tail, tail) / out_sq
 
 
-def integrate_reference(ops, psis, rngs, cfg, first_index, on_sample):
+def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
     """qsd._integrate stepped by the numpy StepKernel, for comparison.
 
-    Each row's noise is its whole draw_noise_block stream, and on_sample
-    gets a block of one sample at a time.  Returns (final batch,
-    per-step worst norm drift); raises the same TrajectoryError as the
-    compiled loop.
+    Each row's noise is its whole draw_noise_block stream, drawn by a
+    numpy Generator set to the row's stream, which is then advanced past
+    it.  on_sample gets a block of one sample at a time.  Returns (final
+    batch, per-step worst norm drift); raises the same TrajectoryError
+    as the compiled loop.
     """
     kern = StepKernel(ops)
     dt = cfg.dt
     n_steps = cfg.n_steps
     drift = np.empty(n_steps)
-    noise = np.stack([draw_noise_block(rng, dt, n_steps) for rng in rngs])
+    noise = np.empty((len(streams), n_steps, 2), dtype=complex)
+    for stream, row in zip(streams, noise):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = stream_state(stream)
+        row[:] = draw_noise_block(np.random.Generator(bit_generator), dt,
+                                  n_steps)
+        store_stream(stream, bit_generator.state)
     on_sample(psis[None], 0)
     for step in range(1, n_steps + 1):
         psis, norms, tails = kern.step(psis, noise[:, step - 1], dt)
@@ -160,12 +210,13 @@ def integrate_reference(ops, psis, rngs, cfg, first_index, on_sample):
     return psis, drift
 
 
-def run_split(drive, ops, psis, rngs, cfg, first_index, on_sample, cuts):
+def run_split(drive, ops, psis, streams, cfg, first_index, on_sample,
+              cuts):
     """drive from t = 0 to cfg.t_end, stopped at each step in cuts.
 
     drive is qsd._integrate or integrate_reference.  cuts maps a step s
     to the (row, level, value) entries written into the batch after s
-    steps; the run then goes on with the same generators, so an empty
+    steps; the run then goes on with the same streams, so an empty
     list only splits it and a non-finite value poisons a row mid-run.
     Each piece runs under its own IntegratorConfig.  on_sample sees
     every piece's samples at their steps in the whole run, less the
@@ -189,7 +240,7 @@ def run_split(drive, ops, psis, rngs, cfg, first_index, on_sample, cuts):
         piece = IntegratorConfig(dt=cfg.dt, t_end=(stop - start) * cfg.dt,
                                  record_stride=stride)
         try:
-            psis, part = drive(ops, psis, rngs, piece, first_index,
+            psis, part = drive(ops, psis, streams, piece, first_index,
                                piece_sample)
         except TrajectoryError as exc:
             raise TrajectoryError(

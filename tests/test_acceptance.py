@@ -367,13 +367,13 @@ def test_criterion_10_two_time_histories_decohere():
 # -- 11: raw noise stream moments -------------------------------------------
 
 def test_criterion_11_noise_increment_moments():
-    # the increments the stepping loop draws: 4 n normals from its own
-    # sampler, which must be Generator.standard_normal's stream, so this
-    # is the block the criterion has sampled since its seed was frozen
+    # the increments the stepping loop draws: 4 n normals from the
+    # stream it seeds for seed 0, which must be
+    # Generator.standard_normal's stream, so this is the block the
+    # criterion has sampled since its seed was frozen
     n = 1_000_000
     dt = 1e-3
-    z = qsd._normals(qsd._compiled_loop(),
-                     np.random.default_rng(0).bit_generator, 4 * n)
+    z = qsd._normals(qsd._compiled_loop(), qsd._seed_streams([0])[0], 4 * n)
     block = (z.reshape(n, 4) * math.sqrt(dt / 2.0)).view(complex)
     want = draw_noise_block(np.random.default_rng(0), dt, n)
     assert np.array_equal(block.view(np.uint64), want.view(np.uint64))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qsdsim import qsd
 from qsdsim.cli import (CONFIG_VALIDATOR, EXIT_CONFIG, EXIT_FAIL,
                         EXIT_NUMERICAL, EXIT_PASS, Runner, main, make_parser)
-from qsdsim.constants import MAX_N_FOCK
+from qsdsim.constants import MAX_N_FOCK, MAX_SEED
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -131,6 +131,31 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     code, _ = _run(tmp_path, "stationary", _stationary_cfg(), "--seed", "-1")
     assert code == EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, section, key", [
+    ("stationary", "stationary", "integrator", "seed"),
+    ("thermalize", "thermalize", "ensemble", "base_seed"),
+    ("stationary", "stationary", None, "--seed"),
+    ("thermalize", "thermalize", None, "--seed"),
+])
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 5])
+def test_seed_beyond_64_bits_is_config_error(tmp_path, capsys, command,
+                                             name, section, key, seed):
+    # the stepping loop seeds from one uint64, and trajectory_seed
+    # reduces base_seed mod 2**64, so 2**64 + 5 names no stream of its
+    # own; it exits 2 with a message and writes nothing
+    cfg = _canned(name)
+    extra = ()
+    if section is None:
+        extra = (key, str(seed))
+    else:
+        cfg[section][key] = seed
+    code, out = _run(tmp_path, command, cfg, *extra)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"maximum of {MAX_SEED}" if section else "2**64") in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_tail_overflow_is_numerical_error(tmp_path):

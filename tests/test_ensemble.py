@@ -117,6 +117,13 @@ def test_negative_base_seed_rejected():
         _cfg(4, seed=-1)
 
 
+def test_base_seed_beyond_64_bits_rejected():
+    # trajectory_seed would reduce it mod 2**64 into another base_seed
+    assert _cfg(4, seed=2 ** 64 - 1).base_seed == 2 ** 64 - 1
+    with pytest.raises(ParameterError, match=r"2\*\*64"):
+        _cfg(4, seed=2 ** 64)
+
+
 def test_non_finite_custom_state_rejected(ops20):
     amps = (1.0, float("nan")) + (0.0,) * 18
     cfg = EnsembleConfig(
@@ -131,14 +138,14 @@ def test_non_finite_row_fails_closed(ops20, monkeypatch):
     # make row 3 of the 6-row second batch non-finite after its fourth
     # step: the guard must name that trajectory and the time of its
     # fifth step rather than average a nan.  The batch is stopped there
-    # and continued with the same generators.
+    # and continued with the same streams.
     integrate = ensemble._integrate
     batches = []
 
-    def poisoned(ops, psis, rngs, cfg, first_index, on_sample):
-        batches.append((first_index, len(rngs)))
+    def poisoned(ops, psis, streams, cfg, first_index, on_sample):
+        batches.append((first_index, len(streams)))
         cuts = {4: [(3, 0, np.nan)]} if first_index == TRAJ_BATCH else {}
-        return run_split(integrate, ops, psis, rngs, cfg, first_index,
+        return run_split(integrate, ops, psis, streams, cfg, first_index,
                          on_sample, cuts)
 
     monkeypatch.setattr(ensemble, "_integrate", poisoned)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import StepKernel, dense_operators, draw_noise_block, \
-    integrate_reference, lindblad_rhs, random_states, run_split
+    integrate_reference, lindblad_rhs, numpy_streams, pair_seed, \
+    random_states, run_split, stream_state
 from qsdsim import qsd
 from qsdsim.constants import MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
@@ -89,6 +90,11 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.3, t_end=1.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=1e-3, t_end=1.0, seed=-1)
+    # the loop seeds each stream from one uint64, so 2**64 + 5 is refused
+    assert IntegratorConfig(dt=1e-3, t_end=1.0, seed=2 ** 64 - 1).seed \
+        == 2 ** 64 - 1
+    with pytest.raises(ParameterError, match=r"2\*\*64"):
+        IntegratorConfig(dt=1e-3, t_end=1.0, seed=2 ** 64 + 5)
     # a run too long for its per-step drift array is refused up front
     assert IntegratorConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps \
         == MAX_STEPS
@@ -167,9 +173,9 @@ def _low_batch(size, dim, top, seed):
 
 
 def _compiled(ops, psis, seeds, cfg):
-    """The production driver on a copy of psis, one generator per seed."""
-    rngs = [np.random.default_rng(s) for s in seeds]
-    return qsd._integrate(ops, np.array(psis, dtype=complex), rngs, cfg, 0,
+    """The production driver on a copy of psis, one stream per seed."""
+    return qsd._integrate(ops, np.array(psis, dtype=complex),
+                          qsd._seed_streams(seeds), cfg, 0,
                           lambda block, step: None)
 
 
@@ -204,25 +210,28 @@ def test_batch_step_equals_rows_stepped_alone(warm_params):
         assert np.array_equal(drift, worst)
 
 
-def _both_drivers(ops, psis, make_rngs, cfg, cuts=None):
+def _both_drivers(ops, psis, seeds, cfg, cuts=None):
     """(error, final, drift, samples) of the compiled and numpy drivers.
 
-    error is (trajectory, time, tail) of a TrajectoryError, else None;
-    samples are (step, batch) pairs.  With cuts, both run through
-    run_split.
+    The compiled driver's streams come from its seeder, the numpy
+    driver's from numpy's.  error is (trajectory, time, tail) of a
+    TrajectoryError, else None; samples are (step, batch) pairs.  With
+    cuts, both run through run_split.
     """
     runs = []
-    for drive in (qsd._integrate, integrate_reference):
+    for drive, streams in ((qsd._integrate, qsd._seed_streams),
+                           (integrate_reference, numpy_streams)):
         samples, on_sample = _recorder(cfg)
         err = final = drift = None
         try:
             with np.errstate(all="ignore"):
                 if cuts is None:
-                    final, drift = drive(ops, psis.copy(), make_rngs(), cfg,
-                                         0, on_sample)
+                    final, drift = drive(ops, psis.copy(), streams(seeds),
+                                         cfg, 0, on_sample)
                 else:
-                    final, drift = run_split(drive, ops, psis, make_rngs(),
-                                             cfg, 0, on_sample, cuts)
+                    final, drift = run_split(drive, ops, psis,
+                                             streams(seeds), cfg, 0,
+                                             on_sample, cuts)
         except TrajectoryError as exc:
             err = (exc.trajectory, exc.time, exc.tail_mass)
         runs.append((err, final, drift, samples))
@@ -241,8 +250,7 @@ def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
     compiled, reference = _both_drivers(
-        ops, psis, lambda: [np.random.default_rng([seed, b])
-                            for b in range(batch)], cfg)
+        ops, psis, [pair_seed(seed, b) for b in range(batch)], cfg)
     err_c, final_c, drift_c, samples_c = compiled
     err_r, final_r, drift_r, samples_r = reference
     assert (err_c is None) == (err_r is None)
@@ -296,8 +304,7 @@ def test_non_finite_rows_fail_closed_like_reference(
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
     compiled, reference = _both_drivers(
-        ops, psis, lambda: [np.random.default_rng([seed, b])
-                            for b in range(batch)], cfg, cuts)
+        ops, psis, [pair_seed(seed, b) for b in range(batch)], cfg, cuts)
     err_c, err_r = compiled[0], reference[0]
     assert err_c is not None and err_r is not None
     assert err_c[:2] == err_r[:2]
@@ -332,14 +339,15 @@ def test_poisoned_lanes_fail_like_rows_stepped_alone(
 
     def run(rows, poisoned=True):
         samples, on_sample = _recorder(cfg)
-        rngs = [np.random.default_rng([seed, b]) for b in rows]
+        streams = qsd._seed_streams([pair_seed(seed, b) for b in rows])
         own = {step: [(row - rows.start, level, value)
                       for row, level, value in entries if row in rows]
                for step, entries in cuts.items()} if poisoned else {}
         try:
             with np.errstate(all="ignore"):
                 final, _ = run_split(qsd._integrate, ops,
-                                     psis[rows.start:rows.stop], rngs, cfg,
+                                     psis[rows.start:rows.stop], streams,
+                                     cfg,
                                      rows.start, on_sample, own)
         except TrajectoryError as exc:
             return (exc.trajectory, exc.time, exc.tail_mass), samples
@@ -372,7 +380,7 @@ def test_poisoned_lanes_fail_like_rows_stepped_alone(
 def test_split_run_equals_unsplit_run(warm_params, n_fock, batch, seed,
                                       n_steps, split, stride):
     # a run stopped after any step and continued with the same
-    # generators is the run made in one go, bit for bit: states, drift
+    # streams is the run made in one go, bit for bit: states, drift
     # and every sample that falls on the unsplit run's grid
     ops = build_operators(warm_params, n_fock)
     psis = _low_batch(batch, n_fock, n_fock // 3, seed)
@@ -382,13 +390,14 @@ def test_split_run_equals_unsplit_run(warm_params, n_fock, batch, seed,
     runs = []
     for cuts in (None, {split: []}):
         samples, on_sample = _recorder(cfg)
-        rngs = [np.random.default_rng([seed, b]) for b in range(batch)]
+        streams = qsd._seed_streams([pair_seed(seed, b)
+                                     for b in range(batch)])
         if cuts is None:
-            final, drift = qsd._integrate(ops, psis.copy(), rngs, cfg, 0,
+            final, drift = qsd._integrate(ops, psis.copy(), streams, cfg, 0,
                                           on_sample)
         else:
-            final, drift = run_split(qsd._integrate, ops, psis, rngs, cfg,
-                                     0, on_sample, cuts)
+            final, drift = run_split(qsd._integrate, ops, psis, streams,
+                                     cfg, 0, on_sample, cuts)
         runs.append((final, drift, dict(samples)))
     (final, drift, whole), (final_s, drift_s, parts) = runs
     assert np.array_equal(final, final_s)
@@ -404,19 +413,21 @@ def test_split_run_equals_unsplit_run(warm_params, n_fock, batch, seed,
        n_steps=st.integers(1, 300), stride=st.integers(1, 40))
 def test_generators_continue_the_noise_stream(warm_params, batch, seed,
                                               n_steps, stride):
-    # each row's generator advances by exactly the draw_noise_block
-    # stream of its steps: padded lanes draw nothing, and the samples a
-    # call holds do not change the draw
+    # each row's stream advances by exactly the draw_noise_block stream
+    # of its steps, to the state of numpy's PCG64 of its seed after
+    # those normals: padded lanes draw nothing, and the samples a call
+    # holds do not change the draw
     ops = build_operators(warm_params, 24)
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
-    rngs = [np.random.default_rng([seed, b]) for b in range(batch)]
-    qsd._integrate(ops, _low_batch(batch, 24, 6, seed), rngs, cfg, 0,
+    seeds = [pair_seed(seed, b) for b in range(batch)]
+    streams = qsd._seed_streams(seeds)
+    qsd._integrate(ops, _low_batch(batch, 24, 6, seed), streams, cfg, 0,
                    lambda block, step: None)
-    for b, rng in enumerate(rngs):
-        ref = np.random.default_rng([seed, b])
+    for stream, row_seed in zip(streams, seeds):
+        ref = np.random.default_rng(row_seed)
         draw_noise_block(ref, cfg.dt, n_steps)
-        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+        assert stream_state(stream) == ref.bit_generator.state
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -431,8 +442,7 @@ def test_trajectory_samples_match_reference(warm_params, seed, n_samples):
     rec = run_trajectory(psi0, ops, cfg)
     samples, on_sample = _recorder(cfg)
     final, drift = integrate_reference(
-        ops, psi0[None].copy(), [np.random.default_rng(seed)], cfg, 0,
-        on_sample)
+        ops, psi0[None].copy(), numpy_streams([seed]), cfg, 0, on_sample)
     assert [s for s, _ in samples] == list(range(n_samples))
     assert np.array_equal(rec.times, cfg.sample_times)
     assert np.array_equal(rec.bundles.t, rec.times)
@@ -496,33 +506,35 @@ def _skip_unless_above_baseline():
 
 
 def _loop_outputs(ops, psis, cfg, seeds, cuts):
-    """(final, drift, samples, next draws) of a clean run and the
-    (trajectory, time, tail) of a run poisoned by the run_split cuts."""
+    """(final, drift, samples, streams) of a clean run and the
+    (trajectory, time, tail) of a run poisoned by the run_split cuts.
+    The streams, seeded by the loop in use, are left where the next
+    draws start."""
     samples, on_sample = _recorder(cfg)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    final, drift = qsd._integrate(ops, psis.copy(), rngs, cfg, 0, on_sample)
-    clean = final, drift, samples, [rng.standard_normal(4) for rng in rngs]
+    streams = qsd._seed_streams(seeds)
+    final, drift = qsd._integrate(ops, psis.copy(), streams, cfg, 0,
+                                  on_sample)
+    clean = final, drift, samples, streams
     try:
         with np.errstate(all="ignore"):
             run_split(qsd._integrate, ops, psis,
-                      [np.random.default_rng([300, b])
-                       for b in range(len(psis))], cfg, 0,
-                      lambda block, step: None, cuts)
+                      qsd._seed_streams([pair_seed(300, b)
+                                         for b in range(len(psis))]),
+                      cfg, 0, lambda block, step: None, cuts)
     except TrajectoryError as exc:
         return clean, (exc.trajectory, exc.time, exc.tail_mass)
     return clean, None
 
 
 def _assert_same_outputs(got, want):
-    (final, drift, samples, draws), err = got
-    (final_w, drift_w, samples_w, draws_w), err_w = want
+    (final, drift, samples, streams), err = got
+    (final_w, drift_w, samples_w, streams_w), err_w = want
     assert np.array_equal(final, final_w)
     assert np.array_equal(drift, drift_w)
     assert [s for s, _ in samples] == [s for s, _ in samples_w]
     for (_, a), (_, b) in zip(samples, samples_w):
         assert np.array_equal(a, b)
-    for a, b in zip(draws, draws_w):
-        assert np.array_equal(a, b)
+    assert np.array_equal(streams, streams_w)
     assert err is not None and err_w is not None
     assert err[:2] == err_w[:2]
     assert err[2] == err_w[2] or math.isnan(err[2]) and math.isnan(err_w[2])
@@ -570,7 +582,7 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
                                                   monkeypatch, batch):
     # eight-lane groups with a four-lane tail step every row bit for bit
     # as four-lane groups alone: final and sampled states, drift, the
-    # generators' next draws and a failure's row, time and tail
+    # streams' next states and a failure's row, time and tail
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
     psis = _low_batch(batch, 40, 20, seed=batch)
@@ -619,11 +631,11 @@ def numpy_sampler_loop(tmp_path_factory):
 
 
 def test_inline_sampler_draws_generator_standard_normal():
-    # 1e7 normals through qsd_normals, in blocks from one generator,
-    # against Generator.standard_normal of the same seed, bit for bit;
-    # they include tail draws, and both generators end in one state
+    # 1e7 normals through qsd_normals, in blocks from one stream the
+    # loop seeded, against Generator.standard_normal of the same seed,
+    # bit for bit; they include tail draws, and both end in one state
     lib = qsd._compiled_loop()
-    ours, ref = np.random.PCG64(1), np.random.Generator(np.random.PCG64(1))
+    ours, ref = qsd._seed_streams([1])[0], np.random.default_rng(1)
     tails = 0
     for _ in range(10):
         got = qsd._normals(lib, ours, 10 ** 6)
@@ -631,7 +643,29 @@ def test_inline_sampler_draws_generator_standard_normal():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         tails += np.count_nonzero(np.abs(got) > _ZIGGURAT_R)
     assert tails > 0
-    assert ours.random_raw() == ref.bit_generator.random_raw()
+    assert stream_state(ours) == ref.bit_generator.state
+
+
+def test_seeder_starts_numpys_pcg64():
+    # the loop's seeder against numpy's SeedSequence -> PCG64: seeds
+    # with one and with two 32-bit words of entropy, both ends of each,
+    # and 300 random 64-bit seeds start in numpy's (state, inc), and the
+    # inline step then gives numpy's raw words
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+             *map(int, np.random.default_rng(19).integers(
+                 0, 2 ** 64, 300, dtype=np.uint64))]
+    lib = qsd._compiled_loop()
+    raw = np.empty(5, dtype=np.uint64)
+    for stream, seed in zip(qsd._seed_streams(seeds), seeds):
+        ref = np.random.PCG64(seed)
+        assert stream_state(stream) == ref.state, seed
+        lib.qsd_raw(stream.ctypes.data, len(raw), raw.ctypes.data)
+        assert np.array_equal(raw, ref.random_raw(len(raw))), seed
+        assert stream_state(stream) == ref.state, seed
+    # a seed outside [0, 2**64) names no stream of the loop
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(OverflowError):
+            qsd._seed_streams([seed])
 
 
 @pytest.mark.parametrize("batch", [1, 3, 8, 9, 256])
@@ -640,7 +674,7 @@ def test_inline_sampler_steps_as_numpy_sampler(warm_params, numpy_sampler_loop,
                                                monkeypatch, n_fock, batch):
     # _integrate with the inline ziggurat against the build that calls
     # numpy's sampler, bit for bit: final and sampled states, drift, the
-    # generators' next draws and a poisoned run's row, time and tail.
+    # streams' next states and a poisoned run's row, time and tail.
     # The 256 rows draw about 2e5 normals, tail draws among them.
     ops = build_operators(warm_params, n_fock)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.2, record_stride=7)
