@@ -204,8 +204,9 @@ def steps_on_grid(t: float, dt: float, what: str) -> int:
     1e-9 * max(1, |t|).
     """
     ratio = t / dt
+    # false for nan, as when dt is infinite, so nan is refused too
     if (not math.isfinite(ratio)
-            or abs(round(ratio) * dt - t) > 1e-9 * max(1.0, abs(t))):
+            or not abs(round(ratio) * dt - t) <= 1e-9 * max(1.0, abs(t))):
         raise ConfigError(f"{what} {t} is not a whole number of steps "
                           f"of {dt}")
     return int(round(ratio))

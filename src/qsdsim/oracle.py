@@ -11,14 +11,22 @@ Three independent descriptions of the same open oscillator live here:
 
 With H diagonal in the Fock basis, L1 lowering and L2 raising by one
 level, the generator maps each band k = m - n of rho into itself.  The
-propagator is therefore one small matrix exponential per band: exact
-for any time span, so runs are bit-reproducible and carry no step-size
-error.  The generator preserves hermiticity: band -k evolves under the
-conjugate of band k's generator, so only the bands k >= 0 are
-exponentiated and a Hermitian rho needs only those bands evolved.  It
-also conserves the trace exactly, truncated or not, because
+propagator is therefore one small matrix exponential per band, good to
+rounding for any time span, so runs are bit-reproducible and carry no
+step-size error.  The generator preserves hermiticity: band -k evolves
+under the conjugate of band k's generator, so only the bands k >= 0
+are exponentiated and a Hermitian rho needs only those bands evolved.
+It also conserves the trace exactly, truncated or not, because
 Tr(L X L^dag) = Tr(L^dag L X) for any finite L; the branch weights of
 the history machinery are constants of the motion.
+
+The bands k >= 0 are held as N // 2 + 1 slots of N entries (bands k
+and N - k share a slot), and their propagators as one (N // 2 + 1, N, N)
+stack, built by one batched scaling-and-squaring Pade exponential in
+numpy.  propagate and histories.cat_interval_scan step in this band
+layout: they gather the bands of their start once and advance them
+with one stacked matrix-vector product per step.  propagate_matrices
+applies the stack to whole matrices through _apply.
 """
 
 from __future__ import annotations
@@ -34,42 +42,6 @@ from .errors import ConfigError, DimensionError, ParameterError
 from .model import ModelParams, OperatorSet, steps_on_grid
 
 _THERMAL_TAIL_LIMIT = 1e-10
-
-
-def _band_generator(ops: OperatorSet, k: int) -> np.ndarray:
-    """The generator on band k >= 0, an (N - k) x (N - k) tridiagonal.
-
-    Band k = m - n holds the entries rho[j + k, j].  On it the
-    generator's diagonal carries -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2
-    with mu = diag(sum L^dag L), and L1 = diag(c, 1) and L2 = diag(d, -1)
-    couple entry j to j + 1 by c_m c_n and to j - 1 by d_(m-1) d_(n-1).
-    Band -k carries the conjugate of band k's generator.
-    """
-    n = ops.n_fock
-    h, c, d, mu = ops.h, ops.c, ops.d, ops.mu
-    rows, cols = np.arange(k, n), np.arange(n - k)
-    gen = np.diag(-1j * (h[rows] - h[cols]) / ops.params.hbar
-                  - 0.5 * (mu[rows] + mu[cols]))
-    gen += np.diag(c[rows[:-1]] * c[cols[:-1]], 1)
-    gen += np.diag(d[rows[:-1]] * d[cols[:-1]], -1)
-    return gen
-
-
-def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
-    """exp(t * generator) on the bands k >= 0, in N // 2 + 1 slots.
-
-    Band k's generator is _band_generator(ops, k), and band -k's
-    propagator is conj(P_k).  Bands k and N - k have N entries
-    together: the N x N slot min(k, N - k) holds P_k as its leading
-    block when 2k <= N and as its trailing block otherwise.
-    """
-    from scipy.linalg import expm
-    n = ops.n_fock
-    stack = np.zeros((n // 2 + 1, n, n), dtype=complex)
-    for k in range(n):
-        block = slice(0, n - k) if 2 * k <= n else slice(k, n)
-        stack[min(k, n - k), block, block] = expm(t * _band_generator(ops, k))
-    return stack
 
 
 @functools.lru_cache(maxsize=8)
@@ -88,6 +60,94 @@ def _band_index(n: int):
     for a in index:  # shared by every caller through the cache
         a.setflags(write=False)
     return index
+
+
+def _slot_generators(ops: OperatorSet) -> np.ndarray:
+    """The generator on the bands k >= 0, as N // 2 + 1 slots of N x N.
+
+    Slot p acts on the entries at _band_index's positions below[p]:
+    band p, then band N - p (for an even N, slot N / 2 holds band N / 2
+    twice).  On band k = m - n the diagonal carries
+    -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
+    and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry (m, n) to
+    (m + 1, n + 1) by c_m c_n and back by d_m d_n.  Each band ends at
+    m = N - 1, where c and d are zero, so a slot is block-diagonal.
+    Band -k carries the conjugate of band k's generator.
+    """
+    n = ops.n_fock
+    c, d, mu = np.append(ops.c, 0.0), np.append(ops.d, 0.0), ops.mu
+    m, l = np.divmod(_band_index(n)[0], n)
+    j = np.arange(n)
+    gen = np.zeros((n // 2 + 1, n, n), dtype=complex)
+    gen[:, j, j] = (-1j * (ops.h[m] - ops.h[l]) / ops.params.hbar
+                    - 0.5 * (mu[m] + mu[l]))
+    m, l = m[:, :-1], l[:, :-1]
+    gen[:, j[:-1], j[1:]] = c[m] * c[l]
+    gen[:, j[1:], j[:-1]] = d[m] * d[l]
+    return gen
+
+
+# The [13/13] Pade coefficients b_0..b_13 and the largest 1-norm at
+# which that approximant is accurate to double precision unscaled
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (..., n, n) stack by scaling and squaring.
+
+    Each matrix is scaled by its own power of two to a 1-norm of at
+    most theta_13, exponentiated by the [13/13] Pade approximant and
+    squared back.  Each product and solve is one small matrix per BLAS
+    or LAPACK call, so none of them starts a worker thread.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        more = s > i
+        r[more] = r[more] @ r[more]
+    return r
+
+
+def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
+    """exp(t * generator) on the bands k >= 0, in N // 2 + 1 slots.
+
+    Band k's generator is in _slot_generators(ops), and band -k's
+    propagator is conj(P_k).  Bands k and N - k have N entries
+    together: the N x N slot min(k, N - k) holds P_k as its leading
+    block when 2k <= N and as its trailing block otherwise.  Each slot
+    is block-diagonal, so the whole stack is exponentiated at once.
+    For an even N, slot N / 2 holds its one band in the leading block
+    and zeros in the trailing one.
+    """
+    n = ops.n_fock
+    gen = _slot_generators(ops)
+    # squaring s times amplifies the rounding of the Pade step by 2^s,
+    # past s = 52 beyond the result itself; the Python float product
+    # overflows to inf without a warning, and inf and nan are refused
+    norm = t * float(np.abs(gen).sum(axis=-2).max())
+    if not norm <= _THETA13 * 2.0 ** 52:
+        raise ParameterError(f"span {t} too long for one propagator: "
+                             f"|t * generator| = {norm:.3g}")
+    stack = _expm_stack(t * gen)
+    if n % 2 == 0:
+        stack[n // 2, n // 2:, n // 2:] = 0.0
+    return stack
 
 
 def _apply(stack: np.ndarray, mats: np.ndarray,
@@ -114,20 +174,6 @@ def _apply(stack: np.ndarray, mats: np.ndarray,
     return out.reshape(mats.shape)
 
 
-def _grid_propagator(ops: OperatorSet, dt: float):
-    """advance(mats, k[, hermitian]): mats carried k steps of dt forward.
-
-    One band propagator is built per distinct k and then reused.
-    """
-    props = {}
-
-    def advance(mats: np.ndarray, k: int, hermitian: bool = False):
-        if k not in props:
-            props[k] = _band_propagator(ops, k * dt)
-        return _apply(props[k], mats, hermitian)
-    return advance
-
-
 @dataclass(frozen=True)
 class LindbladPropagatorConfig:
     """dt_oracle is the sample grid: t_end and sample times lie on it."""
@@ -136,10 +182,13 @@ class LindbladPropagatorConfig:
     t_end: float
 
     def __post_init__(self):
-        if self.dt_oracle <= 0:
-            raise ParameterError("dt_oracle must be positive")
-        if self.t_end < 0:
-            raise ParameterError("t_end must be >= 0")
+        # the comparisons are false for nan, so nan is refused too
+        if not 0.0 < self.dt_oracle < math.inf:
+            raise ParameterError(f"dt_oracle must be positive and finite, "
+                                 f"got {self.dt_oracle}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ParameterError(f"t_end must be finite and >= 0, "
+                                 f"got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +206,9 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     relative); default is every grid point.  t = 0 is included iff
     requested or default.  One propagator is built per distinct gap
     between samples.  rho0 is hermitized once; only the bands k >= 0
-    are evolved and the bands -k are their conjugates, so every
-    snapshot is Hermitian by construction.
+    are evolved, in band layout, and each snapshot is written from
+    them with the bands -k as their conjugates, so it is Hermitian by
+    construction.
     """
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
@@ -173,13 +223,17 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
             raise ConfigError("sample times must be nondecreasing")
     rho0 = np.asarray(rho0, dtype=complex)
     rhos = np.empty((len(sample_steps), *rho0.shape), dtype=complex)
-    rho = 0.5 * (rho0 + rho0.conj().T)
-    advance = _grid_propagator(ops, dt)
+    below, above, keep = _band_index(rho0.shape[-1])
+    y = (0.5 * (rho0 + rho0.conj().T)).reshape(-1)[below]
+    lead, trail = below[keep], above[keep]
+    prop = functools.cache(lambda steps: _band_propagator(ops, steps * dt))
     prev = 0
     for i, k in enumerate(sample_steps):
         if k > prev:
-            rho = advance(rho, k - prev, hermitian=True)
-        rhos[i] = rho
+            y = np.matmul(prop(k - prev), y[..., None])[..., 0]
+        bands, out = y[keep], rhos[i].reshape(-1)
+        out[trail] = bands.conj()
+        out[lead] = bands
         prev = k
     times = np.array([s * dt for s in sample_steps])
     return OracleRun(times=times, rhos=rhos)
@@ -254,4 +308,4 @@ def stationary_lindblad_check(ops: OperatorSet) -> float:
     propagator exponentiates is the only one it meets.
     """
     rho = thermal_state(ops.params, ops.n_fock)
-    return float(np.linalg.norm(_band_generator(ops, 0) @ np.diag(rho)))
+    return float(np.linalg.norm(_slot_generators(ops)[0] @ np.diag(rho)))

@@ -410,14 +410,18 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, command, key,
 @pytest.mark.parametrize("key, value, message", [
     ("h", 0.5, "too coarse"),
     ("dt_oracle", 0.0, "dt_oracle must be positive"),
+    # t / inf is 0 steps of an infinite grid, and 0 * inf is nan
+    ("dt_oracle", float("inf"), "dt_oracle must be positive"),
+    ("dt_oracle", float("nan"), "dt_oracle must be positive"),
 ])
 def test_histories_setup_mistake_is_config_error(tmp_path, capsys, key,
                                                  value, message):
     cfg = _undamped_histories_cfg()
     cfg["histories"][key] = value
-    code, _ = _run(tmp_path, "histories", cfg)
+    code, out = _run(tmp_path, "histories", cfg)
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_custom_state_without_amplitudes_is_config_error(tmp_path, capsys):
@@ -598,3 +602,18 @@ def test_no_config_mistake_escapes_main(data):
     with tempfile.TemporaryDirectory() as tmp:
         code, _ = _run(Path(tmp), command, cfg)
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+def test_oracle_compare_exact_ensemble_fails_the_check(tmp_path, capsys):
+    # no bath and the vacuum: every trajectory and the oracle stay at
+    # the vacuum, so the distances can be exactly 0 and their ratio is
+    # not a number; the check fails and main returns, with no traceback
+    cfg = _canned("oracle_compare")
+    cfg["integrator"]["t_end"] = 0.2
+    cfg["ensemble"]["m"] = 8
+    cfg["params"]["gamma"] = 0
+    del cfg["initial"]["alpha"]
+    code, out = _run(tmp_path, "oracle-compare", cfg)
+    assert code == EXIT_FAIL
+    assert "ratio nan" in capsys.readouterr().out
+    assert (out / "oracle_compare.csv").exists()

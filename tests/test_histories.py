@@ -1,6 +1,10 @@
 """Coarse-grained history machinery: projectors, D, and interval scans."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from qsdsim import (
     write_decoherence_json,
     write_suppression_csv,
 )
+from qsdsim import oracle
 from qsdsim.model import coherent_states
 from conftest import liouvillian
 
@@ -338,3 +343,66 @@ def test_writers(tmp_path, warm_params, ops20):
     write_suppression_csv(cpath, D)
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "label_a,label_b,ratio"
+
+
+@pytest.mark.parametrize("n_fock", [11, 12])
+@pytest.mark.parametrize("stride, t_max", [(1, 0.3), (2, 0.5)])
+def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, stride,
+                                                t_max):
+    # the scan reads ||K[X]||_F from the band vectors; the whole cross
+    # block, evolved by _apply, must give the same norm, so no band is
+    # dropped or counted twice (band 0, and band N / 2 of an even N)
+    ops = build_operators(warm_params, n_fock)
+    alpha, w, h = 0.5, 0.4, 0.1
+    pcfg = LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5)
+    scan = cat_interval_scan(alpha, ops, pcfg, t_max=t_max,
+                             branch_cell=(w, w), h=h, sample_stride=stride)
+    cat = cat_state(ops, alpha)
+    rho = np.outer(cat, cat.conj())
+    plus, minus = (cell_projector(PhaseCell(center=s * alpha, w_re=w,
+                                            w_im=w, h=h), ops)
+                   for s in (1.0, -1.0))
+    cross = plus @ rho @ minus
+    # counting either band twice would move the norm by far more than
+    # the 1e-12 allowed below
+    for k in (0, n_fock // 2):
+        assert (np.linalg.norm(np.diagonal(cross, k))
+                > 1e-5 * np.linalg.norm(cross))
+    scale = math.sqrt(np.trace(plus @ rho @ plus).real
+                      * np.trace(minus @ rho @ minus).real)
+    n_steps = round(t_max / 0.1)
+    blocks = [min(stride, n_steps - s) for s in range(0, n_steps, stride)]
+    assert len(scan.ratios) == len(blocks) + 1
+    want = [np.linalg.norm(cross) / scale]
+    for block in blocks:
+        cross = oracle._apply(oracle._band_propagator(ops, block * 0.1),
+                              cross)
+        want.append(np.linalg.norm(cross) / scale)
+    assert np.abs(scan.ratios - want).max() <= 1e-12 * max(want)
+
+
+def test_oracle_paths_load_no_scipy():
+    # the propagator is built in numpy, so propagating, the decoherence
+    # functional and the interval scan never import scipy
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """
+import sys
+import numpy as np
+import qsdsim as q
+ops = q.build_operators(q.ModelParams(gamma=0.3, temperature=1.0), 20)
+psi = q.coherent_state(ops, 0.7)
+rho0 = np.outer(psi, psi.conj())
+pcfg = q.LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.4)
+q.propagate(rho0, ops, pcfg)
+cells = (q.PhaseCell(center=0.7, w_re=0.8, w_im=0.8, h=0.1),)
+q.decoherence_functional(
+    q.HistorySpec(times=(0.0, 0.4), cells=(cells, cells), rho0=rho0),
+    ops, pcfg)
+q.cat_interval_scan(1.0, ops, pcfg, t_max=0.4, branch_cell=(0.8, 0.8),
+                    h=0.1)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ must reproduce to tight tolerance, and its fixed points must agree
 with the thermal Gibbs state.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qsdsim import (
     thermal_state,
 )
 from qsdsim import oracle
+from qsdsim.model import steps_on_grid
 from conftest import (dense_operators, ladder, lindblad_rhs, liouvillian,
                       random_states, rk4_step)
 
@@ -61,17 +63,22 @@ def test_rhs_is_linear(ops20):
 
 @pytest.mark.parametrize("n_fock", [11, 12])
 def test_band_generator_is_the_dense_generator(warm_params, n_fock):
-    # the dense generator, applied to every unit matrix, maps band k
-    # into itself as the tridiagonal the propagator exponentiates, and
-    # band -k as its conjugate
+    # the dense generator, applied to every unit matrix, maps the bands
+    # k and N - k of each slot into themselves as the slot generator the
+    # propagator exponentiates, and the bands -k and k - N as its
+    # conjugate; for an even N, slot N / 2 holds its one band once
     ops = build_operators(warm_params, n_fock)
     n = n_fock
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
-    for k in range(n):
-        j = np.arange(n - k)
-        for rows, conj in (((j + k) * n + j, False), (j * n + j + k, True)):
-            gen = oracle._band_generator(ops, k)
+    below, above, keep = oracle._band_index(n)
+    gens = oracle._slot_generators(ops)
+    assert gens.shape == (n // 2 + 1, n, n)
+    for p in range(n // 2 + 1):
+        held = np.ix_(keep[p], keep[p])
+        for rows, conj in ((below[p][keep[p]], False),
+                           (above[p][keep[p]], True)):
+            gen = gens[p][held]
             want = dense[np.ix_(rows, rows)]
             assert np.abs((gen.conj() if conj else gen) - want).max() < 1e-13
             others = np.setdiff1d(np.arange(n * n), rows)
@@ -253,3 +260,73 @@ def test_band_precondition_fails_closed(warm_params):
         dataclasses.replace(ops, h=h + 0.1 * q)
     with pytest.raises(ParameterError):
         propagate_matrices(_random_density(12, 1), ops, -0.1)
+
+
+@pytest.mark.parametrize("n_fock", [11, 12])
+@pytest.mark.parametrize("nbar", [None, 0.8])
+def test_stacked_pade_matches_scipy_per_band(n_fock, nbar):
+    # the one batched Pade build against scipy's expm of each band's
+    # generator, read off the dense generator; no bath and a warm one
+    params = (ModelParams(gamma=0.0, temperature=1.0) if nbar is None else
+              ModelParams(gamma=0.3, temperature=temperature_for_nbar(nbar)))
+    ops = build_operators(params, n_fock)
+    n = n_fock
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
+    for t in (1e-3, 0.02, 6.28, 50.0):
+        stack = oracle._band_propagator(ops, t)
+        assert stack.shape == (n // 2 + 1, n, n)
+        covered = np.zeros(stack.shape, dtype=bool)
+        for k in range(n):
+            j = np.arange(n - k)
+            rows = (j + k) * n + j
+            block = slice(0, n - k) if 2 * k <= n else slice(k, n)
+            got = stack[min(k, n - k), block, block]
+            want = expm(t * dense[np.ix_(rows, rows)])
+            assert np.abs(got - want).max() < 1e-13
+            covered[min(k, n - k), block, block] = True
+        # off the band blocks, and in the unused trailing block of slot
+        # N / 2 for an even N, the stack is exactly zero
+        assert not stack[~covered].any()
+
+
+def test_propagator_config_refuses_non_finite_values(warm_params):
+    # t / inf is 0 and 0 * inf is nan, which an `> tol` grid test let
+    # through as zero steps; the config and the grid test refuse it
+    for dt in (0.0, -1e-3, math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            LindbladPropagatorConfig(dt_oracle=dt, t_end=1.0)
+    for t_end in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            LindbladPropagatorConfig(dt_oracle=1e-3, t_end=t_end)
+    for t, dt in ((1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)):
+        with pytest.raises(ConfigError):
+            steps_on_grid(t, dt, "t")
+    # a span too long for scaling and squaring to resolve, or one
+    # whose exponent overflows, is refused without a warning
+    ops = build_operators(warm_params, 12)
+    for t in (1e20, 1e307, 1e308):
+        with pytest.raises(ParameterError):
+            propagate_matrices(_random_density(12, 2), ops, t)
+
+
+@pytest.mark.parametrize("n_fock", [11, 12])
+def test_propagate_is_a_chain_of_apply(warm_params, n_fock):
+    # band-layout stepping equals gathering and scattering the whole
+    # matrix at every gap, bit for bit: a first sample after 0, a
+    # repeated sample time and gaps of 1, 2 and 3 steps
+    ops = build_operators(warm_params, n_fock)
+    rho0 = _random_density(n_fock, 12)
+    dt = 0.1
+    steps = (2, 2, 3, 6, 7, 10, 10)
+    run = propagate(rho0, ops,
+                    LindbladPropagatorConfig(dt_oracle=dt, t_end=1.0),
+                    sample_times=[s * dt for s in steps])
+    rho = 0.5 * (rho0 + rho0.conj().T)
+    prev = 0
+    for k, got in zip(steps, run.rhos):
+        if k > prev:
+            stack = oracle._band_propagator(ops, (k - prev) * dt)
+            rho = oracle._apply(stack, rho, hermitian=True)
+        assert np.array_equal(got, rho)
+        prev = k
