@@ -30,7 +30,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-fock", type=int, nargs="+", default=[24, 40, 56])
     ap.add_argument("--batch", type=int, nargs="+",
-                    default=[64, 128, 192, 256, 320, 384, 512])
+                    default=[1, 9, 64, 128, 192, 256, 320, 384, 512])
     ap.add_argument("--steps", type=int, default=300)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()

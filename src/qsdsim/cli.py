@@ -26,8 +26,8 @@ from jsonschema.exceptions import best_match
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         DECORRELATION_TIME_FACTOR, LATE_FRACTION, MAX_N_FOCK,
-                        MAX_SEED, SHAPE_TOL, SIGMA_BAND, SUPPRESSION_THRESHOLD,
-                        CONTROL_SUPPRESSION_MIN)
+                        MAX_SEED, MAX_STEPS, SHAPE_TOL, SIGMA_BAND,
+                        SUPPRESSION_THRESHOLD, CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
 from .observables import CSV_COLUMNS, fit_exponential_decay, write_bundle_csv
@@ -66,7 +66,8 @@ CONFIG_SCHEMA = _section({
                                  "maximum": MAX_N_FOCK}}, "n_fock"),
     "integrator": _section({
         "dt": _NUMBER, "t_end": _NUMBER,
-        "record_stride": {"type": "integer", "minimum": 1},
+        "record_stride": {"type": "integer", "minimum": 1,
+                          "maximum": MAX_STEPS},
         "seed": _SEED}, "dt", "t_end"),
     "ensemble": _section({"m": {"type": "integer", "minimum": 1},
                           "base_seed": _SEED},

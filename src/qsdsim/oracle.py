@@ -150,13 +150,11 @@ def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
     return stack
 
 
-def _apply(stack: np.ndarray, mats: np.ndarray,
-           hermitian: bool = False) -> np.ndarray:
+def _apply(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """The band propagator applied to a (..., N, N) batch.
 
     One stacked product per matrix carries all bands k >= 0; the bands
-    -k go as conj(P_k @ conj(y)), or, for a Hermitian batch, are the
-    conjugates of the bands k.  Each matrix goes through its own
+    -k go as conj(P_k @ conj(y)).  Each matrix goes through its own
     matrix-vector products, so a result does not depend on the batch
     it was computed in.
     """
@@ -164,12 +162,9 @@ def _apply(stack: np.ndarray, mats: np.ndarray,
     flat = mats.reshape(*mats.shape[:-2], -1)
     out = np.empty_like(flat)
     low = np.matmul(stack, flat[..., below, None])[..., 0][..., keep]
-    if hermitian:
-        out[..., above[keep]] = low.conj()
-    else:
-        # slot 0 is band 0 alone; every other slot holds bands k >= 1
-        high = np.matmul(stack[1:], flat[..., above[1:], None].conj())
-        out[..., above[1:][keep[1:]]] = high[..., 0][..., keep[1:]].conj()
+    # slot 0 is band 0 alone; every other slot holds bands k >= 1
+    high = np.matmul(stack[1:], flat[..., above[1:], None].conj())
+    out[..., above[1:][keep[1:]]] = high[..., 0][..., keep[1:]].conj()
     out[..., below[keep]] = low
     return out.reshape(mats.shape)
 

@@ -19,9 +19,12 @@ qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
 and renormalizes.  It steps the rows in lane groups, one row per lane
 of a SIMD vector, built for the host CPU: eight rows per group where
-it has AVX-512F while more than four are left, else four (stepping_loop
-reports which).  Each lane rounds exactly as the row stepped alone, so
-no result depends on the batch, the group width or the CPU.  The loop
+it has AVX-512F while more than four are left, else four; a lone row,
+a batch of one or the last row of a batch, is stepped by a one-row
+body whose vectors run across its levels (stepping_loop reports the
+widths).  Each lane and the lone row round exactly as the row stepped
+alone, so no result depends on the batch, the group width, the body or
+the CPU.  The loop
 also owns each row's noise stream: it seeds numpy's PCG64 from the
 row's seed as numpy's SeedSequence does, steps it inline and draws
 the normals with numpy's own ziggurat, inlined, whose tables are read
@@ -118,8 +121,6 @@ class IntegratorConfig:
             raise ParameterError("dt must be positive")
         if self.t_end < self.dt:
             raise ParameterError("t_end must cover at least one step")
-        if self.record_stride < 1:
-            raise ParameterError("record_stride must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
             raise ParameterError(f"seed must be in [0, 2**64), got "
                                  f"{self.seed}")
@@ -127,6 +128,11 @@ class IntegratorConfig:
             raise ParameterError(
                 f"t_end / dt = {self.t_end / self.dt:.3g} steps; at most "
                 f"{MAX_STEPS} are allowed")
+        # the loop keeps the stride in a C long, so a larger one would
+        # wrap around instead of being refused
+        if not 1 <= self.record_stride <= MAX_STEPS:
+            raise ParameterError(f"record_stride must be in [1, "
+                                 f"{MAX_STEPS}], got {self.record_stride}")
         steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property
@@ -363,13 +369,14 @@ def stepping_loop() -> dict:
     """The stepping body the compiled loop was built with.
 
     isa names the target's instruction set of its widest lane group,
-    lanes lists the group widths, widest first, and sampler the normal
-    sampler: {"isa": "avx512f", "lanes": [8, 4], "sampler": "ziggurat"}
-    where it has AVX-512F and the inline ziggurat passed its check, else
-    one width of four or "sampler": "numpy".
+    lanes lists the group widths, widest first, with the one-row body
+    that steps a lone row last as a width of 1, and sampler the normal
+    sampler: {"isa": "avx512f", "lanes": [8, 4, 1], "sampler":
+    "ziggurat"} where it has AVX-512F and the inline ziggurat passed its
+    check, else the widths [4, 1] or "sampler": "numpy".
     """
     isa, sampler = ctypes.c_char_p(), ctypes.c_char_p()
-    lanes = (ctypes.c_long * 2)()
+    lanes = (ctypes.c_long * 3)()
     count = _compiled_loop().qsd_stepping_loop(
         ctypes.byref(isa), ctypes.byref(sampler), lanes)
     return {"isa": isa.value.decode(), "lanes": lanes[:count],
@@ -387,7 +394,10 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     as (Re dxi1, Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2).  The
     streams are advanced in place by exactly four normals per step, so
     a run stopped and continued with the same streams draws as one made
-    in one go.  Each step
+    in one go.  Rows go through the lane groups of the compiled loop,
+    and a lone row, B = 1 or the last row of a batch, through its
+    one-row body; either rounds each row as it would be rounded alone,
+    so a row's results do not depend on B.  Each step
     is renormalized.  The states of step 0 and of every record_stride-th
     step are sampled: the compiled loop writes them into a (S, B,
     n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
@@ -416,7 +426,8 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     coef = np.zeros((4, n_fock))
     coef[0, :-1], coef[1, 1:] = ops.c, ops.d
     coef[2], coef[3] = cfg.dt * g.real, cfg.dt * g.imag
-    # one lane group's scratch: 4 (N + 2) vectors of 8 doubles, 64-aligned
+    # the scratch of one lane group or lone row: 4 (N + 2) vectors of 8
+    # doubles, 64-aligned
     lanes = np.zeros(32 * (n_fock + 2) + 7)
     lanes = lanes[(-lanes.ctypes.data % 64) // 8:]
     n_steps, stride = cfg.n_steps, cfg.record_stride

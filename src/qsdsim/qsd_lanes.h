@@ -3,8 +3,9 @@
  * qsd_step.c includes this body once per lane width, with LANES defined.
  * It defines lanes<LANES>_t, a GCC vector of LANES doubles, and
  * run_group<LANES>, which steps one group of rows through a whole call
- * of qsd_segment.  Lane l of a vector holds row b0 + l, so the vector
- * width runs across rows, never within one.
+ * of qsd_segment.  Lane l of a vector holds row b0 + l, so here the
+ * vector width runs across rows; a lone row is stepped by qsd_step.c's
+ * run_row instead, whose vectors run across its levels.
  */
 
 #define CAT_(a, b) a##b
@@ -123,15 +124,9 @@ static void run_group(struct segment *s, long b0)
             if (tail[l] <= tail_tol)
                 continue;
             /* the group stops after this step, so its lanes are
-             * merged here in row order under the batch's rule */
+             * merged here in row order */
             failed = 1;
-            if (j + 1 < s->worst_step
-                || (j + 1 == s->worst_step && !isnan(s->worst_tail)
-                    && (isnan(tail[l]) || tail[l] > s->worst_tail))) {
-                s->worst = b0 + l;
-                s->worst_step = j + 1;
-                s->worst_tail = tail[l];
-            }
+            merge_failure(s, b0 + l, j + 1, tail[l]);
         }
         if (failed)
             break;

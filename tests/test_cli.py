@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qsdsim import qsd
 from qsdsim.cli import (CONFIG_VALIDATOR, EXIT_CONFIG, EXIT_FAIL,
                         EXIT_NUMERICAL, EXIT_PASS, Runner, main, make_parser)
-from qsdsim.constants import MAX_N_FOCK, MAX_SEED
+from qsdsim.constants import MAX_N_FOCK, MAX_SEED, MAX_STEPS
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -101,7 +101,7 @@ def test_stationary_smoke(tmp_path):
     for name in manifest["outputs"]:
         assert (out / name).exists()
     assert manifest["stepping_loop"] == qsd.stepping_loop()
-    assert manifest["stepping_loop"]["lanes"][-1] == 4
+    assert manifest["stepping_loop"]["lanes"][-2:] == [4, 1]
 
 
 def test_stationary_expect_fail_mode(tmp_path):
@@ -235,6 +235,20 @@ def test_too_many_steps_is_config_error(tmp_path, capsys, command, name):
     code, _ = _run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "steps; at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stride", [2 ** 63, 2 ** 64 + 1, MAX_STEPS + 1])
+def test_record_stride_past_max_steps_is_config_error(tmp_path, capsys,
+                                                      stride):
+    # the stepping loop keeps the stride in a C long, where 2**64 + 1
+    # once wrapped around and overflowed the sample buffer; it exits 2
+    # with a message and writes nothing
+    cfg = _stationary_cfg()
+    cfg["integrator"]["record_stride"] = stride
+    code, out = _run(tmp_path, "stationary", cfg)
+    assert code == EXIT_CONFIG
+    assert f"maximum of {MAX_STEPS}" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_half_step_over_the_limit_is_config_error(tmp_path, capsys,

@@ -103,6 +103,21 @@ def test_integrator_config_validation():
             IntegratorConfig(dt=dt, t_end=1.0)
 
 
+def test_record_stride_is_bounded_by_max_steps():
+    # the loop keeps the stride in a C long, where 2**64 + 1 once
+    # wrapped around and overflowed the sample buffer; a stride past
+    # MAX_STEPS is refused, and MAX_STEPS itself samples t = 0 alone
+    for stride in (2 ** 63, 2 ** 64 + 1, MAX_STEPS + 1):
+        with pytest.raises(ParameterError, match="record_stride"):
+            IntegratorConfig(dt=1e-3, t_end=1.0, record_stride=stride)
+    ops = build_operators(ModelParams(), 8)
+    rec = run_trajectory(coherent_state(ops, 0.5), ops,
+                         IntegratorConfig(dt=1e-3, t_end=1.0,
+                                          record_stride=MAX_STEPS))
+    assert rec.times.tolist() == [0.0] and len(rec.bundles) == 1
+    assert len(rec.norm_drift) == 1000
+
+
 def test_step_size_warnings():
     par = ModelParams(gamma=0.5, omega=1.0,
                       temperature=temperature_for_nbar(1.0))
@@ -211,58 +226,103 @@ def test_batch_step_equals_rows_stepped_alone(warm_params):
 
 
 def _both_drivers(ops, psis, seeds, cfg, cuts=None):
-    """(error, final, drift, samples) of the compiled and numpy drivers.
+    """(error, final, drift, samples, streams) of the compiled and numpy
+    drivers.
 
     The compiled driver's streams come from its seeder, the numpy
-    driver's from numpy's.  error is (trajectory, time, tail) of a
-    TrajectoryError, else None; samples are (step, batch) pairs.  With
-    cuts, both run through run_split.
+    driver's from numpy's, and are returned where the next draws start.
+    error is (trajectory, time, tail) of a TrajectoryError, else None;
+    samples are (step, batch) pairs.  With cuts, both run through
+    run_split.
     """
-    runs = []
-    for drive, streams in ((qsd._integrate, qsd._seed_streams),
-                           (integrate_reference, numpy_streams)):
-        samples, on_sample = _recorder(cfg)
-        err = final = drift = None
-        try:
-            with np.errstate(all="ignore"):
-                if cuts is None:
-                    final, drift = drive(ops, psis.copy(), streams(seeds),
-                                         cfg, 0, on_sample)
-                else:
-                    final, drift = run_split(drive, ops, psis,
-                                             streams(seeds), cfg, 0,
-                                             on_sample, cuts)
-        except TrajectoryError as exc:
-            err = (exc.trajectory, exc.time, exc.tail_mass)
-        runs.append((err, final, drift, samples))
-    return runs
+    return [_run_driver(drive, ops, psis, streams(seeds), cfg, cuts)
+            for drive, streams in ((qsd._integrate, qsd._seed_streams),
+                                   (integrate_reference, numpy_streams))]
 
 
-@given(n_fock=st.integers(4, 48), batch=st.integers(1, 9),
-       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 80),
-       stride=st.integers(1, 40))
+def _run_driver(drive, ops, psis, streams, cfg, cuts=None, first_index=0):
+    """(error, final, drift, samples, streams) of one driver, as
+    _both_drivers gives them, for rows that start at first_index."""
+    samples, on_sample = _recorder(cfg)
+    err = final = drift = None
+    try:
+        with np.errstate(all="ignore"):
+            if cuts is None:
+                final, drift = drive(ops, psis.copy(), streams, cfg,
+                                     first_index, on_sample)
+            else:
+                final, drift = run_split(drive, ops, psis, streams, cfg,
+                                         first_index, on_sample, cuts)
+    except TrajectoryError as exc:
+        err = (exc.trajectory, exc.time, exc.tail_mass)
+    return err, final, drift, samples, streams
+
+
+@given(n_fock=st.integers(2, 48), batch=st.sampled_from([1, 2, 5, 9, 13]),
+       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 60),
+       stride=st.integers(1, 9),
+       poison=st.none() | st.tuples(st.integers(0, 12), st.integers(0, 59)))
 def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
-                                         n_steps, stride):
-    # states, samples, norm drift and any tail failure agree with the
-    # numpy kernel, which draws each row's noise with draw_noise_block
+                                         n_steps, stride, poison):
+    # row by row against the numpy kernel, which draws each row's noise
+    # with draw_noise_block: final and sampled states and drift to
+    # rounding (its vecdot sums in another order), the streams' next
+    # states and a failure's row and time exactly.  Every row of the
+    # batch is also that row run alone, bit for bit: a lone row and the
+    # last row of 5, 9 or 13 rows where the lane groups leave one go
+    # through the one-row body, the others through lane groups.  poison
+    # (row, step) writes a nan into a row after that step; 2 and 3
+    # levels fail the tail guard within a few steps.
     ops = build_operators(warm_params, n_fock)
-    psis = _low_batch(batch, n_fock, max(2, n_fock // 2), seed)
+    psis = _low_batch(batch, n_fock, max(1, n_fock // 2), seed)
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
                            record_stride=stride)
-    compiled, reference = _both_drivers(
-        ops, psis, [pair_seed(seed, b) for b in range(batch)], cfg)
-    err_c, final_c, drift_c, samples_c = compiled
-    err_r, final_r, drift_r, samples_r = reference
+    seeds = [pair_seed(seed, b) for b in range(batch)]
+    cuts = {} if poison is None else _state_cuts(
+        [(poison[0], poison[1], 0, np.nan)], batch, n_steps)
+    compiled, reference = _both_drivers(ops, psis, seeds, cfg, cuts)
+    err_c, final_c, drift_c, samples_c, streams_c = compiled
+    err_r, final_r, drift_r, samples_r, streams_r = reference
     assert (err_c is None) == (err_r is None)
     if err_c is not None:
         assert err_c[:2] == err_r[:2]
-        assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
+        if math.isnan(err_r[2]):
+            assert math.isnan(err_c[2])
+        else:
+            assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
     else:
         assert np.abs(final_c - final_r).max() <= 1e-14
         assert np.abs(drift_c - drift_r).max() <= 1e-14
+        assert np.array_equal(streams_c, streams_r)
     assert [s for s, _ in samples_c] == [s for s, _ in samples_r]
     for (_, a), (_, b) in zip(samples_c, samples_r):
-        assert np.abs(a - b).max() <= 1e-14
+        assert np.allclose(a, b, rtol=0, atol=1e-14, equal_nan=True)
+    alone = [_run_driver(qsd._integrate, ops, psis[b:b + 1],
+                         qsd._seed_streams(seeds[b:b + 1]), cfg,
+                         {step: [(0, level, value)
+                                 for row, level, value in entries if row == b]
+                          for step, entries in cuts.items()}, b)
+             for b in range(batch)]
+    if err_c is None:
+        assert np.array_equal(drift_c, np.max([a[2] for a in alone], axis=0))
+        for b, (_, final, _, _, streams) in enumerate(alone):
+            assert np.array_equal(final_c[b], final[0])
+            assert np.array_equal(streams_c[b], streams[0])
+    else:
+        # the serial rule: earliest step, then the first nan, then the
+        # largest tail, then the lowest row
+        fails = [a[0] for a in alone if a[0] is not None]
+        first = [f for f in fails if f[1] == min(f[1] for f in fails)]
+        nans = [f for f in first if math.isnan(f[2])]
+        want = nans[0] if nans else max(first, key=lambda f: f[2])
+        assert err_c[:2] == want[:2]
+        assert err_c[2] == want[2] or math.isnan(err_c[2]) and math.isnan(
+            want[2])
+    for k, (step, sample) in enumerate(samples_c):
+        for b in range(batch):
+            assert alone[b][3][k][0] == step
+            assert np.array_equal(sample[b], alone[b][3][k][1][0],
+                                  equal_nan=True)
 
 
 def _state_cuts(hits, batch, n_steps):
@@ -543,15 +603,16 @@ def _assert_same_outputs(got, want):
 def test_baseline_build_equals_production_library(tmp_path, warm_params,
                                                   monkeypatch):
     # the loop built for the x86-64 baseline (SSE2, four-lane groups
-    # only) steps bit for bit as the library in use, which is built for
-    # the host and steps eight-lane groups where it has AVX-512F:
-    # rounding must not depend on the instruction set.  Nine rows fill
-    # an eight-lane group and a four-lane tail.
+    # and the one-row body) steps bit for bit as the library in use,
+    # which is built for the host and steps eight-lane groups where it
+    # has AVX-512F: rounding must not depend on the instruction set.
+    # Nine rows fill an eight-lane group and a lone row on the host, and
+    # two four-lane groups and a lone row on the baseline.
     _skip_unless_above_baseline()
     plain = _loop_built_with(tmp_path / "plain.so", "-march=x86-64")
     assert qsd.stepping_loop() in (
-        {"isa": "avx512f", "lanes": [8, 4], "sampler": "ziggurat"},
-        {"isa": "avx", "lanes": [4], "sampler": "ziggurat"})
+        {"isa": "avx512f", "lanes": [8, 4, 1], "sampler": "ziggurat"},
+        {"isa": "avx", "lanes": [4, 1], "sampler": "ziggurat"})
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
     psis = _low_batch(9, 40, 20, seed=31)
@@ -562,14 +623,14 @@ def test_baseline_build_equals_production_library(tmp_path, warm_params,
     _assert_same_outputs(got, want)
     assert want[1][0] == 2 and want[1][1] == pytest.approx(21e-3)
     assert math.isnan(got[1][2]) and math.isnan(want[1][2])
-    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4],
+    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4, 1],
                                    "sampler": "ziggurat"}
 
 
 @pytest.fixture(scope="module")
 def narrow_loop(tmp_path_factory):
     # the library in use built without AVX-512F, so with four-lane
-    # groups only
+    # groups and the one-row body only
     if qsd.stepping_loop()["isa"] != "avx512f":
         pytest.skip("the CPU has no AVX-512F, so the loop steps four-lane "
                     "groups only and there is no second width to compare")
@@ -580,16 +641,17 @@ def narrow_loop(tmp_path_factory):
 @pytest.mark.parametrize("batch", [1, 3, 4, 5, 7, 8, 9, 13, 256])
 def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
                                                   monkeypatch, batch):
-    # eight-lane groups with a four-lane tail step every row bit for bit
-    # as four-lane groups alone: final and sampled states, drift, the
-    # streams' next states and a failure's row, time and tail
+    # eight-lane groups with a four-lane or one-row tail step every row
+    # bit for bit as four-lane groups with a one-row tail: final and
+    # sampled states, drift, the streams' next states and a failure's
+    # row, time and tail
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
     psis = _low_batch(batch, 40, 20, seed=batch)
     cuts = {10: [(batch // 2, 3, np.nan)], 20: [(batch - 1, 1, np.nan)]}
     want = _loop_outputs(ops, psis, cfg, range(batch), cuts)
     monkeypatch.setattr(qsd, "_compiled_loop", lambda: narrow_loop)
-    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4],
+    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4, 1],
                                    "sampler": "ziggurat"}
     _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(batch), cuts),
                          want)
@@ -597,15 +659,15 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
 
 @pytest.mark.parametrize("cuts, row, step", [
     ({20: [(5, 1, np.nan)]}, 5, 21),                  # eight-lane group
-    ({12: [(8, 1, np.nan)]}, 8, 13),                  # four-lane tail
+    ({12: [(8, 1, np.nan)]}, 8, 13),                  # lone last row
     ({20: [(3, 1, np.nan)], 12: [(8, 2, np.nan)]}, 8, 13),
     ({15: [(8, 2, np.nan), (2, 1, np.nan)]}, 2, 16),  # first nan row wins
 ])
 def test_nan_lanes_fail_alike_at_both_widths(warm_params, narrow_loop,
                                              monkeypatch, cuts, row, step):
-    # nine rows: rows 0-7 share an eight-lane group, row 8 is the
-    # four-lane tail; a NaN in either names the same row, time and tail
-    # at both widths, under the serial rule
+    # nine rows: rows 0-7 share an eight-lane group or two four-lane
+    # groups, and row 8 is stepped alone; a NaN in either names the same
+    # row, time and tail at both widths, under the serial rule
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
     psis = _low_batch(9, 40, 20, seed=41)
@@ -777,6 +839,97 @@ def test_loop_builds_without_warnings(tmp_path, flags):
         _skip_unless_above_baseline()
     _loop_built_with(tmp_path / "strict.so", "-Wall", "-Wextra", "-Werror",
                      *flags)
+
+
+#: Run in a child process by test_loop_is_clean_under_sanitizers: builds
+#: the loop with the flags in argv[2:] into $XDG_CACHE_HOME and steps a
+#: grid through it and through the library at argv[1], which must agree
+#: bit for bit.  The grid covers 2, 3 and odd level counts, batches that
+#: leave lone rows and partly filled lane groups, strides 1 and 7, rows
+#: failing early (2 and 3 levels under the warm bath, after 1 to 20
+#: steps) and rows failing mid-block: a start of 3e-3 in level 35 of 40
+#: leaks past the tail guard after 10 to 24 steps, with samples taken
+#: before it.
+_SANITIZED_GRID = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from qsdsim import qsd
+from qsdsim.errors import TrajectoryError
+from qsdsim.model import ModelParams, build_operators, temperature_for_nbar
+
+def grid():
+    par = ModelParams(m=1.0, omega=1.0, gamma=0.2,
+                      temperature=temperature_for_nbar(0.5))
+    digest = hashlib.sha256()
+    runs = [(n, b, stride, None) for n in (2, 3, 17, 40)
+            for b in (1, 3, 5, 9, 13, 257) for stride in (1, 7)]
+    for n, b, stride, weak in runs + [(40, 1, 7, 0), (40, 9, 7, 8),
+                                      (40, 9, 7, 2)]:
+        ops = build_operators(par, n)
+        psis = np.zeros((b, n), complex)
+        psis[:, 0] = 1.0
+        if weak is not None:
+            psis[weak, 35] = 3e-3
+        cfg = qsd.IntegratorConfig(dt=1e-3, t_end=(12 if b > 256 else 300)
+                                   * 1e-3, record_stride=stride)
+        streams = qsd._seed_streams(range(b))
+        samples = []
+        try:
+            out = qsd._integrate(ops, psis, streams, cfg, 0,
+                                 lambda block, step: samples.append(
+                                     block.copy()))
+        except TrajectoryError as exc:
+            assert weak is None or exc.time > stride * cfg.dt
+            out = [exc.trajectory, exc.time, exc.tail_mass]
+        else:
+            assert weak is None
+        for a in (*out, streams, *samples):
+            digest.update(np.asarray(a).tobytes())
+    return digest.hexdigest()
+
+production = qsd._load_library(Path(sys.argv[1]))
+qsd._CFLAGS = (*qsd._CFLAGS, *sys.argv[2:])
+sanitized = qsd._compiled_loop()
+digests = []
+for lib in (sanitized, production):
+    qsd._compiled_loop = lambda lib=lib: lib
+    digests.append(grid())
+assert digests[0] == digests[1], digests
+"""
+
+
+def _sanitizer_runtimes():
+    """The paths of gcc's ASan and UBSan runtimes, or None if either is
+    missing; gcc prints the bare name of a file it cannot find."""
+    paths = [subprocess.run([qsd._gcc(), f"-print-file-name={name}"],
+                            capture_output=True, text=True).stdout.strip()
+             for name in ("libasan.so", "libubsan.so")]
+    return paths if all(map(os.path.isabs, paths)) else None
+
+
+def test_loop_is_clean_under_sanitizers(tmp_path):
+    # the loop's pointer arithmetic (padded rows, the scratch that lane
+    # groups and the one-row body carve up, sample offsets, lanes past
+    # B - 1, streams advanced in place) under AddressSanitizer and
+    # UndefinedBehaviorSanitizer: any report aborts the child.  -O0
+    # builds in half the time of -O3; the sanitizers check every access
+    # of the source at any level, and the rounding does not depend on
+    # it.
+    runtimes = _sanitizer_runtimes()
+    if runtimes is None:
+        pytest.skip("gcc has no ASan or UBSan runtime")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               LD_PRELOAD=":".join(runtimes),
+               ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsd.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_GRID, qsd._compiled_loop()._name,
+         "-O0", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    # the child stepped a library of its own build
+    assert list((tmp_path / "qsdsim").glob("qsd_step-*.so"))
 
 
 def test_cache_key_follows_the_host_target(tmp_path, monkeypatch):
