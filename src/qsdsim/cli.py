@@ -5,6 +5,11 @@ CSV/JSON outputs plus a manifest and a gnuplot stub into the output
 directory, and exits 0 only when the experiment's own pass condition
 holds.  Exit codes: 0 pass, 1 assertion fail, 2 config error,
 3 numerical error.
+
+The keys of a config and the JSON kind of each value are listed in
+CONFIG_KEYS below and checked by check_config when the config is
+loaded; the ranges of the values are checked by the dataclasses and
+commands that read them, in each command's config stage.
 """
 
 from __future__ import annotations
@@ -20,84 +25,51 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
-                        DECORRELATION_TIME_FACTOR, LATE_FRACTION, MAX_N_FOCK,
-                        MAX_SEED, MAX_STEPS, SHAPE_TOL, SIGMA_BAND,
-                        SUPPRESSION_THRESHOLD, CONTROL_SUPPRESSION_MIN)
+                        DECORRELATION_TIME_FACTOR, LATE_FRACTION, SHAPE_TOL,
+                        SIGMA_BAND, SUPPRESSION_THRESHOLD,
+                        CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
 from .observables import CSV_COLUMNS, fit_exponential_decay, write_bundle_csv
 from .oracle import LindbladPropagatorConfig, propagate_matrices
-from .qsd import IntegratorConfig, run_trajectory, stepping_loop
+from .qsd import IntegratorConfig, check_seed, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
                        trace_distance, write_stats_csv)
 from .histories import (HistorySpec, PhaseCell, classical_peaking_report,
                         decoherence_functional, write_decoherence_json,
                         write_suppression_csv)
 
-_NUMBER = {"type": "number"}
-_COMPLEX = {"oneOf": [{"type": "number"},
-                      {"type": "array", "items": _NUMBER,
-                       "minItems": 2, "maxItems": 2}]}
-
-
-def _section(properties: dict, *required: str) -> dict:
-    """Schema of a JSON object with only these keys, the named ones
-    required."""
-    schema = {"type": "object", "additionalProperties": False,
-              "properties": properties}
-    if required:
-        schema["required"] = list(required)
-    return schema
-
-
-_BOOL = {"type": "boolean"}
-_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
-CONFIG_SCHEMA = _section({
-    "params": _section({"m": _NUMBER, "omega": _NUMBER, "gamma": _NUMBER,
-                        "temperature": _NUMBER, "nbar": _NUMBER,
-                        "hbar": _NUMBER, "k_B": _NUMBER},
-                       "m", "omega", "gamma"),
-    "fock": _section({"n_fock": {"type": "integer", "minimum": 2,
-                                 "maximum": MAX_N_FOCK}}, "n_fock"),
-    "integrator": _section({
-        "dt": _NUMBER, "t_end": _NUMBER,
-        "record_stride": {"type": "integer", "minimum": 1,
-                          "maximum": MAX_STEPS},
-        "seed": _SEED}, "dt", "t_end"),
-    "ensemble": _section({"m": {"type": "integer", "minimum": 1},
-                          "base_seed": _SEED},
-                         "m"),
-    "initial": _section({
-        "kind": {"enum": ["coherent", "fock", "cat", "custom"]},
-        "alpha": _COMPLEX, "n": {"type": "integer", "minimum": 0},
-        "phase": _NUMBER, "amplitudes": {"type": "array", "items": _COMPLEX},
-    }, "kind"),
+# The JSON kind of each config key: a type name, a one-item list for an
+# array of that kind, or a dict for an object.  A "complex" is a number
+# or an [re, im] pair.  Ranges are checked where the values are read, by
+# the dataclasses and the commands, not here.
+_CELL = {"center": "complex", "w_re": "number", "w_im": "number"}
+CONFIG_KEYS = {
+    "params": dict.fromkeys(("m", "omega", "gamma", "temperature", "nbar",
+                             "hbar", "k_B"), "number"),
+    "fock": {"n_fock": "integer"},
+    "integrator": {"dt": "number", "t_end": "number", "seed": "integer",
+                   "record_stride": "integer"},
+    "ensemble": {"m": "integer", "base_seed": "integer"},
+    "initial": {"kind": "string", "alpha": "complex", "n": "integer",
+                "phase": "number", "amplitudes": ["complex"]},
     # cat separations d = 2|alpha| in units of the coherent label
-    "localize": _section({"separations": {
-        "type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-        "minItems": 1}}),
-    "thermalize": _section({"max_n": {"type": "integer", "minimum": 1}}),
-    "histories": _section({
-        "times": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "cells": {"type": "array", "minItems": 1, "items": _section(
-            {"center": _COMPLEX, "w_re": _NUMBER, "w_im": _NUMBER},
-            "center", "w_re", "w_im")},
-        "h": _NUMBER, "dt_oracle": _NUMBER,
-        "include_complement": _BOOL, "control": _BOOL,
-    }, "times", "cells", "h", "dt_oracle"),
-}, "params", "fock")
-
-# JSON Schema counts 8.0 as an integer; the dataclasses and numpy do not.
-# The schema itself is checked once, by the tests, not on every load.
-CONFIG_VALIDATOR = validators.extend(
-    Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: type(value) is int))(CONFIG_SCHEMA)
+    "localize": {"separations": ["number"]},
+    "thermalize": {"max_n": "integer"},
+    "histories": {"times": ["number"], "cells": [_CELL], "h": "number",
+                  "dt_oracle": "number", "include_complement": "boolean",
+                  "control": "boolean"},
+}
+# Keys that an object of CONFIG_KEYS must hold; the others may be left
+# out.  No key name is required in one object and optional in another.
+REQUIRED_KEYS = {"params", "fock", "m", "omega", "gamma", "n_fock", "dt",
+                 "t_end", "kind", "times", "cells", "h", "dt_oracle", *_CELL}
+# bool is not an int here, and an int for a number must fit a float
+_TYPES = {"number": (int, float), "complex": (int, float), "integer": (int,),
+          "boolean": (bool,), "string": (str,)}
 
 # Config sections each subcommand reads beyond params and fock.
 REQUIRED_SECTIONS = {
@@ -120,6 +92,35 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
+def check_config(value, kind=CONFIG_KEYS, path: str = "") -> None:
+    """Refuse a value not of its JSON kind and an object with an unknown
+    or a missing key, naming the key path."""
+    if isinstance(kind, dict):
+        where = path or "config"
+        if type(value) is not dict:
+            raise ConfigError(f"{where}: {value!r} is not of type 'object'")
+        for key in value:
+            if key not in kind:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+        for key in kind:
+            if key in REQUIRED_KEYS and key not in value:
+                raise ConfigError(f"{where}: {key!r} is a required key")
+        for key, item in value.items():
+            check_config(item, kind[key], f"{path}.{key}" if path else key)
+    elif isinstance(kind, list):
+        if type(value) is not list:
+            raise ConfigError(f"{path}: {value!r} is not of type 'array'")
+        for i, item in enumerate(value):
+            check_config(item, kind[0], f"{path}[{i}]")
+    elif kind == "complex" and type(value) is list and len(value) == 2:
+        check_config(value, ["number"], path)
+    elif type(value) not in _TYPES[kind]:
+        raise ConfigError(f"{path}: {value!r} is not of type '{kind}'")
+    elif kind != "integer" and type(value) is int \
+            and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{path}: {value} is too large for a float")
+
+
 def load_config(path: Path) -> dict:
     try:
         raw = path.read_text()
@@ -127,11 +128,10 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, or an integer literal of over 4300 digits
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    check_config(cfg)
     return cfg
 
 
@@ -328,8 +328,17 @@ def cmd_localize(run: Runner) -> int:
         initial = ecfg.initial
         if initial.kind not in ("fock", "cat"):
             raise ConfigError("localize expects a fock or cat initial state")
-        separations = (run.cfg.get("localize", {}).get("separations", [])
-                       if initial.kind == "cat" else [])
+        sweep = run.cfg.get("localize", {})
+        separations = sweep.get("separations", [])
+        if "separations" in sweep and not separations:
+            raise ConfigError("localize.separations needs at least one entry")
+        # nan passes here and is refused as non-finite by its state
+        for d in separations:
+            if d <= 0:
+                raise ConfigError(f"localize.separations: {d} is less than "
+                                  "or equal to the minimum of 0")
+        if initial.kind != "cat":
+            separations = []
         # one cat start per separation, each built once as a check, so
         # a bad separation is refused before any ensemble runs
         specs = [InitialStateSpec(kind="cat", alpha=d / 2.0,
@@ -389,14 +398,14 @@ def cmd_thermalize(run: Runner) -> int:
             raise ConfigError("thermalize needs at least two samples; "
                               "lower record_stride")
         late = times >= (1.0 - LATE_FRACTION) * times[-1]
+        max_n = run.cfg.get("thermalize", {}).get("max_n", 6)
+        if not 1 <= max_n < ops.n_fock:
+            raise ConfigError(f"thermalize.max_n must be from 1 to n_fock - "
+                              f"1 = {ops.n_fock - 1}, got {max_n}")
         nbar = params.nbar
         if nbar > 0.0:
             # chi-square against the thermal law on decorrelated late
             # snapshots, sized before any trajectory runs
-            max_n = run.cfg.get("thermalize", {}).get("max_n", 6)
-            if max_n >= ops.n_fock:
-                raise ConfigError(f"thermalize max_n {max_n} must be "
-                                  f"below n_fock {ops.n_fock}")
             stride_t = DECORRELATION_TIME_FACTOR / params.gamma
             step = max(1, int(round(stride_t
                                     / (icfg.record_stride * icfg.dt))))
@@ -554,9 +563,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
-            raise ConfigError(f"--seed must be in [0, 2**64), got "
-                              f"{args.seed}")
+        if args.seed is not None:
+            with config_stage():
+                check_seed("--seed", args.seed)
         return args.func(Runner(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

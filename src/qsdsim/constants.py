@@ -68,6 +68,28 @@ MAX_SEED = 2 ** 64 - 1
 # levels.  A larger value is refused before anything is allocated.
 MAX_N_FOCK = 2048
 
+# Largest square of a quadrature width, sigma_q**2 or sigma_p**2, that
+# ModelParams accepts.  An ensemble's standard errors square moments of
+# up to about sigma**2 (4 n_fock + 2) summed over its trajectories: at
+# MAX_N_FOCK levels and MAX_TRAJECTORIES trajectories about 1e18
+# sigma**4, which this keeps far inside the float range.  At hbar = 1
+# it refuses m omega below 5e-101 (sigma_q) or above 2e100 (sigma_p).
+MAX_WIDTH_SQ = 1e100
+
+# Largest ensemble, ensemble.m, that EnsembleConfig accepts.
+# run_ensemble keeps every trajectory's final state, an (m, n_fock)
+# complex array: 2 GiB at MAX_N_FOCK levels.  oracle-compare runs 4 m
+# trajectories, and the largest run of the shipped tests and configs is
+# 8192.  A larger value is refused before anything is allocated.
+MAX_TRAJECTORIES = 2 ** 16
+
+# Largest (points, n_fock) array of coherent states that one cell's
+# midpoint grid may ask for: 2**22 complex amplitudes are 64 MiB, as one
+# N x N matrix at MAX_N_FOCK.  The shipped configs use about 300 points
+# at 24 levels and the bench 280 at 40.  PhaseCell.check refuses a
+# larger grid before any array is sized by it.
+MAX_CELL_AMPLITUDES = 2 ** 22
+
 # Exponential fits use samples while the mean stays above
 # FIT_FLOOR_REL of its initial value and above FIT_FLOOR_SIGMA
 # standard errors, and need at least FIT_MIN_POINTS of them.

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import MAX_SEED, TAIL_TOL, TRAJ_BATCH
+from .constants import MAX_TRAJECTORIES, TAIL_TOL, TRAJ_BATCH
 from .errors import ConfigError, DimensionError, ParameterError, \
     TruncationError
 from .model import OperatorSet, cat_state, coherent_state, fock_state, \
     normalize, steps_on_grid, tail_mass
 from .observables import STAT_FIELDS, bundle_arrays
 from .qsd import IntegratorConfig, _integrate, _seed_streams, \
-    check_step_size, trajectory_seed
+    check_seed, check_step_size, trajectory_seed
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("ensemble size must be >= 1")
-        if not 0 <= self.base_seed <= MAX_SEED:
-            raise ParameterError(f"base_seed must be in [0, 2**64), got "
-                                 f"{self.base_seed}")
+        if self.m > MAX_TRAJECTORIES:
+            raise ParameterError(f"ensemble size {self.m} is greater than "
+                                 f"the maximum of {MAX_TRAJECTORIES}")
+        check_seed("base_seed", self.base_seed)
         for name in self.store_series:
             if name not in STAT_FIELDS:
                 raise ConfigError(f"unknown series field {name!r}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
-    SUPPRESSION_THRESHOLD
+    MAX_CELL_AMPLITUDES, SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, cat_state, check_headroom, \
     coherent_states, steps_on_grid
@@ -74,22 +74,30 @@ class PhaseCell:
                               f"{self.center}")
 
     def check(self, n_fock: int) -> None:
-        """Refuse a spacing h too coarse for the half-widths, and a cell
+        """Refuse a spacing h too coarse for the half-widths, a cell
         whose farthest quadrature point, a corner of the midpoint grid,
-        n_fock levels cannot hold.  No array is sized by the grid here."""
+        n_fock levels cannot hold, and a grid whose (points, n_fock)
+        coherent states would exceed MAX_CELL_AMPLITUDES.  No array is
+        sized by the grid here."""
         limit = min(self.w_re, self.w_im) / CELL_MIN_POINTS_PER_HALF_WIDTH
         if self.h > limit:
             raise QuadratureError(
                 f"spacing {self.h} too coarse for half-widths "
                 f"({self.w_re}, {self.w_im}); need h <= min/"
                 f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
-        # the outer midpoints sit w / n inside the cell; np.rint rounds
-        # half to even, as round does in _midpoints
-        re, im = (w - w / max(1.0, float(np.rint(2.0 * w / self.h)))
-                  for w in (self.w_re, self.w_im))
+        # the midpoints per axis; np.rint rounds half to even, as round
+        # does in _midpoints.  The outer ones sit w / n inside the cell.
+        n_re, n_im = (max(1.0, float(np.rint(2.0 * w / self.h)))
+                      for w in (self.w_re, self.w_im))
+        re, im = self.w_re - self.w_re / n_re, self.w_im - self.w_im / n_im
         check_headroom(complex(abs(self.center.real) + re,
                                abs(self.center.imag) + im), n_fock,
                        f"farthest point of the cell at {self.center}")
+        if not n_re * n_im * n_fock <= MAX_CELL_AMPLITUDES:
+            raise QuadratureError(
+                f"spacing {self.h} gives {n_re:.3g} x {n_im:.3g} points; "
+                f"their coherent states at {n_fock} levels hold more than "
+                f"the maximum of {MAX_CELL_AMPLITUDES} amplitudes")
 
     @property
     def area_hbar(self) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TAIL_LEVEL_DIVISOR
+from .constants import MAX_N_FOCK, MAX_WIDTH_SQ, TAIL_LEVEL_DIVISOR
 from .errors import ConfigError, DimensionError, ParameterError, \
     TruncationError
 
@@ -57,13 +57,15 @@ class ModelParams:
                 raise ParameterError(
                     f"{label} must be {'> 0' if positive else '>= 0'} and "
                     f"finite, got {value}")
-        # the quadratures divide by the widths' squares; sigma_q divides
-        # by 2 m omega, which may underflow to 0
+        # the quadratures divide by the widths' squares, and ensemble
+        # statistics square them; sigma_q divides by 2 m omega, which may
+        # underflow to 0
         q = self.sigma_q if 2.0 * self.m * self.omega > 0.0 else math.inf
-        for label, width in (("sigma_q", q), ("sigma_p", self.sigma_p)):
-            if not 0.0 < width * width < math.inf:
-                raise ParameterError(f"{label} = {width} or its square is "
-                                     "not positive and finite")
+        q2, p2 = q * q, self.sigma_p * self.sigma_p
+        if not (0.0 < q2 <= MAX_WIDTH_SQ and 0.0 < p2 <= MAX_WIDTH_SQ):
+            raise ParameterError(f"sigma_q**2 = {q2:g} and sigma_p**2 = "
+                                 f"{p2:g} must each be > 0 and at most "
+                                 f"{MAX_WIDTH_SQ:g}")
 
     @property
     def sigma_q(self) -> float:
@@ -132,9 +134,7 @@ class OperatorSet:
     d: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_fock < 2:
-            raise DimensionError(
-                f"need at least 2 Fock levels, got {self.n_fock}")
+        _check_n_fock(self.n_fock)
         for name, size in (("h", self.n_fock), ("c", self.n_fock - 1),
                            ("d", self.n_fock - 1)):
             vec = getattr(self, name)
@@ -157,8 +157,18 @@ class OperatorSet:
         return mu
 
 
+def _check_n_fock(n_fock: int) -> None:
+    if n_fock < 2:
+        raise DimensionError(f"need at least 2 Fock levels, got {n_fock}")
+    if n_fock > MAX_N_FOCK:
+        raise DimensionError(f"n_fock {n_fock} is greater than the maximum "
+                             f"of {MAX_N_FOCK}")
+
+
 def build_operators(params: ModelParams, n_fock: int) -> OperatorSet:
-    """The band vectors of the damped oscillator on n_fock >= 2 levels."""
+    """The band vectors of the damped oscillator on n_fock levels, from 2
+    to MAX_N_FOCK; the count is checked before any vector is sized."""
+    _check_n_fock(n_fock)
     root_n = np.sqrt(np.arange(1, n_fock, dtype=float))
     nbar = params.nbar
     return OperatorSet(

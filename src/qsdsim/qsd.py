@@ -109,6 +109,14 @@ def trajectory_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + index * _SPLITMIX_GAMMA) & _MASK64)
 
 
+def check_seed(label: str, seed: int) -> None:
+    """Refuse a seed outside [0, MAX_SEED]: the loop seeds a stream from
+    one uint64, so a larger seed would name no stream of its own."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ParameterError(f"{label} must be in [0, 2**64), from 0 to "
+                             f"the maximum of {MAX_SEED}, got {seed}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -121,9 +129,7 @@ class IntegratorConfig:
             raise ParameterError("dt must be positive")
         if self.t_end < self.dt:
             raise ParameterError("t_end must cover at least one step")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ParameterError(f"seed must be in [0, 2**64), got "
-                                 f"{self.seed}")
+        check_seed("seed", self.seed)
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ParameterError(
                 f"t_end / dt = {self.t_end / self.dt:.3g} steps; at most "
@@ -131,8 +137,9 @@ class IntegratorConfig:
         # the loop keeps the stride in a C long, so a larger one would
         # wrap around instead of being refused
         if not 1 <= self.record_stride <= MAX_STEPS:
-            raise ParameterError(f"record_stride must be in [1, "
-                                 f"{MAX_STEPS}], got {self.record_stride}")
+            raise ParameterError(f"record_stride must be from 1 to the "
+                                 f"maximum of {MAX_STEPS}, got "
+                                 f"{self.record_stride}")
         steps_on_grid(self.t_end, self.dt, "t_end")
 
     @property

@@ -3,20 +3,29 @@
 Every run goes through main(argv) in process.  Configs are small
 versions of the real experiments, sized to keep this file fast.
 """
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
 import operator
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdsim import qsd
-from qsdsim.cli import (CONFIG_VALIDATOR, EXIT_CONFIG, EXIT_FAIL,
-                        EXIT_NUMERICAL, EXIT_PASS, Runner, main, make_parser)
-from qsdsim.constants import MAX_N_FOCK, MAX_SEED, MAX_STEPS
+import qsdsim
+from qsdsim import (ConfigError, EnsembleConfig, InitialStateSpec,
+                    IntegratorConfig, ModelParams, PhaseCell, qsd)
+from qsdsim.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
+                        EXIT_PASS, Runner, check_config, load_config, main,
+                        make_parser)
+from qsdsim.constants import (MAX_N_FOCK, MAX_SEED, MAX_STEPS,
+                              MAX_TRAJECTORIES)
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -64,9 +73,49 @@ def test_unparseable_config(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_config_schema_is_valid():
-    # load_config does not check the schema itself on every load
-    CONFIG_VALIDATOR.check_schema(CONFIG_VALIDATOR.schema)
+@pytest.mark.parametrize("text", [
+    '{"fock": {"n_fock": ' + "1" * 5000 + "}}",   # past int's digit limit
+    "[" * 100_000 + "]" * 100_000,                 # past the recursion limit
+])
+def test_json_that_python_refuses_is_config_error(tmp_path, capsys, text):
+    # json.loads raises a plain ValueError or a RecursionError here, not
+    # a JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["stationary", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_canned_configs_pass_the_check_and_keys_match_fields():
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config(path)   # checks it
+    # each section feeds a dataclass by field name
+    assert CONFIG_KEYS["integrator"].keys() == _fields(IntegratorConfig)
+    assert CONFIG_KEYS["initial"].keys() == _fields(InitialStateSpec)
+    cell = CONFIG_KEYS["histories"]["cells"][0]
+    assert cell.keys() | {"h"} == _fields(PhaseCell)
+    assert CONFIG_KEYS["params"].keys() - {"nbar"} <= _fields(ModelParams)
+    assert CONFIG_KEYS["ensemble"].keys() <= _fields(EnsembleConfig)
+
+
+def test_import_cli_loads_no_jsonschema():
+    # the config check is plain Python, so a CLI process does not pay
+    # for a schema library at start-up
+    src = str(Path(qsdsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    names = ("jsonschema", "referencing", "rpds", "attrs")
+    code = ("import sys, qsdsim.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            f"{names!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_schema_rejects_unknown_key(tmp_path):
@@ -274,12 +323,80 @@ def test_half_step_over_the_limit_is_config_error(tmp_path, capsys,
 ])
 def test_integral_float_is_config_error(tmp_path, capsys, section, key,
                                         value):
-    # JSON Schema counts 8.0 as an integer; the config must not
+    # 8.0 is a JSON number, not an integer: refused with its key path,
+    # not passed on to code that counts or sizes by it
     cfg = _canned("thermalize")
     cfg[section][key] = value
     code, _ = _run(tmp_path, "thermalize", cfg)
     assert code == EXIT_CONFIG
-    assert "is not of type 'integer'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is not of type 'integer'" in err
+    assert f"{section}.{key}:" in err
+
+
+@pytest.mark.parametrize("command, name, path, where", [
+    ("stationary", "stationary", ("params", "gamma"), "params.gamma"),
+    ("stationary", "stationary", ("integrator", "t_end"), "integrator.t_end"),
+    ("stationary", "stationary", ("initial", "alpha"), "initial.alpha"),
+    ("localize", "localize_cat_sweep", ("localize", "separations", 1),
+     "localize.separations[1]"),
+    ("histories", "histories_cat", ("histories", "cells", 0, "w_re"),
+     "histories.cells[0].w_re"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_beyond_float_range_is_config_error(tmp_path, capsys,
+                                                    command, name, path,
+                                                    where, sign):
+    # float() cannot hold it; refused with its key path, not by an
+    # OverflowError where a dataclass converts it
+    cfg = _canned(name)
+    value = sign * 10 ** 400
+    functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+    code, out = _run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert f"{where}: {value} is too large for a float" in \
+        capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"params": {"m": True, "omega": 1.0, "gamma": 0.2}},
+     "params.m: True is not of type 'number'"),
+    ({"initial": {"kind": "coherent", "alpha": [1.0, "x"]}},
+     "initial.alpha[1]: 'x' is not of type 'number'"),
+    ({"initial": {"kind": "coherent", "alpha": [1.0, 0.0, 0.0]}},
+     "initial.alpha: [1.0, 0.0, 0.0] is not of type 'complex'"),
+    ({"initial": {"kind": "custom", "amplitudes": [0.0, [1, 2], None]}},
+     "initial.amplitudes[2]: None is not of type 'complex'"),
+    ({"initial": {"kind": 3}}, "initial.kind: 3 is not of type 'string'"),
+    ({"initial": {"alpha": 1.0}}, "initial: 'kind' is a required key"),
+    ({"fock": {"n_fock": 24, "N": 3}}, "fock: unknown key 'N'"),
+    ({"fock": [24]}, "fock: [24] is not of type 'object'"),
+    ({"histories": {"times": 0.0, "cells": [], "h": 0.1,
+                    "dt_oracle": 0.1}},
+     "histories.times: 0.0 is not of type 'array'"),
+    ({"histories": {"times": [0.0], "h": 0.1, "dt_oracle": 0.1,
+                    "cells": [{"center": 0.0, "w_re": 1.0}]}},
+     "histories.cells[0]: 'w_im' is a required key"),
+    ({"histories": {"times": [0.0], "h": 0.1, "dt_oracle": 0.1,
+                    "control": 1,
+                    "cells": [{"center": 0.0, "w_re": 1.0, "w_im": 1.0}]}},
+     "histories.control: 1 is not of type 'boolean'"),
+])
+def test_check_config_names_the_key_path(change, message):
+    cfg = _stationary_cfg(**change)
+    with pytest.raises(ConfigError) as info:
+        check_config(cfg)
+    assert str(info.value) == message
+
+
+def test_check_config_refuses_a_missing_section_and_a_non_object():
+    cfg = _stationary_cfg()
+    del cfg["fock"]
+    with pytest.raises(ConfigError, match="config: 'fock' is a required"):
+        check_config(cfg)
+    with pytest.raises(ConfigError, match="config: 3 is not of type"):
+        check_config(3)
 
 
 @pytest.mark.parametrize("command, name, section, key, value, message", [
@@ -300,6 +417,21 @@ def test_integral_float_is_config_error(tmp_path, capsys, section, key,
     ("thermalize", "thermalize", None, None,
      {"fock": {"n_fock": 11}, "initial": {"kind": "coherent", "alpha": 1.0}},
      "tail mass"),
+    # an ensemble that run_ensemble would size an (m, n_fock) array by;
+    # the last is within the bound, but the 4M run of oracle-compare is
+    # not
+    ("localize", "localize_fock", "ensemble", "m", 10 ** 30,
+     f"maximum of {MAX_TRAJECTORIES}"),
+    ("thermalize", "thermalize", "ensemble", "m", MAX_TRAJECTORIES + 1,
+     f"maximum of {MAX_TRAJECTORIES}"),
+    ("oracle-compare", "oracle_compare", "ensemble", "m",
+     MAX_TRAJECTORIES // 4 + 1, f"maximum of {MAX_TRAJECTORIES}"),
+    # a cell grid of about 1e8 coherent states, and one past numpy's
+    # largest array
+    ("histories", "histories_cat", "histories", "h", 1e-4,
+     "coherent states"),
+    ("histories", "histories_control", "histories", "h", 1e-300,
+     "coherent states"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,
@@ -568,10 +700,14 @@ _EXPERIMENTS = [("stationary", "stationary"), ("localize", "localize_fock"),
                 ("oracle-compare", "oracle_compare"),
                 ("histories", "histories_cat"),
                 ("histories", "histories_control")]
-# No tiny positive value and no large integer: either could make a run
-# allocate or step for long instead of being refused.
+# Huge integers and a tiny positive value are refused before anything
+# is sized by them: an ensemble size or a level count above its
+# maximum, an integer beyond the float range, a step count above
+# MAX_STEPS, a cell grid above MAX_CELL_AMPLITUDES and a quadrature
+# width whose square is above MAX_WIDTH_SQ (m or omega at 1e-300).
 _MUTATIONS = ["delete", "scale", "reverse", "repeat",
-              0, -1, float("nan"), float("inf"), 1e308, "x", 8.0]
+              0, -1, float("nan"), float("inf"), 1e308, "x", 8.0,
+              10 ** 30, 10 ** 400, 1e-300]
 
 
 def _paths(node, path=()):
@@ -590,8 +726,10 @@ def _mutate(node, key, mutation):
     if mutation == "delete":
         del node[key]
     elif mutation == "scale":
+        # an integer too large for a float is left as it is
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            node[key] = value * 8 / 7
+            with contextlib.suppress(OverflowError):
+                node[key] = value * 8 / 7
     elif mutation in ("reverse", "repeat"):
         if isinstance(value, list) and value:
             node[key] = value[::-1] if mutation == "reverse" \

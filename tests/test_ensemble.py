@@ -25,7 +25,7 @@ from qsdsim import (
 )
 from conftest import run_split
 from qsdsim import ensemble, qsd
-from qsdsim.constants import TRAJ_BATCH
+from qsdsim.constants import MAX_TRAJECTORIES, TRAJ_BATCH
 
 
 def _cfg(m, *, seed=5, dt=1e-3, t_end=0.5, stride=100, **kw):
@@ -122,6 +122,15 @@ def test_base_seed_beyond_64_bits_rejected():
     assert _cfg(4, seed=2 ** 64 - 1).base_seed == 2 ** 64 - 1
     with pytest.raises(ParameterError, match=r"2\*\*64"):
         _cfg(4, seed=2 ** 64)
+
+
+def test_ensemble_size_is_bounded():
+    # run_ensemble would size an (m, n_fock) array of final states by it
+    assert _cfg(MAX_TRAJECTORIES).m == MAX_TRAJECTORIES
+    for m in (MAX_TRAJECTORIES + 1, 10 ** 30):
+        with pytest.raises(ParameterError,
+                           match=f"maximum of {MAX_TRAJECTORIES}"):
+            _cfg(m)
 
 
 def test_non_finite_custom_state_rejected(ops20):

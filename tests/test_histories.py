@@ -1,4 +1,5 @@
 """Coarse-grained history machinery: projectors, D, and interval scans."""
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,8 @@ from qsdsim import (
     write_decoherence_json,
     write_suppression_csv,
 )
-from qsdsim import oracle
+from qsdsim import histories, oracle
+from qsdsim.constants import MAX_CELL_AMPLITUDES
 from qsdsim.model import coherent_states
 from conftest import liouvillian
 
@@ -109,6 +111,28 @@ def test_coarse_quadrature_rejected(ops20):
     cell = PhaseCell(center=0.0, w_re=0.4, w_im=0.4, h=0.2)
     with pytest.raises(QuadratureError):
         cell_projector(cell, ops20)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-4])
+def test_fine_quadrature_grid_is_bounded(ops20, monkeypatch, h):
+    # 1e-4 would ask for 1.6e8 coherent states; refused before any array
+    # is sized by the grid, as the guard below shows
+    def unreachable(*_):
+        raise AssertionError("an array was sized by the grid")
+
+    monkeypatch.setattr(histories, "coherent_states", unreachable)
+    cell = PhaseCell(center=0.0, w_re=0.7, w_im=0.9, h=h)
+    with pytest.raises(QuadratureError, match=str(MAX_CELL_AMPLITUDES)):
+        cell_projector(cell, ops20)
+
+
+def test_quadrature_grid_bound_admits_its_largest_grid():
+    # 256 x 256 points at 64 levels are exactly MAX_CELL_AMPLITUDES; one
+    # more column of points is refused
+    cell = PhaseCell(center=0.0, w_re=1.0, w_im=1.0, h=2.0 / 256)
+    cell.check(64)
+    with pytest.raises(QuadratureError):
+        dataclasses.replace(cell, w_re=1.0 + 1.0 / 256).check(64)
 
 
 def test_history_spec_validation(ops20):

@@ -15,6 +15,7 @@ from scipy import stats as sps
 
 from conftest import dense_operators
 import qsdsim
+from qsdsim.constants import MAX_N_FOCK
 from qsdsim.errors import DimensionError, ParameterError, TruncationError
 from qsdsim.model import (ModelParams, build_operators, cat_state,
                           coherent_state, fock_state, normalize, tail_mass,
@@ -93,10 +94,15 @@ def test_derived_scales():
     ({"omega": 1e308}, "sigma_q"),
     ({"m": 1e-200, "omega": 1e-200}, "sigma_q"),   # 2 m omega underflows
     ({"m": 1e10, "hbar": 1e308}, "sigma_p"),       # hbar m omega overflows
+    # finite squares whose ensemble statistics would overflow
+    ({"m": 1e-300}, "sigma_q"),
+    ({"omega": 1e-101}, "sigma_q"),
+    ({"m": 1e101}, "sigma_p"),
 ])
 def test_quadrature_widths_are_positive_and_finite(kwargs, label):
     # each parameter is finite and positive, but a derived width or its
-    # square, which the observables divide by, is not
+    # square, which the observables divide by, is not, or the square is
+    # above MAX_WIDTH_SQ
     with pytest.raises(ParameterError, match=label):
         ModelParams(**kwargs)
 
@@ -189,6 +195,17 @@ def test_operator_set_refuses_an_overflowing_loss(ops20):
 def test_build_operators_rejects_tiny_space(warm_params):
     with pytest.raises(DimensionError):
         build_operators(warm_params, 1)
+
+
+def test_build_operators_bounds_n_fock(warm_params):
+    # refused before any vector is sized by it; an arange of -10**30
+    # levels would raise numpy's own ValueError
+    assert build_operators(warm_params, MAX_N_FOCK).n_fock == MAX_N_FOCK
+    for n_fock in (MAX_N_FOCK + 1, 10 ** 30, -10 ** 30):
+        with pytest.raises(DimensionError):
+            build_operators(warm_params, n_fock)
+    with pytest.raises(DimensionError, match=f"maximum of {MAX_N_FOCK}"):
+        build_operators(warm_params, MAX_N_FOCK + 1)
 
 
 def test_coherent_state_moments(ops20):
