@@ -17,26 +17,24 @@ trajectory is the B = 1 case and the ensemble runner feeds it batches.
 The work is split between two languages.  The compiled loop in
 qsd_step.c does the stepping: for every step of a row it applies the
 update, measures the norm and its drift, checks the truncation tail
-and renormalizes.  It steps the rows in lane groups, one row per lane
-of a SIMD vector, built for the host CPU: eight rows per group where
-it has AVX-512F while more than four are left, else four; a lone row,
-a batch of one or the last row of a batch, is stepped by a one-row
-body whose vectors run across its levels (stepping_loop reports the
-widths).  Each lane and the lone row round exactly as the row stepped
-alone, so no result depends on the batch, the group width, the body or
-the CPU.  The loop
-also owns each row's noise stream: it seeds numpy's PCG64 from the
-row's seed as numpy's SeedSequence does, steps it inline and draws
-the normals with numpy's own ziggurat, inlined, whose tables are read
-from numpy's libnpyrandom.a when the loop is built.  So row b draws
-np.random.default_rng(seeds[b]).standard_normal's stream, bit for bit,
-with no numpy generator made.  Each new build must seed and draw so
-before it is used, or it is built again to call numpy's sampler on the
-same streams (stepping_loop reports which).  It copies the sampled
-states into a buffer of up to TRAJ_BATCH rows.  Python calls it once
-per such block of samples, hands the block to the caller and raises
-the error of a failed row.  It is built with
-gcc on first use, never at import.
+and renormalizes.  It steps the rows in lane groups of one body,
+built for the host CPU: eight rows per group where it has AVX-512F
+while more than four are left, else four, one row per lane of a SIMD
+vector; a lone row, a batch of one or the last row of a batch, is the
+one-lane group, whose vectors run across its levels (stepping_loop
+reports the widths).  Each lane rounds exactly as the row stepped
+alone, so no result depends on the batch, the group width or the CPU.
+The loop also owns each row's noise stream: it seeds numpy's PCG64
+from the row's seed as numpy's SeedSequence does, steps it inline and
+draws the normals with numpy's own ziggurat, inlined, whose tables are
+read from numpy's libnpyrandom.a when the loop is built.  So row b
+draws np.random.default_rng(seeds[b]).standard_normal's stream, bit
+for bit, with no numpy generator made.  Each new build must seed and
+draw so before it is used, or no library is made.  It copies the
+sampled states into a buffer of up to TRAJ_BATCH rows.  Python calls
+it once per such block of samples, hands the block to the caller and
+raises the error of a failed row.  It is built with gcc on first use,
+never at import.
 """
 
 from __future__ import annotations
@@ -73,10 +71,9 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC",
 #: The lane-group body that qsd_step.c includes once per lane width.
 _LANES_H = Path(__file__).parent / "qsd_lanes.h"
 
-#: numpy's normal sampler: the header of its bit generators and the
-#: static archive that holds the sampler and its ziggurat tables, the
-#: local symbols _ZIGGURAT_TABLES of the member _DISTRIBUTIONS_O.
-_BITGEN_H = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+#: numpy's normal sampler: the static archive that holds its ziggurat
+#: tables, the local symbols _ZIGGURAT_TABLES of the member
+#: _DISTRIBUTIONS_O.
 _NPYRANDOM_A = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 _DISTRIBUTIONS_O = "src_distributions_distributions.c.o"
 _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
@@ -186,41 +183,6 @@ def _target_macros() -> bytes:
                           check=True).stdout
 
 
-def _gcc_build(source: bytes, out: Path, *extra: str) -> None:
-    """Compile the C source into the shared library out.
-
-    The one gcc command line of the stepping loop: _CFLAGS, the
-    directories of qsd_lanes.h and numpy's bitgen.h on the include path,
-    the extra flags and objects, then libnpyrandom.a; every symbol must
-    resolve.
-    """
-    import subprocess
-
-    proc = subprocess.run(
-        [_gcc(), *_CFLAGS, "-I", str(_LANES_H.parent), "-I",
-         str(_BITGEN_H.parents[2]), "-x", "c", "-", "-x", "none", *extra,
-         str(_NPYRANDOM_A), "-o", str(out), "-lm", "-Wl,--no-undefined"],
-        input=source, capture_output=True)
-    if proc.returncode != 0:
-        raise RuntimeError("gcc could not build qsd_step.c:\n"
-                           + proc.stderr.decode(errors="replace"))
-
-
-def _ziggurat_object(tmp: Path) -> str:
-    """numpy's member _DISTRIBUTIONS_O, extracted from libnpyrandom.a into
-    tmp with its _ZIGGURAT_TABLES made global.  A table it lacks stays
-    undefined, so the link fails."""
-    import subprocess
-
-    for cmd in (["ar", "x", str(_NPYRANDOM_A), _DISTRIBUTIONS_O],
-                ["objcopy", *(f"--globalize-symbol={name}"
-                              for name in _ZIGGURAT_TABLES),
-                 _DISTRIBUTIONS_O]):
-        if subprocess.run(cmd, cwd=tmp, capture_output=True).returncode:
-            raise RuntimeError(f"{cmd[0]} could not make {_DISTRIBUTIONS_O}")
-    return str(tmp / _DISTRIBUTIONS_O)
-
-
 def _draws_numpys_normals(lib: ctypes.CDLL) -> bool:
     """The self-check of a new build: whether the streams lib seeds draw
     the normals that Generator.standard_normal draws from default_rng of
@@ -234,33 +196,41 @@ def _draws_numpys_normals(lib: ctypes.CDLL) -> bool:
 
 
 def _build_library(source: bytes, out: Path) -> None:
-    """Build the stepping loop into out with the inline ziggurat, or
-    else with numpy's sampler (-DQSD_NUMPY_SAMPLER).
+    """Build the stepping loop into out with numpy's ziggurat tables.
 
-    The ziggurat build links numpy's distributions object ahead of the
-    archive, and is kept only if its tables are found and it passes
-    _draws_numpys_normals.  The fallback must pass it too, since it
-    draws from the same C-seeded streams; if it does not, no build is
-    made.  Each is built and checked under its own name in a temporary
-    directory next to out, so a build that failed the check is never
-    loaded as out.
+    ar extracts numpy's member _DISTRIBUTIONS_O from libnpyrandom.a and
+    objcopy makes its _ZIGGURAT_TABLES global (a table it lacks stays
+    undefined); then the one gcc command line of the loop: _CFLAGS, the
+    directory of qsd_lanes.h on the include path, that object ahead of
+    the archive, and every symbol must resolve.  The build is made in a
+    temporary directory next to out and moved to out only once it passes
+    _draws_numpys_normals, so a build that fails is never loaded and
+    leaves no file.  A failed step raises RuntimeError naming the archive
+    and numpy's version: without numpy's tables no library is made.
     """
+    import subprocess
     import tempfile
 
+    numpys = (f"the ziggurat tables of {_NPYRANDOM_A} "
+              f"(numpy {np.__version__})")
     with tempfile.TemporaryDirectory(dir=out.parent) as tmp:
-        trial = Path(tmp) / out.name
-        try:
-            _gcc_build(source, trial, _ziggurat_object(Path(tmp)))
-            if _draws_numpys_normals(_load_library(trial)):
-                os.replace(trial, out)
-                return
-        except RuntimeError:
-            pass   # the tables could not be extracted or linked
-        trial = Path(tmp) / f"numpy-{out.name}"
-        _gcc_build(source, trial, "-DQSD_NUMPY_SAMPLER")
+        trial = Path(tmp).resolve() / out.name
+        for cmd in (["ar", "x", str(_NPYRANDOM_A), _DISTRIBUTIONS_O],
+                    ["objcopy", *(f"--globalize-symbol={name}"
+                                  for name in _ZIGGURAT_TABLES),
+                     _DISTRIBUTIONS_O],
+                    [_gcc(), *_CFLAGS, "-I", str(_LANES_H.parent), "-x", "c",
+                     "-", "-x", "none", _DISTRIBUTIONS_O, str(_NPYRANDOM_A),
+                     "-o", str(trial), "-lm", "-Wl,--no-undefined"]):
+            proc = subprocess.run(cmd, cwd=tmp, input=source,
+                                  capture_output=True)
+            if proc.returncode:
+                raise RuntimeError(
+                    f"{Path(cmd[0]).name} could not build qsd_step.c with "
+                    f"{numpys}:\n" + proc.stderr.decode(errors="replace"))
         if not _draws_numpys_normals(_load_library(trial)):
-            raise RuntimeError("qsd_step.c seeds or steps PCG64 streams "
-                               "that differ from numpy's")
+            raise RuntimeError(f"qsd_step.c built with {numpys} draws "
+                               "normals that differ from numpy's")
         os.replace(trial, out)
 
 
@@ -287,7 +257,6 @@ def _load_library(path: Path) -> ctypes.CDLL:
     lib.qsd_segment.argtypes = [ctypes.POINTER(_Segment)]
     lib.qsd_segment.restype = ctypes.c_long
     lib.qsd_stepping_loop.argtypes = [ctypes.POINTER(ctypes.c_char_p),
-                                      ctypes.POINTER(ctypes.c_char_p),
                                       ctypes.POINTER(ctypes.c_long)]
     lib.qsd_stepping_loop.restype = ctypes.c_int
     lib.qsd_seed.argtypes = [ctypes.c_long, ctypes.c_void_p,
@@ -328,7 +297,7 @@ def _compiled_loop() -> ctypes.CDLL:
 
     The library is cached in $XDG_CACHE_HOME/qsdsim (default
     ~/.cache/qsdsim) under a hash of the C sources, the compiler flags
-    and target macros and numpy's bitgen.h and libnpyrandom.a, so a new
+    and target macros and numpy's libnpyrandom.a, so a new
     source, flag set, CPU, gcc or numpy builds afresh.  It is written
     under a temporary name and moved into place, so concurrent first
     uses never load a half-written file, and then every other
@@ -341,13 +310,12 @@ def _compiled_loop() -> ctypes.CDLL:
     source = (Path(__file__).parent / "qsd_step.c").read_bytes()
     key = (source + _LANES_H.read_bytes() + " ".join(_CFLAGS).encode()
            + _target_macros())
-    for path in (_BITGEN_H, _NPYRANDOM_A):
-        try:
-            key += path.read_bytes()
-        except OSError as exc:
-            raise RuntimeError(
-                f"qsdsim links its stepping loop against numpy's normal "
-                f"sampler and needs {path}: {exc.strerror}") from exc
+    try:
+        key += _NPYRANDOM_A.read_bytes()
+    except OSError as exc:
+        raise RuntimeError(
+            f"qsdsim links its stepping loop against numpy's normal "
+            f"sampler and needs {_NPYRANDOM_A}: {exc.strerror}") from exc
     tag = hashlib.sha256(key).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "qsdsim"
@@ -375,19 +343,14 @@ def _compiled_loop() -> ctypes.CDLL:
 def stepping_loop() -> dict:
     """The stepping body the compiled loop was built with.
 
-    isa names the target's instruction set of its widest lane group,
-    lanes lists the group widths, widest first, with the one-row body
-    that steps a lone row last as a width of 1, and sampler the normal
-    sampler: {"isa": "avx512f", "lanes": [8, 4, 1], "sampler":
-    "ziggurat"} where it has AVX-512F and the inline ziggurat passed its
-    check, else the widths [4, 1] or "sampler": "numpy".
+    isa names the target's instruction set of its widest lane group and
+    lanes lists the group widths, widest first, with the one-lane group
+    of a lone row last: {"isa": "avx512f", "lanes": [8, 4, 1]} where it
+    has AVX-512F, else the widths [4, 1].
     """
-    isa, sampler = ctypes.c_char_p(), ctypes.c_char_p()
-    lanes = (ctypes.c_long * 3)()
-    count = _compiled_loop().qsd_stepping_loop(
-        ctypes.byref(isa), ctypes.byref(sampler), lanes)
-    return {"isa": isa.value.decode(), "lanes": lanes[:count],
-            "sampler": sampler.value.decode()}
+    isa, lanes = ctypes.c_char_p(), (ctypes.c_long * 3)()
+    count = _compiled_loop().qsd_stepping_loop(ctypes.byref(isa), lanes)
+    return {"isa": isa.value.decode(), "lanes": lanes[:count]}
 
 
 def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
@@ -401,10 +364,10 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     as (Re dxi1, Im dxi1, Re dxi2, Im dxi2), times sqrt(dt / 2).  The
     streams are advanced in place by exactly four normals per step, so
     a run stopped and continued with the same streams draws as one made
-    in one go.  Rows go through the lane groups of the compiled loop,
-    and a lone row, B = 1 or the last row of a batch, through its
-    one-row body; either rounds each row as it would be rounded alone,
-    so a row's results do not depend on B.  Each step
+    in one go.  Rows go through the lane groups of the compiled loop, a
+    lone row, B = 1 or the last row of a batch, through its one-lane
+    group; each rounds a row as it would be rounded alone, so a row's
+    results do not depend on B.  Each step
     is renormalized.  The states of step 0 and of every record_stride-th
     step are sampled: the compiled loop writes them into a (S, B,
     n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
@@ -433,7 +396,7 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     coef = np.zeros((4, n_fock))
     coef[0, :-1], coef[1, 1:] = ops.c, ops.d
     coef[2], coef[3] = cfg.dt * g.real, cfg.dt * g.imag
-    # the scratch of one lane group or lone row: 4 (N + 2) vectors of 8
+    # the scratch of one lane group of any width: 4 (N + 2) vectors of 8
     # doubles, 64-aligned
     lanes = np.zeros(32 * (n_fock + 2) + 7)
     lanes = lanes[(-lanes.ctypes.data % 64) // 8:]

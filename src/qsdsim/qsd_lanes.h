@@ -1,11 +1,17 @@
 /* One lane group of qsd_step.c's stepping loop, for LANES rows.
  *
- * qsd_step.c includes this body once per lane width, with LANES defined.
- * It defines lanes<LANES>_t, a GCC vector of LANES doubles, and
- * run_group<LANES>, which steps one group of rows through a whole call
- * of qsd_segment.  Lane l of a vector holds row b0 + l, so here the
- * vector width runs across rows; a lone row is stepped by qsd_step.c's
- * run_row instead, whose vectors run across its levels.
+ * qsd_step.c includes this body once per width, with LANES defined as
+ * 8, 4 or 1.  It defines lanes<LANES>_t and run_group<LANES>, which
+ * steps one group of rows through a whole call of qsd_segment: the
+ * scaffold of row load, noise draw, tail guard, failure merge, drift,
+ * renormalization, samples and store-back is written once, here.  Only
+ * the step's arithmetic depends on the width.  At LANES 8 and 4,
+ * lanes_t is a GCC vector of LANES doubles whose lane l holds row
+ * b0 + l, so the vector width runs across rows.  At LANES 1 it is a
+ * plain double, and the step of the lone row runs its vectors across
+ * the row's levels instead: it forms the products in loops with no
+ * dependence from level to level, which the compiler vectorizes, and
+ * then adds them up level by level, as a lane does.
  */
 
 #define CAT_(a, b) a##b
@@ -14,7 +20,61 @@
 #define step_group CAT(step_group, LANES)
 #define run_group CAT(run_group, LANES)
 
+#if LANES == 1
+typedef double lanes_t;
+#define LANE(v, l) (v)
+
+/* The terms of one step of a lone row that need no sum over levels:
+ * per level k, |psi_k|^2 into pn and the k-th terms of ||psi||^2 <L1>
+ * and ||psi||^2 <L2> into (p1r, p1i) and (p2r, p2i), as the lanes of
+ * step_group below form them.  r and i are the padded row past its
+ * leading zero level.  No level's result feeds another's, and the
+ * pointers do not alias, so the compiler vectorizes the loop across
+ * levels; gcc honours restrict on parameters only, so these are
+ * functions. */
+static void row_products(long n, const double *restrict cl,
+                         const double *restrict dl, const double *restrict r,
+                         const double *restrict i, double *restrict pn,
+                         double *restrict p1r, double *restrict p1i,
+                         double *restrict p2r, double *restrict p2i)
+{
+    for (long k = 0; k < n; k++) {
+        pn[k] = r[k] * r[k] + i[k] * i[k];
+        p1r[k] = cl[k] * (r[k] * r[k + 1] + i[k] * i[k + 1]);
+        p1i[k] = cl[k] * (r[k] * i[k + 1] - i[k] * r[k + 1]);
+        p2r[k] = dl[k] * (r[k] * r[k - 1] + i[k] * i[k - 1]);
+        p2i[k] = dl[k] * (r[k] * i[k - 1] - i[k] * r[k - 1]);
+    }
+}
+
+/* The new levels (outr, outi) of a lone row and their squares |psi'_k|^2
+ * into sq, from the step's coefficients c0, k1 and k2 of step_group:
+ * the same expressions, level by level, vectorized across levels. */
+static void row_levels(long n, const double *restrict cl,
+                       const double *restrict dl, const double *restrict dgr,
+                       const double *restrict dgi, double c0r, double c0i,
+                       double k1r, double k1i, double k2r, double k2i,
+                       const double *restrict r, const double *restrict i,
+                       double *restrict outr, double *restrict outi,
+                       double *restrict sq)
+{
+    for (long k = 0; k < n; k++) {
+        const double ar = dgr[k] + c0r, ai = dgi[k] + c0i;
+        const double ur = cl[k] * r[k + 1], ui = cl[k] * i[k + 1];
+        const double vr = dl[k] * r[k - 1], vi = dl[k] * i[k - 1];
+        const double or = (ar * r[k] - ai * i[k]) + (k1r * ur - k1i * ui)
+                          + (k2r * vr - k2i * vi);
+        const double oi = (ar * i[k] + ai * r[k]) + (k1r * ui + k1i * ur)
+                          + (k2r * vi + k2i * vr);
+        outr[k] = or;
+        outi[k] = oi;
+        sq[k] = or * or + oi * oi;
+    }
+}
+#else
 typedef double lanes_t __attribute__((vector_size(LANES * sizeof(double))));
+#define LANE(v, l) (v)[l]
+#endif
 
 /* One step of one lane group: reads (re, im), writes (nre, nim); both
  * padded so that index 0 and N + 1 are zero levels.  cl[k] = c_k with
@@ -22,15 +82,29 @@ typedef double lanes_t __attribute__((vector_size(LANES * sizeof(double))));
  * dl[0] = 0 couples level k to k - 1; dgr[k] + i dgi[k] = dt g_k.
  * Lane l reads its increments Re xi1, Im xi1, Re xi2, Im xi2 in lane l
  * of xi[0..3].  Stores ||psi'||^2 per lane in *out_sq and the tail part
- * of it in *tail_sq. */
+ * of it in *tail_sq.  work holds the lone row's 6 n products. */
 static inline __attribute__((always_inline)) void
 step_group(long n, const double *cl, const double *dl, const double *dgr,
            const double *dgi, long tail_start, double dt,
            const lanes_t *xi, const lanes_t *re, const lanes_t *im,
-           lanes_t *nre, lanes_t *nim, lanes_t *out_sq, lanes_t *tail_sq)
+           lanes_t *nre, lanes_t *nim, lanes_t *out_sq, lanes_t *tail_sq,
+           double *work)
 {
     const lanes_t *r = re + 1, *i = im + 1;
     lanes_t ns = {0}, l1r = {0}, l1i = {0}, l2r = {0}, l2i = {0};
+#if LANES == 1
+    double *pn = work, *p1r = pn + n, *p1i = p1r + n, *p2r = p1i + n;
+    double *p2i = p2r + n, *sq = p2i + n;
+    row_products(n, cl, dl, r, i, pn, p1r, p1i, p2r, p2i);
+    for (long k = 0; k < n; k++) {
+        ns += pn[k];
+        l1r += p1r[k];
+        l1i += p1i[k];
+        l2r += p2r[k];
+        l2i += p2i[k];
+    }
+#else
+    (void)work;
     for (long k = 0; k < n; k++) {
         ns += r[k] * r[k] + i[k] * i[k];
         /* <L1> = sum conj(psi_k) c_k psi_{k+1} */
@@ -40,6 +114,7 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
         l2r += dl[k] * (r[k] * r[k - 1] + i[k] * i[k - 1]);
         l2i += dl[k] * (r[k] * i[k - 1] - i[k] * r[k - 1]);
     }
+#endif
     l1r /= ns;
     l1i /= ns;
     l2r /= ns;
@@ -56,6 +131,14 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
     const lanes_t k2r = l2r * dt + x2r, k2i = x2i - l2i * dt;
     lanes_t *outr = nre + 1, *outi = nim + 1;
     lanes_t head = {0}, tail = {0};
+#if LANES == 1
+    row_levels(n, cl, dl, dgr, dgi, c0r, c0i, k1r, k1i, k2r, k2i, r, i,
+               outr, outi, sq);
+    for (long k = 0; k < tail_start; k++)
+        head += sq[k];
+    for (long k = tail_start; k < n; k++)
+        tail += sq[k];
+#else
     for (long k = 0; k < n; k++) {
         const lanes_t ar = dgr[k] + c0r, ai = dgi[k] + c0i;
         const lanes_t ur = cl[k] * r[k + 1], ui = cl[k] * i[k + 1];
@@ -71,6 +154,7 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
         else
             tail += or * or + oi * oi;
     }
+#endif
     *tail_sq = tail;
     *out_sq = head + tail;
 }
@@ -78,7 +162,9 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
 /* Steps rows b0 .. b0 + LANES - 1 of the call s through s->n steps, or
  * through the step of the earliest failure so far, and merges the
  * group's failures into s in row order.  Lanes past s->B - 1 hold
- * copies of row B - 1, draw no noise and are ignored. */
+ * copies of row B - 1, draw no noise and are ignored.  The padded
+ * (re, im) arrays, two of each, take 4 (N + 2) vectors of the scratch,
+ * and the lone row's products 6 N doubles after them. */
 static void run_group(struct segment *s, long b0)
 {
     const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
@@ -89,6 +175,7 @@ static void run_group(struct segment *s, long b0)
     lanes_t *buf = s->lanes;
     lanes_t *re[2] = {buf, buf + 2 * w};
     lanes_t *im[2] = {buf + w, buf + 3 * w};
+    double *work = (double *)(buf + 4 * w);
     const int used = B - b0 < LANES ? (int)(B - b0) : LANES;
     double *row[LANES];
     for (int l = 0; l < LANES; l++)
@@ -100,10 +187,12 @@ static void run_group(struct segment *s, long b0)
         re[c][0] = re[c][N + 1] = im[c][0] = im[c][N + 1] = (lanes_t){0};
     for (long k = 0; k < N; k++)
         for (int l = 0; l < LANES; l++) {
-            re[0][k + 1][l] = row[l][2 * k];
-            im[0][k + 1][l] = row[l][2 * k + 1];
+            LANE(re[0][k + 1], l) = row[l][2 * k];
+            LANE(im[0][k + 1], l) = row[l][2 * k + 1];
         }
-    lanes_t xi[4] = {{0}};
+    lanes_t xi[4];
+    for (int q = 0; q < 4; q++)
+        xi[q] = (lanes_t){0};
     int cur = 0;
     /* a row failing after the earliest failure so far cannot win */
     const long steps = s->worst < 0 ? s->n : s->worst_step;
@@ -116,25 +205,25 @@ static void run_group(struct segment *s, long b0)
         lanes_t out_sq, tail_sq;
         for (int l = 0; l < used; l++)
             for (int q = 0; q < 4; q++)
-                xi[q][l] = standard_normal(&g[l]) * scale;
+                LANE(xi[q], l) = standard_normal(&g[l]) * scale;
         step_group(N, cl, dl, dgr, dgi, tail_start, dt, xi, r, i, nr, ni,
-                   &out_sq, &tail_sq);
+                   &out_sq, &tail_sq, work);
         const lanes_t tail = tail_sq / out_sq;
         for (int l = 0; l < used; l++) {
-            if (tail[l] <= tail_tol)
+            if (LANE(tail, l) <= tail_tol)
                 continue;
             /* the group stops after this step, so its lanes are
              * merged here in row order */
             failed = 1;
-            merge_failure(s, b0 + l, j + 1, tail[l]);
+            merge_failure(s, b0 + l, j + 1, LANE(tail, l));
         }
         if (failed)
             break;
         lanes_t norm = out_sq;
         for (int l = 0; l < LANES; l++)
-            norm[l] = sqrt(norm[l]);
+            LANE(norm, l) = sqrt(LANE(norm, l));
         for (int l = 0; l < used; l++) {
-            const double dev = fabs(norm[l] - 1.0);
+            const double dev = fabs(LANE(norm, l) - 1.0);
             if (dev > drift[j])
                 drift[j] = dev;
         }
@@ -147,8 +236,8 @@ static void run_group(struct segment *s, long b0)
         if (--left == 0) {
             for (long k = 0; k < N; k++)
                 for (int l = 0; l < used; l++) {
-                    sample[2 * N * l + 2 * k] = nr[k + 1][l];
-                    sample[2 * N * l + 2 * k + 1] = ni[k + 1][l];
+                    sample[2 * N * l + 2 * k] = LANE(nr[k + 1], l);
+                    sample[2 * N * l + 2 * k + 1] = LANE(ni[k + 1], l);
                 }
             sample += 2 * N * B;
             left = s->stride;
@@ -159,11 +248,12 @@ static void run_group(struct segment *s, long b0)
     if (!failed)
         for (long k = 0; k < N; k++)
             for (int l = 0; l < used; l++) {
-                row[l][2 * k] = re[cur][k + 1][l];
-                row[l][2 * k + 1] = im[cur][k + 1][l];
+                row[l][2 * k] = LANE(re[cur][k + 1], l);
+                row[l][2 * k + 1] = LANE(im[cur][k + 1], l);
             }
 }
 
+#undef LANE
 #undef run_group
 #undef step_group
 #undef lanes_t

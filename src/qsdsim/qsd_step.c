@@ -8,22 +8,18 @@
  * the rows are copied into a caller's buffer of samples, so one call
  * covers many samples.
  *
- * Rows are stepped in lane groups, one row per lane of a GCC vector, so
- * there the vector width runs across rows.  The library is built for the
- * CPU that runs it (-march=native on x86-64, see qsd.py), and the
+ * Rows are stepped in lane groups by one body, qsd_lanes.h, written
+ * once and included for each width.  The library is built for the CPU
+ * that runs it (-march=native on x86-64, see qsd.py), and the
  * compiler's target picks the widths: where it has AVX-512F a group
  * holds eight rows while more than four are left and four after that;
- * on every other target a group holds four.  The group body,
- * qsd_lanes.h, is written once and included for each width.  A group of
- * exactly one row, a batch of one or the last row of a batch, is
- * stepped instead by run_row below, whose vectors run across the row's
- * levels: it forms each step's products in loops with no dependence
- * from level to level, which the compiler vectorizes, and then adds
- * them up level by level.  Each lane and the lone row do exactly the
- * IEEE operations of a row stepped alone, in the same order: every sum
- * over levels is one sequential chain per row.  So a row's result does
- * not depend on the batch it sits in, nor on its lane group, the
- * group's width or the body that steps it.  The file is built with
+ * on every other target a group holds four; and on every target a
+ * group of exactly one row, a batch of one or the last row of a batch,
+ * is the one-lane group, whose vectors run across the row's levels.
+ * Each lane does exactly the IEEE operations of a row stepped alone, in
+ * the same order: every sum over levels is one sequential chain per
+ * row.  So a row's result does not depend on the batch it sits in, nor
+ * on its lane group or the group's width.  The file is built with
  * -ffp-contract=off: no FMA contraction, so the rounding does not
  * depend on the target's instruction set either, and builds for any
  * target give the same bits.
@@ -37,17 +33,15 @@
  * numpy/random/lib/libnpyrandom.a and drawing the raw words and doubles
  * from an inline PCG64 step in numpy's order.  qsd.py checks every new
  * build against Generator.standard_normal through qsd_seed and
- * qsd_normals before using it, and builds with -DQSD_NUMPY_SAMPLER,
- * which calls numpy's random_standard_normal on the same streams
- * instead, when the tables cannot be found or the check fails.
+ * qsd_normals before using it, and refuses a build whose tables cannot
+ * be found or that fails the check.
  *
  * In the Fock basis L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises
  * by one level, with real c and d, and the drift -iH/hbar - sum L^dag
  * L / 2 is the complex diagonal g.  Complex states are stored as
  * interleaved (re, im) doubles.  Inside a lane group they are split
- * into real and imaginary arrays of lane vectors, and a lone row into
- * real and imaginary arrays of doubles, padded by one zero level at
- * each end, so no loop below needs a boundary case.
+ * into real and imaginary arrays of lanes, padded by one zero level at
+ * each end, so no loop of qsd_lanes.h needs a boundary case.
  */
 
 #include <math.h>
@@ -147,32 +141,6 @@ void qsd_seed(long B, const uint64_t *seeds, uint64_t *streams)
     }
 }
 
-#ifdef QSD_NUMPY_SAMPLER
-#include "numpy/random/bitgen.h"
-
-/* From numpy/random/distributions.h, which needs Python.h. */
-extern double random_standard_normal(bitgen_t *bitgen_state);
-#define SAMPLER "numpy"
-
-static uint64_t bitgen_next_uint64(void *g)
-{
-    return next_uint64(g);
-}
-
-static double bitgen_next_double(void *g)
-{
-    return next_double(g);
-}
-
-/* numpy's sampler, on the stream g wrapped as a numpy bit generator */
-static inline double standard_normal(struct pcg64 *g)
-{
-    bitgen_t bg = {.state = g, .next_uint64 = bitgen_next_uint64,
-                   .next_double = bitgen_next_double,
-                   .next_raw = bitgen_next_uint64};
-    return random_standard_normal(&bg);
-}
-#else
 /* numpy's ziggurat tables, 256 layers: local symbols of its
  * distributions object, made global when qsd.py links that object. */
 extern const uint64_t ki_double[256];
@@ -180,7 +148,6 @@ extern const double wi_double[256], fi_double[256];
 /* The tail starts at r; numpy uses r and 1 / r rounded to doubles. */
 static const double ziggurat_nor_r = 3.6541528853610087963519472518;
 static const double ziggurat_nor_inv_r = 0.27366123732975827203338247596;
-#define SAMPLER "ziggurat"
 
 /* x with its sign bit XORed with bit 0 of sign: exact, -0.0 included,
  * and free of a branch on a random bit. */
@@ -220,7 +187,6 @@ standard_normal(struct pcg64 *g)
             return x;
     }
 }
-#endif
 
 /* n normals from the stream into out, as the loop draws them, and the
  * stream advanced past them: the self-check that qsd.py runs on each
@@ -247,7 +213,7 @@ void qsd_raw(uint64_t *stream, long n, uint64_t *out)
  * of qsd_seed, which the call advances; qsd.py declares it again,
  * field for field, as _Segment.  coef holds the rows cl, dl, dgr and dgi
  * of qsd_lanes.h, N doubles each.  lanes is the scratch of one lane
- * group or lone row: 4 (N + 2) vectors of eight doubles, aligned to 64
+ * group of any width: 4 (N + 2) vectors of eight doubles, aligned to 64
  * bytes.  The call sets worst, worst_step and worst_tail. */
 struct segment {
     long B, N, n, tail_start, stride;
@@ -278,6 +244,9 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
     }
 }
 
+#define LANES 1
+#include "qsd_lanes.h"
+
 #define LANES 4
 #include "qsd_lanes.h"
 
@@ -290,148 +259,6 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
 #include "qsd_lanes.h"
 #endif
 
-/* The terms of one step of a lone row that need no sum over levels:
- * per level k, |psi_k|^2 into pn and the k-th terms of ||psi||^2 <L1>
- * and ||psi||^2 <L2> into (p1r, p1i) and (p2r, p2i), as step_group of
- * qsd_lanes.h forms them in one lane.  r and i are the padded row past
- * its leading zero level.  No level's result feeds another's, and the
- * pointers do not alias, so the compiler vectorizes the loop across
- * levels. */
-static void row_products(long n, const double *restrict cl,
-                         const double *restrict dl, const double *restrict r,
-                         const double *restrict i, double *restrict pn,
-                         double *restrict p1r, double *restrict p1i,
-                         double *restrict p2r, double *restrict p2i)
-{
-    for (long k = 0; k < n; k++) {
-        pn[k] = r[k] * r[k] + i[k] * i[k];
-        p1r[k] = cl[k] * (r[k] * r[k + 1] + i[k] * i[k + 1]);
-        p1i[k] = cl[k] * (r[k] * i[k + 1] - i[k] * r[k + 1]);
-        p2r[k] = dl[k] * (r[k] * r[k - 1] + i[k] * i[k - 1]);
-        p2i[k] = dl[k] * (r[k] * i[k - 1] - i[k] * r[k - 1]);
-    }
-}
-
-/* The new levels (outr, outi) of a lone row and their squares |psi'_k|^2
- * into sq, from the step's coefficients c0, k1 and k2 of step_group:
- * the same expressions, level by level, vectorized across levels. */
-static void row_levels(long n, const double *restrict cl,
-                       const double *restrict dl, const double *restrict dgr,
-                       const double *restrict dgi, double c0r, double c0i,
-                       double k1r, double k1i, double k2r, double k2i,
-                       const double *restrict r, const double *restrict i,
-                       double *restrict outr, double *restrict outi,
-                       double *restrict sq)
-{
-    for (long k = 0; k < n; k++) {
-        const double ar = dgr[k] + c0r, ai = dgi[k] + c0i;
-        const double ur = cl[k] * r[k + 1], ui = cl[k] * i[k + 1];
-        const double vr = dl[k] * r[k - 1], vi = dl[k] * i[k - 1];
-        const double or = (ar * r[k] - ai * i[k]) + (k1r * ur - k1i * ui)
-                          + (k2r * vr - k2i * vi);
-        const double oi = (ar * i[k] + ai * r[k]) + (k1r * ui + k1i * ur)
-                          + (k2r * vi + k2i * vr);
-        outr[k] = or;
-        outi[k] = oi;
-        sq[k] = or * or + oi * oi;
-    }
-}
-
-/* Steps row b of the call s alone, as run_group steps a lane: through
- * s->n steps, or through the step of the earliest failure so far, and
- * merges its failure into s.  The row's padded (re, im) arrays, two of
- * each, and the six product arrays of row_products and row_levels, N
- * doubles each, take 4 (N + 2) + 6 N of the scratch's 32 (N + 2)
- * doubles.  Every sum over levels adds the products in level order, so
- * the row rounds exactly as a lane does. */
-static void run_row(struct segment *s, long b)
-{
-    const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
-    const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
-    const double *cl = s->coef, *dl = cl + N, *dgr = dl + N, *dgi = dgr + N;
-    double *drift = s->drift, *row = s->psis + 2 * N * b;
-    double *buf = s->lanes;
-    double *re[2] = {buf, buf + 2 * w};
-    double *im[2] = {buf + w, buf + 3 * w};
-    double *pn = buf + 4 * w, *p1r = pn + N, *p1i = p1r + N;
-    double *p2r = p1i + N, *p2i = p2r + N, *sq = p2i + N;
-    struct pcg64 g = pcg64_load(s->streams + 4 * b);
-    for (int c = 0; c < 2; c++)
-        re[c][0] = re[c][N + 1] = im[c][0] = im[c][N + 1] = 0.0;
-    for (long k = 0; k < N; k++) {
-        re[0][k + 1] = row[2 * k];
-        im[0][k + 1] = row[2 * k + 1];
-    }
-    int cur = 0;
-    /* a row failing after the earliest failure so far cannot win */
-    const long steps = s->worst < 0 ? s->n : s->worst_step;
-    double *sample = s->rec + 2 * N * b;
-    long left = s->stride;   /* steps to the next sample */
-    int failed = 0;
-    for (long j = 0; j < steps; j++) {
-        const double *r = re[cur] + 1, *i = im[cur] + 1;
-        double *nr = re[1 - cur], *ni = im[1 - cur];
-        double xi[4];
-        for (int q = 0; q < 4; q++)
-            xi[q] = standard_normal(&g) * scale;
-        row_products(N, cl, dl, r, i, pn, p1r, p1i, p2r, p2i);
-        double ns = 0.0, l1r = 0.0, l1i = 0.0, l2r = 0.0, l2i = 0.0;
-        for (long k = 0; k < N; k++) {
-            ns += pn[k];
-            l1r += p1r[k];
-            l1i += p1i[k];
-            l2r += p2r[k];
-            l2i += p2i[k];
-        }
-        l1r /= ns;
-        l1i /= ns;
-        l2r /= ns;
-        l2i /= ns;
-        const double x1r = xi[0], x1i = xi[1], x2r = xi[2], x2i = xi[3];
-        const double c0r = 1.0 - 0.5 * dt * (l1r * l1r + l1i * l1i
-                                             + l2r * l2r + l2i * l2i)
-                           - (l1r * x1r - l1i * x1i + l2r * x2r - l2i * x2i);
-        const double c0i = -(l1r * x1i + l1i * x1r + l2r * x2i + l2i * x2r);
-        row_levels(N, cl, dl, dgr, dgi, c0r, c0i, l1r * dt + x1r,
-                   x1i - l1i * dt, l2r * dt + x2r, x2i - l2i * dt, r, i,
-                   nr + 1, ni + 1, sq);
-        double head = 0.0, tail_sq = 0.0;
-        for (long k = 0; k < tail_start; k++)
-            head += sq[k];
-        for (long k = tail_start; k < N; k++)
-            tail_sq += sq[k];
-        const double out_sq = head + tail_sq, tail = tail_sq / out_sq;
-        if (!(tail <= tail_tol)) {
-            merge_failure(s, b, j + 1, tail);
-            failed = 1;
-            break;
-        }
-        const double norm = sqrt(out_sq), dev = fabs(norm - 1.0);
-        if (dev > drift[j])
-            drift[j] = dev;
-        const double inv = 1.0 / norm;
-        for (long k = 1; k <= N; k++) {
-            nr[k] *= inv;
-            ni[k] *= inv;
-        }
-        cur = 1 - cur;
-        if (--left == 0) {
-            for (long k = 0; k < N; k++) {
-                sample[2 * k] = nr[k + 1];
-                sample[2 * k + 1] = ni[k + 1];
-            }
-            sample += 2 * N * B;
-            left = s->stride;
-        }
-    }
-    pcg64_store(s->streams + 4 * b, g);
-    if (!failed)
-        for (long k = 0; k < N; k++) {
-            row[2 * k] = re[cur][k + 1];
-            row[2 * k + 1] = im[cur][k + 1];
-        }
-}
-
 /* Advances every row of s->psis (B rows of N interleaved complex
  * levels) by n steps.  Row b draws each step's increments (Re xi1,
  * Im xi1, Re xi2, Im xi2) as four normals from stream b, each times
@@ -443,9 +270,10 @@ static void run_row(struct segment *s, long b)
  * rec + 2 N (s B + b); the caller sizes rec for the samples that land
  * within n steps.
  *
- * A lone last row is stepped by run_row; any other last lane group is
- * padded with copies of row B - 1, whose results, drift and failures are
- * ignored; they draw no noise and step with zero increments.
+ * A lone last row is stepped as a one-lane group; any other last lane
+ * group is padded with copies of row B - 1, whose results, drift and
+ * failures are ignored; they draw no noise and step with zero
+ * increments.
  *
  * A row fails at the first step whose relative tail mass (the share of
  * ||psi'||^2 in levels tail_start..N-1) is above tail_tol or nan, as
@@ -473,7 +301,7 @@ long qsd_segment(struct segment *s)
 #endif
         /* one row steps faster alone than in a group of idle lanes */
         if (s->B - b0 == 1) {
-            run_row(s, b0);
+            run_group1(s, b0);
             break;
         }
         run_group4(s, b0);
@@ -483,12 +311,11 @@ long qsd_segment(struct segment *s)
 }
 
 /* The stepping body this library was built with: *isa names the
- * instruction set of its widest lane group, *sampler the normal
- * sampler, and the group widths go into lanes, widest first, with the
- * lone row of run_row last as a width of one.  Returns their count. */
-int qsd_stepping_loop(const char **isa, const char **sampler, long *lanes)
+ * instruction set of its widest lane group, and the group widths go
+ * into lanes, widest first, the lone row's one lane last.  Returns
+ * their count. */
+int qsd_stepping_loop(const char **isa, long *lanes)
 {
-    *sampler = SAMPLER;
 #ifdef __AVX512F__
     *isa = "avx512f";
     lanes[0] = 8;

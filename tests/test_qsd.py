@@ -240,6 +240,31 @@ def _both_drivers(ops, psis, seeds, cfg, cuts=None):
                                    (integrate_reference, numpy_streams))]
 
 
+def _assert_matches_reference(ops, psis, seeds, cfg, cuts=None):
+    """The compiled driver's outputs, checked against the numpy driver's:
+    final and sampled states and drift to rounding (its vecdot sums in
+    another order), the streams' next states and a failure's row and
+    time exactly."""
+    compiled, reference = _both_drivers(ops, psis, seeds, cfg, cuts)
+    err_c, final_c, drift_c, samples_c, streams_c = compiled
+    err_r, final_r, drift_r, samples_r, streams_r = reference
+    assert (err_c is None) == (err_r is None)
+    if err_c is not None:
+        assert err_c[:2] == err_r[:2]
+        if math.isnan(err_r[2]):
+            assert math.isnan(err_c[2])
+        else:
+            assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
+    else:
+        assert np.abs(final_c - final_r).max() <= 1e-14
+        assert np.abs(drift_c - drift_r).max() <= 1e-14
+        assert np.array_equal(streams_c, streams_r)
+    assert [s for s, _ in samples_c] == [s for s, _ in samples_r]
+    for (_, a), (_, b) in zip(samples_c, samples_r):
+        assert np.allclose(a, b, rtol=0, atol=1e-14, equal_nan=True)
+    return compiled
+
+
 def _run_driver(drive, ops, psis, streams, cfg, cuts=None, first_index=0):
     """(error, final, drift, samples, streams) of one driver, as
     _both_drivers gives them, for rows that start at first_index."""
@@ -265,14 +290,12 @@ def _run_driver(drive, ops, psis, streams, cfg, cuts=None, first_index=0):
 def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
                                          n_steps, stride, poison):
     # row by row against the numpy kernel, which draws each row's noise
-    # with draw_noise_block: final and sampled states and drift to
-    # rounding (its vecdot sums in another order), the streams' next
-    # states and a failure's row and time exactly.  Every row of the
-    # batch is also that row run alone, bit for bit: a lone row and the
-    # last row of 5, 9 or 13 rows where the lane groups leave one go
-    # through the one-row body, the others through lane groups.  poison
-    # (row, step) writes a nan into a row after that step; 2 and 3
-    # levels fail the tail guard within a few steps.
+    # with draw_noise_block, as _assert_matches_reference checks.  Every
+    # row of the batch is also that row run alone, bit for bit: a lone
+    # row and the last row of 5, 9 or 13 rows where the lane groups
+    # leave one go through the one-lane group, the others through wider
+    # groups.  poison (row, step) writes a nan into a row after that
+    # step; 2 and 3 levels fail the tail guard within a few steps.
     ops = build_operators(warm_params, n_fock)
     psis = _low_batch(batch, n_fock, max(1, n_fock // 2), seed)
     cfg = IntegratorConfig(dt=1e-3, t_end=n_steps * 1e-3,
@@ -280,23 +303,8 @@ def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
     seeds = [pair_seed(seed, b) for b in range(batch)]
     cuts = {} if poison is None else _state_cuts(
         [(poison[0], poison[1], 0, np.nan)], batch, n_steps)
-    compiled, reference = _both_drivers(ops, psis, seeds, cfg, cuts)
+    compiled = _assert_matches_reference(ops, psis, seeds, cfg, cuts)
     err_c, final_c, drift_c, samples_c, streams_c = compiled
-    err_r, final_r, drift_r, samples_r, streams_r = reference
-    assert (err_c is None) == (err_r is None)
-    if err_c is not None:
-        assert err_c[:2] == err_r[:2]
-        if math.isnan(err_r[2]):
-            assert math.isnan(err_c[2])
-        else:
-            assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
-    else:
-        assert np.abs(final_c - final_r).max() <= 1e-14
-        assert np.abs(drift_c - drift_r).max() <= 1e-14
-        assert np.array_equal(streams_c, streams_r)
-    assert [s for s, _ in samples_c] == [s for s, _ in samples_r]
-    for (_, a), (_, b) in zip(samples_c, samples_r):
-        assert np.allclose(a, b, rtol=0, atol=1e-14, equal_nan=True)
     alone = [_run_driver(qsd._integrate, ops, psis[b:b + 1],
                          qsd._seed_streams(seeds[b:b + 1]), cfg,
                          {step: [(0, level, value)
@@ -549,8 +557,8 @@ def test_single_member_ensemble_equals_trajectory(warm_params, seed,
 def _loop_built_with(path, *flags):
     """The loop built with flags added to qsd._CFLAGS.
 
-    qsd._build_library builds it, with the inline ziggurat if that
-    passes its self-check, as it builds the library in use.
+    qsd._build_library builds it and runs its self-check, as it builds
+    the library in use.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsd, "_CFLAGS", (*qsd._CFLAGS, *flags))
@@ -602,17 +610,16 @@ def _assert_same_outputs(got, want):
 
 def test_baseline_build_equals_production_library(tmp_path, warm_params,
                                                   monkeypatch):
-    # the loop built for the x86-64 baseline (SSE2, four-lane groups
-    # and the one-row body) steps bit for bit as the library in use,
-    # which is built for the host and steps eight-lane groups where it
-    # has AVX-512F: rounding must not depend on the instruction set.
+    # the loop built for the x86-64 baseline (SSE2, four- and one-lane
+    # groups) steps bit for bit as the library in use, which is built
+    # for the host and steps eight-lane groups where it has AVX-512F:
+    # rounding must not depend on the instruction set.
     # Nine rows fill an eight-lane group and a lone row on the host, and
     # two four-lane groups and a lone row on the baseline.
     _skip_unless_above_baseline()
     plain = _loop_built_with(tmp_path / "plain.so", "-march=x86-64")
-    assert qsd.stepping_loop() in (
-        {"isa": "avx512f", "lanes": [8, 4, 1], "sampler": "ziggurat"},
-        {"isa": "avx", "lanes": [4, 1], "sampler": "ziggurat"})
+    assert qsd.stepping_loop() in ({"isa": "avx512f", "lanes": [8, 4, 1]},
+                                   {"isa": "avx", "lanes": [4, 1]})
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_stride=9)
     psis = _low_batch(9, 40, 20, seed=31)
@@ -623,14 +630,13 @@ def test_baseline_build_equals_production_library(tmp_path, warm_params,
     _assert_same_outputs(got, want)
     assert want[1][0] == 2 and want[1][1] == pytest.approx(21e-3)
     assert math.isnan(got[1][2]) and math.isnan(want[1][2])
-    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4, 1],
-                                   "sampler": "ziggurat"}
+    assert qsd.stepping_loop() == {"isa": "default", "lanes": [4, 1]}
 
 
 @pytest.fixture(scope="module")
 def narrow_loop(tmp_path_factory):
-    # the library in use built without AVX-512F, so with four-lane
-    # groups and the one-row body only
+    # the library in use built without AVX-512F, so with four- and
+    # one-lane groups only
     if qsd.stepping_loop()["isa"] != "avx512f":
         pytest.skip("the CPU has no AVX-512F, so the loop steps four-lane "
                     "groups only and there is no second width to compare")
@@ -641,8 +647,8 @@ def narrow_loop(tmp_path_factory):
 @pytest.mark.parametrize("batch", [1, 3, 4, 5, 7, 8, 9, 13, 256])
 def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
                                                   monkeypatch, batch):
-    # eight-lane groups with a four-lane or one-row tail step every row
-    # bit for bit as four-lane groups with a one-row tail: final and
+    # eight-lane groups with a four- or one-lane tail step every row bit
+    # for bit as four-lane groups with a one-lane tail: final and
     # sampled states, drift, the streams' next states and a failure's
     # row, time and tail
     ops = build_operators(warm_params, 40)
@@ -651,8 +657,7 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
     cuts = {10: [(batch // 2, 3, np.nan)], 20: [(batch - 1, 1, np.nan)]}
     want = _loop_outputs(ops, psis, cfg, range(batch), cuts)
     monkeypatch.setattr(qsd, "_compiled_loop", lambda: narrow_loop)
-    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4, 1],
-                                   "sampler": "ziggurat"}
+    assert qsd.stepping_loop() == {"isa": "avx", "lanes": [4, 1]}
     _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(batch), cuts),
                          want)
 
@@ -666,8 +671,8 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
 def test_nan_lanes_fail_alike_at_both_widths(warm_params, narrow_loop,
                                              monkeypatch, cuts, row, step):
     # nine rows: rows 0-7 share an eight-lane group or two four-lane
-    # groups, and row 8 is stepped alone; a NaN in either names the same
-    # row, time and tail at both widths, under the serial rule
+    # groups, and row 8 is a one-lane group; a NaN in either names the
+    # same row, time and tail at both widths, under the serial rule
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
     psis = _low_batch(9, 40, 20, seed=41)
@@ -682,14 +687,6 @@ def test_nan_lanes_fail_alike_at_both_widths(warm_params, narrow_loop,
 #: Where numpy's ziggurat starts its tail: every draw beyond it is a
 #: tail draw.
 _ZIGGURAT_R = 3.6541528853610088
-
-
-@pytest.fixture(scope="module")
-def numpy_sampler_loop(tmp_path_factory):
-    # the loop built to call numpy's random_standard_normal, the
-    # reference of the inline ziggurat
-    return _loop_built_with(tmp_path_factory.mktemp("numpy") / "numpy.so",
-                            "-DQSD_NUMPY_SAMPLER")
 
 
 def test_inline_sampler_draws_generator_standard_normal():
@@ -732,23 +729,19 @@ def test_seeder_starts_numpys_pcg64():
 
 @pytest.mark.parametrize("batch", [1, 3, 8, 9, 256])
 @pytest.mark.parametrize("n_fock", [12, 40])
-def test_inline_sampler_steps_as_numpy_sampler(warm_params, numpy_sampler_loop,
-                                               monkeypatch, n_fock, batch):
-    # _integrate with the inline ziggurat against the build that calls
-    # numpy's sampler, bit for bit: final and sampled states, drift, the
-    # streams' next states and a poisoned run's row, time and tail.
-    # The 256 rows draw about 2e5 normals, tail draws among them.
+def test_inline_sampler_steps_as_numpy_sampler(warm_params, n_fock, batch):
+    # _integrate, whose inline ziggurat draws each row's normals, against
+    # the numpy kernel, whose noise Generator.standard_normal draws, as
+    # _assert_matches_reference checks: a clean run, whose streams end
+    # in the same states, and a poisoned one.  The 256 rows draw about
+    # 2e5 normals, tail draws among them.
     ops = build_operators(warm_params, n_fock)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.2, record_stride=7)
     psis = _low_batch(batch, n_fock, n_fock // 3, seed=batch)
-    cuts = {50: [(batch // 2, 3, np.nan)]}
-    assert qsd.stepping_loop()["sampler"] == "ziggurat"
-    got = _loop_outputs(ops, psis, cfg, range(batch), cuts)
-    monkeypatch.setattr(qsd, "_compiled_loop", lambda: numpy_sampler_loop)
-    assert qsd.stepping_loop()["sampler"] == "numpy"
-    _assert_same_outputs(got, _loop_outputs(ops, psis, cfg, range(batch),
-                                            cuts))
-    assert got[1][1] == pytest.approx(51e-3)
+    assert _assert_matches_reference(ops, psis, range(batch), cfg)[0] is None
+    err = _assert_matches_reference(ops, psis, range(batch), cfg,
+                                    {50: [(batch // 2, 3, np.nan)]})[0]
+    assert err[1] == pytest.approx(51e-3)
     if batch == 256:
         draws = np.concatenate([np.random.default_rng(s).standard_normal(
             4 * cfg.n_steps) for s in range(batch)])
@@ -762,24 +755,22 @@ def test_inline_sampler_steps_as_numpy_sampler(warm_params, numpy_sampler_loop,
     ("_ZIGGURAT_TABLES", ("ki_missing", "wi_missing", "fi_missing"), ()),
     # the wedge reads the wrong table: the build links, fails its check
     (None, None, ("-Dfi_double=wi_double",)),
-])
-def test_sampler_falls_back_to_numpy(tmp_path, warm_params, monkeypatch,
-                                     name, value, flags):
+], ids=["missing_member", "local_tables", "wrong_table"])
+def test_sampler_without_numpys_tables_fails_closed(tmp_path, monkeypatch,
+                                                    name, value, flags):
     # a build whose tables cannot be found, or whose normals differ from
-    # numpy's, is built again with numpy's sampler and says so; it steps
-    # bit for bit as the library in use
+    # numpy's, is refused with an error naming numpy's archive and
+    # version, and leaves no library in the cache or in the temporary
+    # build directory it made there
     if name is not None:
         monkeypatch.setattr(qsd, name, value)
-    fallback = _loop_built_with(tmp_path / "fallback.so", *flags)
-    ops = build_operators(warm_params, 24)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_stride=9)
-    psis = _low_batch(9, 24, 8, seed=51)
-    cuts = {30: [(4, 2, np.nan)]}
-    want = _loop_outputs(ops, psis, cfg, range(9), cuts)
-    monkeypatch.setattr(qsd, "_compiled_loop", lambda: fallback)
-    assert qsd.stepping_loop()["sampler"] == "numpy"
-    _assert_same_outputs(_loop_outputs(ops, psis, cfg, range(9), cuts), want)
-    assert [p.name for p in tmp_path.iterdir()] == ["fallback.so"]
+    monkeypatch.setattr(qsd, "_CFLAGS", (*qsd._CFLAGS, *flags))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(RuntimeError) as exc:
+        qsd._compiled_loop.__wrapped__()
+    assert str(qsd._NPYRANDOM_A) in str(exc.value)
+    assert f"(numpy {np.__version__})" in str(exc.value)
+    assert list((tmp_path / "qsdsim").iterdir()) == []
 
 
 def test_loop_is_built_on_first_use_and_cached(tmp_path):
@@ -910,7 +901,7 @@ def _sanitizer_runtimes():
 
 def test_loop_is_clean_under_sanitizers(tmp_path):
     # the loop's pointer arithmetic (padded rows, the scratch that lane
-    # groups and the one-row body carve up, sample offsets, lanes past
+    # groups of every width carve up, sample offsets, lanes past
     # B - 1, streams advanced in place) under AddressSanitizer and
     # UndefinedBehaviorSanitizer: any report aborts the child.  -O0
     # builds in half the time of -O3; the sanitizers check every access
@@ -961,12 +952,12 @@ def test_missing_compiler_is_a_clear_error(tmp_path, monkeypatch, ops20):
         qsd._compiled_loop.cache_clear()
 
 
-@pytest.mark.parametrize("name", ["_BITGEN_H", "_NPYRANDOM_A"])
+@pytest.mark.parametrize("name", ["_NPYRANDOM_A"])
 def test_missing_sampler_is_a_clear_error(tmp_path, monkeypatch, ops20,
                                           name):
-    # the loop links numpy's sampler; without its header or archive the
+    # the loop links numpy's ziggurat tables; without their archive the
     # first stepping call names the missing file, even with a library
-    # in the cache, since the cache key hashes both
+    # in the cache, since the cache key hashes it
     missing = tmp_path / "numpy-sampler-missing"
     monkeypatch.setattr(qsd, name, missing)
     qsd._compiled_loop.cache_clear()
