@@ -33,7 +33,8 @@ from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
-from .observables import CSV_COLUMNS, fit_exponential_decay, write_bundle_csv
+from .observables import (CSV_COLUMNS, chi2_sf, fit_exponential_decay,
+                          write_bundle_csv)
 from .oracle import LindbladPropagatorConfig, propagate_matrices
 from .qsd import IntegratorConfig, check_seed, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
@@ -444,8 +445,7 @@ def cmd_thermalize(run: Runner) -> int:
     occ = stats.occupation[rows].mean(axis=0)
     observed = occ[:max_n + 1] * m_eff
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    from scipy.stats import chi2 as chi2_dist
-    p_value = float(chi2_dist.sf(chi2, df=max_n))
+    p_value = chi2_sf(chi2, max_n)
     with open(run.path("occupation_histogram.csv"), "w") as fh:
         fh.write("n,observed_fraction,thermal_fraction\n")
         for n in range(max_n + 1):

@@ -158,6 +158,8 @@ def fit_exponential_decay(times: np.ndarray, means: np.ndarray,
     Samples enter the fit while the mean stays above FIT_FLOOR_REL of
     its initial value and above FIT_FLOOR_SIGMA standard errors.
     Raises FitError when fewer than FIT_MIN_POINTS samples qualify.
+    ci95, the half-width of the 95% interval of the rate, is rate_se
+    times Student's t quantile t_quantile(0.975, n_points - 2).
     """
     times = np.asarray(times, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -188,11 +190,49 @@ def fit_exponential_decay(times: np.ndarray, means: np.ndarray,
     dof = n_keep - 2
     chi2_red = (w * resid ** 2).sum() / dof
     slope_se = math.sqrt(max(chi2_red, 1e-300) / s_tt)
-    from scipy.stats import t as t_dist
-    tq = float(t_dist.ppf(0.975, dof))
+    tq = t_quantile(0.975, dof)
     return ExponentialFit(rate=-slope, rate_se=slope_se, ci95=tq * slope_se,
                           log_amplitude=intercept, n_points=n_keep,
                           t_start=float(t[0]), t_end=float(t[-1]))
+
+
+def t_quantile(q: float, dof: int) -> float:
+    """The quantile q in [0.5, 1) of Student's t, integer dof >= 1: its
+    central probability A = 2q - 1 is a finite series in cos theta,
+    theta = atan(t / sqrt(dof)) (Abramowitz & Stegun 26.7.3-4), which
+    is bisected in theta until no float lies between the ends."""
+    odd = dof % 2
+
+    def central(theta):
+        # cos^2 = 1 - sin^2 is applied as term - term sin^2, so that its
+        # rounding near 1 is not raised to the power dof / 2
+        s = math.sin(theta)
+        term, total = (math.cos(theta) if odd else 1.0), 0.0
+        for j in range(1 + odd, dof, 2):
+            total += term
+            term = (term - term * s * s) * j / (j + 1)
+        total *= s
+        return 2.0 / math.pi * (theta + total) if odd else total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if central(mid) < 2.0 * q - 1.0 else (lo, mid)
+    return math.sqrt(dof) * math.tan(mid)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """The chi-square tail P(X > x), integer df >= 1 (Abramowitz & Stegun
+    26.4.4-5): e^(-x/2) times a Poisson sum for even df, erfc(sqrt(x/2))
+    plus e^(-x/2) times a half-integer sum for odd df.  Its terms are
+    positive, so it keeps its relative precision while e^(-x/2) is a
+    normal float (x below about 1416)."""
+    odd = df % 2
+    term = math.exp(-0.5 * x) * (math.sqrt(2.0 * x / math.pi) if odd else 1.0)
+    total = math.erfc(math.sqrt(0.5 * x)) if odd else 0.0
+    for j in range(2 + odd, df + 1, 2):
+        total += term
+        term *= x / j
+    return total
 
 
 def windowed_slopes(times: np.ndarray, series: np.ndarray, window: int):

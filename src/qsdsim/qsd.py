@@ -205,14 +205,16 @@ def _build_library(source: bytes, out: Path) -> None:
     the archive, and every symbol must resolve.  The build is made in a
     temporary directory next to out and moved to out only once it passes
     _draws_numpys_normals, so a build that fails is never loaded and
-    leaves no file.  A failed step raises RuntimeError naming the archive
-    and numpy's version: without numpy's tables no library is made.
+    leaves no file.  A failed step raises RuntimeError naming its tool,
+    the member, the archive and numpy's version: without numpy's tables
+    no library is made.  ar exits 0 for a member it lacks, so a step
+    whose member is not there after it fails too.
     """
     import subprocess
     import tempfile
 
-    numpys = (f"the ziggurat tables of {_NPYRANDOM_A} "
-              f"(numpy {np.__version__})")
+    numpys = (f"the ziggurat tables of {_NPYRANDOM_A}'s member "
+              f"{_DISTRIBUTIONS_O} (numpy {np.__version__})")
     with tempfile.TemporaryDirectory(dir=out.parent) as tmp:
         trial = Path(tmp).resolve() / out.name
         for cmd in (["ar", "x", str(_NPYRANDOM_A), _DISTRIBUTIONS_O],
@@ -224,7 +226,7 @@ def _build_library(source: bytes, out: Path) -> None:
                      "-o", str(trial), "-lm", "-Wl,--no-undefined"]):
             proc = subprocess.run(cmd, cwd=tmp, input=source,
                                   capture_output=True)
-            if proc.returncode:
+            if proc.returncode or not Path(tmp, _DISTRIBUTIONS_O).exists():
                 raise RuntimeError(
                     f"{Path(cmd[0]).name} could not build qsd_step.c with "
                     f"{numpys}:\n" + proc.stderr.decode(errors="replace"))
@@ -261,9 +263,9 @@ def _load_library(path: Path) -> ctypes.CDLL:
     lib.qsd_stepping_loop.restype = ctypes.c_int
     lib.qsd_seed.argtypes = [ctypes.c_long, ctypes.c_void_p,
                              ctypes.c_void_p]
-    lib.qsd_normals.argtypes = lib.qsd_raw.argtypes = [
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
-    lib.qsd_seed.restype = lib.qsd_normals.restype = lib.qsd_raw.restype = None
+    lib.qsd_normals.argtypes = [ctypes.c_void_p, ctypes.c_long,
+                                ctypes.c_void_p]
+    lib.qsd_seed.restype = lib.qsd_normals.restype = None
     return lib
 
 

@@ -199,15 +199,6 @@ void qsd_normals(uint64_t *stream, long n, double *out)
     pcg64_store(stream, g);
 }
 
-/* n raw words from the stream into out, as PCG64.random_raw gives them */
-void qsd_raw(uint64_t *stream, long n, uint64_t *out)
-{
-    struct pcg64 g = pcg64_load(stream);
-    for (long i = 0; i < n; i++)
-        out[i] = next_uint64(&g);
-    pcg64_store(stream, g);
-}
-
 /* One call of qsd_segment.  The caller fills it and owns every buffer
  * it points to, so the loop allocates nothing; streams holds B streams
  * of qsd_seed, which the call advances; qsd.py declares it again,

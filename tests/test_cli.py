@@ -235,6 +235,24 @@ def test_localize_fock_rate_beats_bound(tmp_path):
     assert (out / "localize_main.csv").exists()
 
 
+def test_localize_without_damping_checks_no_decay(tmp_path, capsys):
+    # at gamma = 0 the spread of |1> stays put: the check is on its
+    # drift, not on the decay-rate bound
+    cfg = {
+        "params": {"m": 1.0, "omega": 1.0, "gamma": 0.0, "nbar": 0.5},
+        "fock": {"n_fock": 16},
+        "integrator": {"dt": 1e-3, "t_end": 1.0, "record_stride": 50},
+        "ensemble": {"m": 4},
+        "initial": {"kind": "fock", "n": 1},
+    }
+    code, out = _run(tmp_path, "localize", cfg)
+    assert code == EXIT_PASS
+    assert "[PASS] no decay at gamma=0" in capsys.readouterr().out
+    report = json.loads((out / "localize_report.json").read_text())
+    assert report["rate_bound"] == 0.0
+    assert abs(report["rate"]) < 1e-9
+
+
 def test_localize_rejects_coherent_initial(tmp_path):
     cfg = {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.2, "nbar": 0.5},
@@ -432,6 +450,10 @@ def test_check_config_refuses_a_missing_section_and_a_non_object():
      "coherent states"),
     ("histories", "histories_control", "histories", "h", 1e-300,
      "coherent states"),
+    ("thermalize", "thermalize", "thermalize", "max_n", 32,
+     "thermalize.max_n must be from 1 to n_fock - 1 = 31"),
+    ("localize", "localize_cat_sweep", "localize", "separations", [],
+     "needs at least one entry"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,
@@ -604,6 +626,22 @@ def test_thermalize_without_damping_rejected(tmp_path):
     cfg["params"]["gamma"] = 0.0
     code, _ = _run(tmp_path, "thermalize", cfg)
     assert code == EXIT_CONFIG
+
+
+def test_thermalize_at_zero_temperature_fits_the_decay(tmp_path, capsys):
+    # nbar = 0 checks the fitted decay rate of <n> against gamma, with
+    # its 95% interval, in place of the chi-square against the thermal
+    # law; a coherent start stays coherent and decays as exp(-gamma t)
+    cfg = _thermalize_cfg()
+    cfg["params"]["nbar"] = 0.0
+    cfg["ensemble"]["m"] = 8
+    cfg["initial"] = {"kind": "coherent", "alpha": 1.0}
+    code, out = _run(tmp_path, "thermalize", cfg)
+    assert code == EXIT_PASS
+    printed = capsys.readouterr().out
+    assert "[PASS] T=0 decay rate " in printed
+    assert "[PASS] final occupation" in printed
+    assert not (out / "occupation_histogram.csv").exists()
 
 
 def test_thermalize_reaches_thermal_law(tmp_path):

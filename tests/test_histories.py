@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from qsdsim import (
     ConfigError,
     DecoherenceMatrix,
+    DimensionError,
     HistorySpec,
     LindbladPropagatorConfig,
     ModelParams,
@@ -155,6 +156,8 @@ def test_history_spec_validation(ops20):
         HistorySpec(times=(0.0,), cells=((ok, shifted),), rho0=rho0)
     with pytest.raises(ConfigError):
         HistorySpec(times=(0.0,), cells=((),), rho0=rho0)
+    with pytest.raises(DimensionError, match="rho0 must be square"):
+        HistorySpec(times=(0.0,), cells=((ok,),), rho0=rho0[:, :19])
     # touching cells are a partition, not an overlap
     touch = PhaseCell(center=1.0, w_re=0.5, w_im=0.5, h=0.1)
     HistorySpec(times=(0.0,), cells=((ok, touch, far),), rho0=rho0)
@@ -308,9 +311,11 @@ def test_pure_state_scan_starts_at_unity():
     assert scan.ratios[0] == pytest.approx(1.0, abs=1e-9)
     assert scan.intervals[0] == 0.0
     # a stride below one never advances; t_max must lie within t_end
-    for stride, t_max, t_end in ((0, 5e-3, 1.0), (-1, 5e-3, 1.0),
-                                 (1, 5e-3, 4e-3)):
-        with pytest.raises(ConfigError):
+    # and hold at least one step
+    for stride, t_max, t_end, message in (
+            (0, 5e-3, 1.0, "sample_stride"), (-1, 5e-3, 1.0, "sample_stride"),
+            (1, 5e-3, 4e-3, "beyond t_end"), (1, 0.0, 1.0, "shorter than")):
+        with pytest.raises(ConfigError, match=message):
             cat_interval_scan(
                 1.4, ops, LindbladPropagatorConfig(dt_oracle=1e-3,
                                                    t_end=t_end),

@@ -268,13 +268,30 @@ def test_normalize_and_tail(ops20):
     assert tail_mass(state) == pytest.approx(0.001)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported by the few functions that use it, so a bare
-    # import of the package stays at numpy's start-up cost
+def test_import_does_not_load_scipy(tmp_path):
+    # numpy is the package's one runtime dependency: neither a bare
+    # import, nor a decay fit with its 95% interval, nor the thermalize
+    # command, whose last check is a chi-square tail, loads scipy
     src = str(Path(qsdsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, qsdsim; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    config = Path(__file__).parents[1] / "scripts" / "configs"
+    code = """
+import sys
+import qsdsim
+def loaded():
+    print("scipy", sorted(m for m in sys.modules if m.startswith("scipy")))
+loaded()
+import numpy as np
+from qsdsim.cli import main
+from qsdsim.observables import fit_exponential_decay
+t = np.linspace(0.0, 2.0, 20)
+assert fit_exponential_decay(t, np.exp(-t), 1e-3 * np.exp(-t)).ci95 > 0
+assert main(["thermalize", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded()
+"""
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(config / "thermalize.json"), str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    seen = [line for line in out.splitlines() if line.startswith("scipy")]
+    assert seen == ["scipy []", "scipy []"]

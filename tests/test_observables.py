@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from conftest import ladder, random_states
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
 from qsdsim.observables import (BUNDLE_DTYPE, CSV_COLUMNS, STAT_FIELDS,
-                                bundle_arrays, fit_exponential_decay,
-                                localization_rhs,
-                                localization_rhs_spread_form,
+                                bundle_arrays, chi2_sf,
+                                fit_exponential_decay, localization_rhs,
+                                localization_rhs_spread_form, t_quantile,
                                 windowed_slopes, write_bundle_csv)
 
 
@@ -128,7 +129,8 @@ def test_fit_with_noise_covers_truth():
     y = clean + rng.standard_normal(80) * err
     fit = fit_exponential_decay(t, y, err)
     assert abs(fit.rate - 1.1) < 3 * fit.rate_se
-    assert fit.ci95 > fit.rate_se
+    assert fit.ci95 == pytest.approx(
+        stats.t.ppf(0.975, fit.n_points - 2) * fit.rate_se, rel=1e-12)
 
 
 def test_fit_floor_trims_late_noise():
@@ -150,6 +152,27 @@ def test_fit_error_paths():
         fit_exponential_decay(t, np.array([1.0, 0.5, 0.2,
                                            1e-9, 1e-9, 1e-9, 1e-9,
                                            1e-9, 1e-9, 1e-9]))
+
+
+@pytest.mark.parametrize("dofs", [range(4, 501), (10 ** 3, 10 ** 4)])
+def test_t_quantile_matches_scipy(dofs):
+    # the fit's interval quantile, for every dof a fit of up to 502
+    # points has and for two large ones, against scipy's
+    for dof in dofs:
+        want = stats.t.ppf(0.975, dof)
+        assert abs(t_quantile(0.975, dof) - want) <= 1e-12 * want, dof
+
+
+def test_chi2_sf_matches_scipy():
+    # both parities of df, from the bulk (a tail near 1) out to the far
+    # tail; a tail below 1e-300 is left out
+    x = np.geomspace(1e-2, 1400.0, 97)
+    for df in range(1, 61):
+        want = stats.chi2.sf(x, df)
+        got = np.array([chi2_sf(v, df) for v in x])
+        keep = want > 1e-300
+        assert np.all(np.abs(got - want)[keep] <= 1e-12 * want[keep]), df
+    assert chi2_sf(0.0, 1) == chi2_sf(0.0, 2) == 1.0
 
 
 def test_windowed_slopes_linear_and_quadratic():

@@ -160,12 +160,18 @@ def test_oracle_step_guard(warm_params):
 
 
 def test_sample_times_must_hit_grid(warm_params):
+    # on the dt_oracle grid, within [0, t_end], in order
     ops = build_operators(warm_params, 20)
     psi = coherent_state(ops, 0.5)
     rho0 = np.outer(psi, psi.conj())
     cfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=1.0)
-    with pytest.raises(ConfigError):
-        propagate(rho0, ops, cfg, sample_times=(0.30007,))
+    for sample_times, message in (
+            ((0.30007,), "not a whole number of steps"),
+            ((0.5, 1.5), r"must lie in \[0, t_end\]"),
+            ((-0.1,), r"must lie in \[0, t_end\]"),
+            ((0.5, 0.2), "must be nondecreasing")):
+        with pytest.raises(ConfigError, match=message):
+            propagate(rho0, ops, cfg, sample_times=sample_times)
 
 
 def test_thermal_state_is_stationary(warm_params):
@@ -176,6 +182,14 @@ def test_thermal_state_needs_headroom():
     hot = ModelParams(gamma=0.2, temperature=temperature_for_nbar(8.0))
     with pytest.raises(DimensionError):
         thermal_state(hot, 10)
+
+
+def test_thermal_state_of_a_cold_bath_is_the_vacuum():
+    cold = ModelParams(gamma=0.2, temperature=0.0)
+    assert cold.nbar == 0.0
+    vacuum = np.zeros((6, 6), dtype=complex)
+    vacuum[0, 0] = 1.0
+    assert np.array_equal(thermal_state(cold, 6), vacuum)
 
 
 def test_batched_propagation_matches_single(warm_params):

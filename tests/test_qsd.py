@@ -709,18 +709,19 @@ def test_seeder_starts_numpys_pcg64():
     # the loop's seeder against numpy's SeedSequence -> PCG64: seeds
     # with one and with two 32-bit words of entropy, both ends of each,
     # and 300 random 64-bit seeds start in numpy's (state, inc), and the
-    # inline step then gives numpy's raw words
+    # loop's sampler then draws default_rng(seed)'s normals and leaves
+    # the stream in its state
     seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
              *map(int, np.random.default_rng(19).integers(
                  0, 2 ** 64, 300, dtype=np.uint64))]
     lib = qsd._compiled_loop()
-    raw = np.empty(5, dtype=np.uint64)
     for stream, seed in zip(qsd._seed_streams(seeds), seeds):
-        ref = np.random.PCG64(seed)
-        assert stream_state(stream) == ref.state, seed
-        lib.qsd_raw(stream.ctypes.data, len(raw), raw.ctypes.data)
-        assert np.array_equal(raw, ref.random_raw(len(raw))), seed
-        assert stream_state(stream) == ref.state, seed
+        assert stream_state(stream) == np.random.PCG64(seed).state, seed
+        ref = np.random.default_rng(seed)
+        got = qsd._normals(lib, stream, 5)
+        assert np.array_equal(got.view(np.uint64),
+                              ref.standard_normal(5).view(np.uint64)), seed
+        assert stream_state(stream) == ref.bit_generator.state, seed
     # a seed outside [0, 2**64) names no stream of the loop
     for seed in (-1, 2 ** 64):
         with pytest.raises(OverflowError):
@@ -748,20 +749,24 @@ def test_inline_sampler_steps_as_numpy_sampler(warm_params, n_fock, batch):
         assert np.count_nonzero(np.abs(draws) > _ZIGGURAT_R) > 0
 
 
-@pytest.mark.parametrize("name, value, flags", [
-    # the archive has no such member
-    ("_DISTRIBUTIONS_O", "src_distributions_missing.c.o", ()),
+@pytest.mark.parametrize("name, value, flags, tool", [
+    # the archive has no such member, which ar does not report by its
+    # exit status
+    ("_DISTRIBUTIONS_O", "src_distributions_missing.c.o", (), "ar"),
     # the tables stay local symbols, so the link cannot find them
-    ("_ZIGGURAT_TABLES", ("ki_missing", "wi_missing", "fi_missing"), ()),
+    ("_ZIGGURAT_TABLES", ("ki_missing", "wi_missing", "fi_missing"), (),
+     None),
     # the wedge reads the wrong table: the build links, fails its check
-    (None, None, ("-Dfi_double=wi_double",)),
+    (None, None, ("-Dfi_double=wi_double",), None),
 ], ids=["missing_member", "local_tables", "wrong_table"])
 def test_sampler_without_numpys_tables_fails_closed(tmp_path, monkeypatch,
-                                                    name, value, flags):
+                                                    name, value, flags,
+                                                    tool):
     # a build whose tables cannot be found, or whose normals differ from
-    # numpy's, is refused with an error naming numpy's archive and
-    # version, and leaves no library in the cache or in the temporary
-    # build directory it made there
+    # numpy's, is refused with an error naming the member, numpy's
+    # archive and version, and the tool of the failed step, and leaves no
+    # library in the cache or in the temporary build directory it made
+    # there
     if name is not None:
         monkeypatch.setattr(qsd, name, value)
     monkeypatch.setattr(qsd, "_CFLAGS", (*qsd._CFLAGS, *flags))
@@ -769,7 +774,10 @@ def test_sampler_without_numpys_tables_fails_closed(tmp_path, monkeypatch,
     with pytest.raises(RuntimeError) as exc:
         qsd._compiled_loop.__wrapped__()
     assert str(qsd._NPYRANDOM_A) in str(exc.value)
+    assert qsd._DISTRIBUTIONS_O in str(exc.value)
     assert f"(numpy {np.__version__})" in str(exc.value)
+    if tool is not None:
+        assert str(exc.value).startswith(f"{tool} could not build")
     assert list((tmp_path / "qsdsim").iterdir()) == []
 
 
@@ -802,9 +810,11 @@ def test_loop_is_built_on_first_use_and_cached(tmp_path):
 def test_library_removed_before_loading_is_built_again(tmp_path,
                                                        monkeypatch):
     # another process's new build removes this process's library between
-    # its exists() check and its load: the library is built once more
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # its exists() check and its load: the library is built once more.
+    # The library to copy is loaded before the cache moves to tmp_path,
+    # so a cold process does not build it into tmp_path first.
     built = qsd._compiled_loop()._name
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     builds = []
 
     def build(source, out):
@@ -1126,3 +1136,21 @@ def test_wrong_length_state_rejected(ops20):
     with pytest.raises(DimensionError):
         run_trajectory(np.ones(5), ops20,
                        IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: s.astype(np.int64),
+    lambda s: s[:, :3].copy(),
+    lambda s: np.asfortranarray(s),
+    lambda s: np.lib.stride_tricks.as_strided(s, writeable=False),
+], ids=["dtype", "shape", "fortran", "read_only"])
+def test_noise_streams_the_loop_cannot_advance_are_refused(ops20, make):
+    # the loop writes each row's stream back in place, so streams it
+    # could not read as (B, 4) uint64 words or not write are refused
+    # before any pointer reaches them
+    streams = make(qsd._seed_streams([1, 2]))
+    psis = np.stack([coherent_state(ops20, 0.5)] * 2)
+    with pytest.raises(DimensionError, match="noise streams"):
+        qsd._integrate(ops20, psis, streams,
+                       IntegratorConfig(dt=1e-3, t_end=0.01), 0,
+                       lambda block, step: None)
