@@ -330,6 +330,9 @@ def cmd_localize(run: Runner) -> int:
         if initial.kind not in ("fock", "cat"):
             raise ConfigError("localize expects a fock or cat initial state")
         sweep = run.cfg.get("localize", {})
+        if "separations" in sweep and initial.kind != "cat":
+            raise ConfigError("localize.separations sweeps cat starts; "
+                              f"the initial state is {initial.kind}")
         separations = sweep.get("separations", [])
         if "separations" in sweep and not separations:
             raise ConfigError("localize.separations needs at least one entry")
@@ -338,8 +341,6 @@ def cmd_localize(run: Runner) -> int:
             if d <= 0:
                 raise ConfigError(f"localize.separations: {d} is less than "
                                   "or equal to the minimum of 0")
-        if initial.kind != "cat":
-            separations = []
         # one cat start per separation, each built once as a check, so
         # a bad separation is refused before any ensemble runs
         specs = [InitialStateSpec(kind="cat", alpha=d / 2.0,

@@ -23,7 +23,6 @@ depth, so no pair is propagated twice.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,8 +34,8 @@ from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, cat_state, check_headroom, \
     coherent_states, steps_on_grid
-from .oracle import LindbladPropagatorConfig, _band_index, \
-    _band_propagator, propagate_matrices
+from .oracle import LindbladPropagatorConfig, _band_index, _band_steps, \
+    propagate_matrices
 
 MAX_DEPTH = 3
 MAX_CELLS_PER_TIME = 16
@@ -330,8 +329,7 @@ class IntervalScan:
 
 def cat_interval_scan(alpha0: complex, ops: OperatorSet,
                       pcfg: LindbladPropagatorConfig, t_max: float,
-                      branch_cell=(1.0, 1.0), h: float = 0.2,
-                      sample_stride: int = 1) -> IntervalScan:
+                      branch_cell=(1.0, 1.0), h: float = 0.2) -> IntervalScan:
     """How long until branch-distinguishing histories decohere.
 
     The initial state is the even superposition of |+alpha0> and
@@ -356,7 +354,9 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     (Tr(L X L^dag) = Tr(L^dag L X)), so the branch weights are read at
     Dt = 0 and only the cross block is evolved, in band layout: its
     bands k >= 0 and the conjugates of its bands -k, from which the
-    norm is read without rebuilding the N x N block.
+    norm is read without rebuilding the N x N block.  It is read at
+    every point of the dt_oracle grid up to t_max; a coarser grid thins
+    the samples exactly.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -364,8 +364,6 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
         raise ConfigError("t_max shorter than one oracle step")
     if n_steps > steps_on_grid(pcfg.t_end, dt, "t_end"):
         raise ConfigError(f"t_max {t_max} is beyond t_end {pcfg.t_end}")
-    if sample_stride < 1:
-        raise ConfigError("sample_stride must be >= 1")
 
     psi = cat_state(ops, alpha0)
     rho = np.outer(psi, psi.conj())
@@ -386,19 +384,9 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     y = np.stack([flat[below], flat[above].conj()])
     counted = np.stack([keep, keep])
     counted[1, 0] = False  # slot 0 holds band 0 alone, counted once
-    prop = functools.cache(lambda steps: _band_propagator(ops, steps * dt))
-
-    intervals = [0.0]
-    ratios = [np.linalg.norm(y[counted]) / scale]
-    step = 0
-    while step < n_steps:
-        block = min(sample_stride, n_steps - step)
-        y = np.matmul(prop(block), y[..., None])[..., 0]
-        step += block
-        intervals.append(step * dt)
-        ratios.append(np.linalg.norm(y[counted]) / scale)
-    intervals = np.asarray(intervals)
-    ratios = np.asarray(ratios)
+    intervals = np.arange(n_steps + 1) * dt
+    ratios = np.array([np.linalg.norm(slots[counted])
+                       for slots in _band_steps(y, ops, dt, n_steps)]) / scale
 
     crossing = float("nan")
     for s in range(1, ratios.size):

@@ -23,10 +23,11 @@ the history machinery are constants of the motion.
 The bands k >= 0 are held as N // 2 + 1 slots of N entries (bands k
 and N - k share a slot), and their propagators as one (N // 2 + 1, N, N)
 stack, built by one batched scaling-and-squaring Pade exponential in
-numpy.  propagate and histories.cat_interval_scan step in this band
-layout: they gather the bands of their start once and advance them
-with one stacked matrix-vector product per step.  propagate_matrices
-applies the stack to whole matrices through _apply.
+numpy.  dt_oracle is the one sample grid of propagate and
+histories.cat_interval_scan (a coarser grid thins the samples
+exactly): _band_steps advances their bands with one stacked
+matrix-vector product per step of the one propagator over dt_oracle.
+propagate_matrices applies the stack to whole matrices through _apply.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .model import ModelParams, OperatorSet, steps_on_grid
 
 _THERMAL_TAIL_LIMIT = 1e-10
@@ -169,9 +170,21 @@ def _apply(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(mats.shape)
 
 
+def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
+    """y in band layout (any leading axes), then after each of n_steps
+    steps of dt, by one propagator built at the first step, if any."""
+    yield y
+    if n_steps:
+        prop = _band_propagator(ops, dt)
+        for _ in range(n_steps):
+            y = np.matmul(prop, y[..., None])[..., 0]
+            yield y
+
+
 @dataclass(frozen=True)
 class LindbladPropagatorConfig:
-    """dt_oracle is the sample grid: t_end and sample times lie on it."""
+    """dt_oracle is the one sample grid and t_end lies on it; as the
+    propagator is exact, a coarser grid thins the samples exactly."""
 
     dt_oracle: float
     t_end: float
@@ -193,45 +206,28 @@ class OracleRun:
 
 
 def propagate(rho0: np.ndarray, ops: OperatorSet,
-              cfg: LindbladPropagatorConfig,
-              sample_times=None) -> OracleRun:
-    """Evolve rho0 to t_end, snapshotting at sample_times.
+              cfg: LindbladPropagatorConfig) -> OracleRun:
+    """Evolve rho0 to t_end, snapshotting at every point of the grid.
 
-    Sample times must sit on the dt_oracle grid (within 1e-9
-    relative); default is every grid point.  t = 0 is included iff
-    requested or default.  One propagator is built per distinct gap
-    between samples.  rho0 is hermitized once; only the bands k >= 0
-    are evolved, in band layout, and each snapshot is written from
-    them with the bands -k as their conjugates, so it is Hermitian by
-    construction.
+    dt_oracle is the one sample grid (t_end on it within 1e-9
+    relative); a coarser grid thins the samples exactly.  rho0 is
+    hermitized once; only the bands k >= 0 are evolved, and each
+    snapshot is written from them with the bands -k as their
+    conjugates, so it is Hermitian by construction.
     """
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
-    if sample_times is None:
-        sample_steps = list(range(n_steps + 1))
-    else:
-        sample_steps = [steps_on_grid(t, dt, "sample time")
-                        for t in sample_times]
-        if any(not 0 <= k <= n_steps for k in sample_steps):
-            raise ConfigError("sample times must lie in [0, t_end]")
-        if sorted(sample_steps) != sample_steps:
-            raise ConfigError("sample times must be nondecreasing")
     rho0 = np.asarray(rho0, dtype=complex)
-    rhos = np.empty((len(sample_steps), *rho0.shape), dtype=complex)
+    rhos = np.empty((n_steps + 1, *rho0.shape), dtype=complex)
     below, above, keep = _band_index(rho0.shape[-1])
     y = (0.5 * (rho0 + rho0.conj().T)).reshape(-1)[below]
     lead, trail = below[keep], above[keep]
-    prop = functools.cache(lambda steps: _band_propagator(ops, steps * dt))
-    prev = 0
-    for i, k in enumerate(sample_steps):
-        if k > prev:
-            y = np.matmul(prop(k - prev), y[..., None])[..., 0]
-        bands, out = y[keep], rhos[i].reshape(-1)
+    for out, slots in zip(rhos.reshape(n_steps + 1, -1),
+                          _band_steps(y, ops, dt, n_steps)):
+        bands = slots[keep]
         out[trail] = bands.conj()
         out[lead] = bands
-        prev = k
-    times = np.array([s * dt for s in sample_steps])
-    return OracleRun(times=times, rhos=rhos)
+    return OracleRun(times=np.arange(n_steps + 1) * dt, rhos=rhos)
 
 
 def propagate_matrices(mats: np.ndarray, ops: OperatorSet,

@@ -300,12 +300,12 @@ def _compiled_loop() -> ctypes.CDLL:
     The library is cached in $XDG_CACHE_HOME/qsdsim (default
     ~/.cache/qsdsim) under a hash of the C sources, the compiler flags
     and target macros and numpy's libnpyrandom.a, so a new
-    source, flag set, CPU, gcc or numpy builds afresh.  It is written
-    under a temporary name and moved into place, so concurrent first
-    uses never load a half-written file, and then every other
-    qsd_step-*.so of the cache is removed.  A process that has one of
-    them loaded keeps its mapping; one that finds its library gone
-    between the check and the load builds it again, once.
+    source, flag set, CPU, gcc or numpy builds afresh.  _build_library
+    builds it in a temporary directory of the cache and moves it into
+    place, so concurrent first uses never load a half-written file, and
+    then every other qsd_step-*.so of the cache is removed.  A process
+    that has one of them loaded keeps its mapping; one that finds its
+    library gone between the check and the load builds it again, once.
     """
     import hashlib
 
@@ -325,13 +325,7 @@ def _compiled_loop() -> ctypes.CDLL:
     for retry in (False, True):
         if not lib.exists():
             cache.mkdir(parents=True, exist_ok=True)
-            tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
-            try:
-                _build_library(source, tmp)
-            except RuntimeError:
-                tmp.unlink(missing_ok=True)
-                raise
-            os.replace(tmp, lib)
+            _build_library(source, lib)
             for old in cache.glob("qsd_step-*.so"):
                 if old != lib:
                     old.unlink(missing_ok=True)

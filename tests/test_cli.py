@@ -454,6 +454,10 @@ def test_check_config_refuses_a_missing_section_and_a_non_object():
      "thermalize.max_n must be from 1 to n_fock - 1 = 31"),
     ("localize", "localize_cat_sweep", "localize", "separations", [],
      "needs at least one entry"),
+    # a sweep of cat starts from a Fock start would be dropped
+    ("localize", "localize_fock", None, None,
+     {"localize": {"separations": [1, 2]}},
+     "localize.separations sweeps cat starts; the initial state is fock"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,

@@ -209,7 +209,7 @@ def test_two_time_functional(warm_params, ops20):
 def test_functional_and_scan_match_dense_propagator(ops20):
     ops = ops20
     gen = liouvillian(ops)
-    kernels = {t: expm(t * gen) for t in (0.0, 0.2, 0.3, 0.4)}
+    kernels = {t: expm(t * gen) for t in (0.0, 0.15, 0.3, 0.4)}
 
     def evolve(mat, t):
         return (kernels[t] @ mat.reshape(-1)).reshape(mat.shape)
@@ -229,16 +229,16 @@ def test_functional_and_scan_match_dense_propagator(ops20):
                       for b0, b1 in D.labels] for a0, a1 in D.labels])
     assert np.abs(D.matrix - want).max() < 1e-12
 
-    # a stride of 2 over three steps ends with a one-step block
+    # one ratio at every point of the dt_oracle grid
     scan = cat_interval_scan(
-        1.0, ops, LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.3),
-        t_max=0.3, branch_cell=(0.8, 0.8), h=0.1, sample_stride=2)
-    assert np.allclose(scan.intervals, [0.0, 0.2, 0.3], rtol=0, atol=1e-15)
+        1.0, ops, LindbladPropagatorConfig(dt_oracle=0.15, t_end=0.3),
+        t_max=0.3, branch_cell=(0.8, 0.8), h=0.1)
+    assert np.allclose(scan.intervals, [0.0, 0.15, 0.3], rtol=0, atol=1e-15)
     cat = cat_state(ops, 1.0)
     rho = np.outer(cat, cat.conj())
     plus, minus = (cell_projector(PhaseCell(center=s, w_re=0.8, w_im=0.8,
                                             h=0.1), ops) for s in (1.0, -1.0))
-    for t, ratio in zip((0.0, 0.2, 0.3), scan.ratios):
+    for t, ratio in zip((0.0, 0.15, 0.3), scan.ratios):
         cross, pp, mm = (evolve(a @ rho @ b, t) for a, b in
                          ((plus, minus), (plus, plus), (minus, minus)))
         want = np.linalg.norm(cross) / math.sqrt(
@@ -310,17 +310,14 @@ def test_pure_state_scan_starts_at_unity():
                              branch_cell=(0.8, 0.8), h=0.1)
     assert scan.ratios[0] == pytest.approx(1.0, abs=1e-9)
     assert scan.intervals[0] == 0.0
-    # a stride below one never advances; t_max must lie within t_end
-    # and hold at least one step
-    for stride, t_max, t_end, message in (
-            (0, 5e-3, 1.0, "sample_stride"), (-1, 5e-3, 1.0, "sample_stride"),
-            (1, 5e-3, 4e-3, "beyond t_end"), (1, 0.0, 1.0, "shorter than")):
+    # t_max must lie within t_end and hold at least one step
+    for t_max, t_end, message in ((5e-3, 4e-3, "beyond t_end"),
+                                  (0.0, 1.0, "shorter than")):
         with pytest.raises(ConfigError, match=message):
             cat_interval_scan(
                 1.4, ops, LindbladPropagatorConfig(dt_oracle=1e-3,
                                                    t_end=t_end),
-                t_max=t_max, branch_cell=(0.8, 0.8), h=0.1,
-                sample_stride=stride)
+                t_max=t_max, branch_cell=(0.8, 0.8), h=0.1)
 
 
 def test_undamped_scan_stays_at_unity():
@@ -337,13 +334,13 @@ def test_decoherence_interval_shrinks_with_separation_squared():
     # frozen pair: doubling the branch separation must cut the
     # decoherence interval by about four
     par = ModelParams(gamma=0.5, temperature=temperature_for_nbar(10.0))
-    pcfg = LindbladPropagatorConfig(dt_oracle=5e-4, t_end=1.0)
+    pcfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=1.0)
     small = cat_interval_scan(
         2.0, build_operators(par, 42), pcfg, t_max=0.1,
-        branch_cell=(0.9, 0.9), h=0.06, sample_stride=2)
+        branch_cell=(0.9, 0.9), h=0.06)
     large = cat_interval_scan(
         4.0, build_operators(par, 72), pcfg, t_max=0.03,
-        branch_cell=(0.9, 0.9), h=0.06, sample_stride=2)
+        branch_cell=(0.9, 0.9), h=0.06)
     assert small.crossing == pytest.approx(0.0347, abs=0.002)
     assert large.crossing == pytest.approx(0.0073, abs=0.001)
     ratio = small.crossing / large.crossing
@@ -375,17 +372,18 @@ def test_writers(tmp_path, warm_params, ops20):
 
 
 @pytest.mark.parametrize("n_fock", [11, 12])
-@pytest.mark.parametrize("stride, t_max", [(1, 0.3), (2, 0.5)])
-def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, stride,
+@pytest.mark.parametrize("n_steps, t_max", [(1, 0.3), (2, 0.5)])
+def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, n_steps,
                                                 t_max):
     # the scan reads ||K[X]||_F from the band vectors; the whole cross
     # block, evolved by _apply, must give the same norm, so no band is
     # dropped or counted twice (band 0, and band N / 2 of an even N)
     ops = build_operators(warm_params, n_fock)
     alpha, w, h = 0.5, 0.4, 0.1
-    pcfg = LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5)
+    dt = t_max / n_steps
+    pcfg = LindbladPropagatorConfig(dt_oracle=dt, t_end=t_max)
     scan = cat_interval_scan(alpha, ops, pcfg, t_max=t_max,
-                             branch_cell=(w, w), h=h, sample_stride=stride)
+                             branch_cell=(w, w), h=h)
     cat = cat_state(ops, alpha)
     rho = np.outer(cat, cat.conj())
     plus, minus = (cell_projector(PhaseCell(center=s * alpha, w_re=w,
@@ -399,13 +397,11 @@ def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, stride,
                 > 1e-5 * np.linalg.norm(cross))
     scale = math.sqrt(np.trace(plus @ rho @ plus).real
                       * np.trace(minus @ rho @ minus).real)
-    n_steps = round(t_max / 0.1)
-    blocks = [min(stride, n_steps - s) for s in range(0, n_steps, stride)]
-    assert len(scan.ratios) == len(blocks) + 1
+    assert len(scan.ratios) == n_steps + 1
+    stack = oracle._band_propagator(ops, dt)
     want = [np.linalg.norm(cross) / scale]
-    for block in blocks:
-        cross = oracle._apply(oracle._band_propagator(ops, block * 0.1),
-                              cross)
+    for _ in range(n_steps):
+        cross = oracle._apply(stack, cross)
         want.append(np.linalg.norm(cross) / scale)
     assert np.abs(scan.ratios - want).max() <= 1e-12 * max(want)
 

@@ -21,6 +21,7 @@ from qsdsim import (
     ConfigError,
     DimensionError,
     build_operators,
+    cat_interval_scan,
     coherent_state,
     ou_flow,
     propagate,
@@ -112,8 +113,9 @@ def test_occupation_relaxes_analytically(warm_params):
     ops = build_operators(warm_params, 30)
     psi = coherent_state(ops, 1.0)
     rho0 = np.outer(psi, psi.conj())
-    cfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=4.0)
-    run = propagate(rho0, ops, cfg, sample_times=(0.0, 1.0, 2.5, 4.0))
+    cfg = LindbladPropagatorConfig(dt_oracle=0.5, t_end=4.0)
+    run = propagate(rho0, ops, cfg)
+    assert np.array_equal(run.times, np.arange(9) * 0.5)
     par = warm_params
     for t, rho in zip(run.times, run.rhos):
         decay = np.exp(-par.gamma * t)
@@ -126,8 +128,8 @@ def test_flow_matches_first_moment_ode(warm_params):
     ops = build_operators(warm_params, 30)
     psi = coherent_state(ops, 0.9)
     rho0 = np.outer(psi, psi.conj())
-    cfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=3.0)
-    run = propagate(rho0, ops, cfg, sample_times=(3.0,))
+    cfg = LindbladPropagatorConfig(dt_oracle=3.0, t_end=3.0)
+    run = propagate(rho0, ops, cfg)
     flow = ou_flow(OUState(mean_alpha=0.9 + 0.0j, var_alpha=0.0),
                    warm_params, 3.0)
     got = np.trace(run.rhos[-1] @ ladder(30))
@@ -159,19 +161,42 @@ def test_oracle_step_guard(warm_params):
     assert np.abs(coarse.rhos - fine.rhos[::200]).max() < 1e-12
 
 
-def test_sample_times_must_hit_grid(warm_params):
-    # on the dt_oracle grid, within [0, t_end], in order
+def test_span_off_the_grid_is_refused(warm_params):
+    # dt_oracle is the one sample grid: propagate's t_end and the
+    # interval scan's t_max must lie on it
     ops = build_operators(warm_params, 20)
     psi = coherent_state(ops, 0.5)
     rho0 = np.outer(psi, psi.conj())
-    cfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=1.0)
-    for sample_times, message in (
-            ((0.30007,), "not a whole number of steps"),
-            ((0.5, 1.5), r"must lie in \[0, t_end\]"),
-            ((-0.1,), r"must lie in \[0, t_end\]"),
-            ((0.5, 0.2), "must be nondecreasing")):
-        with pytest.raises(ConfigError, match=message):
-            propagate(rho0, ops, cfg, sample_times=sample_times)
+    for dt, t_end in ((1e-3, 0.30007), (0.3, 1.0)):
+        with pytest.raises(ConfigError, match=f"t_end {t_end} is not a whole"):
+            propagate(rho0, ops, LindbladPropagatorConfig(dt_oracle=dt,
+                                                          t_end=t_end))
+    with pytest.raises(ConfigError, match="t_max 0.30007 is not a whole"):
+        cat_interval_scan(0.5, ops,
+                          LindbladPropagatorConfig(dt_oracle=1e-3, t_end=1.0),
+                          0.30007)
+
+
+def test_one_propagator_per_call(warm_params, monkeypatch):
+    # propagate and the interval scan step every grid point with one
+    # propagator over dt_oracle, and propagate builds none for t_end = 0
+    ops = build_operators(warm_params, 12)
+    rho0 = _random_density(12, 4)
+    build, builds = oracle._band_propagator, []
+    monkeypatch.setattr(oracle, "_band_propagator",
+                        lambda ops, t: builds.append(t) or build(ops, t))
+    pcfg = LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5)
+    assert len(propagate(rho0, ops, pcfg).rhos) == 6
+    assert builds == [0.1]
+    scan = cat_interval_scan(0.5, ops, pcfg, 0.5, branch_cell=(0.4, 0.4),
+                             h=0.1)
+    assert len(scan.ratios) == 6
+    assert builds == [0.1, 0.1]
+    run = propagate(rho0, ops, LindbladPropagatorConfig(dt_oracle=0.1,
+                                                        t_end=0.0))
+    assert np.array_equal(run.times, [0.0])
+    assert np.array_equal(run.rhos[0], 0.5 * (rho0 + rho0.conj().T))
+    assert builds == [0.1, 0.1]
 
 
 def test_thermal_state_is_stationary(warm_params):
@@ -339,20 +364,15 @@ def _apply_hermitian(stack, rho):
 @pytest.mark.parametrize("n_fock", [11, 12])
 def test_propagate_is_a_chain_of_apply(warm_params, n_fock):
     # band-layout stepping equals gathering and scattering the whole
-    # matrix at every gap, bit for bit: a first sample after 0, a
-    # repeated sample time and gaps of 1, 2 and 3 steps
+    # matrix at every step, bit for bit
     ops = build_operators(warm_params, n_fock)
     rho0 = _random_density(n_fock, 12)
     dt = 0.1
-    steps = (2, 2, 3, 6, 7, 10, 10)
     run = propagate(rho0, ops,
-                    LindbladPropagatorConfig(dt_oracle=dt, t_end=1.0),
-                    sample_times=[s * dt for s in steps])
+                    LindbladPropagatorConfig(dt_oracle=dt, t_end=1.0))
+    assert np.array_equal(run.times, np.arange(11) * dt)
+    stack = oracle._band_propagator(ops, dt)
     rho = 0.5 * (rho0 + rho0.conj().T)
-    prev = 0
-    for k, got in zip(steps, run.rhos):
-        if k > prev:
-            stack = oracle._band_propagator(ops, (k - prev) * dt)
-            rho = _apply_hermitian(stack, rho)
+    for got in run.rhos:
         assert np.array_equal(got, rho)
-        prev = k
+        rho = _apply_hermitian(stack, rho)
