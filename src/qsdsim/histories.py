@@ -34,8 +34,8 @@ from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, cat_state, check_headroom, \
     coherent_states, steps_on_grid
-from .oracle import LindbladPropagatorConfig, _band_index, _band_steps, \
-    propagate_matrices
+from .oracle import LindbladPropagatorConfig, _band_norm, _band_steps, \
+    _to_bands, propagate_matrices
 
 MAX_DEPTH = 3
 MAX_CELLS_PER_TIME = 16
@@ -206,6 +206,9 @@ def decoherence_functional(
     the identity, so the matrix sums to Tr rho0 up to propagation
     error.  History times must lie on the dt_oracle grid, within t_end.
     """
+    if spec.rho0.shape != (ops.n_fock, ops.n_fock):
+        raise DimensionError(f"rho0 of shape {spec.rho0.shape} does not "
+                             f"fit n_fock={ops.n_fock}")
     n_end = steps_on_grid(pcfg.t_end, pcfg.dt_oracle, "t_end")
     for t in spec.times:
         if steps_on_grid(t, pcfg.dt_oracle, "history time") > n_end:
@@ -352,11 +355,10 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     SUPPRESSION_THRESHOLD estimates the decoherence interval.  The
     generator conserves the trace exactly, truncated or not
     (Tr(L X L^dag) = Tr(L^dag L X)), so the branch weights are read at
-    Dt = 0 and only the cross block is evolved, in band layout: its
-    bands k >= 0 and the conjugates of its bands -k, from which the
-    norm is read without rebuilding the N x N block.  It is read at
-    every point of the dt_oracle grid up to t_max; a coarser grid thins
-    the samples exactly.
+    Dt = 0 and only the cross block is evolved, in the oracle's band
+    layout, whose held entries give the norm without rebuilding the
+    N x N block.  It is read at every point of the dt_oracle grid up to
+    t_max; a coarser grid thins the samples exactly.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -377,16 +379,10 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     scale = (math.sqrt(w_plus * w_minus)
              if min(w_plus, w_minus) >= DIAG_WEIGHT_FLOOR else math.nan)
 
-    # the cross block's bands k >= 0 and the conjugates of its bands -k;
-    # both evolve under the band propagator P_k
-    below, above, keep = _band_index(ops.n_fock)
-    flat = (p_plus @ rho @ p_minus).reshape(-1)
-    y = np.stack([flat[below], flat[above].conj()])
-    counted = np.stack([keep, keep])
-    counted[1, 0] = False  # slot 0 holds band 0 alone, counted once
+    y = _to_bands(p_plus @ rho @ p_minus, ops.n_fock)
     intervals = np.arange(n_steps + 1) * dt
-    ratios = np.array([np.linalg.norm(slots[counted])
-                       for slots in _band_steps(y, ops, dt, n_steps)]) / scale
+    ratios = np.array([_band_norm(bands) for bands
+                       in _band_steps(y, ops, dt, n_steps)]) / scale
 
     crossing = float("nan")
     for s in range(1, ratios.size):

@@ -20,14 +20,15 @@ It also conserves the trace exactly, truncated or not, because
 Tr(L X L^dag) = Tr(L^dag L X) for any finite L; the branch weights of
 the history machinery are constants of the motion.
 
-The bands k >= 0 are held as N // 2 + 1 slots of N entries (bands k
-and N - k share a slot), and their propagators as one (N // 2 + 1, N, N)
-stack, built by one batched scaling-and-squaring Pade exponential in
-numpy.  dt_oracle is the one sample grid of propagate and
-histories.cat_interval_scan (a coarser grid thins the samples
-exactly): _band_steps advances their bands with one stacked
-matrix-vector product per step of the one propagator over dt_oracle.
-propagate_matrices applies the stack to whole matrices through _apply.
+This module owns the one band layout of _band_index: half 0 holds a
+matrix's bands k >= 0 and half 1 the conjugates of its bands -k, each
+as N // 2 + 1 slots of N entries (bands k and N - k share a slot), and
+both evolve under one (N // 2 + 1, N, N) stack of band propagators
+built by one batched scaling-and-squaring Pade exponential in numpy.
+_to_bands and _from_bands convert to and from it, and _band_steps
+steps it by one stacked matrix-vector product per step: per dt_oracle
+for propagate and histories.cat_interval_scan, over the whole duration
+for propagate_matrices.
 """
 
 from __future__ import annotations
@@ -47,26 +48,58 @@ _THERMAL_TAIL_LIMIT = 1e-10
 
 @functools.lru_cache(maxsize=8)
 def _band_index(n: int):
-    """(below, above, keep) for row-major flattened N x N matrices.
+    """(flat, held, inverse, upper): the band layout (..., 2, N // 2 + 1, N).
 
-    below[p, j] and above[p, j] are the flat positions of the entries
-    of bands k and -k met at position j of slot p; keep is false only
-    where slot N / 2 of an even N repeats its one band.
+    flat[h, p, j] is the row-major position of the entry at position j
+    of slot p of half h; held is false where slot 0 of half 1 repeats
+    band 0 and where slot N / 2 of an even N repeats its one band.
+    inverse[m, l] is the position of entry (m, l) among the held ones of
+    the flattened layout, and upper (m < l) marks those of half 1.
     """
     p, j = np.indices((n // 2 + 1, n))
     lead = j < n - p
     k = np.where(lead, p, n - p)
     i = np.where(lead, j, j - n + p)
-    index = (k * n + i * (n + 1), k + i * (n + 1), lead | (2 * p != n))
+    flat = np.stack((k * n + i * (n + 1), k + i * (n + 1)))
+    held = np.stack((lead | (2 * p != n),) * 2)
+    held[1, 0] = False
+    inverse = np.empty((n, n), dtype=np.intp)
+    inverse.flat[flat[held]] = np.flatnonzero(held)
+    index = (flat, held, inverse, inverse >= held[0].size)
     for a in index:  # shared by every caller through the cache
         a.setflags(write=False)
     return index
 
 
+def _to_bands(mats: np.ndarray, n: int) -> np.ndarray:
+    """(..., N, N) matrices in band layout, (..., 2, N // 2 + 1, N)."""
+    if mats.shape[-2:] != (n, n):
+        raise DimensionError(f"matrix of shape {mats.shape} does not fit "
+                             f"n_fock={n}")
+    bands = mats.reshape(*mats.shape[:-2], -1)[..., _band_index(n)[0]]
+    np.conjugate(bands[..., 1, :, :], out=bands[..., 1, :, :])
+    return bands
+
+
+def _from_bands(bands: np.ndarray, out=None) -> np.ndarray:
+    """The (..., N, N) matrices of a band layout, into out if given.  One
+    half, (..., 1, N // 2 + 1, N), stands for both halves of a Hermitian
+    matrix: take wraps the positions in half 1 onto half 0."""
+    _, _, inverse, upper = _band_index(bands.shape[-1])
+    mats = bands.reshape(bands.shape[:-3] + (-1,)).take(
+        inverse, axis=-1, mode="wrap", out=out)
+    return np.conjugate(mats, out=mats, where=upper)
+
+
+def _band_norm(bands: np.ndarray) -> float:
+    """Frobenius norm of one matrix in band layout."""
+    return np.linalg.norm(bands[_band_index(bands.shape[-1])[1]])
+
+
 def _slot_generators(ops: OperatorSet) -> np.ndarray:
     """The generator on the bands k >= 0, as N // 2 + 1 slots of N x N.
 
-    Slot p acts on the entries at _band_index's positions below[p]:
+    Slot p acts on the entries at _band_index's positions flat[0, p]:
     band p, then band N - p (for an even N, slot N / 2 holds band N / 2
     twice).  On band k = m - n the diagonal carries
     -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
@@ -77,7 +110,7 @@ def _slot_generators(ops: OperatorSet) -> np.ndarray:
     """
     n = ops.n_fock
     c, d, mu = np.append(ops.c, 0.0), np.append(ops.d, 0.0), ops.mu
-    m, l = np.divmod(_band_index(n)[0], n)
+    m, l = np.divmod(_band_index(n)[0][0], n)
     j = np.arange(n)
     gen = np.zeros((n // 2 + 1, n, n), dtype=complex)
     gen[:, j, j] = (-1j * (ops.h[m] - ops.h[l]) / ops.params.hbar
@@ -133,10 +166,8 @@ def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
     together: the N x N slot min(k, N - k) holds P_k as its leading
     block when 2k <= N and as its trailing block otherwise.  Each slot
     is block-diagonal, so the whole stack is exponentiated at once.
-    For an even N, slot N / 2 holds its one band in the leading block
-    and zeros in the trailing one.
+    For an even N, slot N / 2 holds its one band in both blocks.
     """
-    n = ops.n_fock
     gen = _slot_generators(ops)
     # squaring s times amplifies the rounding of the Pade step by 2^s,
     # past s = 52 beyond the result itself; the Python float product
@@ -145,29 +176,7 @@ def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
     if not norm <= _THETA13 * 2.0 ** 52:
         raise ParameterError(f"span {t} too long for one propagator: "
                              f"|t * generator| = {norm:.3g}")
-    stack = _expm_stack(t * gen)
-    if n % 2 == 0:
-        stack[n // 2, n // 2:, n // 2:] = 0.0
-    return stack
-
-
-def _apply(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The band propagator applied to a (..., N, N) batch.
-
-    One stacked product per matrix carries all bands k >= 0; the bands
-    -k go as conj(P_k @ conj(y)).  Each matrix goes through its own
-    matrix-vector products, so a result does not depend on the batch
-    it was computed in.
-    """
-    below, above, keep = _band_index(mats.shape[-1])
-    flat = mats.reshape(*mats.shape[:-2], -1)
-    out = np.empty_like(flat)
-    low = np.matmul(stack, flat[..., below, None])[..., 0][..., keep]
-    # slot 0 is band 0 alone; every other slot holds bands k >= 1
-    high = np.matmul(stack[1:], flat[..., above[1:], None].conj())
-    out[..., above[1:][keep[1:]]] = high[..., 0][..., keep[1:]].conj()
-    out[..., below[keep]] = low
-    return out.reshape(mats.shape)
+    return _expm_stack(t * gen)
 
 
 def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
@@ -217,16 +226,12 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     """
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
-    rho0 = np.asarray(rho0, dtype=complex)
-    rhos = np.empty((n_steps + 1, *rho0.shape), dtype=complex)
-    below, above, keep = _band_index(rho0.shape[-1])
-    y = (0.5 * (rho0 + rho0.conj().T)).reshape(-1)[below]
-    lead, trail = below[keep], above[keep]
-    for out, slots in zip(rhos.reshape(n_steps + 1, -1),
-                          _band_steps(y, ops, dt, n_steps)):
-        bands = slots[keep]
-        out[trail] = bands.conj()
-        out[lead] = bands
+    rhos = np.empty((n_steps + 1, ops.n_fock, ops.n_fock), dtype=complex)
+    bands = _to_bands(np.asarray(rho0, dtype=complex), ops.n_fock)
+    # hermitized in band layout, where it leaves the two halves equal
+    y = 0.5 * (bands[..., 0, :, :] + bands[..., 1, :, :])
+    for out, half in zip(rhos, _band_steps(y, ops, dt, n_steps)):
+        _from_bands(half[None], out)
     return OracleRun(times=np.arange(n_steps + 1) * dt, rhos=rhos)
 
 
@@ -235,13 +240,15 @@ def propagate_matrices(mats: np.ndarray, ops: OperatorSet,
     """Apply the linear propagator over a duration to a batch.
 
     No hermitization, so non-Hermitian history intermediates evolve
-    correctly.
+    correctly.  Each matrix has its own matrix-vector products, so no
+    result depends on the batch it is in.
     """
     if not 0 <= duration < math.inf:
         raise ParameterError(
             f"duration must be finite and >= 0, got {duration}")
-    mats = np.asarray(mats, dtype=complex)
-    return _apply(_band_propagator(ops, duration), mats)
+    bands = _to_bands(np.asarray(mats, dtype=complex), ops.n_fock)
+    *_, bands = _band_steps(bands, ops, duration, 1)
+    return _from_bands(bands)
 
 
 def thermal_state(params: ModelParams, n_fock: int) -> np.ndarray:
@@ -252,11 +259,7 @@ def thermal_state(params: ModelParams, n_fock: int) -> np.ndarray:
     """
     if n_fock < 2:
         raise DimensionError("n_fock must be at least 2")
-    nbar = params.nbar
-    if nbar == 0.0:
-        rho = np.zeros((n_fock, n_fock), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+    nbar = params.nbar  # 0 gives the vacuum, as 0.0 ** 0 is 1
     ratio = nbar / (1.0 + nbar)
     residual = ratio ** n_fock
     if residual > _THERMAL_TAIL_LIMIT:

@@ -375,9 +375,10 @@ def test_writers(tmp_path, warm_params, ops20):
 @pytest.mark.parametrize("n_steps, t_max", [(1, 0.3), (2, 0.5)])
 def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, n_steps,
                                                 t_max):
-    # the scan reads ||K[X]||_F from the band vectors; the whole cross
-    # block, evolved by _apply, must give the same norm, so no band is
-    # dropped or counted twice (band 0, and band N / 2 of an even N)
+    # the scan reads ||K[X]||_F from the band layout; the whole cross
+    # block, evolved by propagate_matrices, must give the same norm, so
+    # no band is dropped or counted twice (band 0, and band N / 2 of an
+    # even N)
     ops = build_operators(warm_params, n_fock)
     alpha, w, h = 0.5, 0.4, 0.1
     dt = t_max / n_steps
@@ -398,10 +399,9 @@ def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, n_steps,
     scale = math.sqrt(np.trace(plus @ rho @ plus).real
                       * np.trace(minus @ rho @ minus).real)
     assert len(scan.ratios) == n_steps + 1
-    stack = oracle._band_propagator(ops, dt)
     want = [np.linalg.norm(cross) / scale]
     for _ in range(n_steps):
-        cross = oracle._apply(stack, cross)
+        cross = propagate_matrices(cross, ops, dt)
         want.append(np.linalg.norm(cross) / scale)
     assert np.abs(scan.ratios - want).max() <= 1e-12 * max(want)
 

@@ -20,9 +20,12 @@ from qsdsim import (
     ParameterError,
     ConfigError,
     DimensionError,
+    HistorySpec,
+    PhaseCell,
     build_operators,
     cat_interval_scan,
     coherent_state,
+    decoherence_functional,
     ou_flow,
     propagate,
     propagate_matrices,
@@ -72,18 +75,36 @@ def test_band_generator_is_the_dense_generator(warm_params, n_fock):
     n = n_fock
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
-    below, above, keep = oracle._band_index(n)
+    flat, held, _, _ = oracle._band_index(n)
     gens = oracle._slot_generators(ops)
     assert gens.shape == (n // 2 + 1, n, n)
     for p in range(n // 2 + 1):
-        held = np.ix_(keep[p], keep[p])
-        for rows, conj in ((below[p][keep[p]], False),
-                           (above[p][keep[p]], True)):
-            gen = gens[p][held]
+        kept = held[0, p]
+        gen = gens[p][np.ix_(kept, kept)]
+        for half, conj in ((0, False), (1, True)):
+            rows = flat[half, p][kept]
             want = dense[np.ix_(rows, rows)]
             assert np.abs((gen.conj() if conj else gen) - want).max() < 1e-13
             others = np.setdiff1d(np.arange(n * n), rows)
             assert not dense[np.ix_(others, rows)].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 12])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_band_layout_round_trips(n, batch):
+    # every entry is held exactly once, so _from_bands inverts
+    # _to_bands bit for bit; one half stands for a Hermitian matrix
+    flat, held, _, _ = oracle._band_index(n)
+    assert np.array_equal(np.sort(flat[held]), np.arange(n * n))
+    rng = np.random.default_rng(n)
+    mats = (rng.standard_normal((*batch, n, n))
+            + 1j * rng.standard_normal((*batch, n, n)))
+    bands = oracle._to_bands(mats, n)
+    assert bands.shape == (*batch, 2, n // 2 + 1, n)
+    assert np.array_equal(oracle._from_bands(bands), mats)
+    herm = mats + np.swapaxes(mats, -1, -2).conj()
+    half = oracle._to_bands(herm, n)[..., :1, :, :]
+    assert np.array_equal(oracle._from_bands(half), herm)
 
 
 def test_rhs_moment_equations(warm_params):
@@ -197,6 +218,40 @@ def test_one_propagator_per_call(warm_params, monkeypatch):
     assert np.array_equal(run.times, [0.0])
     assert np.array_equal(run.rhos[0], 0.5 * (rho0 + rho0.conj().T))
     assert builds == [0.1, 0.1]
+    # propagate_matrices builds one over its duration, zero included,
+    # and the decoherence functional one per nonzero gap
+    builds.clear()
+    propagate_matrices(np.stack([rho0, rho0]), ops, 0.3)
+    propagate_matrices(rho0, ops, 0.0)
+    assert builds == [0.3, 0.0]
+    builds.clear()
+    cells = (PhaseCell(center=0.5, w_re=0.4, w_im=0.4, h=0.1),)
+    decoherence_functional(HistorySpec(times=(0.0, 0.2, 0.5),
+                                       cells=(cells,) * 3, rho0=rho0),
+                           ops, pcfg)
+    assert builds == [0.2, 0.5 - 0.2]
+
+
+@pytest.mark.parametrize("entry, shape", [
+    ("propagate", (10, 10)), ("propagate", (12,)),
+    ("propagate_matrices", (10, 10)), ("propagate_matrices", (12,)),
+    ("decoherence_functional", (10, 10))])
+def test_a_matrix_of_the_wrong_size_is_refused(warm_params, entry, shape):
+    # refused where the matrix enters the band layout, and before the
+    # decoherence functional builds or propagates anything
+    ops = build_operators(warm_params, 12)
+    mat = np.ones(shape)
+    pcfg = LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5)
+    cells = (PhaseCell(center=0.5, w_re=0.4, w_im=0.4, h=0.1),)
+    call = {
+        "propagate": lambda: propagate(mat, ops, pcfg),
+        "propagate_matrices": lambda: propagate_matrices(mat, ops, 0.1),
+        "decoherence_functional": lambda: decoherence_functional(
+            HistorySpec(times=(0.0,), cells=(cells,), rho0=mat), ops, pcfg),
+    }[entry]
+    with pytest.raises(DimensionError,
+                       match=rf"shape \({shape[0]},.*n_fock=12"):
+        call()
 
 
 def test_thermal_state_is_stationary(warm_params):
@@ -324,8 +379,13 @@ def test_stacked_pade_matches_scipy_per_band(n_fock, nbar):
             want = expm(t * dense[np.ix_(rows, rows)])
             assert np.abs(got - want).max() < 1e-13
             covered[min(k, n - k), block, block] = True
-        # off the band blocks, and in the unused trailing block of slot
-        # N / 2 for an even N, the stack is exactly zero
+        if n % 2 == 0:
+            # slot N / 2 holds its one band in its trailing block too
+            half = slice(n // 2, n)
+            assert np.abs(stack[n // 2, half, half]
+                          - stack[n // 2, :n // 2, :n // 2]).max() < 1e-13
+            covered[n // 2, half, half] = True
+        # off the band blocks the stack is exactly zero
         assert not stack[~covered].any()
 
 
@@ -353,11 +413,12 @@ def _apply_hermitian(stack, rho):
     """The band propagator applied to one Hermitian matrix, gathered and
     scattered whole: the stack carries the bands k >= 0, and the bands
     -k are their conjugates."""
-    below, above, keep = oracle._band_index(rho.shape[-1])
-    low = np.matmul(stack, rho.reshape(-1)[below, None])[..., 0][keep]
+    flat, held, _, _ = oracle._band_index(rho.shape[-1])
+    below, above, kept = flat[0], flat[1], held[0]
+    low = np.matmul(stack, rho.reshape(-1)[below, None])[..., 0][kept]
     out = np.empty(rho.size, dtype=complex)
-    out[above[keep]] = low.conj()
-    out[below[keep]] = low
+    out[above[kept]] = low.conj()
+    out[below[kept]] = low
     return out.reshape(rho.shape)
 
 
