@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every canned experiment config through the CLI.
 
-Each experiment writes its outputs (CSV/JSON, manifest, gnuplot stub)
-into its own subdirectory of --out.  Exits nonzero if any experiment
-fails its own pass conditions.
+Each experiment writes its outputs (CSV/JSON and manifest.json, plus a
+gnuplot stub, plot.gp, for stationary, localize and thermalize) into
+its own subdirectory of --out, named after its config.  Exits nonzero
+if any experiment fails its own pass conditions.
 """
 
 import argparse

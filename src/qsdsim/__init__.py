@@ -12,10 +12,9 @@ from .errors import (ConfigError, DimensionError, FitError, ParameterError,
 from .model import (ModelParams, OperatorSet, build_operators, cat_state,
                     coherent_state, fock_state, normalize, tail_mass,
                     temperature_for_nbar)
-from .observables import (CSV_COLUMNS, ExponentialFit, bundle_arrays,
+from .observables import (ExponentialFit, bundle_arrays,
                           fit_exponential_decay, localization_rhs,
-                          localization_rhs_spread_form, windowed_slopes,
-                          write_bundle_csv)
+                          localization_rhs_spread_form, windowed_slopes)
 from .qsd import (IntegratorConfig, TrajectoryRecord, run_trajectory,
                   trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, OUState, ou_flow,
@@ -23,8 +22,7 @@ from .oracle import (LindbladPropagatorConfig, OracleRun, OUState, ou_flow,
                      stationary_lindblad_check, thermal_state)
 from .ensemble import (STAT_FIELDS, EnsembleConfig, EnsembleStats,
                        InitialStateSpec, density_matrix, run_ensemble,
-                       trace_distance, write_stats_csv)
+                       trace_distance)
 from .histories import (DecoherenceMatrix, HistorySpec, IntervalScan,
                         PhaseCell, cat_interval_scan, cell_projector,
-                        classical_peaking_report, decoherence_functional,
-                        write_decoherence_json, write_suppression_csv)
+                        classical_peaking_report, decoherence_functional)

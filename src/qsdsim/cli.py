@@ -1,10 +1,12 @@
 """Experiment driver.
 
 Each subcommand reads a JSON config, runs one experiment family, writes
-CSV/JSON outputs plus a manifest and a gnuplot stub into the output
-directory, and exits 0 only when the experiment's own pass condition
-holds.  Exit codes: 0 pass, 1 assertion fail, 2 config error,
-3 numerical error.
+CSV/JSON outputs plus a manifest into the output directory, and exits 0
+only when the experiment's own pass condition holds.  stationary,
+localize and thermalize also write a gnuplot stub, plot.gp.  Every CSV
+is written by Runner.write_csv and every JSON file by one dump, that of
+Runner.write_json.  Exit codes: 0 pass, 1 assertion fail, 2 config
+error, 3 numerical error.
 
 The keys of a config and the JSON kind of each value are listed in
 CONFIG_KEYS below and checked by check_config when the config is
@@ -15,6 +17,7 @@ commands that read them, in each command's config stage.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -33,15 +36,13 @@ from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
-from .observables import (CSV_COLUMNS, chi2_sf, fit_exponential_decay,
-                          write_bundle_csv)
+from .observables import STAT_FIELDS, chi2_sf, fit_exponential_decay
 from .oracle import LindbladPropagatorConfig, propagate_matrices
 from .qsd import IntegratorConfig, check_seed, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
-                       trace_distance, write_stats_csv)
+                       trace_distance)
 from .histories import (HistorySpec, PhaseCell, classical_peaking_report,
-                        decoherence_functional, write_decoherence_json,
-                        write_suppression_csv)
+                        decoherence_functional)
 
 # The JSON kind of each config key: a type name, a one-item list for an
 # array of that kind, or a dict for an object.  A "complex" is a number
@@ -91,6 +92,24 @@ def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         return complex(value[0], value[1])
     return complex(value)
+
+
+def _pair(z) -> list | None:
+    """A complex number as the [re, im] pair _as_complex reads; None
+    stays None."""
+    return None if z is None else [float(z.real), float(z.imag)]
+
+
+def _history_label(label) -> str:
+    """A history string, its cell index per time joined by dots, with r
+    for the complement: (0, -1) is "0.r"."""
+    return ".".join("r" if i < 0 else str(i) for i in label)
+
+
+# The output column of each diagnostic field: the position excess is
+# the Q column, the momentum excess the P column.
+_COLUMN_NAMES = {f: {"excess_q": "Q", "excess_p": "P"}.get(f, f)
+                 for f in STAT_FIELDS}
 
 
 def check_config(value, kind=CONFIG_KEYS, path: str = "") -> None:
@@ -186,17 +205,16 @@ def _ensemble(cfg: dict, ops) -> EnsembleConfig:
     return ecfg
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _dump(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 class Runner:
-    """Holds common plumbing: output dir, config, manifest, gnuplot stub."""
+    """Holds common plumbing: output dir, config, the writers of every
+    output file, manifest, gnuplot stub."""
 
     def __init__(self, args):
         self.args = args
-        self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.config_path = Path(args.config)
         self.cfg = load_config(self.config_path)
         missing = [name for name in REQUIRED_SECTIONS[args.command]
@@ -211,28 +229,49 @@ class Runner:
                          else ("integrator", "seed"))
             if name in self.cfg:
                 self.cfg[name][key] = args.seed
+        # made once the config is loaded, so a refused one leaves none
+        self.out = Path(args.out)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory "
+                              f"{self.out}: {exc}") from exc
         self.started = time.monotonic()
         self.outputs: list[str] = []
+        self.headers: dict[str, list[str]] = {}
         self.checks: list[tuple[str, bool]] = []
 
     def path(self, name: str) -> Path:
         self.outputs.append(name)
         return self.out / name
 
+    def write_csv(self, name: str, columns: dict) -> None:
+        """A CSV file of equal-length columns: the header, then one row
+        per index; a float is written as its repr, anything else as its
+        str."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row]
+                             for row in zip(*columns.values()))
+        self.headers[name] = list(columns)
+
+    def write_json(self, name: str, doc) -> None:
+        _dump(self.path(name), doc)
+
     def check(self, label: str, ok: bool) -> None:
         self.checks.append((label, bool(ok)))
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
     def finish(self) -> int:
         command = self.args.command
+        passed = all(ok for _, ok in self.checks)
         manifest = {
             "command": command,
             "config": self.config_path.name,
-            "config_sha256": _sha256(self.config_path),
+            "config_sha256": hashlib.sha256(
+                self.config_path.read_bytes()).hexdigest(),
             "versions": {
                 "package": __version__,
                 "python": sys.version.split()[0],
@@ -247,15 +286,18 @@ class Runner:
             "outputs": self.outputs,
             "checks": [{"label": lbl, "passed": ok}
                        for lbl, ok in self.checks],
-            "passed": self.passed,
+            "passed": passed,
         }
-        with open(self.out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-        return EXIT_PASS if self.passed else EXIT_FAIL
+        _dump(self.out / "manifest.json", manifest)
+        return EXIT_PASS if passed else EXIT_FAIL
 
-    def gnuplot_stub(self, csv_name: str, columns: dict[str, int],
+    def gnuplot_stub(self, csv_names: list[str], columns: tuple[str, ...],
                      title: str) -> None:
+        """plot.gp: each named column of each CSV against its first, at
+        the column's place in the header written; with several CSVs,
+        each curve's title also names its file."""
+        curves = [(name, col, f"{col} {name}" if len(csv_names) > 1 else col)
+                  for name in csv_names for col in columns]
         lines = [
             "# gnuplot stub; run: gnuplot plot.gp",
             "set datafile separator comma",
@@ -264,12 +306,10 @@ class Runner:
             f'set title "{title}"',
             'set xlabel "t"',
             "plot " + ", \\\n     ".join(
-                f'"{csv_name}" using 1:{idx} with lines title "{name}"'
-                for name, idx in columns.items()),
+                f'"{name}" using 1:{self.headers[name].index(col) + 1} '
+                f'with lines title "{label}"' for name, col, label in curves),
         ]
-        with open(self.out / "plot.gp", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        self.outputs.append("plot.gp")
+        self.path("plot.gp").write_text("\n".join(lines) + "\n")
 
 
 def cmd_stationary(run: Runner) -> int:
@@ -282,10 +322,11 @@ def cmd_stationary(run: Runner) -> int:
             raise ConfigError("--expect-fail needs at least two samples; "
                               "lower record_stride")
     record = run_trajectory(psi0, ops, icfg)
-    write_bundle_csv(run.path("trajectory.csv"), record.bundles)
-    run.gnuplot_stub("trajectory.csv",
-                     {name: CSV_COLUMNS.index(name) + 1
-                      for name in ("Q", "P", "delta_alpha_sq")}, "shape drift")
+    run.write_csv("trajectory.csv", {
+        "t": record.bundles["t"],
+        **{col: record.bundles[f] for f, col in _COLUMN_NAMES.items()}})
+    run.gnuplot_stub(["trajectory.csv"], ("Q", "P", "delta_alpha_sq"),
+                     "shape drift")
 
     b = record.bundles
     # Q labels the position excess, P the momentum excess
@@ -313,9 +354,18 @@ def cmd_stationary(run: Runner) -> int:
     return run.finish()
 
 
+def _write_stats(run: Runner, name: str, stats) -> None:
+    """One row per sample: t, the mean of each field, then its stderr."""
+    run.write_csv(name, {
+        "t": stats.times,
+        **{col: stats.means[f] for f, col in _COLUMN_NAMES.items()},
+        **{f"{col}_stderr": stats.stderrs[f]
+           for f, col in _COLUMN_NAMES.items()}})
+
+
 def _localize_rate(ecfg, ops, tag, run):
     stats = run_ensemble(ecfg, ops)
-    write_stats_csv(run.path(f"localize_{tag}.csv"), stats)
+    _write_stats(run, f"localize_{tag}.csv", stats)
     fit = fit_exponential_decay(stats.times,
                                 stats.means["delta_alpha_sq"],
                                 stats.stderrs["delta_alpha_sq"])
@@ -380,10 +430,9 @@ def cmd_localize(run: Runner) -> int:
                 f"fitted rate {fit.rate:.4f} +- {fit.ci95:.4f} >= "
                 f"bound {bound:.4f} within 95% interval",
                 fit.rate + fit.ci95 >= bound)
-    with open(run.path("localize_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    run.gnuplot_stub(run.outputs[0], {"delta_alpha_sq mean": 3},
+    run.write_json("localize_report.json", report)
+    # every stats CSV written: one per separation
+    run.gnuplot_stub(list(run.headers), ("delta_alpha_sq",),
                      "localization decay")
     return run.finish()
 
@@ -421,8 +470,8 @@ def cmd_thermalize(run: Runner) -> int:
                                   f"{CHI2_MIN_EXPECTED:g}; raise M or "
                                   "lower max_n")
     stats = run_ensemble(ecfg, ops)
-    write_stats_csv(run.path("thermalize.csv"), stats)
-    run.gnuplot_stub("thermalize.csv", {"mean": 3}, "occupation relaxation")
+    _write_stats(run, "thermalize.csv", stats)
+    run.gnuplot_stub(["thermalize.csv"], ("n_mean",), "occupation relaxation")
 
     n_mean = stats.means["n_mean"]
     n_err = stats.stderrs["n_mean"]
@@ -447,10 +496,9 @@ def cmd_thermalize(run: Runner) -> int:
     observed = occ[:max_n + 1] * m_eff
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     p_value = chi2_sf(chi2, max_n)
-    with open(run.path("occupation_histogram.csv"), "w") as fh:
-        fh.write("n,observed_fraction,thermal_fraction\n")
-        for n in range(max_n + 1):
-            fh.write(f"{n},{float(occ[n])!r},{float(expected_p[n])!r}\n")
+    run.write_csv("occupation_histogram.csv", {
+        "n": range(max_n + 1), "observed_fraction": occ[:max_n + 1],
+        "thermal_fraction": expected_p})
     run.check(f"occupation chi-square p = {p_value:.3f} > {CHI2_MIN_P}",
               p_value > CHI2_MIN_P)
     return run.finish()
@@ -473,11 +521,10 @@ def cmd_oracle_compare(run: Runner) -> int:
     oracle_rho = propagate_matrices(np.outer(psi0, psi0.conj()), ops, t_end)
     dists = [trace_distance(run_ensemble(rcfg, ops).rhos[0], oracle_rho)
              for _, rcfg in runs]
-    with open(run.path("oracle_compare.csv"), "w") as fh:
-        fh.write("label,m,dt,trace_distance\n")
-        for (label, rcfg), dist in zip(runs, dists):
-            fh.write(f"{label},{rcfg.m},{float(rcfg.integrator.dt)!r},"
-                     f"{float(dist)!r}\n")
+    labels, cfgs = zip(*runs)
+    run.write_csv("oracle_compare.csv", {
+        "label": labels, "m": [c.m for c in cfgs],
+        "dt": [c.integrator.dt for c in cfgs], "trace_distance": dists})
     d_m, d_4m, d_half = dists
     # an ensemble that matches the oracle exactly (no bath, a Fock
     # start) has nothing to halve: the ratio is nan and the check fails
@@ -506,14 +553,28 @@ def cmd_histories(run: Runner) -> int:
         pcfg = LindbladPropagatorConfig(dt_oracle=sec["dt_oracle"],
                                         t_end=max(sec["times"]))
     dmat = decoherence_functional(spec, ops, pcfg)
-    write_decoherence_json(run.path("decoherence.json"), dmat, spec)
-    write_suppression_csv(run.path("suppression.csv"), dmat)
-    report = classical_peaking_report(dmat, spec, ops)
-    with open(run.path("peaking_report.json"), "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
-        fh.write("\n")
-
+    labels = [_history_label(lab) for lab in dmat.labels]
+    run.write_json("decoherence.json", {
+        "labels": labels,
+        "matrix": [[_pair(z) for z in row] for row in dmat.matrix],
+        "times": list(spec.times),
+        "cell_areas_hbar": [[c.area_hbar for c in cells_t]
+                            for cells_t in spec.cells]})
     ratios, valid = dmat.suppression()
+    upper = np.triu(valid)   # each pair once, in row order
+    rows, cols = np.nonzero(upper)
+    run.write_csv("suppression.csv", {
+        "label_a": [labels[i] for i in rows],
+        "label_b": [labels[j] for j in cols], "ratio": ratios[upper]})
+    report = classical_peaking_report(dmat, spec, ops)
+    run.write_json("peaking_report.json", {
+        "best_label": _history_label(report.best_label),
+        "best_prob": report.best_prob,
+        "classical_path": [_pair(z) for z in report.classical_path],
+        "center_path": [_pair(z) for z in report.center_path],
+        "distances": [d if math.isfinite(d) else None
+                      for d in report.distances]})
+
     off = ratios[valid]
     worst = float(off.max()) if off.size else 0.0
     if sec.get("control", False):

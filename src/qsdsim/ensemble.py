@@ -208,20 +208,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape:
         raise DimensionError("density matrices differ in shape")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def write_stats_csv(path, stats: EnsembleStats) -> None:
-    """Long-format CSV: time, statistic, mean, stderr."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "statistic", "mean", "stderr"])
-        for j, t in enumerate(stats.times):
-            for f in STAT_FIELDS:
-                writer.writerow([repr(float(t)), f,
-                                 repr(float(stats.means[f][j])),
-                                 repr(float(stats.stderrs[f][j]))])

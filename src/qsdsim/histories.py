@@ -23,7 +23,6 @@ depth, so no pair is propagated twice.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -278,18 +277,6 @@ class PeakingReport:
     center_path: tuple      # chosen cell centers; None for complement
     distances: tuple        # amplitude-plane distance, nan for complement
 
-    def as_dict(self) -> dict:
-        def enc(z):
-            return None if z is None else [z.real, z.imag]
-        return {
-            "best_label": _label_str(self.best_label),
-            "best_prob": self.best_prob,
-            "classical_path": [enc(z) for z in self.classical_path],
-            "center_path": [enc(z) for z in self.center_path],
-            "distances": [d if math.isfinite(d) else None
-                          for d in self.distances],
-        }
-
 
 def classical_peaking_report(D: DecoherenceMatrix, spec: HistorySpec,
                              ops: OperatorSet) -> PeakingReport:
@@ -394,40 +381,3 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
                              + frac * (intervals[s] - intervals[s - 1]))
             break
     return IntervalScan(intervals=intervals, ratios=ratios, crossing=crossing)
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def _label_str(label) -> str:
-    return ".".join("r" if i < 0 else str(i) for i in label)
-
-
-def write_decoherence_json(path, D: DecoherenceMatrix,
-                           spec: HistorySpec) -> None:
-    doc = {
-        "labels": [_label_str(lab) for lab in D.labels],
-        "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                   for row in D.matrix],
-        "times": list(spec.times),
-        "cell_areas_hbar": [[c.area_hbar for c in cells_t]
-                            for cells_t in spec.cells],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def write_suppression_csv(path, D: DecoherenceMatrix) -> None:
-    import csv
-
-    ratios, valid = D.suppression()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label_a", "label_b", "ratio"])
-        n = len(D.labels)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if valid[i, j]:
-                    writer.writerow([_label_str(D.labels[i]),
-                                     _label_str(D.labels[j]),
-                                     repr(float(ratios[i, j]))])

@@ -9,12 +9,12 @@ position excess and P the momentum excess,
 
     Q = var_q / sigma_q^2 - 1,      P = var_p / sigma_p^2 - 1,
 
-and the CSV columns named Q and P follow the same rule.
+and the fields are named excess_q and excess_p; the CLI labels its
+output columns Q and P by the same rule.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,14 +31,8 @@ STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R", "excess_q",
                "excess_p", "delta_alpha_sq", "n_mean")
 
 #: One sample of a trajectory: its time t, then the diagnostics in the
-#: order of STAT_FIELDS and of the CSV columns.
+#: order of STAT_FIELDS.
 BUNDLE_DTYPE = np.dtype([(f, float) for f in ("t", *STAT_FIELDS)])
-
-#: Column order of the trajectory CSV format.
-# Report labels: the position excess (excess_q) is the Q column, the
-# momentum excess (excess_p) the P column; values stay in field order.
-CSV_COLUMNS = ("t",) + tuple({"excess_q": "Q", "excess_p": "P"}.get(f, f)
-                             for f in STAT_FIELDS)
 
 
 def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
@@ -126,15 +120,6 @@ def localization_rhs_spread_form(vals: dict, params: ModelParams):
                - 2.0 * (sq2 / sp2) * var_p ** 2
                - 2.0 * (sp2 / sq2) * var_q ** 2)
     return params.gamma / (2.0 * params.hbar ** 2) * (params.nbar + 0.5) * bracket
-
-
-def write_bundle_csv(path, bundles: np.ndarray) -> None:
-    """Write a BUNDLE_DTYPE record array, one row per sample, with the
-    fixed column order; each value is the repr of its float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([repr(v) for v in row] for row in bundles.tolist())
 
 
 # -- regression helpers -----------------------------------------------------

@@ -219,11 +219,14 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     """Evolve rho0 to t_end, snapshotting at every point of the grid.
 
     dt_oracle is the one sample grid (t_end on it within 1e-9
-    relative); a coarser grid thins the samples exactly.  rho0 is
-    hermitized once; only the bands k >= 0 are evolved, and each
-    snapshot is written from them with the bands -k as their
-    conjugates, so it is Hermitian by construction.
+    relative); a coarser grid thins the samples exactly.  rho0, one
+    (N, N) matrix, is hermitized once; only the bands k >= 0 are
+    evolved, and each snapshot is written from them with the bands -k
+    as their conjugates, so it is Hermitian by construction.
     """
+    if np.shape(rho0) != (ops.n_fock, ops.n_fock):
+        raise DimensionError(f"matrix of shape {np.shape(rho0)} does not "
+                             f"fit n_fock={ops.n_fock}")
     dt = cfg.dt_oracle
     n_steps = steps_on_grid(cfg.t_end, dt, "t_end")
     rhos = np.empty((n_steps + 1, ops.n_fock, ops.n_fock), dtype=complex)

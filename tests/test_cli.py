@@ -4,23 +4,29 @@ Every run goes through main(argv) in process.  Configs are small
 versions of the real experiments, sized to keep this file fast.
 """
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsdsim
-from qsdsim import (ConfigError, EnsembleConfig, InitialStateSpec,
-                    IntegratorConfig, ModelParams, PhaseCell, qsd)
+from qsdsim import (STAT_FIELDS, ConfigError, EnsembleConfig, HistorySpec,
+                    InitialStateSpec, IntegratorConfig,
+                    LindbladPropagatorConfig, ModelParams, PhaseCell,
+                    build_operators, coherent_state, decoherence_functional,
+                    qsd, run_ensemble, run_trajectory, temperature_for_nbar)
 from qsdsim.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
                         EXIT_PASS, Runner, check_config, load_config, main,
                         make_parser)
@@ -48,6 +54,37 @@ def _run(tmp_path, command, cfg, *extra):
                  *extra]), out
 
 
+# one curve of plot.gp: its CSV, column number and title
+_CURVE = re.compile(r'"([^"]+)" using 1:(\d+) with lines title "([^"]+)"')
+
+
+def _check_outputs(out):
+    """Every output the manifest names exists and parses, each CSV with
+    rows as long as its header; each curve of plot.gp reads the column
+    of its CSV that the first word of its title names, against a first
+    column that rises row by row, one row per sample.  Returns the
+    manifest and the CSV files' rows."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    tables = {}
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            with open(out / name, newline="") as fh:
+                rows = tables[name] = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {len(rows[0])}
+        elif name.endswith(".json"):
+            json.loads((out / name).read_text())
+        else:
+            assert name == "plot.gp"
+            curves = _CURVE.findall((out / name).read_text())
+            assert curves
+            for csv_name, k, title in curves:
+                head, *rows = tables[csv_name]
+                assert head[int(k) - 1] == title.split()[0]
+                times = [float(row[0]) for row in rows]
+                assert all(a < b for a, b in zip(times, times[1:]))
+    return manifest, tables
+
+
 def _stationary_cfg(**over):
     cfg = {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.2, "nbar": 0.5},
@@ -63,6 +100,36 @@ def test_missing_config_is_config_error(tmp_path):
     code = main(["stationary", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cfg", [
+    None, _stationary_cfg(surprise=1),
+    {k: v for k, v in _stationary_cfg().items() if k != "integrator"}],
+    ids=["missing", "unknown key", "no section"])
+def test_config_refused_on_load_makes_no_directory(tmp_path, capsys, cfg):
+    # the config is loaded before --out is made
+    path = tmp_path / "nope.json" if cfg is None else _write(tmp_path, cfg)
+    out = tmp_path / "out" / "nested"
+    code = main(["stationary", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_unusable_out_is_config_error(tmp_path, capsys, where):
+    # an --out that cannot be a directory exits 2 naming the path, with
+    # no traceback, and leaves the file as it was
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker if where == "a file" else blocker / "out"
+    code = main(["stationary", "--config",
+                 str(_write(tmp_path, _stationary_cfg())), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make the output directory "
+                          f"{out}: ")
+    assert blocker.read_text() == "keep"
 
 
 def test_unparseable_config(tmp_path):
@@ -135,22 +202,34 @@ def test_temperature_and_nbar_conflict(tmp_path):
 def test_stationary_smoke(tmp_path):
     code, out = _run(tmp_path, "stationary", _stationary_cfg())
     assert code == EXIT_PASS
-    csv = out / "trajectory.csv"
-    assert csv.exists()
-    header = csv.read_text().splitlines()[0]
-    assert header.startswith("t,q_mean,p_mean")
-    assert (out / "plot.gp").exists()
-
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest, tables = _check_outputs(out)
+    assert manifest["outputs"] == ["trajectory.csv", "plot.gp"]
+    assert tables["trajectory.csv"][0][:3] == ["t", "q_mean", "p_mean"]
     assert manifest["command"] == "stationary"
     assert manifest["passed"] is True
     assert manifest["checks"] and all(c["passed"] for c in manifest["checks"])
     digest = hashlib.sha256((tmp_path / "config.json").read_bytes())
     assert manifest["config_sha256"] == digest.hexdigest()
-    for name in manifest["outputs"]:
-        assert (out / name).exists()
     assert manifest["stepping_loop"] == qsd.stepping_loop()
     assert manifest["stepping_loop"]["lanes"][-2:] == [4, 1]
+
+
+def test_trajectory_csv_roundtrip(tmp_path, warm_params):
+    # the columns are the fields of a sample, excess_q and excess_p
+    # labelled Q and P; repr round-trips doubles exactly
+    code, out = _run(tmp_path, "stationary", _stationary_cfg(), "--seed", "42")
+    assert code == EXIT_PASS
+    _, tables = _check_outputs(out)
+    rows = tables["trajectory.csv"]
+    assert ",".join(rows[0]) == ("t,q_mean,p_mean,var_q,var_p,R,Q,P,"
+                                 "delta_alpha_sq,n_mean")
+    ops = build_operators(warm_params, 32)
+    cfg = _stationary_cfg()["integrator"]
+    record = run_trajectory(coherent_state(ops, 1.0), ops,
+                            IntegratorConfig(**cfg, seed=42))
+    assert record.bundles.dtype.names == ("t", *STAT_FIELDS)
+    assert [tuple(map(float, row)) for row in rows[1:]] == \
+        record.bundles.tolist()
 
 
 def test_stationary_expect_fail_mode(tmp_path):
@@ -193,7 +272,8 @@ def test_seed_beyond_64_bits_is_config_error(tmp_path, capsys, command,
                                              name, section, key, seed):
     # the stepping loop seeds from one uint64, and trajectory_seed
     # reduces base_seed mod 2**64, so 2**64 + 5 names no stream of its
-    # own; it exits 2 with a message and writes nothing
+    # own; it exits 2 with a message and writes nothing, and --seed is
+    # refused before the output directory is made
     cfg = _canned(name)
     extra = ()
     if section is None:
@@ -204,7 +284,7 @@ def test_seed_beyond_64_bits_is_config_error(tmp_path, capsys, command,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert (f"maximum of {MAX_SEED}" if section else "2**64") in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert list(out.iterdir()) == [] if section else not out.exists()
 
 
 def test_tail_overflow_is_numerical_error(tmp_path):
@@ -229,10 +309,55 @@ def test_localize_fock_rate_beats_bound(tmp_path):
     }
     code, out = _run(tmp_path, "localize", cfg)
     assert code == EXIT_PASS
+    _check_outputs(out)
     report = json.loads((out / "localize_report.json").read_text())
     assert report["rate"] - report["ci95"] > 0.0
     assert report["rate"] + report["ci95"] >= report["rate_bound"]
     assert (out / "localize_main.csv").exists()
+
+
+def test_stats_csv_layout(tmp_path):
+    # one row per sample: t, the mean of each field as trajectory.csv
+    # names it, then each field's stderr, bit for bit those of
+    # run_ensemble on the same config
+    cfg = {
+        "params": {"m": 1.0, "omega": 1.0, "gamma": 0.0, "nbar": 0.5},
+        "fock": {"n_fock": 16},
+        "integrator": {"dt": 1e-3, "t_end": 1.0, "record_stride": 50},
+        "ensemble": {"m": 4},
+        "initial": {"kind": "fock", "n": 1},
+    }
+    code, out = _run(tmp_path, "localize", cfg)
+    assert code == EXIT_PASS
+    _, tables = _check_outputs(out)
+    head, *rows = tables["localize_main.csv"]
+    names = ["q_mean", "p_mean", "var_q", "var_p", "R", "Q", "P",
+             "delta_alpha_sq", "n_mean"]
+    assert head == ["t", *names, *(f"{name}_stderr" for name in names)]
+    params = ModelParams(gamma=0.0, temperature=temperature_for_nbar(0.5))
+    stats = run_ensemble(
+        EnsembleConfig(m=4, base_seed=0,
+                       integrator=IntegratorConfig(**cfg["integrator"]),
+                       initial=InitialStateSpec(kind="fock", n=1)),
+        build_operators(params, 16))
+    assert len(rows) == len(stats.times) == 21
+    got = np.array(rows, dtype=float).T
+    assert got[0].tolist() == stats.times.tolist()
+    for k, f in enumerate(STAT_FIELDS):
+        assert got[1 + k].tolist() == stats.means[f].tolist()
+        assert got[10 + k].tolist() == stats.stderrs[f].tolist()
+
+
+def test_localize_sweep_plots_every_separation(tmp_path):
+    code, out = _run(tmp_path, "localize", _canned("localize_cat_sweep"))
+    assert code == EXIT_PASS
+    manifest, _ = _check_outputs(out)
+    plotted = _CURVE.findall((out / "plot.gp").read_text())
+    assert [(name, title) for name, _, title in plotted] == [
+        (name, f"delta_alpha_sq {name}")
+        for name in ("localize_d3.csv", "localize_d6.csv")]
+    assert manifest["outputs"] == ["localize_d3.csv", "localize_d6.csv",
+                                   "localize_report.json", "plot.gp"]
 
 
 def test_localize_without_damping_checks_no_decay(tmp_path, capsys):
@@ -315,7 +440,7 @@ def test_record_stride_past_max_steps_is_config_error(tmp_path, capsys,
     code, out = _run(tmp_path, "stationary", cfg)
     assert code == EXIT_CONFIG
     assert f"maximum of {MAX_STEPS}" in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert list(out.iterdir()) == []
 
 
 def test_half_step_over_the_limit_is_config_error(tmp_path, capsys,
@@ -374,7 +499,7 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert f"{where}: {value} is too large for a float" in \
         capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()   # refused on load, before the directory
 
 
 @pytest.mark.parametrize("change, message", [
@@ -593,7 +718,7 @@ def test_histories_setup_mistake_is_config_error(tmp_path, capsys, key,
     code, out = _run(tmp_path, "histories", cfg)
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert list(out.iterdir()) == []
 
 
 def test_custom_state_without_amplitudes_is_config_error(tmp_path, capsys):
@@ -651,10 +776,14 @@ def test_thermalize_at_zero_temperature_fits_the_decay(tmp_path, capsys):
 def test_thermalize_reaches_thermal_law(tmp_path):
     code, out = _run(tmp_path, "thermalize", _thermalize_cfg())
     assert code == EXIT_PASS
-    assert (out / "thermalize.csv").exists()
-    hist = (out / "occupation_histogram.csv").read_text().splitlines()
-    assert hist[0] == "n,observed_fraction,thermal_fraction"
-    assert len(hist) == 1 + 5   # n = 0..max_n
+    manifest, tables = _check_outputs(out)
+    assert manifest["outputs"] == ["thermalize.csv", "plot.gp",
+                                   "occupation_histogram.csv"]
+    assert [(name, title) for name, _, title in _CURVE.findall(
+        (out / "plot.gp").read_text())] == [("thermalize.csv", "n_mean")]
+    hist = tables["occupation_histogram.csv"]
+    assert hist[0] == ["n", "observed_fraction", "thermal_fraction"]
+    assert [row[0] for row in hist[1:]] == ["0", "1", "2", "3", "4"]
 
 
 def test_oracle_compare_convergence(tmp_path):
@@ -667,10 +796,12 @@ def test_oracle_compare_convergence(tmp_path):
     }
     code, out = _run(tmp_path, "oracle-compare", cfg)
     assert code == EXIT_PASS
-    rows = (out / "oracle_compare.csv").read_text().splitlines()
-    assert rows[0] == "label,m,dt,trace_distance"
-    labels = [r.split(",")[0] for r in rows[1:]]
-    assert labels == ["M", "4M", "4M_dt/2"]
+    _, tables = _check_outputs(out)
+    rows = tables["oracle_compare.csv"]
+    assert rows[0] == ["label", "m", "dt", "trace_distance"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["M", "128", "0.001"], ["4M", "512", "0.001"],
+        ["4M_dt/2", "512", "0.0005"]]
 
 
 def test_histories_damped_cat_decoheres(tmp_path):
@@ -691,11 +822,44 @@ def test_histories_damped_cat_decoheres(tmp_path):
     }
     code, out = _run(tmp_path, "histories", cfg)
     assert code == EXIT_PASS
+    _, tables = _check_outputs(out)
     dmat = json.loads((out / "decoherence.json").read_text())
     assert dmat["labels"] == ["0.0", "0.1", "1.0", "1.1"]
-    assert (out / "suppression.csv").exists()
+    assert tables["suppression.csv"][0] == ["label_a", "label_b", "ratio"]
     peak = json.loads((out / "peaking_report.json").read_text())
-    assert "best_label" in peak and "distances" in peak
+    assert peak["best_label"] in dmat["labels"]
+    assert [len(z) for z in peak["classical_path"]] == [2, 2]
+    assert len(peak["distances"]) == 2
+
+
+def test_histories_writers(tmp_path, warm_params):
+    # one time, one cell and its complement, labelled "r"; D as [re, im]
+    # pairs, bit for bit those of decoherence_functional
+    cfg = {
+        "params": {"m": 1.0, "omega": 1.0, "gamma": 0.2, "nbar": 0.5},
+        "fock": {"n_fock": 20},
+        "initial": {"kind": "coherent", "alpha": 0.7},
+        "histories": {"times": [0.0], "h": 0.1, "dt_oracle": 1e-3,
+                      "cells": [{"center": 0.7, "w_re": 0.8, "w_im": 0.8}]},
+    }
+    code, out = _run(tmp_path, "histories", cfg)
+    assert code in (EXIT_PASS, EXIT_FAIL)
+    _, tables = _check_outputs(out)
+    doc = json.loads((out / "decoherence.json").read_text())
+    assert doc["labels"] == ["0", "r"]
+    ops = build_operators(warm_params, 20)
+    psi = coherent_state(ops, 0.7)
+    cells = (PhaseCell(center=0.7, w_re=0.8, w_im=0.8, h=0.1),)
+    D = decoherence_functional(
+        HistorySpec(times=(0.0,), cells=(cells,),
+                    rho0=np.outer(psi, psi.conj())),
+        ops, LindbladPropagatorConfig(dt_oracle=1e-3, t_end=0.0))
+    got = np.array(doc["matrix"])
+    assert got.shape == (2, 2, 2)
+    assert (got[..., 0] + 1j * got[..., 1]).tolist() == D.matrix.tolist()
+    assert doc["times"] == [0.0]
+    assert doc["cell_areas_hbar"] == [[pytest.approx(8.0 * 0.64)]]
+    assert tables["suppression.csv"][0] == ["label_a", "label_b", "ratio"]
 
 
 def _undamped_histories_cfg():

@@ -1,4 +1,4 @@
-"""Ensemble runner: determinism, statistics, and serialization."""
+"""Ensemble runner: determinism and statistics."""
 import numpy as np
 import pytest
 
@@ -21,7 +21,6 @@ from qsdsim import (
     thermal_state,
     trace_distance,
     trajectory_seed,
-    write_stats_csv,
 )
 from conftest import run_split
 from qsdsim import ensemble, qsd
@@ -247,16 +246,3 @@ def test_trace_distance_properties(warm_params):
     d = trace_distance(rho, pure)
     assert 0.0 < d <= 1.0
     assert trace_distance(pure, rho) == pytest.approx(d, abs=1e-12)
-
-
-def test_stats_csv_layout(tmp_path, ops20):
-    stats = run_ensemble(_cfg(4), ops20)
-    path = tmp_path / "stats.csv"
-    write_stats_csv(path, stats)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,statistic,mean,stderr"
-    assert len(lines) == 1 + len(stats.times) * len(STAT_FIELDS)
-    t0, name, mean, err = lines[1].split(",")
-    assert float(t0) == stats.times[0]
-    assert name in STAT_FIELDS
-    float(mean), float(err)

@@ -1,6 +1,5 @@
 """Coarse-grained history machinery: projectors, D, and interval scans."""
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -30,8 +29,6 @@ from qsdsim import (
     decoherence_functional,
     propagate_matrices,
     temperature_for_nbar,
-    write_decoherence_json,
-    write_suppression_csv,
 )
 from qsdsim import histories, oracle
 from qsdsim.constants import MAX_CELL_AMPLITUDES
@@ -268,9 +265,6 @@ def test_peaking_follows_damped_orbit(warm_params):
     assert report.classical_path[1] == pytest.approx(want, abs=1e-12)
     assert report.distances[0] == pytest.approx(0.0, abs=1e-12)
     assert report.distances[1] < 0.3
-    doc = report.as_dict()
-    json.dumps(doc)
-    assert doc["best_label"] == "0.0"
 
 
 def test_history_width_budget(ops20):
@@ -345,30 +339,6 @@ def test_decoherence_interval_shrinks_with_separation_squared():
     assert large.crossing == pytest.approx(0.0073, abs=0.001)
     ratio = small.crossing / large.crossing
     assert 2.0 < ratio < 6.0
-
-
-def test_writers(tmp_path, warm_params, ops20):
-    psi = coherent_state(ops20, 0.7)
-    rho0 = np.outer(psi, psi.conj())
-    cells = (PhaseCell(center=0.7, w_re=0.8, w_im=0.8, h=0.1),)
-    spec = HistorySpec(times=(0.0,), cells=(cells,), rho0=rho0)
-    pcfg = LindbladPropagatorConfig(dt_oracle=1e-3, t_end=0.0)
-    D = decoherence_functional(spec, ops20, pcfg)
-
-    jpath = tmp_path / "D.json"
-    write_decoherence_json(jpath, D, spec=spec)
-    doc = json.loads(jpath.read_text())
-    assert doc["labels"] == ["0", "r"]
-    got = np.array(doc["matrix"])
-    assert got.shape == (2, 2, 2)
-    assert got[0, 0, 0] == pytest.approx(D.matrix[0, 0].real)
-    assert doc["times"] == [0.0]
-    assert doc["cell_areas_hbar"] == [[pytest.approx(8.0 * 0.64)]]
-
-    cpath = tmp_path / "suppression.csv"
-    write_suppression_csv(cpath, D)
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "label_a,label_b,ratio"
 
 
 @pytest.mark.parametrize("n_fock", [11, 12])

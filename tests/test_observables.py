@@ -1,6 +1,5 @@
 """Shape diagnostics, localization rate forms, and regression helpers."""
 
-import csv
 import math
 
 import numpy as np
@@ -11,11 +10,10 @@ from scipy import stats
 from conftest import ladder, random_states
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
-from qsdsim.observables import (BUNDLE_DTYPE, CSV_COLUMNS, STAT_FIELDS,
-                                bundle_arrays, chi2_sf,
+from qsdsim.observables import (STAT_FIELDS, bundle_arrays, chi2_sf,
                                 fit_exponential_decay, localization_rhs,
                                 localization_rhs_spread_form, t_quantile,
-                                windowed_slopes, write_bundle_csv)
+                                windowed_slopes)
 
 
 def _one(psi, ops):
@@ -195,23 +193,3 @@ def test_windowed_slopes_batched():
         windowed_slopes(t, t, window=1)
     with pytest.raises(FitError):
         windowed_slopes(t, t, window=12)
-
-
-def test_bundle_csv_roundtrip(tmp_path, ops20):
-    vals = bundle_arrays(random_states(3, 20, seed=9), ops20)
-    bundles = np.recarray(3, dtype=BUNDLE_DTYPE)
-    bundles.t = 0.1 * np.arange(3)
-    for f in STAT_FIELDS:
-        bundles[f] = vals[f]
-    assert BUNDLE_DTYPE.names == ("t", *STAT_FIELDS)
-    path = tmp_path / "bundles.csv"
-    write_bundle_csv(path, bundles)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS) == [
-        "t", "q_mean", "p_mean", "var_q", "var_p", "R", "Q", "P",
-        "delta_alpha_sq", "n_mean"]
-    # repr round-trips doubles exactly
-    assert float(rows[2][0]) == bundles[1].t
-    assert float(rows[3][8]) == bundles[2].delta_alpha_sq
-    assert [tuple(map(float, row)) for row in rows[1:]] == bundles.tolist()

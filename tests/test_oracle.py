@@ -235,10 +235,12 @@ def test_one_propagator_per_call(warm_params, monkeypatch):
 @pytest.mark.parametrize("entry, shape", [
     ("propagate", (10, 10)), ("propagate", (12,)),
     ("propagate_matrices", (10, 10)), ("propagate_matrices", (12,)),
-    ("decoherence_functional", (10, 10))])
+    ("decoherence_functional", (10, 10)),
+    ("propagate", (2, 12, 12)), ("propagate", (1, 12, 12))])
 def test_a_matrix_of_the_wrong_size_is_refused(warm_params, entry, shape):
-    # refused where the matrix enters the band layout, and before the
-    # decoherence functional builds or propagates anything
+    # refused where the matrix enters the band layout, by propagate
+    # (which takes one matrix, not a batch) before it allocates, and
+    # before the decoherence functional builds or propagates anything
     ops = build_operators(warm_params, 12)
     mat = np.ones(shape)
     pcfg = LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.5)
