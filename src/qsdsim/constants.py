@@ -85,9 +85,12 @@ MAX_TRAJECTORIES = 2 ** 16
 
 # Largest (points, n_fock) array of coherent states that one cell's
 # midpoint grid may ask for: 2**22 complex amplitudes are 64 MiB, as one
-# N x N matrix at MAX_N_FOCK.  The shipped configs use about 300 points
-# at 24 levels and the bench 280 at 40.  PhaseCell.check refuses a
-# larger grid before any array is sized by it.
+# N x N matrix at MAX_N_FOCK.  The projector's Gram sum adds at most
+# 128 KiB of slice products and padded rows (model._GRAM_BUDGET), or two
+# products of N x N where those are larger, whatever the point count.
+# The shipped configs use about 300 points at 24 levels and the
+# bench 280 at 40.  PhaseCell.check refuses a larger grid before any
+# array is sized by it.
 MAX_CELL_AMPLITUDES = 2 ** 22
 
 # Exponential fits use samples while the mean stays above

@@ -16,8 +16,8 @@ import numpy as np
 from .constants import MAX_TRAJECTORIES, TAIL_TOL, TRAJ_BATCH
 from .errors import ConfigError, DimensionError, ParameterError, \
     TruncationError
-from .model import OperatorSet, cat_state, coherent_state, fock_state, \
-    normalize, steps_on_grid, tail_mass
+from .model import OperatorSet, _gram_sum, cat_state, coherent_state, \
+    fock_state, normalize, steps_on_grid, tail_mass
 from .observables import STAT_FIELDS, bundle_arrays
 from .qsd import IntegratorConfig, _integrate, _seed_streams, \
     check_seed, check_step_size, trajectory_seed
@@ -164,7 +164,8 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
                 series[f][k0:k1, j0:j1] = vals[f].T
             for j, r in rho_at.items():
                 if j0 <= j < j1:
-                    rhos[r] += _dyad_sum(block[j - j0])
+                    rows = block[j - j0] / np.sqrt(norm_sq[j - j0, :, None])
+                    rhos[r] += _gram_sum(rows)
 
         streams = _seed_streams([trajectory_seed(cfg.base_seed, k)
                                  for k in range(k0, k1)])
@@ -181,26 +182,20 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
 
 
 def density_matrix(states) -> np.ndarray:
-    """Equal-weight mean of the normalized dyads |psi><psi|."""
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
+    """Equal-weight mean of the normalized dyads |psi><psi|; a zero or
+    non-finite state is refused, as normalize refuses it."""
+    states = np.ascontiguousarray(np.atleast_2d(states), dtype=complex)
     if states.size == 0:
         raise ParameterError("no states given")
-    return _dyad_sum(states) / states.shape[0]
-
-
-def _dyad_sum(states: np.ndarray) -> np.ndarray:
-    """Sum of the normalized dyads |psi><psi| / <psi|psi> of a (B, n) batch.
-
-    Each row is scaled by its 1 / <psi|psi> first, on the (re, im) float
-    view, so the sum over rows is one two-operand einsum.  It is not a
-    BLAS product: OpenBLAS may split a gemm of this size over threads,
-    which stalls now and then on a shared machine.
-    """
-    flat = np.ascontiguousarray(states, dtype=complex).view(float)
-    scaled = flat * (1.0 / np.vecdot(flat, flat))[:, None]
-    return np.einsum("bi,bj->ij", scaled.view(complex), states.conj())
+    # on the (re, im) float view, where inf squares to inf, not nan
+    flat = states.view(float)
+    nrm = np.sqrt(np.vecdot(flat, flat))
+    if not np.isfinite(nrm).all():
+        raise ParameterError("cannot normalize a state with non-finite "
+                             "amplitudes")
+    if not nrm.all():
+        raise DimensionError("cannot normalize a zero state")
+    return _gram_sum(states / nrm[:, None]) / states.shape[0]
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
     MAX_CELL_AMPLITUDES, SUPPRESSION_THRESHOLD
 from .errors import ConfigError, DimensionError, QuadratureError
-from .model import OperatorSet, cat_state, check_headroom, \
+from .model import OperatorSet, _gram_sum, cat_state, check_headroom, \
     coherent_states, steps_on_grid
 from .oracle import LindbladPropagatorConfig, _band_norm, _band_steps, \
     _to_bands, propagate_matrices
@@ -40,13 +40,6 @@ MAX_DEPTH = 3
 MAX_CELLS_PER_TIME = 16
 #: Complex entries allowed in one intermediate level of the functional.
 _PAIR_BUDGET = 25_000_000
-#: Quadrature points per product of the projector's Gram sum.  Measured
-#: with OpenBLAS 0.3.31 capped at 2 threads on a 2-core Xeon VM, 300
-#: projectors of 280 points at N = 40: one (40, 280) @ (280, 40) product,
-#: or 64-point slices, kept OpenBLAS's second thread busy for 18-70
-#: ticks of 10 ms (worst call 88 ms); slices of 4 to 32 points used it
-#: for none, at the same 0.6-0.7 ms median.  8 stays well below that.
-_GRAM_SLICE = 8
 
 
 @dataclass(frozen=True)
@@ -121,12 +114,7 @@ def cell_projector(cell: PhaseCell, ops: OperatorSet) -> np.ndarray:
     weight = hx * hy / math.pi
     psis = coherent_states(ops, (cell.center + xs[:, None]
                                  + 1j * ys[None, :]).ravel())
-    # the sum over points in slices of _GRAM_SLICE, padded with zero rows
-    slices = np.zeros((-(-len(psis) // _GRAM_SLICE), _GRAM_SLICE,
-                       ops.n_fock), dtype=complex)
-    slices.reshape(-1, ops.n_fock)[:len(psis)] = psis
-    proj = weight * np.matmul(slices.transpose(0, 2, 1),
-                              slices.conj()).sum(axis=0)
+    proj = weight * _gram_sum(psis)
     return 0.5 * (proj + proj.conj().T)
 
 

@@ -195,6 +195,43 @@ def normalize(state: np.ndarray) -> np.ndarray:
     return state / nrm
 
 
+#: Rows per product of _gram_sum.  Measured with OpenBLAS 0.3.31 capped
+#: at 2 threads on a 2-core Xeon VM, 300 projectors' sums of 280 rows at
+#: N = 40: one (40, 280) @ (280, 40) product, or 64-row slices, kept
+#: OpenBLAS's second thread busy for 18-70 ticks of 10 ms (worst call 88
+#: ms); slices of 4 to 32 rows used it for none, at the same 0.6-0.7 ms
+#: median.  8 stays well below that.
+_GRAM_SLICE = 8
+#: Complex entries of slice products and padded rows that _gram_sum
+#: holds at once: 128 KiB.  At 2**20 a 256-row snapshot raised the
+#: ensemble_wide benchmark's peak RSS by 1 MB.
+_GRAM_BUDGET = 2 ** 13
+
+
+def _gram_sum(rows: np.ndarray) -> np.ndarray:
+    """sum_b |rows_b><rows_b| of a (P, N) array of rows.
+
+    Each product covers _GRAM_SLICE zero-padded rows, so OpenBLAS starts
+    no worker thread.  A chunk of products fills slots 1.. of a reused
+    buffer of at most _GRAM_BUDGET entries, or of two products where
+    those are larger, and slot 0 carries the running total.  Each chunk
+    is summed in slot order, so the sum is the same sequence of
+    additions whatever the chunk size.
+    """
+    p, n = rows.shape
+    per = max(2, _GRAM_BUDGET // (n * (n + 2 * _GRAM_SLICE)))
+    buf = np.zeros((min(per, 1 + -(-p // _GRAM_SLICE)), n, n), dtype=complex)
+    step = (len(buf) - 1) * _GRAM_SLICE
+    for start in range(0, p, step):
+        chunk = rows[start:start + step]
+        k = -(-len(chunk) // _GRAM_SLICE)
+        part = np.zeros((k, _GRAM_SLICE, n), dtype=complex)
+        part.reshape(-1, n)[:len(chunk)] = chunk
+        np.matmul(part.mT, part.conj(), out=buf[1:k + 1])
+        buf[0] = buf[:k + 1].sum(axis=0)
+    return buf[0].copy()
+
+
 def tail_levels(n_fock: int) -> int:
     """Number of top Fock levels the truncation guard watches."""
     return -(-n_fock // TAIL_LEVEL_DIVISOR)

@@ -132,6 +132,21 @@ def test_unusable_out_is_config_error(tmp_path, capsys, where):
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "plot.gp",
+                                  "thermalize.csv"])
+def test_blocked_output_file_is_config_error(tmp_path, capsys, name):
+    # a directory in the place of one output file, met after the
+    # experiment has run, exits 2 naming the file, with no traceback
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(["thermalize", "--config",
+                 str(_write(tmp_path, _thermalize_cfg())), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write the output file {out / name}: ")
+    assert (out / name).is_dir()
+
+
 def test_unparseable_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -233,14 +248,23 @@ def test_trajectory_csv_roundtrip(tmp_path, warm_params):
 
 
 def test_stationary_expect_fail_mode(tmp_path):
+    # a start off the coherent shape is checked for breaking it early,
+    # then localizing; there is no flag for it
     cfg = {
         "params": {"m": 1.0, "omega": 1.0, "gamma": 0.5, "nbar": 0.5},
         "fock": {"n_fock": 32},
         "integrator": {"dt": 1e-3, "t_end": 12.0, "record_stride": 50},
         "initial": {"kind": "fock", "n": 2},
     }
-    code, _ = _run(tmp_path, "stationary", cfg, "--expect-fail")
+    code, out = _run(tmp_path, "stationary", cfg)
     assert code == EXIT_PASS
+    manifest, _ = _check_outputs(out)
+    assert [c["label"] for c in manifest["checks"]] == [
+        "shape broken early (some diagnostic > 0.05 in first half)",
+        "diagnostics decay below threshold by the end"]
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["stationary", "--config", "c", "--out",
+                                  "o", "--expect-fail"])
 
 
 def test_seed_override_controls_noise(tmp_path):
@@ -549,7 +573,10 @@ def test_check_config_refuses_a_missing_section_and_a_non_object():
      "expected counts below"),
     ("thermalize", "thermalize", "integrator", "record_stride", 20000,
      "at least two samples"),
-    ("stationary", "stationary", "integrator", "record_stride", 100000,
+    # a start that is not coherent is checked over at least two samples
+    ("stationary", "stationary", None, None,
+     {"initial": {"kind": "fock", "n": 2},
+      "integrator": {"dt": 0.001, "t_end": 50.0, "record_stride": 100000}},
      "at least two samples"),
     # finite values whose quadrature width or loss diagonal is not
     ("localize", "localize_fock", "params", "m", 1e308, "sigma_q"),
@@ -596,8 +623,7 @@ def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
         cfg.update(value)
     else:
         cfg[section][key] = value
-    extra = ["--expect-fail"] if command == "stationary" else []
-    code, out = _run(tmp_path, command, cfg, *extra)
+    code, out = _run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []

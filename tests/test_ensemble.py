@@ -5,6 +5,7 @@ import pytest
 from qsdsim import (
     STAT_FIELDS,
     ConfigError,
+    DimensionError,
     EnsembleConfig,
     InitialStateSpec,
     IntegratorConfig,
@@ -234,6 +235,39 @@ def test_density_matrix_of_orthogonal_states(ops20):
     want = np.zeros((20, 20), dtype=complex)
     want[0, 0] = want[1, 1] = 0.5
     assert np.allclose(rho, want, atol=1e-15)
+
+
+def _dyad_mean(states):
+    return sum(np.outer(s, s.conj()) / np.vdot(s, s).real
+               for s in states) / len(states)
+
+
+def test_snapshot_and_density_matrix_match_outer_products(ops20):
+    # 13 trajectories, off the Gram sum's slices of 8; the snapshot at
+    # t_end is the mean dyad of the final states
+    stats = run_ensemble(_cfg(13, t_end=0.4, stride=200, rho_times=(0.4,)),
+                         ops20)
+    want = _dyad_mean(stats.final_states)
+    assert np.abs(stats.rhos[0] - want).max() <= 1e-14 * np.abs(want).max()
+    # rows of unequal norm, each normalized first
+    rng = np.random.default_rng(3)
+    states = ((rng.normal(size=(11, 7)) + 1j * rng.normal(size=(11, 7)))
+              * 10.0 ** rng.uniform(-3, 3, size=(11, 1)))
+    want = _dyad_mean(states)
+    got = density_matrix(states)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("states, error, message", [
+    ([[0, 0], [1, 0]], DimensionError, "zero state"),
+    ([[np.nan, 0]], ParameterError, "non-finite"),
+    ([[1, 0], [np.inf, 1]], ParameterError, "non-finite"),
+])
+def test_density_matrix_refuses_a_zero_or_non_finite_state(states, error,
+                                                         message):
+    # refused as normalize refuses it, not averaged into a nan matrix
+    with pytest.raises(error, match=message):
+        density_matrix(states)
 
 
 def test_trace_distance_properties(warm_params):

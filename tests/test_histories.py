@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,22 @@ def test_cell_geometry():
                              "h": 0.1, name: bad})
     with pytest.raises(ConfigError, match="center"):
         PhaseCell(center=complex(0.0, math.nan), w_re=1.0, w_im=0.5, h=0.1)
+
+
+def test_projector_working_memory_is_bounded(warm_params):
+    # 63 x 63 = 3969 points at 100 levels: the coherent states take 6.4
+    # MB, and the Gram sum holds its running total and one slice product
+    # at a time, where a stack of all 497 products takes 80 MB
+    ops = build_operators(warm_params, 100)
+    cell = PhaseCell(center=0.0, w_re=3.15, w_im=3.15, h=0.1)
+    tracemalloc.start()
+    try:
+        proj = cell_projector(cell, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proj.shape == (100, 100)
+    assert peak < 32 * 2 ** 20
 
 
 def test_projector_captures_contained_packet(warm_params):

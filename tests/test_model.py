@@ -15,6 +15,7 @@ from scipy import stats as sps
 
 from conftest import dense_operators
 import qsdsim
+from qsdsim import model
 from qsdsim.constants import MAX_N_FOCK
 from qsdsim.errors import DimensionError, ParameterError, TruncationError
 from qsdsim.model import (ModelParams, build_operators, cat_state,
@@ -266,6 +267,21 @@ def test_normalize_and_tail(ops20):
     state[0] = math.sqrt(0.999)
     state[19] = math.sqrt(0.001)
     assert tail_mass(state) == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("p, n", [(1, 5), (21, 6), (203, 3)])
+def test_gram_sum_is_the_sum_of_outer_products(monkeypatch, p, n):
+    # row counts off the slice size, norms over six decades; the sum is
+    # the same sequence of additions at any budget, so bit for bit
+    rng = np.random.default_rng(p)
+    rows = ((rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n)))
+            * 10.0 ** rng.uniform(-3, 3, size=(p, 1)))
+    assert p % model._GRAM_SLICE or p == 1
+    want = sum(np.outer(r, r.conj()) for r in rows)
+    got = model._gram_sum(rows)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    monkeypatch.setattr(model, "_GRAM_BUDGET", 1)   # two slots a chunk
+    assert np.array_equal(model._gram_sum(rows), got)
 
 
 def test_import_does_not_load_scipy(tmp_path):
