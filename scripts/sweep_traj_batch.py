@@ -49,7 +49,7 @@ def main() -> None:
         # an untimed call, so the library's first load times nothing
         qsd._integrate(ops, psi0[None].copy(), qsd._seed_streams([0]),
                        qsdsim.IntegratorConfig(dt=1e-3, t_end=1e-3), 0,
-                       lambda p, s: None)
+                       lambda p, mom, s: None)
         runs = {b: ([], []) for b in args.batch}
         for _ in range(args.repeat):
             for b in args.batch:
@@ -61,7 +61,7 @@ def main() -> None:
                     streams = qsd._seed_streams(range(b))
                     t0 = time.perf_counter()
                     qsd._integrate(ops, psis, streams, icfg, 0,
-                                   lambda p, s: None)
+                                   lambda p, mom, s: None)
                     took.append(time.perf_counter() - t0)
                 runs[b][0].append((took[1] - took[0])
                                   / ((args.steps - 1) * b))

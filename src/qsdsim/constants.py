@@ -47,8 +47,8 @@ TAIL_TOL = 1e-6
 # batch.  It also bounds the sampled rows that one call of the loop
 # writes: a batch of B rows holds max(1, TRAJ_BATCH // B) samples per
 # call, so a single trajectory hands run_trajectory blocks of
-# TRAJ_BATCH states for one bundle_arrays call each, and the buffer
-# stays at TRAJ_BATCH states.
+# TRAJ_BATCH states with their moments, and the buffers stay at
+# TRAJ_BATCH states and 6 TRAJ_BATCH moments.
 TRAJ_BATCH = 256
 
 # Longest run in steps that IntegratorConfig accepts.  _integrate keeps

@@ -18,7 +18,7 @@ from .errors import ConfigError, DimensionError, ParameterError, \
     TruncationError
 from .model import OperatorSet, _gram_sum, cat_state, coherent_state, \
     fock_state, normalize, steps_on_grid, tail_mass
-from .observables import STAT_FIELDS, bundle_arrays
+from .observables import STAT_FIELDS, moment_fields
 from .qsd import IntegratorConfig, _integrate, _seed_streams, \
     check_seed, check_step_size, trajectory_seed
 
@@ -145,30 +145,30 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     for k0 in range(0, m, TRAJ_BATCH):
         k1 = min(k0 + TRAJ_BATCH, m)
 
-        def on_sample(block, first_step):
-            # samples j0..j1-1 of the batch, a (k, B, n_fock) block
-            # reduced as (field, sample) arrays over the batch axis
+        def on_sample(block, moments, first_step):
+            # samples j0..j1-1 of the batch, a (k, B, n_fock) block with
+            # its (k, B, 6) moments, reduced as (field, sample) arrays
+            # over the batch axis
             j0 = first_step // icfg.record_stride
             j1 = j0 + len(block)
-            vals = bundle_arrays(block, ops)
-            v = np.stack(tuple(vals.values()))  # in the order of STAT_FIELDS
+            v = moment_fields(moments, ops)   # (field, sample, row)
+            norm_sq = moments[..., 0]   # each row's ||psi||^2
             if k0 == 0:
                 shift[:, j0:j1] = v[..., 0]
             dev = v - shift[:, j0:j1, None]
             tot[:, j0:j1] += v.sum(axis=-1)
             tot_dev[:, j0:j1] += dev.sum(axis=-1)
             tot_sq[:, j0:j1] += (dev * dev).sum(axis=-1)
-            norm_sq = np.einsum("kbi,kbi->kb", block.conj(), block).real
             occ[j0:j1] += (np.abs(block) ** 2 / norm_sq[..., None]).sum(axis=1)
             for f in cfg.store_series:
-                series[f][k0:k1, j0:j1] = vals[f].T
+                series[f][k0:k1, j0:j1] = v[STAT_FIELDS.index(f)].T
             for j, r in rho_at.items():
                 if j0 <= j < j1:
                     rows = block[j - j0] / np.sqrt(norm_sq[j - j0, :, None])
                     rhos[r] += _gram_sum(rows)
 
-        streams = _seed_streams([trajectory_seed(cfg.base_seed, k)
-                                 for k in range(k0, k1)])
+        streams = _seed_streams(trajectory_seed(
+            cfg.base_seed, np.arange(k0, k1, dtype=np.uint64)))
         finals[k0:k1], _ = _integrate(ops, np.tile(psi0, (k1 - k0, 1)),
                                       streams, icfg, k0, on_sample)
 

@@ -26,7 +26,8 @@ from .model import ModelParams, OperatorSet
 
 _CONSISTENCY_TOL = 1e-10
 
-#: Diagnostic fields, keys of bundle_arrays' result.
+#: Diagnostic fields: the keys of bundle_arrays' result and the rows of
+#: moment_fields'.
 STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R", "excess_q",
                "excess_p", "delta_alpha_sq", "n_mean")
 
@@ -35,17 +36,11 @@ STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R", "excess_q",
 BUNDLE_DTYPE = np.dtype([(f, float) for f in ("t", *STAT_FIELDS)])
 
 
-def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
-    """Diagnostics for a (B, n_fock) batch of states.
-
-    Returns a dict of (B,) real arrays keyed by STAT_FIELDS.
-    Everything is derived from <a>, <a^2> and <n>:
-
-        <q> = 2 sigma_q Re<a>,  <q^2> = sigma_q^2 (2 Re<a^2> + 2<n> + 1)
-        <p> = 2 sigma_p Im<a>,  <p^2> = sigma_p^2 (-2 Re<a^2> + 2<n> + 1)
-        R   = hbar Im<a^2> - <p><q>
-    """
-    p = ops.params
+def _moments(states: np.ndarray, ops: OperatorSet) -> np.ndarray:
+    """The six moments of each state of a (..., n_fock) array, (..., 6):
+    ||psi||^2 and ||psi||^2 times Re<a>, Im<a>, Re<a^2>, Im<a^2> and
+    <n>, the level sums that the stepping loop forms for every sampled
+    row."""
     # Products and norms act on the (re, im) float view, so no complex
     # product casts the real factors; vecdot conjugates its first
     # argument.
@@ -55,32 +50,53 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
     # a |n> = sqrt(n) |n-1>: a psi without its zero last entry
     a_flat = flat[..., 2:] * root_n
     a2_psi = (a_flat[..., 2:] * root_n[:-2]).view(complex)
-    norm_sq = np.vecdot(flat, flat)
-    exp_a = np.vecdot(states[..., :-1], a_flat.view(complex)) / norm_sq
-    exp_a2 = np.vecdot(states[..., :-2], a2_psi) / norm_sq
-    exp_n = np.vecdot(a_flat, a_flat) / norm_sq
+    a = np.vecdot(states[..., :-1], a_flat.view(complex))
+    a2 = np.vecdot(states[..., :-2], a2_psi)
+    return np.stack((np.vecdot(flat, flat), a.real, a.imag, a2.real,
+                     a2.imag, np.vecdot(a_flat, a_flat)), axis=-1)
 
-    q_mean = 2.0 * p.sigma_q * exp_a.real
-    p_mean = 2.0 * p.sigma_p * exp_a.imag
-    var_q = p.sigma_q ** 2 * (2.0 * exp_a2.real + 2.0 * exp_n + 1.0) - q_mean ** 2
-    var_p = p.sigma_p ** 2 * (-2.0 * exp_a2.real + 2.0 * exp_n + 1.0) - p_mean ** 2
-    r_corr = p.hbar * exp_a2.imag - p_mean * q_mean
+
+def moment_fields(moments: np.ndarray, ops: OperatorSet) -> np.ndarray:
+    """The diagnostics of states from their (..., 6) _moments, as a
+    (9, ...) array in the order of STAT_FIELDS.
+
+    Everything is derived from <a>, <a^2> and <n>:
+
+        <q> = 2 sigma_q Re<a>,  <q^2> = sigma_q^2 (2 Re<a^2> + 2<n> + 1)
+        <p> = 2 sigma_p Im<a>,  <p^2> = sigma_p^2 (-2 Re<a^2> + 2<n> + 1)
+        R   = hbar Im<a^2> - <p><q>
+    """
+    p = ops.params
+    norm_sq, *sums = np.moveaxis(moments, -1, 0)
+    a_re, a_im, a2_re, a2_im, exp_n = (x / norm_sq for x in sums)
+
+    q_mean = 2.0 * p.sigma_q * a_re
+    p_mean = 2.0 * p.sigma_p * a_im
+    var_q = p.sigma_q ** 2 * (2.0 * a2_re + 2.0 * exp_n + 1.0) - q_mean ** 2
+    var_p = p.sigma_p ** 2 * (-2.0 * a2_re + 2.0 * exp_n + 1.0) - p_mean ** 2
+    r_corr = p.hbar * a2_im - p_mean * q_mean
     excess_q = var_q / p.sigma_q ** 2 - 1.0
     excess_p = var_p / p.sigma_p ** 2 - 1.0
-    delta_alpha_sq = exp_n - np.abs(exp_a) ** 2
+    delta_alpha_sq = exp_n - (a_re * a_re + a_im * a_im)
 
-    # Two independent routes to the same spread must agree, row by row;
-    # a nan residual fails.
+    # Two independent routes to the same spread must agree, state by
+    # state; a nan residual fails.
     err = np.abs(delta_alpha_sq - 0.25 * (excess_q + excess_p))
     bad = np.flatnonzero(~(err <= _CONSISTENCY_TOL * np.maximum(1.0, exp_n)))
     if bad.size:
         row = int(bad[0])
         raise FloatingPointError(
             f"phase-space spread consistency violated by "
-            f"{err[row]:.3e} in row {row}")
+            f"{err.flat[row]:.3e} in row {row}")
 
-    return dict(zip(STAT_FIELDS, (q_mean, p_mean, var_q, var_p, r_corr,
-                                  excess_q, excess_p, delta_alpha_sq, exp_n)))
+    return np.stack((q_mean, p_mean, var_q, var_p, r_corr, excess_q,
+                     excess_p, delta_alpha_sq, exp_n))
+
+
+def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
+    """Diagnostics for a (B, n_fock) batch of states: a dict of (B,)
+    real arrays keyed by STAT_FIELDS, moment_fields of their _moments."""
+    return dict(zip(STAT_FIELDS, moment_fields(_moments(states, ops), ops)))
 
 
 def localization_rhs(vals: dict, params: ModelParams):

@@ -31,8 +31,11 @@ read from numpy's libnpyrandom.a when the loop is built.  So row b
 draws np.random.default_rng(seeds[b]).standard_normal's stream, bit
 for bit, with no numpy generator made.  Each new build must seed and
 draw so before it is used, or no library is made.  It copies the
-sampled states into a buffer of up to TRAJ_BATCH rows.  Python calls
-it once per such block of samples, hands the block to the caller and
+sampled states into a buffer of up to TRAJ_BATCH rows and writes six
+moments of each sampled row beside them (||psi||^2 and the level sums
+of <a>, <a^2> and <n>), from which observables.moment_fields derives
+every diagnostic in O(1) per row.  Python calls it once per such block
+of samples, hands the states and their moments to the caller and
 raises the error of a failed row.  It is built with gcc on first use,
 never at import.
 """
@@ -57,7 +60,8 @@ from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
 from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
     tail_levels
-from .observables import BUNDLE_DTYPE, STAT_FIELDS, bundle_arrays
+from .observables import BUNDLE_DTYPE, STAT_FIELDS, _moments, \
+    moment_fields
 
 #: Weyl-sequence increment of the splitmix64 stream.
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -85,8 +89,10 @@ _ZIGGURAT_TABLES = ("ki_double", "wi_double", "fi_double")
 _CHECK_SEEDS, _CHECK_BLOCKS, _CHECK_BLOCK = (0, MAX_SEED), 5, 10_000
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 output for the 64-bit input x."""
+def splitmix64(x):
+    """One splitmix64 output for the 64-bit input x: an int, or a 1-d
+    uint64 array for one output per entry, whose arithmetic wraps modulo
+    2**64 as the masks make the int's."""
     x = (x + _SPLITMIX_GAMMA) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -94,14 +100,15 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def trajectory_seed(base_seed: int, index: int) -> int:
+def trajectory_seed(base_seed: int, index):
     """Decorrelated per-trajectory seed.
 
     Trajectory k draws the k-th output of the splitmix64 sequence
     seeded at base_seed, so seeds depend only on (base_seed, k), never
-    on batching or worker count.
+    on batching or worker count.  index is an int, or a 1-d uint64 array
+    of them for one seed each.
     """
-    if index < 0:
+    if np.ndim(index) == 0 and index < 0:   # uint64 entries never are
         raise ParameterError("trajectory index must be >= 0")
     return splitmix64((base_seed + index * _SPLITMIX_GAMMA) & _MASK64)
 
@@ -243,7 +250,7 @@ class _Segment(ctypes.Structure):
     _fields_ = [(name, ctype) for names, ctype in (
         ("B N n tail_start stride", ctypes.c_long),
         ("dt tail_tol scale", ctypes.c_double),
-        ("coef psis rec drift streams lanes", ctypes.c_void_p),
+        ("coef psis rec mom drift streams lanes", ctypes.c_void_p),
         ("worst worst_step", ctypes.c_long),
         ("worst_tail", ctypes.c_double)) for name in names.split()]
 
@@ -363,16 +370,18 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     in one go.  Rows go through the lane groups of the compiled loop, a
     lone row, B = 1 or the last row of a batch, through its one-lane
     group; each rounds a row as it would be rounded alone, so a row's
-    results do not depend on B.  Each step
-    is renormalized.  The states of step 0 and of every record_stride-th
-    step are sampled: the compiled loop writes them into a (S, B,
-    n_fock) buffer, S = max(1, TRAJ_BATCH // B), and one loop call
-    fills it, so a call holds at most TRAJ_BATCH sampled rows.
-    on_sample(block, first_step) gets each (k, B, n_fock) block in
-    turn, whose sample i is of step first_step + i * record_stride; the
-    block is reused once on_sample returns.  Returns the batch and, per
-    step, the worst pre-renormalization norm drift | ||psi'|| - 1 |
-    over the batch.  Raises TrajectoryError as soon as a row's relative
+    results do not depend on B.  Each step is renormalized.  The states
+    of step 0 and of every record_stride-th step are sampled: the
+    compiled loop writes them into a (S, B, n_fock) buffer, S = max(1,
+    TRAJ_BATCH // B), and their moments into a (S, B, 6) one, and one
+    loop call fills both, so a call holds at most TRAJ_BATCH sampled
+    rows.  A row's moments are observables._moments' six, summed level
+    by level from the sampled state; those of step 0, the given rows,
+    are _moments' own.  on_sample(block, moments, first_step) gets each
+    (k, B, n_fock) block and its (k, B, 6) moments in turn, whose
+    sample i is of step first_step + i * record_stride; both are reused
+    once on_sample returns.  Returns the batch and, per step, the worst
+    pre-renormalization norm drift | ||psi'|| - 1 | over the batch.  Raises TrajectoryError as soon as a row's relative
     tail mass, its share of ||psi'||^2 in the top tail_levels(n_fock)
     levels, is above TAIL_TOL or not finite, after on_sample has had
     every sample before the failing step.
@@ -388,10 +397,12 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
                              "C-contiguous (B, 4) uint64 array")
     n_fock = ops.n_fock
     g = (-1j / ops.params.hbar) * ops.h - 0.5 * ops.mu
-    # the padded rows cl, dl, dgr, dgi of qsd_lanes.h
-    coef = np.zeros((4, n_fock))
+    # the padded rows cl, dl, dgr, dgi, ra and ra2 of qsd_lanes.h
+    coef = np.zeros((6, n_fock))
     coef[0, :-1], coef[1, 1:] = ops.c, ops.d
     coef[2], coef[3] = cfg.dt * g.real, cfg.dt * g.imag
+    coef[4, :-1] = np.sqrt(np.arange(1, n_fock))
+    coef[5, :-2] = np.sqrt(np.arange(1, n_fock - 1) * np.arange(2, n_fock))
     # the scratch of one lane group of any width: 4 (N + 2) vectors of 8
     # doubles, 64-aligned
     lanes = np.zeros(32 * (n_fock + 2) + 7)
@@ -400,6 +411,7 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     drift = np.zeros(n_steps)
     rec = np.empty((max(1, TRAJ_BATCH // batch), batch, n_fock),
                    dtype=complex)
+    mom = np.empty((len(rec), batch, 6))
     seg = _Segment(
         B=batch, N=n_fock, tail_start=n_fock - tail_levels(n_fock),
         stride=stride, dt=cfg.dt, tail_tol=TAIL_TOL,
@@ -408,23 +420,25 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
         lanes=lanes.ctypes.data)
     segment = _compiled_loop().qsd_segment
     # addresses taken once; a call's offsets are added as integers
-    rec_at, drift_at = rec.ctypes.data, drift.ctypes.data
-    rec[0] = psis
+    rec_at, mom_at = rec.ctypes.data, mom.ctypes.data
+    drift_at = drift.ctypes.data
+    rec[0], mom[0] = psis, _moments(psis, ops)
     first, held = 0, 1   # sample index of rec[0], samples in rec
     step = 0
     while step < n_steps:
         if held == len(rec):
-            on_sample(rec, first * stride)
+            on_sample(rec, mom, first * stride)
             first, held = first + held, 0
         seg.n = n = min(n_steps - step, (len(rec) - held) * stride)
         seg.rec = rec_at + held * rec.strides[0]
+        seg.mom = mom_at + held * mom.strides[0]
         seg.drift = drift_at + step * drift.strides[0]
         worst = segment(seg)
         if worst >= 0:
             fail = step + seg.worst_step
             whole = (fail - 1) // stride + 1 - first
             if whole > 0:
-                on_sample(rec[:whole], first * stride)
+                on_sample(rec[:whole], mom[:whole], first * stride)
             t = fail * cfg.dt
             tail = seg.worst_tail
             raise TrajectoryError(
@@ -435,7 +449,7 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
         held += n // stride
         step += n
     if held:
-        on_sample(rec[:held], first * stride)
+        on_sample(rec[:held], mom[:held], first * stride)
     return psis, drift
 
 
@@ -462,26 +476,27 @@ def run_trajectory(initial: np.ndarray, ops: OperatorSet,
     """Integrate one trajectory from t=0 to t_end.
 
     Records the diagnostics every record_stride steps.  The stepping
-    loop hands over the sampled states in blocks of up to TRAJ_BATCH,
-    each evaluated by one bundle_arrays call, as the ensemble evaluates
-    its batches, and the call's columns fill the block's rows of
-    bundles.  Deterministic given (initial, cfg): the noise stream is
+    loop hands over the moments of its samples in blocks of up to
+    TRAJ_BATCH, and moment_fields turns all of them into the rows of
+    bundles at the end, as the ensemble turns each block of its
+    batches.  Deterministic given (initial, cfg): the noise stream is
     fully determined by cfg.seed.
     """
     check_step_size(cfg.dt, ops.params)
     psis = normalize(np.asarray(initial, dtype=complex))[None, :].copy()
     times = cfg.sample_times
-    bundles = np.recarray(len(times), dtype=BUNDLE_DTYPE)
-    bundles.t = times
+    moments = np.empty((len(times), 6))
 
-    def on_sample(block, first_step):
+    def on_sample(block, block_moments, first_step):
         j = first_step // cfg.record_stride
-        vals = bundle_arrays(block[:, 0], ops)
-        for f in STAT_FIELDS:
-            bundles[f][j:j + len(block)] = vals[f]
+        moments[j:j + len(block)] = block_moments[:, 0]
 
     psis, drift = _integrate(ops, psis, _seed_streams([cfg.seed]), cfg, 0,
                              on_sample)
+    bundles = np.recarray(len(times), dtype=BUNDLE_DTYPE)
+    bundles.t = times
+    for f, vals in zip(STAT_FIELDS, moment_fields(moments, ops)):
+        bundles[f] = vals
     return TrajectoryRecord(times=times, bundles=bundles,
                             final_state=psis[0].copy(), seed=cfg.seed,
                             norm_drift=drift)

@@ -4,13 +4,13 @@
  * 8, 4 or 1.  It defines lanes<LANES>_t and run_group<LANES>, which
  * steps one group of rows through a whole call of qsd_segment: the
  * scaffold of row load, noise draw, tail guard, failure merge, drift,
- * renormalization, samples and store-back is written once, here.  Only
- * the step's arithmetic depends on the width.  At LANES 8 and 4,
- * lanes_t is a GCC vector of LANES doubles whose lane l holds row
- * b0 + l, so the vector width runs across rows.  At LANES 1 it is a
- * plain double, and the step of the lone row runs its vectors across
- * the row's levels instead: it forms the products in loops with no
- * dependence from level to level, which the compiler vectorizes, and
+ * renormalization, samples with their moments and store-back is written
+ * once, here.  Only the step's arithmetic depends on the width.  At
+ * LANES 8 and 4, lanes_t is a GCC vector of LANES doubles whose lane l
+ * holds row b0 + l, so the vector width runs across rows.  At LANES 1
+ * it is a plain double, and the step of the lone row runs its vectors
+ * across the row's levels instead: it forms the products in loops with
+ * no dependence from level to level, which the compiler vectorizes, and
  * then adds them up level by level, as a lane does.
  */
 
@@ -18,6 +18,7 @@
 #define CAT(a, b) CAT_(a, b)
 #define lanes_t CAT(lanes, LANES)
 #define step_group CAT(step_group, LANES)
+#define moments_group CAT(moments_group, LANES)
 #define run_group CAT(run_group, LANES)
 
 #if LANES == 1
@@ -159,6 +160,43 @@ step_group(long n, const double *cl, const double *dl, const double *dgr,
     *out_sq = head + tail;
 }
 
+/* The six moments of each row of the padded lanes (re, im), written
+ * for lanes 0 .. used - 1 to out + 6 l: ||psi||^2; Re and Im of
+ * sum conj(psi_k) ra_k psi_{k+1}, which is ||psi||^2 <a>; Re and Im of
+ * sum conj(psi_k) ra2_k psi_{k+2}, which is ||psi||^2 <a^2>; and
+ * sum k |psi_k|^2, which is ||psi||^2 <n>; ra_k = sqrt(k + 1) and
+ * ra2_k = sqrt((k + 1) (k + 2)).  Each moment is one
+ * sequential chain over levels per lane, as the step's sums are, and a
+ * lone row runs the same loop on plain doubles.  The <a^2> chain stops
+ * two levels short of the top, where psi_{k+2} lies past the padding. */
+static inline __attribute__((always_inline)) void
+moments_group(long n, const double *ra, const double *ra2,
+              const lanes_t *re, const lanes_t *im, int used, double *out)
+{
+    const lanes_t *r = re + 1, *i = im + 1;
+    lanes_t ns = {0}, ar = {0}, ai = {0}, br = {0}, bi = {0}, nn = {0};
+    for (long k = 0; k < n; k++) {
+        const lanes_t sq = r[k] * r[k] + i[k] * i[k];
+        ns += sq;
+        ar += ra[k] * (r[k] * r[k + 1] + i[k] * i[k + 1]);
+        ai += ra[k] * (r[k] * i[k + 1] - i[k] * r[k + 1]);
+        if (k < n - 2) {
+            br += ra2[k] * (r[k] * r[k + 2] + i[k] * i[k + 2]);
+            bi += ra2[k] * (r[k] * i[k + 2] - i[k] * r[k + 2]);
+        }
+        nn += (double)k * sq;
+    }
+    for (int l = 0; l < used; l++) {
+        double *m = out + 6 * l;
+        m[0] = LANE(ns, l);
+        m[1] = LANE(ar, l);
+        m[2] = LANE(ai, l);
+        m[3] = LANE(br, l);
+        m[4] = LANE(bi, l);
+        m[5] = LANE(nn, l);
+    }
+}
+
 /* Steps rows b0 .. b0 + LANES - 1 of the call s through s->n steps, or
  * through the step of the earliest failure so far, and merges the
  * group's failures into s in row order.  Lanes past s->B - 1 hold
@@ -170,6 +208,7 @@ static void run_group(struct segment *s, long b0)
     const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
     const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
     const double *cl = s->coef, *dl = cl + N, *dgr = dl + N, *dgi = dgr + N;
+    const double *ra = dgi + N, *ra2 = ra + N;
     double *drift = s->drift;
     uint64_t *const streams = s->streams + 4 * b0;
     lanes_t *buf = s->lanes;
@@ -196,7 +235,7 @@ static void run_group(struct segment *s, long b0)
     int cur = 0;
     /* a row failing after the earliest failure so far cannot win */
     const long steps = s->worst < 0 ? s->n : s->worst_step;
-    double *sample = s->rec + 2 * N * b0;
+    double *sample = s->rec + 2 * N * b0, *moments = s->mom + 6 * b0;
     long left = s->stride;   /* steps to the next sample */
     int failed = 0;
     for (long j = 0; j < steps; j++) {
@@ -239,7 +278,9 @@ static void run_group(struct segment *s, long b0)
                     sample[2 * N * l + 2 * k] = LANE(nr[k + 1], l);
                     sample[2 * N * l + 2 * k + 1] = LANE(ni[k + 1], l);
                 }
+            moments_group(N, ra, ra2, nr, ni, used, moments);
             sample += 2 * N * B;
+            moments += 6 * B;
             left = s->stride;
         }
     }
@@ -255,6 +296,7 @@ static void run_group(struct segment *s, long b0)
 
 #undef LANE
 #undef run_group
+#undef moments_group
 #undef step_group
 #undef lanes_t
 #undef CAT

@@ -5,8 +5,8 @@
  * row draws the row's four normals from its own noise stream, and
  * is followed by its norm, the norm-drift high-water mark, the
  * truncation-tail guard and the renormalization.  Every stride-th step
- * the rows are copied into a caller's buffer of samples, so one call
- * covers many samples.
+ * the rows are copied into a caller's buffer of samples, with six
+ * moments of each row beside them, so one call covers many samples.
  *
  * Rows are stepped in lane groups by one body, qsd_lanes.h, written
  * once and included for each width.  The library is built for the CPU
@@ -41,7 +41,7 @@
  * L / 2 is the complex diagonal g.  Complex states are stored as
  * interleaved (re, im) doubles.  Inside a lane group they are split
  * into real and imaginary arrays of lanes, padded by one zero level at
- * each end, so no loop of qsd_lanes.h needs a boundary case.
+ * each end, so no loop of a step needs a boundary case.
  */
 
 #include <math.h>
@@ -202,15 +202,16 @@ void qsd_normals(uint64_t *stream, long n, double *out)
 /* One call of qsd_segment.  The caller fills it and owns every buffer
  * it points to, so the loop allocates nothing; streams holds B streams
  * of qsd_seed, which the call advances; qsd.py declares it again,
- * field for field, as _Segment.  coef holds the rows cl, dl, dgr and dgi
- * of qsd_lanes.h, N doubles each.  lanes is the scratch of one lane
- * group of any width: 4 (N + 2) vectors of eight doubles, aligned to 64
- * bytes.  The call sets worst, worst_step and worst_tail. */
+ * field for field, as _Segment.  coef holds the rows cl, dl, dgr, dgi,
+ * ra and ra2 of qsd_lanes.h, N doubles each.  lanes is the scratch of
+ * one lane group of any width: 4 (N + 2) vectors of eight doubles,
+ * aligned to 64 bytes.  The call sets worst, worst_step and
+ * worst_tail. */
 struct segment {
     long B, N, n, tail_start, stride;
     double dt, tail_tol, scale;
     const double *coef;
-    double *psis, *rec, *drift;
+    double *psis, *rec, *mom, *drift;
     uint64_t *streams;
     void *lanes;
     long worst, worst_step;
@@ -258,8 +259,9 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
  *
  * Samples: the call starts on a sample boundary, so sample s falls
  * after step (s + 1) stride.  Sample s of row b is copied to
- * rec + 2 N (s B + b); the caller sizes rec for the samples that land
- * within n steps.
+ * rec + 2 N (s B + b), and its six moments (moments_group in
+ * qsd_lanes.h) are written to mom + 6 (s B + b); the caller sizes rec
+ * and mom for the samples that land within n steps.
  *
  * A lone last row is stepped as a one-lane group; any other last lane
  * group is padded with copies of row B - 1, whose results, drift and
@@ -274,7 +276,7 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
  * 1-based step in s->worst_step and its tail in s->worst_tail, or -1
  * if no row fails; on failure psis, rec, drift and the streams are
  * left partly advanced, and only the samples before the failing step
- * are whole. */
+ * are whole, in rec and in mom. */
 long qsd_segment(struct segment *s)
 {
     s->worst = -1;

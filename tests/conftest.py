@@ -9,6 +9,7 @@ from qsdsim.constants import TAIL_TOL
 from qsdsim.errors import TrajectoryError
 from qsdsim.model import (ModelParams, build_operators, tail_levels,
                           temperature_for_nbar)
+from qsdsim.observables import _moments
 from qsdsim.qsd import IntegratorConfig
 
 _MASK64 = (1 << 64) - 1
@@ -180,9 +181,9 @@ def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
 
     Each row's noise is its whole draw_noise_block stream, drawn by a
     numpy Generator set to the row's stream, which is then advanced past
-    it.  on_sample gets a block of one sample at a time.  Returns (final
-    batch, per-step worst norm drift); raises the same TrajectoryError
-    as the compiled loop.
+    it.  on_sample gets a block of one sample at a time, with its moments
+    from observables._moments.  Returns (final batch, per-step worst norm
+    drift); raises the same TrajectoryError as the compiled loop.
     """
     kern = StepKernel(ops)
     dt = cfg.dt
@@ -195,7 +196,7 @@ def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
         row[:] = draw_noise_block(np.random.Generator(bit_generator), dt,
                                   n_steps)
         store_stream(stream, bit_generator.state)
-    on_sample(psis[None], 0)
+    on_sample(psis[None], _moments(psis[None], ops), 0)
     for step in range(1, n_steps + 1):
         psis, norms, tails = kern.step(psis, noise[:, step - 1], dt)
         drift[step - 1] = np.abs(norms - 1.0).max()
@@ -206,7 +207,7 @@ def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
                 time=step * dt, trajectory=first_index + worst)
         psis *= 1.0 / norms[:, None]
         if step % cfg.record_stride == 0:
-            on_sample(psis[None], step)
+            on_sample(psis[None], _moments(psis[None], ops), step)
     return psis, drift
 
 
@@ -231,11 +232,11 @@ def run_split(drive, ops, psis, streams, cfg, first_index, on_sample,
         for row, level, value in cuts.get(start, ()):
             psis[row, level] = value
 
-        def piece_sample(block, first_step, start=start):
+        def piece_sample(block, moments, first_step, start=start):
             if start and first_step == 0:
-                block, first_step = block[1:], stride
+                block, moments, first_step = block[1:], moments[1:], stride
             if len(block):
-                on_sample(block, start + first_step)
+                on_sample(block, moments, start + first_step)
 
         piece = IntegratorConfig(dt=cfg.dt, t_end=(stop - start) * cfg.dt,
                                  record_stride=stride)

@@ -10,10 +10,11 @@ from scipy import stats
 from conftest import ladder, random_states
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
-from qsdsim.observables import (STAT_FIELDS, bundle_arrays, chi2_sf,
-                                fit_exponential_decay, localization_rhs,
-                                localization_rhs_spread_form, t_quantile,
-                                windowed_slopes)
+from qsdsim.observables import (STAT_FIELDS, _moments, bundle_arrays,
+                                chi2_sf, fit_exponential_decay,
+                                localization_rhs,
+                                localization_rhs_spread_form,
+                                moment_fields, t_quantile, windowed_slopes)
 
 
 def _one(psi, ops):
@@ -84,12 +85,18 @@ def test_spread_identity_on_random_states(ops20, seed):
 
 def test_spread_guard_fails_closed_on_nan(ops20):
     # a nan row makes its consistency residual nan, which must not pass,
-    # and the error names that row
+    # and the error names that row; in a (sample, row) block of moments,
+    # as the ensemble evaluates, it names the row's flat index
     states = np.stack([fock_state(ops20, 1),
                        np.full(20, np.nan, dtype=complex)])
     with np.errstate(invalid="ignore"), \
             pytest.raises(FloatingPointError, match="in row 1$"):
         bundle_arrays(states, ops20)
+    moments = np.tile(_moments(fock_state(ops20, 1), ops20), (2, 3, 1))
+    moments[1, 2, 3] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="in row 5$"):
+        moment_fields(moments, ops20)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

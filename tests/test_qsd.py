@@ -22,13 +22,14 @@ from conftest import StepKernel, dense_operators, draw_noise_block, \
     integrate_reference, lindblad_rhs, numpy_streams, pair_seed, \
     random_states, run_split, stream_state
 from qsdsim import qsd
-from qsdsim.constants import MAX_STEPS, TRAJ_BATCH
+from qsdsim.constants import MAX_SEED, MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
-                          fock_state, tail_mass, temperature_for_nbar)
+                          fock_state, tail_levels, tail_mass,
+                          temperature_for_nbar)
 from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
-from qsdsim.observables import STAT_FIELDS, bundle_arrays
+from qsdsim.observables import STAT_FIELDS, _moments, bundle_arrays
 from qsdsim.qsd import (IntegratorConfig, check_step_size, run_trajectory,
                         splitmix64, trajectory_seed)
 
@@ -52,6 +53,22 @@ def test_trajectory_seed_properties():
     assert trajectory_seed(8, 123) != trajectory_seed(7, 123)
     with pytest.raises(ParameterError):
         trajectory_seed(7, -1)
+
+
+def test_seed_arrays_equal_int_seeds():
+    # splitmix64 and trajectory_seed of a 1-d uint64 array give the int
+    # results entry by entry, bit for bit: bases up to MAX_SEED, and
+    # indices whose products with the increment and sums with the base
+    # wrap past 2**64, which an array does without a warning
+    indices = np.array([0, 1, 2, 3, 255, 2 ** 32, 2 ** 63 - 1, 2 ** 63,
+                        2 ** 64 - 2, 2 ** 64 - 1], dtype=np.uint64)
+    assert splitmix64(indices).tolist() == [splitmix64(int(i))
+                                            for i in indices]
+    for base in (0, 7, MAX_SEED - 1, MAX_SEED):
+        got = trajectory_seed(base, indices)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [trajectory_seed(base, int(i))
+                                for i in indices]
 
 
 def test_noise_block_matches_single_draws():
@@ -191,18 +208,43 @@ def _compiled(ops, psis, seeds, cfg):
     """The production driver on a copy of psis, one stream per seed."""
     return qsd._integrate(ops, np.array(psis, dtype=complex),
                           qsd._seed_streams(seeds), cfg, 0,
-                          lambda block, step: None)
+                          lambda block, moments, step: None)
 
 
 def _recorder(cfg):
-    """A list of (step, batch copy) and the on_sample that fills it."""
+    """A list of (step, batch copy, moments copy) and the on_sample that
+    fills it."""
     samples = []
 
-    def on_sample(block, first_step):
-        samples.extend((first_step + i * cfg.record_stride, p.copy())
-                       for i, p in enumerate(block))
+    def on_sample(block, moments, first_step):
+        samples.extend((first_step + i * cfg.record_stride, p.copy(),
+                        m.copy()) for i, (p, m) in enumerate(zip(block,
+                                                                 moments)))
 
     return samples, on_sample
+
+
+def _assert_rows_as_alone(samples, alone):
+    """Row b of each _recorder sample of a batch equals, bit for bit, the
+    sample of row b stepped alone, alone[b] (a _recorder list), up to
+    the batch's last sample."""
+    for b, own in enumerate(alone):
+        _assert_same_samples([(s, p[b:b + 1], m[b:b + 1])
+                              for s, p, m in samples], own[:len(samples)])
+
+
+def _assert_moments_of_states(ops, samples):
+    """Each sample's moments, as the loop summed them, against _moments
+    of its states, within 1e-13 ||psi||^2 (1 + <n>); a row that is not
+    finite, as a poisoned row is sampled at step 0, has _moments'
+    bits."""
+    for _, states, moments in samples:
+        with np.errstate(all="ignore"):
+            want = _moments(states, ops)
+            tol = 1e-13 * (want[:, 0] + want[:, 5])
+            close = np.abs(moments - want) <= tol[:, None]
+        assert np.all(close | (moments == want)
+                      | np.isnan(moments) & np.isnan(want))
 
 
 def test_batch_step_equals_rows_stepped_alone(warm_params):
@@ -223,6 +265,57 @@ def test_batch_step_equals_rows_stepped_alone(warm_params):
             assert np.array_equal(got[b:b + 1], alone[b][0])
         worst = np.max([d for _, d in alone[:size]], axis=0)
         assert np.array_equal(drift, worst)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("batch", [1, 4, 8, 13])
+@pytest.mark.parametrize("n_fock", [3, 4, 17, 24])
+def test_loop_moments_match_numpy_moments(n_fock, batch, stride):
+    # the six moments the loop writes beside each sampled row, against
+    # _moments of the row within 1e-13 ||psi||^2 (1 + <n>), and bit for
+    # bit those of the row stepped alone: a lone row, a whole four- or
+    # eight-lane group and a ragged last group, with 3 and 4 levels,
+    # where the <a^2> sum has one and two terms.  Random rows whose top
+    # tail_levels hold 1e-8 of their mass keep within the tail guard
+    # under a cold bath.
+    ops = build_operators(ModelParams(gamma=0.2), n_fock)
+    psis = random_states(batch, n_fock, seed=n_fock)
+    psis[:, n_fock - tail_levels(n_fock):] *= 1e-4
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    cfg = IntegratorConfig(dt=1e-3, t_end=30e-3, record_stride=stride)
+    err, _, _, samples, _ = _run_driver(qsd._integrate, ops, psis,
+                                        qsd._seed_streams(range(batch)), cfg)
+    assert err is None and len(samples) == 30 // stride + 1
+    _assert_moments_of_states(ops, samples)
+    assert np.abs(samples[-1][2][:, 3:5]).min() > 0   # <a^2> is not 0
+    _assert_rows_as_alone(samples, [
+        _run_driver(qsd._integrate, ops, psis[b:b + 1],
+                    qsd._seed_streams([b]), cfg)[3] for b in range(batch)])
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("batch", [1, 4, 9, 13])
+def test_moments_before_a_failure_are_whole(warm_params, batch, stride):
+    # row batch // 2 starts with 3e-3 in level 35 of 40 and, drawing
+    # from seed 9, leaks past the tail guard at step 13, within one loop
+    # call: the samples of every step before it, and no other, are
+    # handed over, with the moments of their states, which are those of
+    # each row stepped alone
+    ops = build_operators(warm_params, 40)
+    psis = np.zeros((batch, 40), complex)
+    psis[:, 0] = 1.0
+    psis[batch // 2, 35] = 3e-3
+    seeds = [9 if b == batch // 2 else 100 + b for b in range(batch)]
+    cfg = IntegratorConfig(dt=1e-3, t_end=30e-3, record_stride=stride)
+    err, _, _, samples, _ = _run_driver(qsd._integrate, ops, psis,
+                                        qsd._seed_streams(seeds), cfg)
+    assert err[0] == batch // 2 and err[1] == pytest.approx(13e-3)
+    assert [s for s, _, _ in samples] == list(range(0, 13, stride))
+    _assert_moments_of_states(ops, samples)
+    _assert_rows_as_alone(samples, [
+        _run_driver(qsd._integrate, ops, psis[b:b + 1],
+                    qsd._seed_streams(seeds[b:b + 1]), cfg)[3]
+        for b in range(batch)])
 
 
 def _both_drivers(ops, psis, seeds, cfg, cuts=None):
@@ -259,9 +352,10 @@ def _assert_matches_reference(ops, psis, seeds, cfg, cuts=None):
         assert np.abs(final_c - final_r).max() <= 1e-14
         assert np.abs(drift_c - drift_r).max() <= 1e-14
         assert np.array_equal(streams_c, streams_r)
-    assert [s for s, _ in samples_c] == [s for s, _ in samples_r]
-    for (_, a), (_, b) in zip(samples_c, samples_r):
+    assert [s for s, _, _ in samples_c] == [s for s, _, _ in samples_r]
+    for (_, a, _), (_, b, _) in zip(samples_c, samples_r):
         assert np.allclose(a, b, rtol=0, atol=1e-14, equal_nan=True)
+    _assert_moments_of_states(ops, samples_c)
     return compiled
 
 
@@ -326,11 +420,7 @@ def test_compiled_loop_matches_reference(warm_params, n_fock, batch, seed,
         assert err_c[:2] == want[:2]
         assert err_c[2] == want[2] or math.isnan(err_c[2]) and math.isnan(
             want[2])
-    for k, (step, sample) in enumerate(samples_c):
-        for b in range(batch):
-            assert alone[b][3][k][0] == step
-            assert np.array_equal(sample[b], alone[b][3][k][1][0],
-                                  equal_nan=True)
+    _assert_rows_as_alone(samples_c, [a[3] for a in alone])
 
 
 def _state_cuts(hits, batch, n_steps):
@@ -381,7 +471,8 @@ def test_non_finite_rows_fail_closed_like_reference(
     else:
         assert err_c[2] == pytest.approx(err_r[2], rel=1e-12)
     assert err_c[1] <= (min(cuts) + 1) * cfg.dt * (1 + 1e-12)
-    assert [s for s, _ in compiled[3]] == [s for s, _ in reference[3]]
+    assert [s for s, _, _ in compiled[3]] == [s for s, _, _ in reference[3]]
+    _assert_moments_of_states(ops, compiled[3])
 
 
 @given(batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
@@ -430,12 +521,8 @@ def test_poisoned_lanes_fail_like_rows_stepped_alone(
     got, samples = run(range(batch))
     assert isinstance(got, tuple) and got[:2] == want[:2]
     assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
-    for k, (step, sample) in enumerate(samples):
-        for b in range(batch):
-            assert alone[b][1][k][0] == step
-            # a row poisoned at step 0 is sampled as written there
-            assert np.array_equal(sample[b], alone[b][1][k][1][0],
-                                  equal_nan=True)
+    # a row poisoned at step 0 is sampled as written there
+    _assert_rows_as_alone(samples, [a[1] for a in alone])
     clean, _ = run(range(batch), poisoned=False)
     for b in range(batch):
         if b not in poisoned_rows:
@@ -466,15 +553,17 @@ def test_split_run_equals_unsplit_run(warm_params, n_fock, batch, seed,
         else:
             final, drift = run_split(qsd._integrate, ops, psis, streams,
                                      cfg, 0, on_sample, cuts)
-        runs.append((final, drift, dict(samples)))
+        runs.append((final, drift, {step: (state, moments)
+                                    for step, state, moments in samples}))
     (final, drift, whole), (final_s, drift_s, parts) = runs
     assert np.array_equal(final, final_s)
     assert np.array_equal(drift, drift_s)
     assert [k for k in whole if k <= split] == [k for k in parts
                                                 if k <= split]
-    for step, state in parts.items():
+    for step, (state, moments) in parts.items():
         if step in whole:
-            assert np.array_equal(state, whole[step])
+            assert np.array_equal(state, whole[step][0])
+            assert np.array_equal(moments, whole[step][1])
 
 
 @given(batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
@@ -491,7 +580,7 @@ def test_generators_continue_the_noise_stream(warm_params, batch, seed,
     seeds = [pair_seed(seed, b) for b in range(batch)]
     streams = qsd._seed_streams(seeds)
     qsd._integrate(ops, _low_batch(batch, 24, 6, seed), streams, cfg, 0,
-                   lambda block, step: None)
+                   lambda block, moments, step: None)
     for stream, row_seed in zip(streams, seeds):
         ref = np.random.default_rng(row_seed)
         draw_noise_block(ref, cfg.dt, n_steps)
@@ -511,7 +600,7 @@ def test_trajectory_samples_match_reference(warm_params, seed, n_samples):
     samples, on_sample = _recorder(cfg)
     final, drift = integrate_reference(
         ops, psi0[None].copy(), numpy_streams([seed]), cfg, 0, on_sample)
-    assert [s for s, _ in samples] == list(range(n_samples))
+    assert [s for s, _, _ in samples] == list(range(n_samples))
     assert np.array_equal(rec.times, cfg.sample_times)
     assert np.array_equal(rec.bundles.t, rec.times)
     assert np.abs(rec.final_state - final[0]).max() <= 1e-14
@@ -519,7 +608,7 @@ def test_trajectory_samples_match_reference(warm_params, seed, n_samples):
     # the record array starts uninitialized, so every column of every
     # row is checked against the reference; a nan fails the comparison
     assert len(rec.bundles) == n_samples
-    want = bundle_arrays(np.array([p[0] for _, p in samples]), ops)
+    want = bundle_arrays(np.array([p[0] for _, p, _ in samples]), ops)
     for f in STAT_FIELDS:
         assert np.abs(rec.bundles[f] - want[f]).max() <= 1e-12, f
     # rows read by attribute, as the README's example reads them
@@ -575,23 +664,33 @@ def _skip_unless_above_baseline():
 
 def _loop_outputs(ops, psis, cfg, seeds, cuts):
     """(final, drift, samples, streams) of a clean run and the
-    (trajectory, time, tail) of a run poisoned by the run_split cuts.
-    The streams, seeded by the loop in use, are left where the next
-    draws start."""
+    (trajectory, time, tail, samples) of a run poisoned by the run_split
+    cuts.  The streams, seeded by the loop in use, are left where the
+    next draws start."""
     samples, on_sample = _recorder(cfg)
     streams = qsd._seed_streams(seeds)
     final, drift = qsd._integrate(ops, psis.copy(), streams, cfg, 0,
                                   on_sample)
     clean = final, drift, samples, streams
+    samples, on_sample = _recorder(cfg)
     try:
         with np.errstate(all="ignore"):
             run_split(qsd._integrate, ops, psis,
                       qsd._seed_streams([pair_seed(300, b)
                                          for b in range(len(psis))]),
-                      cfg, 0, lambda block, step: None, cuts)
+                      cfg, 0, on_sample, cuts)
     except TrajectoryError as exc:
-        return clean, (exc.trajectory, exc.time, exc.tail_mass)
+        return clean, (exc.trajectory, exc.time, exc.tail_mass, samples)
     return clean, None
+
+
+def _assert_same_samples(got, want):
+    """Two _recorder lists, equal bit for bit in steps, states and
+    moments."""
+    assert [s for s, _, _ in got] == [s for s, _, _ in want]
+    for (_, a, m), (_, b, n) in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(m, n, equal_nan=True)
 
 
 def _assert_same_outputs(got, want):
@@ -599,11 +698,10 @@ def _assert_same_outputs(got, want):
     (final_w, drift_w, samples_w, streams_w), err_w = want
     assert np.array_equal(final, final_w)
     assert np.array_equal(drift, drift_w)
-    assert [s for s, _ in samples] == [s for s, _ in samples_w]
-    for (_, a), (_, b) in zip(samples, samples_w):
-        assert np.array_equal(a, b)
+    _assert_same_samples(samples, samples_w)
     assert np.array_equal(streams, streams_w)
     assert err is not None and err_w is not None
+    _assert_same_samples(err[3], err_w[3])
     assert err[:2] == err_w[:2]
     assert err[2] == err_w[2] or math.isnan(err[2]) and math.isnan(err_w[2])
 
@@ -649,8 +747,8 @@ def test_eight_lane_groups_equal_four_lane_groups(warm_params, narrow_loop,
                                                   monkeypatch, batch):
     # eight-lane groups with a four- or one-lane tail step every row bit
     # for bit as four-lane groups with a one-lane tail: final and
-    # sampled states, drift, the streams' next states and a failure's
-    # row, time and tail
+    # sampled states with their moments, drift, the streams' next states
+    # and a failure's row, time, tail and the samples before it
     ops = build_operators(warm_params, 40)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.03, record_stride=7)
     psis = _low_batch(batch, 40, 20, seed=batch)
@@ -844,13 +942,17 @@ def test_loop_builds_without_warnings(tmp_path, flags):
 
 #: Run in a child process by test_loop_is_clean_under_sanitizers: builds
 #: the loop with the flags in argv[2:] into $XDG_CACHE_HOME and steps a
-#: grid through it and through the library at argv[1], which must agree
-#: bit for bit.  The grid covers 2, 3 and odd level counts, batches that
-#: leave lone rows and partly filled lane groups, strides 1 and 7, rows
-#: failing early (2 and 3 levels under the warm bath, after 1 to 20
-#: steps) and rows failing mid-block: a start of 3e-3 in level 35 of 40
-#: leaks past the tail guard after 10 to 24 steps, with samples taken
-#: before it.
+#: grid through it and through the library at argv[1], whose outputs,
+#: sampled states and their moments included, must agree bit for bit.
+#: The grid covers 2, 3 and odd level counts (the <a^2> moment sums no
+#: term at 2 levels and one at 3), batches that leave lone rows and
+#: partly filled lane groups, strides 1 and 7, rows failing early (2 and
+#: 3 levels under the warm bath, after 1 to 20 steps) and rows failing
+#: mid-block: a start of 3e-3 in level 35 of 40 leaks past the tail
+#: guard after 10 to 24 steps, with samples taken before it.  At stride
+#: 1 and 17 or 40 levels, the 301 samples of batches up to 13 rows fill
+#: whole sample blocks, so the moments of a block's last sample are
+#: written too; at 257 rows each call holds one sample.
 _SANITIZED_GRID = """
 import hashlib, sys
 from pathlib import Path
@@ -878,8 +980,9 @@ def grid():
         samples = []
         try:
             out = qsd._integrate(ops, psis, streams, cfg, 0,
-                                 lambda block, step: samples.append(
-                                     block.copy()))
+                                 lambda block, moments, step:
+                                 samples.extend((block.copy(),
+                                                 moments.copy())))
         except TrajectoryError as exc:
             assert weak is None or exc.time > stride * cfg.dt
             out = [exc.trajectory, exc.time, exc.tail_mass]
@@ -911,8 +1014,8 @@ def _sanitizer_runtimes():
 
 def test_loop_is_clean_under_sanitizers(tmp_path):
     # the loop's pointer arithmetic (padded rows, the scratch that lane
-    # groups of every width carve up, sample offsets, lanes past
-    # B - 1, streams advanced in place) under AddressSanitizer and
+    # groups of every width carve up, sample and moment offsets, lanes
+    # past B - 1, streams advanced in place) under AddressSanitizer and
     # UndefinedBehaviorSanitizer: any report aborts the child.  -O0
     # builds in half the time of -O3; the sanitizers check every access
     # of the source at any level, and the rounding does not depend on
@@ -1153,4 +1256,4 @@ def test_noise_streams_the_loop_cannot_advance_are_refused(ops20, make):
     with pytest.raises(DimensionError, match="noise streams"):
         qsd._integrate(ops20, psis, streams,
                        IntegratorConfig(dt=1e-3, t_end=0.01), 0,
-                       lambda block, step: None)
+                       lambda block, moments, step: None)
