@@ -51,6 +51,10 @@ TAIL_TOL = 1e-6
 # TRAJ_BATCH states and 6 TRAJ_BATCH moments.
 TRAJ_BATCH = 256
 
+# Stepping-loop builds the cache keeps, the most recently modified, so
+# that checkouts or compilers used in turn do not rebuild every time.
+LOOP_CACHE_KEEP = 4
+
 # Longest run in steps that IntegratorConfig accepts.  _integrate keeps
 # one float64 of norm drift per step, so this caps that array at
 # 256 MiB; a config beyond it is refused before anything is allocated.

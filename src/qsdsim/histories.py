@@ -23,6 +23,7 @@ depth, so no pair is propagated twice.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -202,13 +203,11 @@ def decoherence_functional(
             raise ConfigError(f"history time {t} is beyond t_end "
                               f"{pcfg.t_end}")
     n_fock = ops.n_fock
-    n_times = len(spec.times)
 
     # a cell that recurs at several times is built once
     built = {c: cell_projector(c, ops)
              for c in {c for cells_t in spec.cells for c in cells_t}}
-    projs = []
-    time_labels = []
+    projs, time_labels = [], []
     for cells_t in spec.cells:
         ps = [built[c] for c in cells_t]
         lab = list(range(len(cells_t)))
@@ -221,38 +220,26 @@ def decoherence_functional(
         projs.append(np.stack(ps))
         time_labels.append(lab)
 
-    width = 1
-    for k in range(n_times - 1):
-        width *= projs[k].shape[0]
-        if (width * width) * n_fock * n_fock > _PAIR_BUDGET:
-            raise ConfigError(
-                "history too wide for the pairwise cache; reduce depth "
-                "or cell counts")
+    width = math.prod(len(p) for p in projs[:-1])
+    if width * width * n_fock * n_fock > _PAIR_BUDGET:
+        raise ConfigError("history too wide for the pairwise cache; "
+                          "reduce depth or cell counts")
 
     cur = np.asarray(spec.rho0, dtype=complex)[None, None]
-    prefixes = [()]
-    t_prev = 0.0
-    for k in range(n_times):
-        gap = spec.times[k] - t_prev
-        if gap > 0:
-            cur = propagate_matrices(cur, ops, gap)
-        p = projs[k]
-        c = p.shape[0]
-        npre = cur.shape[0]
-        if k == n_times - 1:
-            # Tr(P_i X P_j) = Tr(P_j P_i X): close out with traces only.
-            t_ij = np.einsum("jab,ibc->ijac", p, p)
-            d = np.einsum("ijab,uvba->uivj", t_ij, cur)
-            d = d.reshape(npre * c, npre * c)
-        else:
-            tmp = np.matmul(p[None, None], cur[:, :, None])
-            cur = np.matmul(tmp[:, :, :, None], p[None, None, None])
-            cur = cur.transpose(0, 2, 1, 3, 4, 5).reshape(
-                npre * c, npre * c, n_fock, n_fock)
-        prefixes = [pre + (lab,) for pre in prefixes
-                    for lab in time_labels[k]]
-        t_prev = spec.times[k]
-    return DecoherenceMatrix(labels=tuple(prefixes), matrix=d)
+    for t0, t1, p in zip((0.0, *spec.times), spec.times, projs):
+        if t1 > t0:
+            cur = propagate_matrices(cur, ops, t1 - t0)
+        if t1 < spec.times[-1]:
+            cur = (p[:, None, None] @ cur[:, None, :, None] @ p).reshape(
+                -1, len(cur) * len(p), n_fock, n_fock)
+    # at the last time's p, Tr(P_i X P_j) = sum_ab (P_j P_i)^T_ab X_ab:
+    # close out with one product of the flattened matrices
+    npre, c = len(cur), len(p)
+    t_ij = (p[None] @ p[:, None]).mT.reshape(c * c, -1)
+    d = (cur.reshape(npre * npre, -1) @ t_ij.T).reshape(npre, npre, c, c)
+    return DecoherenceMatrix(
+        labels=tuple(itertools.product(*time_labels)),
+        matrix=d.transpose(0, 2, 1, 3).reshape(npre * c, npre * c))
 
 
 @dataclass(frozen=True)
@@ -276,24 +263,15 @@ def classical_peaking_report(D: DecoherenceMatrix, spec: HistorySpec,
     diag = D.diagonal()
     best = int(np.argmax(diag))
     label = D.labels[best]
-    classical = []
-    centers = []
-    dists = []
-    for k, t in enumerate(spec.times):
-        target = alpha0 * np.exp(-(1j * p.omega + 0.5 * p.gamma) * t)
-        classical.append(complex(target))
-        idx = label[k]
-        if idx < 0:
-            centers.append(None)
-            dists.append(float("nan"))
-        else:
-            cc = spec.cells[k][idx].center
-            centers.append(cc)
-            dists.append(abs(cc - target))
-    return PeakingReport(best_label=label, best_prob=float(diag[best]),
-                         classical_path=tuple(classical),
-                         center_path=tuple(centers),
-                         distances=tuple(dists))
+    rate = 1j * p.omega + 0.5 * p.gamma
+    classical = tuple(complex(alpha0 * np.exp(-rate * t)) for t in spec.times)
+    centers = tuple(None if i < 0 else cells[i].center
+                    for cells, i in zip(spec.cells, label))
+    return PeakingReport(
+        best_label=label, best_prob=float(diag[best]),
+        classical_path=classical, center_path=centers,
+        distances=tuple(math.nan if c is None else abs(c - a)
+                        for c, a in zip(centers, classical)))
 
 
 @dataclass(frozen=True)
@@ -344,11 +322,9 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
 
     psi = cat_state(ops, alpha0)
     rho = np.outer(psi, psi.conj())
-    bw_re, bw_im = branch_cell
-    p_plus = cell_projector(
-        PhaseCell(center=alpha0, w_re=bw_re, w_im=bw_im, h=h), ops)
-    p_minus = cell_projector(
-        PhaseCell(center=-alpha0, w_re=bw_re, w_im=bw_im, h=h), ops)
+    p_plus, p_minus = (cell_projector(PhaseCell(
+        center=c, w_re=branch_cell[0], w_im=branch_cell[1], h=h), ops)
+        for c in (alpha0, -alpha0))
 
     w_plus, w_minus = (np.trace(p @ rho @ p).real for p in (p_plus, p_minus))
     scale = (math.sqrt(w_plus * w_minus)

@@ -123,8 +123,9 @@ class OperatorSet:
     """The band vectors of H, L1 and L2 on n_fock Fock levels.
 
     H = diag(h), L1 = diag(c, 1) lowers and L2 = diag(d, -1) raises by
-    one level.  All three are real float vectors; any other shape or
-    value is refused here, so a non-band model cannot be built.
+    one level.  All three are real float vectors, and h is evenly spaced
+    as the oracle's one phase per band needs; any other shape or value
+    is refused here, so a non-band model cannot be built.
     """
 
     params: ModelParams
@@ -144,9 +145,20 @@ class OperatorSet:
                     f"{name} must be a real float vector of {size} entries")
             if not np.isfinite(vec).all():
                 raise ParameterError(f"{name} has non-finite entries")
+        # h spaced evenly to 4 eps max|h| (build_operators' h: at most 0.98
+        # over 20000 random n_fock, omega, hbar); false for nan, overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = np.abs(np.diff(self.h) - self.spacing).max()
+        if not off <= 4.0 * np.finfo(float).eps * np.abs(self.h).max():
+            raise ParameterError(f"h is not evenly spaced: off by {off:.3g}")
         with np.errstate(over="ignore"):   # c**2 or d**2 may overflow
             if not np.isfinite(self.mu).all():
                 raise ParameterError("mu = c**2 + d**2 is not finite")
+
+    @property
+    def spacing(self) -> float:
+        """H's level spacing, hbar omega for build_operators."""
+        return (self.h[-1] - self.h[0]) / (self.n_fock - 1)
 
     @property
     def mu(self) -> np.ndarray:

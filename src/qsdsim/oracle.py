@@ -22,13 +22,14 @@ the history machinery are constants of the motion.
 
 This module owns the one band layout of _band_index: half 0 holds a
 matrix's bands k >= 0 and half 1 the conjugates of its bands -k, each
-as N // 2 + 1 slots of N entries (bands k and N - k share a slot), and
-both evolve under one (N // 2 + 1, N, N) stack of band propagators
-built by one batched scaling-and-squaring Pade exponential in numpy.
+as N // 2 + 1 slots of N entries (bands k and N - k share a slot).
+H, evenly spaced, adds -i k spacing / hbar, a multiple of I, to band
+k's generator, so both halves evolve under one real stack of
+propagators from one batched Pade exponential and one phase per band.
 _to_bands and _from_bands convert to and from it, and _band_steps
-steps it by one stacked matrix-vector product per step: per dt_oracle
-for propagate and histories.cat_interval_scan, over the whole duration
-for propagate_matrices.
+steps it by one real stacked product per step: per dt_oracle for
+propagate and histories.cat_interval_scan, over the whole duration for
+propagate_matrices.
 """
 
 from __future__ import annotations
@@ -96,14 +97,15 @@ def _band_norm(bands: np.ndarray) -> float:
     return np.linalg.norm(bands[_band_index(bands.shape[-1])[1]])
 
 
-def _slot_generators(ops: OperatorSet) -> np.ndarray:
-    """The generator on the bands k >= 0, as N // 2 + 1 slots of N x N.
+def _slot_generators(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """(gen, rate): the generator on the bands k >= 0, as N // 2 + 1
+    slots of N x N, is gen - i diag(rate).
 
     Slot p acts on the entries at _band_index's positions flat[0, p]:
     band p, then band N - p (for an even N, slot N / 2 holds band N / 2
-    twice).  On band k = m - n the diagonal carries
-    -i (h_m - h_n) / hbar - (mu_m + mu_n) / 2 with mu = diag(sum L^dag L),
-    and L1 = diag(c, 1) and L2 = diag(d, -1) couple entry (m, n) to
+    twice).  On band k = m - n, rate = k * spacing / hbar and the real
+    diagonal is -(mu_m + mu_n) / 2 with mu = diag(sum L^dag L), and
+    L1 = diag(c, 1) and L2 = diag(d, -1) couple entry (m, n) to
     (m + 1, n + 1) by c_m c_n and back by d_m d_n.  Each band ends at
     m = N - 1, where c and d are zero, so a slot is block-diagonal.
     Band -k carries the conjugate of band k's generator.
@@ -112,13 +114,13 @@ def _slot_generators(ops: OperatorSet) -> np.ndarray:
     c, d, mu = np.append(ops.c, 0.0), np.append(ops.d, 0.0), ops.mu
     m, l = np.divmod(_band_index(n)[0][0], n)
     j = np.arange(n)
-    gen = np.zeros((n // 2 + 1, n, n), dtype=complex)
-    gen[:, j, j] = (-1j * (ops.h[m] - ops.h[l]) / ops.params.hbar
-                    - 0.5 * (mu[m] + mu[l]))
+    gen = np.zeros((n // 2 + 1, n, n))
+    gen[:, j, j] = -0.5 * (mu[m] + mu[l])
+    rate = (m - l) * (ops.spacing / ops.params.hbar)
     m, l = m[:, :-1], l[:, :-1]
     gen[:, j[:-1], j[1:]] = c[m] * c[l]
     gen[:, j[1:], j[:-1]] = d[m] * d[l]
-    return gen
+    return gen, rate
 
 
 # The [13/13] Pade coefficients b_0..b_13 and the largest 1-norm at
@@ -132,12 +134,13 @@ _THETA13 = 5.371920351148152
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (..., n, n) stack by scaling and squaring.
+    """exp of each matrix of a real (..., n, n) stack by scaling and squaring.
 
     Each matrix is scaled by its own power of two to a 1-norm of at
-    most theta_13, exponentiated by the [13/13] Pade approximant and
-    squared back.  Each product and solve is one small matrix per BLAS
-    or LAPACK call, so none of them starts a worker thread.
+    most theta_13, exponentiated by the [13/13] Pade approximant
+    I + 2 (V - U)^-1 U, exactly I for a zero matrix, and squared back.
+    Each product and solve is one small matrix per BLAS or LAPACK call,
+    so none of them starts a worker thread.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
@@ -151,42 +154,43 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+    r = 2.0 * np.linalg.solve(v - u, u) + eye
     for i in range(s.max(initial=0)):
         more = s > i
         r[more] = r[more] @ r[more]
     return r
 
 
-def _band_propagator(ops: OperatorSet, t: float) -> np.ndarray:
-    """exp(t * generator) on the bands k >= 0, in N // 2 + 1 slots.
-
-    Band k's generator is in _slot_generators(ops), and band -k's
-    propagator is conj(P_k).  Bands k and N - k have N entries
-    together: the N x N slot min(k, N - k) holds P_k as its leading
-    block when 2k <= N and as its trailing block otherwise.  Each slot
-    is block-diagonal, so the whole stack is exponentiated at once.
-    For an even N, slot N / 2 holds its one band in both blocks.
+def _band_propagator(ops: OperatorSet, t: float) -> tuple[np.ndarray, ...]:
+    """(real, phase): exp(t * generator) on the bands k >= 0, in the
+    slots of _slot_generators, is phase[..., None] * real, with real the
+    exponential of the real stack and phase exp(-i t rate), as a
+    multiple of I commutes with it.  Band -k's propagator is conj(P_k).
     """
-    gen = _slot_generators(ops)
+    gen, rate = _slot_generators(ops)
     # squaring s times amplifies the rounding of the Pade step by 2^s,
-    # past s = 52 beyond the result itself; the Python float product
-    # overflows to inf without a warning, and inf and nan are refused
-    norm = t * float(np.abs(gen).sum(axis=-2).max())
+    # past s = 52 beyond the result itself; the norm holds |t * rate| so
+    # that the phase is finite too.  The Python float product overflows
+    # to inf without a warning, and inf and nan are refused
+    norm = t * (float(np.abs(gen).sum(axis=-2).max())
+                + float(np.abs(rate).max()))
     if not norm <= _THETA13 * 2.0 ** 52:
         raise ParameterError(f"span {t} too long for one propagator: "
                              f"|t * generator| = {norm:.3g}")
-    return _expm_stack(t * gen)
+    return _expm_stack(t * gen), np.exp(-1j * t * rate)
 
 
 def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
     """y in band layout (any leading axes), then after each of n_steps
-    steps of dt, by one propagator built at the first step, if any."""
+    steps of dt, by one propagator built at the first step, if any;
+    the real stack multiplies y's entries as (re, im) pairs."""
     yield y
     if n_steps:
-        prop = _band_propagator(ops, dt)
+        real, phase = _band_propagator(ops, dt)
         for _ in range(n_steps):
-            y = np.matmul(prop, y[..., None])[..., 0]
+            pairs = np.ascontiguousarray(y).view(float)
+            y = (real @ pairs.reshape(*y.shape, 2)).view(complex)[..., 0]
+            y *= phase
             yield y
 
 
@@ -243,8 +247,8 @@ def propagate_matrices(mats: np.ndarray, ops: OperatorSet,
     """Apply the linear propagator over a duration to a batch.
 
     No hermitization, so non-Hermitian history intermediates evolve
-    correctly.  Each matrix has its own matrix-vector products, so no
-    result depends on the batch it is in.
+    correctly.  Each matrix has its own products, so no result depends
+    on the batch it is in.
     """
     if not 0 <= duration < math.inf:
         raise ParameterError(
@@ -305,4 +309,4 @@ def stationary_lindblad_check(ops: OperatorSet) -> float:
     propagator exponentiates is the only one it meets.
     """
     rho = thermal_state(ops.params, ops.n_fock)
-    return float(np.linalg.norm(_slot_generators(ops)[0] @ np.diag(rho)))
+    return float(np.linalg.norm(_slot_generators(ops)[0][0] @ np.diag(rho)))

@@ -42,6 +42,7 @@ never at import.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -54,8 +55,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import (MAX_SEED, MAX_STEPS, STEP_GUARD_DISSIPATIVE,
-                        STEP_GUARD_OSCILLATORY, TAIL_TOL, TRAJ_BATCH)
+from .constants import (LOOP_CACHE_KEEP, MAX_SEED, MAX_STEPS,
+                        STEP_GUARD_DISSIPATIVE, STEP_GUARD_OSCILLATORY,
+                        TAIL_TOL, TRAJ_BATCH)
 from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
 from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
@@ -310,7 +312,7 @@ def _compiled_loop() -> ctypes.CDLL:
     source, flag set, CPU, gcc or numpy builds afresh.  _build_library
     builds it in a temporary directory of the cache and moves it into
     place, so concurrent first uses never load a half-written file, and
-    then every other qsd_step-*.so of the cache is removed.  A process
+    then removes all but the LOOP_CACHE_KEEP newest builds.  A process
     that has one of them loaded keeps its mapping; one that finds its
     library gone between the check and the load builds it again, once.
     """
@@ -333,9 +335,11 @@ def _compiled_loop() -> ctypes.CDLL:
         if not lib.exists():
             cache.mkdir(parents=True, exist_ok=True)
             _build_library(source, lib)
-            for old in cache.glob("qsd_step-*.so"):
-                if old != lib:
-                    old.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # raced by another pruning
+                for old in sorted(cache.glob("qsd_step-*.so"),
+                                  key=os.path.getmtime)[:-LOOP_CACHE_KEEP]:
+                    if old != lib:
+                        old.unlink(missing_ok=True)
         try:
             return _load_library(lib)
         except OSError:

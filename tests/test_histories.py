@@ -223,7 +223,7 @@ def test_two_time_functional(warm_params, ops20):
 def test_functional_and_scan_match_dense_propagator(ops20):
     ops = ops20
     gen = liouvillian(ops)
-    kernels = {t: expm(t * gen) for t in (0.0, 0.15, 0.3, 0.4)}
+    kernels = {t: expm(t * gen) for t in (0.0, 0.1, 0.15, 0.3, 0.4)}
 
     def evolve(mat, t):
         return (kernels[t] @ mat.reshape(-1)).reshape(mat.shape)
@@ -241,6 +241,18 @@ def test_functional_and_scan_match_dense_propagator(ops20):
     want = np.array([[np.trace(p1[a1] @ evolve(p0[a0] @ rho0 @ p0[b0], 0.4)
                                @ p1[b1])
                       for b0, b1 in D.labels] for a0, a1 in D.labels])
+    assert np.abs(D.matrix - want).max() < 1e-12
+    # a third time, after an intermediate level of prefix pairs
+    spec = HistorySpec(times=(0.0, 0.3, 0.4), cells=(first, second, first),
+                       rho0=rho0)
+    D = decoherence_functional(
+        spec, ops, LindbladPropagatorConfig(dt_oracle=0.1, t_end=0.4))
+
+    def history(a, b):
+        mid = p1[a[1]] @ evolve(p0[a[0]] @ rho0 @ p0[b[0]], 0.3) @ p1[b[1]]
+        return np.trace(p0[a[2]] @ evolve(mid, 0.1) @ p0[b[2]])
+
+    want = np.array([[history(a, b) for b in D.labels] for a in D.labels])
     assert np.abs(D.matrix - want).max() < 1e-12
 
     # one ratio at every point of the dt_oracle grid

@@ -168,7 +168,9 @@ def test_operator_set_refuses_non_band_values(ops20):
     # where an operator set is made
     n = ops20.n_fock
     bad = {"h": [ops20.h[:-1], np.diag(ops20.h), ops20.h + 0j,
-                 np.where(np.arange(n) == 3, np.nan, ops20.h)],
+                 np.where(np.arange(n) == 3, np.nan, ops20.h),
+                 ops20.h + 0.01 * np.arange(n) ** 2,
+                 np.where(np.arange(n) % 2, 1.7e308, -1.7e308)],
            "c": [ops20.c[:-1], ops20.c + 1e-3j, ops20.c.astype(np.float32),
                  np.where(np.arange(n - 1) == 0, np.inf, ops20.c)],
            "d": [np.append(ops20.d, 1.0), ops20.d * (1 - 1j),
@@ -180,6 +182,20 @@ def test_operator_set_refuses_non_band_values(ops20):
     with pytest.raises(DimensionError):
         dataclasses.replace(ops20, n_fock=1, h=ops20.h[:1],
                             c=ops20.c[:0], d=ops20.d[:0])
+
+
+def test_built_h_is_evenly_spaced_with_room():
+    # OperatorSet refuses an h whose spacing is uneven beyond
+    # 4 eps max|h|; build_operators' own h stays within 1 eps max|h|
+    # over random sizes, frequencies and hbar, so none of them is refused
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(1000):
+        omega, hbar = 10.0 ** rng.uniform(-6, 6, 2)
+        ops = build_operators(ModelParams(omega=omega, hbar=hbar),
+                              int(rng.integers(2, MAX_N_FOCK + 1)))
+        off = np.abs(np.diff(ops.h) - ops.spacing).max()
+        assert off <= eps * np.abs(ops.h).max()
 
 
 def test_operator_set_refuses_an_overflowing_loss(ops20):

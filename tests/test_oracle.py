@@ -70,14 +70,17 @@ def test_band_generator_is_the_dense_generator(warm_params, n_fock):
     # the dense generator, applied to every unit matrix, maps the bands
     # k and N - k of each slot into themselves as the slot generator the
     # propagator exponentiates, and the bands -k and k - N as its
-    # conjugate; for an even N, slot N / 2 holds its one band once
+    # conjugate; for an even N, slot N / 2 holds its one band once.  The
+    # slot generator is its real part with -i rate on its diagonal
     ops = build_operators(warm_params, n_fock)
     n = n_fock
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
     flat, held, _, _ = oracle._band_index(n)
-    gens = oracle._slot_generators(ops)
-    assert gens.shape == (n // 2 + 1, n, n)
+    real, rate = oracle._slot_generators(ops)
+    assert real.shape == (n // 2 + 1, n, n) and real.dtype == float
+    assert rate.shape == (n // 2 + 1, n) and rate.dtype == float
+    gens = real - 1j * rate[..., None] * np.eye(n)
     for p in range(n // 2 + 1):
         kept = held[0, p]
         gen = gens[p][np.ix_(kept, kept)]
@@ -359,18 +362,26 @@ def test_band_precondition_fails_closed(warm_params):
 
 
 @pytest.mark.parametrize("n_fock", [11, 12])
-@pytest.mark.parametrize("nbar", [None, 0.8])
-def test_stacked_pade_matches_scipy_per_band(n_fock, nbar):
-    # the one batched Pade build against scipy's expm of each band's
-    # generator, read off the dense generator; no bath and a warm one
+@pytest.mark.parametrize("nbar, omega, hbar", [
+    (None, 1.0, 1.0), (0.8, 1.0, 1.0), (0.8, 1.3, 0.7)],
+    ids=["None", "0.8", "0.8-omega1.3-hbar0.7"])
+def test_stacked_pade_matches_scipy_per_band(n_fock, nbar, omega, hbar):
+    # the one batched Pade build, its real stack times its phases,
+    # against scipy's expm of each band's generator, read off the dense
+    # generator; no bath and a warm one, and one whose h has differences
+    # that are not exact
     params = (ModelParams(gamma=0.0, temperature=1.0) if nbar is None else
-              ModelParams(gamma=0.3, temperature=temperature_for_nbar(nbar)))
+              ModelParams(omega=omega, hbar=hbar, gamma=0.3,
+                          temperature=temperature_for_nbar(
+                              nbar, ModelParams(omega=omega, hbar=hbar))))
     ops = build_operators(params, n_fock)
     n = n_fock
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     dense = lindblad_rhs(units, ops).reshape(n * n, n * n).T
     for t in (1e-3, 0.02, 6.28, 50.0):
-        stack = oracle._band_propagator(ops, t)
+        real, phase = oracle._band_propagator(ops, t)
+        assert real.dtype == float and phase.shape == (n // 2 + 1, n)
+        stack = phase[..., None] * real
         assert stack.shape == (n // 2 + 1, n, n)
         covered = np.zeros(stack.shape, dtype=bool)
         for k in range(n):
@@ -409,15 +420,37 @@ def test_propagator_config_refuses_non_finite_values(warm_params):
     for t in (1e20, 1e307, 1e308):
         with pytest.raises(ParameterError):
             propagate_matrices(_random_density(12, 2), ops, t)
+    # with no bath the real stack is zero, and the phase alone is too long
+    cold = build_operators(ModelParams(gamma=0.0), 12)
+    with pytest.raises(ParameterError):
+        propagate_matrices(_random_density(12, 2), cold, 1e308)
 
 
-def _apply_hermitian(stack, rho):
+def test_zero_band_propagates_as_exactly_the_identity():
+    # with no bath every real block is zero and its Pade quotient is
+    # exactly I, and band 0 has no phase, so the vacuum stays exactly
+    # put however many steps are taken
+    ops = build_operators(ModelParams(gamma=0.0), 40)
+    real, phase = oracle._band_propagator(ops, 0.02)
+    assert np.array_equal(real, np.broadcast_to(np.eye(40), real.shape))
+    assert np.array_equal(phase[0], np.ones(40))
+    vacuum = np.diag(np.eye(40)[0]).astype(complex)
+    run = propagate(vacuum, ops,
+                    LindbladPropagatorConfig(dt_oracle=0.02, t_end=6.3))
+    assert len(run.rhos) == 316
+    assert np.array_equal(run.rhos[:, 0, 0], np.ones(316))
+
+
+def _apply_hermitian(prop, rho):
     """The band propagator applied to one Hermitian matrix, gathered and
-    scattered whole: the stack carries the bands k >= 0, and the bands
-    -k are their conjugates."""
+    scattered whole: the real stack and its phases carry the bands
+    k >= 0, and the bands -k are their conjugates."""
+    real, phase = prop
     flat, held, _, _ = oracle._band_index(rho.shape[-1])
     below, above, kept = flat[0], flat[1], held[0]
-    low = np.matmul(stack, rho.reshape(-1)[below, None])[..., 0][kept]
+    gathered = rho.reshape(-1)[below]
+    pairs = np.stack((gathered.real, gathered.imag), axis=-1)
+    low = ((real @ pairs).view(complex)[..., 0] * phase)[kept]
     out = np.empty(rho.size, dtype=complex)
     out[above[kept]] = low.conj()
     out[below[kept]] = low
@@ -434,8 +467,8 @@ def test_propagate_is_a_chain_of_apply(warm_params, n_fock):
     run = propagate(rho0, ops,
                     LindbladPropagatorConfig(dt_oracle=dt, t_end=1.0))
     assert np.array_equal(run.times, np.arange(11) * dt)
-    stack = oracle._band_propagator(ops, dt)
+    prop = oracle._band_propagator(ops, dt)
     rho = 0.5 * (rho0 + rho0.conj().T)
     for got in run.rhos:
         assert np.array_equal(got, rho)
-        rho = _apply_hermitian(stack, rho)
+        rho = _apply_hermitian(prop, rho)

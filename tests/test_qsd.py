@@ -22,7 +22,7 @@ from conftest import StepKernel, dense_operators, draw_noise_block, \
     integrate_reference, lindblad_rhs, numpy_streams, pair_seed, \
     random_states, run_split, stream_state
 from qsdsim import qsd
-from qsdsim.constants import MAX_SEED, MAX_STEPS, TRAJ_BATCH
+from qsdsim.constants import LOOP_CACHE_KEEP, MAX_SEED, MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
                            StepSizeWarning, TrajectoryError)
 from qsdsim.model import (ModelParams, build_operators, coherent_state,
@@ -879,30 +879,44 @@ def test_sampler_without_numpys_tables_fails_closed(tmp_path, monkeypatch,
     assert list((tmp_path / "qsdsim").iterdir()) == []
 
 
-def test_loop_is_built_on_first_use_and_cached(tmp_path):
+def test_loop_is_built_on_first_use_and_cached(tmp_path, monkeypatch):
     # importing qsdsim and building operators compile nothing; the first
-    # trajectory builds one library, named by a hash, in the cache
-    # and removes every other build of the cache
+    # trajectory builds one library, named by a hash, in the cache and
+    # removes the builds beyond the LOOP_CACHE_KEEP most recent
     cache = tmp_path / "cache"
     (cache / "qsdsim").mkdir(parents=True)
-    stale = "qsd_step-0000000000000000.so"
-    (cache / "qsdsim" / stale).write_bytes(b"")
+    stale = [f"qsd_step-{i:016d}.so" for i in range(LOOP_CACHE_KEEP)]
+    for age, name in enumerate(stale):
+        (cache / "qsdsim" / name).write_bytes(b"")
+        os.utime(cache / "qsdsim" / name, (1e9 - age, 1e9 - age))
     code = "\n".join([
         "import sys, pathlib, qsdsim",
         "ops = qsdsim.build_operators(qsdsim.ModelParams(), 8)",
         "cache = pathlib.Path(sys.argv[1]) / 'qsdsim'",
-        "assert [p.name for p in cache.iterdir()] == [sys.argv[2]]",
+        "assert len(list(cache.iterdir())) == int(sys.argv[2])",
         "cfg = qsdsim.IntegratorConfig(dt=1e-3, t_end=1e-2)",
         "qsdsim.run_trajectory(qsdsim.coherent_state(ops, 0.5), ops, cfg)",
     ])
     env = dict(os.environ, XDG_CACHE_HOME=str(cache),
                PYTHONPATH=os.path.dirname(os.path.dirname(qsd.__file__)))
-    subprocess.run([sys.executable, "-c", code, str(cache), stale],
-                   env=env, check=True)
-    names = [p.name for p in (cache / "qsdsim").iterdir()]
-    assert len(names) == 1
-    assert names[0].startswith("qsd_step-") and names[0].endswith(".so")
-    assert names[0] != stale
+    subprocess.run([sys.executable, "-c", code, str(cache),
+                    str(LOOP_CACHE_KEEP)], env=env, check=True)
+    names = {p.name for p in (cache / "qsdsim").iterdir()}
+    built = names - set(stale)
+    assert names - built == set(stale[:-1])
+    [first] = built
+    assert first.startswith("qsd_step-") and first.endswith(".so")
+    # a build for another target keeps the first library: two checkouts
+    # or compilers that alternate each find their own
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(qsd, "_target_macros", lambda: b"#define OTHER 1\n")
+    monkeypatch.setattr(qsd, "_build_library",
+                        lambda source, out: out.write_bytes(b""))
+    monkeypatch.setattr(qsd, "_load_library", lambda path: path.name)
+    second = qsd._compiled_loop.__wrapped__()
+    names = {p.name for p in (cache / "qsdsim").iterdir()}
+    assert second != first and {first, second} <= names
+    assert len(names) == LOOP_CACHE_KEEP
 
 
 def test_library_removed_before_loading_is_built_again(tmp_path,
