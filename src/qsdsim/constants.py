@@ -55,9 +55,9 @@ TRAJ_BATCH = 256
 # that checkouts or compilers used in turn do not rebuild every time.
 LOOP_CACHE_KEEP = 4
 
-# Longest run in steps that IntegratorConfig accepts.  _integrate keeps
-# one float64 of norm drift per step, so this caps that array at
-# 256 MiB; a config beyond it is refused before anything is allocated.
+# Longest run in steps, and largest record_stride, that IntegratorConfig
+# accepts, refused before anything is allocated: it bounds one run's
+# work and its number of samples, and keeps both counts in a C long.
 MAX_STEPS = 2 ** 25
 
 # Largest seed, integrator.seed or ensemble.base_seed, that a config

@@ -261,7 +261,10 @@ def classical_peaking_report(D: DecoherenceMatrix, spec: HistorySpec,
                      @ np.sqrt(np.arange(1, ops.n_fock))
                      / np.trace(spec.rho0))
     diag = D.diagonal()
-    best = int(np.argmax(diag))
+    # exact ties, as of a symmetric cat's branches at gamma = 0, differ by
+    # rounding: the first label within 1e-12 relative of the top wins
+    top = diag.max()
+    best = int(np.argmax(np.isnan(diag) | (diag >= top - 1e-12 * abs(top))))
     label = D.labels[best]
     rate = 1j * p.omega + 0.5 * p.gamma
     classical = tuple(complex(alpha0 * np.exp(-rate * t)) for t in spec.times)

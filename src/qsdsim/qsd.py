@@ -16,28 +16,28 @@ One driver steps a (B, n_fock) batch of trajectories; a single
 trajectory is the B = 1 case and the ensemble runner feeds it batches.
 The work is split between two languages.  The compiled loop in
 qsd_step.c does the stepping: for every step of a row it applies the
-update, measures the norm and its drift, checks the truncation tail
-and renormalizes.  It steps the rows in lane groups of one body,
-built for the host CPU: eight rows per group where it has AVX-512F
-while more than four are left, else four, one row per lane of a SIMD
-vector; a lone row, a batch of one or the last row of a batch, is the
-one-lane group, whose vectors run across its levels (stepping_loop
-reports the widths).  Each lane rounds exactly as the row stepped
-alone, so no result depends on the batch, the group width or the CPU.
-The loop also owns each row's noise stream: it seeds numpy's PCG64
-from the row's seed as numpy's SeedSequence does, steps it inline and
-draws the normals with numpy's own ziggurat, inlined, whose tables are
-read from numpy's libnpyrandom.a when the loop is built.  So row b
-draws np.random.default_rng(seeds[b]).standard_normal's stream, bit
-for bit, with no numpy generator made.  Each new build must seed and
-draw so before it is used, or no library is made.  It copies the
-sampled states into a buffer of up to TRAJ_BATCH rows and writes six
-moments of each sampled row beside them (||psi||^2 and the level sums
-of <a>, <a^2> and <n>), from which observables.moment_fields derives
-every diagnostic in O(1) per row.  Python calls it once per such block
-of samples, hands the states and their moments to the caller and
-raises the error of a failed row.  It is built with gcc on first use,
-never at import.
+update, measures the norm, raises the high-water mark of its drift,
+checks the truncation tail and renormalizes.  It steps the rows in lane
+groups of one body, built for the host CPU: eight rows per group where
+it has AVX-512F while more than four are left, else four, one row per
+lane of a SIMD vector; a lone row, a batch of one or the last row of a
+batch, is the one-lane group, whose vectors run across its levels
+(stepping_loop reports the widths).  Each lane rounds exactly as the
+row stepped alone, so no result depends on the batch, the group width
+or the CPU.  The loop also owns each row's noise stream: it seeds
+numpy's PCG64 from the row's seed as numpy's SeedSequence does, steps
+it inline and draws the normals with numpy's own ziggurat, inlined,
+whose tables are read from numpy's libnpyrandom.a when the loop is
+built.  So row b draws np.random.default_rng(seeds[b]).standard_normal's
+stream, bit for bit, with no numpy generator made.  Each new build must
+seed and draw so before it is used, or no library is made.  The loop
+alone samples: it copies every sampled state, step 0's included, into
+a buffer of up to TRAJ_BATCH rows with six moments of each beside it
+(||psi||^2 and the level sums of <a>, <a^2> and <n>), from which
+observables.moment_fields derives every diagnostic in O(1) per row.
+Python calls it once per such block of samples, hands the states and
+their moments to the caller and raises the error of a failed row.  It
+is built with gcc on first use, never at import.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from .errors import DimensionError, ParameterError, StepSizeWarning, \
     TrajectoryError
 from .model import ModelParams, OperatorSet, normalize, steps_on_grid, \
     tail_levels
-from .observables import BUNDLE_DTYPE, STAT_FIELDS, _moments, \
-    moment_fields
+from .observables import BUNDLE_DTYPE, STAT_FIELDS, moment_fields
 
 #: Weyl-sequence increment of the splitmix64 stream.
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -250,11 +249,11 @@ class _Segment(ctypes.Structure):
     raw addresses, so their arrays must outlive the calls."""
 
     _fields_ = [(name, ctype) for names, ctype in (
-        ("B N n tail_start stride", ctypes.c_long),
+        ("B N n tail_start stride left", ctypes.c_long),
         ("dt tail_tol scale", ctypes.c_double),
-        ("coef psis rec mom drift streams lanes", ctypes.c_void_p),
+        ("coef psis rec mom streams lanes", ctypes.c_void_p),
         ("worst worst_step", ctypes.c_long),
-        ("worst_tail", ctypes.c_double)) for name in names.split()]
+        ("worst_tail max_drift", ctypes.c_double)) for name in names.split()]
 
 
 def _load_library(path: Path) -> ctypes.CDLL:
@@ -375,20 +374,18 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     lone row, B = 1 or the last row of a batch, through its one-lane
     group; each rounds a row as it would be rounded alone, so a row's
     results do not depend on B.  Each step is renormalized.  The states
-    of step 0 and of every record_stride-th step are sampled: the
-    compiled loop writes them into a (S, B, n_fock) buffer, S = max(1,
-    TRAJ_BATCH // B), and their moments into a (S, B, 6) one, and one
-    loop call fills both, so a call holds at most TRAJ_BATCH sampled
-    rows.  A row's moments are observables._moments' six, summed level
-    by level from the sampled state; those of step 0, the given rows,
-    are _moments' own.  on_sample(block, moments, first_step) gets each
-    (k, B, n_fock) block and its (k, B, 6) moments in turn, whose
-    sample i is of step first_step + i * record_stride; both are reused
-    once on_sample returns.  Returns the batch and, per step, the worst
-    pre-renormalization norm drift | ||psi'|| - 1 | over the batch.  Raises TrajectoryError as soon as a row's relative
-    tail mass, its share of ||psi'||^2 in the top tail_levels(n_fock)
-    levels, is above TAIL_TOL or not finite, after on_sample has had
-    every sample before the failing step.
+    of step 0 and of every record_stride-th step are sampled: each loop
+    call writes them into a (S, B, n_fock) buffer, S = max(1,
+    TRAJ_BATCH // B), and their moments, observables._moments' six
+    summed level by level, into a (S, B, 6) one.  on_sample(block,
+    moments, first_step) gets each (k, B, n_fock) block and its (k, B,
+    6) moments in turn, whose sample i is of step first_step + i *
+    record_stride; both are reused once on_sample returns.  Returns the
+    batch and the largest pre-renormalization norm drift | ||psi'|| - 1
+    | over its rows and steps.  Raises TrajectoryError as soon as a
+    row's relative tail mass, its share of ||psi'||^2 in the top
+    tail_levels(n_fock) levels, is above TAIL_TOL or not finite, after
+    on_sample has had every sample before the failing step.
     """
     psis = np.require(psis, complex, ["C", "W"])  # the loop's memory layout
     batch = len(streams)
@@ -412,31 +409,27 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
     lanes = np.zeros(32 * (n_fock + 2) + 7)
     lanes = lanes[(-lanes.ctypes.data % 64) // 8:]
     n_steps, stride = cfg.n_steps, cfg.record_stride
-    drift = np.zeros(n_steps)
     rec = np.empty((max(1, TRAJ_BATCH // batch), batch, n_fock),
                    dtype=complex)
     mom = np.empty((len(rec), batch, 6))
     seg = _Segment(
         B=batch, N=n_fock, tail_start=n_fock - tail_levels(n_fock),
-        stride=stride, dt=cfg.dt, tail_tol=TAIL_TOL,
+        stride=stride, left=0, dt=cfg.dt, tail_tol=TAIL_TOL,
         scale=math.sqrt(cfg.dt / 2.0), coef=coef.ctypes.data,
         psis=psis.ctypes.data, streams=streams.ctypes.data,
         lanes=lanes.ctypes.data)
     segment = _compiled_loop().qsd_segment
     # addresses taken once; a call's offsets are added as integers
     rec_at, mom_at = rec.ctypes.data, mom.ctypes.data
-    drift_at = drift.ctypes.data
-    rec[0], mom[0] = psis, _moments(psis, ops)
-    first, held = 0, 1   # sample index of rec[0], samples in rec
-    step = 0
+    first = held = step = 0   # sample index of rec[0], samples in rec
     while step < n_steps:
         if held == len(rec):
             on_sample(rec, mom, first * stride)
             first, held = first + held, 0
-        seg.n = n = min(n_steps - step, (len(rec) - held) * stride)
+        # to rec's last sample; the first call, at left 0, samples step 0
+        seg.n = n = min(n_steps, (first + len(rec) - 1) * stride) - step
         seg.rec = rec_at + held * rec.strides[0]
         seg.mom = mom_at + held * mom.strides[0]
-        seg.drift = drift_at + step * drift.strides[0]
         worst = segment(seg)
         if worst >= 0:
             fail = step + seg.worst_step
@@ -450,11 +443,12 @@ def _integrate(ops: OperatorSet, psis: np.ndarray, streams: np.ndarray,
                 f"{TAIL_TOL:.1e} at t = {t:.6g} "
                 f"(trajectory {first_index + worst})",
                 tail_mass=tail, time=t, trajectory=first_index + worst)
-        held += n // stride
         step += n
+        held = step // stride + 1 - first
+        seg.left = stride
     if held:
         on_sample(rec[:held], mom[:held], first * stride)
-    return psis, drift
+    return psis, seg.max_drift
 
 
 @dataclass(frozen=True)
@@ -463,16 +457,15 @@ class TrajectoryRecord:
 
     bundles is a BUNDLE_DTYPE record array with one row per sample time:
     bundles.t equals times, and bundles[f] is the series of diagnostic
-    f, as EnsembleStats.means[f] is for an ensemble.  norm_drift[k] is
-    the pre-renormalization | ||psi|| - 1 | of step k+1, one entry per
-    integration step.
+    f, as EnsembleStats.means[f] is for an ensemble.  norm_drift is the
+    largest pre-renormalization | ||psi|| - 1 | over all steps.
     """
 
     times: np.ndarray
     bundles: np.recarray
     final_state: np.ndarray
     seed: int
-    norm_drift: np.ndarray
+    norm_drift: float
 
 
 def run_trajectory(initial: np.ndarray, ops: OperatorSet,

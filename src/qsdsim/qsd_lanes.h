@@ -3,11 +3,11 @@
  * qsd_step.c includes this body once per width, with LANES defined as
  * 8, 4 or 1.  It defines lanes<LANES>_t and run_group<LANES>, which
  * steps one group of rows through a whole call of qsd_segment: the
- * scaffold of row load, noise draw, tail guard, failure merge, drift,
- * renormalization, samples with their moments and store-back is written
- * once, here.  Only the step's arithmetic depends on the width.  At
- * LANES 8 and 4, lanes_t is a GCC vector of LANES doubles whose lane l
- * holds row b0 + l, so the vector width runs across rows.  At LANES 1
+ * scaffold of row load, samples with their moments, noise draw, tail
+ * guard, failure merge, drift, renormalization and store-back is
+ * written once, here.  Only the step's arithmetic depends on the width.
+ * At LANES 8 and 4, lanes_t is a GCC vector of LANES doubles whose lane
+ * l holds row b0 + l, so the vector width runs across rows.  At LANES 1
  * it is a plain double, and the step of the lone row runs its vectors
  * across the row's levels instead: it forms the products in loops with
  * no dependence from level to level, which the compiler vectorizes, and
@@ -198,18 +198,18 @@ moments_group(long n, const double *ra, const double *ra2,
 }
 
 /* Steps rows b0 .. b0 + LANES - 1 of the call s through s->n steps, or
- * through the step of the earliest failure so far, and merges the
- * group's failures into s in row order.  Lanes past s->B - 1 hold
- * copies of row B - 1, draw no noise and are ignored.  The padded
- * (re, im) arrays, two of each, take 4 (N + 2) vectors of the scratch,
- * and the lone row's products 6 N doubles after them. */
+ * through the step of the earliest failure so far, samples them, raises
+ * s->max_drift and merges the group's failures into s in row order.
+ * Lanes past s->B - 1 hold copies of row B - 1, draw no noise and are
+ * ignored.  The padded (re, im) arrays, two of each, take 4 (N + 2)
+ * vectors of the scratch, and the lone row's products 6 N doubles after
+ * them. */
 static void run_group(struct segment *s, long b0)
 {
     const long N = s->N, B = s->B, w = N + 2, tail_start = s->tail_start;
     const double dt = s->dt, tail_tol = s->tail_tol, scale = s->scale;
     const double *cl = s->coef, *dl = cl + N, *dgr = dl + N, *dgi = dgr + N;
     const double *ra = dgi + N, *ra2 = ra + N;
-    double *drift = s->drift;
     uint64_t *const streams = s->streams + 4 * b0;
     lanes_t *buf = s->lanes;
     lanes_t *re[2] = {buf, buf + 2 * w};
@@ -236,10 +236,24 @@ static void run_group(struct segment *s, long b0)
     /* a row failing after the earliest failure so far cannot win */
     const long steps = s->worst < 0 ? s->n : s->worst_step;
     double *sample = s->rec + 2 * N * b0, *moments = s->mom + 6 * b0;
-    long left = s->stride;   /* steps to the next sample */
+    long left = s->left;   /* steps to the next sample */
+    double max_drift = s->max_drift;
     int failed = 0;
-    for (long j = 0; j < steps; j++) {
+    for (long j = 0;; j++, left--) {
         const lanes_t *r = re[cur], *i = im[cur];
+        if (left == 0) {
+            for (long k = 0; k < N; k++)
+                for (int l = 0; l < used; l++) {
+                    sample[2 * N * l + 2 * k] = LANE(r[k + 1], l);
+                    sample[2 * N * l + 2 * k + 1] = LANE(i[k + 1], l);
+                }
+            moments_group(N, ra, ra2, r, i, used, moments);
+            sample += 2 * N * B;
+            moments += 6 * B;
+            left = s->stride;
+        }
+        if (j == steps)
+            break;
         lanes_t *nr = re[1 - cur], *ni = im[1 - cur];
         lanes_t out_sq, tail_sq;
         for (int l = 0; l < used; l++)
@@ -263,8 +277,8 @@ static void run_group(struct segment *s, long b0)
             LANE(norm, l) = sqrt(LANE(norm, l));
         for (int l = 0; l < used; l++) {
             const double dev = fabs(LANE(norm, l) - 1.0);
-            if (dev > drift[j])
-                drift[j] = dev;
+            if (dev > max_drift)
+                max_drift = dev;
         }
         const lanes_t inv = 1.0 / norm;
         for (long k = 1; k <= N; k++) {
@@ -272,18 +286,8 @@ static void run_group(struct segment *s, long b0)
             ni[k] *= inv;
         }
         cur = 1 - cur;
-        if (--left == 0) {
-            for (long k = 0; k < N; k++)
-                for (int l = 0; l < used; l++) {
-                    sample[2 * N * l + 2 * k] = LANE(nr[k + 1], l);
-                    sample[2 * N * l + 2 * k + 1] = LANE(ni[k + 1], l);
-                }
-            moments_group(N, ra, ra2, nr, ni, used, moments);
-            sample += 2 * N * B;
-            moments += 6 * B;
-            left = s->stride;
-        }
     }
+    s->max_drift = max_drift;
     for (int l = 0; l < used; l++)
         pcg64_store(streams + 4 * l, g[l]);
     if (!failed)

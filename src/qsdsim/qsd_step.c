@@ -4,9 +4,9 @@
  * of the Euler-Maruyama update documented in qsd.py.  Each step of a
  * row draws the row's four normals from its own noise stream, and
  * is followed by its norm, the norm-drift high-water mark, the
- * truncation-tail guard and the renormalization.  Every stride-th step
- * the rows are copied into a caller's buffer of samples, with six
- * moments of each row beside them, so one call covers many samples.
+ * truncation-tail guard and the renormalization.  Every stride-th
+ * state, the entry state included, is copied into a caller's buffer of
+ * samples with six moments of each row, so one call covers many samples.
  *
  * Rows are stepped in lane groups by one body, qsd_lanes.h, written
  * once and included for each width.  The library is built for the CPU
@@ -205,17 +205,17 @@ void qsd_normals(uint64_t *stream, long n, double *out)
  * field for field, as _Segment.  coef holds the rows cl, dl, dgr, dgi,
  * ra and ra2 of qsd_lanes.h, N doubles each.  lanes is the scratch of
  * one lane group of any width: 4 (N + 2) vectors of eight doubles,
- * aligned to 64 bytes.  The call sets worst, worst_step and
- * worst_tail. */
+ * aligned to 64 bytes.  left places the samples (see qsd_segment).  The
+ * call sets worst, worst_step and worst_tail and raises max_drift. */
 struct segment {
-    long B, N, n, tail_start, stride;
+    long B, N, n, tail_start, stride, left;
     double dt, tail_tol, scale;
     const double *coef;
-    double *psis, *rec, *mom, *drift;
+    double *psis, *rec, *mom;
     uint64_t *streams;
     void *lanes;
     long worst, worst_step;
-    double worst_tail;
+    double worst_tail, max_drift;
 };
 
 /* Its size, which qsd.py compares with _Segment's before any call. */
@@ -254,14 +254,14 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
 /* Advances every row of s->psis (B rows of N interleaved complex
  * levels) by n steps.  Row b draws each step's increments (Re xi1,
  * Im xi1, Re xi2, Im xi2) as four normals from stream b, each times
- * scale.  drift[j] is raised to the largest | ||psi'|| - 1 | of step j
- * over the batch.
+ * scale.  max_drift is raised to the largest pre-renormalization
+ * | ||psi'|| - 1 | over the batch's rows and steps.
  *
- * Samples: the call starts on a sample boundary, so sample s falls
- * after step (s + 1) stride.  Sample s of row b is copied to
- * rec + 2 N (s B + b), and its six moments (moments_group in
- * qsd_lanes.h) are written to mom + 6 (s B + b); the caller sizes rec
- * and mom for the samples that land within n steps.
+ * Samples: sample s is the state after step left + s stride of the
+ * call, step 0 being its entry state, up to step n.  Sample s of row b
+ * is copied to rec + 2 N (s B + b), and its six moments (moments_group
+ * in qsd_lanes.h) are written to mom + 6 (s B + b); the caller sizes
+ * rec and mom for them.
  *
  * A lone last row is stepped as a one-lane group; any other last lane
  * group is padded with copies of row B - 1, whose results, drift and
@@ -274,7 +274,7 @@ static void merge_failure(struct segment *s, long b, long step, double tail)
  * earliest step, the first with a nan tail wins, else the first with
  * the largest tail.  Returns that row, also left in s->worst, with its
  * 1-based step in s->worst_step and its tail in s->worst_tail, or -1
- * if no row fails; on failure psis, rec, drift and the streams are
+ * if no row fails; on failure psis, rec, max_drift and the streams are
  * left partly advanced, and only the samples before the failing step
  * are whole, in rec and in mom. */
 long qsd_segment(struct segment *s)

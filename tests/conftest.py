@@ -182,8 +182,9 @@ def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
     Each row's noise is its whole draw_noise_block stream, drawn by a
     numpy Generator set to the row's stream, which is then advanced past
     it.  on_sample gets a block of one sample at a time, with its moments
-    from observables._moments.  Returns (final batch, per-step worst norm
-    drift); raises the same TrajectoryError as the compiled loop.
+    from observables._moments.  Returns (final batch, largest norm drift
+    over its rows and steps); raises the same TrajectoryError as the
+    compiled loop.
     """
     kern = StepKernel(ops)
     dt = cfg.dt
@@ -208,7 +209,7 @@ def integrate_reference(ops, psis, streams, cfg, first_index, on_sample):
         psis *= 1.0 / norms[:, None]
         if step % cfg.record_stride == 0:
             on_sample(psis[None], _moments(psis[None], ops), step)
-    return psis, drift
+    return psis, float(drift.max())
 
 
 def run_split(drive, ops, psis, streams, cfg, first_index, on_sample,
@@ -222,7 +223,8 @@ def run_split(drive, ops, psis, streams, cfg, first_index, on_sample,
     Each piece runs under its own IntegratorConfig.  on_sample sees
     every piece's samples at their steps in the whole run, less the
     first state of each piece after the first, and a TrajectoryError
-    carries the time in the whole run.  Returns (final batch, drift).
+    carries the time in the whole run.  Returns (final batch, largest
+    norm drift over the pieces).
     """
     psis = np.array(psis, dtype=complex)
     n_steps, stride = cfg.n_steps, cfg.record_stride
@@ -249,7 +251,7 @@ def run_split(drive, ops, psis, streams, cfg, first_index, on_sample,
                 time=exc.time + start * cfg.dt,
                 trajectory=exc.trajectory) from exc
         drift.append(part)
-    return psis, np.concatenate(drift)
+    return psis, max(drift)
 
 
 def liouvillian(ops):

@@ -186,6 +186,24 @@ def test_canned_configs_pass_the_check_and_keys_match_fields():
     assert CONFIG_KEYS["ensemble"].keys() <= _fields(EnsembleConfig)
 
 
+def test_canned_experiments_pass(tmp_path):
+    # every published experiment, as scripts/run_all_experiments.py runs
+    # it, in this process: it exits 0 and passes each of its checks
+    command = {"stationary": "stationary", "localize": "localize",
+               "thermalize": "thermalize", "oracle": "oracle-compare",
+               "histories": "histories"}
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        out = tmp_path / path.stem
+        code = main([command[path.stem.split("_")[0]], "--config",
+                     str(path), "--out", str(out)])
+        manifest, _ = _check_outputs(out)
+        assert code == EXIT_PASS, path.name
+        assert manifest["passed"] and manifest["checks"], path.name
+        assert all(c["passed"] for c in manifest["checks"]), path.name
+
+
 def test_import_cli_loads_no_jsonschema():
     # the config check is plain Python, so a CLI process does not pay
     # for a schema library at start-up

@@ -1,5 +1,6 @@
 """Coarse-grained history machinery: projectors, D, and interval scans."""
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -270,6 +271,42 @@ def test_functional_and_scan_match_dense_propagator(ops20):
         want = np.linalg.norm(cross) / math.sqrt(
             np.trace(pp).real * np.trace(mm).real)
         assert ratio == pytest.approx(want, abs=1e-12)
+
+
+def test_peaking_tie_goes_to_the_first_label():
+    # histories_control.json: at gamma = 0 the symmetric cat's two branch
+    # histories (0, 0) and (1, 1) weigh the same in exact arithmetic, so
+    # rounding alone orders them; a one-ulp nudge of either entry, up or
+    # down, must leave the first of them the best label
+    cfg = json.loads((Path(__file__).parents[1] / "scripts" / "configs"
+                      / "histories_control.json").read_text())
+    sec = cfg["histories"]
+    assert cfg["params"] == {"m": 1.0, "omega": 1.0, "gamma": 0.0,
+                             "nbar": 0.0}
+    ops = build_operators(ModelParams(m=1.0, omega=1.0, gamma=0.0,
+                                      temperature=0.0), cfg["fock"]["n_fock"])
+    psi = cat_state(ops, cfg["initial"]["alpha"])
+    cells = tuple(PhaseCell(center=complex(c["center"]), w_re=c["w_re"],
+                            w_im=c["w_im"], h=sec["h"]) for c in sec["cells"])
+    spec = HistorySpec(times=tuple(sec["times"]), cells=(cells, cells),
+                       rho0=np.outer(psi, psi.conj()),
+                       include_complement=sec["include_complement"])
+    D = decoherence_functional(spec, ops, LindbladPropagatorConfig(
+        dt_oracle=sec["dt_oracle"], t_end=max(sec["times"])))
+    assert D.labels[0] == (0, 0) and D.labels[3] == (1, 1)
+    assert abs(D.diagonal()[3] - D.diagonal()[0]) <= 1e-15
+    assert classical_peaking_report(D, spec, ops).best_label == (0, 0)
+    flipped = 0
+    for i in (0, 3):
+        for to in (-np.inf, np.inf):
+            m = D.matrix.copy()
+            m[i, i] = complex(np.nextafter(m[i, i].real, to), m[i, i].imag)
+            nudged = dataclasses.replace(D, matrix=m)
+            report = classical_peaking_report(nudged, spec, ops)
+            assert report.best_label == (0, 0)
+            assert report.best_prob == nudged.diagonal()[0]
+            flipped += int(np.argmax(nudged.diagonal())) == 3
+    assert flipped   # a plain argmax would name (1, 1)
 
 
 def test_peaking_follows_damped_orbit(warm_params):
