@@ -12,17 +12,13 @@ from .errors import (ConfigError, DimensionError, FitError, ParameterError,
 from .model import (ModelParams, OperatorSet, build_operators, cat_state,
                     coherent_state, fock_state, normalize, tail_mass,
                     temperature_for_nbar)
-from .observables import (ExponentialFit, bundle_arrays,
-                          fit_exponential_decay, localization_rhs,
-                          localization_rhs_spread_form, windowed_slopes)
+from .observables import ExponentialFit, bundle_arrays, fit_exponential_decay
 from .qsd import (IntegratorConfig, TrajectoryRecord, run_trajectory,
                   trajectory_seed)
-from .oracle import (LindbladPropagatorConfig, OracleRun, OUState, ou_flow,
-                     propagate, propagate_matrices,
-                     stationary_lindblad_check, thermal_state)
+from .oracle import (LindbladPropagatorConfig, OracleRun, propagate,
+                     propagate_matrices)
 from .ensemble import (STAT_FIELDS, EnsembleConfig, EnsembleStats,
-                       InitialStateSpec, density_matrix, run_ensemble,
-                       trace_distance)
+                       InitialStateSpec, run_ensemble, trace_distance)
 from .histories import (DecoherenceMatrix, HistorySpec, IntervalScan,
                         PhaseCell, cat_interval_scan, cell_projector,
                         classical_peaking_report, decoherence_functional)

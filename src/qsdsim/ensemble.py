@@ -181,23 +181,6 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
                          rhos=rhos / m, series=series)
 
 
-def density_matrix(states) -> np.ndarray:
-    """Equal-weight mean of the normalized dyads |psi><psi|; a zero or
-    non-finite state is refused, as normalize refuses it."""
-    states = np.ascontiguousarray(np.atleast_2d(states), dtype=complex)
-    if states.size == 0:
-        raise ParameterError("no states given")
-    # on the (re, im) float view, where inf squares to inf, not nan
-    flat = states.view(float)
-    nrm = np.sqrt(np.vecdot(flat, flat))
-    if not np.isfinite(nrm).all():
-        raise ParameterError("cannot normalize a state with non-finite "
-                             "amplitudes")
-    if not nrm.all():
-        raise DimensionError("cannot normalize a zero state")
-    return _gram_sum(states / nrm[:, None]) / states.shape[0]
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma (both Hermitian)."""
     if rho.shape != sigma.shape:

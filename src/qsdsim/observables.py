@@ -11,6 +11,9 @@ position excess and P the momentum excess,
 
 and the fields are named excess_q and excess_p; the CLI labels its
 output columns Q and P by the same rule.
+
+The commands' regression and test statistics live here too: the
+exponential-decay fit, Student's t quantile and the chi-square tail.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .constants import FIT_FLOOR_REL, FIT_FLOOR_SIGMA, FIT_MIN_POINTS
 from .errors import FitError
-from .model import ModelParams, OperatorSet
+from .model import OperatorSet
 
 _CONSISTENCY_TOL = 1e-10
 
@@ -97,45 +100,6 @@ def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
     """Diagnostics for a (B, n_fock) batch of states: a dict of (B,)
     real arrays keyed by STAT_FIELDS, moment_fields of their _moments."""
     return dict(zip(STAT_FIELDS, moment_fields(_moments(states, ops), ops)))
-
-
-def localization_rhs(vals: dict, params: ModelParams):
-    """Predicted ensemble-mean rate d<(delta alpha)^2>/dt.
-
-    rate = -2 gamma (nbar + 1/2) [R^2/hbar^2 + P^2/8 + Q^2/8 + dalpha^2]
-
-    vals is a dict from bundle_arrays; returns its rates.  The rate is
-    always <= -2 gamma (nbar + 1/2) times the current spread, so
-    coherent states (all diagnostics 0) are the only fixed points.
-    """
-    r = vals["R"]
-    ex_q = vals["excess_q"]
-    ex_p = vals["excess_p"]
-    spread = vals["delta_alpha_sq"]
-    pre = 2.0 * params.gamma * (params.nbar + 0.5)
-    return -pre * (r ** 2 / params.hbar ** 2
-                   + ex_q ** 2 / 8.0 + ex_p ** 2 / 8.0 + spread)
-
-
-def localization_rhs_spread_form(vals: dict, params: ModelParams):
-    """Same rate written in terms of the raw quadrature variances.
-
-    rate = (gamma / 2 hbar^2) (nbar + 1/2) [hbar^2 - 4 R^2
-           - 2 (sigma_q^2/sigma_p^2) var_p^2
-           - 2 (sigma_p^2/sigma_q^2) var_q^2]
-
-    Algebraically identical to localization_rhs; kept as an
-    independent evaluation route for consistency checks.
-    """
-    r = vals["R"]
-    var_q = vals["var_q"]
-    var_p = vals["var_p"]
-    sq2 = params.sigma_q ** 2
-    sp2 = params.sigma_p ** 2
-    bracket = (params.hbar ** 2 - 4.0 * r ** 2
-               - 2.0 * (sq2 / sp2) * var_p ** 2
-               - 2.0 * (sp2 / sq2) * var_q ** 2)
-    return params.gamma / (2.0 * params.hbar ** 2) * (params.nbar + 0.5) * bracket
 
 
 # -- regression helpers -----------------------------------------------------
@@ -234,29 +198,3 @@ def chi2_sf(x: float, df: int) -> float:
         total += term
         term *= x / j
     return total
-
-
-def windowed_slopes(times: np.ndarray, series: np.ndarray, window: int):
-    """Least-squares slopes of series over sliding windows of samples.
-
-    series has shape (..., T); returns (centers, slopes) where slopes
-    has shape (..., T - window + 1) and centers are the window-mean
-    times.  The slope estimates the average derivative across the
-    window, so compare it against window-averaged predictions.
-    """
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    n_t = times.shape[0]
-    if window < 2 or window > n_t:
-        raise FitError(f"window {window} not usable with {n_t} samples")
-    n_w = n_t - window + 1
-    centers = np.empty(n_w)
-    slopes = np.empty(series.shape[:-1] + (n_w,))
-    for j in range(n_w):
-        t = times[j:j + window]
-        tc = t - t.mean()
-        denom = (tc ** 2).sum()
-        centers[j] = t.mean()
-        seg = series[..., j:j + window]
-        slopes[..., j] = (seg * tc).sum(axis=-1) / denom
-    return centers, slopes

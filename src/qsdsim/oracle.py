@@ -1,13 +1,8 @@
-"""Deterministic references the stochastic ensemble is checked against.
+"""The deterministic reference the stochastic ensemble is checked
+against: the exact propagator of the density-matrix equation of motion
 
-Three independent descriptions of the same open oscillator live here:
-
-* the exact propagator of the density-matrix equation of motion
   drho/dt = -(i/hbar)[H, rho] + sum_n (L_n rho L_n^dag
-            - {L_n^dag L_n, rho} / 2),
-* the closed-form drift of the coherent-amplitude distribution,
-  treated through its first two moments (mean_alpha, var_alpha),
-* the thermal fixed point with geometric level populations.
+            - {L_n^dag L_n, rho} / 2).
 
 With H diagonal in the Fock basis, L1 lowering and L2 raising by one
 level, the generator maps each band k = m - n of rho into itself.  The
@@ -34,7 +29,6 @@ propagate_matrices.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -42,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import ModelParams, OperatorSet, steps_on_grid
-
-_THERMAL_TAIL_LIMIT = 1e-10
+from .model import OperatorSet, steps_on_grid
 
 
 @functools.lru_cache(maxsize=8)
@@ -256,57 +248,3 @@ def propagate_matrices(mats: np.ndarray, ops: OperatorSet,
     bands = _to_bands(np.asarray(mats, dtype=complex), ops.n_fock)
     *_, bands = _band_steps(bands, ops, duration, 1)
     return _from_bands(bands)
-
-
-def thermal_state(params: ModelParams, n_fock: int) -> np.ndarray:
-    """Thermal density matrix, diagonal n-bar^n / (1+n-bar)^(n+1).
-
-    The residual beyond the truncation, (nbar/(1+nbar))^n_fock, must be
-    below 1e-10; the kept diagonal is renormalized over it.
-    """
-    if n_fock < 2:
-        raise DimensionError("n_fock must be at least 2")
-    nbar = params.nbar  # 0 gives the vacuum, as 0.0 ** 0 is 1
-    ratio = nbar / (1.0 + nbar)
-    residual = ratio ** n_fock
-    if residual > _THERMAL_TAIL_LIMIT:
-        raise DimensionError(
-            f"thermal tail {residual:.3e} beyond n_fock={n_fock} levels "
-            f"exceeds {_THERMAL_TAIL_LIMIT:.1e}")
-    diag = ratio ** np.arange(n_fock) / (1.0 + nbar)
-    diag /= diag.sum()
-    return np.diag(diag).astype(complex)
-
-
-@dataclass(frozen=True)
-class OUState:
-    """First two moments of the coherent-amplitude distribution."""
-
-    mean_alpha: complex
-    var_alpha: float
-
-    def __post_init__(self):
-        if self.var_alpha < 0:
-            raise ParameterError("var_alpha must be >= 0")
-
-
-def ou_flow(initial: OUState, params: ModelParams, t: float) -> OUState:
-    """Exact moment flow: mean decays as exp(-(i omega + gamma/2) t),
-    variance relaxes to nbar at rate gamma."""
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    decay = cmath.exp(-(1j * params.omega + 0.5 * params.gamma) * t)
-    relax = math.exp(-params.gamma * t)
-    return OUState(
-        mean_alpha=initial.mean_alpha * decay,
-        var_alpha=params.nbar + (initial.var_alpha - params.nbar) * relax)
-
-
-def stationary_lindblad_check(ops: OperatorSet) -> float:
-    """Frobenius norm of the generator applied to the thermal state.
-
-    The thermal state is diagonal, so band 0 of the generator that the
-    propagator exponentiates is the only one it meets.
-    """
-    rho = thermal_state(ops.params, ops.n_fock)
-    return float(np.linalg.norm(_slot_generators(ops)[0][0] @ np.diag(rho)))

@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,11 +8,15 @@ from hypothesis import HealthCheck, settings
 
 import _criteria
 from qsdsim.constants import TAIL_TOL
-from qsdsim.errors import TrajectoryError
-from qsdsim.model import (ModelParams, build_operators, tail_levels,
-                          temperature_for_nbar)
+from qsdsim.errors import (DimensionError, FitError, ParameterError,
+                           TrajectoryError)
+from qsdsim.model import (ModelParams, OperatorSet, _gram_sum,
+                          build_operators, tail_levels, temperature_for_nbar)
 from qsdsim.observables import _moments
+from qsdsim.oracle import _slot_generators
 from qsdsim.qsd import IntegratorConfig
+
+_THERMAL_TAIL_LIMIT = 1e-10
 
 _MASK64 = (1 << 64) - 1
 
@@ -268,6 +274,148 @@ def liouvillian(ops):
         gen = gen + np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye)
                                                   + np.kron(eye, m.T))
     return gen
+
+
+# The thermal fixed point and the moment flow: criterion 7.
+
+def thermal_state(params: ModelParams, n_fock: int) -> np.ndarray:
+    """Thermal density matrix, diagonal n-bar^n / (1+n-bar)^(n+1).
+
+    The residual beyond the truncation, (nbar/(1+nbar))^n_fock, must be
+    below 1e-10; the kept diagonal is renormalized over it.
+    """
+    if n_fock < 2:
+        raise DimensionError("n_fock must be at least 2")
+    nbar = params.nbar  # 0 gives the vacuum, as 0.0 ** 0 is 1
+    ratio = nbar / (1.0 + nbar)
+    residual = ratio ** n_fock
+    if residual > _THERMAL_TAIL_LIMIT:
+        raise DimensionError(
+            f"thermal tail {residual:.3e} beyond n_fock={n_fock} levels "
+            f"exceeds {_THERMAL_TAIL_LIMIT:.1e}")
+    diag = ratio ** np.arange(n_fock) / (1.0 + nbar)
+    diag /= diag.sum()
+    return np.diag(diag).astype(complex)
+
+
+def stationary_lindblad_check(ops: OperatorSet) -> float:
+    """Frobenius norm of the generator applied to the thermal state.
+
+    The thermal state is diagonal, so band 0 of the generator that the
+    propagator exponentiates is the only one it meets.
+    """
+    rho = thermal_state(ops.params, ops.n_fock)
+    return float(np.linalg.norm(_slot_generators(ops)[0][0] @ np.diag(rho)))
+
+
+@dataclass(frozen=True)
+class OUState:
+    """First two moments of the coherent-amplitude distribution."""
+
+    mean_alpha: complex
+    var_alpha: float
+
+    def __post_init__(self):
+        if self.var_alpha < 0:
+            raise ParameterError("var_alpha must be >= 0")
+
+
+def ou_flow(initial: OUState, params: ModelParams, t: float) -> OUState:
+    """Exact moment flow: mean decays as exp(-(i omega + gamma/2) t),
+    variance relaxes to nbar at rate gamma."""
+    if t < 0:
+        raise ParameterError("t must be >= 0")
+    decay = cmath.exp(-(1j * params.omega + 0.5 * params.gamma) * t)
+    relax = math.exp(-params.gamma * t)
+    return OUState(
+        mean_alpha=initial.mean_alpha * decay,
+        var_alpha=params.nbar + (initial.var_alpha - params.nbar) * relax)
+
+
+# The localization rate and its windowed estimate: criteria 2 and 12.
+
+def localization_rhs(vals: dict, params: ModelParams):
+    """Predicted ensemble-mean rate d<(delta alpha)^2>/dt.
+
+    rate = -2 gamma (nbar + 1/2) [R^2/hbar^2 + P^2/8 + Q^2/8 + dalpha^2]
+
+    vals is a dict from bundle_arrays; returns its rates.  The rate is
+    always <= -2 gamma (nbar + 1/2) times the current spread, so
+    coherent states (all diagnostics 0) are the only fixed points.
+    """
+    r = vals["R"]
+    ex_q = vals["excess_q"]
+    ex_p = vals["excess_p"]
+    spread = vals["delta_alpha_sq"]
+    pre = 2.0 * params.gamma * (params.nbar + 0.5)
+    return -pre * (r ** 2 / params.hbar ** 2
+                   + ex_q ** 2 / 8.0 + ex_p ** 2 / 8.0 + spread)
+
+
+def localization_rhs_spread_form(vals: dict, params: ModelParams):
+    """Same rate written in terms of the raw quadrature variances.
+
+    rate = (gamma / 2 hbar^2) (nbar + 1/2) [hbar^2 - 4 R^2
+           - 2 (sigma_q^2/sigma_p^2) var_p^2
+           - 2 (sigma_p^2/sigma_q^2) var_q^2]
+
+    Algebraically identical to localization_rhs; kept as an
+    independent evaluation route for consistency checks.
+    """
+    r = vals["R"]
+    var_q = vals["var_q"]
+    var_p = vals["var_p"]
+    sq2 = params.sigma_q ** 2
+    sp2 = params.sigma_p ** 2
+    bracket = (params.hbar ** 2 - 4.0 * r ** 2
+               - 2.0 * (sq2 / sp2) * var_p ** 2
+               - 2.0 * (sp2 / sq2) * var_q ** 2)
+    return params.gamma / (2.0 * params.hbar ** 2) * (params.nbar + 0.5) * bracket
+
+
+def windowed_slopes(times: np.ndarray, series: np.ndarray, window: int):
+    """Least-squares slopes of series over sliding windows of samples.
+
+    series has shape (..., T); returns (centers, slopes) where slopes
+    has shape (..., T - window + 1) and centers are the window-mean
+    times.  The slope estimates the average derivative across the
+    window, so compare it against window-averaged predictions.
+    """
+    times = np.asarray(times, dtype=float)
+    series = np.asarray(series, dtype=float)
+    n_t = times.shape[0]
+    if window < 2 or window > n_t:
+        raise FitError(f"window {window} not usable with {n_t} samples")
+    n_w = n_t - window + 1
+    centers = np.empty(n_w)
+    slopes = np.empty(series.shape[:-1] + (n_w,))
+    for j in range(n_w):
+        t = times[j:j + window]
+        tc = t - t.mean()
+        denom = (tc ** 2).sum()
+        centers[j] = t.mean()
+        seg = series[..., j:j + window]
+        slopes[..., j] = (seg * tc).sum(axis=-1) / denom
+    return centers, slopes
+
+
+# The recovery of rho from the ensemble's final states: criterion 8.
+
+def density_matrix(states) -> np.ndarray:
+    """Equal-weight mean of the normalized dyads |psi><psi|; a zero or
+    non-finite state is refused, as normalize refuses it."""
+    states = np.ascontiguousarray(np.atleast_2d(states), dtype=complex)
+    if states.size == 0:
+        raise ParameterError("no states given")
+    # on the (re, im) float view, where inf squares to inf, not nan
+    flat = states.view(float)
+    nrm = np.sqrt(np.vecdot(flat, flat))
+    if not np.isfinite(nrm).all():
+        raise ParameterError("cannot normalize a state with non-finite "
+                             "amplitudes")
+    if not nrm.all():
+        raise DimensionError("cannot normalize a zero state")
+    return _gram_sum(states / nrm[:, None]) / states.shape[0]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

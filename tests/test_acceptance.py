@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 
 import _criteria
-from conftest import draw_noise_block, random_states
-from qsdsim.ensemble import (EnsembleConfig, InitialStateSpec, density_matrix,
-                             run_ensemble, trace_distance)
+from conftest import (OUState, density_matrix, draw_noise_block,
+                      localization_rhs, localization_rhs_spread_form,
+                      ou_flow, random_states, stationary_lindblad_check,
+                      windowed_slopes)
+from qsdsim.ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
+                             trace_distance)
 from qsdsim.histories import HistorySpec, PhaseCell, decoherence_functional
 from qsdsim.model import (ModelParams, build_operators, cat_state,
                           coherent_state, temperature_for_nbar)
-from qsdsim.observables import (fit_exponential_decay, bundle_arrays,
-                                localization_rhs, localization_rhs_spread_form,
-                                windowed_slopes)
-from qsdsim.oracle import (LindbladPropagatorConfig, OUState, ou_flow,
-                           propagate, stationary_lindblad_check)
+from qsdsim.observables import fit_exponential_decay, bundle_arrays
+from qsdsim.oracle import LindbladPropagatorConfig, propagate
 from qsdsim import qsd
 from qsdsim.qsd import IntegratorConfig, run_trajectory
 

@@ -22,14 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsdsim
+from conftest import thermal_state
 from qsdsim import (STAT_FIELDS, ConfigError, EnsembleConfig, HistorySpec,
                     InitialStateSpec, IntegratorConfig,
                     LindbladPropagatorConfig, ModelParams, PhaseCell,
                     build_operators, coherent_state, decoherence_functional,
                     qsd, run_ensemble, run_trajectory, temperature_for_nbar)
 from qsdsim.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
-                        EXIT_PASS, Runner, check_config, load_config, main,
-                        make_parser)
+                        EXIT_PASS, Runner, _model, check_config, load_config,
+                        main, make_parser)
 from qsdsim.constants import (MAX_N_FOCK, MAX_SEED, MAX_STEPS,
                               MAX_TRAJECTORIES)
 
@@ -194,14 +195,24 @@ def test_canned_experiments_pass(tmp_path):
                "histories": "histories"}
     paths = sorted(CONFIGS.glob("*.json"))
     assert paths
+    tables = {}
     for path in paths:
         out = tmp_path / path.stem
         code = main([command[path.stem.split("_")[0]], "--config",
                      str(path), "--out", str(out)])
-        manifest, _ = _check_outputs(out)
+        manifest, tables[path.stem] = _check_outputs(out)
         assert code == EXIT_PASS, path.name
         assert manifest["passed"] and manifest["checks"], path.name
         assert all(c["passed"] for c in manifest["checks"]), path.name
+    # thermalize's inline law is the diagonal of the reference thermal
+    # state to within its truncation residual, (nbar / (1 + nbar))^n_fock
+    cfg = _canned("thermalize")
+    params, ops = _model(cfg)
+    diag = thermal_state(params, ops.n_fock).diagonal().real
+    head, *rows = tables["thermalize"]["occupation_histogram.csv"]
+    law = [float(row[head.index("thermal_fraction")]) for row in rows]
+    np.testing.assert_allclose(law, diag[:cfg["thermalize"]["max_n"] + 1],
+                               rtol=1e-10, atol=0.0)
 
 
 def test_import_cli_loads_no_jsonschema():

@@ -15,15 +15,13 @@ from qsdsim import (
     TruncationError,
     build_operators,
     coherent_state,
-    density_matrix,
     run_ensemble,
     run_trajectory,
     temperature_for_nbar,
-    thermal_state,
     trace_distance,
     trajectory_seed,
 )
-from conftest import run_split
+from conftest import density_matrix, run_split, thermal_state
 from qsdsim import ensemble, qsd
 from qsdsim.constants import MAX_TRAJECTORIES, TRAJ_BATCH
 

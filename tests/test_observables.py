@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from conftest import ladder, random_states
+from conftest import (ladder, localization_rhs,
+                      localization_rhs_spread_form, random_states,
+                      windowed_slopes)
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
 from qsdsim.observables import (STAT_FIELDS, _moments, bundle_arrays,
                                 chi2_sf, fit_exponential_decay,
-                                localization_rhs,
-                                localization_rhs_spread_form,
-                                moment_fields, t_quantile, windowed_slopes)
+                                moment_fields, t_quantile)
 
 
 def _one(psi, ops):

@@ -16,7 +16,6 @@ from scipy.linalg import expm
 from qsdsim import (
     LindbladPropagatorConfig,
     ModelParams,
-    OUState,
     ParameterError,
     ConfigError,
     DimensionError,
@@ -26,17 +25,15 @@ from qsdsim import (
     cat_interval_scan,
     coherent_state,
     decoherence_functional,
-    ou_flow,
     propagate,
     propagate_matrices,
-    stationary_lindblad_check,
     temperature_for_nbar,
-    thermal_state,
 )
 from qsdsim import oracle
 from qsdsim.model import steps_on_grid
-from conftest import (dense_operators, ladder, lindblad_rhs, liouvillian,
-                      random_states, rk4_step)
+from conftest import (OUState, dense_operators, ladder, lindblad_rhs,
+                      liouvillian, ou_flow, random_states, rk4_step,
+                      stationary_lindblad_check, thermal_state)
 
 
 def _random_density(dim, seed):
