@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run every canned experiment config through the CLI.
 
-Each experiment writes its outputs (CSV/JSON and manifest.json, plus a
-gnuplot stub, plot.gp, for stationary, localize and thermalize) into
-its own subdirectory of --out, named after its config.  Exits nonzero
-if any experiment fails its own pass conditions.
+Every config in configs/ is an experiment, run by the command its file
+name starts with, "-" written "_": oracle_compare.json is run by
+oracle-compare, histories_cat.json by histories.  Each experiment
+writes its outputs (CSV/JSON and manifest.json, plus a gnuplot stub,
+plot.gp, for stationary, localize and thermalize) into its own
+subdirectory of --out, named after its config.  Exits nonzero if any
+experiment fails its own pass conditions.
 """
 
 import argparse
@@ -13,17 +16,21 @@ import sys
 import time
 from pathlib import Path
 
+from qsdsim.cli import REQUIRED_SECTIONS
+
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
-EXPERIMENTS = [
-    ("stationary", "stationary.json"),
-    ("localize", "localize_fock.json"),
-    ("localize", "localize_cat_sweep.json"),
-    ("thermalize", "thermalize.json"),
-    ("oracle-compare", "oracle_compare.json"),
-    ("histories", "histories_cat.json"),
-    ("histories", "histories_control.json"),
-]
+
+def experiments() -> list[tuple[str, Path]]:
+    """(command, config path) of every canned config, in name order."""
+    found = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        command = next((c for c in REQUIRED_SECTIONS if f"{path.stem}_"
+                        .startswith(c.replace("-", "_") + "_")), None)
+        if command is None:
+            raise SystemExit(f"{path.name}: its name starts with no command")
+        found.append((command, path))
+    return found
 
 
 def main() -> int:
@@ -33,12 +40,11 @@ def main() -> int:
 
     root = Path(args.out)
     worst = 0
-    for command, config in EXPERIMENTS:
-        name = Path(config).stem
+    for command, config in experiments():
+        name = config.stem
         dest = root / name
         cmd = [sys.executable, "-m", "qsdsim", command,
-               "--config", str(CONFIG_DIR / config),
-               "--out", str(dest)]
+               "--config", str(config), "--out", str(dest)]
         t0 = time.monotonic()
         code = subprocess.run(cmd).returncode
         took = time.monotonic() - t0

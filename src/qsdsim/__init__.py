@@ -12,7 +12,7 @@ from .errors import (ConfigError, DimensionError, FitError, ParameterError,
 from .model import (ModelParams, OperatorSet, build_operators, cat_state,
                     coherent_state, fock_state, normalize, tail_mass,
                     temperature_for_nbar)
-from .observables import ExponentialFit, bundle_arrays, fit_exponential_decay
+from .observables import ExponentialFit, fit_exponential_decay
 from .qsd import (IntegratorConfig, TrajectoryRecord, run_trajectory,
                   trajectory_seed)
 from .oracle import (LindbladPropagatorConfig, OracleRun, propagate,

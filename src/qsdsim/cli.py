@@ -38,8 +38,7 @@ from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
                         CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
-from .observables import STAT_FIELDS, bundle_arrays, chi2_sf, \
-    fit_exponential_decay
+from .observables import STAT_FIELDS, chi2_sf, fit_exponential_decay
 from .oracle import LindbladPropagatorConfig, propagate_matrices
 from .qsd import IntegratorConfig, check_seed, run_trajectory, stepping_loop
 from .ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
@@ -65,8 +64,7 @@ CONFIG_KEYS = {
     "localize": {"separations": ["number"]},
     "thermalize": {"max_n": "integer"},
     "histories": {"times": ["number"], "cells": [_CELL], "h": "number",
-                  "dt_oracle": "number", "include_complement": "boolean",
-                  "control": "boolean"},
+                  "dt_oracle": "number", "include_complement": "boolean"},
 }
 # Keys that an object of CONFIG_KEYS must hold; the others may be left
 # out.  No key name is required in one object and optional in another.
@@ -320,28 +318,25 @@ class Runner:
 
 
 def _shape_series(vals, hbar: float) -> np.ndarray:
-    """|Q|, |P|, |R|/hbar and (delta alpha)^2 of bundles or of
-    bundle_arrays fields, stacked; Q labels the position excess, P the
-    momentum excess."""
+    """|Q|, |P|, |R|/hbar and (delta alpha)^2 of bundles, stacked; Q
+    labels the position excess, P the momentum excess."""
     return np.stack([np.abs(vals["excess_q"]), np.abs(vals["excess_p"]),
                      np.abs(vals["R"]) / hbar, vals["delta_alpha_sq"]])
 
 
 def cmd_stationary(run: Runner) -> int:
-    """A coherent start must keep its shape.  A start whose shape is off
-    by more than SHAPE_TOL must break it early, then localize (the
-    paper's global stability), which needs at least two samples."""
+    """A coherent start must keep its shape.  A start whose shape, as
+    sample 0 measures it, is off by more than SHAPE_TOL must break it
+    early, then localize (the paper's global stability).  Either needs
+    at least two samples: one at t = 0 shows nothing."""
     with config_stage():
         params, ops = _model(run.cfg)
         icfg = IntegratorConfig(**run.cfg["integrator"])
         psi0 = _initial(run.cfg.get("initial", {"kind": "coherent",
                                                 "alpha": 1.0})).build(ops)
-        # the start's shape, as sample 0 measures it
-        broken = float(_shape_series(bundle_arrays(psi0[None], ops),
-                                     params.hbar).max()) > SHAPE_TOL
-        if broken and icfg.sample_times.size < 2:
-            raise ConfigError("a start that is not coherent needs at least "
-                              "two samples; lower record_stride")
+        if icfg.sample_times.size < 2:
+            raise ConfigError("stationary needs at least two samples; "
+                              "lower record_stride")
     record = run_trajectory(psi0, ops, icfg)
     run.write_csv("trajectory.csv", {
         "t": record.bundles["t"],
@@ -350,7 +345,7 @@ def cmd_stationary(run: Runner) -> int:
                      "shape drift")
 
     series = _shape_series(record.bundles, params.hbar)
-    if broken:
+    if float(series[:, 0].max()) > SHAPE_TOL:
         worst = series.max(axis=0)
         half = worst.size // 2
         run.check("shape broken early (some diagnostic > "
@@ -473,6 +468,8 @@ def cmd_thermalize(run: Runner) -> int:
             step = max(1, int(round(stride_t
                                     / (icfg.record_stride * icfg.dt))))
             rows = np.flatnonzero(late)[::step]
+            # the histogram is the diagonal of the mean dyad at those rows
+            ecfg = replace(ecfg, rho_times=tuple(times[rows]))
             m_eff = ecfg.m * rows.size
             expected_p = np.array([nbar ** n / (1 + nbar) ** (n + 1)
                                    for n in range(max_n + 1)])
@@ -504,7 +501,7 @@ def cmd_thermalize(run: Runner) -> int:
         f"{SIGMA_BAND:g} stderr ({late_err:.4f})",
         abs(late_mean - nbar) <= SIGMA_BAND * late_err)
 
-    occ = stats.occupation[rows].mean(axis=0)
+    occ = np.diagonal(stats.rhos, axis1=1, axis2=2).real.mean(axis=0)
     observed = occ[:max_n + 1] * m_eff
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     p_value = chi2_sf(chi2, max_n)
@@ -551,7 +548,7 @@ def cmd_oracle_compare(run: Runner) -> int:
 def cmd_histories(run: Runner) -> int:
     sec = run.cfg["histories"]
     with config_stage():
-        _, ops = _model(run.cfg)
+        params, ops = _model(run.cfg)
         psi0 = _initial(run.cfg["initial"]).build(ops)
         cells = tuple(PhaseCell(**c | {"center": _as_complex(c["center"]),
                                        "h": sec["h"]}) for c in sec["cells"])
@@ -589,7 +586,8 @@ def cmd_histories(run: Runner) -> int:
 
     off = ratios[valid]
     worst = float(off.max()) if off.size else 0.0
-    if sec.get("control", False):
+    # without damping nothing decoheres: the run is the control
+    if params.gamma == 0.0:
         run.check(f"control keeps coherence: max suppression ratio "
                   f"{worst:.3f} > {CONTROL_SUPPRESSION_MIN}",
                   worst > CONTROL_SUPPRESSION_MIN)

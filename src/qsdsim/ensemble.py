@@ -87,8 +87,8 @@ class EnsembleConfig:
 class EnsembleStats:
     """Per-time ensemble averages with standard errors.
 
-    occupation[j] is the ensemble mean of the Fock-level probability
-    vector at times[j] (each row sums to 1).  series holds optional
+    rhos[i] is the mean dyad, the density matrix, at rho_times[i]; its
+    diagonal holds the Fock-level populations there.  series holds optional
     (m, n_times) per-trajectory values for the configured fields;
     final_states collects every trajectory's end state.
     """
@@ -96,7 +96,6 @@ class EnsembleStats:
     times: np.ndarray
     means: dict
     stderrs: dict
-    occupation: np.ndarray
     m: int
     base_seed: int
     final_states: np.ndarray
@@ -138,7 +137,6 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     # function of the trajectory index.  The variance sums shift by
     # trajectory 0's value at each sample, so they do not cancel.
     tot, shift, tot_dev, tot_sq = np.zeros((4, len(STAT_FIELDS), n_samples))
-    occ = np.zeros((n_samples, n_fock))
     rhos = np.zeros((len(rho_at), n_fock, n_fock), dtype=complex)
     series = {f: np.empty((m, n_samples)) for f in cfg.store_series}
     finals = np.empty((m, n_fock), dtype=complex)
@@ -148,23 +146,22 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
         def on_sample(block, moments, first_step):
             # samples j0..j1-1 of the batch, a (k, B, n_fock) block with
             # its (k, B, 6) moments, reduced as (field, sample) arrays
-            # over the batch axis
+            # over the batch axis; the states serve only the snapshots
             j0 = first_step // icfg.record_stride
             j1 = j0 + len(block)
             v = moment_fields(moments, ops)   # (field, sample, row)
-            norm_sq = moments[..., 0]   # each row's ||psi||^2
             if k0 == 0:
                 shift[:, j0:j1] = v[..., 0]
             dev = v - shift[:, j0:j1, None]
             tot[:, j0:j1] += v.sum(axis=-1)
             tot_dev[:, j0:j1] += dev.sum(axis=-1)
             tot_sq[:, j0:j1] += (dev * dev).sum(axis=-1)
-            occ[j0:j1] += (np.abs(block) ** 2 / norm_sq[..., None]).sum(axis=1)
             for f in cfg.store_series:
                 series[f][k0:k1, j0:j1] = v[STAT_FIELDS.index(f)].T
             for j, r in rho_at.items():
                 if j0 <= j < j1:
-                    rows = block[j - j0] / np.sqrt(norm_sq[j - j0, :, None])
+                    # each row over its ||psi||, moment 0's root
+                    rows = block[j - j0] / np.sqrt(moments[j - j0, :, :1])
                     rhos[r] += _gram_sum(rows)
 
         streams = _seed_streams(trajectory_seed(
@@ -176,9 +173,8 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     var = np.maximum(tot_sq - tot_dev ** 2 / m, 0.0) / max(m - 1, 1)
     return EnsembleStats(times=times, means=dict(zip(STAT_FIELDS, tot / m)),
                          stderrs=dict(zip(STAT_FIELDS, np.sqrt(var / m))),
-                         occupation=occ / m, m=m, base_seed=cfg.base_seed,
-                         final_states=finals, rho_times=rho_times,
-                         rhos=rhos / m, series=series)
+                         m=m, base_seed=cfg.base_seed, final_states=finals,
+                         rho_times=rho_times, rhos=rhos / m, series=series)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -77,10 +77,8 @@ class PhaseCell:
                 f"spacing {self.h} too coarse for half-widths "
                 f"({self.w_re}, {self.w_im}); need h <= min/"
                 f"{CELL_MIN_POINTS_PER_HALF_WIDTH}")
-        # the midpoints per axis; np.rint rounds half to even, as round
-        # does in _midpoints.  The outer ones sit w / n inside the cell.
-        n_re, n_im = (max(1.0, float(np.rint(2.0 * w / self.h)))
-                      for w in (self.w_re, self.w_im))
+        # the outer midpoints sit w / n inside the cell
+        n_re, n_im = (_point_count(w, self.h) for w in (self.w_re, self.w_im))
         re, im = self.w_re - self.w_re / n_re, self.w_im - self.w_im / n_im
         check_headroom(complex(abs(self.center.real) + re,
                                abs(self.center.imag) + im), n_fock,
@@ -97,8 +95,14 @@ class PhaseCell:
         return 8.0 * self.w_re * self.w_im
 
 
+def _point_count(w: float, h: float) -> float:
+    """Midpoints on an axis of half-width w at spacing h, at least one,
+    rounded half to even; a float, as 2 w / h may overflow to inf."""
+    return max(1.0, float(np.rint(2.0 * w / h)))
+
+
 def _midpoints(w: float, h: float) -> np.ndarray:
-    n = max(1, int(round(2.0 * w / h)))
+    n = _point_count(w, h)
     eff = 2.0 * w / n
     return -w + (np.arange(n) + 0.5) * eff, eff
 

@@ -29,8 +29,7 @@ from .model import OperatorSet
 
 _CONSISTENCY_TOL = 1e-10
 
-#: Diagnostic fields: the keys of bundle_arrays' result and the rows of
-#: moment_fields'.
+#: Diagnostic fields: the rows of moment_fields' result.
 STAT_FIELDS = ("q_mean", "p_mean", "var_q", "var_p", "R", "excess_q",
                "excess_p", "delta_alpha_sq", "n_mean")
 
@@ -94,12 +93,6 @@ def moment_fields(moments: np.ndarray, ops: OperatorSet) -> np.ndarray:
 
     return np.stack((q_mean, p_mean, var_q, var_p, r_corr, excess_q,
                      excess_p, delta_alpha_sq, exp_n))
-
-
-def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
-    """Diagnostics for a (B, n_fock) batch of states: a dict of (B,)
-    real arrays keyed by STAT_FIELDS, moment_fields of their _moments."""
-    return dict(zip(STAT_FIELDS, moment_fields(_moments(states, ops), ops)))
 
 
 # -- regression helpers -----------------------------------------------------

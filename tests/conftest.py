@@ -12,7 +12,7 @@ from qsdsim.errors import (DimensionError, FitError, ParameterError,
                            TrajectoryError)
 from qsdsim.model import (ModelParams, OperatorSet, _gram_sum,
                           build_operators, tail_levels, temperature_for_nbar)
-from qsdsim.observables import _moments
+from qsdsim.observables import STAT_FIELDS, _moments, moment_fields
 from qsdsim.oracle import _slot_generators
 from qsdsim.qsd import IntegratorConfig
 
@@ -43,6 +43,13 @@ def random_states(n: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def bundle_arrays(states: np.ndarray, ops: OperatorSet) -> dict:
+    """Diagnostics for a (B, n_fock) batch of states: a dict of (B,)
+    real arrays keyed by STAT_FIELDS, moment_fields of their _moments,
+    as the stepping loop's sample moments give them."""
+    return dict(zip(STAT_FIELDS, moment_fields(_moments(states, ops), ops)))
 
 
 def draw_noise_block(rng: np.random.Generator, dt: float,

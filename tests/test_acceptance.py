@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 import _criteria
-from conftest import (OUState, density_matrix, draw_noise_block,
-                      localization_rhs, localization_rhs_spread_form,
-                      ou_flow, random_states, stationary_lindblad_check,
-                      windowed_slopes)
+from conftest import (OUState, bundle_arrays, density_matrix,
+                      draw_noise_block, localization_rhs,
+                      localization_rhs_spread_form, ou_flow, random_states,
+                      stationary_lindblad_check, windowed_slopes)
 from qsdsim.ensemble import (EnsembleConfig, InitialStateSpec, run_ensemble,
                              trace_distance)
 from qsdsim.histories import HistorySpec, PhaseCell, decoherence_functional
 from qsdsim.model import (ModelParams, build_operators, cat_state,
                           coherent_state, temperature_for_nbar)
-from qsdsim.observables import fit_exponential_decay, bundle_arrays
+from qsdsim.observables import fit_exponential_decay
 from qsdsim.oracle import LindbladPropagatorConfig, propagate
 from qsdsim import qsd
 from qsdsim.qsd import IntegratorConfig, run_trajectory
@@ -166,14 +166,15 @@ def test_criterion_04_cat_rate_scales_with_separation_squared():
 def thermal_relaxation():
     params = _params(0.5, 1.0)
     ops = build_operators(params, 40)
-    cfg = EnsembleConfig(
-        m=500, base_seed=21,
-        integrator=IntegratorConfig(dt=1e-3, t_end=40.0, record_stride=100),
-        initial=InitialStateSpec(kind="fock", n=0),
-        store_series=("n_mean",))
-    stats = run_ensemble(cfg, ops)
+    icfg = IntegratorConfig(dt=1e-3, t_end=40.0, record_stride=100)
     # late-time snapshots, one relaxation time 1/gamma apart
     late_idx = np.arange(200, 401, 20)
+    stats_times = icfg.sample_times
+    cfg = EnsembleConfig(
+        m=500, base_seed=21, integrator=icfg,
+        initial=InitialStateSpec(kind="fock", n=0),
+        rho_times=tuple(stats_times[late_idx]), store_series=("n_mean",))
+    stats = run_ensemble(cfg, ops)
     assert stats.times[late_idx[0]] == pytest.approx(20.0)
     return params, stats, late_idx
 
@@ -195,7 +196,8 @@ def test_criterion_06_occupation_histogram_is_thermal(thermal_relaxation):
     from scipy import stats as sp_stats
 
     params, stats, late_idx = thermal_relaxation
-    pbar = stats.occupation[late_idx].mean(axis=0)
+    # the level populations: the diagonal of rho at each late snapshot
+    pbar = np.diagonal(stats.rhos, axis1=1, axis2=2).real.mean(axis=0)
     # Multinomial over levels 0..6 plus everything above, against the
     # geometric thermal law.  Treating every snapshot as independent
     # overstates the count, which makes the chi-square conservative

@@ -12,6 +12,7 @@ import json
 import operator
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -36,6 +37,10 @@ from qsdsim.constants import (MAX_N_FOCK, MAX_SEED, MAX_STEPS,
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
+# (command, config stem) of every canned experiment, as the runner
+# script finds them in CONFIGS
+_EXPERIMENTS = [(command, path.stem) for command, path in runpy.run_path(
+    str(CONFIGS.parent / "run_all_experiments.py"))["experiments"]()]
 
 
 def _canned(name):
@@ -190,20 +195,16 @@ def test_canned_configs_pass_the_check_and_keys_match_fields():
 def test_canned_experiments_pass(tmp_path):
     # every published experiment, as scripts/run_all_experiments.py runs
     # it, in this process: it exits 0 and passes each of its checks
-    command = {"stationary": "stationary", "localize": "localize",
-               "thermalize": "thermalize", "oracle": "oracle-compare",
-               "histories": "histories"}
-    paths = sorted(CONFIGS.glob("*.json"))
-    assert paths
+    assert len(_EXPERIMENTS) == len(list(CONFIGS.glob("*.json"))) > 0
     tables = {}
-    for path in paths:
-        out = tmp_path / path.stem
-        code = main([command[path.stem.split("_")[0]], "--config",
-                     str(path), "--out", str(out)])
-        manifest, tables[path.stem] = _check_outputs(out)
-        assert code == EXIT_PASS, path.name
-        assert manifest["passed"] and manifest["checks"], path.name
-        assert all(c["passed"] for c in manifest["checks"]), path.name
+    for command, name in _EXPERIMENTS:
+        out = tmp_path / name
+        code = main([command, "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(out)])
+        manifest, tables[name] = _check_outputs(out)
+        assert code == EXIT_PASS, name
+        assert manifest["passed"] and manifest["checks"], name
+        assert all(c["passed"] for c in manifest["checks"]), name
     # thermalize's inline law is the diagonal of the reference thermal
     # state to within its truncation residual, (nbar / (1 + nbar))^n_fock
     cfg = _canned("thermalize")
@@ -575,9 +576,9 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys,
                     "cells": [{"center": 0.0, "w_re": 1.0}]}},
      "histories.cells[0]: 'w_im' is a required key"),
     ({"histories": {"times": [0.0], "h": 0.1, "dt_oracle": 0.1,
-                    "control": 1,
+                    "include_complement": 1,
                     "cells": [{"center": 0.0, "w_re": 1.0, "w_im": 1.0}]}},
-     "histories.control: 1 is not of type 'boolean'"),
+     "histories.include_complement: 1 is not of type 'boolean'"),
 ])
 def test_check_config_names_the_key_path(change, message):
     cfg = _stationary_cfg(**change)
@@ -639,6 +640,9 @@ def test_check_config_refuses_a_missing_section_and_a_non_object():
     ("localize", "localize_fock", None, None,
      {"localize": {"separations": [1, 2]}},
      "localize.separations sweeps cat starts; the initial state is fock"),
+    # and so is a coherent one: one sample at t = 0 shows nothing
+    ("stationary", "stationary", "integrator", "record_stride", 100000,
+     "at least two samples"),
 ])
 def test_config_stage_refuses_before_any_output(tmp_path, capsys, command,
                                                 name, section, key, value,
@@ -936,31 +940,30 @@ def _undamped_histories_cfg():
 
 
 def test_histories_undamped_control_keeps_coherence(tmp_path):
-    cfg = _undamped_histories_cfg()
-    cfg["histories"]["control"] = True
-    code, out = _run(tmp_path, "histories", cfg)
+    code, out = _run(tmp_path, "histories", _undamped_histories_cfg())
     assert code == EXIT_PASS
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "histories"
     assert manifest["passed"] is True
     assert manifest["stepping_loop"] is None   # no trajectory is stepped
+    # gamma = 0 alone makes the run the control
+    [check] = manifest["checks"]
+    assert check["label"].startswith("control keeps coherence")
 
 
 def test_failing_check_exits_one(tmp_path):
-    # the undamped control config against the non-control check: the
-    # cat keeps its coherence, so the suppression bound must fail
-    code, out = _run(tmp_path, "histories", _undamped_histories_cfg())
+    # the control's cat under a weak damping is held to the suppression
+    # bound; it keeps most of its coherence, so the check must fail
+    cfg = _undamped_histories_cfg()
+    cfg["params"]["gamma"] = 1e-3
+    code, out = _run(tmp_path, "histories", cfg)
     assert code == EXIT_FAIL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is False
+    [check] = manifest["checks"]
+    assert check["label"].startswith("max off-diagonal suppression ratio")
 
 
-_EXPERIMENTS = [("stationary", "stationary"), ("localize", "localize_fock"),
-                ("localize", "localize_cat_sweep"),
-                ("thermalize", "thermalize"),
-                ("oracle-compare", "oracle_compare"),
-                ("histories", "histories_cat"),
-                ("histories", "histories_control")]
 # Huge integers and a tiny positive value are refused before anything
 # is sized by them: an ensemble size or a level count above its
 # maximum, an integer beyond the float range, a step count above

@@ -73,8 +73,7 @@ def test_sample_buffer_does_not_change_stats(ops20, monkeypatch, m):
     for buffer in (1, 7):
         monkeypatch.setattr(qsd, "TRAJ_BATCH", buffer)
         stats = run_ensemble(cfg, ops20)
-        for name in ("times", "occupation", "rhos", "rho_times",
-                     "final_states"):
+        for name in ("times", "rhos", "rho_times", "final_states"):
             assert np.array_equal(getattr(stats, name),
                                   getattr(ref, name)), (buffer, name)
         for name in ("means", "stderrs", "series"):
@@ -161,12 +160,6 @@ def test_non_finite_row_fails_closed(ops20, monkeypatch):
     assert batches == [(0, TRAJ_BATCH), (TRAJ_BATCH, 6)]
     assert exc_info.value.trajectory == TRAJ_BATCH + 3
     assert exc_info.value.time == pytest.approx(5e-3)
-
-
-def test_occupation_rows_sum_to_one(ops20):
-    stats = run_ensemble(_cfg(8), ops20)
-    sums = stats.occupation.sum(axis=1)
-    assert np.allclose(sums, 1.0, atol=1e-10)
 
 
 def test_snapshot_density_matrix_properties(ops20):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from conftest import (ladder, localization_rhs,
+from conftest import (bundle_arrays, ladder, localization_rhs,
                       localization_rhs_spread_form, random_states,
                       windowed_slopes)
 from qsdsim.errors import FitError
 from qsdsim.model import coherent_state, fock_state
-from qsdsim.observables import (STAT_FIELDS, _moments, bundle_arrays,
-                                chi2_sf, fit_exponential_decay,
-                                moment_fields, t_quantile)
+from qsdsim.observables import (STAT_FIELDS, _moments, chi2_sf,
+                                fit_exponential_decay, moment_fields,
+                                t_quantile)
 
 
 def _one(psi, ops):

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import StepKernel, dense_operators, draw_noise_block, \
-    integrate_reference, lindblad_rhs, numpy_streams, pair_seed, \
-    random_states, run_split, stream_state
+from conftest import StepKernel, bundle_arrays, dense_operators, \
+    draw_noise_block, integrate_reference, lindblad_rhs, numpy_streams, \
+    pair_seed, random_states, run_split, stream_state
 from qsdsim import qsd
 from qsdsim.constants import LOOP_CACHE_KEEP, MAX_SEED, MAX_STEPS, TRAJ_BATCH
 from qsdsim.errors import (ConfigError, DimensionError, ParameterError,
@@ -29,7 +29,7 @@ from qsdsim.model import (ModelParams, build_operators, coherent_state,
                           fock_state, tail_levels, tail_mass,
                           temperature_for_nbar)
 from qsdsim.ensemble import EnsembleConfig, InitialStateSpec, run_ensemble
-from qsdsim.observables import STAT_FIELDS, _moments, bundle_arrays
+from qsdsim.observables import STAT_FIELDS, _moments
 from qsdsim.qsd import (IntegratorConfig, check_step_size, run_trajectory,
                         splitmix64, trajectory_seed)
 
