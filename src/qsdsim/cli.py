@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .constants import (CHI2_MIN_EXPECTED, CHI2_MIN_P,
-                        DECORRELATION_TIME_FACTOR, LATE_FRACTION, SHAPE_TOL,
-                        SIGMA_BAND, SUPPRESSION_THRESHOLD,
-                        CONTROL_SUPPRESSION_MIN)
+                        DECORRELATION_TIME_FACTOR, LATE_FRACTION,
+                        MAX_SNAPSHOT_BYTES, SHAPE_TOL, SIGMA_BAND,
+                        SUPPRESSION_THRESHOLD, CONTROL_SUPPRESSION_MIN)
 from .errors import ConfigError, SimulationError
 from .model import ModelParams, build_operators, temperature_for_nbar
 from .observables import STAT_FIELDS, chi2_sf, fit_exponential_decay
@@ -468,6 +468,12 @@ def cmd_thermalize(run: Runner) -> int:
             step = max(1, int(round(stride_t
                                     / (icfg.record_stride * icfg.dt))))
             rows = np.flatnonzero(late)[::step]
+            if rows.size * ops.n_fock ** 2 * 16 > MAX_SNAPSHOT_BYTES:
+                raise ConfigError(
+                    f"thermalize's {rows.size} density-matrix snapshots at "
+                    f"{ops.n_fock} levels exceed the maximum of "
+                    f"{MAX_SNAPSHOT_BYTES / 2 ** 30:g} GiB; lower "
+                    f"fock.n_fock or integrator.t_end")
             # the histogram is the diagonal of the mean dyad at those rows
             ecfg = replace(ecfg, rho_times=tuple(times[rows]))
             m_eff = ecfg.m * rows.size

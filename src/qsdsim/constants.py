@@ -87,6 +87,11 @@ MAX_WIDTH_SQ = 1e100
 # 8192.  A larger value is refused before anything is allocated.
 MAX_TRAJECTORIES = 2 ** 16
 
+# Largest size of thermalize's density-matrix snapshots, n_fock^2 complex
+# at each of about gamma t_end / 4 decorrelated late samples: 2 GiB, as
+# for MAX_TRAJECTORIES.  A larger run is refused before any is allocated.
+MAX_SNAPSHOT_BYTES = 2 ** 31
+
 # Largest (points, n_fock) array of coherent states that one cell's
 # midpoint grid may ask for: 2**22 complex amplitudes are 64 MiB, as one
 # N x N matrix at MAX_N_FOCK.  The projector's Gram sum adds at most

@@ -90,7 +90,8 @@ class EnsembleStats:
     rhos[i] is the mean dyad, the density matrix, at rho_times[i]; its
     diagonal holds the Fock-level populations there.  series holds optional
     (m, n_times) per-trajectory values for the configured fields;
-    final_states collects every trajectory's end state.
+    final_states collects every trajectory's end state; norm_drift is
+    the largest of their TrajectoryRecord.norm_drift.
     """
 
     times: np.ndarray
@@ -99,6 +100,7 @@ class EnsembleStats:
     m: int
     base_seed: int
     final_states: np.ndarray
+    norm_drift: float
     rho_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     rhos: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0)))
     series: dict = field(default_factory=dict)
@@ -140,6 +142,7 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
     rhos = np.zeros((len(rho_at), n_fock, n_fock), dtype=complex)
     series = {f: np.empty((m, n_samples)) for f in cfg.store_series}
     finals = np.empty((m, n_fock), dtype=complex)
+    drift = 0.0
     for k0 in range(0, m, TRAJ_BATCH):
         k1 = min(k0 + TRAJ_BATCH, m)
 
@@ -166,14 +169,16 @@ def run_ensemble(cfg: EnsembleConfig, ops: OperatorSet) -> EnsembleStats:
 
         streams = _seed_streams(trajectory_seed(
             cfg.base_seed, np.arange(k0, k1, dtype=np.uint64)))
-        finals[k0:k1], _ = _integrate(ops, np.tile(psi0, (k1 - k0, 1)),
-                                      streams, icfg, k0, on_sample)
+        finals[k0:k1], batch_drift = _integrate(
+            ops, np.tile(psi0, (k1 - k0, 1)), streams, icfg, k0, on_sample)
+        drift = max(drift, batch_drift)
 
     # at m = 1 every deviation from trajectory 0 is 0, and so is every stderr
     var = np.maximum(tot_sq - tot_dev ** 2 / m, 0.0) / max(m - 1, 1)
     return EnsembleStats(times=times, means=dict(zip(STAT_FIELDS, tot / m)),
                          stderrs=dict(zip(STAT_FIELDS, np.sqrt(var / m))),
                          m=m, base_seed=cfg.base_seed, final_states=finals,
+                         norm_drift=drift,
                          rho_times=rho_times, rhos=rhos / m, series=series)
 
 

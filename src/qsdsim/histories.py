@@ -34,7 +34,7 @@ from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, _gram_sum, cat_state, check_headroom, \
     coherent_states, steps_on_grid
-from .oracle import LindbladPropagatorConfig, _band_norm, _band_steps, \
+from .oracle import LindbladPropagatorConfig, _band_index, _band_steps, \
     _to_bands, propagate_matrices
 
 MAX_DEPTH = 3
@@ -316,9 +316,9 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     generator conserves the trace exactly, truncated or not
     (Tr(L X L^dag) = Tr(L^dag L X)), so the branch weights are read at
     Dt = 0 and only the cross block is evolved, in the oracle's band
-    layout, whose held entries give the norm without rebuilding the
-    N x N block.  It is read at every point of the dt_oracle grid up to
-    t_max; a coarser grid thins the samples exactly.
+    layout, whose held entries give a block of norms at once without
+    rebuilding the N x N block.  It is read at every point of the
+    dt_oracle grid up to t_max; a coarser grid thins them to rounding.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -339,8 +339,11 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
 
     y = _to_bands(p_plus @ rho @ p_minus, ops.n_fock)
     intervals = np.arange(n_steps + 1) * dt
-    ratios = np.array([_band_norm(bands) for bands
-                       in _band_steps(y, ops, dt, n_steps)]) / scale
+    ratios = np.empty(n_steps + 1)
+    for i, block in _band_steps(y, ops, dt, n_steps):
+        kept = block[:, _band_index(ops.n_fock)[1]]
+        ratios[i:i + len(block)] = np.sqrt(np.vecdot(kept, kept).real)
+    ratios /= scale
 
     crossing = float("nan")
     for s in range(1, ratios.size):

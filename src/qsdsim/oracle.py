@@ -20,10 +20,10 @@ matrix's bands k >= 0 and half 1 the conjugates of its bands -k, each
 as N // 2 + 1 slots of N entries (bands k and N - k share a slot).
 H, evenly spaced, adds -i k spacing / hbar, a multiple of I, to band
 k's generator, so both halves evolve under one real stack of
-propagators from one batched Pade exponential and one phase per band.
+propagators from one batched Taylor exponential and one phase per band.
 _to_bands and _from_bands convert to and from it, and _band_steps
-steps it by one real stacked product per step: per dt_oracle for
-propagate and histories.cat_interval_scan, over the whole duration for
+steps it in blocks of up to _CHAIN steps: per dt_oracle for propagate
+and histories.cat_interval_scan, over the whole duration for
 propagate_matrices.
 """
 
@@ -84,11 +84,6 @@ def _from_bands(bands: np.ndarray, out=None) -> np.ndarray:
     return np.conjugate(mats, out=mats, where=upper)
 
 
-def _band_norm(bands: np.ndarray) -> float:
-    """Frobenius norm of one matrix in band layout."""
-    return np.linalg.norm(bands[_band_index(bands.shape[-1])[1]])
-
-
 def _slot_generators(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
     """(gen, rate): the generator on the bands k >= 0, as N // 2 + 1
     slots of N x N, is gen - i diag(rate).
@@ -115,38 +110,33 @@ def _slot_generators(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
     return gen, rate
 
 
-# The [13/13] Pade coefficients b_0..b_13 and the largest 1-norm at
-# which that approximant is accurate to double precision unscaled
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# The Taylor coefficients 1 / k! of exp to degree 20, and the largest
+# 1-norm at which they give exp to double precision unscaled: the first
+# term dropped, theta^21 / 21!, is below 2^-53 e^-theta <= 2^-53 ||exp A||.
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(21))
+_THETA = 1.4
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of a real (..., n, n) stack by scaling and squaring.
 
     Each matrix is scaled by its own power of two to a 1-norm of at
-    most theta_13, exponentiated by the [13/13] Pade approximant
-    I + 2 (V - U)^-1 U, exactly I for a zero matrix, and squared back.
-    Each product and solve is one small matrix per BLAS or LAPACK call,
-    so none of them starts a worker thread.
-    """
+    most _THETA, exponentiated by its degree-20 Taylor polynomial in
+    Paterson-Stockmeyer form, Horner's rule in a^4 on c_i I + c_(i+1) a +
+    c_(i+2) a^2 + c_(i+3) a^3 (exactly I for a zero matrix), and squared
+    back: seven matrix products and the squarings, no solve."""
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA) / _THETA)).astype(int)
     a = a * np.ldexp(1.0, -s)[..., None, None]
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
+    c, n = _TAYLOR, a.shape[-1]
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = 2.0 * np.linalg.solve(v - u, u) + eye
+    a3, a4 = a2 @ a, a2 @ a2
+    r, term = c[20] * a4, np.empty_like(a)   # terms added in place
+    for i in range(16, -1, -4):
+        for k, x in enumerate((a, a2, a3), i + 1):
+            r += np.multiply(x, c[k], out=term)
+        r.reshape(*r.shape[:-2], n * n)[..., ::n + 1] += c[i]
+        r = r @ a4 if i else r
     for i in range(s.max(initial=0)):
         more = s > i
         r[more] = r[more] @ r[more]
@@ -160,36 +150,57 @@ def _band_propagator(ops: OperatorSet, t: float) -> tuple[np.ndarray, ...]:
     multiple of I commutes with it.  Band -k's propagator is conj(P_k).
     """
     gen, rate = _slot_generators(ops)
-    # squaring s times amplifies the rounding of the Pade step by 2^s,
+    # squaring s times amplifies the rounding of the Taylor step by 2^s,
     # past s = 52 beyond the result itself; the norm holds |t * rate| so
     # that the phase is finite too.  The Python float product overflows
     # to inf without a warning, and inf and nan are refused
     norm = t * (float(np.abs(gen).sum(axis=-2).max())
                 + float(np.abs(rate).max()))
-    if not norm <= _THETA13 * 2.0 ** 52:
+    if not norm <= _THETA * 2.0 ** 52:
         raise ParameterError(f"span {t} too long for one propagator: "
                              f"|t * generator| = {norm:.3g}")
     return _expm_stack(t * gen), np.exp(-1j * t * rate)
 
 
+# Steps _band_steps takes one by one, then its chains; a power of two.
+_CHAIN = 16
+
+
 def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
-    """y in band layout (any leading axes), then after each of n_steps
-    steps of dt, by one propagator built at the first step, if any;
-    the real stack multiplies y's entries as (re, im) pairs."""
-    yield y
-    if n_steps:
-        real, phase = _band_propagator(ops, dt)
-        for _ in range(n_steps):
-            pairs = np.ascontiguousarray(y).view(float)
-            y = (real @ pairs.reshape(*y.shape, 2)).view(complex)[..., 0]
-            y *= phase
-            yield y
+    """(i, block) in turn, block[j] being y in band layout (any leading
+    axes) after i + j of n_steps steps of dt, by one propagator built at
+    the first step, if any, whose real stack multiplies (re, im) pairs.
+    After _CHAIN single steps, their states advance together by it
+    squared log2 _CHAIN times (its phase is a multiple of I)."""
+    yield 0, y[None]
+    if not n_steps:
+        return
+    real, phase = _band_propagator(ops, dt)
+    head = np.empty((min(n_steps, _CHAIN), *y.shape), dtype=complex)
+    for out in head:
+        pairs = np.ascontiguousarray(y).view(float).reshape(*y.shape, 2)
+        np.matmul(real, pairs, out=out.view(float).reshape(pairs.shape))
+        y = np.multiply(out, phase, out=out)
+    yield 1, head
+    if n_steps <= _CHAIN:
+        return
+    for _ in range(_CHAIN.bit_length() - 1):
+        real, phase = real @ real, phase * phase
+    # slot-major, (S, N, _CHAIN, ...): transposed as complex, not floats
+    axes = (head.ndim - 2, head.ndim - 1, *range(head.ndim - 2))
+    chains = np.ascontiguousarray(head.transpose(axes))
+    shape, back = chains.shape, np.argsort(axes)
+    for i in range(_CHAIN + 1, n_steps + 1, _CHAIN):
+        pairs = chains.view(float).reshape(*shape[:2], -1)
+        chains = (real @ pairs).view(complex)
+        chains *= phase[..., None]
+        yield i, chains.reshape(shape).transpose(back)[:n_steps + 1 - i]
 
 
 @dataclass(frozen=True)
 class LindbladPropagatorConfig:
     """dt_oracle is the one sample grid and t_end lies on it; as the
-    propagator is exact, a coarser grid thins the samples exactly."""
+    propagator is exact, a coarser grid thins the samples to rounding."""
 
     dt_oracle: float
     t_end: float
@@ -215,7 +226,7 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     """Evolve rho0 to t_end, snapshotting at every point of the grid.
 
     dt_oracle is the one sample grid (t_end on it within 1e-9
-    relative); a coarser grid thins the samples exactly.  rho0, one
+    relative); a coarser grid thins the samples to rounding.  rho0, one
     (N, N) matrix, is hermitized once; only the bands k >= 0 are
     evolved, and each snapshot is written from them with the bands -k
     as their conjugates, so it is Hermitian by construction.
@@ -229,8 +240,8 @@ def propagate(rho0: np.ndarray, ops: OperatorSet,
     bands = _to_bands(np.asarray(rho0, dtype=complex), ops.n_fock)
     # hermitized in band layout, where it leaves the two halves equal
     y = 0.5 * (bands[..., 0, :, :] + bands[..., 1, :, :])
-    for out, half in zip(rhos, _band_steps(y, ops, dt, n_steps)):
-        _from_bands(half[None], out)
+    for i, block in _band_steps(y, ops, dt, n_steps):
+        _from_bands(block[:, None], rhos[i:i + len(block)])
     return OracleRun(times=np.arange(n_steps + 1) * dt, rhos=rhos)
 
 
@@ -246,5 +257,5 @@ def propagate_matrices(mats: np.ndarray, ops: OperatorSet,
         raise ParameterError(
             f"duration must be finite and >= 0, got {duration}")
     bands = _to_bands(np.asarray(mats, dtype=complex), ops.n_fock)
-    *_, bands = _band_steps(bands, ops, duration, 1)
-    return _from_bands(bands)
+    *_, (_, block) = _band_steps(bands, ops, duration, 1)
+    return _from_bands(block[0])

@@ -16,6 +16,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsdsim
+import qsdsim.cli
 from conftest import thermal_state
 from qsdsim import (STAT_FIELDS, ConfigError, EnsembleConfig, HistorySpec,
                     InitialStateSpec, IntegratorConfig,
@@ -32,8 +34,8 @@ from qsdsim import (STAT_FIELDS, ConfigError, EnsembleConfig, HistorySpec,
 from qsdsim.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
                         EXIT_PASS, Runner, _model, check_config, load_config,
                         main, make_parser)
-from qsdsim.constants import (MAX_N_FOCK, MAX_SEED, MAX_STEPS,
-                              MAX_TRAJECTORIES)
+from qsdsim.constants import (MAX_N_FOCK, MAX_SEED, MAX_SNAPSHOT_BYTES,
+                              MAX_STEPS, MAX_TRAJECTORIES)
 
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -670,6 +672,33 @@ def test_huge_n_fock_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert f"maximum of {MAX_N_FOCK}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_thermalize_refuses_snapshots_past_the_bound(tmp_path, capsys,
+                                                      monkeypatch):
+    # 51 decorrelated late rows at MAX_N_FOCK levels would hold 3.2 GiB
+    # of density matrices; the config stage refuses the run before any
+    # trajectory runs and before a single snapshot is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_ensemble called")
+
+    monkeypatch.setattr(qsdsim.cli, "run_ensemble", refuse)
+    cfg = _canned("thermalize")
+    cfg["fock"]["n_fock"] = MAX_N_FOCK
+    cfg["integrator"]["t_end"] = 200.0
+    tracemalloc.start()
+    try:
+        code, out = _run(tmp_path, "thermalize", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "51 density-matrix snapshots" in err
+    assert f"maximum of {MAX_SNAPSHOT_BYTES / 2 ** 30:g} GiB" in err
+    assert "fock.n_fock" in err and "integrator.t_end" in err
+    assert list(out.iterdir()) == []
+    assert peak < MAX_N_FOCK ** 2 * 16
 
 
 @pytest.mark.parametrize("command, name", [

@@ -52,6 +52,23 @@ def test_single_member_equals_bare_trajectory(warm_params, ops20):
         assert np.array_equal(stats.means[f], rec.bundles[f]), f
 
 
+def test_norm_drift_is_the_largest_over_members(ops20, monkeypatch):
+    # one member keeps its trajectory's drift bit for bit; over three
+    # batches of one, the ensemble keeps the largest, here the middle one
+    def solo(k):
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.5, record_stride=100,
+                               seed=trajectory_seed(5, k))
+        return run_trajectory(coherent_state(ops20, 0.8), ops20,
+                              cfg).norm_drift
+
+    drifts = [solo(k) for k in range(3)]
+    assert min(drifts) > 0 and len(set(drifts)) == 3
+    assert run_ensemble(_cfg(1), ops20).norm_drift == drifts[0]
+    assert max(drifts) == drifts[1]
+    monkeypatch.setattr(ensemble, "TRAJ_BATCH", 1)
+    assert run_ensemble(_cfg(3), ops20).norm_drift == drifts[1]
+
+
 def test_batch_membership_does_not_change_results(ops20):
     # m = 2 TRAJ_BATCH + 2 straddles two batch boundaries; its first
     # batch must end exactly where an ensemble of one full batch does

@@ -408,13 +408,14 @@ def test_decoherence_interval_shrinks_with_separation_squared():
 
 
 @pytest.mark.parametrize("n_fock", [11, 12])
-@pytest.mark.parametrize("n_steps, t_max", [(1, 0.3), (2, 0.5)])
+@pytest.mark.parametrize("n_steps, t_max", [(1, 0.3), (2, 0.5),
+                                            (37, 1.85)])
 def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, n_steps,
                                                 t_max):
     # the scan reads ||K[X]||_F from the band layout; the whole cross
     # block, evolved by propagate_matrices, must give the same norm, so
     # no band is dropped or counted twice (band 0, and band N / 2 of an
-    # even N)
+    # even N), in the first steps and in the chains after them
     ops = build_operators(warm_params, n_fock)
     alpha, w, h = 0.5, 0.4, 0.1
     dt = t_max / n_steps

@@ -363,7 +363,7 @@ def test_band_precondition_fails_closed(warm_params):
     (None, 1.0, 1.0), (0.8, 1.0, 1.0), (0.8, 1.3, 0.7)],
     ids=["None", "0.8", "0.8-omega1.3-hbar0.7"])
 def test_stacked_pade_matches_scipy_per_band(n_fock, nbar, omega, hbar):
-    # the one batched Pade build, its real stack times its phases,
+    # the one batched Taylor build, its real stack times its phases,
     # against scipy's expm of each band's generator, read off the dense
     # generator; no bath and a warm one, and one whose h has differences
     # that are not exact
@@ -424,7 +424,7 @@ def test_propagator_config_refuses_non_finite_values(warm_params):
 
 
 def test_zero_band_propagates_as_exactly_the_identity():
-    # with no bath every real block is zero and its Pade quotient is
+    # with no bath every real block is zero and its Taylor polynomial is
     # exactly I, and band 0 has no phase, so the vacuum stays exactly
     # put however many steps are taken
     ops = build_operators(ModelParams(gamma=0.0), 40)
@@ -469,3 +469,66 @@ def test_propagate_is_a_chain_of_apply(warm_params, n_fock):
     for got in run.rhos:
         assert np.array_equal(got, rho)
         rho = _apply_hermitian(prop, rho)
+
+
+def test_block_steps_keep_every_prefix(warm_params):
+    # the steps after the first _CHAIN run as chains of _CHAIN, so a
+    # longer run computes the same first snapshots as a shorter one,
+    # bit for bit, on both sides of the chains' start
+    ops = build_operators(warm_params, 12)
+    rho0 = _random_density(12, 13)
+    assert 20 > oracle._CHAIN
+    short, long = (propagate(rho0, ops, LindbladPropagatorConfig(
+        dt_oracle=0.1, t_end=0.1 * n)) for n in (20, 50))
+    assert len(short.rhos) == 21 and len(long.rhos) == 51
+    assert np.array_equal(long.rhos[:21], short.rhos)
+
+
+@pytest.mark.parametrize("n_fock", [11, 12])
+def test_chained_steps_match_the_dense_exponential(warm_params, n_fock):
+    # the single steps, two whole chain advances and a partial third,
+    # against the dense Liouvillian exponential at every sample
+    ops = build_operators(warm_params, n_fock)
+    rho0 = _random_density(n_fock, 14)
+    dt = 0.05
+    n_steps = 3 * oracle._CHAIN + 5
+    run = propagate(rho0, ops, LindbladPropagatorConfig(
+        dt_oracle=dt, t_end=n_steps * dt))
+    assert len(run.rhos) == n_steps + 1
+    step = expm(dt * liouvillian(ops))
+    rho = 0.5 * (rho0 + rho0.conj().T)
+    for got in run.rhos:
+        assert np.abs(got - rho).max() < 1e-12
+        rho = (step @ rho.reshape(-1)).reshape(rho.shape)
+
+
+def test_propagator_builds_call_no_linear_solver(warm_params, monkeypatch):
+    # the exponential is a polynomial and its squares: products only
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ops = build_operators(warm_params, 12)
+    for t in (0.02, 6.28, 50.0):
+        real, _ = oracle._band_propagator(ops, t)
+        assert np.isfinite(real).all()
+    run = propagate(_random_density(12, 15), ops,
+                    LindbladPropagatorConfig(dt_oracle=0.1, t_end=4.0))
+    assert np.isfinite(run.rhos).all()
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_taylor_stack_matches_scipy_near_theta(factor):
+    # just below theta the polynomial alone, just above it one squaring
+    # of the half-norm polynomial; each matrix has its own scaling
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((4, 9, 9))
+    a[1] -= 3.0 * np.eye(9)      # a dissipator-like diagonal
+    a[2] = np.abs(a[2])          # no cancellation in the series
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    a *= (factor * oracle._THETA / norms)[:, None, None]
+    a[3] *= 1e-3                 # far below theta, in the same stack
+    got = oracle._expm_stack(a)
+    for mat, out in zip(a, got):
+        assert np.abs(out - expm(mat)).max() < 1e-13
