@@ -425,6 +425,18 @@ def density_matrix(states) -> np.ndarray:
     return _gram_sum(states / nrm[:, None]) / states.shape[0]
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-canned", action="store_true",
+        help="rewrite tests/golden/canned.json, the digest of the canned "
+             "experiments' outputs, from this tree's runs")
+
+
+@pytest.fixture
+def regen_canned(request) -> bool:
+    return request.config.getoption("--regen-canned")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _criteria.results:
         return

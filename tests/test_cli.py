@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
 import re
@@ -194,11 +195,90 @@ def test_canned_configs_pass_the_check_and_keys_match_fields():
     assert CONFIG_KEYS["ensemble"].keys() <= _fields(EnsembleConfig)
 
 
-def test_canned_experiments_pass(tmp_path):
+# The digest of the canned experiments' outputs that
+# test_canned_experiments_pass holds every run to.  It is test data:
+# rewrite it, with `pytest tests/test_cli.py -k canned --regen-canned`,
+# only where an output is meant to change.
+GOLDEN = Path(__file__).parent / "golden" / "canned.json"
+# outputs that a BLAS product or an eigensolver feeds; they must match
+# to 1e-12 relative, each value within 1e-12 of itself or of the
+# largest finite magnitude of its column or key.  The rest, the loop's
+# statistics and the fits and text made from them, must match exactly:
+# the loop's IEEE-order rule makes them the same at every lane width
+_BLAS_OUTPUTS = frozenset({"decoherence.json", "peaking_report.json",
+                           "suppression.csv", "oracle_compare.csv",
+                           "occupation_histogram.csv"})
+# rows a CSV digest keeps: all of a short file, else this many evenly
+# spaced ones beside the column sums
+_DIGEST_ROWS = 6
+
+
+def _digest(out, manifest, tables, code):
+    """What the canned digest keeps of one run: its exit code, check
+    labels and verdicts, and each output, a CSV as its header and rows
+    (thinned, with exact column sums, past 2 * _DIGEST_ROWS rows)."""
+    files = {}
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            head, *rows = tables[name]
+            files[name] = {"head": head, "rows": rows}
+            if len(rows) > 2 * _DIGEST_ROWS and name not in _BLAS_OUTPUTS:
+                keep = np.linspace(0, len(rows) - 1, _DIGEST_ROWS)
+                files[name] = {
+                    "head": head, "n_rows": len(rows),
+                    "rows": {str(i): rows[i] for i in keep.round().astype(int)},
+                    "sums": [math.fsum(map(float, col)) for col in zip(*rows)]}
+        elif name.endswith(".json"):
+            files[name] = json.loads((out / name).read_text())
+        else:
+            files[name] = (out / name).read_text()
+    return {"exit": code, "files": files,
+            "checks": [[c["label"], c["passed"]] for c in manifest["checks"]]}
+
+
+def _numbers(value):
+    """value as a float array, or None where it holds anything else."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
+def _match_digest(name, got, want):
+    """got, a run's digest, is want: exactly, but for the values of the
+    _BLAS_OUTPUTS, which match to 1e-12 relative."""
+    assert got.keys() == want.keys(), name
+    assert got["files"].keys() == want["files"].keys(), name
+    for file, doc in want["files"].items():
+        where = f"{name}/{file}"
+        if file not in _BLAS_OUTPUTS:
+            # as text, so that a nan matches a nan
+            assert json.dumps(got["files"][file]) == json.dumps(doc), where
+            continue
+        fields = [doc, got["files"][file]]
+        if file.endswith(".csv"):
+            assert fields[1]["head"] == doc["head"], where
+            fields = [dict(zip(f["head"], zip(*f["rows"]))) for f in fields]
+        assert fields[1].keys() == fields[0].keys(), where
+        for key, value in fields[0].items():
+            expect, actual = _numbers(value), _numbers(fields[1][key])
+            if expect is None or actual is None:
+                assert fields[1][key] == value, f"{where}: {key}"
+                continue
+            scale = np.abs(expect[np.isfinite(expect)]).max(initial=0.0)
+            np.testing.assert_allclose(actual, expect, rtol=1e-12,
+                                       atol=1e-12 * scale,
+                                       err_msg=f"{where}: {key}")
+    for part in ("exit", "checks"):
+        assert got[part] == want[part], f"{name}: {part}"
+
+
+def test_canned_experiments_pass(tmp_path, regen_canned):
     # every published experiment, as scripts/run_all_experiments.py runs
-    # it, in this process: it exits 0 and passes each of its checks
+    # it, in this process: it exits 0, passes each of its checks and
+    # gives the outputs of the committed digest
     assert len(_EXPERIMENTS) == len(list(CONFIGS.glob("*.json"))) > 0
-    tables = {}
+    tables, digests = {}, {}
     for command, name in _EXPERIMENTS:
         out = tmp_path / name
         code = main([command, "--config", str(CONFIGS / f"{name}.json"),
@@ -207,6 +287,14 @@ def test_canned_experiments_pass(tmp_path):
         assert code == EXIT_PASS, name
         assert manifest["passed"] and manifest["checks"], name
         assert all(c["passed"] for c in manifest["checks"]), name
+        digests[name] = _digest(out, manifest, tables[name], code)
+    if regen_canned:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+    golden = json.loads(GOLDEN.read_text())
+    assert golden.keys() == digests.keys()
+    for name, want in golden.items():
+        _match_digest(name, digests[name], want)
     # thermalize's inline law is the diagonal of the reference thermal
     # state to within its truncation residual, (nbar / (1 + nbar))^n_fock
     cfg = _canned("thermalize")
