@@ -312,17 +312,21 @@ def coherent_state(ops: OperatorSet, alpha: complex) -> np.ndarray:
 def coherent_states(ops: OperatorSet, alphas: np.ndarray) -> np.ndarray:
     """coherent_state of each entry of the 1-D alphas, one per row.
 
-    The level recursion runs over all points at once, so rows agree
-    with coherent_state to round-off, not bit for bit.
+    The level recursion runs over all points at once, each level one
+    contiguous row of a level-major array, and each point's row is then
+    normalized; rows agree with coherent_state to round-off, not bit
+    for bit.
     """
     alphas = np.asarray(alphas, dtype=complex)
     # argmax stops at the first nan, which check_headroom refuses
     check_headroom(alphas[np.argmax(np.abs(alphas))], ops.n_fock)
-    states = np.empty((alphas.size, ops.n_fock), dtype=complex)
-    states[:, 0] = 1.0
+    levels = np.empty((ops.n_fock, alphas.size), dtype=complex)
+    levels[0] = 1.0
     for n in range(1, ops.n_fock):
-        states[:, n] = states[:, n - 1] * alphas / math.sqrt(n)
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+        levels[n] = levels[n - 1] * alphas / math.sqrt(n)
+    states = np.ascontiguousarray(levels.T)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
 
 
 def cat_state(ops: OperatorSet, alpha: complex, phase: float = 0.0) -> np.ndarray:

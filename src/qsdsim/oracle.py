@@ -24,7 +24,8 @@ propagators from one batched Taylor exponential and one phase per band.
 _to_bands and _from_bands convert to and from it, and _band_steps
 steps it in blocks of up to _CHAIN steps: per dt_oracle for propagate
 and histories.cat_interval_scan, over the whole duration for
-propagate_matrices.
+propagate_matrices.  The scan reads only norms, which a unit phase per
+band leaves unchanged, so it steps without the phases.
 """
 
 from __future__ import annotations
@@ -124,7 +125,10 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     most _THETA, exponentiated by its degree-20 Taylor polynomial in
     Paterson-Stockmeyer form, Horner's rule in a^4 on c_i I + c_(i+1) a +
     c_(i+2) a^2 + c_(i+3) a^3 (exactly I for a zero matrix), and squared
-    back: seven matrix products and the squarings, no solve."""
+    back: seven matrix products and the squarings, no solve.  Each
+    squaring multiplies the whole stack and keeps the product only where
+    a matrix needs that many, so a matrix gets the same bits in any
+    stack, and no slot is gathered or scattered."""
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.ceil(np.log2(np.maximum(norm, _THETA) / _THETA)).astype(int)
     a = a * np.ldexp(1.0, -s)[..., None, None]
@@ -138,8 +142,8 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         r.reshape(*r.shape[:-2], n * n)[..., ::n + 1] += c[i]
         r = r @ a4 if i else r
     for i in range(s.max(initial=0)):
-        more = s > i
-        r[more] = r[more] @ r[more]
+        more = (s > i)[..., None, None]
+        r = r @ r if more.all() else np.where(more, r @ r, r)
     return r
 
 
@@ -166,12 +170,16 @@ def _band_propagator(ops: OperatorSet, t: float) -> tuple[np.ndarray, ...]:
 _CHAIN = 16
 
 
-def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
+def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int,
+                phases: bool = True):
     """(i, block) in turn, block[j] being y in band layout (any leading
     axes) after i + j of n_steps steps of dt, by one propagator built at
     the first step, if any, whose real stack multiplies (re, im) pairs.
     After _CHAIN single steps, their states advance together by it
-    squared log2 _CHAIN times (its phase is a multiple of I)."""
+    squared log2 _CHAIN times (its phase is a multiple of I); each of
+    those blocks is a transposed view of the chains' own slot-major
+    (S, N, k, ...) memory.  With phases off, the bands' unit phases are
+    left out: each entry keeps its modulus, not its value."""
     yield 0, y[None]
     if not n_steps:
         return
@@ -180,7 +188,7 @@ def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
     for out in head:
         pairs = np.ascontiguousarray(y).view(float).reshape(*y.shape, 2)
         np.matmul(real, pairs, out=out.view(float).reshape(pairs.shape))
-        y = np.multiply(out, phase, out=out)
+        y = np.multiply(out, phase, out=out) if phases else out
     yield 1, head
     if n_steps <= _CHAIN:
         return
@@ -193,7 +201,8 @@ def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
     for i in range(_CHAIN + 1, n_steps + 1, _CHAIN):
         pairs = chains.view(float).reshape(*shape[:2], -1)
         chains = (real @ pairs).view(complex)
-        chains *= phase[..., None]
+        if phases:
+            chains *= phase[..., None]
         yield i, chains.reshape(shape).transpose(back)[:n_steps + 1 - i]
 
 

@@ -255,15 +255,16 @@ def _match_digest(name, got, want):
             # as text, so that a nan matches a nan
             assert json.dumps(got["files"][file]) == json.dumps(doc), where
             continue
-        fields = [doc, got["files"][file]]
-        if file.endswith(".csv"):
-            assert fields[1]["head"] == doc["head"], where
-            fields = [dict(zip(f["head"], zip(*f["rows"]))) for f in fields]
-        assert fields[1].keys() == fields[0].keys(), where
-        for key, value in fields[0].items():
-            expect, actual = _numbers(value), _numbers(fields[1][key])
+        mine = got["files"][file]
+        if file.endswith(".csv"):   # compared column by column
+            assert mine["head"] == doc["head"], where
+            doc, mine = (dict(zip(d["head"], zip(*d["rows"])))
+                         for d in (doc, mine))
+        assert mine.keys() == doc.keys(), where
+        for key, value in doc.items():
+            expect, actual = _numbers(value), _numbers(mine[key])
             if expect is None or actual is None:
-                assert fields[1][key] == value, f"{where}: {key}"
+                assert mine[key] == value, f"{where}: {key}"
                 continue
             scale = np.abs(expect[np.isfinite(expect)]).max(initial=0.0)
             np.testing.assert_allclose(actual, expect, rtol=1e-12,

@@ -409,7 +409,8 @@ def test_decoherence_interval_shrinks_with_separation_squared():
 
 @pytest.mark.parametrize("n_fock", [11, 12])
 @pytest.mark.parametrize("n_steps, t_max", [(1, 0.3), (2, 0.5),
-                                            (37, 1.85)])
+                                            (37, 1.85),
+                                            (3 * oracle._CHAIN + 5, 2.65)])
 def test_scan_band_norm_is_the_dense_block_norm(warm_params, n_fock, n_steps,
                                                 t_max):
     # the scan reads ||K[X]||_F from the band layout; the whole cross

@@ -532,3 +532,23 @@ def test_taylor_stack_matches_scipy_near_theta(factor):
     got = oracle._expm_stack(a)
     for mat, out in zip(a, got):
         assert np.abs(out - expm(mat)).max() < 1e-13
+
+
+def test_squaring_leaves_each_slot_its_own_bits():
+    # each slot is squared as often as its own norm asks, whatever else
+    # is in the stack: the bench-sized case, where 16 slots need one
+    # squaring more than the other 5, gives each slot the bits it has
+    # when it is exponentiated alone
+    params = ModelParams(m=1.0, omega=1.0, gamma=3.0 / (10.0 * math.pi),
+                         temperature=temperature_for_nbar(2.0))
+    gen, _ = oracle._slot_generators(build_operators(params, 40))
+    a = 6.28 * gen
+    s = np.ceil(np.log2(np.abs(a).sum(axis=-2).max(axis=-1) / oracle._THETA))
+    assert sorted(s.tolist()) == [7.0] * 5 + [8.0] * 16
+    few, more = int(np.argmin(s)), int(np.argmax(s))
+    alone = oracle._expm_stack(a[few])
+    pair = oracle._expm_stack(a[[few, more]])
+    assert np.array_equal(pair[0], alone)
+    assert np.array_equal(pair[1], oracle._expm_stack(a[more]))
+    for mat, out in zip(a[[few, more]], pair):
+        assert np.abs(out - expm(mat)).max() < 1e-13
