@@ -34,8 +34,7 @@ from .constants import CELL_MIN_POINTS_PER_HALF_WIDTH, DIAG_WEIGHT_FLOOR, \
 from .errors import ConfigError, DimensionError, QuadratureError
 from .model import OperatorSet, _gram_sum, cat_state, check_headroom, \
     coherent_states, steps_on_grid
-from .oracle import LindbladPropagatorConfig, _band_index, _band_steps, \
-    _to_bands, propagate_matrices
+from .oracle import LindbladPropagatorConfig, _band_norms, propagate_matrices
 
 MAX_DEPTH = 3
 MAX_CELLS_PER_TIME = 16
@@ -315,13 +314,11 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     SUPPRESSION_THRESHOLD estimates the decoherence interval.  The
     generator conserves the trace exactly, truncated or not
     (Tr(L X L^dag) = Tr(L^dag L X)), so the branch weights are read at
-    Dt = 0 and only the cross block is evolved, in the oracle's band
-    layout, without the bands' unit phases, which leave every norm
-    unchanged.  Its duplicated entries are zeroed at Dt = 0 and stay
-    exactly 0, so a block of squared norms is one plain sum of squares
-    per state, read in the stepper's own memory without rebuilding the
-    N x N block.  It is read at every point of the dt_oracle grid up to
-    t_max; a coarser grid thins them to rounding.
+    Dt = 0 and only the cross block is evolved, by oracle._band_norms,
+    which reads its norm from the band layout (duplicated entries
+    zeroed, no phases) without rebuilding the N x N block.  It is read
+    at every point of the dt_oracle grid up to t_max; a coarser grid
+    thins them to rounding.
     """
     dt = pcfg.dt_oracle
     n_steps = steps_on_grid(t_max, dt, "t_max")
@@ -340,21 +337,10 @@ def cat_interval_scan(alpha0: complex, ops: OperatorSet,
     scale = (math.sqrt(w_plus * w_minus)
              if min(w_plus, w_minus) >= DIAG_WEIGHT_FLOOR else math.nan)
 
-    # each slot's propagator is block-diagonal with exactly-zero off
-    # blocks, so the duplicated entries, zeroed here, stay exactly 0
-    y = _to_bands(p_plus @ rho @ p_minus, ops.n_fock)
-    y[~_band_index(ops.n_fock)[1]] = 0.0
-    ones = np.ones(y[0].size)
     intervals = np.arange(n_steps + 1) * dt
     ratios = np.empty(n_steps + 1)
-    for i, block in _band_steps(y, ops, dt, n_steps, phases=False):
-        k = len(block)
-        if i > 1:   # the chains' own slot-major (S, N, k, 2) memory
-            sq = np.square(block.transpose(2, 3, 0, 1).view(float))
-            norms = (ones @ sq.reshape(ones.size, -1)).reshape(k, -1)
-        else:
-            norms = np.square(block.view(float)).reshape(k, -1)
-        ratios[i:i + k] = np.sqrt(norms.sum(axis=1))
+    for i, norms in _band_norms(p_plus @ rho @ p_minus, ops, dt, n_steps):
+        ratios[i:i + len(norms)] = norms
     ratios /= scale
 
     crossing = float("nan")

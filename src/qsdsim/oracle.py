@@ -23,9 +23,10 @@ k's generator, so both halves evolve under one real stack of
 propagators from one batched Taylor exponential and one phase per band.
 _to_bands and _from_bands convert to and from it, and _band_steps
 steps it in blocks of up to _CHAIN steps: per dt_oracle for propagate
-and histories.cat_interval_scan, over the whole duration for
-propagate_matrices.  The scan reads only norms, which a unit phase per
-band leaves unchanged, so it steps without the phases.
+and _band_norms, over the whole duration for propagate_matrices.
+_band_norms gives histories.cat_interval_scan the norms it reads;
+a unit phase per band leaves every norm unchanged, so it steps without
+the phases.
 """
 
 from __future__ import annotations
@@ -142,8 +143,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         r.reshape(*r.shape[:-2], n * n)[..., ::n + 1] += c[i]
         r = r @ a4 if i else r
     for i in range(s.max(initial=0)):
-        more = (s > i)[..., None, None]
-        r = r @ r if more.all() else np.where(more, r @ r, r)
+        r = np.where((s > i)[..., None, None], r @ r, r)
     return r
 
 
@@ -204,6 +204,28 @@ def _band_steps(y: np.ndarray, ops: OperatorSet, dt: float, n_steps: int,
         if phases:
             chains *= phase[..., None]
         yield i, chains.reshape(shape).transpose(back)[:n_steps + 1 - i]
+
+
+def _band_norms(mat: np.ndarray, ops: OperatorSet, dt: float, n_steps: int):
+    """(i, norms) in turn, norms[j] being the Frobenius norm of the
+    (N, N) matrix mat after i + j of n_steps steps of dt, as _band_steps
+    gives them.  The bands step without their unit phases, which leave
+    every norm unchanged, and with the entries _band_index does not hold
+    once zeroed at the start: each slot's propagator is block-diagonal
+    with exactly-zero off blocks, so they stay exactly 0 and a norm is
+    one plain sum of squares, read in the chains' own memory."""
+    n = ops.n_fock
+    y = _to_bands(np.asarray(mat, dtype=complex), n)
+    y[~_band_index(n)[1]] = 0.0
+    ones = np.ones(y[0].size)
+    for i, block in _band_steps(y, ops, dt, n_steps, phases=False):
+        k = len(block)
+        if i > 1:   # the chains' slot-major (S, N, k, 2) memory
+            sq = np.square(block.transpose(2, 3, 0, 1).view(float))
+            sq = (ones @ sq.reshape(ones.size, -1)).reshape(k, -1)
+        else:
+            sq = np.square(block.view(float)).reshape(k, -1)
+        yield i, np.sqrt(sq.sum(axis=1))
 
 
 @dataclass(frozen=True)

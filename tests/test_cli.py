@@ -4,6 +4,7 @@ Every run goes through main(argv) in process.  Configs are small
 versions of the real experiments, sized to keep this file fast.
 """
 import contextlib
+import copy
 import csv
 import dataclasses
 import functools
@@ -200,9 +201,10 @@ def test_canned_configs_pass_the_check_and_keys_match_fields():
 # rewrite it, with `pytest tests/test_cli.py -k canned --regen-canned`,
 # only where an output is meant to change.
 GOLDEN = Path(__file__).parent / "golden" / "canned.json"
-# outputs that a BLAS product or an eigensolver feeds; they must match
-# to 1e-12 relative, each value within 1e-12 of itself or of the
-# largest finite magnitude of its column or key.  The rest, the loop's
+# outputs that a BLAS product or an eigensolver feeds; each value must
+# match to 1e-12 relative, or, at rounding level (below 1e-9 of the
+# largest finite magnitude of its column or key), to 1e-12 of that
+# largest magnitude.  The rest, the loop's
 # statistics and the fits and text made from them, must match exactly:
 # the loop's IEEE-order rule makes them the same at every lane width
 _BLAS_OUTPUTS = frozenset({"decoherence.json", "peaking_report.json",
@@ -267,11 +269,32 @@ def _match_digest(name, got, want):
                 assert mine[key] == value, f"{where}: {key}"
                 continue
             scale = np.abs(expect[np.isfinite(expect)]).max(initial=0.0)
-            np.testing.assert_allclose(actual, expect, rtol=1e-12,
-                                       atol=1e-12 * scale,
-                                       err_msg=f"{where}: {key}")
+            assert actual.shape == expect.shape, f"{where}: {key}"
+            size = np.abs(expect)
+            with np.errstate(invalid="ignore"):   # inf - inf, nan
+                tol = 1e-12 * np.where(size < 1e-9 * scale, scale, size)
+                same = ((actual == expect) | (np.abs(actual - expect) <= tol)
+                        | np.isnan(actual) & np.isnan(expect))
+            assert same.all(), f"{where}: {key} at {np.argwhere(~same)[:4]}"
     for part in ("exit", "checks"):
         assert got[part] == want[part], f"{name}: {part}"
+
+
+def test_canned_digest_holds_each_entry_of_d_to_1e_12():
+    # a drift of 1e-10 relative in the smallest entry of D above
+    # rounding level, and in no other, fails the digest match
+    want = json.loads(GOLDEN.read_text())["histories_cat"]
+    _match_digest("histories_cat", want, want)
+    got = copy.deepcopy(want)
+    flat = np.ravel(got["files"]["decoherence.json"]["matrix"])
+    size = np.abs(flat)
+    small = np.argmin(np.where(size < 1e-9 * size.max(), np.inf, size))
+    assert size[small] < 1e-4 * size.max()
+    flat[small] *= 1.0 + 1e-10
+    got["files"]["decoherence.json"]["matrix"] = flat.reshape(
+        np.shape(want["files"]["decoherence.json"]["matrix"])).tolist()
+    with pytest.raises(AssertionError, match="decoherence.json: matrix"):
+        _match_digest("histories_cat", got, want)
 
 
 def test_canned_experiments_pass(tmp_path, regen_canned):
